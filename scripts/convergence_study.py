@@ -77,9 +77,8 @@ def node_study(cfg):
         sp = grid_space(0.0, 1.0, nodes, quadrature="trapezoid")
         B = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s")
         xg = sp.grid
-        xhat = xg / np.sqrt(xg @ (sp.gram @ xg))
-        img = B.matrix @ xhat
-        defect = float(np.sqrt(img @ (sp.gram @ img)))
+        xhat = xg / sp.norm(xg)
+        defect = sp.norm(B.matrix @ xhat)
         note = "" if prev is None else f"  ratio {prev / defect:6.2f}"
         print(f"  nodes={nodes:<5d} defect={defect:.3e}{note}")
         prev = defect

@@ -13,9 +13,8 @@ import pathlib
 import sys
 import time
 
-from degenpde import (certify_operators, complete_structure, evaluate_oracle,
-                      instantiate, load_problem, reduce, solve_family,
-                      write_solution_csv)
+from degenpde import (evaluate_oracle, instantiate, load_problem, reduce,
+                      solve_family, write_solution_csv)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -24,9 +23,8 @@ def run_one(path, out_dir, grid_scale):
     pf = load_problem(path)
     spec = instantiate(pf, grid_scale=grid_scale)
     t0 = time.perf_counter()
-    js, _ = complete_structure(spec.B, spec.A[0])
-    comm = certify_operators(js, spec.A)
     rp = reduce(spec)
+    js, comm = rp.js, rp.comm
     fld = solve_family(rp)
     wall = time.perf_counter() - t0
     out = out_dir / (path.stem + ".csv")

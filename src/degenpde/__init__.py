@@ -33,10 +33,9 @@ from .solvers import (SOLVERS, SolutionField, asymptotic_leading_term,
                       solve_goursat, solve_mixed_series,
                       solve_second_order_evolution,
                       solve_third_order_spectral, write_solution_csv)
-from .spaces import (FiniteOperator, InnerProductSpace, VectorElement,
-                     euclidean_space, grid_space, identity_operator,
-                     make_kernel_operator, matrix_operator, mode_space,
-                     null_space)
+from .spaces import (FiniteOperator, InnerProductSpace, euclidean_space,
+                     grid_space, identity_operator, make_kernel_operator,
+                     matrix_operator, mode_space)
 
 __version__ = "0.1.0"
 
@@ -62,8 +61,8 @@ __all__ = [
     "solve_first_order_evolution", "solve_goursat", "solve_mixed_series",
     "solve_second_order_evolution", "solve_third_order_spectral",
     "write_solution_csv",
-    "FiniteOperator", "InnerProductSpace", "VectorElement",
-    "euclidean_space", "grid_space", "identity_operator",
-    "make_kernel_operator", "matrix_operator", "mode_space", "null_space",
+    "FiniteOperator", "InnerProductSpace", "euclidean_space", "grid_space",
+    "identity_operator", "make_kernel_operator", "matrix_operator",
+    "mode_space",
     "__version__",
 ]

@@ -11,7 +11,6 @@ pseudoinverse, and commutability matrices with their certificates.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import StructureError
 from .spaces import DEFAULT_RANK_TOL, FiniteOperator, InnerProductSpace
@@ -117,28 +116,26 @@ class CommutabilityResult:
 
 @dataclass
 class CommutabilityData:
-    """Commutability matrices for every operator of a system."""
+    """Commutability matrices for every operator of a system, with the
+    primal and dual certificate residuals of each lower-order operator."""
 
     matA: list
     matB: np.ndarray
     quasitriangular: list
     certified: list
+    residual_primal: list
+    residual_dual: list
 
 
-def _weighted_lstsq_solve(op, rhs_cols, Lc=None, Ld=None):
+def _weighted_lstsq_solve(op, rhs_cols):
     """Minimum-norm least-squares solutions of op x = rhs in the metric
     of op's spaces.  rhs_cols is (codomain.dim, r).  Returns (x_cols,
     residual_norms)."""
-    if Lc is None:
-        Lc = op.codomain.cholesky_factor()
-    if Ld is None:
-        Ld = op.domain.cholesky_factor()
     Bw = op.weighted_form()
-    rhs_w = Lc.T @ rhs_cols
+    rhs_w = op.codomain.root[:, None] * rhs_cols
     xw, *_ = np.linalg.lstsq(Bw, rhs_w, rcond=None)
     res = np.linalg.norm(Bw @ xw - rhs_w, axis=0)
-    x = solve_triangular(Ld, xw, lower=True, trans="T")
-    return x, res
+    return xw / op.domain.root[:, None], res
 
 
 def _fix_column_signs(cols, tiny=1e-12):
@@ -168,9 +165,7 @@ def _staircase(Bop, A1op, heads, dual_heads, stop_at, rank_tol, link_tol):
     Returns (terminated_chains, extra_heads) with chains as vector lists.
     """
     d1 = Bop.domain.dim
-    G2 = Bop.codomain.gram
-    Lc = Bop.codomain.cholesky_factor()
-    Ld = Bop.domain.cholesky_factor()
+    w2, r2 = Bop.codomain.weights, Bop.codomain.root[:, None]
     active = [[heads[:, i]] for i in range(heads.shape[1])]
     terminated = []
     level = 1
@@ -183,11 +178,11 @@ def _staircase(Bop, A1op, heads, dual_heads, stop_at, rank_tol, link_tol):
                 f"(still {len(active)} active chains past length {d1})")
         tails = np.column_stack([c[-1] for c in active])
         imgs = A1op.matrix @ tails
-        M = dual_heads.T @ G2 @ imgs if dual_heads.shape[1] else np.zeros((0, len(active)))
+        M = dual_heads.T @ (w2[:, None] * imgs) if dual_heads.shape[1] else np.zeros((0, len(active)))
         # rank against the image magnitudes, not against M's own largest
         # singular value: when every chain extends, M is pure roundoff and
         # a relative test would hallucinate terminations
-        img_scale = float(np.linalg.norm(Lc.T @ imgs, axis=0).max()) if imgs.size else 0.0
+        img_scale = float(np.linalg.norm(r2 * imgs, axis=0).max()) if imgs.size else 0.0
         if M.size == 0 or img_scale == 0.0 or np.abs(M).max() <= rank_tol * img_scale:
             rank = 0
             V = np.eye(len(active))
@@ -205,8 +200,8 @@ def _staircase(Bop, A1op, heads, dual_heads, stop_at, rank_tol, link_tol):
         if survivors:
             new_tails = np.column_stack([c[-1] for c in survivors])
             new_imgs = A1op.matrix @ new_tails
-            ext, res = _weighted_lstsq_solve(Bop, new_imgs, Lc, Ld)
-            img_scale = np.maximum(np.linalg.norm(Lc.T @ new_imgs, axis=0), 1.0)
+            ext, res = _weighted_lstsq_solve(Bop, new_imgs)
+            img_scale = np.maximum(np.linalg.norm(r2 * new_imgs, axis=0), 1.0)
             worst = np.max(res / img_scale)
             if worst > link_tol:
                 raise StructureError(
@@ -225,12 +220,11 @@ def _terminal_pairing_certificate(phi_chains, psi_chains, A1op, codomain):
     l = len(phi_chains)
     if l == 0:
         return 1.0
-    G2 = codomain.gram
     T = np.zeros((l, l))
     for i in range(l):
         tail_img = A1op.matrix @ phi_chains[i][-1]
         for s in range(l):
-            T[i, s] = float(tail_img @ G2 @ psi_chains[s][0])
+            T[i, s] = codomain.inner(tail_img, psi_chains[s][0])
     scales = np.abs(T).max(axis=1)
     if np.any(scales == 0):
         bad = int(np.argmin(scales)) + 1
@@ -247,13 +241,12 @@ def _terminal_pairing_certificate(phi_chains, psi_chains, A1op, codomain):
 def _pair_matrix(phi_chains, psi_chains, p, A1op, codomain):
     """W[(i,j),(s,r)] = <A1 phi_i^(j), psi_s^(r)>, flat block order."""
     idx = [(i, j) for i in range(len(p)) for j in range(1, p[i] + 1)]
-    G2 = codomain.gram
     k = len(idx)
     W = np.zeros((k, k))
     imgs = {(i, j): A1op.matrix @ phi_chains[i][j - 1] for (i, j) in idx}
     for bi, (i, j) in enumerate(idx):
         for ai, (s, r) in enumerate(idx):
-            W[bi, ai] = float(imgs[(i, j)] @ G2 @ psi_chains[s][r - 1])
+            W[bi, ai] = codomain.inner(imgs[(i, j)], psi_chains[s][r - 1])
     return W, idx
 
 
@@ -351,14 +344,13 @@ def _correct_extras(extra_vecs, own_heads, couplings, tol=1e-8):
 def _biorthogonal_partners(primary_cols, space, rhs_cols):
     """Minimum-norm functional vectors y solving <primary_j, y_e> =
     rhs[j, e] in the space's inner product."""
-    L = space.cholesky_factor()
-    M = (L.T @ primary_cols).T  # rows <primary_j, .> in weighted coords
+    M = (space.root[:, None] * primary_cols).T  # rows <primary_j, .>, orthonormal coords
     yw, *_ = np.linalg.lstsq(M, rhs_cols, rcond=None)
     res = float(np.linalg.norm(M @ yw - rhs_cols))
     if res > 1e-8:
         raise StructureError(
             f"extra-direction biorthogonalization failed (residual {res:.2e})")
-    return solve_triangular(L, yw, lower=True, trans="T")
+    return yw / space.root[:, None]
 
 
 def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL, link_tol=DEFAULT_LINK_TOL):
@@ -411,10 +403,9 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL, link_tol=DEFAULT_LINK_
                          diagnostics=diagnostics)
 
     if phi_left:
-        G2 = E2.gram
         def phi_couplings(vec):
             img = A1.matrix @ vec
-            return [[float(img @ G2 @ psi_chains[i][r - 1])
+            return [[E2.inner(img, psi_chains[i][r - 1])
                      for r in range(1, p[i] + 1)] for i in range(l)]
         own_heads = [phi_chains[i][0] for i in range(l)]
         extras = _correct_extras(phi_left, own_heads, phi_couplings, tol=link_tol)
@@ -425,9 +416,8 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL, link_tol=DEFAULT_LINK_
             rhs[k + e, e] = 1.0
         js.gamma_extra = _biorthogonal_partners(prim, E1, rhs)
     if psi_left:
-        G2 = E2.gram
         def psi_couplings(vec):
-            return [[float((A1.matrix @ phi_chains[i][t - 1]) @ G2 @ vec)
+            return [[E2.inner(A1.matrix @ phi_chains[i][t - 1], vec)
                      for t in range(1, p[i] + 1)] for i in range(l)]
         own_heads = [psi_chains[i][0] for i in range(l)]
         extras = _correct_extras(psi_left, own_heads, psi_couplings, tol=link_tol)
@@ -480,7 +470,7 @@ def schmidt_operator(B, js):
         raise StructureError("Schmidt bordering needs a square realization")
     bordered = B.matrix.copy()
     for i in range(js.l):
-        bordered = bordered + np.outer(js.z[i][0], E1.gram @ js.gamma[i][0])
+        bordered = bordered + np.outer(js.z[i][0], E1.weights * js.gamma[i][0])
     cond = float(np.linalg.cond(bordered))
     if not np.isfinite(cond) or cond > 1e12:
         raise StructureError(
@@ -496,15 +486,13 @@ def pseudo_inverse(B, ps):
     E1, E2 = B.domain, B.codomain
     IP = np.eye(E1.dim) - ps.p_total()
     IQ = np.eye(E2.dim) - ps.q_total()
-    L1 = E1.cholesky_factor()
-    L2 = E2.cholesky_factor()
-    IPw = L1.T @ IP @ solve_triangular(L1, np.eye(E1.dim), lower=True, trans="T")
+    r1, r2 = E1.root[:, None], E2.root[:, None]
+    IPw = r1 * IP / E1.root
     # projector singular values cluster at 0 and >= 1; 0.5 splits them
     U, s, _ = np.linalg.svd(IPw)
-    Us = U[:, s > 0.5]
-    U_S = solve_triangular(L1, Us, lower=True, trans="T")
-    BU = L2.T @ (B.matrix @ U_S)
-    target = L2.T @ IQ
+    U_S = U[:, s > 0.5] / r1
+    BU = r2 * (B.matrix @ U_S)
+    target = r2 * IQ
     Y, *_ = np.linalg.lstsq(BU, target, rcond=None)
     res = float(np.linalg.norm(BU @ Y - target) / max(1.0, np.linalg.norm(target)))
     if res > 1e-8:
@@ -520,14 +508,14 @@ def build_projectors(js):
     E1, E2 = js.domain, js.codomain
     Phi, Psi = js.phi_stack(), js.psi_stack()
     Gam, Z = js.gamma_stack(), js.z_stack()
-    Pk = FiniteOperator(Phi @ (Gam.T @ E1.gram), E1, E1)
-    Qk = FiniteOperator(Z @ (Psi.T @ E2.gram), E2, E2)
+    Pk = FiniteOperator(Phi @ (Gam.T * E1.weights), E1, E1)
+    Qk = FiniteOperator(Z @ (Psi.T * E2.weights), E2, E2)
     ps = ProjectorSet(Pk=Pk, Qk=Qk)
     if js.phi_extra is not None:
-        ps.Pextra = FiniteOperator(js.phi_extra @ (js.gamma_extra.T @ E1.gram),
+        ps.Pextra = FiniteOperator(js.phi_extra @ (js.gamma_extra.T * E1.weights),
                                    E1, E1)
     if js.psi_extra is not None:
-        ps.Qextra = FiniteOperator(js.z_extra @ (js.psi_extra.T @ E2.gram),
+        ps.Qextra = FiniteOperator(js.z_extra @ (js.psi_extra.T * E2.weights),
                                    E2, E2)
     if js.nu == 0 and E1.dim == E2.dim:
         ps.Gamma = schmidt_operator(js.B, js)
@@ -555,14 +543,13 @@ def commutability_matrix(A, js, tol=1e-8):
     if k == 0:
         return CommutabilityResult(np.zeros((0, 0)), True, True, 0.0, 0.0)
     APhi = A.matrix @ Phi
-    M = APhi.T @ E2.gram @ Psi
-    L2 = E2.cholesky_factor()
-    L1 = E1.cholesky_factor()
-    prim_dev = np.linalg.norm(L2.T @ (APhi - Z @ M.T))
-    prim_scale = max(1.0, np.linalg.norm(L2.T @ APhi))
+    r1, r2 = E1.root[:, None], E2.root[:, None]
+    M = APhi.T @ (E2.weights[:, None] * Psi)
+    prim_dev = np.linalg.norm(r2 * (APhi - Z @ M.T))
+    prim_scale = max(1.0, np.linalg.norm(r2 * APhi))
     AstarPsi = A.adjoint_matrix() @ Psi
-    dual_dev = np.linalg.norm(L1.T @ (AstarPsi - Gam @ M))
-    dual_scale = max(1.0, np.linalg.norm(L1.T @ AstarPsi))
+    dual_dev = np.linalg.norm(r1 * (AstarPsi - Gam @ M))
+    dual_scale = max(1.0, np.linalg.norm(r1 * AstarPsi))
     res_p = float(prim_dev / prim_scale)
     res_d = float(dual_dev / dual_scale)
     certified = res_p <= tol and res_d <= tol
@@ -580,14 +567,12 @@ def commutability_matrix(A, js, tol=1e-8):
 def certify_operators(js, ops, tol=1e-8):
     """Commutability data for B and the lower-order operators of a system."""
     rb = commutability_matrix(js.B, js, tol)
-    matA, quasi, cert = [], [], []
-    for A in ops:
-        r = commutability_matrix(A, js, tol)
-        matA.append(r.matrix)
-        quasi.append(r.quasitriangular)
-        cert.append(r.certified)
-    return CommutabilityData(matA=matA, matB=rb.matrix,
-                             quasitriangular=quasi, certified=cert)
+    rs = [commutability_matrix(A, js, tol) for A in ops]
+    return CommutabilityData(matA=[r.matrix for r in rs], matB=rb.matrix,
+                             quasitriangular=[r.quasitriangular for r in rs],
+                             certified=[r.certified for r in rs],
+                             residual_primal=[r.residual_primal for r in rs],
+                             residual_dual=[r.residual_dual for r in rs])
 
 
 def structure_report(js, ps=None, comm=None):

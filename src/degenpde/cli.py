@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import (certify_operators, commutability_matrix,
-                     complete_structure, structure_report)
+from .chains import certify_operators, complete_structure, structure_report
 from .errors import (CompatibilityError, ConfigurationError, DegenPDEError,
                      ParseError, UsageError)
 from .problems import evaluate_oracle, instantiate, load_problem
@@ -64,12 +63,12 @@ def _overrides(args):
                 lambda_param=args.lambda_param)
 
 
-def _structure_section(spec, js, ps, comm):
+def _structure_section(js, ps, comm):
     lines = structure_report(js, ps, comm).splitlines()
-    for i, Aop in enumerate(spec.A, start=1):
-        r = commutability_matrix(Aop, js)
-        lines.append(f"A{i}_residual_primal={r.residual_primal:.6e}")
-        lines.append(f"A{i}_residual_dual={r.residual_dual:.6e}")
+    for i, (prim, dual) in enumerate(zip(comm.residual_primal, comm.residual_dual),
+                                     start=1):
+        lines.append(f"A{i}_residual_primal={prim:.6e}")
+        lines.append(f"A{i}_residual_dual={dual:.6e}")
     return lines
 
 
@@ -119,7 +118,7 @@ def cmd_structure(args):
         print(report.to_text(), end="")
         return EXIT_OK
     comm = certify_operators(js, spec.A)
-    report.add("structure", _structure_section(spec, js, ps, comm))
+    report.add("structure", _structure_section(js, ps, comm))
     report.wall_time_s = time.perf_counter() - t0
     print(report.to_text(), end="")
     return EXIT_OK if all(comm.certified) else EXIT_FAIL
@@ -130,10 +129,8 @@ def _run_solve(args):
     spec = instantiate(pf, **_overrides(args))
     report = RunReport(problem=str(args.problem), family=pf.family)
     t0 = time.perf_counter()
-    js, ps = complete_structure(spec.B, spec.A[0])
-    comm = certify_operators(js, spec.A)
-    report.add("structure", _structure_section(spec, js, ps, comm))
-    rp = reduce(spec, js, ps)
+    rp = reduce(spec)
+    report.add("structure", _structure_section(rp.js, rp.ps, rp.comm))
     report.add("reduction", describe_reduction(rp).rstrip("\n"))
     fld = solve_family(rp)
     report.add("solver", _solver_section(fld))

@@ -69,7 +69,6 @@ class DegenerateSystemSpec:
     family: str
     box: dict = field(default_factory=dict)     # axis name -> (lo, hi)
     grid: dict = field(default_factory=dict)    # nodes / dt / modes settings
-    lambdas: list = None                        # optional free-function callables
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -143,11 +142,10 @@ def boundary_condition_plan(spec, js):
     return tuple(plan)
 
 
-def reduce(spec, js=None, ps=None):
+def reduce(spec):
     """Build the regular problem: certify commutability, assemble the
     v-equation terms and the triangular C-system."""
-    if js is None or ps is None:
-        js, ps = complete_structure(spec.B, spec.A[0] if spec.A else spec.B)
+    js, ps = complete_structure(spec.B, spec.A[0] if spec.A else spec.B)
     comm = certify_operators(js, spec.A)
     for i, ok in enumerate(comm.certified, start=1):
         if not ok:
@@ -205,30 +203,14 @@ def reduce(spec, js=None, ps=None):
                           bc_plan=boundary_condition_plan(spec, js))
 
 
-def beta_tables(rp, f_samples, lambda_samples=None, apply_op=None):
-    """Right-hand projections beta[(s,t)] = <f - lambda terms, psi_s^(t)>.
+def beta_tables(rp, f_samples):
+    """Right-hand projections beta[(s,t)] = <f, psi_s^(t)>.
 
-    f_samples has the codomain dimension on the last axis.  lambda_samples,
-    when present, is a list of sampled free functions matching the leading
-    axes of f_samples; apply_op(r, samples) must then apply L_r to scalar
-    samples (needed because the lambda terms enter under L_r)."""
+    f_samples has the codomain dimension on the last axis."""
     js = rp.js
-    G2 = js.codomain.gram
-    eff = np.asarray(f_samples, dtype=float)
-    if lambda_samples:
-        for e, lam in enumerate(lambda_samples):
-            if lam is None:
-                continue
-            phi_e = rp.js.phi_extra[:, e]
-            for r, Aop in enumerate(rp.system.A, start=1):
-                vec = Aop.matrix @ phi_e
-                contrib = apply_op(r, np.asarray(lam, dtype=float))
-                eff = eff - contrib[..., None] * vec
-    beta = {}
-    for (s, t) in js.pair_indices():
-        psi = js.psi[s][t - 1]
-        beta[(s, t)] = eff @ (G2 @ psi)
-    return beta
+    w2 = js.codomain.weights
+    f = np.asarray(f_samples, dtype=float)
+    return {(s, t): f @ (w2 * js.psi[s][t - 1]) for (s, t) in js.pair_indices()}
 
 
 def solve_C_recurrence(rp, beta, apply_op, solve_lead):
@@ -250,27 +232,15 @@ def solve_C_recurrence(rp, beta, apply_op, solve_lead):
     return solved
 
 
-def rhs_projection(rp, f_samples, lambda_samples=None, apply_op=None):
-    """(I - Qk - Qextra)(f - sum_r Lr(D) Ar phi_extra_e lambda_e): the
-    right-hand side of the regular v-equation."""
-    js, ps = rp.js, rp.ps
-    eff = np.asarray(f_samples, dtype=float)
-    if lambda_samples:
-        for e, lam in enumerate(lambda_samples):
-            if lam is None:
-                continue
-            phi_e = js.phi_extra[:, e]
-            for r, Aop in enumerate(rp.system.A, start=1):
-                vec = Aop.matrix @ phi_e
-                contrib = apply_op(r, np.asarray(lam, dtype=float))
-                eff = eff - contrib[..., None] * vec
-    IQ = np.eye(js.codomain.dim) - ps.q_total()
-    return eff @ IQ.T
+def rhs_projection(rp, f_samples):
+    """(I - Qk - Qextra) f: the right-hand side of the regular v-equation."""
+    IQ = np.eye(rp.js.codomain.dim) - rp.ps.q_total()
+    return np.asarray(f_samples, dtype=float) @ IQ.T
 
 
-def reconstruct_solution(rp, v_samples, C_solved, lambda_samples=None,
-                         v_constraint_tol=1e-8):
-    """u = Bplus v + sum C_ij phi_i^(j) + sum lambda_e phi_extra_e.
+def reconstruct_solution(rp, v_samples, C_solved, v_constraint_tol=1e-8):
+    """u = Bplus v + sum C_ij phi_i^(j), with the free functions
+    lambda_e of the extra kernel directions taken as zero.
 
     The codomain/domain dimension is the last axis of the sample arrays.
     For m > n the v samples must stay in the annihilator of the extra
@@ -287,11 +257,6 @@ def reconstruct_solution(rp, v_samples, C_solved, lambda_samples=None,
     u = v @ ps.Bplus.matrix.T
     for (i, j), samples in C_solved.items():
         u = u + np.asarray(samples, dtype=float)[..., None] * js.phi[i][j - 1]
-    if lambda_samples:
-        for e, lam in enumerate(lambda_samples):
-            if lam is None:
-                continue
-            u = u + np.asarray(lam, dtype=float)[..., None] * js.phi_extra[:, e]
     return u
 
 
@@ -302,14 +267,13 @@ def compat_residual(rp, axes, v_samples, f_samples):
     js, ps = rp.js, rp.ps
     if not rp.compat:
         return 0.0
-    G2 = js.codomain.gram
     Bplus = ps.Bplus.matrix
     worst = 0.0
     for e in rp.compat:
-        psi_e = js.psi_extra[:, e]
-        total = -(np.asarray(f_samples) @ (G2 @ psi_e))
+        wpsi = js.codomain.weights * js.psi_extra[:, e]
+        total = -(np.asarray(f_samples) @ wpsi)
         for r, Aop in enumerate(rp.system.A, start=1):
-            scal = np.asarray(v_samples) @ ((Aop.matrix @ Bplus).T @ (G2 @ psi_e))
+            scal = np.asarray(v_samples) @ ((Aop.matrix @ Bplus).T @ wpsi)
             total = total + apply_differential_operator(rp.system.L[r], scal, axes)
         worst = max(worst, float(np.abs(_interior(total, rp.system.L)).max()))
     return worst

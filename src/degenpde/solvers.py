@@ -682,7 +682,7 @@ def naive_cauchy_defect(rp, f=None):
     fun = f if f is not None else spec.f
     f0 = np.asarray(fun(t=np.zeros(1)), dtype=float)[0]
     psi = rp.js.psi[0][0]
-    return abs(float(f0 @ (rp.js.codomain.gram @ psi)))
+    return abs(rp.js.codomain.inner(f0, psi))
 
 
 def asymptotic_leading_term(rp, f0):
@@ -693,8 +693,7 @@ def asymptotic_leading_term(rp, f0):
     if ps.Gamma is None:
         raise ConfigurationError("corner asymptotic needs the bordered inverse")
     quad = ps.Gamma.matrix @ f0
-    G2 = js.codomain.gram
     lin = np.zeros(js.domain.dim)
     for i in range(js.l):
-        lin = lin + float(f0 @ (G2 @ js.psi[i][0])) * js.phi[i][0]
+        lin = lin + js.codomain.inner(f0, js.psi[i][0]) * js.phi[i][0]
     return quad, lin

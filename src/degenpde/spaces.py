@@ -2,15 +2,17 @@
 
 Structure analysis happens on finite spaces: either a plain Euclidean
 coordinate space, a quadrature discretization of functions on an
-interval (trapezoid weights as the Gram matrix), or a space of Fourier
-mode coefficients.   Operators carry their domain and codomain so their
-adjoints are taken with respect to the right inner products.
+interval (trapezoid or Simpson weights), or a space of Fourier mode
+coefficients.  Every one of them has a diagonal Gram matrix, so a space
+stores only its weights, the diagonal of the Gram matrix, and every
+metric operation is a row or column scaling.  Operators carry their
+domain and codomain so their adjoints are taken with respect to the
+right inner products.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .errors import ConfigurationError
 from .expressions import evaluate, parse
@@ -20,38 +22,53 @@ DEFAULT_RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class InnerProductSpace:
-    """A finite-dimensional real space with inner product <u, v> = u' G v.
+    """A finite-dimensional real space with inner product
+    <u, v> = sum_i w_i u_i v_i.
 
-    gram must be symmetric positive definite.  grid, if present, holds the
-    quadrature nodes the coordinates sample a function on; mode_shape, if
-    present, says the coordinates are a (nx, ny) table of mode amplitudes
-    flattened in row-major order.
+    weights are the diagonal of the Gram matrix and must all be positive;
+    root holds their square roots, the scaling to orthonormal
+    coordinates.  grid, if present, holds the quadrature nodes the
+    coordinates sample a function on; mode_shape, if present, says the
+    coordinates are a (nx, ny) table of mode amplitudes flattened in
+    row-major order.
     """
 
     dim: int
-    gram: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     grid: np.ndarray = field(default=None, repr=False)
     mode_shape: tuple = None
     label: str = ""
+    root: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape != (self.dim,):
+            raise ConfigurationError(
+                f"weights of shape {w.shape} do not match space dim {self.dim}")
+        if not np.all(w > 0):
+            raise ConfigurationError("space weights must all be positive")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "root", np.sqrt(w))
+
+    @property
+    def gram(self):
+        """The Gram matrix, diag(weights)."""
+        return np.diag(self.weights)
 
     def inner(self, u, v):
-        return float(np.asarray(u) @ self.gram @ np.asarray(v))
+        return float(np.asarray(u) @ (self.weights * np.asarray(v)))
 
     def norm(self, u):
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
-    def cholesky_factor(self):
-        """Lower-triangular L with G = L L'."""
-        return cholesky(self.gram, lower=True)
-
 
 def euclidean_space(dim, label=""):
-    return InnerProductSpace(dim=dim, gram=np.eye(dim), label=label)
+    return InnerProductSpace(dim=dim, weights=np.ones(dim), label=label)
 
 
 def grid_space(a, b, nodes, label="", quadrature="trapezoid"):
     """Functions on [a, b] sampled at `nodes` uniform points; the
-    quadrature weights form the Gram matrix.  Trapezoid by default,
+    quadrature weights are the space weights.  Trapezoid by default,
     composite Simpson on request (odd node count required)."""
     if nodes < 2:
         raise ConfigurationError("a grid space needs at least 2 nodes")
@@ -70,12 +87,12 @@ def grid_space(a, b, nodes, label="", quadrature="trapezoid"):
     else:
         raise ConfigurationError(
             f"unknown quadrature {quadrature!r}; use trapezoid or simpson")
-    return InnerProductSpace(dim=nodes, gram=np.diag(weights), grid=grid, label=label)
+    return InnerProductSpace(dim=nodes, weights=weights, grid=grid, label=label)
 
 
 def mode_space(nx, ny, label=""):
     """Amplitudes of an (nx, ny) table of modes, Euclidean inner product."""
-    return InnerProductSpace(dim=nx * ny, gram=np.eye(nx * ny),
+    return InnerProductSpace(dim=nx * ny, weights=np.ones(nx * ny),
                              mode_shape=(nx, ny), label=label)
 
 
@@ -101,22 +118,16 @@ class FiniteOperator:
     def adjoint_matrix(self):
         """Matrix of the adjoint map codomain -> domain:
         <A u, v>_cod = <u, A* v>_dom for all u, v."""
-        Gd = self.domain.gram
-        Gc = self.codomain.gram
-        return np.linalg.solve(Gd, self.matrix.T @ Gc)
+        return self.matrix.T * self.codomain.weights / self.domain.weights[:, None]
 
     def adjoint(self):
         return FiniteOperator(self.adjoint_matrix(), self.codomain, self.domain)
 
     def weighted_form(self):
-        """L_cod' A L_dom^-T: the matrix of the same map between the
-        Cholesky-orthonormalized coordinates of both spaces.  Singular
-        values of this matrix are the metric-correct singular values."""
-        Ld = self.domain.cholesky_factor()
-        Lc = self.codomain.cholesky_factor()
-        # A L_dom^-T computed as a triangular solve on the right
-        right = solve_triangular(Ld, self.matrix.T, lower=True, trans="T").T
-        return Lc.T @ right
+        """The matrix of the same map between the orthonormal coordinates
+        of both spaces.  Singular values of this matrix are the
+        metric-correct singular values."""
+        return self.codomain.root[:, None] * self.matrix / self.domain.root
 
     def null_basis(self, rank_tol=DEFAULT_RANK_TOL):
         """Columns form a domain-orthonormal basis of the null space.
@@ -136,8 +147,7 @@ class FiniteOperator:
         if ncols == 0:
             return np.zeros((self.domain.dim, 0))
         Vt_null = vt[rank:, :][::-1]  # ascending singular value
-        Ld = self.domain.cholesky_factor()
-        basis = solve_triangular(Ld, Vt_null.T, lower=True, trans="T")
+        basis = Vt_null.T / self.domain.root[:, None]
         for j in range(basis.shape[1]):
             col = basis[:, j]
             big = np.abs(col).max()
@@ -147,46 +157,6 @@ class FiniteOperator:
             if nz.size and col[nz[0]] < 0:
                 basis[:, j] = -col
         return basis
-
-    def conull_basis(self, rank_tol=DEFAULT_RANK_TOL):
-        """Codomain-orthonormal basis of the null space of the adjoint."""
-        return self.adjoint().null_basis(rank_tol)
-
-
-@dataclass(frozen=True)
-class VectorElement:
-    """A vector tagged with the space it lives in."""
-
-    space: InnerProductSpace
-    coords: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (self.space.dim,):
-            raise ConfigurationError(
-                f"coordinate length {c.shape} does not match space dim {self.space.dim}")
-        object.__setattr__(self, "coords", c)
-
-
-def adjoint(A):
-    return A.adjoint()
-
-
-def apply(A, u):
-    if u.space.dim != A.domain.dim:
-        raise ConfigurationError("operator domain does not match the vector's space")
-    return VectorElement(A.codomain, A.apply(u.coords))
-
-
-def inner(u, w):
-    if u.space.dim != w.space.dim:
-        raise ConfigurationError("inner product needs vectors from one space")
-    return u.space.inner(u.coords, w.coords)
-
-
-def null_space(A, rank_tol=DEFAULT_RANK_TOL):
-    basis = A.null_basis(rank_tol)
-    return [VectorElement(A.domain, basis[:, j]) for j in range(basis.shape[1])]
 
 
 def identity_operator(space, scale=1.0):
@@ -224,8 +194,7 @@ def make_kernel_operator(space, kind, kernel, exact_on=None, parallel_tol=1e-8):
     X, S = np.meshgrid(g, g, indexing="ij")
     K = np.broadcast_to(np.asarray(evaluate(ast, x=X, s=S), dtype=float),
                         (space.dim, space.dim)).copy()
-    weights = np.diag(space.gram)
-    K = K * weights[None, :]
+    K = K * space.weights[None, :]
     if exact_on is not None:
         v = np.asarray(evaluate(parse(exact_on) if isinstance(exact_on, str) else exact_on,
                                 x=g))

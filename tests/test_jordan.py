@@ -94,7 +94,7 @@ def test_kernel_operator_realization_has_single_link():
     np.testing.assert_allclose(ps.Pk.matrix @ x, x, atol=1e-8)
     assert np.abs(ps.Pk.matrix @ ps.Pk.matrix - ps.Pk.matrix).max() <= 1e-10
     # the projector acts as 3 x <., multiplicative weight s>
-    expect = 3.0 * np.outer(x, x * np.diag(sp.gram))
+    expect = 3.0 * np.outer(x, x * sp.weights)
     assert np.abs(ps.Pk.matrix - expect).max() <= 1e-3
 
 

@@ -54,7 +54,7 @@ def test_first_order_regular_part_stays_orthogonal_to_dual_kernel():
     sp = spec.B.domain
     v = u @ spec.B.matrix.T
     # <Bu, x> in the space inner product must vanish for every time node
-    pair = v @ (sp.gram @ sp.grid)
+    pair = v @ (sp.weights * sp.grid)
     assert np.abs(pair).max() <= 1e-12 * max(1.0, np.abs(v).max())
 
 
@@ -174,6 +174,21 @@ def test_mixed_constant_forcing_exact_solution():
     xg, yg = axes[0][1], axes[1][1]
     want = np.stack(np.meshgrid(xg ** 2 / 2.0, yg, indexing="ij"), axis=-1)
     assert np.abs(u - want).max() <= 1e-10
+    resid, _ = residual_check(rp.system, axes, u, rp.js, rp.ps)
+    assert resid <= 1e-10
+
+
+def test_mixed_rough_forcing_falls_back_to_marching():
+    # sin(150 x) makes the x-Taylor estimates drift past 0.05 between
+    # stencil spacings, so the series is refused for marching
+    def f(x=None, y=None):
+        X, Y = np.broadcast_arrays(x, y)
+        return np.stack([np.sin(150.0 * X), np.ones_like(Y)], axis=-1)
+
+    rp = reduce(_mixed_spec(f))
+    with pytest.warns(RuntimeWarning, match="finite-difference marching"):
+        fld = solve_family(rp)
+    axes, u = field_raw(fld)
     resid, _ = residual_check(rp.system, axes, u, rp.js, rp.ps)
     assert resid <= 1e-10
 

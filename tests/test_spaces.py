@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 
 from degenpde.errors import ConfigurationError
-from degenpde.spaces import (FiniteOperator, InnerProductSpace, VectorElement,
-                             apply, euclidean_space, grid_space,
-                             identity_operator, inner, make_kernel_operator,
-                             matrix_operator, mode_space, null_space)
+from degenpde.spaces import (FiniteOperator, InnerProductSpace,
+                             euclidean_space, grid_space, identity_operator,
+                             make_kernel_operator, matrix_operator, mode_space)
 
 
-# -- quadrature grams ---------------------------------------------------------
+# -- weights and quadrature ---------------------------------------------------
+
+def test_space_rejects_bad_weights():
+    with pytest.raises(ConfigurationError, match="do not match space dim"):
+        InnerProductSpace(dim=3, weights=np.ones(4))
+    with pytest.raises(ConfigurationError, match="must all be positive"):
+        InnerProductSpace(dim=3, weights=np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ConfigurationError, match="must all be positive"):
+        InnerProductSpace(dim=3, weights=np.array([1.0, -2.0, 1.0]))
+
 
 def test_trapezoid_integrates_quadratic():
     sp = grid_space(0.0, 1.0, 201)
@@ -53,7 +61,7 @@ def test_mode_space_shape():
     sp = mode_space(4, 3)
     assert sp.dim == 12
     assert sp.mode_shape == (4, 3)
-    np.testing.assert_array_equal(sp.gram, np.eye(12))
+    np.testing.assert_array_equal(sp.weights, np.ones(12))
 
 
 # -- operators and adjoints ---------------------------------------------------
@@ -74,8 +82,8 @@ def test_euclidean_adjoint_is_transpose(rng):
 
 def test_adjoint_identity_under_weighted_grams(rng):
     for _ in range(100):
-        dom = InnerProductSpace(dim=3, gram=np.diag(rng.uniform(0.5, 2.0, 3)))
-        cod = InnerProductSpace(dim=5, gram=np.diag(rng.uniform(0.5, 2.0, 5)))
+        dom = InnerProductSpace(dim=3, weights=rng.uniform(0.5, 2.0, 3))
+        cod = InnerProductSpace(dim=5, weights=rng.uniform(0.5, 2.0, 5))
         A = FiniteOperator(rng.normal(size=(5, 3)), dom, cod)
         u = rng.normal(size=3)
         w = rng.normal(size=5)
@@ -99,24 +107,6 @@ def test_multiplicative_kernel_is_self_adjoint():
     assert np.abs(A.adjoint_matrix() - A.matrix).max() <= 1e-12
 
 
-def test_vector_element_checks_length():
-    sp = euclidean_space(3)
-    with pytest.raises(ConfigurationError, match="does not match space dim"):
-        VectorElement(sp, np.zeros(4))
-
-
-def test_apply_and_inner_check_spaces(rng):
-    sp3 = euclidean_space(3)
-    sp4 = euclidean_space(4)
-    A = identity_operator(sp3)
-    with pytest.raises(ConfigurationError, match="domain does not match"):
-        apply(A, VectorElement(sp4, np.zeros(4)))
-    with pytest.raises(ConfigurationError, match="one space"):
-        inner(VectorElement(sp3, np.zeros(3)), VectorElement(sp4, np.zeros(4)))
-    u = VectorElement(sp3, rng.normal(size=3))
-    assert inner(apply(A, u), u) == pytest.approx(u.coords @ u.coords)
-
-
 def test_matrix_operator_defaults():
     A = matrix_operator([[1.0, 2.0, 3.0]])
     assert A.domain.dim == 3 and A.codomain.dim == 1
@@ -127,12 +117,14 @@ def test_matrix_operator_defaults():
 # -- null bases ---------------------------------------------------------------
 
 def test_null_basis_of_zero_map():
-    sp = euclidean_space(2)
-    A = FiniteOperator(np.zeros((2, 2)), sp, sp)
-    basis = A.null_basis()
-    assert basis.shape == (2, 2)
-    np.testing.assert_allclose(basis.T @ sp.gram @ basis, np.eye(2), atol=1e-12)
-    assert np.abs(A.matrix @ basis).max() == 0.0
+    # Simpson weights are non-uniform, so orthonormality is metric-specific
+    for sp in (euclidean_space(2), grid_space(0.0, 1.0, 5, quadrature="simpson")):
+        A = FiniteOperator(np.zeros((sp.dim, sp.dim)), sp, sp)
+        basis = A.null_basis()
+        assert basis.shape == (sp.dim, sp.dim)
+        np.testing.assert_allclose(basis.T @ (sp.weights[:, None] * basis),
+                                   np.eye(sp.dim), atol=1e-12)
+        assert np.abs(A.matrix @ basis).max() == 0.0
 
 
 def test_null_basis_of_identity_is_empty():
@@ -159,15 +151,15 @@ def test_null_basis_is_deterministic(rng):
 def test_raw_kernel_null_direction_is_nearly_linear():
     sp = grid_space(0.0, 1.0, 201)
     A = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s")
-    vecs = null_space(A, rank_tol=1e-4)
-    assert len(vecs) == 1
-    v = vecs[0]
-    x = VectorElement(sp, sp.grid)
-    cos = abs(inner(v, x)) / (sp.norm(v.coords) * sp.norm(x.coords))
+    basis = A.null_basis(rank_tol=1e-4)
+    assert basis.shape[1] == 1
+    v = basis[:, 0]
+    x = sp.grid
+    cos = abs(sp.inner(v, x)) / (sp.norm(v) * sp.norm(x))
     assert cos >= 1.0 - 1e-6
     # a null direction at this tolerance really is nearly annihilated
     sv_max = np.linalg.svd(A.weighted_form(), compute_uv=False)[0]
-    assert sp.norm(A.apply(v.coords)) <= 10 * 1e-4 * sv_max * sp.norm(v.coords)
+    assert sp.norm(A.apply(v)) <= 10 * 1e-4 * sv_max * sp.norm(v)
 
 
 # -- kernel operators ---------------------------------------------------------
