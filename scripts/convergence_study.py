@@ -17,7 +17,7 @@ import numpy as np
 
 from degenpde import (DegenerateSystemSpec, DifferentialOperatorSpec,
                       field_raw, grid_space, identity_operator,
-                      make_kernel_operator, matrix_operator,
+                      make_kernel_operator,
                       oracle_first_order_evolution,
                       oracle_second_order_evolution, reduce, solve_family)
 

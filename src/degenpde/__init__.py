@@ -29,10 +29,7 @@ from .solvers import (SOLVERS, SolutionField, asymptotic_leading_term,
                       bessel_like_sum, check_spectral_parameter, field_raw,
                       naive_cauchy_defect, oracle_first_order_evolution,
                       oracle_goursat_constant, oracle_second_order_evolution,
-                      solve_family, solve_first_order_evolution,
-                      solve_goursat, solve_mixed_series,
-                      solve_second_order_evolution,
-                      solve_third_order_spectral, write_solution_csv)
+                      solve_family, write_solution_csv)
 from .spaces import (FiniteOperator, InnerProductSpace, euclidean_space,
                      grid_space, identity_operator, make_kernel_operator,
                      matrix_operator, mode_space)
@@ -57,10 +54,7 @@ __all__ = [
     "SOLVERS", "SolutionField", "asymptotic_leading_term", "bessel_like_sum",
     "check_spectral_parameter", "field_raw", "naive_cauchy_defect",
     "oracle_first_order_evolution", "oracle_goursat_constant",
-    "oracle_second_order_evolution", "solve_family",
-    "solve_first_order_evolution", "solve_goursat", "solve_mixed_series",
-    "solve_second_order_evolution", "solve_third_order_spectral",
-    "write_solution_csv",
+    "oracle_second_order_evolution", "solve_family", "write_solution_csv",
     "FiniteOperator", "InnerProductSpace", "euclidean_space", "grid_space",
     "identity_operator", "make_kernel_operator", "matrix_operator",
     "mode_space",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructureError
-from .spaces import DEFAULT_RANK_TOL, FiniteOperator, InnerProductSpace
+from .spaces import DEFAULT_RANK_TOL, FiniteOperator, _fix_column_signs
 
 DEFAULT_LINK_TOL = 1e-8
 
@@ -136,19 +136,6 @@ def _weighted_lstsq_solve(op, rhs_cols):
     xw, *_ = np.linalg.lstsq(Bw, rhs_w, rcond=None)
     res = np.linalg.norm(Bw @ xw - rhs_w, axis=0)
     return xw / op.domain.root[:, None], res
-
-
-def _fix_column_signs(cols, tiny=1e-12):
-    cols = np.array(cols, dtype=float)
-    for j in range(cols.shape[1]):
-        col = cols[:, j]
-        big = np.abs(col).max()
-        if big == 0:
-            continue
-        nz = np.nonzero(np.abs(col) > tiny * big)[0]
-        if nz.size and col[nz[0]] < 0:
-            cols[:, j] = -col
-    return cols
 
 
 def _staircase(Bop, A1op, heads, dual_heads, stop_at, rank_tol, link_tol):

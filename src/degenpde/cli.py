@@ -18,11 +18,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .chains import certify_operators, complete_structure, structure_report
-from .errors import (CompatibilityError, ConfigurationError, DegenPDEError,
-                     ParseError, UsageError)
+from .errors import (ConfigurationError, DegenPDEError, ParseError,
+                     UsageError)
 from .problems import evaluate_oracle, instantiate, load_problem
 from .reduction import describe_reduction, reduce, residual_check
 from .solvers import field_raw, solve_family, write_solution_csv
@@ -144,7 +142,7 @@ def cmd_solve(args):
     if out is None:
         out = Path(args.problem).stem + ".csv"
     write_solution_csv(fld, out)
-    report.add("output", [f"csv={out}", f"rows={int(np.prod([len(v) for _, v in fld.axes])) * fld.values.shape[-1]}"])
+    report.add("output", [f"csv={out}", f"rows={fld.values.size}"])
     print(report.to_text(), end="")
     return EXIT_OK
 

@@ -13,12 +13,11 @@ Top-level keys: "spaces", "B", "A", "L", "f", "family", "grid",
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CompatibilityError, ConfigurationError, ParseError,
-                     UsageError)
+from .errors import ConfigurationError, ParseError, UsageError
 from .expressions import evaluate, parse, variables_of
 from .reduction import (FAMILIES, DegenerateSystemSpec,
                         DifferentialOperatorSpec)
@@ -73,7 +72,6 @@ class ProblemFile:
     tolerances: dict
     lam: object = None   # spectral parameter, when declared
     oracle: dict = None
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -321,7 +319,7 @@ def load_problem(path):
     return ProblemFile(path=str(path), family=family, spaces=dict(spaces),
                        B=dict(raw["B"]), A=[dict(d) for d in A],
                        L=[list(t) for t in L], f=f_src, box=box, grid=grid,
-                       tolerances=tolerances, lam=lam, oracle=oracle, raw=raw)
+                       tolerances=tolerances, lam=lam, oracle=oracle)
 
 
 # ---------------------------------------------------------------------------

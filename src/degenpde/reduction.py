@@ -75,6 +75,8 @@ class DegenerateSystemSpec:
         if self.family not in FAMILIES:
             raise ConfigurationError(
                 f"unknown family {self.family!r}; supported: {', '.join(FAMILIES)}")
+        if not self.A:
+            raise ConfigurationError("need at least the lower-order operator A1")
         if len(self.L) != len(self.A) + 1:
             raise ConfigurationError(
                 f"need one differential operator per term: got {len(self.L)} "
@@ -110,6 +112,8 @@ class ReducedProblem:
     ps: object
     comm: object
     Ltilde: tuple        # ((DifferentialOperatorSpec, matrix on E2), ...), lead first
+    IQ: np.ndarray       # I - Qk - Qextra, the solvable complement of E2
+    M: np.ndarray        # IQ A1 Bplus, the lower-order matrix of the v-equation
     Csystem: tuple
     lambda_slots: tuple
     compat: tuple        # indices into psi_extra columns (m > n only)
@@ -145,7 +149,7 @@ def boundary_condition_plan(spec, js):
 def reduce(spec):
     """Build the regular problem: certify commutability, assemble the
     v-equation terms and the triangular C-system."""
-    js, ps = complete_structure(spec.B, spec.A[0] if spec.A else spec.B)
+    js, ps = complete_structure(spec.B, spec.A[0])
     comm = certify_operators(js, spec.A)
     for i, ok in enumerate(comm.certified, start=1):
         if not ok:
@@ -153,6 +157,10 @@ def reduce(spec):
                 f"commutability violation: operator A{i} does not map the "
                 "chain span consistently onto the z span")
     Bplus = ps.Bplus.matrix
+    IQ = np.eye(js.codomain.dim) - ps.q_total()
+    # dynamics projected onto the solvable complement: for m > n the raw
+    # A1 Bplus pushes v into the constraint directions handled separately
+    M = IQ @ spec.A[0].matrix @ Bplus
     vterms = [(spec.L[0], np.eye(js.codomain.dim))]
     for r, Aop in enumerate(spec.A, start=1):
         vterms.append((spec.L[r], Aop.matrix @ Bplus))
@@ -166,7 +174,7 @@ def reduce(spec):
         for t in range(1, js.p[s] + 1):
             a = pos[(s, t)]
             unknown = (s, js.p[s] + 1 - t)
-            lead = float(comm.matA[0][pos[unknown], a]) if comm.matA else 0.0
+            lead = float(comm.matA[0][pos[unknown], a])
             if abs(lead - 1.0) > 1e-6:
                 raise StructureError(
                     f"C-row for chain {s + 1} level {unknown[1]} has lead "
@@ -179,7 +187,7 @@ def reduce(spec):
                     c = float(comm.matA[r][b, a])
                     if abs(c) > COEFF_TOL:
                         lower.append((r, pair, c))
-                c1 = float(comm.matA[0][b, a]) if comm.matA else 0.0
+                c1 = float(comm.matA[0][b, a])
                 if pair != unknown and abs(c1) > COEFF_TOL:
                     raise StructureError(
                         "quasitriangularity not certified: unexpected chain "
@@ -198,7 +206,8 @@ def reduce(spec):
     m_extra = 0 if js.psi_extra is None else js.psi_extra.shape[1]
     compat = tuple(range(m_extra))
     return ReducedProblem(system=spec, js=js, ps=ps, comm=comm,
-                          Ltilde=tuple(vterms), Csystem=tuple(rows),
+                          Ltilde=tuple(vterms), IQ=IQ, M=M,
+                          Csystem=tuple(rows),
                           lambda_slots=lambda_slots, compat=compat,
                           bc_plan=boundary_condition_plan(spec, js))
 
@@ -234,8 +243,7 @@ def solve_C_recurrence(rp, beta, apply_op, solve_lead):
 
 def rhs_projection(rp, f_samples):
     """(I - Qk - Qextra) f: the right-hand side of the regular v-equation."""
-    IQ = np.eye(rp.js.codomain.dim) - rp.ps.q_total()
-    return np.asarray(f_samples, dtype=float) @ IQ.T
+    return np.asarray(f_samples, dtype=float) @ rp.IQ.T
 
 
 def reconstruct_solution(rp, v_samples, C_solved, v_constraint_tol=1e-8):
@@ -264,17 +272,16 @@ def compat_residual(rp, axes, v_samples, f_samples):
     """Residual of the unresolvable-direction conditions (m > n): for each
     extra cokernel functional, sum_r Lr(D) <Ar Bplus v, psi_e> - <f, psi_e>
     must vanish identically."""
-    js, ps = rp.js, rp.ps
+    js = rp.js
     if not rp.compat:
         return 0.0
-    Bplus = ps.Bplus.matrix
     worst = 0.0
     for e in rp.compat:
         wpsi = js.codomain.weights * js.psi_extra[:, e]
         total = -(np.asarray(f_samples) @ wpsi)
-        for r, Aop in enumerate(rp.system.A, start=1):
-            scal = np.asarray(v_samples) @ ((Aop.matrix @ Bplus).T @ wpsi)
-            total = total + apply_differential_operator(rp.system.L[r], scal, axes)
+        for Lspec, ABplus in rp.Ltilde[1:]:
+            scal = np.asarray(v_samples) @ (ABplus.T @ wpsi)
+            total = total + apply_differential_operator(Lspec, scal, axes)
         worst = max(worst, float(np.abs(_interior(total, rp.system.L)).max()))
     return worst
 

@@ -1,11 +1,14 @@
 """Family solvers and independent closed-form oracles.
 
-Each solver consumes a ReducedProblem, integrates the regular part (RK4
-for the time families, convergent series for the two boundary-layer
-families), runs the triangular C-recursion, and reassembles the full
-solution.  The closed-form oracles at the bottom evaluate the exact
-solution formulas of the bundled example problems by direct quadrature;
-they share no code with the pipeline beyond elementary helpers.
+`reduce` assembles one regular equation for every family,
+L0(D) v + L1(D) M v = (I - Q) f with M = (I - Q) A1 Bplus, and the
+family back-ends differ only in how they integrate it: one RK4 march for
+the time families, convergent series for the two boundary-layer
+families.  Each back-end then runs the triangular C-recursion and
+reassembles the full solution; `solve_family` is the one entry point.
+The closed-form oracles at the bottom evaluate the exact solution
+formulas of the bundled example problems by direct quadrature; they
+share no code with the pipeline beyond elementary helpers.
 """
 
 import warnings
@@ -16,7 +19,7 @@ from scipy.integrate import cumulative_trapezoid, simpson
 
 from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
                      UsageError)
-from .fd import derivative_matrix
+from .fd import derivative_matrix, fd_weights
 from .reduction import (apply_differential_operator, beta_tables,
                         compat_residual, reconstruct_solution, rhs_projection,
                         solve_C_recurrence)
@@ -25,6 +28,7 @@ DEFAULT_DT = 1e-3
 GOURSAT_SERIES_CAP = 40
 GOURSAT_SERIES_TOL = 1e-12
 MIXED_SERIES_ORDER = 8
+COMPAT_TOL = 1e-6
 
 
 @dataclass
@@ -81,9 +85,9 @@ def field_raw(fld):
 # ---------------------------------------------------------------------------
 # shared time-stepping helpers
 
-def _time_grid(spec, dt=None):
+def _time_grid(spec):
     lo, hi = spec.box.get("t", (0.0, 1.0))
-    step = float(dt if dt is not None else spec.grid.get("dt", DEFAULT_DT))
+    step = float(spec.grid.get("dt", DEFAULT_DT))
     span = float(hi) - float(lo)
     if step <= 0 or step > span:
         raise UsageError(f"time step {step} invalid for horizon {span}")
@@ -109,18 +113,19 @@ def _sample_rhs(f, tvals):
     return vals
 
 
-def _rk4_linear(M, g_half, tgrid, y0):
-    """y' = M y + g(t) with g sampled on the half-step grid."""
+def _rk4_linear(deriv, g_half, tgrid, y0):
+    """Classical RK4 for y' = deriv(y, g(t)) with g sampled on the
+    half-step grid; returns the state at every node."""
     h = tgrid[1] - tgrid[0]
     y = np.array(y0, dtype=float)
     out = np.empty((len(tgrid),) + y.shape)
     out[0] = y
     for i in range(len(tgrid) - 1):
         g0, gm, g1 = g_half[2 * i], g_half[2 * i + 1], g_half[2 * i + 2]
-        k1 = y @ M.T + g0
-        k2 = (y + 0.5 * h * k1) @ M.T + gm
-        k3 = (y + 0.5 * h * k2) @ M.T + gm
-        k4 = (y + h * k3) @ M.T + g1
+        k1 = deriv(y, g0)
+        k2 = deriv(y + 0.5 * h * k1, gm)
+        k3 = deriv(y + 0.5 * h * k2, gm)
+        k4 = deriv(y + h * k3, g1)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[i + 1] = y
     return out
@@ -158,16 +163,10 @@ def _apply_op_factory(rp, axes, accuracy=2):
     return apply_op
 
 
-def _require_family(rp, family):
-    if rp.system.family != family:
-        raise UsageError(
-            f"solver for family {family!r} called on {rp.system.family!r}")
-
-
-def _post_checks(rp, axes, v, f_nodes, tol=1e-6):
+def _post_checks(rp, axes, v, f_nodes):
     if rp.compat:
         dev = compat_residual(rp, axes, v, f_nodes)
-        if dev > tol:
+        if dev > COMPAT_TOL:
             raise CompatibilityError(
                 "compatibility violated: the unresolvable-direction "
                 f"conditions fail with residual {dev:.3e}")
@@ -176,21 +175,15 @@ def _post_checks(rp, axes, v, f_nodes, tol=1e-6):
 # ---------------------------------------------------------------------------
 # evolution families (march in t)
 
-def solve_first_order_evolution(rp, f=None, dt=None):
-    """Family evolution1: d/dt(Bu) + A1 u = f."""
-    _require_family(rp, "evolution1")
-    spec = rp.system
-    fun = f if f is not None else spec.f
-    tgrid = _time_grid(spec, dt)
+def _solve_evolution1(rp):
+    """Family evolution1: d/dt(Bu) + A1 u = f, so v' = -M v + g."""
+    tgrid = _time_grid(rp.system)
     th = _half_grid(tgrid)
-    f_half = _sample_rhs(fun, th)
+    f_half = _sample_rhs(rp.system.f, th)
     g_half = rhs_projection(rp, f_half)
-    # dynamics projected onto the solvable complement: for m > n the raw
-    # A1 Bplus pushes v into the constraint directions handled separately
-    IQ = np.eye(rp.js.codomain.dim) - rp.ps.q_total()
-    M = -(IQ @ spec.A[0].matrix @ rp.ps.Bplus.matrix)
-    d2 = rp.js.codomain.dim
-    v = _rk4_linear(M, g_half, tgrid, np.zeros(d2))
+    M = -rp.M
+    v = _rk4_linear(lambda y, g: y @ M.T + g, g_half, tgrid,
+                    np.zeros(rp.js.codomain.dim))
     f_nodes = f_half[::2]
     axes = [("t", tgrid)]
     beta = beta_tables(rp, f_nodes)
@@ -204,25 +197,21 @@ def solve_first_order_evolution(rp, f=None, dt=None):
     return _package_grid_field(rp, axes, u, {"dt": float(tgrid[1] - tgrid[0])})
 
 
-def solve_second_order_evolution(rp, f=None, dt=None):
+def _solve_evolution2(rp):
     """Family evolution2: d2/dt2(Bu) + d/dt(A1 u) = f."""
-    _require_family(rp, "evolution2")
-    spec = rp.system
-    fun = f if f is not None else spec.f
-    tgrid = _time_grid(spec, dt)
+    tgrid = _time_grid(rp.system)
     th = _half_grid(tgrid)
-    f_half = _sample_rhs(fun, th)
+    f_half = _sample_rhs(rp.system.f, th)
     g_half = rhs_projection(rp, f_half)
     d2 = rp.js.codomain.dim
-    IQ = np.eye(d2) - rp.ps.q_total()
-    M = IQ @ spec.A[0].matrix @ rp.ps.Bplus.matrix
     # first-order system in (v, w = v_t): w' = -M w + g
     big = np.zeros((2 * d2, 2 * d2))
     big[:d2, d2:] = np.eye(d2)
-    big[d2:, d2:] = -M
+    big[d2:, d2:] = -rp.M
     g_big = np.zeros((len(th), 2 * d2))
     g_big[:, d2:] = g_half
-    state = _rk4_linear(big, g_big, tgrid, np.zeros(2 * d2))
+    state = _rk4_linear(lambda y, g: y @ big.T + g, g_big, tgrid,
+                        np.zeros(2 * d2))
     v = state[:, :d2]
     f_nodes = f_half[::2]
     axes = [("t", tgrid)]
@@ -242,29 +231,21 @@ def solve_second_order_evolution(rp, f=None, dt=None):
 # ---------------------------------------------------------------------------
 # Goursat family (series in the double integral)
 
-def solve_goursat(rp, f=None, series_cap=None, series_tol=None):
+def _solve_goursat(rp):
     """Family goursat: d2/dxdy(Bu) + A1 u = f, data on both axes.
 
     The regular part is the convergent series of iterated double
-    integrals: term_0 = Bplus V w, term_r = -(Bplus A1) V term_{r-1},
-    with V the cumulative double integral from the corner and
-    w = (I - Qk) f; iterated trapezoid quadrature on the grid."""
-    _require_family(rp, "goursat")
+    integrals: v = sum_r term_r with term_0 = V w and
+    term_r = -V M term_{r-1}, V the cumulative double integral from the
+    corner and w = (I - Q) f; iterated trapezoid quadrature on the grid."""
     spec = rp.system
-    fun = f if f is not None else spec.f
-    cap = int(series_cap if series_cap is not None
-              else spec.grid.get("series_cap", GOURSAT_SERIES_CAP))
-    tol = float(series_tol if series_tol is not None
-                else spec.grid.get("series_tol", GOURSAT_SERIES_TOL))
+    cap = int(spec.grid.get("series_cap", GOURSAT_SERIES_CAP))
+    tol = float(spec.grid.get("series_tol", GOURSAT_SERIES_TOL))
     xg = _box_grid(spec, "x", 201)
     yg = _box_grid(spec, "y", 201)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
-    f_vals = np.asarray(fun(x=X, y=Y), dtype=float)
+    f_vals = np.asarray(spec.f(x=X, y=Y), dtype=float)
     w = rhs_projection(rp, f_vals)
-
-    Bp = rp.ps.Bplus.matrix
-    IQ = np.eye(rp.js.codomain.dim) - rp.ps.q_total()
-    step = IQ @ rp.system.A[0].matrix @ Bp
 
     def volterra(arr):
         arr = _cumulative_from_zero(arr, xg, axis=0)
@@ -275,7 +256,7 @@ def solve_goursat(rp, f=None, series_cap=None, series_tol=None):
     scale = max(1.0, float(np.abs(vterm).max()))
     converged = False
     for r in range(1, cap + 1):
-        vterm = -volterra(vterm @ step.T)
+        vterm = -volterra(vterm @ rp.M.T)
         v += vterm
         if np.abs(vterm).max() <= tol * scale:
             converged = True
@@ -290,9 +271,7 @@ def solve_goursat(rp, f=None, series_cap=None, series_tol=None):
     beta = beta_tables(rp, f_vals)
     C = solve_C_recurrence(rp, beta, _apply_op_factory(rp, axes),
                            lambda rhs, row: rhs)
-    u = v @ Bp.T
-    for (i, j), samples in C.items():
-        u = u + np.asarray(samples)[..., None] * rp.js.phi[i][j - 1]
+    u = reconstruct_solution(rp, v, C)
     _post_checks(rp, axes, v, f_vals)
     meta = {"series_terms": r, "series_tail": float(np.abs(vterm).max())}
     return _package_grid_field(rp, axes, u, meta)
@@ -301,24 +280,20 @@ def solve_goursat(rp, f=None, series_cap=None, series_tol=None):
 # ---------------------------------------------------------------------------
 # mixed boundary family (power series in x)
 
-def solve_mixed_series(rp, f=None, order=None):
+def _solve_mixed_xy(rp):
     """Family mixed_xy: d2/dx2(Bu) + d/dy(A1 u) = f, layered data.
 
     Regular part as a power series v = sum_{i>=2} C_i(y) x^i with
-    C_{k+2} = (g_k - M C_k')/((k+1)(k+2)), M = A1 Bplus, g_k the x-Taylor
-    rows of (I - Qk) f at x = 0."""
-    _require_family(rp, "mixed_xy")
+    C_{k+2} = (g_k - M C_k')/((k+1)(k+2)), M the regular-part matrix of
+    `reduce`, g_k the x-Taylor rows of (I - Q) f at x = 0."""
     spec = rp.system
-    fun = f if f is not None else spec.f
-    top = int(order if order is not None
-              else spec.grid.get("series_order", MIXED_SERIES_ORDER))
+    top = int(spec.grid.get("series_order", MIXED_SERIES_ORDER))
     xg = _box_grid(spec, "x", 101)
     yg = _box_grid(spec, "y", 101)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
-    f_vals = np.asarray(fun(x=X, y=Y), dtype=float)
+    f_vals = np.asarray(spec.f(x=X, y=Y), dtype=float)
     g = rhs_projection(rp, f_vals)
-    IQ = np.eye(rp.js.codomain.dim) - rp.ps.q_total()
-    M = IQ @ spec.A[0].matrix @ rp.ps.Bplus.matrix
+    M = rp.M
     hx = float(xg[1] - xg[0])
     hy = float(yg[1] - yg[0])
     d2 = rp.js.codomain.dim
@@ -356,7 +331,6 @@ def _x_taylor_rows(g, hx, kmax):
     derivatives of slowly varying data are snapped to zero: the stencil
     weights grow like h^-k and would otherwise launder rounding noise
     into spurious series coefficients."""
-    from .fd import fd_weights
     rows, drift = [], 0.0
     nx = g.shape[0]
     g_scale = max(1.0, float(np.abs(g).max()))
@@ -368,9 +342,9 @@ def _x_taylor_rows(g, hx, kmax):
         stride = max(1, (nx - 1) // (3 * (width - 1)))
         while (width - 1) * 2 * stride >= nx and stride > 1:
             stride -= 1
-        est = _one_sided_estimate(g, hx, k, width, stride, fd_weights)
+        est = _one_sided_estimate(g, hx, k, width, stride)
         if (width - 1) * 2 * stride < nx:
-            est2 = _one_sided_estimate(g, hx, k, width, 2 * stride, fd_weights)
+            est2 = _one_sided_estimate(g, hx, k, width, 2 * stride)
         else:
             est2 = est
         # the two-spacing disagreement doubles as a noise floor: estimates
@@ -387,7 +361,7 @@ def _x_taylor_rows(g, hx, kmax):
     return rows, drift
 
 
-def _one_sided_estimate(g, hx, k, width, stride, fd_weights):
+def _one_sided_estimate(g, hx, k, width, stride):
     pts = np.arange(width) * (stride * hx)
     wts = fd_weights(pts, 0.0, k)
     return np.tensordot(wts, g[: width * stride: stride], axes=(0, 0))
@@ -411,26 +385,20 @@ def _march_mixed(g, M, xg, yg):
 # ---------------------------------------------------------------------------
 # third-order spectral family
 
-def solve_third_order_spectral(rp, f=None, lambda_param=None, modes=None,
-                               dt=None):
+def _solve_spectral3(rp):
     """Family spectral3: d3/dt3(Bu) + A1 u = f over a double sine basis.
 
     B is diagonal over the modes with entries 1 - n^2 (kernel at n = 1),
     A1 with entries lambda - m^2.  Kernel rows are algebraic, the rest
     integrate with RK4 from zero data."""
-    _require_family(rp, "spectral3")
     spec = rp.system
-    fun = f if f is not None else spec.f
-    if modes is None:
-        modes = spec.grid.get("modes", (16, 16))
-    N, Mm = int(modes[0]), int(modes[1])
-    lam = float(lambda_param if lambda_param is not None
-                else spec.grid.get("lambda", 5.0))
+    N, Mm = (int(k) for k in spec.grid.get("modes", (16, 16)))
+    lam = float(spec.grid.get("lambda", 5.0))
     check_spectral_parameter(lam, N, Mm)
 
-    tgrid = _time_grid(spec, dt)
+    tgrid = _time_grid(spec)
     th = _half_grid(tgrid)
-    f_half = _sample_rhs(fun, th)
+    f_half = _sample_rhs(spec.f, th)
     if f_half.shape[1] != N * Mm:
         raise ConfigurationError(
             f"mode sampler returned {f_half.shape[1]} coefficients for a "
@@ -458,36 +426,16 @@ def solve_third_order_spectral(rp, f=None, lambda_param=None, modes=None,
     if nreg:
         c = a[reg] / b[reg]
         g_half = f_half[:, reg] / b[reg]
-        u_modes[:, reg] = _rk4_third_order_diag(c, g_half, tgrid)
+        state = _rk4_linear(
+            lambda y, g: np.stack([y[1], y[2], -c * y[0] + g]),
+            g_half, tgrid, np.zeros((3, nreg)))
+        u_modes[:, reg] = state[:, 0]
 
     resid = _mode_residual(tgrid, u_modes, b, a, f_nodes)
     axes = [("t", tgrid)]
     meta = {"dt": float(tgrid[1] - tgrid[0]), "lambda": lam,
             "modes": (N, Mm), "mode_residual": resid}
-    return _package_mode_field(rp, spec, axes, u_modes, N, Mm, meta)
-
-
-def _rk4_third_order_diag(c, g_half, tgrid):
-    """u''' = -c u + g per mode (diagonal), zero initial data; returns the
-    u samples only."""
-    h = float(tgrid[1] - tgrid[0])
-    nreg = len(c)
-    y = np.zeros((3, nreg))
-    out = np.empty((len(tgrid), nreg))
-    out[0] = y[0]
-
-    def deriv(state, g):
-        return np.stack([state[1], state[2], -c * state[0] + g])
-
-    for i in range(len(tgrid) - 1):
-        g0, gm, g1 = g_half[2 * i], g_half[2 * i + 1], g_half[2 * i + 2]
-        k1 = deriv(y, g0)
-        k2 = deriv(y + 0.5 * h * k1, gm)
-        k3 = deriv(y + 0.5 * h * k2, gm)
-        k4 = deriv(y + h * k3, g1)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = y[0]
-    return out
+    return _package_mode_field(spec, axes, u_modes, N, Mm, meta)
 
 
 def check_spectral_parameter(lam, N, Mm, tol=1e-9):
@@ -558,7 +506,7 @@ def _package_grid_field(rp, axes, u, extra_meta):
     return SolutionField(axes=tuple(axes), values=u, meta=meta)
 
 
-def _package_mode_field(rp, spec, axes, u_modes, N, Mm, meta):
+def _package_mode_field(spec, axes, u_modes, N, Mm, meta):
     tgrid = axes[0][1]
     stride = _output_stride(spec, len(tgrid))
     xg = np.linspace(0.0, np.pi, int(spec.grid.get("nx_out", 17)))
@@ -577,26 +525,18 @@ def _package_mode_field(rp, spec, axes, u_modes, N, Mm, meta):
 
 
 SOLVERS = {
-    "goursat": solve_goursat,
-    "evolution1": solve_first_order_evolution,
-    "evolution2": solve_second_order_evolution,
-    "mixed_xy": solve_mixed_series,
-    "spectral3": solve_third_order_spectral,
+    "goursat": _solve_goursat,
+    "evolution1": _solve_evolution1,
+    "evolution2": _solve_evolution2,
+    "mixed_xy": _solve_mixed_xy,
+    "spectral3": _solve_spectral3,
 }
 
 
-def solve_family(rp, **options):
-    solver = SOLVERS.get(rp.system.family)
-    if solver is None:
-        raise ConfigurationError(
-            f"unknown family {rp.system.family!r}; supported: "
-            f"{', '.join(sorted(SOLVERS))}")
-    if rp.system.family != "spectral3":
-        options.pop("lambda_param", None)
-        options.pop("modes", None)
-    if rp.system.family in ("goursat", "mixed_xy"):
-        options.pop("dt", None)
-    return solver(rp, **options)
+def solve_family(rp):
+    """Integrate the reduced problem with its family's back-end; settings
+    come from the spec's grid table."""
+    return SOLVERS[rp.system.family](rp)
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +615,10 @@ def oracle_second_order_evolution(f, tgrid, xgrid):
     return I_exp - I_one - 3.0 * J[:, None] * xgrid[None, :]
 
 
-def naive_cauchy_defect(rp, f=None):
+def naive_cauchy_defect(rp):
     """Constraint defect of the over-determined second-order problem with
     full zero data: pairing of f(0) against the cokernel direction."""
-    spec = rp.system
-    fun = f if f is not None else spec.f
-    f0 = np.asarray(fun(t=np.zeros(1)), dtype=float)[0]
+    f0 = np.asarray(rp.system.f(t=np.zeros(1)), dtype=float)[0]
     psi = rp.js.psi[0][0]
     return abs(rp.js.codomain.inner(f0, psi))
 

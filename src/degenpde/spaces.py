@@ -147,16 +147,21 @@ class FiniteOperator:
         if ncols == 0:
             return np.zeros((self.domain.dim, 0))
         Vt_null = vt[rank:, :][::-1]  # ascending singular value
-        basis = Vt_null.T / self.domain.root[:, None]
-        for j in range(basis.shape[1]):
-            col = basis[:, j]
-            big = np.abs(col).max()
-            if big == 0:
-                continue
-            nz = np.nonzero(np.abs(col) > 1e-12 * big)[0]
-            if nz.size and col[nz[0]] < 0:
-                basis[:, j] = -col
-        return basis
+        return _fix_column_signs(Vt_null.T / self.domain.root[:, None])
+
+
+def _fix_column_signs(cols):
+    """Flip each column so its first non-negligible coordinate is positive."""
+    cols = np.array(cols, dtype=float)
+    for j in range(cols.shape[1]):
+        col = cols[:, j]
+        big = np.abs(col).max()
+        if big == 0:
+            continue
+        nz = np.nonzero(np.abs(col) > 1e-12 * big)[0]
+        if nz.size and col[nz[0]] < 0:
+            cols[:, j] = -col
+    return cols
 
 
 def identity_operator(space, scale=1.0):

@@ -1,8 +1,17 @@
-import numpy as np
-import pytest
+import os
 
-from degenpde.reduction import DegenerateSystemSpec, DifferentialOperatorSpec
-from degenpde.spaces import grid_space, identity_operator, make_kernel_operator
+# pin BLAS to one thread before numpy loads: on small machines the default
+# thread pools oversubscribe the cores and make the suite slower
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from degenpde.reduction import (DegenerateSystemSpec,  # noqa: E402
+                                DifferentialOperatorSpec)
+from degenpde.spaces import (grid_space, identity_operator,  # noqa: E402
+                             make_kernel_operator)
 
 PROBLEMS = ("example1.json", "example2.json", "example3.json",
             "example4.json", "example5.json")

@@ -10,7 +10,7 @@ from degenpde.reduction import (DegenerateSystemSpec, DifferentialOperatorSpec,
                                 boundary_condition_plan, describe_reduction,
                                 reduce, residual_check)
 from degenpde.solvers import solve_family
-from degenpde.spaces import identity_operator, matrix_operator
+from degenpde.spaces import matrix_operator
 
 D1 = DifferentialOperatorSpec(terms=(((1,), 1.0),), nvars=1)
 D2 = DifferentialOperatorSpec(terms=(((2,), 1.0),), nvars=1)
@@ -72,6 +72,12 @@ def test_system_spec_requires_decreasing_orders():
                              family="evolution1")
 
 
+def test_system_spec_requires_lower_order_operator():
+    B = matrix_operator(np.eye(2))
+    with pytest.raises(ConfigurationError, match="lower-order operator A1"):
+        DegenerateSystemSpec(B=B, A=[], L=[D1], f=None, family="evolution1")
+
+
 def test_system_spec_checks_operator_shapes():
     B = matrix_operator(np.eye(2))
     A = matrix_operator(np.eye(3))
@@ -106,10 +112,19 @@ def test_boundary_plans_per_family():
 
 # -- reduction ------------------------------------------------------------------
 
+def _assert_regular_part(rp, A):
+    # B Bplus is the projector onto the solvable complement, and M is
+    # assembled from it in the one association order the solvers rely on
+    Bplus = rp.ps.Bplus.matrix
+    np.testing.assert_allclose(rp.system.B.matrix @ Bplus, rp.IQ, atol=1e-12)
+    assert np.array_equal(rp.M, rp.IQ @ A.matrix @ Bplus)
+
+
 def test_reduce_single_link_chain_layout():
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0]])
     A = matrix_operator(np.eye(2))
     rp = reduce(_evolution_spec(B, [A], f=None))
+    _assert_regular_part(rp, A)
     assert len(rp.Csystem) == 1
     row = rp.Csystem[0]
     assert row.unknown == (0, 1) and row.proj == (0, 1)
@@ -137,6 +152,7 @@ def test_reduce_names_free_function_slots():
     B = matrix_operator([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     A = matrix_operator([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     rp = reduce(_evolution_spec(B, [A], f=None))
+    _assert_regular_part(rp, A)
     assert rp.lambda_slots == ("lambda_2",)
     assert rp.compat == ()
 
@@ -145,6 +161,7 @@ def test_reduce_counts_compat_functionals():
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     A = matrix_operator([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     rp = reduce(_evolution_spec(B, [A], f=None))
+    _assert_regular_part(rp, A)
     assert rp.compat == (0,)
     assert rp.lambda_slots == ()
 

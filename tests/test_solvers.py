@@ -14,7 +14,7 @@ from degenpde.solvers import (SolutionField, _cumulative_simpson_half,
                               naive_cauchy_defect, oracle_first_order_evolution,
                               oracle_goursat_constant,
                               oracle_second_order_evolution, solve_family,
-                              solve_goursat, write_solution_csv)
+                              write_solution_csv)
 from degenpde.spaces import matrix_operator, mode_space
 
 from conftest import grid_samples, kernel_evolution_spec, op_spec
@@ -151,9 +151,11 @@ def test_goursat_corner_conditions_hold():
 
 
 def test_goursat_series_cap_failure_is_loud():
-    rp = reduce(_goursat_spec(_const_f2))
+    spec = _goursat_spec(_const_f2)
+    spec.grid["series_cap"] = 1
+    rp = reduce(spec)
     with pytest.raises(ConfigurationError, match="series truncation failure"):
-        solve_goursat(rp, series_cap=1)
+        solve_family(rp)
 
 
 # -- mixed-derivative family --------------------------------------------------------
@@ -273,10 +275,12 @@ def test_spectral_backend_rejects_foreign_diagonals():
 
 def test_time_grid_rejects_bad_steps():
     spec = kernel_evolution_spec("evolution1", None, t_hi=1.0)
+    spec.grid["dt"] = 2.0
     with pytest.raises(UsageError, match="invalid for horizon"):
-        _time_grid(spec, dt=2.0)
+        _time_grid(spec)
+    spec.grid["dt"] = 0.3
     with pytest.raises(UsageError, match="does not divide"):
-        _time_grid(spec, dt=0.3)
+        _time_grid(spec)
 
 
 def test_cumulative_simpson_half_quadratic_exact():
@@ -302,7 +306,7 @@ def test_rk4_march_is_fourth_order():
         t = np.arange(0.0, 1.0 + dt / 2, dt)
         th = _half_grid(t)
         g = np.cos(th)[:, None]
-        out = _rk4_linear(np.array([[-1.0]]), g, t, np.zeros(1))
+        out = _rk4_linear(lambda y, g: g - y, g, t, np.zeros(1))
         exact = 0.5 * (np.cos(t) + np.sin(t)) - 0.5 * np.exp(-t)
         errs.append(np.abs(out[:, 0] - exact).max())
     assert errs[0] / errs[1] >= 11.0
