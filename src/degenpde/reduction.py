@@ -316,25 +316,33 @@ def _interior(arr, Lops, width=2):
     return arr[slicer] if arr.ndim else arr
 
 
-def residual_check(spec, axes, u_samples, js=None, ps=None):
-    """Substitute u back into the system with centered finite differences.
-
-    axes: ordered list of (name, grid) matching the leading axes of
-    u_samples (domain dimension last).  Returns (residual, report dict)
-    with the interior max-norm of L0(D)Bu + sum Lr(D)Ar u - f and the
-    norm of every projection boundary condition of the family plan."""
-    u = np.asarray(u_samples, dtype=float)
+def _require_stencil_nodes(axes):
     for name, grid in axes:
         if len(grid) < 5:
             raise ConfigurationError(
                 f"axis {name} has {len(grid)} nodes; the difference stencils need >= 5")
-    coords = _mesh_coords(axes)
-    f_vals = np.asarray(spec.f(**coords), dtype=float)
+
+
+def equation_residual(spec, axes, u, f_vals):
+    """Interior max-norm of L0(D)Bu + sum Lr(D)Ar u - f by centered finite
+    differences; axes is the ordered list of (name, grid) matching the
+    leading axes of u and f_vals (dimension last)."""
+    _require_stencil_nodes(axes)
     total = apply_differential_operator(spec.L[0], u @ spec.B.matrix.T, axes)
     for r, Aop in enumerate(spec.A, start=1):
         total = total + apply_differential_operator(spec.L[r], u @ Aop.matrix.T, axes)
-    resid_field = total - f_vals
-    resid = float(np.abs(_interior(resid_field, spec.L)).max())
+    return float(np.abs(_interior(total - f_vals, spec.L)).max())
+
+
+def residual_check(spec, axes, u_samples, js=None, ps=None):
+    """Substitute u back into the system, sampling f on the axes.
+
+    Returns (residual, report dict) with the equation residual and the
+    norm of every projection boundary condition of the family plan."""
+    u = np.asarray(u_samples, dtype=float)
+    _require_stencil_nodes(axes)
+    f_vals = np.asarray(spec.f(**_mesh_coords(axes)), dtype=float)
+    resid = equation_residual(spec, axes, u, f_vals)
     report = {"equation_residual": resid}
     if js is not None and ps is not None:
         axis_names = [name for name, _ in axes]

@@ -21,7 +21,8 @@ from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
                      UsageError)
 from .fd import derivative_matrix, fd_weights
 from .reduction import (apply_differential_operator, beta_tables,
-                        compat_residual, reconstruct_solution, rhs_projection,
+                        compat_residual, equation_residual,
+                        reconstruct_solution, rhs_projection,
                         solve_C_recurrence)
 
 DEFAULT_DT = 1e-3
@@ -102,24 +103,25 @@ def _half_grid(tgrid):
     return np.linspace(tgrid[0], tgrid[-1], 2 * nt + 1)
 
 
-def _sample_rhs(f, tvals):
+def _sample_rhs(f, tvals, width):
     vals = np.asarray(f(t=tvals), dtype=float)
     if vals.ndim == 1:
         vals = np.broadcast_to(vals[None, :], (len(tvals), vals.shape[0])).copy()
-    if vals.shape[0] != len(tvals):
+    if vals.shape != (len(tvals), width):
         raise ConfigurationError(
             f"right-hand side sampler returned shape {vals.shape} for "
-            f"{len(tvals)} time nodes")
+            f"{len(tvals)} time nodes and {width} components")
     return vals
 
 
 def _rk4_linear(deriv, g_half, tgrid, y0):
     """Classical RK4 for y' = deriv(y, g(t)) with g sampled on the
-    half-step grid; returns the state at every node."""
+    half-step grid; y is a stack of block rows and only the first row is
+    recorded, one per node."""
     h = tgrid[1] - tgrid[0]
     y = np.array(y0, dtype=float)
-    out = np.empty((len(tgrid),) + y.shape)
-    out[0] = y
+    out = np.empty((len(tgrid),) + y.shape[1:])
+    out[0] = y[0]
     for i in range(len(tgrid) - 1):
         g0, gm, g1 = g_half[2 * i], g_half[2 * i + 1], g_half[2 * i + 2]
         k1 = deriv(y, g0)
@@ -127,7 +129,7 @@ def _rk4_linear(deriv, g_half, tgrid, y0):
         k3 = deriv(y + 0.5 * h * k2, gm)
         k4 = deriv(y + h * k3, g1)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = y
+        out[i + 1] = y[0]
     return out
 
 
@@ -173,59 +175,54 @@ def _post_checks(rp, axes, v, f_nodes):
 
 
 # ---------------------------------------------------------------------------
-# evolution families (march in t)
+# time families (march in t)
 
-def _solve_evolution1(rp):
-    """Family evolution1: d/dt(Bu) + A1 u = f, so v' = -M v + g."""
-    tgrid = _time_grid(rp.system)
+# (r, s) of the canonical L = [D_t^r, D_t^s] of each time family
+TIME_ORDERS = {"evolution1": (1, 0), "evolution2": (2, 1), "spectral3": (3, 0)}
+
+
+def _solve_time(rp):
+    """Time families: D_t^r (Bu) + D_t^s (A1 u) = f from zero data.
+
+    The regular part v^(r) = g - M v^(s), g = (I - Q) f, marches with RK4
+    as a first-order system in (v, ..., v^(r-1)); the C-recursion runs on
+    the half-step grid, inverting L1 = D_t^s by identity or Simpson."""
+    spec = rp.system
+    r, s = TIME_ORDERS[spec.family]
+    want = [(((r,), 1.0),), (((s,), 1.0),)]
+    if [Lop.terms for Lop in spec.L] != want:
+        raise ConfigurationError(
+            f"family {spec.family} solves D_t^{r}(Bu) + D_t^{s}(A1 u) = f; "
+            f"the declared L = [{', '.join(Lop.describe() for Lop in spec.L)}] "
+            "is not that equation")
+    tgrid = _time_grid(spec)
     th = _half_grid(tgrid)
-    f_half = _sample_rhs(rp.system.f, th)
-    g_half = rhs_projection(rp, f_half)
-    M = -rp.M
-    v = _rk4_linear(lambda y, g: y @ M.T + g, g_half, tgrid,
-                    np.zeros(rp.js.codomain.dim))
+    f_half = _sample_rhs(spec.f, th, rp.js.codomain.dim)
+    M = rp.M
+
+    def deriv(y, g):
+        out = np.empty_like(y)
+        out[:-1] = y[1:]
+        out[-1] = g - y[s] @ M.T
+        return out
+
+    v = _rk4_linear(deriv, rhs_projection(rp, f_half), tgrid,
+                    np.zeros((r, rp.js.codomain.dim)))
     f_nodes = f_half[::2]
     axes = [("t", tgrid)]
-    beta = beta_tables(rp, f_nodes)
     # chains of length > 1 differentiate the projections repeatedly; the
-    # composed one-sided edge stencils need 4th-order weights to keep the
-    # sup error at the RK4 scale
-    C = solve_C_recurrence(rp, beta, _apply_op_factory(rp, axes, accuracy=4),
-                           lambda rhs, row: rhs)
-    u = reconstruct_solution(rp, v, C)
-    _post_checks(rp, axes, v, f_nodes)
-    return _package_grid_field(rp, axes, u, {"dt": float(tgrid[1] - tgrid[0])})
-
-
-def _solve_evolution2(rp):
-    """Family evolution2: d2/dt2(Bu) + d/dt(A1 u) = f."""
-    tgrid = _time_grid(rp.system)
-    th = _half_grid(tgrid)
-    f_half = _sample_rhs(rp.system.f, th)
-    g_half = rhs_projection(rp, f_half)
-    d2 = rp.js.codomain.dim
-    # first-order system in (v, w = v_t): w' = -M w + g
-    big = np.zeros((2 * d2, 2 * d2))
-    big[:d2, d2:] = np.eye(d2)
-    big[d2:, d2:] = -rp.M
-    g_big = np.zeros((len(th), 2 * d2))
-    g_big[:, d2:] = g_half
-    state = _rk4_linear(lambda y, g: y @ big.T + g, g_big, tgrid,
-                        np.zeros(2 * d2))
-    v = state[:, :d2]
-    f_nodes = f_half[::2]
-    axes = [("t", tgrid)]
-    # run the C-recursion on the half-step grid so the leading integration
-    # is Simpson (4th order, matching the RK4 stage accuracy)
+    # half-step grid and 4th-order stencils keep the C error at the RK4
+    # scale, and the Simpson lead matches the RK4 stage accuracy
     axes_half = [("t", th)]
-    beta = beta_tables(rp, f_half)
-    C_half = solve_C_recurrence(rp, beta,
+    lead = ((lambda rhs, row: rhs) if s == 0
+            else (lambda rhs, row: _cumulative_simpson_half(rhs, th)))
+    C_half = solve_C_recurrence(rp, beta_tables(rp, f_half),
                                 _apply_op_factory(rp, axes_half, accuracy=4),
-                                lambda rhs, row: _cumulative_simpson_half(rhs, th))
-    C = {key: arr[::2] for key, arr in C_half.items()}
-    u = reconstruct_solution(rp, v, C)
+                                lead)
+    u = reconstruct_solution(rp, v, {key: arr[::2] for key, arr in C_half.items()})
     _post_checks(rp, axes, v, f_nodes)
-    return _package_grid_field(rp, axes, u, {"dt": float(tgrid[1] - tgrid[0])})
+    return _package_field(rp, axes, u, f_nodes,
+                          {"dt": float(tgrid[1] - tgrid[0])})
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +271,7 @@ def _solve_goursat(rp):
     u = reconstruct_solution(rp, v, C)
     _post_checks(rp, axes, v, f_vals)
     meta = {"series_terms": r, "series_tail": float(np.abs(vterm).max())}
-    return _package_grid_field(rp, axes, u, meta)
+    return _package_field(rp, axes, u, f_vals, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +319,7 @@ def _solve_mixed_xy(rp):
                            lambda rhs, row: _cumulative_from_zero(rhs, yg, axis=1))
     u = reconstruct_solution(rp, v, C)
     _post_checks(rp, axes, v, f_vals)
-    return _package_grid_field(rp, axes, u, {"series_order": top})
+    return _package_field(rp, axes, u, f_vals, {"series_order": top})
 
 
 def _x_taylor_rows(g, hx, kmax):
@@ -383,62 +380,11 @@ def _march_mixed(g, M, xg, yg):
 
 
 # ---------------------------------------------------------------------------
-# third-order spectral family
-
-def _solve_spectral3(rp):
-    """Family spectral3: d3/dt3(Bu) + A1 u = f over a double sine basis.
-
-    B is diagonal over the modes with entries 1 - n^2 (kernel at n = 1),
-    A1 with entries lambda - m^2.  Kernel rows are algebraic, the rest
-    integrate with RK4 from zero data."""
-    spec = rp.system
-    N, Mm = (int(k) for k in spec.grid.get("modes", (16, 16)))
-    lam = float(spec.grid.get("lambda", 5.0))
-    check_spectral_parameter(lam, N, Mm)
-
-    tgrid = _time_grid(spec)
-    th = _half_grid(tgrid)
-    f_half = _sample_rhs(spec.f, th)
-    if f_half.shape[1] != N * Mm:
-        raise ConfigurationError(
-            f"mode sampler returned {f_half.shape[1]} coefficients for a "
-            f"{N}x{Mm} mode grid")
-    n_idx = np.repeat(np.arange(1, N + 1), Mm)
-    m_idx = np.tile(np.arange(1, Mm + 1), N)
-    b = 1.0 - n_idx.astype(float) ** 2
-    a = lam - m_idx.astype(float) ** 2
-    kernel = np.abs(b) < 1e-12
-    if spec.B.domain.dim == N * Mm:
-        # the back-end integrates these fixed mode tables; refuse operators
-        # that were declared with different diagonals
-        if (np.abs(np.diag(spec.B.matrix) - b).max() > 1e-10
-                or np.abs(np.diag(spec.A[0].matrix) - a).max() > 1e-10):
-            raise ConfigurationError(
-                "spectral back-end expects B = diag(1 - n^2) and "
-                "A1 = diag(lambda - m^2) over the retained modes")
-
-    u_modes = np.zeros((len(tgrid), N * Mm))
-    f_nodes = f_half[::2]
-    u_modes[:, kernel] = f_nodes[:, kernel] / a[kernel]
-
-    reg = ~kernel
-    nreg = int(reg.sum())
-    if nreg:
-        c = a[reg] / b[reg]
-        g_half = f_half[:, reg] / b[reg]
-        state = _rk4_linear(
-            lambda y, g: np.stack([y[1], y[2], -c * y[0] + g]),
-            g_half, tgrid, np.zeros((3, nreg)))
-        u_modes[:, reg] = state[:, 0]
-
-    resid = _mode_residual(tgrid, u_modes, b, a, f_nodes)
-    axes = [("t", tgrid)]
-    meta = {"dt": float(tgrid[1] - tgrid[0]), "lambda": lam,
-            "modes": (N, Mm), "mode_residual": resid}
-    return _package_mode_field(spec, axes, u_modes, N, Mm, meta)
-
+# spectral parameter
 
 def check_spectral_parameter(lam, N, Mm, tol=1e-9):
+    """Refuse a parameter that makes B = diag(1 - n^2), A1 = diag(lam - m^2)
+    resonant or its algebraic block singular over the retained modes."""
     for n in range(1, N + 1):
         if abs(lam - n * n) <= tol:
             raise CompatibilityError(
@@ -448,20 +394,6 @@ def check_spectral_parameter(lam, N, Mm, tol=1e-9):
         if abs(lam - m * m) <= tol:
             raise CompatibilityError(
                 f"singular algebraic row: lambda - m^2 vanishes for m={m}")
-
-
-def _mode_residual(tgrid, u_modes, b, a, f_nodes):
-    """Max interior residual of b u''' + a u - f per mode, 5-point stencils."""
-    if len(tgrid) < 7:
-        return float("nan")
-    h = float(tgrid[1] - tgrid[0])
-    D3 = derivative_matrix(len(tgrid), h, 3, accuracy=2)
-    resid = b[None, :] * (D3 @ u_modes) + a[None, :] * u_modes - f_nodes
-    return float(np.abs(resid[3:-3]).max())
-
-
-def _sine_table(k, grid):
-    return np.sin(np.outer(np.arange(1, k + 1), np.asarray(grid, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,54 +414,53 @@ def _output_stride(spec, nt):
     return max(1, int(stride))
 
 
-def _package_grid_field(rp, axes, u, extra_meta):
-    """Display form of a solution whose operator space is a grid or
-    coordinate space.  Grid spaces unroll onto their own axis; coordinate
-    spaces keep a plain component column."""
+def _sine_table(k, grid):
+    return np.sin(np.outer(np.arange(1, k + 1), np.asarray(grid, dtype=float)))
+
+
+def _package_field(rp, axes, u, f_vals, extra_meta):
+    """Display form of a solution, keyed by its operator space: grid
+    spaces unroll onto their own axis, mode spaces are synthesized on a
+    sine grid over [0, pi]^2 and carry their equation residual against
+    the f samples, coordinate spaces keep a plain component column."""
     spec = rp.system
     space = rp.js.domain
-    meta = {"family": spec.family, "tolerances": dict(spec.tolerances)}
+    meta = {"family": spec.family, "tolerances": dict(spec.tolerances),
+            "raw": (list(axes), u)}
     meta.update(extra_meta)
-    meta["raw"] = (list(axes), u)
-    if space.grid is not None:
-        grid = np.asarray(space.grid, dtype=float)
-        if axes and axes[0][0] == "t":
-            tgrid = axes[0][1]
-            stride = _output_stride(spec, len(tgrid))
-            meta["output_stride_t"] = stride
-            out_axes = (("t", tgrid[::stride]), ("x", grid))
-            vals = u[::stride][..., None]
-        else:
-            out_axes = tuple(axes) + (("s", grid),)
-            vals = u[..., None]
-        return SolutionField(axes=out_axes, values=vals, meta=meta)
-    return SolutionField(axes=tuple(axes), values=u, meta=meta)
-
-
-def _package_mode_field(spec, axes, u_modes, N, Mm, meta):
+    if axes[0][0] != "t" or (space.grid is None and space.mode_shape is None):
+        if space.grid is None:
+            return SolutionField(axes=tuple(axes), values=u, meta=meta)
+        out_axes = tuple(axes) + (("s", np.asarray(space.grid, dtype=float)),)
+        return SolutionField(axes=out_axes, values=u[..., None], meta=meta)
     tgrid = axes[0][1]
     stride = _output_stride(spec, len(tgrid))
+    meta["output_stride_t"] = stride
+    if space.grid is not None:
+        out_axes = (("t", tgrid[::stride]),
+                    ("x", np.asarray(space.grid, dtype=float)))
+        return SolutionField(axes=out_axes, values=u[::stride][..., None],
+                             meta=meta)
+    N, Mm = space.mode_shape
+    meta["modes"] = (N, Mm)
+    meta["mode_residual"] = equation_residual(spec, axes, u, f_vals)
+    if "lambda" in spec.grid:
+        meta["lambda"] = float(spec.grid["lambda"])
     xg = np.linspace(0.0, np.pi, int(spec.grid.get("nx_out", 17)))
     yg = np.linspace(0.0, np.pi, int(spec.grid.get("ny_out", 17)))
-    Sx = _sine_table(N, xg)
-    Sy = _sine_table(Mm, yg)
-    coeff = u_modes[::stride].reshape(-1, N, Mm)
-    phys = np.einsum("tnm,nx,my->txy", coeff, Sx, Sy)
-    meta = dict(meta)
-    meta["raw"] = (list(axes), u_modes)
-    meta["output_stride_t"] = stride
-    meta["family"] = spec.family
-    meta["tolerances"] = dict(spec.tolerances)
+    coeff = u[::stride].reshape(-1, N, Mm)
+    phys = np.einsum("tnm,nx,my->txy", coeff, _sine_table(N, xg),
+                     _sine_table(Mm, yg))
     return SolutionField(axes=(("t", tgrid[::stride]), ("x", xg), ("y", yg)),
                          values=phys[..., None], meta=meta)
 
 
 SOLVERS = {
     "goursat": _solve_goursat,
-    "evolution1": _solve_evolution1,
-    "evolution2": _solve_evolution2,
+    "evolution1": _solve_time,
+    "evolution2": _solve_time,
     "mixed_xy": _solve_mixed_xy,
-    "spectral3": _solve_spectral3,
+    "spectral3": _solve_time,
 }
 
 

@@ -99,6 +99,21 @@ def test_resonant_lambda_exits_with_failure(example, capsys):
     assert "resonant lambda" in err
 
 
+def test_verify_refuses_an_equation_the_family_does_not_solve(
+        problems_dir, tmp_path, capsys):
+    # 5 D_t(Bu) + 2 A1 u = f is not the evolution1 equation; solving the
+    # canonical one and passing the oracle would be a false pass
+    obj = json.loads((problems_dir / "example2.json").read_text(encoding="utf-8"))
+    obj["L"] = [[[[1], 5.0]], [[[0], 2.0]]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "is not that equation" in captured.err
+    assert "verdict=pass" not in captured.out
+
+
 def test_mode_override_runs_smaller_table(example, tmp_path, capsys):
     target = tmp_path / "modes.csv"
     code = main(["solve", example("example5.json"), "--modes", "6", "6",

@@ -260,14 +260,44 @@ def test_spectral_resonant_parameter_rejected():
         check_spectral_parameter(16.0, 2, 5)
 
 
-def test_spectral_backend_rejects_foreign_diagonals():
+@pytest.mark.parametrize("b0, chains", [(4.0, 4), (2.0, 0)])
+def test_spectral_solves_declared_mode_pencil(b0, chains):
+    # B = diag(b0 - n^2): kernel at n = 2 for b0 = 4, invertible for b0 = 2;
+    # the back-end reads the declared pencil, not fixed mode tables
     spec = _spectral_spec()
-    wrong = _spectral_spec()
-    wrong.B = matrix_operator(np.diag(2.0 - np.repeat(np.arange(1, 5), 4)
-                                      .astype(float) ** 2),
-                              domain=spec.B.domain, codomain=spec.B.codomain)
-    rp = reduce(wrong)
-    with pytest.raises(ConfigurationError, match="spectral back-end expects"):
+    n_idx = np.repeat(np.arange(1, 5), 4).astype(float)
+    spec.B = matrix_operator(np.diag(b0 - n_idx ** 2),
+                             domain=spec.B.domain, codomain=spec.B.codomain)
+    rp = reduce(spec)
+    assert rp.js.l == chains
+    fld = solve_family(rp)
+    axes, u_modes = field_raw(fld)
+    resid, report = residual_check(spec, axes, u_modes, rp.js, rp.ps)
+    assert resid <= 1e-4
+    assert fld.meta["mode_residual"] == resid
+    assert report["I-Pk d0u/dt0 at t=0"] == 0.0
+
+
+def test_spectral_march_keeps_only_the_solution_history(monkeypatch):
+    from degenpde import solvers
+    shapes = []
+
+    def recording(*args):
+        out = _rk4_linear(*args)
+        shapes.append((np.shape(args[3]), out.shape))
+        return out
+
+    monkeypatch.setattr(solvers, "_rk4_linear", recording)
+    rp = reduce(_spectral_spec(dt=1e-2))
+    solve_family(rp)
+    assert shapes == [((3, 16), (101, 16))]
+
+
+def test_time_family_refuses_rhs_of_wrong_width():
+    spec = kernel_evolution_spec("evolution1", None)
+    spec.f = lambda t: np.ones((len(t), 200))
+    rp = reduce(spec)
+    with pytest.raises(ConfigurationError, match="201 components"):
         solve_family(rp)
 
 
@@ -306,7 +336,8 @@ def test_rk4_march_is_fourth_order():
         t = np.arange(0.0, 1.0 + dt / 2, dt)
         th = _half_grid(t)
         g = np.cos(th)[:, None]
-        out = _rk4_linear(lambda y, g: g - y, g, t, np.zeros(1))
+        out = _rk4_linear(lambda y, g: g - y, g, t, np.zeros((1, 1)))
+        assert out.shape == (len(t), 1)
         exact = 0.5 * (np.cos(t) + np.sin(t)) - 0.5 * np.exp(-t)
         errs.append(np.abs(out[:, 0] - exact).max())
     assert errs[0] / errs[1] >= 11.0
