@@ -22,9 +22,9 @@ from .problems import (OracleOutcome, ProblemFile, evaluate_oracle,
 from .reduction import (FAMILIES, DegenerateSystemSpec,
                         DifferentialOperatorSpec, ReducedProblem, ScalarRow,
                         apply_differential_operator, beta_tables,
-                        boundary_condition_plan, compat_residual,
-                        describe_reduction, reconstruct_solution, reduce,
-                        residual_check, rhs_projection, solve_C_recurrence)
+                        compat_residual, describe_reduction,
+                        reconstruct_solution, reduce, residual_check,
+                        rhs_projection, solve_C_recurrence)
 from .solvers import (SOLVERS, SolutionField, asymptotic_leading_term,
                       bessel_like_sum, check_spectral_parameter, field_raw,
                       naive_cauchy_defect, oracle_first_order_evolution,
@@ -48,7 +48,7 @@ __all__ = [
     "load_problem",
     "FAMILIES", "DegenerateSystemSpec", "DifferentialOperatorSpec",
     "ReducedProblem", "ScalarRow", "apply_differential_operator",
-    "beta_tables", "boundary_condition_plan", "compat_residual",
+    "beta_tables", "compat_residual",
     "describe_reduction", "reconstruct_solution", "reduce", "residual_check",
     "rhs_projection", "solve_C_recurrence",
     "SOLVERS", "SolutionField", "asymptotic_leading_term", "bessel_like_sum",

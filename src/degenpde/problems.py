@@ -30,28 +30,9 @@ from .spaces import (euclidean_space, grid_space, identity_operator,
 TOP_KEYS = ("spaces", "B", "A", "L", "f", "family", "grid", "tolerances")
 OPTIONAL_KEYS = ("lambda", "oracle")
 
-# sample axes of each family (also the variables its differential
-# operators act on) and the variables its f expression may reference
-FAMILY_AXES = {
-    "goursat": ("x", "y"),
-    "evolution1": ("t",),
-    "evolution2": ("t",),
-    "mixed_xy": ("x", "y"),
-    "spectral3": ("t",),
-}
-F_VARIABLES = {
-    "goursat": {"x", "y"},
-    "evolution1": {"t", "x"},
-    "evolution2": {"t", "x"},
-    "mixed_xy": {"x", "y"},
-    "spectral3": {"t", "x", "y"},
-}
-
 SPACE_KINDS = ("euclidean", "grid", "modes")
 OPERATOR_KINDS = ("matrix", "identity", "kernel", "mode_diag")
 ORACLE_KINDS = ("closed_form", "exact", "mode_residual")
-CLOSED_FORM_NAMES = ("goursat_bessel", "evolution1_quadrature",
-                     "evolution2_quadrature")
 
 MODE_SAMPLE_CHUNK = 256
 
@@ -207,16 +188,20 @@ def _check_oracle(desc, family):
                               f"supported: {', '.join(ORACLE_KINDS)}")
     if kind == "closed_form":
         name = desc.get("name")
-        if name not in CLOSED_FORM_NAMES:
+        names = [fam.closed_form for fam in FAMILIES.values() if fam.closed_form]
+        if name not in names:
             _fail(path + ".name", f"unknown closed form {name!r}; "
-                                  f"supported: {', '.join(CLOSED_FORM_NAMES)}")
+                                  f"supported: {', '.join(names)}")
+        if name != FAMILIES[family].closed_form:
+            _fail(path + ".name", f"closed form {name!r} does not describe "
+                                  f"family {family}")
     elif kind == "exact":
         comps = desc.get("components")
         if not isinstance(comps, list) or not comps:
             _fail(path + ".components", "needs a list of expression strings")
         for j, comp in enumerate(comps):
             _parse_expr(comp, f"{path}.components[{j}]",
-                        allowed=F_VARIABLES[family])
+                        allowed=FAMILIES[family].f_vars)
     if "tol" in desc:
         _expect_number(desc["tol"], path + ".tol")
 
@@ -249,7 +234,7 @@ def load_problem(path):
     if family not in FAMILIES:
         _fail("family", f"unknown family {family!r}; "
                         f"supported: {', '.join(FAMILIES)}")
-    nvars = len(FAMILY_AXES[family])
+    axes, f_vars = FAMILIES[family].axes, FAMILIES[family].f_vars
 
     spaces = _expect_mapping(raw["spaces"], "spaces")
     if not spaces:
@@ -270,28 +255,32 @@ def load_problem(path):
         _fail("L", f"needs {len(A) + 1} term lists "
                    "(the lead operator plus one per A)")
     for i, terms in enumerate(L):
-        _check_terms(terms, f"L[{i}]", nvars)
+        _check_terms(terms, f"L[{i}]", len(axes))
 
     f_src = raw["f"]
     if isinstance(f_src, str):
-        _parse_expr(f_src, "f", allowed=F_VARIABLES[family])
+        _parse_expr(f_src, "f", allowed=f_vars)
     elif isinstance(f_src, list):
         if not f_src:
             _fail("f", "component list must not be empty")
         for j, comp in enumerate(f_src):
-            _parse_expr(comp, f"f[{j}]", allowed=F_VARIABLES[family])
+            _parse_expr(comp, f"f[{j}]", allowed=f_vars)
     else:
         _fail("f", "expected an expression string or a list of them")
 
     grid = dict(_expect_mapping(raw["grid"], "grid"))
+    for key, instead in (("lambda", 'the top-level "lambda" (or --lambda)'),
+                         ("modes", "spaces.<name>.shape (or --modes)")):
+        if key in grid:
+            _fail(f"grid.{key}", f"is not read from the grid; declare it as "
+                                 f"{instead}")
     box = {}
     if "box" in grid:
         box_raw = _expect_mapping(grid.pop("box"), "grid.box")
         for axis, iv in box_raw.items():
             apath = f"grid.box.{axis}"
-            if axis not in FAMILY_AXES[family]:
-                _fail(apath, f"family {family} has axes "
-                             f"{', '.join(FAMILY_AXES[family])}")
+            if axis not in axes:
+                _fail(apath, f"family {family} has axes {', '.join(axes)}")
             if (not isinstance(iv, list) or len(iv) != 2
                     or not all(isinstance(v, (int, float)) for v in iv)
                     or not float(iv[0]) < float(iv[1])):
@@ -483,11 +472,7 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
     if pf.family == "spectral3":
         if modes is not None:
             modes_eff = (int(modes[0]), int(modes[1]))
-        elif "modes" in grid:
-            modes_eff = (int(grid["modes"][0]), int(grid["modes"][1]))
         lam = lambda_param if lambda_param is not None else pf.lam
-        if lam is None:
-            lam = grid.get("lambda")
         if lam is None:
             _fail("lambda", "family spectral3 needs a spectral parameter")
         lam = float(lam)
@@ -510,7 +495,7 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
     B = _build_operator(pf.B, "B", spaces, lam)
     A = [_build_operator(desc, f"A[{i}]", spaces, lam)
          for i, desc in enumerate(pf.A)]
-    nvars = len(FAMILY_AXES[pf.family])
+    nvars = len(FAMILIES[pf.family].axes)
     L = [DifferentialOperatorSpec(terms=tuple((tuple(k), float(c))
                                               for k, c in terms), nvars=nvars)
          for terms in pf.L]

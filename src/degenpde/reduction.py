@@ -16,8 +16,6 @@ from .chains import certify_operators, complete_structure
 from .errors import CompatibilityError, ConfigurationError, StructureError
 from .fd import derivative_along_axis
 
-FAMILIES = ("goursat", "evolution1", "evolution2", "mixed_xy", "spectral3")
-
 COEFF_TOL = 1e-8
 
 
@@ -56,6 +54,36 @@ class DifferentialOperatorSpec:
                               for i, v in enumerate(k) if v)
                 parts.append(f"{coef:g}*{ds}")
         return " + ".join(parts) if parts else "0"
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything a family tag fixes: the sample axes (also the variables
+    its differential operators act on), the variables f may reference,
+    the canonical L as (lead, lower) multi-indices with coefficient 1,
+    the projection boundary conditions as (projector, axis, order) at 0,
+    and the closed-form oracle that describes it."""
+
+    axes: tuple
+    f_vars: tuple
+    L: tuple
+    bc: tuple
+    closed_form: str = None
+
+
+FAMILIES = {
+    "goursat": Family(("x", "y"), ("x", "y"), ((1, 1), (0, 0)),
+                      (("I-Pk", "x", 0), ("I-Pk", "y", 0)), "goursat_bessel"),
+    "evolution1": Family(("t",), ("t", "x"), ((1,), (0,)),
+                         (("I-Pk", "t", 0),), "evolution1_quadrature"),
+    "evolution2": Family(("t",), ("t", "x"), ((2,), (1,)),
+                         (("I", "t", 0), ("I-Pk", "t", 1)),
+                         "evolution2_quadrature"),
+    "mixed_xy": Family(("x", "y"), ("x", "y"), ((2, 0), (0, 1)),
+                       (("I-Pk", "x", 0), ("I-Pk", "x", 1), ("Pk", "y", 0))),
+    "spectral3": Family(("t",), ("t", "x", "y"), ((3,), (0,)),
+                        tuple(("I-Pk", "t", i) for i in (0, 1, 2))),
+}
 
 
 @dataclass
@@ -117,33 +145,6 @@ class ReducedProblem:
     Csystem: tuple
     lambda_slots: tuple
     compat: tuple        # indices into psi_extra columns (m > n only)
-    bc_plan: tuple
-
-
-def boundary_condition_plan(spec, js):
-    """The family's projection boundary conditions: which projector of the
-    solution carries data (zero in all bundled problems), on which manifold,
-    at which derivative order."""
-    fam = spec.family
-    if fam == "goursat":
-        plan = [{"projector": "I-Pk", "axis": "x", "order": 0, "at": 0.0},
-                {"projector": "I-Pk", "axis": "y", "order": 0, "at": 0.0}]
-    elif fam == "evolution1":
-        plan = [{"projector": "I-Pk", "axis": "t", "order": 0, "at": 0.0}]
-    elif fam == "evolution2":
-        plan = [{"projector": "I", "axis": "t", "order": 0, "at": 0.0},
-                {"projector": "I-Pk", "axis": "t", "order": 1, "at": 0.0}]
-    elif fam == "mixed_xy":
-        plan = [{"projector": "I-Pk", "axis": "x", "order": 0, "at": 0.0},
-                {"projector": "I-Pk", "axis": "x", "order": 1, "at": 0.0},
-                {"projector": "Pk", "axis": "y", "order": 0, "at": 0.0}]
-    elif fam == "spectral3":
-        plan = [{"projector": "I-Pk", "axis": "t", "order": i, "at": 0.0}
-                for i in (0, 1, 2)]
-    else:
-        raise ConfigurationError(
-            f"unknown family {fam!r}; supported: {', '.join(FAMILIES)}")
-    return tuple(plan)
 
 
 def reduce(spec):
@@ -208,8 +209,7 @@ def reduce(spec):
     return ReducedProblem(system=spec, js=js, ps=ps, comm=comm,
                           Ltilde=tuple(vterms), IQ=IQ, M=M,
                           Csystem=tuple(rows),
-                          lambda_slots=lambda_slots, compat=compat,
-                          bc_plan=boundary_condition_plan(spec, js))
+                          lambda_slots=lambda_slots, compat=compat)
 
 
 def beta_tables(rp, f_samples):
@@ -345,28 +345,27 @@ def residual_check(spec, axes, u_samples, js=None, ps=None):
     resid = equation_residual(spec, axes, u, f_vals)
     report = {"equation_residual": resid}
     if js is not None and ps is not None:
-        axis_names = [name for name, _ in axes]
-        for cond in boundary_condition_plan(spec, js):
-            key = (f"{cond['projector']} d{cond['order']}u/d{cond['axis']}"
-                   f"{cond['order']} at {cond['axis']}={cond['at']:g}")
-            report[key] = _condition_norm(cond, axes, axis_names, u, ps)
+        for projector, axis, order in FAMILIES[spec.family].bc:
+            key = f"{projector} d{order}u/d{axis}{order} at {axis}=0"
+            report[key] = _condition_norm(projector, axis, order, axes, u, ps)
     return resid, report
 
 
-def _condition_norm(cond, axes, axis_names, u, ps):
-    if cond["axis"] not in axis_names:
+def _condition_norm(projector, axis, order, axes, u, ps):
+    axis_names = [name for name, _ in axes]
+    if axis not in axis_names:
         return 0.0
-    ax = axis_names.index(cond["axis"])
+    ax = axis_names.index(axis)
     grid = axes[ax][1]
     vals = u
-    if cond["order"]:
+    if order:
         h = float(grid[1] - grid[0])
-        vals = derivative_along_axis(vals, h, cond["order"], axis=ax)
-    pick = np.argmin(np.abs(np.asarray(grid) - cond["at"]))
+        vals = derivative_along_axis(vals, h, order, axis=ax)
+    pick = np.argmin(np.abs(np.asarray(grid)))
     vals = np.take(vals, pick, axis=ax)
-    if cond["projector"] == "I-Pk":
+    if projector == "I-Pk":
         mat = np.eye(ps.Pk.matrix.shape[0]) - ps.p_total()
-    elif cond["projector"] == "Pk":
+    elif projector == "Pk":
         mat = ps.Pk.matrix
     else:
         mat = np.eye(ps.Pk.matrix.shape[0])
@@ -394,7 +393,6 @@ def describe_reduction(rp):
     lines.append(f"free function slots: {', '.join(rp.lambda_slots) or 'none'}")
     lines.append(f"compatibility functionals: {len(rp.compat)}")
     lines.append("boundary plan:")
-    for cond in rp.bc_plan:
-        lines.append(f"  {cond['projector']} d^{cond['order']}u "
-                     f"on {cond['axis']}={cond['at']:g}")
+    for projector, axis, order in FAMILIES[rp.system.family].bc:
+        lines.append(f"  {projector} d^{order}u on {axis}=0")
     return "\n".join(lines) + "\n"

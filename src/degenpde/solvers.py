@@ -20,7 +20,8 @@ from scipy.integrate import cumulative_trapezoid, simpson
 from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
                      UsageError)
 from .fd import derivative_matrix, fd_weights
-from .reduction import (apply_differential_operator, beta_tables,
+from .reduction import (FAMILIES, DifferentialOperatorSpec,
+                        apply_differential_operator, beta_tables,
                         compat_residual, equation_residual,
                         reconstruct_solution, rhs_projection,
                         solve_C_recurrence)
@@ -177,10 +178,6 @@ def _post_checks(rp, axes, v, f_nodes):
 # ---------------------------------------------------------------------------
 # time families (march in t)
 
-# (r, s) of the canonical L = [D_t^r, D_t^s] of each time family
-TIME_ORDERS = {"evolution1": (1, 0), "evolution2": (2, 1), "spectral3": (3, 0)}
-
-
 def _solve_time(rp):
     """Time families: D_t^r (Bu) + D_t^s (A1 u) = f from zero data.
 
@@ -188,13 +185,7 @@ def _solve_time(rp):
     as a first-order system in (v, ..., v^(r-1)); the C-recursion runs on
     the half-step grid, inverting L1 = D_t^s by identity or Simpson."""
     spec = rp.system
-    r, s = TIME_ORDERS[spec.family]
-    want = [(((r,), 1.0),), (((s,), 1.0),)]
-    if [Lop.terms for Lop in spec.L] != want:
-        raise ConfigurationError(
-            f"family {spec.family} solves D_t^{r}(Bu) + D_t^{s}(A1 u) = f; "
-            f"the declared L = [{', '.join(Lop.describe() for Lop in spec.L)}] "
-            "is not that equation")
+    r, s = spec.L[0].order, spec.L[1].order
     tgrid = _time_grid(spec)
     th = _half_grid(tgrid)
     f_half = _sample_rhs(spec.f, th, rp.js.codomain.dim)
@@ -466,8 +457,19 @@ SOLVERS = {
 
 def solve_family(rp):
     """Integrate the reduced problem with its family's back-end; settings
-    come from the spec's grid table."""
-    return SOLVERS[rp.system.family](rp)
+    come from the spec's grid table.  Every back-end solves only its
+    family's canonical L, so any other declared L is refused."""
+    spec = rp.system
+    fam = FAMILIES[spec.family]
+    want = [DifferentialOperatorSpec(terms=((k, 1.0),), nvars=len(fam.axes))
+            for k in fam.L]
+    if list(spec.L) != want:
+        raise ConfigurationError(
+            f"family {spec.family} solves L = "
+            f"[{', '.join(Lop.describe() for Lop in want)}]; the declared "
+            f"L = [{', '.join(Lop.describe() for Lop in spec.L)}] "
+            "is not that equation")
+    return SOLVERS[spec.family](rp)
 
 
 # ---------------------------------------------------------------------------

@@ -99,12 +99,18 @@ def test_resonant_lambda_exits_with_failure(example, capsys):
     assert "resonant lambda" in err
 
 
+@pytest.mark.parametrize("name, L", [
+    ("example2.json", [[[[1], 5.0]], [[[0], 2.0]]]),
+    ("example1.json", [[[[1, 1], 3.0]], [[[0, 0], 1.0]]]),
+    ("example4.json", [[[[2, 0], 3.0]], [[[0, 1], 1.0]]]),
+    ("example4.json", [[[[1, 1], 1.0]], [[[0, 1], 1.0]]]),
+], ids=["example2-5Dt", "example1-3DxDy", "example4-3Dxx", "example4-DxDy"])
 def test_verify_refuses_an_equation_the_family_does_not_solve(
-        problems_dir, tmp_path, capsys):
-    # 5 D_t(Bu) + 2 A1 u = f is not the evolution1 equation; solving the
+        problems_dir, tmp_path, capsys, name, L):
+    # none of these is its family's canonical equation; solving the
     # canonical one and passing the oracle would be a false pass
-    obj = json.loads((problems_dir / "example2.json").read_text(encoding="utf-8"))
-    obj["L"] = [[[[1], 5.0]], [[[0], 2.0]]]
+    obj = json.loads((problems_dir / name).read_text(encoding="utf-8"))
+    obj["L"] = L
     path = tmp_path / "scaled.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     code = main(["verify", str(path)])
@@ -112,6 +118,23 @@ def test_verify_refuses_an_equation_the_family_does_not_solve(
     assert code == 2
     assert "is not that equation" in captured.err
     assert "verdict=pass" not in captured.out
+
+
+def test_structure_runs_on_an_equation_the_family_does_not_solve(
+        problems_dir, tmp_path, capsys):
+    # structure reads only the operator pair, so the refusal of a foreign
+    # L belongs to the solve step and structure still reports
+    def structure_section(path):
+        assert main(["structure", str(path)]) == 0
+        out = capsys.readouterr().out
+        return out[out.index("== structure =="):out.index("wall_time_s=")]
+
+    obj = json.loads((problems_dir / "example1.json").read_text(encoding="utf-8"))
+    obj["L"][0] = [[[1, 1], 3.0]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert (structure_section(path)
+            == structure_section(problems_dir / "example1.json"))
 
 
 def test_mode_override_runs_smaller_table(example, tmp_path, capsys):

@@ -187,6 +187,15 @@ def test_oracle_validation(tmp_path):
                                             "name": "wave_dalembert"}))
     with pytest.raises(ConfigurationError, match="oracle.name: unknown closed"):
         load_problem(path)
+    # a closed form of another family is refused, not a false fail
+    second_order = _variant(MINIMAL_EVOLUTION, family="evolution2",
+                            L=[[[[2], 1.0]], [[[1], 1.0]]],
+                            oracle={"kind": "closed_form",
+                                    "name": "evolution1_quadrature"})
+    with pytest.raises(ConfigurationError,
+                       match="closed form 'evolution1_quadrature' does not "
+                             "describe family evolution2"):
+        load_problem(_dump(tmp_path, second_order))
 
 
 def test_component_count_checked_at_instantiation(tmp_path):
@@ -266,6 +275,19 @@ def test_modes_override_changes_operator_dimensions(problems_dir):
     b = np.diag(spec.B.matrix)
     n_idx = np.repeat(np.arange(1, 9), 8)
     np.testing.assert_allclose(b, 1.0 - n_idx.astype(float) ** 2, atol=0)
+
+
+def test_spectral_settings_under_grid_are_refused(tmp_path):
+    # lambda and the mode table each have one source; a grid copy would
+    # otherwise be silently dropped (or, for modes, silently win)
+    for key, value, instead in (("lambda", 5.0, 'top-level "lambda"'),
+                                ("modes", [2, 2], "spaces.<name>.shape")):
+        grid = dict(MINIMAL_SPECTRAL["grid"], **{key: value})
+        path = _dump(tmp_path, _variant(MINIMAL_SPECTRAL, grid=grid))
+        with pytest.raises(ConfigurationError, match=f"grid.{key}: .*{instead}"):
+            load_problem(path)
+    spec = instantiate(load_problem(_dump(tmp_path, MINIMAL_SPECTRAL)))
+    assert spec.grid["modes"] == (4, 4) and spec.grid["lambda"] == 5.0
 
 
 def test_resonant_lambda_override_rejected_early(problems_dir):

@@ -5,9 +5,9 @@ import pytest
 
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              StructureError)
-from degenpde.reduction import (DegenerateSystemSpec, DifferentialOperatorSpec,
-                                apply_differential_operator,
-                                boundary_condition_plan, describe_reduction,
+from degenpde.reduction import (FAMILIES, DegenerateSystemSpec,
+                                DifferentialOperatorSpec,
+                                apply_differential_operator, describe_reduction,
                                 reduce, residual_check)
 from degenpde.solvers import solve_family
 from degenpde.spaces import matrix_operator
@@ -89,7 +89,6 @@ def test_system_spec_checks_operator_shapes():
 # -- boundary plans -------------------------------------------------------------
 
 def test_boundary_plans_per_family():
-    B = matrix_operator([[1.0, 0.0], [0.0, 0.0]])
     fams = {
         "evolution1": [("I-Pk", "t", 0)],
         "evolution2": [("I", "t", 0), ("I-Pk", "t", 1)],
@@ -97,17 +96,9 @@ def test_boundary_plans_per_family():
         "mixed_xy": [("I-Pk", "x", 0), ("I-Pk", "x", 1), ("Pk", "y", 0)],
         "spectral3": [("I-Pk", "t", 0), ("I-Pk", "t", 1), ("I-Pk", "t", 2)],
     }
+    assert set(fams) == set(FAMILIES)
     for fam, want in fams.items():
-        nv = 2 if fam in ("goursat", "mixed_xy") else 1
-        zero = tuple(0 for _ in range(nv))
-        lead = tuple(3 if i == 0 else 0 for i in range(nv))
-        L = [DifferentialOperatorSpec(terms=((lead, 1.0),), nvars=nv),
-             DifferentialOperatorSpec(terms=((zero, 1.0),), nvars=nv)]
-        spec = DegenerateSystemSpec(B=B, A=[matrix_operator(np.eye(2))],
-                                    L=L, f=None, family=fam)
-        plan = boundary_condition_plan(spec, None)
-        got = [(c["projector"], c["axis"], c["order"]) for c in plan]
-        assert got == want, fam
+        assert list(FAMILIES[fam].bc) == want, fam
 
 
 # -- reduction ------------------------------------------------------------------

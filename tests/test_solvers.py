@@ -150,6 +150,16 @@ def test_goursat_corner_conditions_hold():
     assert report["I-Pk d0u/dy0 at y=0"] <= 1e-10
 
 
+def test_goursat_refuses_an_equation_it_does_not_solve():
+    # the mixed_xy operator on a goursat spec: the series back-end solves
+    # the corner equation only, so it must refuse instead of answering
+    spec = _goursat_spec(_const_f2)
+    spec.L = [op_spec(((2, 0), 1.0), nvars=2), op_spec(((0, 0), 1.0), nvars=2)]
+    rp = reduce(spec)
+    with pytest.raises(ConfigurationError, match="is not that equation"):
+        solve_family(rp)
+
+
 def test_goursat_series_cap_failure_is_loud():
     spec = _goursat_spec(_const_f2)
     spec.grid["series_cap"] = 1
