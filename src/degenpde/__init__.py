@@ -12,8 +12,7 @@ everything from JSON problem files (problems module) or the command line
 from .chains import (CommutabilityData, CommutabilityResult, JordanStructure,
                      ProjectorSet, build_jordan_chains, build_projectors,
                      certify_operators, commutability_matrix,
-                     complete_structure, pseudo_inverse, schmidt_operator,
-                     structure_report)
+                     complete_structure, structure_report)
 from .errors import (CompatibilityError, ConfigurationError, DegenPDEError,
                      EvaluationError, ParseError, StructureError, UsageError)
 from .expressions import evaluate, parse, to_source, variables_of
@@ -40,7 +39,7 @@ __all__ = [
     "CommutabilityData", "CommutabilityResult", "JordanStructure",
     "ProjectorSet", "build_jordan_chains", "build_projectors",
     "certify_operators", "commutability_matrix", "complete_structure",
-    "pseudo_inverse", "schmidt_operator", "structure_report",
+    "structure_report",
     "CompatibilityError", "ConfigurationError", "DegenPDEError",
     "EvaluationError", "ParseError", "StructureError", "UsageError",
     "evaluate", "parse", "to_source", "variables_of",

@@ -6,6 +6,8 @@ gamma_i^(j) = A1* psi_i^(p_i+1-j) and z_i^(j) = A1 phi_i^(p_i+1-j),
 the root projectors Pk/Qk, extra kernel directions when the kernel and
 cokernel dimensions differ, the Schmidt regularizer, a bounded
 pseudoinverse, and commutability matrices with their certificates.
+One weighted SVD of B, its skeleton decomposition, supplies the null
+bases of B and B*, the chain solves and the pseudoinverse Bplus.
 """
 
 from dataclasses import dataclass, field
@@ -13,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructureError
-from .spaces import DEFAULT_RANK_TOL, FiniteOperator, _fix_column_signs
+from .spaces import DEFAULT_RANK_TOL, FiniteOperator, Skeleton, _fix_column_signs
 
-DEFAULT_LINK_TOL = 1e-8
+LINK_TOL = 1e-8
 
 
 @dataclass
@@ -41,6 +43,7 @@ class JordanStructure:
     k: int
     B: FiniteOperator
     A1: FiniteOperator
+    skeleton: Skeleton
     phi_extra: np.ndarray = None
     psi_extra: np.ndarray = None
     gamma_extra: np.ndarray = None
@@ -127,20 +130,9 @@ class CommutabilityData:
     residual_dual: list
 
 
-def _weighted_lstsq_solve(op, rhs_cols):
-    """Minimum-norm least-squares solutions of op x = rhs in the metric
-    of op's spaces.  rhs_cols is (codomain.dim, r).  Returns (x_cols,
-    residual_norms)."""
-    Bw = op.weighted_form()
-    rhs_w = op.codomain.root[:, None] * rhs_cols
-    xw, *_ = np.linalg.lstsq(Bw, rhs_w, rcond=None)
-    res = np.linalg.norm(Bw @ xw - rhs_w, axis=0)
-    return xw / op.domain.root[:, None], res
-
-
-def _staircase(Bop, A1op, heads, dual_heads, stop_at, rank_tol, link_tol):
+def _staircase(sk, A1op, heads, dual_heads, stop_at, rank_tol):
     """Grow chains from kernel heads, terminating the combinations whose
-    next link would leave the range of Bop.
+    next link would leave the range of the operator whose skeleton is sk.
 
     At each level the pairing of the candidate links with the cokernel
     basis is decomposed: row-space combinations terminate at the current
@@ -151,8 +143,8 @@ def _staircase(Bop, A1op, heads, dual_heads, stop_at, rank_tol, link_tol):
 
     Returns (terminated_chains, extra_heads) with chains as vector lists.
     """
-    d1 = Bop.domain.dim
-    w2, r2 = Bop.codomain.weights, Bop.codomain.root[:, None]
+    d1 = sk.domain.dim
+    w2, r2 = sk.codomain.weights, sk.codomain.root[:, None]
     active = [[heads[:, i]] for i in range(heads.shape[1])]
     terminated = []
     level = 1
@@ -187,13 +179,13 @@ def _staircase(Bop, A1op, heads, dual_heads, stop_at, rank_tol, link_tol):
         if survivors:
             new_tails = np.column_stack([c[-1] for c in survivors])
             new_imgs = A1op.matrix @ new_tails
-            ext, res = _weighted_lstsq_solve(Bop, new_imgs)
+            ext, res = sk.solve(new_imgs)
             img_scale = np.maximum(np.linalg.norm(r2 * new_imgs, axis=0), 1.0)
             worst = np.max(res / img_scale)
-            if worst > link_tol:
+            if worst > LINK_TOL:
                 raise StructureError(
                     f"incomplete Jordan set: chain extension residual {worst:.2e} "
-                    f"exceeds {link_tol:.1e} at length {level}")
+                    f"exceeds {LINK_TOL:.1e} at length {level}")
             for idx, chain in enumerate(survivors):
                 chain.append(ext[:, idx])
         active = survivors
@@ -298,7 +290,7 @@ def _normalize_primal_chains(phi_chains, psi_chains, p, A1op, codomain,
                         "normalization_deviation": max(off, worst_dev)}
 
 
-def _correct_extras(extra_vecs, own_heads, couplings, tol=1e-8):
+def _correct_extras(extra_vecs, own_heads, couplings):
     """Remove the terminal-level coupling of each extra kernel direction by
     a kernel-vector correction; reject structures whose extras couple to
     middle chain levels (no kernel correction can reach those).
@@ -319,7 +311,7 @@ def _correct_extras(extra_vecs, own_heads, couplings, tol=1e-8):
         for row in c2:
             for val in row:
                 worst = max(worst, abs(val))
-        if worst > tol:
+        if worst > LINK_TOL:
             raise StructureError(
                 "unsupported structure: an unpaired kernel direction couples "
                 f"to interior chain levels (residual {worst:.2e}); no "
@@ -328,9 +320,11 @@ def _correct_extras(extra_vecs, own_heads, couplings, tol=1e-8):
     return corrected
 
 
-def _biorthogonal_partners(primary_cols, space, rhs_cols):
-    """Minimum-norm functional vectors y solving <primary_j, y_e> =
-    rhs[j, e] in the space's inner product."""
+def _biorthogonal_partners(chain_cols, extra_cols, space):
+    """Minimum-norm functional vectors y_e with <extra_d, y_e> = delta_de
+    and <chain_j, y_e> = 0 in the space's inner product."""
+    primary_cols = np.column_stack([chain_cols, extra_cols])
+    rhs_cols = np.eye(primary_cols.shape[1])[:, chain_cols.shape[1]:]
     M = (space.root[:, None] * primary_cols).T  # rows <primary_j, .>, orthonormal coords
     yw, *_ = np.linalg.lstsq(M, rhs_cols, rcond=None)
     res = float(np.linalg.norm(M @ yw - rhs_cols))
@@ -340,28 +334,34 @@ def _biorthogonal_partners(primary_cols, space, rhs_cols):
     return yw / space.root[:, None]
 
 
-def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL, link_tol=DEFAULT_LINK_TOL):
+def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
     """Construct the full Jordan structure of the pair (B, A1).
 
-    Raises StructureError when the pair has no complete structure
-    (singular terminal pairing, unbounded growth, mismatched primal and
-    dual chain lengths, or unpaired directions coupling into chains).
+    Raises StructureError when the pair has no complete structure (a null
+    direction shared by B and A1, singular terminal pairing, unbounded
+    growth, mismatched primal and dual chain lengths, or unpaired
+    directions coupling into chains).
     """
     if B.domain is not A1.domain and B.domain.dim != A1.domain.dim:
         raise StructureError("B and A1 must share their domain")
     if B.codomain.dim != A1.codomain.dim:
         raise StructureError("B and A1 must share their codomain")
     E1, E2 = B.domain, B.codomain
-    Bstar, A1star = B.adjoint(), A1.adjoint()
-    heads = B.null_basis(rank_tol)
-    dual_heads = Bstar.null_basis(rank_tol)
+    A1star = A1.adjoint()
+    sk = B.skeleton(rank_tol)
+    heads, dual_heads = sk.kernel(), sk.adjoint().kernel()
     n, m = heads.shape[1], dual_heads.shape[1]
     l, nu = min(n, m), n - m
     diagnostics = {}
+    if 0 < n <= m:
+        # every head must terminate, and a combination that A1 also
+        # annihilates pairs with no dual head at any length
+        sv = np.linalg.svd(E2.root[:, None] * (A1.matrix @ heads), compute_uv=False)
+        if sv[-1] <= rank_tol * sv[0]:
+            raise StructureError("incomplete Jordan set: B and A1 share a null direction")
 
-    phi_chains, phi_left = _staircase(B, A1, heads, dual_heads, l, rank_tol, link_tol)
-    psi_chains, psi_left = _staircase(Bstar, A1star, dual_heads, heads, l,
-                                      rank_tol, link_tol)
+    phi_chains, phi_left = _staircase(sk, A1, heads, dual_heads, l, rank_tol)
+    psi_chains, psi_left = _staircase(sk.adjoint(), A1star, dual_heads, heads, l, rank_tol)
     order = sorted(range(len(phi_chains)), key=lambda i: -len(phi_chains[i]))
     phi_chains = [phi_chains[i] for i in order]
     dual_order = sorted(range(len(psi_chains)), key=lambda i: -len(psi_chains[i]))
@@ -387,7 +387,7 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL, link_tol=DEFAULT_LINK_
 
     js = JordanStructure(phi=phi_chains, psi=psi_chains, gamma=gamma, z=z,
                          p=p, n=n, m=m, l=l, nu=nu, k=k, B=B, A1=A1,
-                         diagnostics=diagnostics)
+                         skeleton=sk, diagnostics=diagnostics)
 
     if phi_left:
         def phi_couplings(vec):
@@ -395,25 +395,17 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL, link_tol=DEFAULT_LINK_
             return [[E2.inner(img, psi_chains[i][r - 1])
                      for r in range(1, p[i] + 1)] for i in range(l)]
         own_heads = [phi_chains[i][0] for i in range(l)]
-        extras = _correct_extras(phi_left, own_heads, phi_couplings, tol=link_tol)
+        extras = _correct_extras(phi_left, own_heads, phi_couplings)
         js.phi_extra = np.column_stack(extras)
-        prim = np.column_stack([js.phi_stack(), js.phi_extra]) if k else js.phi_extra
-        rhs = np.zeros((prim.shape[1], len(extras)))
-        for e in range(len(extras)):
-            rhs[k + e, e] = 1.0
-        js.gamma_extra = _biorthogonal_partners(prim, E1, rhs)
+        js.gamma_extra = _biorthogonal_partners(js.phi_stack(), js.phi_extra, E1)
     if psi_left:
         def psi_couplings(vec):
             return [[E2.inner(A1.matrix @ phi_chains[i][t - 1], vec)
                      for t in range(1, p[i] + 1)] for i in range(l)]
         own_heads = [psi_chains[i][0] for i in range(l)]
-        extras = _correct_extras(psi_left, own_heads, psi_couplings, tol=link_tol)
+        extras = _correct_extras(psi_left, own_heads, psi_couplings)
         js.psi_extra = np.column_stack(extras)
-        prim = np.column_stack([js.psi_stack(), js.psi_extra]) if k else js.psi_extra
-        rhs = np.zeros((prim.shape[1], len(extras)))
-        for e in range(len(extras)):
-            rhs[k + e, e] = 1.0
-        js.z_extra = _biorthogonal_partners(prim, E2, rhs)
+        js.z_extra = _biorthogonal_partners(js.psi_stack(), js.psi_extra, E2)
 
     js.diagnostics.update(structure_residuals(js))
     return js
@@ -449,44 +441,37 @@ def structure_residuals(js):
     return {"chain_link_residual": link, "biorthogonality_error": bio}
 
 
-def schmidt_operator(B, js):
+def _schmidt_operator(js):
     """Schmidt regularizer: inverse of B bordered by the rank-one terms
-    z_i^(1) <., gamma_i^(1)>, i = 1..l.  Square structures only."""
+    z_i^(1) <., gamma_i^(1)>, i = 1..l, from one SVD.  Square structures."""
     E1, E2 = js.domain, js.codomain
-    if E1.dim != E2.dim:
-        raise StructureError("Schmidt bordering needs a square realization")
-    bordered = B.matrix.copy()
+    bordered = js.B.matrix.copy()
     for i in range(js.l):
         bordered = bordered + np.outer(js.z[i][0], E1.weights * js.gamma[i][0])
-    cond = float(np.linalg.cond(bordered))
-    if not np.isfinite(cond) or cond > 1e12:
+    U, s, Vt = np.linalg.svd(bordered)
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+    if cond > 1e12:
         raise StructureError(
             f"Schmidt bordering failed: bordered matrix condition {cond:.2e}")
     js.diagnostics["schmidt_condition"] = cond
-    return FiniteOperator(np.linalg.inv(bordered), E2, E1)
+    return FiniteOperator(Vt.T @ (U.T / s[:, None]), E2, E1)
 
 
-def pseudo_inverse(B, ps):
+def _pseudo_inverse(js, ps):
     """Bounded pseudoinverse: inverts B between the complement of the root
     (plus extra) subspace and the complement of the z-span, zero elsewhere.
-    Satisfies B Bplus = I - Qk - Qextra, Bplus Qk = 0, Pk Bplus = 0."""
-    E1, E2 = B.domain, B.codomain
-    IP = np.eye(E1.dim) - ps.p_total()
-    IQ = np.eye(E2.dim) - ps.q_total()
-    r1, r2 = E1.root[:, None], E2.root[:, None]
-    IPw = r1 * IP / E1.root
-    # projector singular values cluster at 0 and >= 1; 0.5 splits them
-    U, s, _ = np.linalg.svd(IPw)
-    U_S = U[:, s > 0.5] / r1
-    BU = r2 * (B.matrix @ U_S)
-    target = r2 * IQ
-    Y, *_ = np.linalg.lstsq(BU, target, rcond=None)
-    res = float(np.linalg.norm(BU @ Y - target) / max(1.0, np.linalg.norm(target)))
-    if res > 1e-8:
-        raise StructureError(
-            f"pseudoinverse construction failed: range-complement solve "
-            f"residual {res:.2e}")
-    return FiniteOperator(U_S @ Y, E2, E1)
+    Satisfies B Bplus = I - Qk - Qextra, Bplus Qk = 0, Pk Bplus = 0.
+    The minimum-norm solve X0 of B X0 = I - Q has X0 Qk = 0; the dual chain
+    links confine its root-space part to the kernel of B (level-1 and extra
+    directions), so removing that part keeps B X0 and gives Pk Bplus = 0."""
+    E2 = js.codomain
+    target = np.eye(E2.dim) - ps.q_total()
+    X0, res = js.skeleton.solve(target)
+    rel = float(np.linalg.norm(res) / max(1.0, np.linalg.norm(E2.root[:, None] * target)))
+    if rel > 1e-8:
+        raise StructureError("pseudoinverse construction failed: range-complement "
+                             f"solve residual {rel:.2e}")
+    return FiniteOperator(X0 - ps.p_total() @ X0, E2, js.domain)
 
 
 def build_projectors(js):
@@ -505,13 +490,13 @@ def build_projectors(js):
         ps.Qextra = FiniteOperator(js.z_extra @ (js.psi_extra.T * E2.weights),
                                    E2, E2)
     if js.nu == 0 and E1.dim == E2.dim:
-        ps.Gamma = schmidt_operator(js.B, js)
-    ps.Bplus = pseudo_inverse(js.B, ps)
+        ps.Gamma = _schmidt_operator(js)
+    ps.Bplus = _pseudo_inverse(js, ps)
     return ps
 
 
-def complete_structure(B, A1, rank_tol=DEFAULT_RANK_TOL, link_tol=DEFAULT_LINK_TOL):
-    js = build_jordan_chains(B, A1, rank_tol, link_tol)
+def complete_structure(B, A1, rank_tol=DEFAULT_RANK_TOL):
+    js = build_jordan_chains(B, A1, rank_tol)
     ps = build_projectors(js)
     return js, ps
 

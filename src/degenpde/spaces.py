@@ -123,31 +123,41 @@ class FiniteOperator:
     def adjoint(self):
         return FiniteOperator(self.adjoint_matrix(), self.codomain, self.domain)
 
-    def weighted_form(self):
-        """The matrix of the same map between the orthonormal coordinates
-        of both spaces.  Singular values of this matrix are the
-        metric-correct singular values."""
-        return self.codomain.root[:, None] * self.matrix / self.domain.root
+    def skeleton(self, rank_tol=DEFAULT_RANK_TOL):
+        """The SVD of this map between orthonormal coordinates of its spaces;
+        singular values <= rank_tol * largest count as zero."""
+        U, s, Vt = np.linalg.svd(self.codomain.root[:, None] * self.matrix / self.domain.root)
+        rank = int(np.sum(s > rank_tol * s[0])) if s.size else 0
+        return Skeleton(U, s, Vt, rank, self.domain, self.codomain)
 
-    def null_basis(self, rank_tol=DEFAULT_RANK_TOL):
-        """Columns form a domain-orthonormal basis of the null space.
 
-        Uses the SVD of the metric-weighted matrix; directions with
-        singular value <= rank_tol * largest are counted as null.
-        Columns are ordered by ascending singular value and sign-fixed
-        so the first nonzero coordinate is positive.
-        """
-        At = self.weighted_form()
-        _, s, vt = np.linalg.svd(At)  # vt is (dom_dim, dom_dim)
-        if s.size == 0 or s[0] == 0.0:
-            rank = 0
-        else:
-            rank = int(np.sum(s > rank_tol * s[0]))
-        ncols = self.domain.dim - rank
-        if ncols == 0:
-            return np.zeros((self.domain.dim, 0))
-        Vt_null = vt[rank:, :][::-1]  # ascending singular value
-        return _fix_column_signs(Vt_null.T / self.domain.root[:, None])
+@dataclass(frozen=True, repr=False)
+class Skeleton:
+    """B_w = U diag(s) Vt, the weighted SVD of an operator B, with its
+    numerical rank.  (B*)_w = B_w^T, so the skeleton of the adjoint needs
+    no second factorization."""
+
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+    rank: int
+    domain: InnerProductSpace
+    codomain: InnerProductSpace
+
+    def adjoint(self):
+        return Skeleton(self.Vt.T, self.s, self.U.T, self.rank, self.codomain, self.domain)
+
+    def kernel(self):
+        """Domain-orthonormal null basis by ascending singular value, signs fixed."""
+        return _fix_column_signs(self.Vt[self.rank:][::-1].T / self.domain.root[:, None])
+
+    def solve(self, rhs_cols):
+        """Minimum-norm least-squares solutions of B x = y for the columns y
+        of rhs_cols, and the residual norms, |U[:, rank:]^T y_w| as U is square."""
+        r, yw = self.rank, self.codomain.root[:, None] * rhs_cols
+        coef = self.U[:, :r].T @ yw
+        res = np.linalg.norm(self.U[:, r:].T @ yw, axis=0)
+        return self.Vt[:r].T @ (coef / self.s[:r, None]) / self.domain.root[:, None], res
 
 
 def _fix_column_signs(cols):

@@ -99,6 +99,22 @@ def test_resonant_lambda_exits_with_failure(example, capsys):
     assert "resonant lambda" in err
 
 
+def test_common_null_direction_is_refused_up_front(problems_dir, tmp_path, capsys):
+    # mode (1, 1) is null for both B = 1 - n^2 and A1 = 2 - 2 m^2, so no
+    # chain through it can terminate
+    obj = json.loads((problems_dir / "example5.json").read_text(encoding="utf-8"))
+    obj["spaces"]["state"]["shape"] = [8, 8]
+    obj["B"]["entry"] = "1 - x^2"
+    obj["A"][0]["entry"] = "s - 2*y^2"
+    obj["lambda"] = 2.0
+    path = tmp_path / "common_null.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["structure", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "share a null direction" in err
+
+
 @pytest.mark.parametrize("name, L", [
     ("example2.json", [[[[1], 5.0]], [[[0], 2.0]]]),
     ("example1.json", [[[[1, 1], 3.0]], [[[0, 0], 1.0]]]),

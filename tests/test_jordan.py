@@ -8,6 +8,7 @@ from degenpde.chains import (CommutabilityData, _terminal_pairing_certificate,
                              commutability_matrix, complete_structure,
                              structure_report)
 from degenpde.errors import StructureError
+from degenpde.problems import instantiate, load_problem
 from degenpde.spaces import (euclidean_space, grid_space, identity_operator,
                              make_kernel_operator, matrix_operator)
 
@@ -105,6 +106,24 @@ def test_schmidt_times_complement_matches_pseudoinverse_for_unit_chains():
     js, ps = complete_structure(B, identity_operator(sp), rank_tol=1e-6)
     alt = ps.Gamma.matrix @ (np.eye(sp.dim) - ps.Qk.matrix)
     assert np.abs(alt - ps.Bplus.matrix).max() <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["example2.json", "example5.json"])
+def test_complete_structure_factors_at_most_twice(problems_dir, monkeypatch, name):
+    # one weighted SVD of B serves the null bases, the chain links and
+    # Bplus; the Schmidt bordered matrix takes the other.  Factorizations
+    # of the small chain-pairing matrices are not counted.
+    spec = instantiate(load_problem(problems_dir / name))
+    dim = spec.B.domain.dim
+    large = []
+    for fname in ("svd", "lstsq", "inv", "cond", "solve", "pinv", "qr"):
+        def counted(a, *args, _orig=getattr(np.linalg, fname), _name=fname, **kw):
+            if np.ndim(a) == 2 and min(np.shape(a)) >= dim / 2:
+                large.append(_name)
+            return _orig(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, fname, counted)
+    complete_structure(spec.B, spec.A[0])
+    assert len(large) <= 2, large
 
 
 # -- unpaired directions (kernel/cokernel mismatch) ---------------------------
@@ -207,9 +226,17 @@ def test_uncertified_operator_detected():
 
 # -- failure certificates -----------------------------------------------------
 
-def test_nilpotent_pair_with_no_termination_rejected():
-    B, A = _pair([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(StructureError, match="unbounded chain growth"):
+@pytest.mark.parametrize("Brows, Arows, message", [
+    # a common null vector is refused before any chain grows
+    ([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]],
+     "share a null direction"),
+    # a singular pencil with no common null vector reaches the growth guard
+    ([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]],
+     "unbounded chain growth"),
+], ids=["common-null-vector", "singular-pencil"])
+def test_nilpotent_pair_with_no_termination_rejected(Brows, Arows, message):
+    B, A = _pair(Brows, Arows)
+    with pytest.raises(StructureError, match=message):
         build_jordan_chains(B, A)
 
 

@@ -10,7 +10,7 @@ from degenpde.reduction import (FAMILIES, DegenerateSystemSpec,
                                 apply_differential_operator, describe_reduction,
                                 reduce, residual_check)
 from degenpde.solvers import solve_family
-from degenpde.spaces import matrix_operator
+from degenpde.spaces import FiniteOperator, grid_space, matrix_operator
 
 D1 = DifferentialOperatorSpec(terms=(((1,), 1.0),), nvars=1)
 D2 = DifferentialOperatorSpec(terms=(((2,), 1.0),), nvars=1)
@@ -109,6 +109,10 @@ def _assert_regular_part(rp, A):
     Bplus = rp.ps.Bplus.matrix
     np.testing.assert_allclose(rp.system.B.matrix @ Bplus, rp.IQ, atol=1e-12)
     assert np.array_equal(rp.M, rp.IQ @ A.matrix @ Bplus)
+    # Bplus vanishes on the root and extra subspaces, on both sides
+    tol = 1e-8 * max(1.0, np.linalg.norm(Bplus))
+    assert np.abs(rp.ps.p_total() @ Bplus).max() <= tol
+    assert np.abs(Bplus @ rp.ps.q_total()).max() <= tol
 
 
 def test_reduce_single_link_chain_layout():
@@ -155,6 +159,17 @@ def test_reduce_counts_compat_functionals():
     _assert_regular_part(rp, A)
     assert rp.compat == (0,)
     assert rp.lambda_slots == ()
+
+
+def test_reduce_regular_part_of_a_nonsymmetric_pair(rng):
+    # rank-4 B and a Gaussian A1 in a trapezoid metric: the minimum-norm
+    # solve of B X = I - Qk has a part in the root subspace here
+    sp = grid_space(0.0, 1.0, 6)
+    B = FiniteOperator(rng.normal(size=(6, 4)) @ rng.normal(size=(4, 6)), sp, sp)
+    A = FiniteOperator(rng.normal(size=(6, 6)), sp, sp)
+    rp = reduce(_evolution_spec(B, [A], f=None))
+    assert rp.js.p == (1, 1)
+    _assert_regular_part(rp, A)
 
 
 def test_reduce_rejects_uncertified_operator():

@@ -120,7 +120,7 @@ def test_null_basis_of_zero_map():
     # Simpson weights are non-uniform, so orthonormality is metric-specific
     for sp in (euclidean_space(2), grid_space(0.0, 1.0, 5, quadrature="simpson")):
         A = FiniteOperator(np.zeros((sp.dim, sp.dim)), sp, sp)
-        basis = A.null_basis()
+        basis = A.skeleton().kernel()
         assert basis.shape == (sp.dim, sp.dim)
         np.testing.assert_allclose(basis.T @ (sp.weights[:, None] * basis),
                                    np.eye(sp.dim), atol=1e-12)
@@ -129,15 +129,15 @@ def test_null_basis_of_zero_map():
 
 def test_null_basis_of_identity_is_empty():
     sp = euclidean_space(4)
-    assert identity_operator(sp).null_basis().shape == (4, 0)
+    assert identity_operator(sp).skeleton().kernel().shape == (4, 0)
 
 
 def test_null_basis_is_deterministic(rng):
     sp = euclidean_space(6)
     U = np.linalg.qr(rng.normal(size=(6, 6)))[0]
     A = FiniteOperator(U @ np.diag([3.0, 2.0, 1.0, 0, 0, 0]) @ U.T, sp, sp)
-    first = A.null_basis()
-    second = A.null_basis()
+    first = A.skeleton().kernel()
+    second = A.skeleton().kernel()
     assert first.tobytes() == second.tobytes()
     assert first.shape == (6, 3)
     # sign fix: first significant coordinate of each column is positive
@@ -151,15 +151,30 @@ def test_null_basis_is_deterministic(rng):
 def test_raw_kernel_null_direction_is_nearly_linear():
     sp = grid_space(0.0, 1.0, 201)
     A = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s")
-    basis = A.null_basis(rank_tol=1e-4)
+    sk = A.skeleton(rank_tol=1e-4)
+    basis = sk.kernel()
     assert basis.shape[1] == 1
     v = basis[:, 0]
     x = sp.grid
     cos = abs(sp.inner(v, x)) / (sp.norm(v) * sp.norm(x))
     assert cos >= 1.0 - 1e-6
     # a null direction at this tolerance really is nearly annihilated
-    sv_max = np.linalg.svd(A.weighted_form(), compute_uv=False)[0]
-    assert sp.norm(A.apply(v)) <= 10 * 1e-4 * sv_max * sp.norm(v)
+    assert sp.norm(A.apply(v)) <= 10 * 1e-4 * sk.s[0] * sp.norm(v)
+
+
+def test_cokernel_is_the_kernel_of_the_adjoint(rng):
+    # read from the same factorization as the kernel, between non-uniform
+    # metrics of different dimension
+    dom = grid_space(0.0, 1.0, 7, quadrature="simpson")
+    cod = grid_space(0.0, 1.0, 5)
+    A = FiniteOperator(rng.normal(size=(5, 2)) @ rng.normal(size=(2, 7)), dom, cod)
+    sk = A.skeleton()
+    assert sk.kernel().shape == (7, 5)
+    cok = sk.adjoint().kernel()
+    assert cok.shape == (5, 3)
+    assert max(dom.norm(col) for col in (A.adjoint_matrix() @ cok).T) <= 1e-10
+    np.testing.assert_allclose(cok.T @ (cod.weights[:, None] * cok),
+                               np.eye(3), atol=1e-12)
 
 
 # -- kernel operators ---------------------------------------------------------
