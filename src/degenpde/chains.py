@@ -353,10 +353,13 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
     n, m = heads.shape[1], dual_heads.shape[1]
     l, nu = min(n, m), n - m
     diagnostics = {}
-    if 0 < n <= m:
-        # every head must terminate, and a combination that A1 also
-        # annihilates pairs with no dual head at any length
-        sv = np.linalg.svd(E2.root[:, None] * (A1.matrix @ heads), compute_uv=False)
+    if l:
+        # every head on the smaller side must terminate: a combination that
+        # A1 (A1* for dual heads) also annihilates pairs with no head of the
+        # other side at any length; the square case takes the primal test
+        shared = (E2.root[:, None] * (A1.matrix @ heads) if n <= m
+                  else E1.root[:, None] * (A1star.matrix @ dual_heads))
+        sv = np.linalg.svd(shared, compute_uv=False)
         if sv[-1] <= rank_tol * sv[0]:
             raise StructureError("incomplete Jordan set: B and A1 share a null direction")
 

@@ -53,30 +53,48 @@ def stencil_size(order, accuracy):
     return npts
 
 
+def _stencil_table(n, h, order, accuracy):
+    """(npts, npts) weight rows on a uniform grid of spacing h: row i
+    differentiates at local node i of an npts-node window.  Row npts // 2
+    is the centered interior stencil; the rows before it serve the first
+    nodes of the grid and the rows after it the last ones."""
+    npts = stencil_size(order, accuracy)
+    if npts > n:
+        raise ValueError(f"grid of {n} nodes too small for a {npts}-point stencil")
+    xloc = np.arange(npts) * h
+    return np.array([fd_weights(xloc, x0, order) for x0 in xloc])
+
+
 def derivative_matrix(n, h, order, accuracy=2):
     """Dense (n, n) matrix mapping samples on a uniform grid of spacing h
     to samples of the order-th derivative.  Interior rows are centered;
     rows near the edge use one-sided stencils of the same node count."""
-    npts = stencil_size(order, accuracy)
-    if npts > n:
-        raise ValueError(f"grid of {n} nodes too small for a {npts}-point stencil")
+    W = _stencil_table(n, h, order, accuracy)
+    npts = W.shape[0]
     half = npts // 2
     D = np.zeros((n, n))
-    xloc = np.arange(npts) * h
-    # interior rows share one centered weight vector
-    w_center = fd_weights(xloc, xloc[half], order)
     for i in range(half, n - half):
-        D[i, i - half:i - half + npts] = w_center
-    for i in range(half):
-        D[i, :npts] = fd_weights(xloc, xloc[i], order)
-        D[n - 1 - i, n - npts:] = fd_weights(xloc, xloc[npts - 1 - i], order)
+        D[i, i - half:i - half + npts] = W[half]
+    D[:half, :npts] = W[:half]
+    D[n - half:, n - npts:] = W[half + 1:]
     return D
 
 
 def derivative_along_axis(values, h, order, axis, accuracy=2):
-    """Differentiate a sampled field along one axis of an ndarray."""
+    """Differentiate a sampled field along one axis of an ndarray with the
+    rows of `derivative_matrix`, applied as banded sums: O(n * npts) work
+    and no (n, n) matrix."""
     values = np.asarray(values, dtype=float)
-    D = derivative_matrix(values.shape[axis], h, order, accuracy)
-    moved = np.moveaxis(values, axis, 0)
-    out = np.tensordot(D, moved, axes=(1, 0))
+    v = np.moveaxis(values, axis, 0)
+    n = v.shape[0]
+    W = _stencil_table(n, h, order, accuracy)
+    npts = W.shape[0]
+    half = npts // 2
+    out = np.empty_like(v)
+    interior = out[half:n - half]
+    np.multiply(W[half, 0], v[:n - npts + 1], out=interior)
+    for k in range(1, npts):
+        interior += W[half, k] * v[k:n - npts + 1 + k]
+    out[:half] = np.tensordot(W[:half], v[:npts], axes=(1, 0))
+    out[n - half:] = np.tensordot(W[half + 1:], v[n - npts:], axes=(1, 0))
     return np.moveaxis(out, 0, axis)

@@ -417,7 +417,7 @@ def _mode_sampler(ast, nm, mm, nquad):
                                     x=xq[None, :, None],
                                     y=xq[None, None, :]), dtype=float)
             F = np.broadcast_to(F, (chunk.shape[0], xq.shape[0], xq.shape[0]))
-            coef = np.einsum("tjk,nj,mk->tnm", F, Sx, Sy) * factor
+            coef = (Sx @ F @ Sy.T) * factor
             out[start:start + chunk.shape[0]] = coef.reshape(chunk.shape[0], -1)
         return out
 

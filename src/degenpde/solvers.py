@@ -11,6 +11,7 @@ formulas of the bundled example problems by direct quadrature; they
 share no code with the pipeline beyond elementary helpers.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -60,19 +61,19 @@ class SolutionField:
 
 def write_solution_csv(fld, path):
     """Deterministic CSV: header 'axis names..., component, value', rows
-    row-major over the axes, then over components, floats via repr."""
+    row-major over the axes, then over components, floats via repr.  The
+    file is written one slab of the leading axis at a time."""
     names = [name for name, _ in fld.axes]
-    grids = [g for _, g in fld.axes]
-    lens = tuple(len(g) for g in grids)
-    flat = fld.values.reshape(-1, fld.ncomp)
-    lines = [",".join(names + ["component", "value"])]
-    for row, idx in enumerate(np.ndindex(*lens) if lens else [()]):
-        prefix = ",".join(repr(float(grids[a][i])) for a, i in enumerate(idx))
-        for comp in range(fld.ncomp):
-            val = repr(float(flat[row, comp]))
-            lines.append(f"{prefix},{comp},{val}" if prefix else f"{comp},{val}")
+    labels = [[repr(x) + "," for x in g.tolist()] for _, g in fld.axes]
+    leads = labels[0] if labels else [""]
+    tails = ["".join(rest) for rest in itertools.product(*labels[1:])]
+    slabs = fld.values.reshape(len(leads), len(tails), fld.ncomp)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(names + ["component", "value"]) + "\n")
+        for lead, slab in zip(leads, slabs):
+            fh.write("".join([f"{lead}{tail}{comp},{val!r}\n"
+                              for tail, row in zip(tails, slab.tolist())
+                              for comp, val in enumerate(row)]))
 
 
 def field_raw(fld):
@@ -277,6 +278,10 @@ def _solve_mixed_xy(rp):
     spec = rp.system
     top = int(spec.grid.get("series_order", MIXED_SERIES_ORDER))
     xg = _box_grid(spec, "x", 101)
+    if len(xg) < top + 2:
+        raise ConfigurationError(
+            f"grid.nx = {len(xg)} is too small for series order {top}: the "
+            f"x-Taylor stencils need at least {top + 2} nodes")
     yg = _box_grid(spec, "y", 101)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     f_vals = np.asarray(spec.f(x=X, y=Y), dtype=float)

@@ -1,5 +1,7 @@
 """Finite-difference weights and derivative matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,8 @@ def test_derivative_matrix_fourth_order_convergence():
 def test_derivative_matrix_needs_enough_nodes():
     with pytest.raises(ValueError, match="too small"):
         derivative_matrix(3, 0.1, 3)
+    with pytest.raises(ValueError, match="too small"):
+        derivative_along_axis(np.zeros((4, 3)), 0.1, 3, axis=0)
 
 
 def test_derivative_along_axis_targets_one_axis():
@@ -102,3 +106,31 @@ def test_derivative_along_axis_targets_one_axis():
     np.testing.assert_allclose(dt, np.broadcast_to(2 * t[:, None], field.shape),
                                atol=1e-9)
     np.testing.assert_allclose(dx, np.full_like(field, 3.0), atol=1e-9)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("accuracy", [2, 4])
+def test_derivative_along_axis_matches_the_matrix_rows(rng, order, accuracy):
+    npts = stencil_size(order, accuracy)
+    # the first axis is exactly one stencil wide: one centered row only
+    field = rng.standard_normal((npts, npts + 3, 2 * npts + 1))
+    for axis, n in enumerate(field.shape):
+        D = derivative_matrix(n, 0.1, order, accuracy)
+        want = np.moveaxis(np.tensordot(D, np.moveaxis(field, axis, 0),
+                                        axes=(1, 0)), 0, axis)
+        got = derivative_along_axis(field, 0.1, order, axis, accuracy)
+        assert got.shape == field.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_derivative_along_axis_allocates_no_square_matrix():
+    # a dense 4001-node derivative matrix alone would take 128 MB
+    column = np.linspace(0.0, 1.0, 4001)[:, None] ** 2
+    tracemalloc.start()
+    try:
+        deriv = derivative_along_axis(column, 1.0 / 4000, 2, axis=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    np.testing.assert_allclose(deriv, 2.0, atol=1e-6)

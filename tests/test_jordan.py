@@ -230,10 +230,13 @@ def test_uncertified_operator_detected():
     # a common null vector is refused before any chain grows
     ([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]],
      "share a null direction"),
+    # B is 2x3 with cokernel e2 (m = 1 < n = 2), which A1* also annihilates
+    ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+     "share a null direction"),
     # a singular pencil with no common null vector reaches the growth guard
     ([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]],
      "unbounded chain growth"),
-], ids=["common-null-vector", "singular-pencil"])
+], ids=["common-null-vector", "common-dual-null-vector", "singular-pencil"])
 def test_nilpotent_pair_with_no_termination_rejected(Brows, Arows, message):
     B, A = _pair(Brows, Arows)
     with pytest.raises(StructureError, match=message):

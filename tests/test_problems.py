@@ -8,7 +8,9 @@ import pytest
 
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              ParseError, UsageError)
-from degenpde.problems import evaluate_oracle, instantiate, load_problem
+from degenpde.expressions import parse
+from degenpde.problems import (_mode_sampler, evaluate_oracle, instantiate,
+                               load_problem)
 from degenpde.reduction import reduce
 from degenpde.solvers import solve_family
 
@@ -251,6 +253,31 @@ def test_mode_sampler_is_exact_on_band_limited_forcing(tmp_path):
     np.testing.assert_allclose(coeff[:, 4], np.exp(-t), atol=1e-12)
     others = np.delete(coeff, 4, axis=1)
     assert np.abs(others).max() <= 1e-12
+
+
+def test_mode_sampler_matches_the_double_sum():
+    nm, mm, nquad = 3, 2, 8
+    t = np.array([0.0, 0.3, 1.2])
+    got = _mode_sampler(parse("x * y^2 * (1 + t) + cos(x - y)"), nm, mm, nquad)(t)
+    xq = np.arange(1, nquad) * np.pi / nquad
+    want = np.zeros((t.size, nm, mm))
+    for a, tv in enumerate(t):
+        for n in range(1, nm + 1):
+            for m in range(1, mm + 1):
+                for xj in xq:
+                    for yk in xq:
+                        fv = xj * yk ** 2 * (1 + tv) + np.cos(xj - yk)
+                        want[a, n - 1, m - 1] += fv * np.sin(n * xj) * np.sin(m * yk)
+    want *= (2.0 / nquad) ** 2
+    np.testing.assert_allclose(got, want.reshape(t.size, -1), rtol=0, atol=1e-13)
+
+
+def test_mode_sampler_returns_one_mode_of_a_sine_product():
+    t = np.array([0.0, 0.5, 2.0])
+    coeff = _mode_sampler(parse("sin(x) * sin(2*y) * exp(-t)"), 3, 2, 8)(t)
+    # mode (n, m) = (1, 2) sits at flat index (1 - 1) * 2 + (2 - 1)
+    np.testing.assert_allclose(coeff[:, 1], np.exp(-t), rtol=0, atol=1e-13)
+    assert np.abs(np.delete(coeff, 1, axis=1)).max() <= 1e-13
 
 
 def test_grid_scale_override_rescales_nodes(problems_dir):

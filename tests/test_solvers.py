@@ -382,6 +382,25 @@ def test_csv_writer_golden_bytes(tmp_path):
     assert path.read_text(encoding="utf-8") == want
 
 
+def test_csv_writer_matches_a_per_value_rendering(tmp_path, rng):
+    axes = (("t", [0.0, 0.25, 1.0 / 3.0]), ("x", [0.1, 0.2]),
+            ("y", [-1.5, 0.0, 2.0, 1e-300]))
+    shape = (3, 2, 4, 2)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    fld = SolutionField(axes=axes, values=values)
+    lines = ["t,x,y,component,value"]
+    for idx in np.ndindex(3, 2, 4):
+        prefix = ",".join(repr(float(axes[a][1][i])) for a, i in enumerate(idx))
+        for comp in range(2):
+            lines.append(f"{prefix},{comp},{float(values[idx + (comp,)])!r}")
+    path = tmp_path / "field.csv"
+    write_solution_csv(fld, path)
+    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+    scalar = SolutionField(axes=(), values=np.array([0.5, -2.0]))
+    write_solution_csv(scalar, path)
+    assert path.read_text(encoding="utf-8") == "component,value\n0,0.5\n1,-2.0\n"
+
+
 def test_field_raw_returns_solver_samples():
     fld = SolutionField(axes=(("t", [0.0, 1.0]),), values=np.zeros((2, 1)),
                         meta={"raw": ([("t", np.array([0.0, 1.0]))],
