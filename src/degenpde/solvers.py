@@ -3,8 +3,10 @@
 `reduce` assembles one regular equation for every family,
 L0(D) v + L1(D) M v = (I - Q) f with M = (I - Q) A1 Bplus, and the
 family back-ends differ only in how they integrate it: one RK4 march for
-the time families, convergent series for the two boundary-layer
-families.  Each back-end then runs the triangular C-recursion and
+the time families, the iterated-integral series for goursat, and for
+mixed_xy the finite Chebyshev series of a fit to the data, refused when
+the fit misses the data.  Series limits and the fit tolerance are module
+constants.  Each back-end then runs the triangular C-recursion and
 reassembles the full solution; `solve_family` is the one entry point.
 The closed-form oracles at the bottom evaluate the exact solution
 formulas of the bundled example problems by direct quadrature; they
@@ -12,15 +14,14 @@ share no code with the pipeline beyond elementary helpers.
 """
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
                      UsageError)
-from .fd import derivative_matrix, fd_weights
 from .reduction import (FAMILIES, DifferentialOperatorSpec,
                         apply_differential_operator, beta_tables,
                         compat_residual, equation_residual,
@@ -30,7 +31,8 @@ from .reduction import (FAMILIES, DifferentialOperatorSpec,
 DEFAULT_DT = 1e-3
 GOURSAT_SERIES_CAP = 40
 GOURSAT_SERIES_TOL = 1e-12
-MIXED_SERIES_ORDER = 8
+MIXED_FIT_DEGREE = 32
+MIXED_FIT_TOL = 1e-10
 COMPAT_TOL = 1e-6
 
 
@@ -228,8 +230,6 @@ def _solve_goursat(rp):
     term_r = -V M term_{r-1}, V the cumulative double integral from the
     corner and w = (I - Q) f; iterated trapezoid quadrature on the grid."""
     spec = rp.system
-    cap = int(spec.grid.get("series_cap", GOURSAT_SERIES_CAP))
-    tol = float(spec.grid.get("series_tol", GOURSAT_SERIES_TOL))
     xg = _box_grid(spec, "x", 201)
     yg = _box_grid(spec, "y", 201)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
@@ -243,17 +243,16 @@ def _solve_goursat(rp):
     vterm = volterra(w)
     v = vterm.copy()
     scale = max(1.0, float(np.abs(vterm).max()))
-    converged = False
-    for r in range(1, cap + 1):
+    for r in range(1, GOURSAT_SERIES_CAP + 1):
         vterm = -volterra(vterm @ rp.M.T)
         v += vterm
-        if np.abs(vterm).max() <= tol * scale:
-            converged = True
+        if np.abs(vterm).max() <= GOURSAT_SERIES_TOL * scale:
             break
-    if not converged:
+    else:
         raise ConfigurationError(
             "series truncation failure: the iterated-integral series did "
-            f"not decay below {tol:g} within {cap} terms; the domain box "
+            f"not decay below {GOURSAT_SERIES_TOL:g} within "
+            f"{GOURSAT_SERIES_CAP} terms; the domain box "
             "is too large for this operator pair, shrink it")
 
     axes = [("x", xg), ("y", yg)]
@@ -267,47 +266,63 @@ def _solve_goursat(rp):
 
 
 # ---------------------------------------------------------------------------
-# mixed boundary family (power series in x)
+# mixed boundary family (Chebyshev series in x and y)
+
+def _contract(Ax, Ay, arr):
+    """Apply Ax along axis 0 and Ay along axis 1 of arr (two GEMMs)."""
+    return np.tensordot(Ax, np.tensordot(Ay, arr, axes=(1, 1)), axes=(1, 1))
+
 
 def _solve_mixed_xy(rp):
     """Family mixed_xy: d2/dx2(Bu) + d/dy(A1 u) = f, layered data.
 
-    Regular part as a power series v = sum_{i>=2} C_i(y) x^i with
-    C_{k+2} = (g_k - M C_k')/((k+1)(k+2)), M the regular-part matrix of
-    `reduce`, g_k the x-Taylor rows of (I - Q) f at x = 0."""
+    v_xx + M v_y = g with v = v_x = 0 at x = 0 is a Cauchy problem for a
+    backward-parabolic operator, so only data with a convergent expansion
+    has a solution.  g = (I - Q) f is fitted by a tensor Chebyshev
+    least-squares polynomial, refused if the fit misses it, and the
+    fitted problem is solved exactly: term_0 = V g, term_k = -V M
+    d/dy term_{k-1}, V the double x-integral from x = 0.  Each term drops
+    the y-degree by one, so the series ends after at most ky + 1 terms,
+    ky the fitted y-degree."""
     spec = rp.system
-    top = int(spec.grid.get("series_order", MIXED_SERIES_ORDER))
     xg = _box_grid(spec, "x", 101)
-    if len(xg) < top + 2:
-        raise ConfigurationError(
-            f"grid.nx = {len(xg)} is too small for series order {top}: the "
-            f"x-Taylor stencils need at least {top + 2} nodes")
     yg = _box_grid(spec, "y", 101)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     f_vals = np.asarray(spec.f(x=X, y=Y), dtype=float)
     g = rhs_projection(rp, f_vals)
-    M = rp.M
-    hx = float(xg[1] - xg[0])
-    hy = float(yg[1] - yg[0])
-    d2 = rp.js.codomain.dim
-    ny = len(yg)
+    # Chebyshev variables on [-1, 1]; the half-widths scale d/dx and d/dy
+    hx, hy = 0.5 * float(xg[-1] - xg[0]), 0.5 * float(yg[-1] - yg[0])
+    xi, eta = (xg - xg[0]) / hx - 1.0, (yg - yg[0]) / hy - 1.0
 
-    taylor, drift = _x_taylor_rows(g, hx, top - 2)
-    if drift > 0.05:
-        warnings.warn(
-            "right-hand side x-derivative estimates disagree between grid "
-            f"resolutions (relative drift {drift:.2g}); falling back to "
-            "finite-difference marching", RuntimeWarning)
-        v = _march_mixed(g, M, xg, yg)
-    else:
-        Dy = derivative_matrix(ny, hy, 1, accuracy=4)
-        coef = np.zeros((top + 1, ny, d2))
-        for k in range(0, top - 1):
-            gk = taylor[k] if k < len(taylor) else np.zeros((ny, d2))
-            ck_prime = np.einsum("ab,bd->ad", Dy, coef[k])
-            coef[k + 2] = (gk - ck_prime @ M.T) / ((k + 1.0) * (k + 2.0))
-        powers = np.stack([xg ** i for i in range(top + 1)], axis=0)
-        v = np.einsum("ix,iyd->xyd", powers, coef)
+    def on_grid(coef):
+        return _contract(cheb.chebvander(xi, coef.shape[0] - 1),
+                         cheb.chebvander(eta, coef.shape[1] - 1), coef)
+
+    kx, ky = (min(MIXED_FIT_DEGREE, (len(grid) - 1) // 2) for grid in (xg, yg))
+    c = _contract(np.linalg.pinv(cheb.chebvander(xi, kx)),
+                  np.linalg.pinv(cheb.chebvander(eta, ky)), g)
+    c[np.abs(c) <= 1e-15 * float(np.abs(c).max())] = 0.0
+    scale = float(np.abs(g).max()) or 1.0
+    fit_residual = float(np.abs(on_grid(c) - g).max()) / scale
+    if fit_residual > MIXED_FIT_TOL:
+        raise ConfigurationError(
+            f"right-hand side not resolved: the degree ({kx}, {ky}) "
+            f"Chebyshev fit misses (I - Q) f by {fit_residual:.3g} relative "
+            f"(tolerance {MIXED_FIT_TOL:g}); this Cauchy problem in x needs "
+            "smooth data")
+
+    def x_integral(coef):
+        return cheb.chebint(coef, m=2, lbnd=-1, scl=hx, axis=0)
+
+    term = x_integral(c)
+    # term k is 2 longer in x than term k - 1 and 1 shorter in y
+    coef = np.zeros((term.shape[0] + 2 * ky,) + c.shape[1:])
+    terms = 0
+    while term.any():
+        coef[:term.shape[0], :term.shape[1]] += term
+        terms += 1
+        term = -x_integral(cheb.chebder(term, scl=1.0 / hy, axis=1) @ rp.M.T)
+    v = on_grid(coef)
 
     axes = [("x", xg), ("y", yg)]
     beta = beta_tables(rp, f_vals)
@@ -315,64 +330,8 @@ def _solve_mixed_xy(rp):
                            lambda rhs, row: _cumulative_from_zero(rhs, yg, axis=1))
     u = reconstruct_solution(rp, v, C)
     _post_checks(rp, axes, v, f_vals)
-    return _package_field(rp, axes, u, f_vals, {"series_order": top})
-
-
-def _x_taylor_rows(g, hx, kmax):
-    """One-sided estimates of d^k g/dx^k (0, y)/k! from the sampled grid,
-    plus the relative disagreement between two stencil spacings.  High
-    derivatives of slowly varying data are snapped to zero: the stencil
-    weights grow like h^-k and would otherwise launder rounding noise
-    into spurious series coefficients."""
-    rows, drift = [], 0.0
-    nx = g.shape[0]
-    g_scale = max(1.0, float(np.abs(g).max()))
-    for k in range(0, kmax + 1):
-        if k == 0:
-            rows.append(g[0].copy())
-            continue
-        width = k + 4
-        stride = max(1, (nx - 1) // (3 * (width - 1)))
-        while (width - 1) * 2 * stride >= nx and stride > 1:
-            stride -= 1
-        est = _one_sided_estimate(g, hx, k, width, stride)
-        if (width - 1) * 2 * stride < nx:
-            est2 = _one_sided_estimate(g, hx, k, width, 2 * stride)
-        else:
-            est2 = est
-        # the two-spacing disagreement doubles as a noise floor: estimates
-        # inside it are stencil rounding, not signal
-        noise = np.abs(est - est2)
-        sig = np.abs(est) > 10.0 * noise + 1e-12 * g_scale
-        scale = max(g_scale, float(np.abs(est).max()))
-        drift = max(drift, float((noise * sig).max()) / scale)
-        est = np.where(sig, est, 0.0)
-        fact = 1.0
-        for j in range(2, k + 1):
-            fact *= j
-        rows.append(est / fact)
-    return rows, drift
-
-
-def _one_sided_estimate(g, hx, k, width, stride):
-    pts = np.arange(width) * (stride * hx)
-    wts = fd_weights(pts, 0.0, k)
-    return np.tensordot(wts, g[: width * stride: stride], axes=(0, 0))
-
-
-def _march_mixed(g, M, xg, yg):
-    """Second-order explicit marching for v_xx + M v_y = g with
-    v = v_x = 0 on x = 0."""
-    hx = float(xg[1] - xg[0])
-    hy = float(yg[1] - yg[0])
-    Dy = derivative_matrix(len(yg), hy, 1, accuracy=2)
-    v = np.zeros((len(xg),) + g.shape[1:])
-    if len(xg) > 1:
-        v[1] = 0.5 * hx * hx * g[0]
-    for i in range(1, len(xg) - 1):
-        rhs = g[i] - np.einsum("ab,bd->ad", Dy, v[i]) @ M.T
-        v[i + 1] = 2.0 * v[i] - v[i - 1] + hx * hx * rhs
-    return v
+    return _package_field(rp, axes, u, f_vals,
+                          {"series_terms": terms, "fit_residual": fit_residual})
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +420,8 @@ SOLVERS = {
 
 
 def solve_family(rp):
-    """Integrate the reduced problem with its family's back-end; settings
-    come from the spec's grid table.  Every back-end solves only its
+    """Integrate the reduced problem with its family's back-end; node
+    counts and the time step come from the spec's grid table.  Every back-end solves only its
     family's canonical L, so any other declared L is refused."""
     spec = rp.system
     fam = FAMILIES[spec.family]

@@ -115,16 +115,23 @@ def test_common_null_direction_is_refused_up_front(problems_dir, tmp_path, capsy
     assert "share a null direction" in err
 
 
-def test_mixed_xy_grid_below_the_series_order_is_an_input_error(
+def test_mixed_xy_coarse_grid_verifies_and_unresolved_data_is_an_input_error(
         problems_dir, tmp_path, capsys):
     obj = json.loads((problems_dir / "example4.json").read_text(encoding="utf-8"))
     obj["grid"]["nx"] = obj["grid"]["ny"] = 9
     path = tmp_path / "coarse.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    assert "verdict=pass" in capsys.readouterr().out
+
+    obj = json.loads((problems_dir / "example4.json").read_text(encoding="utf-8"))
+    obj["f"] = ["sin(150*x)", "1"]
+    path = tmp_path / "rough.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
     code = main(["verify", str(path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "grid.nx = 9" in err and "series order 8" in err
+    assert "right-hand side not resolved" in err
     assert "Traceback" not in err
 
 

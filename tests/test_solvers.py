@@ -161,8 +161,10 @@ def test_goursat_refuses_an_equation_it_does_not_solve():
 
 
 def test_goursat_series_cap_failure_is_loud():
+    # the iterated-integral terms decay like (xy)^r / (r!)^2: a box of
+    # [0, 12]^2 converges within the cap, [0, 20]^2 does not
     spec = _goursat_spec(_const_f2)
-    spec.grid["series_cap"] = 1
+    spec.box = {"x": (0.0, 20.0), "y": (0.0, 20.0)}
     rp = reduce(spec)
     with pytest.raises(ConfigurationError, match="series truncation failure"):
         solve_family(rp)
@@ -170,13 +172,21 @@ def test_goursat_series_cap_failure_is_loud():
 
 # -- mixed-derivative family --------------------------------------------------------
 
-def _mixed_spec(f):
+def _mixed_spec(f, nodes=101):
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0]])
     A = matrix_operator(np.eye(2))
     L = [op_spec(((2, 0), 1.0), nvars=2), op_spec(((0, 1), 1.0), nvars=2)]
     return DegenerateSystemSpec(B=B, A=[A], L=L, f=f, family="mixed_xy",
                                 box={"x": (0.0, 1.0), "y": (0.0, 1.0)},
-                                grid={"nx": 101, "ny": 101})
+                                grid={"nx": nodes, "ny": nodes})
+
+
+def _mixed_f(f1):
+    """Right side (f1(x, y), 1); the second component of u is then y."""
+    def f(x=None, y=None):
+        X, Y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        return np.stack([f1(X, Y), np.ones_like(X)], axis=-1)
+    return f
 
 
 def test_mixed_constant_forcing_exact_solution():
@@ -188,21 +198,52 @@ def test_mixed_constant_forcing_exact_solution():
     assert np.abs(u - want).max() <= 1e-10
     resid, _ = residual_check(rp.system, axes, u, rp.js, rp.ps)
     assert resid <= 1e-10
+    assert fld.meta["series_terms"] == 1
+    assert fld.meta["fit_residual"] <= 1e-14
 
 
-def test_mixed_rough_forcing_falls_back_to_marching():
-    # sin(150 x) makes the x-Taylor estimates drift past 0.05 between
-    # stencil spacings, so the series is refused for marching
-    def f(x=None, y=None):
-        X, Y = np.broadcast_arrays(x, y)
-        return np.stack([np.sin(150.0 * X), np.ones_like(Y)], axis=-1)
+_SQ = np.sqrt(-20j)
 
-    rp = reduce(_mixed_spec(f))
-    with pytest.warns(RuntimeWarning, match="finite-difference marching"):
-        fld = solve_family(rp)
+
+def _x2_sin(a, b):
+    """Manufactured u1 = x^2 sin(a x + b y) and its f1 = u1_xx + u1_y."""
+    def f1(x, y):
+        s, c = np.sin(a * x + b * y), np.cos(a * x + b * y)
+        return 2 * s + 4 * a * x * c - a * a * x ** 2 * s + b * x ** 2 * c
+    return f1, lambda x, y: x ** 2 * np.sin(a * x + b * y)
+
+
+@pytest.mark.parametrize("f1, u1", [
+    (lambda x, y: np.exp(x) * y,
+     lambda x, y: ((np.exp(x) - 1 - x) * y
+                   - (np.exp(x) - 1 - x - x ** 2 / 2 - x ** 3 / 6))),
+    (lambda x, y: np.sin(5 * x) * y,
+     lambda x, y: ((x / 5 - np.sin(5 * x) / 25) * y - x ** 3 / 30 + x / 125
+                   - np.sin(5 * x) / 625)),
+    (lambda x, y: x * np.sin(20 * y),
+     lambda x, y: np.imag(np.exp(20j * y) * (np.sinh(_SQ * x) - _SQ * x)
+                          / _SQ ** 3)),
+    _x2_sin(5.0, 3.0),
+    _x2_sin(0.0, 20.0),
+], ids=["exp(x)y", "sin(5x)y", "x-sin(20y)", "x2-sin(5x+3y)", "x2-sin(20y)"])
+def test_mixed_smooth_forcing_matches_closed_form(f1, u1):
+    # u1_xx + u1_y = f1, u1 = u1_x = 0 at x = 0; the second component is y
+    rp = reduce(_mixed_spec(_mixed_f(f1)))
+    fld = solve_family(rp)
     axes, u = field_raw(fld)
-    resid, _ = residual_check(rp.system, axes, u, rp.js, rp.ps)
-    assert resid <= 1e-10
+    X, Y = np.meshgrid(axes[0][1], axes[1][1], indexing="ij")
+    assert np.abs(u[..., 0] - u1(X, Y)).max() <= 1e-6
+    assert np.abs(u[..., 1] - Y).max() <= 1e-12
+    assert fld.meta["fit_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("nodes", [101, 401])
+def test_mixed_rough_forcing_is_refused(nodes):
+    # sin(150 x) is not resolved by a degree-32 fit; the ill-posed Cauchy
+    # problem has no answer to give for it on this grid
+    rp = reduce(_mixed_spec(_mixed_f(lambda x, y: np.sin(150.0 * x)), nodes))
+    with pytest.raises(ConfigurationError, match="not resolved"):
+        solve_family(rp)
 
 
 def test_mixed_corner_asymptotic_coefficients():
