@@ -8,6 +8,8 @@ cokernel dimensions differ, the Schmidt regularizer, a bounded
 pseudoinverse, and commutability matrices with their certificates.
 One weighted SVD of B, its skeleton decomposition, supplies the null
 bases of B and B*, the chain solves and the pseudoinverse Bplus.
+Each chain set is one column block, so every pairing between the sets
+is a matrix product.
 """
 
 from dataclasses import dataclass, field
@@ -18,23 +20,37 @@ from .errors import StructureError
 from .spaces import DEFAULT_RANK_TOL, FiniteOperator, Skeleton, _fix_column_signs
 
 LINK_TOL = 1e-8
+SUPPORT_TOL = 1e-8   # chain-preserving form of the normalizing transformation
+CERTIFY_TOL = 1e-8   # commutability certificates and the quasitriangular pattern
+
+
+def _chain_columns(p):
+    """Chain index, 1-based level and chain length of each column of a
+    block whose columns run chain by chain, levels ascending (the
+    pair_indices order)."""
+    P = np.asarray(p, dtype=int)
+    chain = np.repeat(np.arange(P.size), P)
+    level = np.arange(chain.size) - (np.cumsum(P) - P)[chain] + 1
+    return chain, level, P[chain]
 
 
 @dataclass
 class JordanStructure:
     """Chains and biorthogonal systems for a pair (B, A1).
 
-    phi[i][j] is the level-(j+1) vector of paired primal chain i (chains
-    sorted by descending length); psi mirrors it for the adjoint pair.
-    Unpaired kernel directions (kernel/cokernel dimension mismatch) are
-    kept apart in phi_extra / psi_extra with their least-squares
-    biorthogonal partners gamma_extra / z_extra.
+    Phi, Psi, Gam and Z are (dim x k) column blocks of the primal chains,
+    the dual chains, gamma and z.  Chains are sorted by descending length;
+    chain i, level j is column off_i + j - 1 with off_i = p_1 + ... +
+    p_(i-1), the order of pair_indices().  Unpaired kernel directions
+    (kernel/cokernel dimension mismatch) are kept apart in phi_extra /
+    psi_extra with their least-squares biorthogonal partners gamma_extra /
+    z_extra.
     """
 
-    phi: list
-    psi: list
-    gamma: list
-    z: list
+    Phi: np.ndarray
+    Psi: np.ndarray
+    Gam: np.ndarray
+    Z: np.ndarray
     p: tuple
     n: int
     m: int
@@ -58,25 +74,14 @@ class JordanStructure:
     def codomain(self):
         return self.B.codomain
 
+    @property
+    def head_columns(self):
+        """Columns of the level-1 vectors, one per chain."""
+        return np.flatnonzero(_chain_columns(self.p)[1] == 1)
+
     def pair_indices(self):
         """Flat (chain, level) index list, levels 1-based, block order."""
         return [(i, j) for i in range(self.l) for j in range(1, self.p[i] + 1)]
-
-    def phi_stack(self):
-        cols = [self.phi[i][j - 1] for (i, j) in self.pair_indices()]
-        return np.column_stack(cols) if cols else np.zeros((self.domain.dim, 0))
-
-    def psi_stack(self):
-        cols = [self.psi[i][j - 1] for (i, j) in self.pair_indices()]
-        return np.column_stack(cols) if cols else np.zeros((self.codomain.dim, 0))
-
-    def gamma_stack(self):
-        cols = [self.gamma[i][j - 1] for (i, j) in self.pair_indices()]
-        return np.column_stack(cols) if cols else np.zeros((self.domain.dim, 0))
-
-    def z_stack(self):
-        cols = [self.z[i][j - 1] for (i, j) in self.pair_indices()]
-        return np.column_stack(cols) if cols else np.zeros((self.codomain.dim, 0))
 
 
 @dataclass
@@ -137,48 +142,44 @@ def _staircase(sk, A1op, heads, dual_heads, stop_at, rank_tol):
     At each level the pairing of the candidate links with the cokernel
     basis is decomposed: row-space combinations terminate at the current
     length, null-space combinations extend.  Mixing whole chains is valid
-    because every active chain has the same current length.  Once stop_at
-    chains have terminated, the heads of the still-active chains are the
-    unpaired extra kernel directions.
+    because every active chain has the same current length, so the active
+    chains are one (level, dim, n_active) array mixed by one product.
+    Once stop_at chains have terminated, the heads of the still-active
+    chains are the unpaired extra kernel directions.
 
-    Returns (terminated_chains, extra_heads) with chains as vector lists.
+    Returns (Phi, p, extra_heads): the terminated chains as a column block
+    sorted by descending length, their lengths, and a (dim, e) block.
     """
     d1 = sk.domain.dim
     w2, r2 = sk.codomain.weights, sk.codomain.root[:, None]
-    active = [[heads[:, i]] for i in range(heads.shape[1])]
-    terminated = []
-    level = 1
-    while active:
-        if len(terminated) == stop_at:
-            return terminated, [c[0] for c in active]
+    active = heads[None]
+    terminated = []   # (length, dim, count) blocks, ascending length
+    done = 0
+    while active.shape[2] and done < stop_at:
+        level, _, n_active = active.shape
         if level > d1:
             raise StructureError(
                 "incomplete Jordan set: unbounded chain growth "
-                f"(still {len(active)} active chains past length {d1})")
-        tails = np.column_stack([c[-1] for c in active])
-        imgs = A1op.matrix @ tails
-        M = dual_heads.T @ (w2[:, None] * imgs) if dual_heads.shape[1] else np.zeros((0, len(active)))
+                f"(still {n_active} active chains past length {d1})")
+        imgs = A1op.matrix @ active[-1]
+        M = dual_heads.T @ (w2[:, None] * imgs)
         # rank against the image magnitudes, not against M's own largest
         # singular value: when every chain extends, M is pure roundoff and
         # a relative test would hallucinate terminations
-        img_scale = float(np.linalg.norm(r2 * imgs, axis=0).max()) if imgs.size else 0.0
+        img_scale = float(np.linalg.norm(r2 * imgs, axis=0).max())
         if M.size == 0 or img_scale == 0.0 or np.abs(M).max() <= rank_tol * img_scale:
-            rank = 0
-            V = np.eye(len(active))
+            rank, V = 0, np.eye(n_active)
         else:
             _, s, vt = np.linalg.svd(M)
             rank = int(np.sum(s > rank_tol * img_scale))
             V = _fix_column_signs(vt.T)
-        mixed = []
-        for c in range(V.shape[1]):
-            combo = V[:, c]
-            mixed.append([sum(combo[a] * active[a][lev] for a in range(len(active)))
-                          for lev in range(level)])
-        terminated.extend(mixed[:rank])
-        survivors = mixed[rank:]
-        if survivors:
-            new_tails = np.column_stack([c[-1] for c in survivors])
-            new_imgs = A1op.matrix @ new_tails
+        mixed = active @ V
+        if rank:
+            terminated.append(mixed[:, :, :rank])
+            done += rank
+        active = mixed[:, :, rank:]
+        if active.shape[2]:
+            new_imgs = A1op.matrix @ active[-1]
             ext, res = sk.solve(new_imgs)
             img_scale = np.maximum(np.linalg.norm(r2 * new_imgs, axis=0), 1.0)
             worst = np.max(res / img_scale)
@@ -186,24 +187,18 @@ def _staircase(sk, A1op, heads, dual_heads, stop_at, rank_tol):
                 raise StructureError(
                     f"incomplete Jordan set: chain extension residual {worst:.2e} "
                     f"exceeds {LINK_TOL:.1e} at length {level}")
-            for idx, chain in enumerate(survivors):
-                chain.append(ext[:, idx])
-        active = survivors
-        level += 1
-    return terminated, []
+            active = np.concatenate([active, ext[None]])
+    blocks = terminated[::-1]
+    p = tuple(b.shape[0] for b in blocks for _ in range(b.shape[2]))
+    Phi = np.hstack([np.zeros((d1, 0))] + [b.transpose(1, 2, 0).reshape(d1, -1)
+                                          for b in blocks])
+    return Phi, p, active[0]
 
 
-def _terminal_pairing_certificate(phi_chains, psi_chains, A1op, codomain):
-    """The completeness certificate: the pairing of chain terminals with
-    dual heads must be non-singular (|det| >= 1e-8 after row scaling)."""
-    l = len(phi_chains)
-    if l == 0:
-        return 1.0
-    T = np.zeros((l, l))
-    for i in range(l):
-        tail_img = A1op.matrix @ phi_chains[i][-1]
-        for s in range(l):
-            T[i, s] = codomain.inner(tail_img, psi_chains[s][0])
+def _terminal_pairing_certificate(T):
+    """The completeness certificate: the pairing T[i, s] = <A1 phi_i^(p_i),
+    psi_s^(1)> of chain terminals with dual heads must be non-singular
+    (|det| >= 1e-8 after row scaling)."""
     scales = np.abs(T).max(axis=1)
     if np.any(scales == 0):
         bad = int(np.argmin(scales)) + 1
@@ -217,22 +212,10 @@ def _terminal_pairing_certificate(phi_chains, psi_chains, A1op, codomain):
     return det
 
 
-def _pair_matrix(phi_chains, psi_chains, p, A1op, codomain):
-    """W[(i,j),(s,r)] = <A1 phi_i^(j), psi_s^(r)>, flat block order."""
-    idx = [(i, j) for i in range(len(p)) for j in range(1, p[i] + 1)]
-    k = len(idx)
-    W = np.zeros((k, k))
-    imgs = {(i, j): A1op.matrix @ phi_chains[i][j - 1] for (i, j) in idx}
-    for bi, (i, j) in enumerate(idx):
-        for ai, (s, r) in enumerate(idx):
-            W[bi, ai] = codomain.inner(imgs[(i, j)], psi_chains[s][r - 1])
-    return W, idx
-
-
-def _normalize_primal_chains(phi_chains, psi_chains, p, A1op, codomain,
-                             support_tol=1e-8):
+def _normalize_primal_chains(Phi, W, p):
     """One-sided renormalization: replace the primal chains by combinations
-    G phi so that <A1 phi_i^(j), psi_s^(r)> = delta_is delta_{j+r,p_i+1}.
+    Phi G^T so that <A1 phi_i^(j), psi_s^(r)> = delta_is delta_{j+r,p_i+1},
+    given the pairing W[b, a] = <A1 Phi_b, Psi_a>.
 
     G solves G W = E on the flat chain index.  A valid G must be a
     chain-preserving transformation: block (i,s) constant along j - t = d
@@ -241,83 +224,49 @@ def _normalize_primal_chains(phi_chains, psi_chains, p, A1op, codomain,
     (which makes the new chain links exact) and the projection error is
     the completeness check.
     """
-    W, idx = _pair_matrix(phi_chains, psi_chains, p, A1op, codomain)
-    k = len(idx)
-    E = np.zeros((k, k))
-    for bi, (i, j) in enumerate(idx):
-        for ai, (s, t) in enumerate(idx):
-            if i == s and j + t == p[i] + 1:
-                E[bi, ai] = 1.0
+    chain, level, P = _chain_columns(p)
+    k = chain.size
+    E = np.eye(k)[np.arange(k) + P + 1 - 2 * level]
     try:
         G = np.linalg.solve(W.T, E.T).T
     except np.linalg.LinAlgError:
         raise StructureError(
             "incomplete Jordan set: chain pairing matrix is singular") from None
     condW = float(np.linalg.cond(W))
-    pos = {pair: a for a, pair in enumerate(idx)}
+    d = level[:, None] - level[None, :]
+    support = d >= np.maximum(0, P[:, None] - P[None, :])
+    # one group per (chain i, chain s, shift d); Ghat is G's group mean
+    key = ((chain[:, None] * len(p) + chain[None, :]) * k + d)[support]
     Ghat = np.zeros_like(G)
-    scale = max(1.0, float(np.abs(G).max()))
-    worst_dev = 0.0
-    for i in range(len(p)):
-        for s in range(len(p)):
-            for d in range(max(0, p[i] - p[s]), p[i]):
-                cells = [(pos[(i, j)], pos[(s, j - d)])
-                         for j in range(d + 1, p[i] + 1) if 1 <= j - d <= p[s]]
-                if not cells:
-                    continue
-                vals = np.array([G[b, a] for (b, a) in cells])
-                g = float(vals.mean())
-                worst_dev = max(worst_dev, float(np.abs(vals - g).max()))
-                for b, a in cells:
-                    Ghat[b, a] = g
-    off = float(np.abs(G - Ghat).max())
-    if max(off, worst_dev) > support_tol * scale:
+    Ghat[support] = (np.bincount(key, weights=G[support])[key]
+                     / np.bincount(key)[key])
+    dev = float(np.abs(G - Ghat).max())
+    if dev > SUPPORT_TOL * max(1.0, float(np.abs(G).max())):
         raise StructureError(
             "incomplete Jordan set: biorthogonal normalization is not a "
-            f"chain-preserving transformation (deviation {max(off, worst_dev):.2e})")
-    new_chains = []
-    for i in range(len(p)):
-        chain = []
-        for j in range(1, p[i] + 1):
-            b = pos[(i, j)]
-            vec = np.zeros_like(phi_chains[0][0])
-            for ai, (s, t) in enumerate(idx):
-                if Ghat[b, ai] != 0.0:
-                    vec = vec + Ghat[b, ai] * phi_chains[s][t - 1]
-            chain.append(vec)
-        new_chains.append(chain)
-    return new_chains, {"pairing_condition": condW,
-                        "normalization_deviation": max(off, worst_dev)}
+            f"chain-preserving transformation (deviation {dev:.2e})")
+    return Phi @ Ghat.T, {"pairing_condition": condW,
+                          "normalization_deviation": dev}
 
 
-def _correct_extras(extra_vecs, own_heads, couplings):
-    """Remove the terminal-level coupling of each extra kernel direction by
-    a kernel-vector correction; reject structures whose extras couple to
-    middle chain levels (no kernel correction can reach those).
+def _correct_extras(X, own_heads, K, terminals):
+    """Remove the terminal-level coupling of each extra direction (column of
+    X) by a kernel-vector correction; reject structures whose extras couple
+    to middle chain levels (no kernel correction can reach those).
 
-    couplings(vec) -> matrix c[i][r] of the chain pairings of vec; the
-    correction with own_heads[i] shifts exactly c[i][p_i - 1] (the last
-    level), level-1 couplings vanish by extendability.
+    The chain pairings of the extras are X^T K, one column per chain
+    level; the correction with own_heads[:, i] shifts exactly the coupling
+    at the terminal column of chain i, level-1 couplings vanish by
+    extendability.
     """
-    corrected = []
-    for vec in extra_vecs:
-        c = couplings(vec)
-        v = vec.copy()
-        for i, row in enumerate(c):
-            if len(row) and abs(row[-1]) > 0:
-                v = v - row[-1] * own_heads[i]
-        c2 = couplings(v)
-        worst = 0.0
-        for row in c2:
-            for val in row:
-                worst = max(worst, abs(val))
-        if worst > LINK_TOL:
-            raise StructureError(
-                "unsupported structure: an unpaired kernel direction couples "
-                f"to interior chain levels (residual {worst:.2e}); no "
-                "kernel-vector correction can remove it")
-        corrected.append(v)
-    return corrected
+    X = X - own_heads @ (X.T @ K)[:, terminals].T
+    worst = float(np.abs(X.T @ K).max(initial=0.0))
+    if worst > LINK_TOL:
+        raise StructureError(
+            "unsupported structure: an unpaired kernel direction couples "
+            f"to interior chain levels (residual {worst:.2e}); no "
+            "kernel-vector correction can remove it")
+    return X
 
 
 def _biorthogonal_partners(chain_cols, extra_cols, space):
@@ -363,94 +312,71 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
         if sv[-1] <= rank_tol * sv[0]:
             raise StructureError("incomplete Jordan set: B and A1 share a null direction")
 
-    phi_chains, phi_left = _staircase(sk, A1, heads, dual_heads, l, rank_tol)
-    psi_chains, psi_left = _staircase(sk.adjoint(), A1star, dual_heads, heads, l, rank_tol)
-    order = sorted(range(len(phi_chains)), key=lambda i: -len(phi_chains[i]))
-    phi_chains = [phi_chains[i] for i in order]
-    dual_order = sorted(range(len(psi_chains)), key=lambda i: -len(psi_chains[i]))
-    psi_chains = [psi_chains[i] for i in dual_order]
-    p = tuple(len(c) for c in phi_chains)
-    p_dual = tuple(len(c) for c in psi_chains)
+    Phi, p, phi_left = _staircase(sk, A1, heads, dual_heads, l, rank_tol)
+    Psi, p_dual, psi_left = _staircase(sk.adjoint(), A1star, dual_heads, heads, l, rank_tol)
     if p != p_dual:
         raise StructureError(
             f"primal chain lengths {p} and dual chain lengths {p_dual} disagree")
-    k = sum(p)
+    _, level, P = _chain_columns(p)
+    first, last = np.flatnonzero(level == 1), np.flatnonzero(level == P)
+    rev = np.arange(P.size) + P + 1 - 2 * level
+    wPsi = E2.weights[:, None] * Psi
 
     if l:
+        W = (A1.matrix @ Phi).T @ wPsi
         diagnostics["terminal_pairing_det"] = _terminal_pairing_certificate(
-            phi_chains, psi_chains, A1, E2)
-        phi_chains, norm_diag = _normalize_primal_chains(
-            phi_chains, psi_chains, p, A1, E2)
+            W[np.ix_(last, first)])
+        Phi, norm_diag = _normalize_primal_chains(Phi, W, p)
         diagnostics.update(norm_diag)
 
-    gamma = [[A1star.matrix @ psi_chains[i][p[i] - j] for j in range(1, p[i] + 1)]
-             for i in range(l)]
-    z = [[A1.matrix @ phi_chains[i][p[i] - j] for j in range(1, p[i] + 1)]
-         for i in range(l)]
+    APhi = A1.matrix @ Phi
+    js = JordanStructure(Phi=Phi, Psi=Psi, Gam=A1star.matrix @ Psi[:, rev],
+                         Z=APhi[:, rev], p=p, n=n, m=m, l=l, nu=nu, k=P.size,
+                         B=B, A1=A1, skeleton=sk, diagnostics=diagnostics)
 
-    js = JordanStructure(phi=phi_chains, psi=psi_chains, gamma=gamma, z=z,
-                         p=p, n=n, m=m, l=l, nu=nu, k=k, B=B, A1=A1,
-                         skeleton=sk, diagnostics=diagnostics)
-
-    if phi_left:
-        def phi_couplings(vec):
-            img = A1.matrix @ vec
-            return [[E2.inner(img, psi_chains[i][r - 1])
-                     for r in range(1, p[i] + 1)] for i in range(l)]
-        own_heads = [phi_chains[i][0] for i in range(l)]
-        extras = _correct_extras(phi_left, own_heads, phi_couplings)
-        js.phi_extra = np.column_stack(extras)
-        js.gamma_extra = _biorthogonal_partners(js.phi_stack(), js.phi_extra, E1)
-    if psi_left:
-        def psi_couplings(vec):
-            return [[E2.inner(A1.matrix @ phi_chains[i][t - 1], vec)
-                     for t in range(1, p[i] + 1)] for i in range(l)]
-        own_heads = [psi_chains[i][0] for i in range(l)]
-        extras = _correct_extras(psi_left, own_heads, psi_couplings)
-        js.psi_extra = np.column_stack(extras)
-        js.z_extra = _biorthogonal_partners(js.psi_stack(), js.psi_extra, E2)
+    if phi_left.shape[1]:
+        js.phi_extra = _correct_extras(phi_left, Phi[:, first], A1.matrix.T @ wPsi, last)
+        js.gamma_extra = _biorthogonal_partners(Phi, js.phi_extra, E1)
+    if psi_left.shape[1]:
+        js.psi_extra = _correct_extras(psi_left, Psi[:, first],
+                                       E2.weights[:, None] * APhi, last)
+        js.z_extra = _biorthogonal_partners(Psi, js.psi_extra, E2)
 
     js.diagnostics.update(structure_residuals(js))
     return js
 
 
+def _link_residual(Bm, Am, X, first, r_dom, r_cod):
+    """Largest relative link residual of the chain block X: |B x| / max(1, |x|)
+    at the heads, |B x_j - A x_(j-1)| / max(1, |A x_(j-1)|) above them."""
+    rhs = np.zeros((Bm.shape[0], X.shape[1]))
+    rhs[:, 1:] = Am @ X[:, :-1]
+    rhs[:, first] = 0.0
+    res = np.linalg.norm(r_cod[:, None] * (Bm @ X - rhs), axis=0)
+    den = np.linalg.norm(r_cod[:, None] * rhs, axis=0)
+    den[first] = np.linalg.norm(r_dom[:, None] * X[:, first], axis=0)
+    return float((res / np.maximum(1.0, den)).max(initial=0.0))
+
+
 def structure_residuals(js):
     """Measured chain-link and biorthogonality residuals (diagnostics)."""
-    B, A1 = js.B, js.A1
     E1, E2 = js.domain, js.codomain
-    link = 0.0
-    for i in range(js.l):
-        head = js.phi[i][0]
-        link = max(link, E2.norm(B.apply(head)) / max(1.0, E1.norm(head)))
-        for j in range(1, js.p[i]):
-            rhs = A1.apply(js.phi[i][j - 1])
-            link = max(link, E2.norm(B.apply(js.phi[i][j]) - rhs)
-                       / max(1.0, E2.norm(rhs)))
-    Bstar, A1star = B.adjoint(), A1.adjoint()
-    for i in range(js.l):
-        head = js.psi[i][0]
-        link = max(link, E1.norm(Bstar.apply(head)) / max(1.0, E2.norm(head)))
-        for j in range(1, js.p[i]):
-            rhs = A1star.apply(js.psi[i][j - 1])
-            link = max(link, E1.norm(Bstar.apply(js.psi[i][j]) - rhs)
-                       / max(1.0, E1.norm(rhs)))
-    bio = 0.0
-    idx = js.pair_indices()
-    for bi, (i, j) in enumerate(idx):
-        for ai, (s, t) in enumerate(idx):
-            want = 1.0 if (i == s and j == t) else 0.0
-            bio = max(bio, abs(E1.inner(js.phi[i][j - 1], js.gamma[s][t - 1]) - want))
-            bio = max(bio, abs(E2.inner(js.z[i][j - 1], js.psi[s][t - 1]) - want))
-    return {"chain_link_residual": link, "biorthogonality_error": bio}
+    first = js.head_columns
+    link = max(_link_residual(js.B.matrix, js.A1.matrix, js.Phi, first, E1.root, E2.root),
+               _link_residual(js.B.adjoint_matrix(), js.A1.adjoint_matrix(), js.Psi,
+                              first, E2.root, E1.root))
+    eye = np.eye(js.k)
+    bio = max(np.abs(js.Phi.T @ (E1.weights[:, None] * js.Gam) - eye).max(initial=0.0),
+              np.abs(js.Z.T @ (E2.weights[:, None] * js.Psi) - eye).max(initial=0.0))
+    return {"chain_link_residual": link, "biorthogonality_error": float(bio)}
 
 
 def _schmidt_operator(js):
     """Schmidt regularizer: inverse of B bordered by the rank-one terms
     z_i^(1) <., gamma_i^(1)>, i = 1..l, from one SVD.  Square structures."""
     E1, E2 = js.domain, js.codomain
-    bordered = js.B.matrix.copy()
-    for i in range(js.l):
-        bordered = bordered + np.outer(js.z[i][0], E1.weights * js.gamma[i][0])
+    first = js.head_columns
+    bordered = js.B.matrix + js.Z[:, first] @ (E1.weights[:, None] * js.Gam[:, first]).T
     U, s, Vt = np.linalg.svd(bordered)
     cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     if cond > 1e12:
@@ -481,10 +407,8 @@ def build_projectors(js):
     """Root projectors Pk/Qk, the extra-direction projectors, the Schmidt
     operator (square structures), and the bounded pseudoinverse."""
     E1, E2 = js.domain, js.codomain
-    Phi, Psi = js.phi_stack(), js.psi_stack()
-    Gam, Z = js.gamma_stack(), js.z_stack()
-    Pk = FiniteOperator(Phi @ (Gam.T * E1.weights), E1, E1)
-    Qk = FiniteOperator(Z @ (Psi.T * E2.weights), E2, E2)
+    Pk = FiniteOperator(js.Phi @ (js.Gam.T * E1.weights), E1, E1)
+    Qk = FiniteOperator(js.Z @ (js.Psi.T * E2.weights), E2, E2)
     ps = ProjectorSet(Pk=Pk, Qk=Qk)
     if js.phi_extra is not None:
         ps.Pextra = FiniteOperator(js.phi_extra @ (js.gamma_extra.T * E1.weights),
@@ -504,18 +428,15 @@ def complete_structure(B, A1, rank_tol=DEFAULT_RANK_TOL):
     return js, ps
 
 
-def commutability_matrix(A, js, tol=1e-8):
+def commutability_matrix(A, js):
     """Coefficient matrix of A on the chain span: A phi_b = sum_a M[b,a] z_a
     with the dual identity A* psi_a = sum_b M[b,a] gamma_b.  Certified when
     both hold; quasitriangular per the block pattern that makes the
     C-system forward-solvable (upper quasitriangular blocks, diagonal
     blocks lower-right triangular)."""
     E1, E2 = js.domain, js.codomain
-    idx = js.pair_indices()
-    k = len(idx)
-    Phi, Psi = js.phi_stack(), js.psi_stack()
-    Gam, Z = js.gamma_stack(), js.z_stack()
-    if k == 0:
+    Phi, Psi, Gam, Z = js.Phi, js.Psi, js.Gam, js.Z
+    if js.k == 0:
         return CommutabilityResult(np.zeros((0, 0)), True, True, 0.0, 0.0)
     APhi = A.matrix @ Phi
     r1, r2 = E1.root[:, None], E2.root[:, None]
@@ -527,22 +448,21 @@ def commutability_matrix(A, js, tol=1e-8):
     dual_scale = max(1.0, np.linalg.norm(r1 * AstarPsi))
     res_p = float(prim_dev / prim_scale)
     res_d = float(dual_dev / dual_scale)
-    certified = res_p <= tol and res_d <= tol
-    quasi = True
+    certified = res_p <= CERTIFY_TOL and res_d <= CERTIFY_TOL
+    # entries that must vanish: blocks below the diagonal, and inside a
+    # diagonal block the entries above its antidiagonal
+    chain, level, P = _chain_columns(js.p)
+    banned = (chain[:, None] > chain[None, :]) | (
+        (chain[:, None] == chain[None, :]) & (level[:, None] + level[None, :] <= P[:, None]))
     scale = max(1.0, float(np.abs(M).max()))
-    for bi, (i, j) in enumerate(idx):
-        for ai, (s, t) in enumerate(idx):
-            lower_block = i > s
-            above_antidiag = (i == s) and (j + t <= js.p[i])
-            if (lower_block or above_antidiag) and abs(M[bi, ai]) > tol * scale:
-                quasi = False
+    quasi = not np.any(np.abs(M[banned]) > CERTIFY_TOL * scale)
     return CommutabilityResult(M, certified, quasi, res_p, res_d)
 
 
-def certify_operators(js, ops, tol=1e-8):
+def certify_operators(js, ops):
     """Commutability data for B and the lower-order operators of a system."""
-    rb = commutability_matrix(js.B, js, tol)
-    rs = [commutability_matrix(A, js, tol) for A in ops]
+    rb = commutability_matrix(js.B, js)
+    rs = [commutability_matrix(A, js) for A in ops]
     return CommutabilityData(matA=[r.matrix for r in rs], matB=rb.matrix,
                              quasitriangular=[r.quasitriangular for r in rs],
                              certified=[r.certified for r in rs],

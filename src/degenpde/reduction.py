@@ -17,6 +17,7 @@ from .errors import CompatibilityError, ConfigurationError, StructureError
 from .fd import derivative_along_axis
 
 COEFF_TOL = 1e-8
+V_CONSTRAINT_TOL = 1e-8   # v leaking into the extra cokernel directions
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,8 @@ def beta_tables(rp, f_samples):
 
     f_samples has the codomain dimension on the last axis."""
     js = rp.js
-    w2 = js.codomain.weights
-    f = np.asarray(f_samples, dtype=float)
-    return {(s, t): f @ (w2 * js.psi[s][t - 1]) for (s, t) in js.pair_indices()}
+    beta = np.asarray(f_samples, dtype=float) @ (js.codomain.weights[:, None] * js.Psi)
+    return {pair: beta[..., a] for a, pair in enumerate(js.pair_indices())}
 
 
 def solve_C_recurrence(rp, beta, apply_op, solve_lead):
@@ -246,7 +246,7 @@ def rhs_projection(rp, f_samples):
     return np.asarray(f_samples, dtype=float) @ rp.IQ.T
 
 
-def reconstruct_solution(rp, v_samples, C_solved, v_constraint_tol=1e-8):
+def reconstruct_solution(rp, v_samples, C_solved):
     """u = Bplus v + sum C_ij phi_i^(j), with the free functions
     lambda_e of the extra kernel directions taken as zero.
 
@@ -258,13 +258,15 @@ def reconstruct_solution(rp, v_samples, C_solved, v_constraint_tol=1e-8):
     v = np.asarray(v_samples, dtype=float)
     if ps.Qextra is not None:
         dev = np.abs(v @ ps.Qextra.matrix.T).max() / max(1.0, np.abs(v).max())
-        if dev > v_constraint_tol:
+        if dev > V_CONSTRAINT_TOL:
             raise CompatibilityError(
                 f"compatibility violated: the regular part leaks into the "
                 f"unresolvable cokernel directions (relative size {dev:.2e})")
     u = v @ ps.Bplus.matrix.T
-    for (i, j), samples in C_solved.items():
-        u = u + np.asarray(samples, dtype=float)[..., None] * js.phi[i][j - 1]
+    if js.k:
+        C = np.stack([np.asarray(C_solved[pair], dtype=float)
+                      for pair in js.pair_indices()], axis=-1)
+        u += C @ js.Phi.T
     return u
 
 

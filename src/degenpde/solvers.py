@@ -516,8 +516,7 @@ def naive_cauchy_defect(rp):
     """Constraint defect of the over-determined second-order problem with
     full zero data: pairing of f(0) against the cokernel direction."""
     f0 = np.asarray(rp.system.f(t=np.zeros(1)), dtype=float)[0]
-    psi = rp.js.psi[0][0]
-    return abs(rp.js.codomain.inner(f0, psi))
+    return abs(rp.js.codomain.inner(f0, rp.js.Psi[:, 0]))
 
 
 def asymptotic_leading_term(rp, f0):
@@ -528,7 +527,6 @@ def asymptotic_leading_term(rp, f0):
     if ps.Gamma is None:
         raise ConfigurationError("corner asymptotic needs the bordered inverse")
     quad = ps.Gamma.matrix @ f0
-    lin = np.zeros(js.domain.dim)
-    for i in range(js.l):
-        lin = lin + js.codomain.inner(f0, js.psi[i][0]) * js.phi[i][0]
+    first = js.head_columns
+    lin = js.Phi[:, first] @ (js.Psi[:, first].T @ (js.codomain.weights * f0))
     return quad, lin

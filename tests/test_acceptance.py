@@ -99,7 +99,7 @@ def test_criterion_2_commutability_identities(problems_dir, report):
     def identity_residuals(spec_B, A_ops, js, ps):
         I2 = np.eye(js.codomain.dim)
         Pk, Qk, Bp = ps.Pk.matrix, ps.Qk.matrix, ps.Bplus.matrix
-        Phi = np.stack([v for chain in js.phi for v in chain], axis=1)
+        Phi = js.Phi
         res = [np.abs(Bp @ Qk - Pk @ Bp).max(),
                np.abs((I2 - Qk) @ spec_B @ Phi).max()]
         for Am in A_ops:

@@ -9,7 +9,9 @@ from degenpde.chains import (CommutabilityData, _terminal_pairing_certificate,
                              structure_report)
 from degenpde.errors import StructureError
 from degenpde.problems import instantiate, load_problem
-from degenpde.spaces import (euclidean_space, grid_space, identity_operator,
+from degenpde.reduction import (DegenerateSystemSpec, DifferentialOperatorSpec,
+                                reduce)
+from degenpde.spaces import (grid_space, identity_operator,
                              make_kernel_operator, matrix_operator)
 
 
@@ -34,6 +36,19 @@ def random_structured_pair(rng, dim, block_sizes):
     return matrix_operator(S @ core @ T), matrix_operator(S @ T)
 
 
+def random_rectangular_pair(rng, r, l, e, tall):
+    """B = S [I_r 0] T with an (l + e)-dimensional kernel and an
+    l-dimensional cokernel (wide), or the reverse (tall), and a Gaussian
+    A1: generically l chains of length 1 and e extra directions."""
+    rows, cols = (r + l + e, r + l) if tall else (r + l, r + l + e)
+    core = np.zeros((rows, cols))
+    core[:r, :r] = np.eye(r)
+    S = np.linalg.qr(rng.normal(size=(rows, rows)))[0]
+    T = np.linalg.qr(rng.normal(size=(cols, cols)))[0]
+    return (matrix_operator(S @ core @ T),
+            matrix_operator(rng.normal(size=(rows, cols))))
+
+
 # -- hand-checkable structures ------------------------------------------------
 
 def test_rank_one_kernel_single_link():
@@ -41,7 +56,7 @@ def test_rank_one_kernel_single_link():
     js, ps = complete_structure(B, A)
     assert (js.n, js.m, js.l, js.nu, js.k) == (1, 1, 1, 0, 1)
     assert js.p == (1,)
-    np.testing.assert_allclose(np.abs(js.phi[0][0]), [0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(np.abs(js.Phi[:, 0]), [0.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(ps.Pk.matrix, np.diag([0.0, 1.0]), atol=1e-12)
     np.testing.assert_allclose(ps.Qk.matrix, np.diag([0.0, 1.0]), atol=1e-12)
     np.testing.assert_allclose(ps.Gamma.matrix, np.eye(2), atol=1e-12)
@@ -53,9 +68,9 @@ def test_single_length_two_chain():
     js, ps = complete_structure(B, A)
     assert js.p == (2,)
     assert js.k == 2
-    np.testing.assert_allclose(np.abs(js.phi[0][0]), [1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(np.abs(js.phi[0][1]), [0.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(np.abs(js.psi[0][0]), [0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(np.abs(js.Phi[:, 0]), [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(np.abs(js.Phi[:, 1]), [0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(np.abs(js.Psi[:, 0]), [0.0, 1.0], atol=1e-12)
     # the whole space is root space: both projectors are the identity
     np.testing.assert_allclose(ps.Pk.matrix, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(ps.Qk.matrix, np.eye(2), atol=1e-12)
@@ -203,6 +218,17 @@ def test_chain_swapping_operator_fails_quasitriangularity():
     assert off > 0.9  # the swap genuinely couples the two chains
 
 
+def test_within_chain_operator_fails_quasitriangularity():
+    # on the length-2 chain the operator maps phi^(1) onto z^(1): an entry
+    # above the antidiagonal of the diagonal block
+    B, A = _pair([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
+    js, _ = complete_structure(B, A)
+    r = commutability_matrix(matrix_operator([[0.0, 0.0], [1.0, 0.0]]), js)
+    assert r.certified
+    assert not r.quasitriangular
+    np.testing.assert_allclose(r.matrix, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
+
+
 def test_certify_operators_collects_per_operator_flags():
     B, A = _pair([[1.0, 0.0], [0.0, 0.0]], np.eye(2))
     js, _ = complete_structure(B, A)
@@ -244,21 +270,25 @@ def test_nilpotent_pair_with_no_termination_rejected(Brows, Arows, message):
 
 
 def test_terminal_pairing_zero_row_rejected():
-    cod = euclidean_space(2)
-    phi = [[np.array([0.0, 1.0])]]
-    psi = [[np.array([1.0, 0.0])]]
-    A = matrix_operator(np.eye(2))
+    # the terminal (A1 = I) of the one chain is orthogonal to the dual head
+    tails = np.array([[0.0], [1.0]])
+    heads = np.array([[1.0], [0.0]])
     with pytest.raises(StructureError, match="terminal pairs to zero"):
-        _terminal_pairing_certificate(phi, psi, A, cod)
+        _terminal_pairing_certificate(tails.T @ heads)
 
 
 def test_terminal_pairing_near_singular_determinant_rejected():
-    cod = euclidean_space(2)
-    phi = [[np.array([1.0, 0.0])], [np.array([1.0, 1e-12])]]
-    psi = [[np.array([1.0, 0.0])], [np.array([1.0, 1e-12])]]
-    A = matrix_operator(np.eye(2))
+    cols = np.array([[1.0, 1.0], [0.0, 1e-12]])
     with pytest.raises(StructureError, match="determinant"):
-        _terminal_pairing_certificate(phi, psi, A, cod)
+        _terminal_pairing_certificate(cols.T @ cols)
+
+
+def test_ill_conditioned_schmidt_bordering_rejected():
+    # A1 = 1e-13 I: the normalized chain is 1e13 e2, gamma^(1) = 1e-13 e2,
+    # and the bordered matrix diag(1, 1e-13) is refused
+    B, A = _pair(np.diag([1.0, 0.0]), 1e-13 * np.eye(2))
+    with pytest.raises(StructureError, match="Schmidt bordering failed"):
+        complete_structure(B, A)
 
 
 def test_mismatched_domains_rejected():
@@ -290,10 +320,39 @@ def test_random_pairs_satisfy_structure_invariants(rng):
         assert np.abs(B.matrix @ Bp - (eye - ps.q_total())).max() <= 1e-9
         assert np.abs(Bp @ B.matrix - (eye - ps.p_total())).max() <= 1e-9
         assert np.abs(ps.Pk.matrix @ Bp).max() <= 1e-9
-        assert np.abs(Bp @ js.z_stack()).max() <= 1e-9
+        assert np.abs(Bp @ js.Z).max() <= 1e-9
         # the commutability matrix of A1 is certified and quasitriangular
         r = commutability_matrix(A1, js)
         assert r.certified and r.quasitriangular
+
+
+@pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+def test_random_rectangular_pencils_keep_extra_directions(rng, tall):
+    D1 = DifferentialOperatorSpec(terms=(((1,), 1.0),), nvars=1)
+    ID = DifferentialOperatorSpec(terms=(((0,), 1.0),), nvars=1)
+    for _ in range(40):
+        r, l, e = (int(v) for v in rng.integers(1, (5, 3, 3)))
+        B, A1 = random_rectangular_pair(rng, r, l, e, tall)
+        js, ps = complete_structure(B, A1)
+        assert js.p == (1,) * l
+        assert js.nu == (-e if tall else e)
+        Pt, Qt = ps.p_total(), ps.q_total()
+        assert np.abs(Pt @ Pt - Pt).max() <= 1e-10
+        assert np.abs(Qt @ Qt - Qt).max() <= 1e-10
+        Bp = ps.Bplus.matrix
+        rows, cols = B.matrix.shape
+        assert np.abs(B.matrix @ Bp - (np.eye(rows) - Qt)).max() <= 1e-9
+        assert np.abs(Bp @ B.matrix - (np.eye(cols) - Pt)).max() <= 1e-9
+        assert commutability_matrix(A1, js).certified
+        if tall:
+            extra, partner = js.psi_extra, js.z_extra
+        else:
+            extra, partner = js.phi_extra, js.gamma_extra
+        np.testing.assert_allclose(extra.T @ partner, np.eye(e), atol=1e-9)
+        spec = DegenerateSystemSpec(B=B, A=[A1], L=[D1, ID], f=None,
+                                    family="evolution1", box={"t": (0.0, 1.0)})
+        rp = reduce(spec)
+        assert len(rp.compat if tall else rp.lambda_slots) == e
 
 
 def test_structure_report_contents():
