@@ -13,6 +13,7 @@ report text, except the wall-time field.
 """
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -214,6 +215,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+            raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
         return args.func(args)
     except (UsageError, ParseError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

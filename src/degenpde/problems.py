@@ -459,6 +459,13 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
     time step, modes the retained mode table, lambda_param the spectral
     parameter.
     """
+    for name, value in (("grid_scale", grid_scale), ("dt", dt)):
+        if value is not None and not (np.isfinite(value) and value > 0):
+            raise UsageError(f"{name} must be finite and > 0, got {value}")
+    if modes is not None and min(modes) < 1:
+        raise UsageError(f"modes must be at least 1 per axis, got {tuple(modes)}")
+    if lambda_param is not None and not np.isfinite(lambda_param):
+        raise UsageError(f"lambda must be finite, got {lambda_param}")
     grid = dict(pf.grid)
     if dt is not None:
         grid["dt"] = float(dt)

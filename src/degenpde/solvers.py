@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
-from scipy.integrate import cumulative_trapezoid, simpson
 
 from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
                      UsageError)
@@ -138,7 +137,15 @@ def _rk4_linear(deriv, g_half, tgrid, y0):
 
 
 def _cumulative_from_zero(samples, grid, axis=0):
-    return cumulative_trapezoid(samples, x=grid, axis=axis, initial=0.0)
+    """Cumulative trapezoid integral of samples along axis, 0 at the
+    first node: half-sums of neighbours times the steps, then a cumsum."""
+    y = np.asarray(samples, dtype=float)
+    lead = (slice(None),) * axis
+    tail, head = lead + (slice(1, None),), lead + (slice(None, -1),)
+    steps = np.diff(grid).reshape((-1,) + (1,) * (y.ndim - axis - 1))
+    out = np.zeros(y.shape)
+    np.cumsum(steps * (y[tail] + y[head]) / 2.0, axis=axis, out=out[tail])
+    return out
 
 
 def _cumulative_simpson_half(y, grid):
@@ -479,7 +486,27 @@ def _exp_weighted_integral(g_half, tgrid, decay=True):
 
 
 def _weighted_space_integral(f_vals, grid, weight):
-    return simpson(f_vals * weight, x=grid, axis=-1)
+    """Composite Simpson integral of f_vals * weight over the last axis on
+    the (possibly irregular) nodes grid; an even node count closes with
+    Cartwright's last-interval correction."""
+    y = f_vals * weight
+    n = y.shape[-1]
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(grid)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    total = np.sum(hsum / 6.0 * (y[..., 0:stop:2] * (2.0 - 1.0 / ratio)
+                                 + y[..., 1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                 + y[..., 2:stop + 2:2] * (2.0 - ratio)), axis=-1)
+    if n % 2 == 0:
+        # 0-d arrays, not scalars: numpy's scalar and array power loops
+        # can differ in the last bit of b ** 3
+        a, b = np.asarray(h[-2]), np.asarray(h[-1])
+        total += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[..., -1]
+                  + (b ** 2 + 3.0 * a * b) / (6 * a) * y[..., -2]
+                  - b ** 3 / (6 * a * (a + b)) * y[..., -3])
+    return total
 
 
 def oracle_first_order_evolution(f, tgrid, xgrid):

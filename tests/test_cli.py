@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, reports, CSV artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import degenpde
 from degenpde.cli import main
 
 from conftest import PROBLEMS
@@ -181,6 +186,36 @@ def test_mode_override_runs_smaller_table(example, tmp_path, capsys):
     assert code == 0
     assert "modes=(6, 6)" in out
     assert target.exists()
+
+
+@pytest.mark.parametrize("problem, flags, message", [
+    ("example5.json", ["--modes", "0", "0"], "modes must be at least 1"),
+    ("example2.json", ["--grid-scale", "nan"], "grid_scale must be finite"),
+    ("example2.json", ["--grid-scale", "0"], "grid_scale must be finite and > 0"),
+    ("example2.json", ["--grid-scale", "-1"], "grid_scale must be finite and > 0"),
+    ("example2.json", ["--dt", "nan"], "dt must be finite"),
+    ("example2.json", ["--dt", "-0.001"], "dt must be finite and > 0"),
+    ("example5.json", ["--lambda", "nan"], "lambda must be finite"),
+    ("example5.json", ["--lambda", "inf"], "lambda must be finite"),
+    ("example3.json", ["--tol", "nan"], "--tol must be finite"),
+    ("example3.json", ["--tol", "-1"], "--tol must be finite and >= 0"),
+])
+def test_bad_override_is_an_input_error(example, capsys, problem, flags, message):
+    code = main(["verify", example(problem)] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    probe = ("import sys, degenpde, degenpde.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(degenpde.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 def test_missing_file_is_an_input_error(tmp_path, capsys):

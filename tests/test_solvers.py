@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 import scipy.special
+from scipy.integrate import cumulative_trapezoid, simpson
 
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              EvaluationError, UsageError)
 from degenpde.reduction import (DegenerateSystemSpec, reduce, residual_check)
-from degenpde.solvers import (SolutionField, _cumulative_simpson_half,
-                              _half_grid, _rk4_linear, _time_grid,
+from degenpde.solvers import (SolutionField, _cumulative_from_zero,
+                              _cumulative_simpson_half, _half_grid,
+                              _rk4_linear, _time_grid,
+                              _weighted_space_integral,
                               asymptotic_leading_term, bessel_like_sum,
                               check_spectral_parameter, field_raw,
                               naive_cauchy_defect, oracle_first_order_evolution,
@@ -379,6 +382,34 @@ def test_cumulative_simpson_half_fourth_order():
         out = _cumulative_simpson_half(np.exp(t), t)
         errs.append(np.abs(out - (np.exp(t) - 1.0)).max())
     assert errs[0] / errs[1] >= 14.0
+
+
+# the numpy quadrature ports reproduce scipy.integrate bit for bit
+
+@pytest.mark.parametrize("shape", [(9,), (9, 4), (5, 9, 3)])
+def test_cumulative_from_zero_matches_scipy_bitwise(shape, rng):
+    y = rng.standard_normal(shape)
+    for axis, n in enumerate(shape):
+        for grid in (np.linspace(0.0, 1.0, n), np.sort(rng.uniform(-1.0, 2.0, n))):
+            got = _cumulative_from_zero(y, grid, axis=axis)
+            want = cumulative_trapezoid(y, x=grid, axis=axis, initial=0.0)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 200, 201])
+def test_weighted_space_integral_matches_scipy_bitwise(n, rng):
+    # even counts take the last-interval correction, which no bundled
+    # problem reaches
+    for grid in (np.linspace(0.0, 1.0, n), np.sort(rng.uniform(-1.0, 2.0, n))):
+        for _ in range(10):
+            for shape in ((n,), (7, n), (3, 4, n)):
+                f_vals = rng.standard_normal(shape)
+                weight = rng.standard_normal(n)
+                got = _weighted_space_integral(f_vals, grid, weight)
+                want = simpson(f_vals * weight, x=grid, axis=-1)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
 
 
 def test_rk4_march_is_fourth_order():
