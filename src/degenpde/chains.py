@@ -89,28 +89,19 @@ class ProjectorSet:
     """Root projectors and the regularized inverses built from them.
 
     Pextra is present exactly when n > m (unpaired kernel directions);
-    Qextra exactly when m > n.  Gamma is the Schmidt operator (square
-    structures only); Bplus the bounded pseudoinverse.
+    Qextra exactly when m > n.  P = Pk + Pextra and Q = Qk + Qextra are
+    the total projector matrices, formed once.  Gamma is the Schmidt
+    operator (square structures only); Bplus the bounded pseudoinverse.
     """
 
     Pk: FiniteOperator
     Qk: FiniteOperator
+    P: np.ndarray
+    Q: np.ndarray
     Pextra: FiniteOperator = None
     Qextra: FiniteOperator = None
     Gamma: FiniteOperator = None
     Bplus: FiniteOperator = None
-
-    def p_total(self):
-        m = self.Pk.matrix.copy()
-        if self.Pextra is not None:
-            m = m + self.Pextra.matrix
-        return m
-
-    def q_total(self):
-        m = self.Qk.matrix.copy()
-        if self.Qextra is not None:
-            m = m + self.Qextra.matrix
-        return m
 
 
 @dataclass
@@ -249,24 +240,20 @@ def _normalize_primal_chains(Phi, W, p):
                           "normalization_deviation": dev}
 
 
-def _correct_extras(X, own_heads, K, terminals):
-    """Remove the terminal-level coupling of each extra direction (column of
-    X) by a kernel-vector correction; reject structures whose extras couple
-    to middle chain levels (no kernel correction can reach those).
-
-    The chain pairings of the extras are X^T K, one column per chain
-    level; the correction with own_heads[:, i] shifts exactly the coupling
-    at the terminal column of chain i, level-1 couplings vanish by
-    extendability.
-    """
-    X = X - own_heads @ (X.T @ K)[:, terminals].T
-    worst = float(np.abs(X.T @ K).max(initial=0.0))
+def _refuse_coupled_extras(X, K):
+    """Reject structures whose extra directions (columns of X) couple to
+    the chains; the chain pairings of the extras are X^T K, one column per
+    chain level.  The staircase keeps each extra's own chain unpaired with
+    the dual heads at every level up to the longest chain, so through the
+    chain links every pairing telescopes to zero; what is left above
+    LINK_TOL, relative to the size of K, means the links do not hold."""
+    worst = (float(np.abs(X.T @ K).max(initial=0.0))
+             / max(1.0, float(np.abs(K).max(initial=0.0))))
     if worst > LINK_TOL:
         raise StructureError(
             "unsupported structure: an unpaired kernel direction couples "
-            f"to interior chain levels (residual {worst:.2e}); no "
-            "kernel-vector correction can remove it")
-    return X
+            f"to the chains (residual {worst:.2e}); no kernel-vector "
+            "correction can remove it")
 
 
 def _biorthogonal_partners(chain_cols, extra_cols, space):
@@ -309,7 +296,9 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
         shared = (E2.root[:, None] * (A1.matrix @ heads) if n <= m
                   else E1.root[:, None] * (A1star.matrix @ dual_heads))
         sv = np.linalg.svd(shared, compute_uv=False)
-        if sv[-1] <= rank_tol * sv[0]:
+        # against A1's size too: with one head, sv[0] is itself roundoff
+        a1_size = float(np.abs(E2.root[:, None] * A1.matrix / E1.root).max())
+        if sv[-1] <= rank_tol * max(sv[0], a1_size):
             raise StructureError("incomplete Jordan set: B and A1 share a null direction")
 
     Phi, p, phi_left = _staircase(sk, A1, heads, dual_heads, l, rank_tol)
@@ -335,12 +324,13 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
                          B=B, A1=A1, skeleton=sk, diagnostics=diagnostics)
 
     if phi_left.shape[1]:
-        js.phi_extra = _correct_extras(phi_left, Phi[:, first], A1.matrix.T @ wPsi, last)
-        js.gamma_extra = _biorthogonal_partners(Phi, js.phi_extra, E1)
+        _refuse_coupled_extras(phi_left, A1.matrix.T @ wPsi)
+        js.phi_extra = phi_left
+        js.gamma_extra = _biorthogonal_partners(Phi, phi_left, E1)
     if psi_left.shape[1]:
-        js.psi_extra = _correct_extras(psi_left, Psi[:, first],
-                                       E2.weights[:, None] * APhi, last)
-        js.z_extra = _biorthogonal_partners(Psi, js.psi_extra, E2)
+        _refuse_coupled_extras(psi_left, E2.weights[:, None] * APhi)
+        js.psi_extra = psi_left
+        js.z_extra = _biorthogonal_partners(Psi, psi_left, E2)
 
     js.diagnostics.update(structure_residuals(js))
     return js
@@ -394,13 +384,13 @@ def _pseudo_inverse(js, ps):
     links confine its root-space part to the kernel of B (level-1 and extra
     directions), so removing that part keeps B X0 and gives Pk Bplus = 0."""
     E2 = js.codomain
-    target = np.eye(E2.dim) - ps.q_total()
+    target = np.eye(E2.dim) - ps.Q
     X0, res = js.skeleton.solve(target)
     rel = float(np.linalg.norm(res) / max(1.0, np.linalg.norm(E2.root[:, None] * target)))
     if rel > 1e-8:
         raise StructureError("pseudoinverse construction failed: range-complement "
                              f"solve residual {rel:.2e}")
-    return FiniteOperator(X0 - ps.p_total() @ X0, E2, js.domain)
+    return FiniteOperator(X0 - ps.P @ X0, E2, js.domain)
 
 
 def build_projectors(js):
@@ -409,13 +399,15 @@ def build_projectors(js):
     E1, E2 = js.domain, js.codomain
     Pk = FiniteOperator(js.Phi @ (js.Gam.T * E1.weights), E1, E1)
     Qk = FiniteOperator(js.Z @ (js.Psi.T * E2.weights), E2, E2)
-    ps = ProjectorSet(Pk=Pk, Qk=Qk)
+    ps = ProjectorSet(Pk=Pk, Qk=Qk, P=Pk.matrix, Q=Qk.matrix)
     if js.phi_extra is not None:
         ps.Pextra = FiniteOperator(js.phi_extra @ (js.gamma_extra.T * E1.weights),
                                    E1, E1)
+        ps.P = ps.P + ps.Pextra.matrix
     if js.psi_extra is not None:
         ps.Qextra = FiniteOperator(js.z_extra @ (js.psi_extra.T * E2.weights),
                                    E2, E2)
+        ps.Q = ps.Q + ps.Qextra.matrix
     if js.nu == 0 and E1.dim == E2.dim:
         ps.Gamma = _schmidt_operator(js)
     ps.Bplus = _pseudo_inverse(js, ps)
@@ -494,7 +486,7 @@ def structure_report(js, ps=None, comm=None):
         idem_q = np.abs(ps.Qk.matrix @ ps.Qk.matrix - ps.Qk.matrix).max()
         lines.append(f"Pk_idempotence={idem_p:.6e}")
         lines.append(f"Qk_idempotence={idem_q:.6e}")
-        bbp = np.abs(js.B.matrix @ ps.Bplus.matrix - (np.eye(E2.dim) - ps.q_total())).max()
+        bbp = np.abs(js.B.matrix @ ps.Bplus.matrix - (np.eye(E2.dim) - ps.Q)).max()
         lines.append(f"pseudoinverse_identity={bbp:.6e}")
     if comm is not None:
         for i, (c, q) in enumerate(zip(comm.certified, comm.quasitriangular), start=1):

@@ -65,25 +65,10 @@ def _stencil_table(n, h, order, accuracy):
     return np.array([fd_weights(xloc, x0, order) for x0 in xloc])
 
 
-def derivative_matrix(n, h, order, accuracy=2):
-    """Dense (n, n) matrix mapping samples on a uniform grid of spacing h
-    to samples of the order-th derivative.  Interior rows are centered;
-    rows near the edge use one-sided stencils of the same node count."""
-    W = _stencil_table(n, h, order, accuracy)
-    npts = W.shape[0]
-    half = npts // 2
-    D = np.zeros((n, n))
-    for i in range(half, n - half):
-        D[i, i - half:i - half + npts] = W[half]
-    D[:half, :npts] = W[:half]
-    D[n - half:, n - npts:] = W[half + 1:]
-    return D
-
-
 def derivative_along_axis(values, h, order, axis, accuracy=2):
-    """Differentiate a sampled field along one axis of an ndarray with the
-    rows of `derivative_matrix`, applied as banded sums: O(n * npts) work
-    and no (n, n) matrix."""
+    """Differentiate a sampled field along one axis of an ndarray: centered
+    interior stencils and one-sided edge stencils of the same node count,
+    applied as banded sums: O(n * npts) work and no (n, n) matrix."""
     values = np.asarray(values, dtype=float)
     v = np.moveaxis(values, axis, 0)
     n = v.shape[0]

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, UsageError
+from .errors import (CompatibilityError, ConfigurationError, ParseError,
+                     UsageError)
 from .expressions import evaluate, parse, variables_of
 from .reduction import (FAMILIES, DegenerateSystemSpec,
                         DifferentialOperatorSpec)
-from .solvers import (check_spectral_parameter, field_raw,
-                      oracle_first_order_evolution, oracle_goursat_constant,
-                      oracle_second_order_evolution)
+from .solvers import (field_raw, oracle_first_order_evolution,
+                      oracle_goursat_constant, oracle_second_order_evolution)
 from .spaces import (euclidean_space, grid_space, identity_operator,
                      make_kernel_operator, matrix_operator, mode_space)
 
@@ -35,6 +35,7 @@ OPERATOR_KINDS = ("matrix", "identity", "kernel", "mode_diag")
 ORACLE_KINDS = ("closed_form", "exact", "mode_residual")
 
 MODE_SAMPLE_CHUNK = 256
+NULL_MODE_TOL = 1e-9   # a column this small relative to its operator vanishes
 
 
 @dataclass
@@ -451,6 +452,24 @@ def _compile_f(pf, codomain, grid):
     return _mode_sampler(parse(pf.f), nm, mm, nquad)
 
 
+def _refuse_common_null_modes(B, A1, lam):
+    """Refuse a spectral parameter at which B and A1 vanish on a common
+    mode: that mode pairs with no chain, so the pencil has no complete
+    Jordan set.  A column at or below NULL_MODE_TOL * max(1, its
+    operator's largest entry) counts as vanishing."""
+    null = np.ones(B.domain.dim, dtype=bool)
+    for op in (B, A1):
+        cols = np.abs(op.matrix).max(axis=0)
+        null &= cols <= NULL_MODE_TOL * max(1.0, float(cols.max(initial=0.0)))
+    if null.any():
+        mm = B.domain.mode_shape[1]
+        modes = [f"({j // mm + 1}, {j % mm + 1})" for j in np.flatnonzero(null)]
+        raise CompatibilityError(
+            f"resonant lambda: {lam:g} makes B and A1 vanish together on "
+            f"mode{'s' * (len(modes) > 1)} {', '.join(modes)}; the problem "
+            "has no unique solution")
+
+
 def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
     """Build the numerical problem from a validated file.
 
@@ -493,9 +512,6 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
             _fail("B.space", "family spectral3 needs a modes space")
         if modes_eff is None:
             modes_eff = Bspace.mode_shape
-        # reject resonant parameters before any structure work: the mode
-        # table would contain a row with no unique solution
-        check_spectral_parameter(lam, modes_eff[0], modes_eff[1])
         grid["modes"] = modes_eff
         grid["lambda"] = lam
 
@@ -507,9 +523,12 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
                                               for k, c in terms), nvars=nvars)
          for terms in pf.L]
     f = _compile_f(pf, B.codomain, grid)
-    return DegenerateSystemSpec(B=B, A=A, L=L, f=f, family=pf.family,
+    spec = DegenerateSystemSpec(B=B, A=A, L=L, f=f, family=pf.family,
                                 box=dict(pf.box), grid=grid,
                                 tolerances=dict(pf.tolerances))
+    if pf.family == "spectral3":
+        _refuse_common_null_modes(B, A[0], lam)
+    return spec
 
 
 # ---------------------------------------------------------------------------

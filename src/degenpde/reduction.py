@@ -41,10 +41,6 @@ class DifferentialOperatorSpec:
     def order(self):
         return max((sum(k) for k, _ in self.terms), default=0)
 
-    def is_identity(self):
-        return (len(self.terms) == 1 and sum(self.terms[0][0]) == 0
-                and self.terms[0][1] == 1.0)
-
     def describe(self):
         parts = []
         for k, coef in self.terms:
@@ -159,13 +155,12 @@ def reduce(spec):
                 f"commutability violation: operator A{i} does not map the "
                 "chain span consistently onto the z span")
     Bplus = ps.Bplus.matrix
-    IQ = np.eye(js.codomain.dim) - ps.q_total()
+    IQ = np.eye(js.codomain.dim) - ps.Q
+    ABplus = [Aop.matrix @ Bplus for Aop in spec.A]
     # dynamics projected onto the solvable complement: for m > n the raw
     # A1 Bplus pushes v into the constraint directions handled separately
-    M = IQ @ spec.A[0].matrix @ Bplus
-    vterms = [(spec.L[0], np.eye(js.codomain.dim))]
-    for r, Aop in enumerate(spec.A, start=1):
-        vterms.append((spec.L[r], Aop.matrix @ Bplus))
+    M = IQ @ ABplus[0]
+    vterms = [(spec.L[0], np.eye(js.codomain.dim))] + list(zip(spec.L[1:], ABplus))
 
     idx = js.pair_indices()
     pos = {pair: a for a, pair in enumerate(idx)}
@@ -222,13 +217,14 @@ def beta_tables(rp, f_samples):
     return {pair: beta[..., a] for a, pair in enumerate(js.pair_indices())}
 
 
-def solve_C_recurrence(rp, beta, apply_op, solve_lead):
+def solve_C_recurrence(rp, beta, axes, solve_lead, accuracy=2):
     """Forward substitution through the triangular C-system.
 
-    beta maps proj pairs to sampled right sides; apply_op(op_index,
-    samples) applies L_{op_index} to sampled scalars (op 0 is the lead
-    L0); solve_lead(samples, row) inverts the family's L1 with the
-    homogeneous data of the bc plan.  Returns {(chain, level): samples}."""
+    beta maps proj pairs to right sides sampled on axes, the ordered list
+    of (name, grid); the lower terms apply the system's L operators (op 0
+    is the lead L0) with stencils of the given accuracy;
+    solve_lead(samples, row) inverts the family's L1 with the homogeneous
+    data of the bc plan.  Returns {(chain, level): samples}."""
     solved = {}
     for row in rp.Csystem:
         rhs = np.array(beta[row.proj], dtype=float)
@@ -236,7 +232,8 @@ def solve_C_recurrence(rp, beta, apply_op, solve_lead):
             if pair not in solved:
                 raise StructureError(
                     f"underdetermined C-row: {row.unknown} needs {pair} first")
-            rhs = rhs - coef * apply_op(op_idx, solved[pair])
+            rhs = rhs - coef * apply_differential_operator(
+                rp.system.L[op_idx], solved[pair], axes, accuracy=accuracy)
         solved[row.unknown] = solve_lead(rhs / row.lead_scale, row)
     return solved
 
@@ -366,7 +363,7 @@ def _condition_norm(projector, axis, order, axes, u, ps):
     pick = np.argmin(np.abs(np.asarray(grid)))
     vals = np.take(vals, pick, axis=ax)
     if projector == "I-Pk":
-        mat = np.eye(ps.Pk.matrix.shape[0]) - ps.p_total()
+        mat = np.eye(ps.Pk.matrix.shape[0]) - ps.P
     elif projector == "Pk":
         mat = ps.Pk.matrix
     else:

@@ -6,8 +6,8 @@ family back-ends differ only in how they integrate it: one RK4 march for
 the time families, the iterated-integral series for goursat, and for
 mixed_xy the finite Chebyshev series of a fit to the data, refused when
 the fit misses the data.  Series limits and the fit tolerance are module
-constants.  Each back-end then runs the triangular C-recursion and
-reassembles the full solution; `solve_family` is the one entry point.
+constants.  Each back-end then runs the triangular C-recursion;
+`solve_family`, the one entry point, reassembles the full solution.
 The closed-form oracles at the bottom evaluate the exact solution
 formulas of the bundled example problems by direct quadrature; they
 share no code with the pipeline beyond elementary helpers.
@@ -21,8 +21,7 @@ import numpy.polynomial.chebyshev as cheb
 
 from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
                      UsageError)
-from .reduction import (FAMILIES, DifferentialOperatorSpec,
-                        apply_differential_operator, beta_tables,
+from .reduction import (FAMILIES, DifferentialOperatorSpec, beta_tables,
                         compat_residual, equation_residual,
                         reconstruct_solution, rhs_projection,
                         solve_C_recurrence)
@@ -169,22 +168,6 @@ def _cumulative_simpson_half(y, grid):
     return out
 
 
-def _apply_op_factory(rp, axes, accuracy=2):
-    def apply_op(op_index, samples):
-        return apply_differential_operator(rp.system.L[op_index], samples, axes,
-                                           accuracy=accuracy)
-    return apply_op
-
-
-def _post_checks(rp, axes, v, f_nodes):
-    if rp.compat:
-        dev = compat_residual(rp, axes, v, f_nodes)
-        if dev > COMPAT_TOL:
-            raise CompatibilityError(
-                "compatibility violated: the unresolvable-direction "
-                f"conditions fail with residual {dev:.3e}")
-
-
 # ---------------------------------------------------------------------------
 # time families (march in t)
 
@@ -209,21 +192,16 @@ def _solve_time(rp):
 
     v = _rk4_linear(deriv, rhs_projection(rp, f_half), tgrid,
                     np.zeros((r, rp.js.codomain.dim)))
-    f_nodes = f_half[::2]
-    axes = [("t", tgrid)]
     # chains of length > 1 differentiate the projections repeatedly; the
     # half-step grid and 4th-order stencils keep the C error at the RK4
     # scale, and the Simpson lead matches the RK4 stage accuracy
-    axes_half = [("t", th)]
     lead = ((lambda rhs, row: rhs) if s == 0
             else (lambda rhs, row: _cumulative_simpson_half(rhs, th)))
-    C_half = solve_C_recurrence(rp, beta_tables(rp, f_half),
-                                _apply_op_factory(rp, axes_half, accuracy=4),
-                                lead)
-    u = reconstruct_solution(rp, v, {key: arr[::2] for key, arr in C_half.items()})
-    _post_checks(rp, axes, v, f_nodes)
-    return _package_field(rp, axes, u, f_nodes,
-                          {"dt": float(tgrid[1] - tgrid[0])})
+    C_half = solve_C_recurrence(rp, beta_tables(rp, f_half), [("t", th)],
+                                lead, accuracy=4)
+    return ([("t", tgrid)], f_half[::2], v,
+            {key: arr[::2] for key, arr in C_half.items()},
+            {"dt": float(tgrid[1] - tgrid[0])})
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +241,10 @@ def _solve_goursat(rp):
             "is too large for this operator pair, shrink it")
 
     axes = [("x", xg), ("y", yg)]
-    beta = beta_tables(rp, f_vals)
-    C = solve_C_recurrence(rp, beta, _apply_op_factory(rp, axes),
+    C = solve_C_recurrence(rp, beta_tables(rp, f_vals), axes,
                            lambda rhs, row: rhs)
-    u = reconstruct_solution(rp, v, C)
-    _post_checks(rp, axes, v, f_vals)
-    meta = {"series_terms": r, "series_tail": float(np.abs(vterm).max())}
-    return _package_field(rp, axes, u, f_vals, meta)
+    return (axes, f_vals, v, C,
+            {"series_terms": r, "series_tail": float(np.abs(vterm).max())})
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +307,10 @@ def _solve_mixed_xy(rp):
     v = on_grid(coef)
 
     axes = [("x", xg), ("y", yg)]
-    beta = beta_tables(rp, f_vals)
-    C = solve_C_recurrence(rp, beta, _apply_op_factory(rp, axes),
+    C = solve_C_recurrence(rp, beta_tables(rp, f_vals), axes,
                            lambda rhs, row: _cumulative_from_zero(rhs, yg, axis=1))
-    u = reconstruct_solution(rp, v, C)
-    _post_checks(rp, axes, v, f_vals)
-    return _package_field(rp, axes, u, f_vals,
-                          {"series_terms": terms, "fit_residual": fit_residual})
+    return (axes, f_vals, v, C,
+            {"series_terms": terms, "fit_residual": fit_residual})
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +389,7 @@ def _package_field(rp, axes, u, f_vals, extra_meta):
                          values=phys[..., None], meta=meta)
 
 
+# each back-end returns (axes, f samples on the axes, v, C, solver meta)
 SOLVERS = {
     "goursat": _solve_goursat,
     "evolution1": _solve_time,
@@ -427,9 +400,11 @@ SOLVERS = {
 
 
 def solve_family(rp):
-    """Integrate the reduced problem with its family's back-end; node
-    counts and the time step come from the spec's grid table.  Every back-end solves only its
-    family's canonical L, so any other declared L is refused."""
+    """Integrate the reduced problem with its family's back-end, then
+    reassemble u = Bplus v + C Phi, check the unresolvable-direction
+    conditions and package the field.  Node counts and the time step come
+    from the spec's grid table.  Every back-end solves only its family's
+    canonical L, so any other declared L is refused."""
     spec = rp.system
     fam = FAMILIES[spec.family]
     want = [DifferentialOperatorSpec(terms=((k, 1.0),), nvars=len(fam.axes))
@@ -440,7 +415,14 @@ def solve_family(rp):
             f"[{', '.join(Lop.describe() for Lop in want)}]; the declared "
             f"L = [{', '.join(Lop.describe() for Lop in spec.L)}] "
             "is not that equation")
-    return SOLVERS[spec.family](rp)
+    axes, f_vals, v, C, meta = SOLVERS[spec.family](rp)
+    u = reconstruct_solution(rp, v, C)
+    dev = compat_residual(rp, axes, v, f_vals)
+    if dev > COMPAT_TOL:
+        raise CompatibilityError(
+            "compatibility violated: the unresolvable-direction "
+            f"conditions fail with residual {dev:.3e}")
+    return _package_field(rp, axes, u, f_vals, meta)
 
 
 # ---------------------------------------------------------------------------

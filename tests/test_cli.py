@@ -105,19 +105,31 @@ def test_resonant_lambda_exits_with_failure(example, capsys):
 
 
 def test_common_null_direction_is_refused_up_front(problems_dir, tmp_path, capsys):
-    # mode (1, 1) is null for both B = 1 - n^2 and A1 = 2 - 2 m^2, so no
-    # chain through it can terminate
-    obj = json.loads((problems_dir / "example5.json").read_text(encoding="utf-8"))
-    obj["spaces"]["state"]["shape"] = [8, 8]
-    obj["B"]["entry"] = "1 - x^2"
-    obj["A"][0]["entry"] = "s - 2*y^2"
-    obj["lambda"] = 2.0
+    # (1, -1) is null for both B and A1, so no chain through it can
+    # terminate; neither matrix has a zero column
+    obj = json.loads((problems_dir / "example1.json").read_text(encoding="utf-8"))
+    obj["B"]["rows"] = [[1.0, 1.0], [1.0, 1.0]]
+    obj["A"][0] = {"kind": "matrix", "space": "state",
+                   "rows": [[2.0, 2.0], [0.0, 0.0]]}
     path = tmp_path / "common_null.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     code = main(["structure", str(path)])
     err = capsys.readouterr().err
     assert code == 1
     assert "share a null direction" in err
+
+
+def test_regular_spectral_pencil_verifies(problems_dir, tmp_path, capsys):
+    # B = diag(2 - n^2) never vanishes, so lambda = 4 (A1 null on m = 2)
+    # leaves a regular pencil: nothing to refuse
+    obj = json.loads((problems_dir / "example5.json").read_text(encoding="utf-8"))
+    obj["spaces"]["state"]["shape"] = [8, 8]
+    obj["B"]["entry"] = "2 - x^2"
+    obj["lambda"] = 4.0
+    path = tmp_path / "regular.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    assert "verdict=pass" in capsys.readouterr().out
 
 
 def test_mixed_xy_coarse_grid_verifies_and_unresolved_data_is_an_input_error(

@@ -1,12 +1,27 @@
-"""Finite-difference weights and derivative matrices."""
+"""Finite-difference weights and grid derivatives, checked against dense
+reference derivative matrices built here from the public weights."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from degenpde.fd import (derivative_along_axis, derivative_matrix, fd_weights,
-                         stencil_size)
+from degenpde.fd import derivative_along_axis, fd_weights, stencil_size
+
+
+def derivative_matrix(n, h, order, accuracy=2):
+    """Dense (n, n) reference matrix mapping samples on a uniform grid of
+    spacing h to samples of the order-th derivative, one fd_weights call
+    per row: centered stencils inside, one-sided stencils of the same node
+    count near the edges."""
+    npts = stencil_size(order, accuracy)
+    if npts > n:
+        raise ValueError(f"grid of {n} nodes too small for a {npts}-point stencil")
+    D = np.zeros((n, n))
+    for i in range(n):
+        lo = min(max(i - npts // 2, 0), n - npts)
+        D[i, lo:lo + npts] = fd_weights((np.arange(lo, lo + npts) - i) * h, 0.0, order)
+    return D
 
 
 def test_centered_first_derivative_weights():

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from degenpde.chains import (CommutabilityData, _terminal_pairing_certificate,
+from degenpde.chains import (CommutabilityData, _biorthogonal_partners,
+                             _normalize_primal_chains, _pseudo_inverse,
+                             _refuse_coupled_extras,
+                             _terminal_pairing_certificate,
                              build_jordan_chains, certify_operators,
                              commutability_matrix, complete_structure,
                              structure_report)
@@ -11,7 +14,7 @@ from degenpde.errors import StructureError
 from degenpde.problems import instantiate, load_problem
 from degenpde.reduction import (DegenerateSystemSpec, DifferentialOperatorSpec,
                                 reduce)
-from degenpde.spaces import (grid_space, identity_operator,
+from degenpde.spaces import (euclidean_space, grid_space, identity_operator,
                              make_kernel_operator, matrix_operator)
 
 
@@ -153,11 +156,11 @@ def test_wide_pair_keeps_extra_kernel_direction():
     assert js.psi_extra is None
     assert ps.Pextra is not None and ps.Qextra is None
     assert ps.Gamma is None
-    Pt = ps.p_total()
+    Pt = ps.P
     assert np.abs(Pt @ Pt - Pt).max() <= 1e-10
     assert np.abs(ps.Pextra.matrix @ ps.Pk.matrix).max() <= 1e-10
     BBp = B.matrix @ ps.Bplus.matrix
-    np.testing.assert_allclose(BBp, np.eye(2) - ps.q_total(), atol=1e-9)
+    np.testing.assert_allclose(BBp, np.eye(2) - ps.Q, atol=1e-9)
 
 
 def test_tall_pair_keeps_extra_cokernel_direction():
@@ -169,7 +172,7 @@ def test_tall_pair_keeps_extra_cokernel_direction():
     assert js.psi_extra is not None and js.psi_extra.shape == (3, 1)
     assert js.phi_extra is None
     assert ps.Qextra is not None and ps.Pextra is None
-    Qt = ps.q_total()
+    Qt = ps.Q
     assert np.abs(Qt @ Qt - Qt).max() <= 1e-10
 
 
@@ -256,13 +259,18 @@ def test_uncertified_operator_detected():
     # a common null vector is refused before any chain grows
     ([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]],
      "share a null direction"),
+    # the common null vector (1, -1) off the axes: A1 of the computed head
+    # is roundoff, which is no yardstick for itself
+    ([[1.0, 1.0], [1.0, 1.0]], [[2.0, 2.0], [0.0, 0.0]],
+     "share a null direction"),
     # B is 2x3 with cokernel e2 (m = 1 < n = 2), which A1* also annihilates
     ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
      "share a null direction"),
     # a singular pencil with no common null vector reaches the growth guard
     ([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]],
      "unbounded chain growth"),
-], ids=["common-null-vector", "common-dual-null-vector", "singular-pencil"])
+], ids=["common-null-vector", "common-null-vector-off-axis",
+        "common-dual-null-vector", "singular-pencil"])
 def test_nilpotent_pair_with_no_termination_rejected(Brows, Arows, message):
     B, A = _pair(Brows, Arows)
     with pytest.raises(StructureError, match=message):
@@ -291,6 +299,62 @@ def test_ill_conditioned_schmidt_bordering_rejected():
         complete_structure(B, A)
 
 
+def test_link_off_the_range_past_the_rank_tolerance_rejected():
+    # the second head's image pairs 1e-7 with the cokernel: below the rank
+    # tolerance of the 1e4 image beside it, above the link tolerance
+    B, A = _pair(np.diag([0.0, 0.0, 1.0]),
+                 [[1e4, 0.0, 0.0], [0.0, 1e-7, 0.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(StructureError, match="chain extension residual 1.00e-07"):
+        build_jordan_chains(B, A)
+
+
+def test_primal_and_dual_chain_lengths_must_agree():
+    # only the dual images carry the 1e6 entry, so the 1e-9 pairing falls
+    # below the dual rank tolerance alone and one dual chain grows
+    B, A = _pair(np.diag([0.0, 0.0, 1.0]),
+                 [[1.0, 0.0, 1e6], [0.0, 1e-9, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(StructureError, match=r"primal chain lengths \(1, 1\) "
+                                             r"and dual chain lengths \(2, 1\)"):
+        build_jordan_chains(B, A)
+
+
+def test_normalization_off_the_chain_form_rejected():
+    # the first link of the length-2 chain misses by 5e-14, below the rank
+    # tolerance; the pairing inverse of the 1e-3 pencil carries it into the
+    # banned level-1 -> level-2 entry of G at 5e-2
+    B, A = _pair([[0.0, 1.0], [0.0, 0.0]], [[1e-3, 0.0], [5e-14, 1e-3]])
+    with pytest.raises(StructureError, match="not a chain-preserving"):
+        build_jordan_chains(B, A)
+
+
+def test_singular_chain_pairing_rejected():
+    # a pencil passing the terminal certificate has a non-singular pairing,
+    # so only a broken pairing reaches this refusal
+    with pytest.raises(StructureError, match="pairing matrix is singular"):
+        _normalize_primal_chains(np.eye(2), np.zeros((2, 2)), (2,))
+
+
+def test_extra_direction_coupled_to_a_chain_rejected():
+    # staircase extras pair with no chain level; a coupling of 0.5 does
+    with pytest.raises(StructureError, match="couples to the chains"):
+        _refuse_coupled_extras(np.array([[1.0], [0.0]]), np.array([[0.5], [0.0]]))
+
+
+def test_extra_direction_inside_the_chain_span_rejected():
+    # an extra equal to a chain vector has no biorthogonal partner
+    e1 = np.array([[1.0], [0.0]])
+    with pytest.raises(StructureError, match="biorthogonalization failed"):
+        _biorthogonal_partners(e1, e1, euclidean_space(2))
+
+
+def test_pseudoinverse_needs_the_z_span_complement():
+    # without the z-span projector I - Q leaves the range of B
+    js, ps = complete_structure(*_pair(np.diag([1.0, 0.0]), np.eye(2)))
+    ps.Q = np.zeros((2, 2))
+    with pytest.raises(StructureError, match="pseudoinverse construction failed"):
+        _pseudo_inverse(js, ps)
+
+
 def test_mismatched_domains_rejected():
     B = matrix_operator(np.zeros((2, 2)))
     A = matrix_operator(np.zeros((2, 3)))
@@ -317,8 +381,8 @@ def test_random_pairs_satisfy_structure_invariants(rng):
             assert np.abs(P @ P - P).max() <= 1e-10
         Bp = ps.Bplus.matrix
         eye = np.eye(dim)
-        assert np.abs(B.matrix @ Bp - (eye - ps.q_total())).max() <= 1e-9
-        assert np.abs(Bp @ B.matrix - (eye - ps.p_total())).max() <= 1e-9
+        assert np.abs(B.matrix @ Bp - (eye - ps.Q)).max() <= 1e-9
+        assert np.abs(Bp @ B.matrix - (eye - ps.P)).max() <= 1e-9
         assert np.abs(ps.Pk.matrix @ Bp).max() <= 1e-9
         assert np.abs(Bp @ js.Z).max() <= 1e-9
         # the commutability matrix of A1 is certified and quasitriangular
@@ -336,7 +400,7 @@ def test_random_rectangular_pencils_keep_extra_directions(rng, tall):
         js, ps = complete_structure(B, A1)
         assert js.p == (1,) * l
         assert js.nu == (-e if tall else e)
-        Pt, Qt = ps.p_total(), ps.q_total()
+        Pt, Qt = ps.P, ps.Q
         assert np.abs(Pt @ Pt - Pt).max() <= 1e-10
         assert np.abs(Qt @ Qt - Qt).max() <= 1e-10
         Bp = ps.Bplus.matrix
@@ -353,6 +417,18 @@ def test_random_rectangular_pencils_keep_extra_directions(rng, tall):
                                     family="evolution1", box={"t": (0.0, 1.0)})
         rp = reduce(spec)
         assert len(rp.compat if tall else rp.lambda_slots) == e
+
+
+def test_extra_directions_survive_a_large_lower_order_operator(rng):
+    # the extras' chain pairings vanish exactly in theory; at |A1| ~ 1e9 their
+    # roundoff alone passes 1e-8, so the refusal is relative to A1's size
+    for tall in (False, True):
+        for _ in range(20):
+            r, l, e = (int(v) for v in rng.integers(1, (5, 3, 3)))
+            B, A1 = random_rectangular_pair(rng, r, l, e, tall)
+            js, _ = complete_structure(B, matrix_operator(1e9 * A1.matrix))
+            assert js.p == (1,) * l
+            assert js.nu == (-e if tall else e)
 
 
 def test_structure_report_contents():

@@ -319,10 +319,21 @@ def test_spectral_settings_under_grid_are_refused(tmp_path):
 
 def test_resonant_lambda_override_rejected_early(problems_dir):
     pf = load_problem(problems_dir / "example5.json")
-    with pytest.raises(CompatibilityError, match="resonant lambda"):
+    with pytest.raises(CompatibilityError, match=r"resonant lambda.*mode \(1, 2\);"):
         instantiate(pf, lambda_param=4.0)
-    with pytest.raises(CompatibilityError, match="resonant lambda"):
+    with pytest.raises(CompatibilityError, match=r"resonant lambda.*mode \(1, 3\);"):
         instantiate(pf, lambda_param=9.0)
+
+
+def test_common_null_mode_of_the_built_pencil_is_refused(problems_dir, tmp_path):
+    # B = 1 - n^2 and A1 = 2 - 2 m^2 both vanish on mode (1, 1)
+    obj = json.loads((problems_dir / "example5.json").read_text(encoding="utf-8"))
+    obj["spaces"]["state"]["shape"] = [8, 8]
+    obj["A"][0]["entry"] = "s - 2*y^2"
+    obj["lambda"] = 2.0
+    with pytest.raises(CompatibilityError,
+                       match=r"resonant lambda: 2 .* on mode \(1, 1\);"):
+        instantiate(load_problem(_dump(tmp_path, obj)))
 
 
 def test_instantiate_is_deterministic(tmp_path):

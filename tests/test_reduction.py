@@ -8,7 +8,7 @@ from degenpde.errors import (CompatibilityError, ConfigurationError,
 from degenpde.reduction import (FAMILIES, DegenerateSystemSpec,
                                 DifferentialOperatorSpec,
                                 apply_differential_operator, describe_reduction,
-                                reduce, residual_check)
+                                reconstruct_solution, reduce, residual_check)
 from degenpde.solvers import solve_family
 from degenpde.spaces import FiniteOperator, grid_space, matrix_operator
 
@@ -29,8 +29,6 @@ def test_operator_spec_order_and_identity():
     op = DifferentialOperatorSpec(terms=(((2, 1), 1.0), ((0, 0), -3.0)),
                                   nvars=2)
     assert op.order == 3
-    assert not op.is_identity()
-    assert ID.is_identity()
     assert "D0^2" in op.describe() and "D1" in op.describe()
 
 
@@ -105,14 +103,14 @@ def test_boundary_plans_per_family():
 
 def _assert_regular_part(rp, A):
     # B Bplus is the projector onto the solvable complement, and M is
-    # assembled from it in the one association order the solvers rely on
+    # assembled from it and the v-equation's A1 Bplus term, in that order
     Bplus = rp.ps.Bplus.matrix
     np.testing.assert_allclose(rp.system.B.matrix @ Bplus, rp.IQ, atol=1e-12)
-    assert np.array_equal(rp.M, rp.IQ @ A.matrix @ Bplus)
+    assert np.array_equal(rp.M, rp.IQ @ (A.matrix @ Bplus))
     # Bplus vanishes on the root and extra subspaces, on both sides
     tol = 1e-8 * max(1.0, np.linalg.norm(Bplus))
-    assert np.abs(rp.ps.p_total() @ Bplus).max() <= tol
-    assert np.abs(Bplus @ rp.ps.q_total()).max() <= tol
+    assert np.abs(rp.ps.P @ Bplus).max() <= tol
+    assert np.abs(Bplus @ rp.ps.Q).max() <= tol
 
 
 def test_reduce_single_link_chain_layout():
@@ -239,6 +237,15 @@ def test_tall_realization_rejects_incompatible_data():
     rp = reduce(_evolution_spec(B, [A], f=f))
     with pytest.raises(CompatibilityError, match="unresolvable-direction"):
         solve_family(rp)
+
+
+def test_regular_part_leaking_into_extra_cokernel_is_refused():
+    # the back-ends keep v in the range of I - Q; a v along z_extra is not
+    B = matrix_operator([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    A = matrix_operator([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    rp = reduce(_evolution_spec(B, [A], f=lambda t=None: np.zeros((np.size(t), 3))))
+    with pytest.raises(CompatibilityError, match="leaks into the unresolvable"):
+        reconstruct_solution(rp, rp.js.z_extra.T, {})
 
 
 # -- residual checks -------------------------------------------------------------

@@ -1,0 +1,31 @@
+"""Smoke tests of the scripts under scripts/: they run against the
+package's public names, which no other test imports the way they do."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import degenpde
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(script, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(degenpde.__file__).parents[1]))
+    return subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_run_examples_solves_every_bundled_problem(tmp_path):
+    run = _run("run_examples.py", "--output-dir", str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "5 problems, 0 failures"
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        f"example{i}.csv" for i in range(1, 6)]
+
+
+def test_convergence_study_imports_resolve():
+    run = _run("convergence_study.py", "--help")
+    assert run.returncode == 0, run.stderr
+    assert "usage:" in run.stdout

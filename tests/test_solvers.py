@@ -21,6 +21,7 @@ from degenpde.solvers import (SolutionField, _cumulative_from_zero,
 from degenpde.spaces import matrix_operator, mode_space
 
 from conftest import grid_samples, kernel_evolution_spec, op_spec
+from test_fd import derivative_matrix
 
 
 # -- first-order kernel evolution ----------------------------------------------
@@ -300,7 +301,6 @@ def test_spectral_marching_row_satisfies_equation():
     t = axes[0][1]
     # mode (2, 1): -3 u''' + 4 u = e^-t with zero initial data
     h = t[1] - t[0]
-    from degenpde.fd import derivative_matrix
     D3 = derivative_matrix(len(t), h, 3)
     resid = -3.0 * (D3 @ u_modes[:, 4]) + 4.0 * u_modes[:, 4] - np.exp(-t)
     assert np.abs(resid[3:-3]).max() <= 1e-4
