@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from degenpde import (DegenerateSystemSpec, DifferentialOperatorSpec,
-                      field_raw, grid_space, identity_operator,
-                      make_kernel_operator,
+                      grid_space, identity_operator, make_kernel_operator,
                       oracle_first_order_evolution,
                       oracle_second_order_evolution, reduce, solve_family)
 
@@ -59,7 +58,7 @@ def dt_study(cfg):
             spec = DegenerateSystemSpec(
                 B=B, A=[A1], L=L, f=sampler, family=family,
                 box={"t": (0.0, cfg.t_hi)}, grid={"dt": dt})
-            axes, u = field_raw(solve_family(reduce(spec)))
+            u = solve_family(reduce(spec)).values
             stride = round(dt / (cfg.t_hi / 4000))
             dev = float(np.abs(u - ref[::stride]).max())
             note = "" if prev is None else f"  ratio {prev / dev:6.2f}"

@@ -15,7 +15,7 @@ from .chains import (CommutabilityData, CommutabilityResult, JordanStructure,
                      complete_structure, structure_report)
 from .errors import (CompatibilityError, ConfigurationError, DegenPDEError,
                      EvaluationError, ParseError, StructureError, UsageError)
-from .expressions import evaluate, parse, to_source, variables_of
+from .expressions import evaluate, parse, variables_of
 from .problems import (OracleOutcome, ProblemFile, evaluate_oracle,
                        instantiate, load_problem)
 from .reduction import (FAMILIES, DegenerateSystemSpec,
@@ -25,7 +25,7 @@ from .reduction import (FAMILIES, DegenerateSystemSpec,
                         reconstruct_solution, reduce, residual_check,
                         rhs_projection, solve_C_recurrence)
 from .solvers import (SOLVERS, SolutionField, asymptotic_leading_term,
-                      bessel_like_sum, check_spectral_parameter, field_raw,
+                      bessel_like_sum, check_spectral_parameter,
                       naive_cauchy_defect, oracle_first_order_evolution,
                       oracle_goursat_constant, oracle_second_order_evolution,
                       solve_family, write_solution_csv)
@@ -42,7 +42,7 @@ __all__ = [
     "structure_report",
     "CompatibilityError", "ConfigurationError", "DegenPDEError",
     "EvaluationError", "ParseError", "StructureError", "UsageError",
-    "evaluate", "parse", "to_source", "variables_of",
+    "evaluate", "parse", "variables_of",
     "OracleOutcome", "ProblemFile", "evaluate_oracle", "instantiate",
     "load_problem",
     "FAMILIES", "DegenerateSystemSpec", "DifferentialOperatorSpec",
@@ -51,7 +51,7 @@ __all__ = [
     "describe_reduction", "reconstruct_solution", "reduce", "residual_check",
     "rhs_projection", "solve_C_recurrence",
     "SOLVERS", "SolutionField", "asymptotic_leading_term", "bessel_like_sum",
-    "check_spectral_parameter", "field_raw", "naive_cauchy_defect",
+    "check_spectral_parameter", "naive_cauchy_defect",
     "oracle_first_order_evolution", "oracle_goursat_constant",
     "oracle_second_order_evolution", "solve_family", "write_solution_csv",
     "FiniteOperator", "InnerProductSpace", "euclidean_space", "grid_space",

@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, DegenPDEError, ParseError,
                      UsageError)
 from .problems import evaluate_oracle, instantiate, load_problem
 from .reduction import describe_reduction, reduce, residual_check
-from .solvers import field_raw, solve_family, write_solution_csv
+from .solvers import solve_family, write_solution_csv
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -72,35 +72,21 @@ def _structure_section(js, ps, comm):
 
 
 def _solver_section(fld):
-    lines = []
-    for key in sorted(fld.meta):
-        if key in ("raw", "family", "tolerances"):
-            continue
-        val = fld.meta[key]
-        if isinstance(val, float):
-            lines.append(f"{key}={val:.6e}")
-        else:
-            lines.append(f"{key}={val}")
-    return lines
+    return [f"{key}={val:.6e}" if isinstance(val, float) else f"{key}={val}"
+            for key, val in sorted(fld.meta.items())]
 
 
-def _residual_section(spec, rp, fld):
-    axes, u = field_raw(fld)
-    resid, report = residual_check(spec, axes, u, rp.js, rp.ps)
-    lines = []
-    for key, val in report.items():
-        lines.append(f"{key}: {val:.6e}")
-    return lines
+def _residual_section(rp, fld):
+    _, report = residual_check(rp, fld)
+    return [f"{key}: {val:.6e}" for key, val in report.items()]
 
 
-def _oracle_section(outcome, tol_override):
-    tol = tol_override if tol_override is not None else outcome.tol
-    passed = outcome.deviation <= tol
-    return ([f"kind={outcome.kind}",
-             f"detail={outcome.detail}",
-             f"deviation={outcome.deviation:.6e}",
-             f"tol={tol:g}",
-             f"verdict={'pass' if passed else 'fail'}"], passed)
+def _oracle_section(outcome):
+    return [f"kind={outcome.kind}",
+            f"detail={outcome.detail}",
+            f"deviation={outcome.deviation:.6e}",
+            f"tol={outcome.tol:g}",
+            f"verdict={'pass' if outcome.passed else 'fail'}"]
 
 
 def cmd_structure(args):
@@ -142,31 +128,29 @@ def cmd_solve(args):
     out = args.output
     if out is None:
         out = Path(args.problem).stem + ".csv"
-    write_solution_csv(fld, out)
-    report.add("output", [f"csv={out}", f"rows={fld.values.size}"])
+    rows = write_solution_csv(fld, out)
+    report.add("output", [f"csv={out}", f"rows={rows}"])
     print(report.to_text(), end="")
     return EXIT_OK
 
 
 def cmd_verify(args):
     pf, rp, fld, report = _run_solve(args)
-    report.add("residuals", _residual_section(rp.system, rp, fld))
-    outcome = evaluate_oracle(pf, rp, fld)
-    lines, passed = _oracle_section(outcome, args.tol)
-    report.add("oracle", lines)
+    report.add("residuals", _residual_section(rp, fld))
+    outcome = evaluate_oracle(pf, rp, fld, args.tol)
+    report.add("oracle", _oracle_section(outcome))
     print(report.to_text(), end="")
-    return EXIT_OK if passed else EXIT_FAIL
+    return EXIT_OK if outcome.passed else EXIT_FAIL
 
 
 def cmd_report(args):
     pf, rp, fld, report = _run_solve(args)
-    report.add("residuals", _residual_section(rp.system, rp, fld))
+    report.add("residuals", _residual_section(rp, fld))
     code = EXIT_OK
     if pf.oracle is not None:
-        outcome = evaluate_oracle(pf, rp, fld)
-        lines, passed = _oracle_section(outcome, args.tol)
-        report.add("oracle", lines)
-        if not passed:
+        outcome = evaluate_oracle(pf, rp, fld, args.tol)
+        report.add("oracle", _oracle_section(outcome))
+        if not outcome.passed:
             code = EXIT_FAIL
     text = report.to_text()
     if args.output:

@@ -15,9 +15,14 @@ unary minus, so -x^2 is -(x^2); its right operand is a unary, so
 
 Evaluation is numpy-vectorized: variable bindings may be scalars or
 broadcastable arrays.  Non-finite results raise EvaluationError.
+
+Parsing and evaluation recurse, so `parse` refuses a tree deeper than
+MAX_DEPTH levels and nesting (brackets, function calls, signs, powers)
+deeper than MAX_NESTING levels, both well inside Python's recursion
+limit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +32,8 @@ VARIABLES = ("t", "x", "y", "s")
 FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
 
 MAX_SOURCE_BYTES = 65536
+MAX_DEPTH = 500                 # tree levels; evaluation recurses once per level
+MAX_NESTING = MAX_DEPTH // 5    # the parser spends up to five frames per level
 
 
 @dataclass(frozen=True)
@@ -37,19 +44,16 @@ class Node:
 @dataclass(frozen=True)
 class Num(Node):
     value: float
-    span: tuple = field(default=(1, 1), compare=False)
 
 
 @dataclass(frozen=True)
 class Var(Node):
     name: str
-    span: tuple = field(default=(1, 1), compare=False)
 
 
 @dataclass(frozen=True)
 class Neg(Node):
     operand: Node
-    span: tuple = field(default=(1, 1), compare=False)
 
 
 @dataclass(frozen=True)
@@ -57,14 +61,12 @@ class BinOp(Node):
     op: str
     left: Node
     right: Node
-    span: tuple = field(default=(1, 1), compare=False)
 
 
 @dataclass(frozen=True)
 class Func(Node):
     name: str
     argument: Node
-    span: tuple = field(default=(1, 1), compare=False)
 
 
 class _Tokenizer:
@@ -139,6 +141,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -164,36 +167,42 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op, _, span = self.take()
-            node = BinOp(op, node, self.term(), span)
+            node = BinOp(self.take()[0], node, self.term())
         return node
 
     def term(self):
         node = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op, _, span = self.take()
-            node = BinOp(op, node, self.unary(), span)
+            node = BinOp(self.take()[0], node, self.unary())
         return node
 
     def unary(self):
+        # every recursion of the grammar passes through here
         tok = self.peek()
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} "
+                             "levels", *tok[2])
         if tok[0] == "-":
             self.take()
-            return Neg(self.unary(), tok[2])
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self):
         node = self.atom()
         if self.peek()[0] == "^":
-            _, _, span = self.take()
-            node = BinOp("^", node, self.unary(), span)
+            self.take()
+            node = BinOp("^", node, self.unary())
         return node
 
     def atom(self):
         tok = self.take()
         kind, value, span = tok
         if kind == "num":
-            return Num(value, span)
+            return Num(value)
         if kind == "(":
             node = self.expr()
             self.expect(")")
@@ -203,9 +212,9 @@ class _Parser:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return Func(value, arg, span)
+                return Func(value, arg)
             if value in VARIABLES:
-                return Var(value, span)
+                return Var(value)
             raise ParseError(f"unknown identifier {value!r}", *span)
         raise ParseError(f"unexpected token {value!r}", *span)
 
@@ -219,23 +228,17 @@ def parse(source):
     tokens = _Tokenizer(source).tokens
     if tokens[0][0] == "end":
         raise ParseError("empty expression")
-    return _Parser(tokens).parse()
-
-
-def to_source(node):
-    """Render an AST back to a string that parses to an equal AST."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        # outer parens keep the negation attached when embedded under '^'
-        return f"(-{to_source(node.operand)})"
-    if isinstance(node, Func):
-        return f"{node.name}({to_source(node.argument)})"
-    if isinstance(node, BinOp):
-        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
-    raise TypeError(f"not an AST node: {node!r}")
+    tree = _Parser(tokens).parse()
+    # long chains of + - * / are built by loops, not recursion, so the
+    # tree can be deeper than the nesting; count its levels without recursing
+    stack = [(tree, 1)]
+    while stack:
+        node, level = stack.pop()
+        if level > MAX_DEPTH:
+            raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels")
+        stack.extend((child, level + 1) for child in vars(node).values()
+                     if isinstance(child, Node))
+    return tree
 
 
 def variables_of(node):

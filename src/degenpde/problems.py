@@ -22,8 +22,8 @@ from .errors import (CompatibilityError, ConfigurationError, ParseError,
 from .expressions import evaluate, parse, variables_of
 from .reduction import (FAMILIES, DegenerateSystemSpec,
                         DifferentialOperatorSpec)
-from .solvers import (field_raw, oracle_first_order_evolution,
-                      oracle_goursat_constant, oracle_second_order_evolution)
+from .solvers import (oracle_first_order_evolution, oracle_goursat_constant,
+                      oracle_second_order_evolution)
 from .spaces import (euclidean_space, grid_space, identity_operator,
                      make_kernel_operator, matrix_operator, mode_space)
 
@@ -321,17 +321,17 @@ def _scaled_nodes(nodes, scale):
     return max(5, int(round((nodes - 1) * float(scale))) + 1)
 
 
-def _build_space(name, desc, grid_scale, modes_eff):
+def _build_space(desc, grid_scale, modes_eff):
     kind = desc["kind"]
     if kind == "euclidean":
-        return euclidean_space(desc["dim"], label=name)
+        return euclidean_space(desc["dim"])
     if kind == "grid":
         lo, hi = desc["interval"]
         nodes = _scaled_nodes(desc["nodes"], grid_scale)
-        return grid_space(float(lo), float(hi), nodes, label=name,
+        return grid_space(float(lo), float(hi), nodes,
                           quadrature=desc.get("quadrature", "trapezoid"))
     shape = modes_eff if modes_eff is not None else desc["shape"]
-    return mode_space(int(shape[0]), int(shape[1]), label=name)
+    return mode_space(int(shape[0]), int(shape[1]))
 
 
 def _operator_space(desc, spaces):
@@ -489,7 +489,7 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
     if dt is not None:
         grid["dt"] = float(dt)
     if grid_scale is not None:
-        for key in ("nodes", "nx", "ny"):
+        for key in ("nx", "ny"):
             if key in grid:
                 grid[key] = _scaled_nodes(int(grid[key]), grid_scale)
 
@@ -503,16 +503,9 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
             _fail("lambda", "family spectral3 needs a spectral parameter")
         lam = float(lam)
 
-    spaces = {name: _build_space(name, desc, grid_scale, modes_eff)
+    spaces = {name: _build_space(desc, grid_scale, modes_eff)
               for name, desc in pf.spaces.items()}
-
-    if pf.family == "spectral3":
-        Bspace = _operator_space(pf.B, spaces)
-        if Bspace.mode_shape is None:
-            _fail("B.space", "family spectral3 needs a modes space")
-        if modes_eff is None:
-            modes_eff = Bspace.mode_shape
-        grid["modes"] = modes_eff
+    if lam is not None:
         grid["lambda"] = lam
 
     B = _build_operator(pf.B, "B", spaces, lam)
@@ -524,8 +517,7 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
          for terms in pf.L]
     f = _compile_f(pf, B.codomain, grid)
     spec = DegenerateSystemSpec(B=B, A=A, L=L, f=f, family=pf.family,
-                                box=dict(pf.box), grid=grid,
-                                tolerances=dict(pf.tolerances))
+                                box=dict(pf.box), grid=grid)
     if pf.family == "spectral3":
         _refuse_common_null_modes(B, A[0], lam)
     return spec
@@ -544,13 +536,16 @@ def _axis_bindings(axes):
     return names, out
 
 
-def evaluate_oracle(pf, rp, fld):
-    """Measure the solution field against the file's declared oracle."""
+def evaluate_oracle(pf, rp, fld, tol=None):
+    """Measure the solution field against the file's declared oracle; tol,
+    when given, overrides the file's tolerance."""
     if pf.oracle is None:
         raise ConfigurationError(
             f"{pf.path}: the file declares no oracle; nothing to verify")
     desc = pf.oracle
-    tol = float(desc.get("tol", pf.tolerances.get("verify", 1e-6)))
+    if tol is None:
+        tol = desc.get("tol", pf.tolerances.get("verify", 1e-6))
+    tol = float(tol)
     kind = desc["kind"]
 
     if kind == "mode_residual":
@@ -558,7 +553,7 @@ def evaluate_oracle(pf, rp, fld):
         return OracleOutcome(kind=kind, detail="largest per-mode equation "
                              "residual", deviation=dev, tol=tol)
 
-    axes, u = field_raw(fld)
+    axes, u = fld.axes, fld.values
 
     if kind == "exact":
         names, bindings = _axis_bindings(axes)

@@ -93,8 +93,7 @@ class DegenerateSystemSpec:
     f: object          # callable(**coords) -> samples with codomain dim last
     family: str
     box: dict = field(default_factory=dict)     # axis name -> (lo, hi)
-    grid: dict = field(default_factory=dict)    # nodes / dt / modes settings
-    tolerances: dict = field(default_factory=dict)
+    grid: dict = field(default_factory=dict)    # dt / nx / ny / nquad / lambda
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -333,35 +332,32 @@ def equation_residual(spec, axes, u, f_vals):
     return float(np.abs(_interior(total - f_vals, spec.L)).max())
 
 
-def residual_check(spec, axes, u_samples, js=None, ps=None):
-    """Substitute u back into the system, sampling f on the axes.
+def residual_check(rp, fld):
+    """Substitute the solved record back into the system, sampling f on
+    its axes.
 
     Returns (residual, report dict) with the equation residual and the
-    norm of every projection boundary condition of the family plan."""
-    u = np.asarray(u_samples, dtype=float)
+    norm of every projection boundary condition of the family plan, the
+    derivatives taken with 4th-order stencils."""
+    spec, axes, u = rp.system, fld.axes, fld.values
     _require_stencil_nodes(axes)
     f_vals = np.asarray(spec.f(**_mesh_coords(axes)), dtype=float)
     resid = equation_residual(spec, axes, u, f_vals)
     report = {"equation_residual": resid}
-    if js is not None and ps is not None:
-        for projector, axis, order in FAMILIES[spec.family].bc:
-            key = f"{projector} d{order}u/d{axis}{order} at {axis}=0"
-            report[key] = _condition_norm(projector, axis, order, axes, u, ps)
+    for projector, axis, order in FAMILIES[spec.family].bc:
+        key = f"{projector} d{order}u/d{axis}{order} at {axis}=0"
+        report[key] = _condition_norm(projector, axis, order, axes, u, rp.ps)
     return resid, report
 
 
 def _condition_norm(projector, axis, order, axes, u, ps):
-    axis_names = [name for name, _ in axes]
-    if axis not in axis_names:
-        return 0.0
-    ax = axis_names.index(axis)
+    ax = [name for name, _ in axes].index(axis)
     grid = axes[ax][1]
     vals = u
     if order:
         h = float(grid[1] - grid[0])
-        vals = derivative_along_axis(vals, h, order, axis=ax)
-    pick = np.argmin(np.abs(np.asarray(grid)))
-    vals = np.take(vals, pick, axis=ax)
+        vals = derivative_along_axis(vals, h, order, axis=ax, accuracy=4)
+    vals = np.take(vals, np.argmin(np.abs(grid)), axis=ax)
     if projector == "I-Pk":
         mat = np.eye(ps.Pk.matrix.shape[0]) - ps.P
     elif projector == "Pk":

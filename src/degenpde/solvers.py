@@ -7,7 +7,11 @@ the time families, the iterated-integral series for goursat, and for
 mixed_xy the finite Chebyshev series of a fit to the data, refused when
 the fit misses the data.  Series limits and the fit tolerance are module
 constants.  Each back-end then runs the triangular C-recursion;
-`solve_family`, the one entry point, reassembles the full solution.
+`solve_family`, the one entry point, reassembles the full solution and
+returns it as a `SolutionField` on the back-end's sample axes.
+`write_solution_csv` builds the display view of that record only when it
+writes: grid spaces unroll onto their own axis, a time axis is strided
+and mode spaces get a sine synthesis.
 The closed-form oracles at the bottom evaluate the exact solution
 formulas of the bundled example problems by direct quadrature; they
 share no code with the pipeline beyond elementary helpers.
@@ -32,15 +36,19 @@ GOURSAT_SERIES_TOL = 1e-12
 MIXED_FIT_DEGREE = 32
 MIXED_FIT_TOL = 1e-10
 COMPAT_TOL = 1e-6
+CSV_TIME_STEPS = 20     # time steps the CSV view keeps, about
+CSV_SINE_NODES = 17     # sine synthesis nodes per axis of the CSV view
 
 
 @dataclass
 class SolutionField:
-    """Sampled solution: values holds one row of component samples per
-    grid point, shape = axis lengths + (component count,)."""
+    """A solved problem: the back-end's sample axes, u on them with the
+    operator-space dimension last (shape = axis lengths + (dim,)), the
+    space u lives in and the solver diagnostics the report prints."""
 
     axes: tuple
     values: np.ndarray
+    space: object = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -54,35 +62,59 @@ class SolutionField:
         if not np.isfinite(self.values).all():
             raise EvaluationError("solution field contains non-finite samples")
 
-    @property
-    def ncomp(self):
-        return self.values.shape[-1]
-
 
 def write_solution_csv(fld, path):
-    """Deterministic CSV: header 'axis names..., component, value', rows
-    row-major over the axes, then over components, floats via repr.  The
-    file is written one slab of the leading axis at a time."""
-    names = [name for name, _ in fld.axes]
-    labels = [[repr(x) + "," for x in g.tolist()] for _, g in fld.axes]
+    """Deterministic CSV of the display view: header 'axis names...,
+    component, value', rows row-major over the axes, then over
+    components, floats via repr.  The file is written one slab of the
+    leading axis at a time; returns the number of value rows."""
+    axes, values = _csv_view(fld)
+    names = [name for name, _ in axes]
+    labels = [[repr(x) + "," for x in g.tolist()] for _, g in axes]
     leads = labels[0] if labels else [""]
     tails = ["".join(rest) for rest in itertools.product(*labels[1:])]
-    slabs = fld.values.reshape(len(leads), len(tails), fld.ncomp)
+    slabs = values.reshape(len(leads), len(tails), values.shape[-1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names + ["component", "value"]) + "\n")
         for lead, slab in zip(leads, slabs):
             fh.write("".join([f"{lead}{tail}{comp},{val!r}\n"
                               for tail, row in zip(tails, slab.tolist())
                               for comp, val in enumerate(row)]))
+    return values.size
 
 
-def field_raw(fld):
-    """The solver-internal representation (sample axes, values with the
-    operator-space dimension last) stored next to the display grid."""
-    raw = fld.meta.get("raw")
-    if raw is not None:
-        return raw
-    return list(fld.axes), fld.values
+def _csv_time_stride(axes, space):
+    """Stride of the CSV view along a time axis over a grid or mode space,
+    which keeps about CSV_TIME_STEPS steps; None for every other field."""
+    if (not axes or axes[0][0] != "t" or space is None
+            or (space.grid is None and space.mode_shape is None)):
+        return None
+    return max(1, (len(axes[0][1]) - 1) // CSV_TIME_STEPS)
+
+
+def _csv_view(fld):
+    """Display form of a solution, keyed by its operator space: grid
+    spaces unroll onto their own axis, a time axis is strided, mode spaces
+    are synthesized on a sine grid over [0, pi]^2, coordinate spaces keep
+    a plain component column."""
+    axes, u, space = fld.axes, fld.values, fld.space
+    stride = _csv_time_stride(axes, space)
+    if stride is None:
+        if space is None or space.grid is None:
+            return axes, u
+        return axes + (("s", space.grid),), u[..., None]
+    tgrid = axes[0][1][::stride]
+    if space.grid is not None:
+        return (("t", tgrid), ("x", space.grid)), u[::stride][..., None]
+    N, Mm = space.mode_shape
+    xg = np.linspace(0.0, np.pi, CSV_SINE_NODES)
+    phys = np.einsum("tnm,nx,my->txy", u[::stride].reshape(-1, N, Mm),
+                     _sine_table(N, xg), _sine_table(Mm, xg))
+    return (("t", tgrid), ("x", xg), ("y", xg)), phys[..., None]
+
+
+def _sine_table(k, grid):
+    return np.sin(np.outer(np.arange(1, k + 1), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -331,62 +363,14 @@ def check_spectral_parameter(lam, N, Mm, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# field packaging
+# solve entry point
 
 def _box_grid(spec, name, default_nodes):
     lo, hi = spec.box.get(name, (0.0, 1.0))
-    nodes = int(spec.grid.get(f"n{name}", spec.grid.get("nodes", default_nodes)))
+    nodes = int(spec.grid.get(f"n{name}", default_nodes))
     if nodes < 5:
         raise UsageError(f"axis {name} needs at least 5 nodes, got {nodes}")
     return np.linspace(float(lo), float(hi), nodes)
-
-
-def _output_stride(spec, nt):
-    stride = spec.grid.get("output_stride_t")
-    if stride is None:
-        stride = max(1, (nt - 1) // 20)
-    return max(1, int(stride))
-
-
-def _sine_table(k, grid):
-    return np.sin(np.outer(np.arange(1, k + 1), np.asarray(grid, dtype=float)))
-
-
-def _package_field(rp, axes, u, f_vals, extra_meta):
-    """Display form of a solution, keyed by its operator space: grid
-    spaces unroll onto their own axis, mode spaces are synthesized on a
-    sine grid over [0, pi]^2 and carry their equation residual against
-    the f samples, coordinate spaces keep a plain component column."""
-    spec = rp.system
-    space = rp.js.domain
-    meta = {"family": spec.family, "tolerances": dict(spec.tolerances),
-            "raw": (list(axes), u)}
-    meta.update(extra_meta)
-    if axes[0][0] != "t" or (space.grid is None and space.mode_shape is None):
-        if space.grid is None:
-            return SolutionField(axes=tuple(axes), values=u, meta=meta)
-        out_axes = tuple(axes) + (("s", np.asarray(space.grid, dtype=float)),)
-        return SolutionField(axes=out_axes, values=u[..., None], meta=meta)
-    tgrid = axes[0][1]
-    stride = _output_stride(spec, len(tgrid))
-    meta["output_stride_t"] = stride
-    if space.grid is not None:
-        out_axes = (("t", tgrid[::stride]),
-                    ("x", np.asarray(space.grid, dtype=float)))
-        return SolutionField(axes=out_axes, values=u[::stride][..., None],
-                             meta=meta)
-    N, Mm = space.mode_shape
-    meta["modes"] = (N, Mm)
-    meta["mode_residual"] = equation_residual(spec, axes, u, f_vals)
-    if "lambda" in spec.grid:
-        meta["lambda"] = float(spec.grid["lambda"])
-    xg = np.linspace(0.0, np.pi, int(spec.grid.get("nx_out", 17)))
-    yg = np.linspace(0.0, np.pi, int(spec.grid.get("ny_out", 17)))
-    coeff = u[::stride].reshape(-1, N, Mm)
-    phys = np.einsum("tnm,nx,my->txy", coeff, _sine_table(N, xg),
-                     _sine_table(Mm, yg))
-    return SolutionField(axes=(("t", tgrid[::stride]), ("x", xg), ("y", yg)),
-                         values=phys[..., None], meta=meta)
 
 
 # each back-end returns (axes, f samples on the axes, v, C, solver meta)
@@ -402,9 +386,10 @@ SOLVERS = {
 def solve_family(rp):
     """Integrate the reduced problem with its family's back-end, then
     reassemble u = Bplus v + C Phi, check the unresolvable-direction
-    conditions and package the field.  Node counts and the time step come
-    from the spec's grid table.  Every back-end solves only its family's
-    canonical L, so any other declared L is refused."""
+    conditions and return u on the back-end's sample axes.  Node counts
+    and the time step come from the spec's grid table.  Every back-end
+    solves only its family's canonical L, so any other declared L is
+    refused."""
     spec = rp.system
     fam = FAMILIES[spec.family]
     want = [DifferentialOperatorSpec(terms=((k, 1.0),), nvars=len(fam.axes))
@@ -422,7 +407,17 @@ def solve_family(rp):
         raise CompatibilityError(
             "compatibility violated: the unresolvable-direction "
             f"conditions fail with residual {dev:.3e}")
-    return _package_field(rp, axes, u, f_vals, meta)
+    space = rp.js.domain
+    stride = _csv_time_stride(axes, space)
+    if stride is not None:
+        meta["output_stride_t"] = stride
+    if space.mode_shape is not None:
+        # mode spaces carry their equation residual against the f samples
+        meta["modes"] = space.mode_shape
+        meta["mode_residual"] = equation_residual(spec, axes, u, f_vals)
+        if "lambda" in spec.grid:
+            meta["lambda"] = float(spec.grid["lambda"])
+    return SolutionField(axes=axes, values=u, space=space, meta=meta)
 
 
 # ---------------------------------------------------------------------------

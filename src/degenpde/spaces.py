@@ -37,7 +37,6 @@ class InnerProductSpace:
     weights: np.ndarray = field(repr=False)
     grid: np.ndarray = field(default=None, repr=False)
     mode_shape: tuple = None
-    label: str = ""
     root: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -50,11 +49,6 @@ class InnerProductSpace:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "root", np.sqrt(w))
 
-    @property
-    def gram(self):
-        """The Gram matrix, diag(weights)."""
-        return np.diag(self.weights)
-
     def inner(self, u, v):
         return float(np.asarray(u) @ (self.weights * np.asarray(v)))
 
@@ -62,11 +56,11 @@ class InnerProductSpace:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
 
-def euclidean_space(dim, label=""):
-    return InnerProductSpace(dim=dim, weights=np.ones(dim), label=label)
+def euclidean_space(dim):
+    return InnerProductSpace(dim=dim, weights=np.ones(dim))
 
 
-def grid_space(a, b, nodes, label="", quadrature="trapezoid"):
+def grid_space(a, b, nodes, quadrature="trapezoid"):
     """Functions on [a, b] sampled at `nodes` uniform points; the
     quadrature weights are the space weights.  Trapezoid by default,
     composite Simpson on request (odd node count required)."""
@@ -87,13 +81,13 @@ def grid_space(a, b, nodes, label="", quadrature="trapezoid"):
     else:
         raise ConfigurationError(
             f"unknown quadrature {quadrature!r}; use trapezoid or simpson")
-    return InnerProductSpace(dim=nodes, weights=weights, grid=grid, label=label)
+    return InnerProductSpace(dim=nodes, weights=weights, grid=grid)
 
 
-def mode_space(nx, ny, label=""):
+def mode_space(nx, ny):
     """Amplitudes of an (nx, ny) table of modes, Euclidean inner product."""
     return InnerProductSpace(dim=nx * ny, weights=np.ones(nx * ny),
-                             mode_shape=(nx, ny), label=label)
+                             mode_shape=(nx, ny))
 
 
 @dataclass(frozen=True)
@@ -111,9 +105,6 @@ class FiniteOperator:
                 f"operator matrix shape {m.shape} does not match "
                 f"codomain dim {self.codomain.dim} x domain dim {self.domain.dim}")
         object.__setattr__(self, "matrix", m)
-
-    def apply(self, u):
-        return self.matrix @ np.asarray(u, dtype=float)
 
     def adjoint_matrix(self):
         """Matrix of the adjoint map codomain -> domain:

@@ -17,8 +17,7 @@ from degenpde.errors import CompatibilityError
 from degenpde.problems import instantiate, load_problem
 from degenpde.reduction import (DegenerateSystemSpec, DifferentialOperatorSpec,
                                 reduce, residual_check)
-from degenpde.solvers import (asymptotic_leading_term, field_raw,
-                              naive_cauchy_defect,
+from degenpde.solvers import (asymptotic_leading_term, naive_cauchy_defect,
                               oracle_first_order_evolution,
                               oracle_goursat_constant,
                               oracle_second_order_evolution, solve_family)
@@ -140,7 +139,8 @@ def test_criterion_3_first_order_closed_forms(problems_dir, report):
     for fsrc in ("x", "1", "sin(t)*x^2"):
         spec = instantiate(replace(pf, f=fsrc))
         rp = reduce(spec)
-        axes, u = field_raw(solve_family(rp))
+        fld = solve_family(rp)
+        axes, u = fld.axes, fld.values
         tgrid = axes[0][1]
         xg = spec.B.domain.grid
         ref = oracle_first_order_evolution(spec.f, tgrid, xg)
@@ -158,11 +158,12 @@ def test_criterion_4_second_order_conditions_and_defect(problems_dir, report):
     pf = load_problem(problems_dir / "example3.json")
     spec = instantiate(pf)
     rp = reduce(spec)
-    axes, u = field_raw(solve_family(rp))
+    fld = solve_family(rp)
+    axes, u = fld.axes, fld.values
     tgrid = axes[0][1]
     xg = spec.B.domain.grid
     dev = float(np.abs(u + tgrid[:, None] * xg[None, :]).max())
-    _, checks = residual_check(spec, axes, u, rp.js, rp.ps)
+    _, checks = residual_check(rp, fld)
     cond = max(checks["I d0u/dt0 at t=0"], checks["I-Pk d1u/dt1 at t=0"])
 
     const_spec = instantiate(replace(pf, f="1"))
@@ -188,11 +189,11 @@ def test_criterion_5_mixed_exact_and_corner_asymptotic(problems_dir, report):
     spec = instantiate(pf)
     rp = reduce(spec)
     fld = solve_family(rp)
-    axes, u = field_raw(fld)
+    axes, u = fld.axes, fld.values
     xg, yg = axes[0][1], axes[1][1]
     want = np.stack(np.meshgrid(xg ** 2 / 2.0, yg, indexing="ij"), axis=-1)
     dev = float(np.abs(u - want).max())
-    resid, _ = residual_check(spec, axes, u, rp.js, rp.ps)
+    resid, _ = residual_check(rp, fld)
 
     def fmix(x=None, y=None):
         X, Y = np.asarray(x, float), np.asarray(y, float)
@@ -201,7 +202,8 @@ def test_criterion_5_mixed_exact_and_corner_asymptotic(problems_dir, report):
                          np.broadcast_to(1.0 + Y, shape)], axis=-1)
 
     rp2 = reduce(_mixed_spec(fmix, 129))
-    axes2, u2 = field_raw(solve_family(rp2))
+    fld2 = solve_family(rp2)
+    axes2, u2 = fld2.axes, fld2.values
     quad, lin = asymptotic_leading_term(rp2, np.array([1.0, 1.0]))
     X, Y = np.meshgrid(axes2[0][1], axes2[1][1], indexing="ij")
     uasym = (quad[None, None, :] * (X ** 2 / 2.0)[..., None]
@@ -225,10 +227,10 @@ def test_criterion_6_corner_series_closed_form(problems_dir, report):
     spec = instantiate(pf)
     rp = reduce(spec)
     fld = solve_family(rp)
-    axes, u = field_raw(fld)
+    axes, u = fld.axes, fld.values
     ref = oracle_goursat_constant(1.0, 1.0, axes[0][1], axes[1][1])
     dev = float(np.abs(u - ref).max())
-    _, checks = residual_check(spec, axes, u, rp.js, rp.ps)
+    _, checks = residual_check(rp, fld)
     cond = max(checks["I-Pk d0u/dx0 at x=0"], checks["I-Pk d0u/dy0 at y=0"])
     ok = dev <= 1e-6 and cond <= 1e-10
     report(6, ok, f"corner family vs series closed form: sup {dev:.2e} "
@@ -241,7 +243,7 @@ def test_criterion_7_spectral_residual_and_resonance(problems_dir, report):
     spec = instantiate(pf)
     rp = reduce(spec)
     fld = solve_family(rp)
-    axes, u_modes = field_raw(fld)
+    axes, u_modes = fld.axes, fld.values
     t = axes[0][1]
     resid = float(fld.meta["mode_residual"])
     # the n = 1 block is algebraic: only (1,2) is forced, all to 1e-8
@@ -331,7 +333,8 @@ def test_criterion_8_brute_force_equivalence(report):
             family="evolution1", box={"t": (0.0, 1.0)}, grid={"dt": 1e-3})
         rp = reduce(spec)
         assert rp.js.p == (p,)
-        axes, u = field_raw(solve_family(rp))
+        fld = solve_family(rp)
+        axes, u = fld.axes, fld.values
         worst = max(worst, float(np.abs(u - exact(axes[0][1])).max()))
     ok = worst <= 1e-5
     report(8, ok, f"pipeline vs independent splitting solutions on 20 "
@@ -360,7 +363,8 @@ def test_criterion_9_convergence_orders(report):
             spec = DegenerateSystemSpec(B=Bk, A=[A1k], L=L, f=sampler,
                                         family=fam, box={"t": (0.0, 2.0)},
                                         grid={"dt": dt})
-            axes, u = field_raw(solve_family(reduce(spec)))
+            fld = solve_family(reduce(spec))
+            axes, u = fld.axes, fld.values
             devs.append(float(np.abs(u - ref[::round(dt / 1e-3)]).max()))
         ratios[fam] = devs[0] / devs[1]
 
@@ -369,9 +373,9 @@ def test_criterion_9_convergence_orders(report):
         spr = grid_space(0.0, 1.0, nodes, quadrature="trapezoid")
         Braw = make_kernel_operator(spr, "identity_minus_kernel", "3*x*s")
         xr = spr.grid
-        xhat = xr / np.sqrt(xr @ (spr.gram @ xr))
+        xhat = xr / np.sqrt(xr @ (spr.weights * xr))
         img = Braw.matrix @ xhat
-        defects.append(float(np.sqrt(img @ (spr.gram @ img))))
+        defects.append(float(np.sqrt(img @ (spr.weights * img))))
     grid_ratio = defects[0] / defects[1]
 
     ok = (ratios["evolution1"] >= 8.0 and ratios["evolution2"] >= 8.0

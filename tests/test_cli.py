@@ -152,6 +152,33 @@ def test_mixed_xy_coarse_grid_verifies_and_unresolved_data_is_an_input_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("f", [
+    "(" * 3000 + "1" + ")" * 3000,
+    "-" * 3000 + "1",
+    "2^" * 3000 + "1",
+    "1+" * 3000 + "1",
+], ids=["brackets", "signs", "powers", "flat-sum"])
+def test_deep_expression_is_an_input_error(problems_dir, tmp_path, capsys, f):
+    obj = json.loads((problems_dir / "example2.json").read_text(encoding="utf-8"))
+    obj["f"] = f
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: f: expression" in err and "deeper than" in err
+    assert "Traceback" not in err
+
+
+def test_400_term_flat_sum_still_verifies(problems_dir, tmp_path, capsys):
+    obj = json.loads((problems_dir / "example2.json").read_text(encoding="utf-8"))
+    obj["f"] = "+".join(["0.0025*x"] * 400)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    assert "verdict=pass" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name, L", [
     ("example2.json", [[[[1], 5.0]], [[[0], 2.0]]]),
     ("example1.json", [[[[1, 1], 3.0]], [[[0, 0], 1.0]]]),

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenpde.errors import EvaluationError, ParseError
-from degenpde.expressions import (FUNCTIONS, MAX_SOURCE_BYTES, VARIABLES,
-                                  BinOp, Func, Neg, Num, Var, evaluate, parse,
-                                  to_source, variables_of)
+from degenpde.expressions import (FUNCTIONS, MAX_DEPTH, MAX_NESTING,
+                                  MAX_SOURCE_BYTES, VARIABLES, BinOp, Func,
+                                  Neg, Num, Var, evaluate, parse, variables_of)
 
 
 def test_product_of_variables():
@@ -157,7 +157,43 @@ def test_evaluate_accepts_source_strings():
     assert evaluate("x + 1", x=1.0) == 2.0
 
 
+@pytest.mark.parametrize("source, limit", [
+    ("(" * MAX_NESTING + "1" + ")" * MAX_NESTING, "nested deeper"),
+    ("-" * MAX_NESTING + "1", "nested deeper"),
+    ("2^" * MAX_NESTING + "1", "nested deeper"),
+    ("sin(" * MAX_NESTING + "x" + ")" * MAX_NESTING, "nested deeper"),
+    ("1+" * MAX_DEPTH + "1", "tree deeper"),
+    ("1*" * MAX_DEPTH + "1", "tree deeper"),
+])
+def test_deep_expressions_are_refused(source, limit):
+    with pytest.raises(ParseError, match=limit):
+        parse(source)
+
+
+def test_deepest_accepted_trees_evaluate():
+    assert evaluate("1+" * (MAX_DEPTH - 1) + "1") == MAX_DEPTH
+    inner = "(" * (MAX_NESTING - 1) + "2" + ")" * (MAX_NESTING - 1)
+    assert evaluate(inner) == 2.0
+    assert evaluate("-" * (MAX_NESTING - 1) + "1") == -1.0
+
+
 # -- generated round-trip and purity properties ------------------------------
+
+def to_source(node):
+    """Render an AST back to a string that parses to an equal AST."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        # outer parens keep the negation attached when embedded under '^'
+        return f"(-{to_source(node.operand)})"
+    if isinstance(node, Func):
+        return f"{node.name}({to_source(node.argument)})"
+    if isinstance(node, BinOp):
+        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
+    raise TypeError(f"not an AST node: {node!r}")
+
 
 _leaf = st.one_of(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False,

@@ -298,7 +298,7 @@ def test_modes_override_changes_operator_dimensions(problems_dir):
     pf = load_problem(problems_dir / "example5.json")
     spec = instantiate(pf, modes=(8, 8))
     assert spec.B.domain.dim == 64
-    assert spec.grid["modes"] == (8, 8)
+    assert spec.B.domain.mode_shape == (8, 8)
     b = np.diag(spec.B.matrix)
     n_idx = np.repeat(np.arange(1, 9), 8)
     np.testing.assert_allclose(b, 1.0 - n_idx.astype(float) ** 2, atol=0)
@@ -314,7 +314,7 @@ def test_spectral_settings_under_grid_are_refused(tmp_path):
         with pytest.raises(ConfigurationError, match=f"grid.{key}: .*{instead}"):
             load_problem(path)
     spec = instantiate(load_problem(_dump(tmp_path, MINIMAL_SPECTRAL)))
-    assert spec.grid["modes"] == (4, 4) and spec.grid["lambda"] == 5.0
+    assert spec.B.domain.mode_shape == (4, 4) and spec.grid["lambda"] == 5.0
 
 
 def test_resonant_lambda_override_rejected_early(problems_dir):
@@ -357,6 +357,16 @@ def test_oracle_outcomes_for_bundled_problems(problems_dir):
         out = evaluate_oracle(pf, rp, fld)
         assert out.passed
         assert out.deviation <= bound
+
+
+def test_oracle_tolerance_override_sets_the_verdict(problems_dir):
+    pf = load_problem(problems_dir / "example3.json")
+    rp = reduce(instantiate(pf))
+    fld = solve_family(rp)
+    assert evaluate_oracle(pf, rp, fld).tol == pf.oracle["tol"]
+    strict = evaluate_oracle(pf, rp, fld, tol=1e-30)
+    assert strict.tol == 1e-30
+    assert not strict.passed
 
 
 def test_missing_oracle_is_an_error(tmp_path):

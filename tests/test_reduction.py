@@ -9,7 +9,7 @@ from degenpde.reduction import (FAMILIES, DegenerateSystemSpec,
                                 DifferentialOperatorSpec,
                                 apply_differential_operator, describe_reduction,
                                 reconstruct_solution, reduce, residual_check)
-from degenpde.solvers import solve_family
+from degenpde.solvers import SolutionField, solve_family
 from degenpde.spaces import FiniteOperator, grid_space, matrix_operator
 
 D1 = DifferentialOperatorSpec(terms=(((1,), 1.0),), nvars=1)
@@ -258,9 +258,10 @@ def test_residual_check_zero_solution_zero_rhs():
         t = np.asarray(t, dtype=float)
         return np.stack([0 * t, 0 * t], axis=-1)
 
-    spec = _evolution_spec(B, [A], f=f)
+    rp = reduce(_evolution_spec(B, [A], f=f))
     tg = np.linspace(0.0, 1.0, 101)
-    resid, report = residual_check(spec, [("t", tg)], np.zeros((101, 2)))
+    fld = SolutionField(axes=(("t", tg),), values=np.zeros((101, 2)))
+    resid, report = residual_check(rp, fld)
     assert resid == 0.0
     assert report["equation_residual"] == 0.0
 
@@ -276,8 +277,7 @@ def test_residual_check_reports_boundary_conditions():
     spec = _evolution_spec(B, [A], f=f)
     rp = reduce(spec)
     fld = solve_family(rp)
-    axes = [("t", fld.axes[0][1])]
-    resid, report = residual_check(spec, axes, fld.values, rp.js, rp.ps)
+    resid, report = residual_check(rp, fld)
     assert resid <= 5e-6
     key = "I-Pk d0u/dt0 at t=0"
     assert key in report
@@ -286,6 +286,9 @@ def test_residual_check_reports_boundary_conditions():
 
 def test_residual_check_wants_enough_nodes():
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0]])
-    spec = _evolution_spec(B, [matrix_operator(np.eye(2))], f=None)
+    rp = reduce(_evolution_spec(B, [matrix_operator(np.eye(2))], f=None))
+    fld = SolutionField(axes=(("t", np.linspace(0, 1, 4)),),
+                        values=np.zeros((4, 2)))
     with pytest.raises(ConfigurationError, match=">= 5"):
-        residual_check(spec, [("t", np.linspace(0, 1, 4))], np.zeros((4, 2)))
+        residual_check(rp, fld)
+

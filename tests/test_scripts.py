@@ -25,7 +25,9 @@ def test_run_examples_solves_every_bundled_problem(tmp_path):
         f"example{i}.csv" for i in range(1, 6)]
 
 
-def test_convergence_study_imports_resolve():
-    run = _run("convergence_study.py", "--help")
+def test_convergence_study_prints_one_ratio_per_study():
+    run = _run("convergence_study.py", "--dt-levels", "2", "--node-levels", "2")
     assert run.returncode == 0, run.stderr
-    assert "usage:" in run.stdout
+    # two dt studies (evolution1, evolution2) and one node study
+    ratios = [ln for ln in run.stdout.splitlines() if "ratio" in ln]
+    assert len(ratios) == 3, run.stdout

@@ -7,20 +7,22 @@ from scipy.integrate import cumulative_trapezoid, simpson
 
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              EvaluationError, UsageError)
-from degenpde.reduction import (DegenerateSystemSpec, reduce, residual_check)
+from degenpde.problems import instantiate, load_problem
+from degenpde.reduction import (FAMILIES, DegenerateSystemSpec, reduce,
+                                residual_check)
 from degenpde.solvers import (SolutionField, _cumulative_from_zero,
                               _cumulative_simpson_half, _half_grid,
                               _rk4_linear, _time_grid,
                               _weighted_space_integral,
                               asymptotic_leading_term, bessel_like_sum,
-                              check_spectral_parameter, field_raw,
+                              check_spectral_parameter,
                               naive_cauchy_defect, oracle_first_order_evolution,
                               oracle_goursat_constant,
                               oracle_second_order_evolution, solve_family,
                               write_solution_csv)
-from degenpde.spaces import matrix_operator, mode_space
+from degenpde.spaces import grid_space, matrix_operator, mode_space
 
-from conftest import grid_samples, kernel_evolution_spec, op_spec
+from conftest import PROBLEMS, grid_samples, kernel_evolution_spec, op_spec
 from test_fd import derivative_matrix
 
 
@@ -32,7 +34,7 @@ def _solve_kernel(family, fexpr, **kw):
     spec.f = grid_samples(xg)(fexpr)
     rp = reduce(spec)
     fld = solve_family(rp)
-    axes, u = field_raw(fld)
+    axes, u = fld.axes, fld.values
     return spec, rp, fld, axes, u
 
 
@@ -75,7 +77,7 @@ def test_first_order_matches_quadrature_oracle():
 def test_first_order_equation_residual_and_boundary():
     spec, rp, fld, axes, u = _solve_kernel("evolution1",
                                            lambda t, x: 1.0 + 0 * t + 0 * x)
-    resid, report = residual_check(spec, axes, u, rp.js, rp.ps)
+    resid, report = residual_check(rp, fld)
     assert resid <= 5e-6
     assert report["I-Pk d0u/dt0 at t=0"] <= 1e-10
 
@@ -100,7 +102,7 @@ def test_second_order_matches_quadrature_oracle():
 def test_second_order_boundary_conditions_hold():
     spec, rp, fld, axes, u = _solve_kernel("evolution2",
                                            lambda t, x: np.cos(t) * (1 + x))
-    resid, report = residual_check(spec, axes, u, rp.js, rp.ps)
+    resid, report = residual_check(rp, fld)
     assert report["I d0u/dt0 at t=0"] <= 1e-10
     # the derivative in the report is a one-sided stencil, so the check
     # carries the stencil truncation error, not just the condition defect
@@ -137,7 +139,7 @@ def _const_f2(x=None, y=None):
 def test_goursat_constant_forcing_matches_series_oracle():
     rp = reduce(_goursat_spec(_const_f2))
     fld = solve_family(rp)
-    axes, u = field_raw(fld)
+    axes, u = fld.axes, fld.values
     xg, yg = axes[0][1], axes[1][1]
     want = oracle_goursat_constant(1.0, 1.0, xg, yg)
     assert np.abs(u - want).max() <= 1e-6
@@ -148,8 +150,7 @@ def test_goursat_constant_forcing_matches_series_oracle():
 def test_goursat_corner_conditions_hold():
     rp = reduce(_goursat_spec(_const_f2))
     fld = solve_family(rp)
-    axes, u = field_raw(fld)
-    _, report = residual_check(rp.system, axes, u, rp.js, rp.ps)
+    _, report = residual_check(rp, fld)
     assert report["I-Pk d0u/dx0 at x=0"] <= 1e-10
     assert report["I-Pk d0u/dy0 at y=0"] <= 1e-10
 
@@ -196,11 +197,11 @@ def _mixed_f(f1):
 def test_mixed_constant_forcing_exact_solution():
     rp = reduce(_mixed_spec(_const_f2))
     fld = solve_family(rp)
-    axes, u = field_raw(fld)
+    axes, u = fld.axes, fld.values
     xg, yg = axes[0][1], axes[1][1]
     want = np.stack(np.meshgrid(xg ** 2 / 2.0, yg, indexing="ij"), axis=-1)
     assert np.abs(u - want).max() <= 1e-10
-    resid, _ = residual_check(rp.system, axes, u, rp.js, rp.ps)
+    resid, _ = residual_check(rp, fld)
     assert resid <= 1e-10
     assert fld.meta["series_terms"] == 1
     assert fld.meta["fit_residual"] <= 1e-14
@@ -234,7 +235,7 @@ def test_mixed_smooth_forcing_matches_closed_form(f1, u1):
     # u1_xx + u1_y = f1, u1 = u1_x = 0 at x = 0; the second component is y
     rp = reduce(_mixed_spec(_mixed_f(f1)))
     fld = solve_family(rp)
-    axes, u = field_raw(fld)
+    axes, u = fld.axes, fld.values
     X, Y = np.meshgrid(axes[0][1], axes[1][1], indexing="ij")
     assert np.abs(u[..., 0] - u1(X, Y)).max() <= 1e-6
     assert np.abs(u[..., 1] - Y).max() <= 1e-12
@@ -286,7 +287,7 @@ def _spectral_spec(nmodes=4, mmodes=4, lam=5.0, dt=1e-3):
 def test_spectral_kernel_row_is_algebraic():
     rp = reduce(_spectral_spec())
     fld = solve_family(rp)
-    axes, u_modes = field_raw(fld)
+    axes, u_modes = fld.axes, fld.values
     t = axes[0][1]
     # row n = 1 solves (lambda - m^2) u = f exactly, here u_12 = e^-t / 1
     np.testing.assert_allclose(u_modes[:, 1], np.exp(-t), atol=1e-12)
@@ -297,7 +298,7 @@ def test_spectral_kernel_row_is_algebraic():
 def test_spectral_marching_row_satisfies_equation():
     rp = reduce(_spectral_spec())
     fld = solve_family(rp)
-    axes, u_modes = field_raw(fld)
+    axes, u_modes = fld.axes, fld.values
     t = axes[0][1]
     # mode (2, 1): -3 u''' + 4 u = e^-t with zero initial data
     h = t[1] - t[0]
@@ -325,8 +326,7 @@ def test_spectral_solves_declared_mode_pencil(b0, chains):
     rp = reduce(spec)
     assert rp.js.l == chains
     fld = solve_family(rp)
-    axes, u_modes = field_raw(fld)
-    resid, report = residual_check(spec, axes, u_modes, rp.js, rp.ps)
+    resid, report = residual_check(rp, fld)
     assert resid <= 1e-4
     assert fld.meta["mode_residual"] == resid
     assert report["I-Pk d0u/dt0 at t=0"] == 0.0
@@ -473,12 +473,61 @@ def test_csv_writer_matches_a_per_value_rendering(tmp_path, rng):
     assert path.read_text(encoding="utf-8") == "component,value\n0,0.5\n1,-2.0\n"
 
 
-def test_field_raw_returns_solver_samples():
-    fld = SolutionField(axes=(("t", [0.0, 1.0]),), values=np.zeros((2, 1)),
-                        meta={"raw": ([("t", np.array([0.0, 1.0]))],
-                                      np.ones((2, 3)))})
-    axes, vals = field_raw(fld)
-    assert vals.shape == (2, 3)
-    fld2 = SolutionField(axes=(("t", [0.0, 1.0]),), values=np.zeros((2, 1)))
-    axes2, vals2 = field_raw(fld2)
-    assert vals2.shape == (2, 1)
+
+def test_csv_view_unrolls_a_grid_space_and_strides_time(tmp_path):
+    sp = grid_space(0.0, 1.0, 5)
+    t = np.linspace(0.0, 1.0, 41)
+    u = t[:, None] * sp.grid[None, :]
+    path = tmp_path / "field.csv"
+    rows = write_solution_csv(SolutionField(axes=(("t", t),), values=u,
+                                            space=sp), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "t,x,component,value"
+    # 40 steps keep every second one: 21 times by 5 nodes
+    assert rows == len(lines) - 1 == 21 * 5
+    assert lines[1 + 3 * 5 + 2] == ",".join(
+        [repr(float(t[6])), repr(float(sp.grid[2])), "0", repr(float(u[6, 2]))])
+
+
+def test_csv_view_synthesizes_a_mode_space(tmp_path):
+    sp = mode_space(2, 3)
+    t = np.linspace(0.0, 1.0, 5)
+    u = np.zeros((5, 6))
+    u[:, 1] = t   # mode (1, 2)
+    path = tmp_path / "field.csv"
+    rows = write_solution_csv(SolutionField(axes=(("t", t),), values=u,
+                                            space=sp), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "t,x,y,component,value"
+    assert rows == len(lines) - 1 == 5 * 17 * 17
+    xg = np.linspace(0.0, np.pi, 17)
+    *coords, comp, val = lines[1 + 4 * 17 * 17 + 5 * 17 + 3].split(",")
+    assert [float(c) for c in coords] == [1.0, xg[5], xg[3]]
+    assert float(val) == pytest.approx(np.sin(xg[5]) * np.sin(2 * xg[3]),
+                                       abs=1e-15)
+
+
+def test_solved_record_holds_solver_samples(problems_dir):
+    # the record is the back-end's samples, dimension last, and the
+    # residual check reports every condition of the family's plan
+    for name in PROBLEMS:
+        pf = load_problem(problems_dir / name)
+        rp = reduce(instantiate(pf))
+        fld = solve_family(rp)
+        lens = tuple(len(g) for _, g in fld.axes)
+        assert fld.values.shape == lens + (rp.js.domain.dim,)
+        assert fld.space is rp.js.domain
+        _, report = residual_check(rp, fld)
+        keys = [f"{p} d{k}u/d{a}{k} at {a}=0"
+                for p, a, k in FAMILIES[pf.family].bc]
+        assert list(report) == ["equation_residual"] + keys
+
+
+def test_spectral_boundary_norms_use_fourth_order_stencils(problems_dir):
+    # the u_t and u_tt conditions of example5 hold to the RK4 scale only
+    # when the check differentiates with 4th-order stencils
+    rp = reduce(instantiate(load_problem(problems_dir / "example5.json")))
+    _, report = residual_check(rp, solve_family(rp))
+    for key in ("I-Pk d0u/dt0 at t=0", "I-Pk d1u/dt1 at t=0",
+                "I-Pk d2u/dt2 at t=0"):
+        assert report[key] <= 1e-8, (key, report[key])

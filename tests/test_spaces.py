@@ -87,8 +87,8 @@ def test_adjoint_identity_under_weighted_grams(rng):
         A = FiniteOperator(rng.normal(size=(5, 3)), dom, cod)
         u = rng.normal(size=3)
         w = rng.normal(size=5)
-        lhs = cod.inner(A.apply(u), w)
-        rhs = dom.inner(u, A.adjoint().apply(w))
+        lhs = cod.inner(A.matrix @ u, w)
+        rhs = dom.inner(u, A.adjoint().matrix @ w)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -159,7 +159,7 @@ def test_raw_kernel_null_direction_is_nearly_linear():
     cos = abs(sp.inner(v, x)) / (sp.norm(v) * sp.norm(x))
     assert cos >= 1.0 - 1e-6
     # a null direction at this tolerance really is nearly annihilated
-    assert sp.norm(A.apply(v)) <= 10 * 1e-4 * sk.s[0] * sp.norm(v)
+    assert sp.norm(A.matrix @ v) <= 10 * 1e-4 * sk.s[0] * sp.norm(v)
 
 
 def test_cokernel_is_the_kernel_of_the_adjoint(rng):
@@ -190,7 +190,7 @@ def test_raw_kernel_reproduces_linear_to_quadrature_error():
     A = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s")
     x = sp.grid
     # trapezoid: K x = (1 + h^2/2) x, so the defect is exactly (h^2/2) x
-    defect = A.apply(x)
+    defect = A.matrix @ x
     h = 1.0 / 200
     np.testing.assert_allclose(defect, -(h * h / 2.0) * x, atol=1e-12)
     assert sp.norm(defect) <= 1e-4 * sp.norm(x)
@@ -200,7 +200,7 @@ def test_exact_on_makes_annihilation_exact():
     sp = grid_space(0.0, 1.0, 201, quadrature="simpson")
     A = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s",
                              exact_on="x")
-    out = A.apply(sp.grid)
+    out = A.matrix @ sp.grid
     assert np.abs(out).max() <= 1e-14
 
 
@@ -244,5 +244,5 @@ def test_null_residual_shrinks_at_second_order():
         sp = grid_space(0.0, 1.0, nodes)
         A = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s")
         x = sp.grid
-        rel.append(sp.norm(A.apply(x)) / sp.norm(x))
+        rel.append(sp.norm(A.matrix @ x) / sp.norm(x))
     assert rel[0] / rel[1] >= 4.0 - 1e-6
