@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from degenpde import (DegenerateSystemSpec, DifferentialOperatorSpec,
-                      grid_space, identity_operator, make_kernel_operator,
-                      oracle_first_order_evolution,
+from degenpde import (DegenerateSystemSpec, grid_space, identity_operator,
+                      make_kernel_operator, oracle_first_order_evolution,
                       oracle_second_order_evolution, reduce, solve_family)
-
-D1 = DifferentialOperatorSpec(terms=(((1,), 1.0),), nvars=1)
-D0 = DifferentialOperatorSpec(terms=(((0,), 1.0),), nvars=1)
-D2 = DifferentialOperatorSpec(terms=(((2,), 1.0),), nvars=1)
 
 
 @dataclass
@@ -47,16 +42,16 @@ def dt_study(cfg):
         return np.sin(tv)[:, None] * (xg ** 2)[None, :]
 
     tref = np.linspace(0.0, cfg.t_hi, 4001)
-    cases = (("evolution1", [D1, D0], oracle_first_order_evolution),
-             ("evolution2", [D2, D1], oracle_second_order_evolution))
-    for family, L, oracle in cases:
+    cases = (("evolution1", oracle_first_order_evolution),
+             ("evolution2", oracle_second_order_evolution))
+    for family, oracle in cases:
         ref = oracle(sampler, tref, xg)
         print(f"{family}, f = sin(t) x^2, sup deviation vs dt:")
         prev = None
         for level in range(cfg.dt_levels):
             dt = cfg.dt_base / 2 ** level
             spec = DegenerateSystemSpec(
-                B=B, A=[A1], L=L, f=sampler, family=family,
+                B=B, A1=A1, f=sampler, family=family,
                 box={"t": (0.0, cfg.t_hi)}, grid={"dt": dt})
             u = solve_family(reduce(spec)).values
             stride = round(dt / (cfg.t_hi / 4000))

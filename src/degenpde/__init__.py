@@ -9,8 +9,8 @@ everything from JSON problem files (problems module) or the command line
 (cli module).
 """
 
-from .chains import (CommutabilityData, CommutabilityResult, JordanStructure,
-                     ProjectorSet, build_jordan_chains, build_projectors,
+from .chains import (CommutabilityResult, JordanStructure, ProjectorSet,
+                     build_jordan_chains, build_projectors,
                      certify_operators, commutability_matrix,
                      complete_structure, structure_report)
 from .errors import (CompatibilityError, ConfigurationError, DegenPDEError,
@@ -18,9 +18,8 @@ from .errors import (CompatibilityError, ConfigurationError, DegenPDEError,
 from .expressions import evaluate, parse, variables_of
 from .problems import (OracleOutcome, ProblemFile, evaluate_oracle,
                        instantiate, load_problem)
-from .reduction import (FAMILIES, DegenerateSystemSpec,
-                        DifferentialOperatorSpec, ReducedProblem, ScalarRow,
-                        apply_differential_operator, beta_tables,
+from .reduction import (FAMILIES, DegenerateSystemSpec, ReducedProblem,
+                        ScalarRow, apply_differential_operator, beta_tables,
                         compat_residual, describe_reduction,
                         reconstruct_solution, reduce, residual_check,
                         rhs_projection, solve_C_recurrence)
@@ -36,8 +35,8 @@ from .spaces import (FiniteOperator, InnerProductSpace, euclidean_space,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CommutabilityData", "CommutabilityResult", "JordanStructure",
-    "ProjectorSet", "build_jordan_chains", "build_projectors",
+    "CommutabilityResult", "JordanStructure", "ProjectorSet",
+    "build_jordan_chains", "build_projectors",
     "certify_operators", "commutability_matrix", "complete_structure",
     "structure_report",
     "CompatibilityError", "ConfigurationError", "DegenPDEError",
@@ -45,9 +44,8 @@ __all__ = [
     "evaluate", "parse", "variables_of",
     "OracleOutcome", "ProblemFile", "evaluate_oracle", "instantiate",
     "load_problem",
-    "FAMILIES", "DegenerateSystemSpec", "DifferentialOperatorSpec",
-    "ReducedProblem", "ScalarRow", "apply_differential_operator",
-    "beta_tables", "compat_residual",
+    "FAMILIES", "DegenerateSystemSpec", "ReducedProblem", "ScalarRow",
+    "apply_differential_operator", "beta_tables", "compat_residual",
     "describe_reduction", "reconstruct_solution", "reduce", "residual_check",
     "rhs_projection", "solve_C_recurrence",
     "SOLVERS", "SolutionField", "asymptotic_leading_term", "bessel_like_sum",

@@ -113,19 +113,6 @@ class CommutabilityResult:
     residual_dual: float
 
 
-@dataclass
-class CommutabilityData:
-    """Commutability matrices for every operator of a system, with the
-    primal and dual certificate residuals of each lower-order operator."""
-
-    matA: list
-    matB: np.ndarray
-    quasitriangular: list
-    certified: list
-    residual_primal: list
-    residual_dual: list
-
-
 def _staircase(sk, A1op, heads, dual_heads, stop_at, rank_tol):
     """Grow chains from kernel heads, terminating the combinations whose
     next link would leave the range of the operator whose skeleton is sk.
@@ -451,15 +438,10 @@ def commutability_matrix(A, js):
     return CommutabilityResult(M, certified, quasi, res_p, res_d)
 
 
-def certify_operators(js, ops):
-    """Commutability data for B and the lower-order operators of a system."""
-    rb = commutability_matrix(js.B, js)
-    rs = [commutability_matrix(A, js) for A in ops]
-    return CommutabilityData(matA=[r.matrix for r in rs], matB=rb.matrix,
-                             quasitriangular=[r.quasitriangular for r in rs],
-                             certified=[r.certified for r in rs],
-                             residual_primal=[r.residual_primal for r in rs],
-                             residual_dual=[r.residual_dual for r in rs])
+def certify_operators(js):
+    """The commutability certificate of the pencil's lower-order operator
+    A1 on the chain span of the structure."""
+    return commutability_matrix(js.A1, js)
 
 
 def structure_report(js, ps=None, comm=None):
@@ -489,7 +471,6 @@ def structure_report(js, ps=None, comm=None):
         bbp = np.abs(js.B.matrix @ ps.Bplus.matrix - (np.eye(E2.dim) - ps.Q)).max()
         lines.append(f"pseudoinverse_identity={bbp:.6e}")
     if comm is not None:
-        for i, (c, q) in enumerate(zip(comm.certified, comm.quasitriangular), start=1):
-            lines.append(f"A{i}_certified={'pass' if c else 'fail'}")
-            lines.append(f"A{i}_quasitriangular={'yes' if q else 'no'}")
+        lines.append(f"A1_certified={'pass' if comm.certified else 'fail'}")
+        lines.append(f"A1_quasitriangular={'yes' if comm.quasitriangular else 'no'}")
     return "\n".join(lines) + "\n"

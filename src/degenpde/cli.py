@@ -63,12 +63,9 @@ def _overrides(args):
 
 
 def _structure_section(js, ps, comm):
-    lines = structure_report(js, ps, comm).splitlines()
-    for i, (prim, dual) in enumerate(zip(comm.residual_primal, comm.residual_dual),
-                                     start=1):
-        lines.append(f"A{i}_residual_primal={prim:.6e}")
-        lines.append(f"A{i}_residual_dual={dual:.6e}")
-    return lines
+    return structure_report(js, ps, comm).splitlines() + [
+        f"A1_residual_primal={comm.residual_primal:.6e}",
+        f"A1_residual_dual={comm.residual_dual:.6e}"]
 
 
 def _solver_section(fld):
@@ -94,7 +91,7 @@ def cmd_structure(args):
     spec = instantiate(pf, **_overrides(args))
     report = RunReport(problem=str(args.problem), family=pf.family)
     t0 = time.perf_counter()
-    js, ps = complete_structure(spec.B, spec.A[0])
+    js, ps = complete_structure(spec.B, spec.A1)
     if js.l == 0:
         report.add("structure", ["regular equation: the leading operator is "
                                  "invertible; apply its inverse directly, no "
@@ -102,11 +99,11 @@ def cmd_structure(args):
         report.wall_time_s = time.perf_counter() - t0
         print(report.to_text(), end="")
         return EXIT_OK
-    comm = certify_operators(js, spec.A)
+    comm = certify_operators(js)
     report.add("structure", _structure_section(js, ps, comm))
     report.wall_time_s = time.perf_counter() - t0
     print(report.to_text(), end="")
-    return EXIT_OK if all(comm.certified) else EXIT_FAIL
+    return EXIT_OK if comm.certified else EXIT_FAIL
 
 
 def _run_solve(args):

@@ -1,14 +1,14 @@
 """Problem files: JSON descriptions of a degenerate system.
 
 A problem file declares the inner-product spaces, the operator pencil
-(B and the lower-order A operators), the scalar differential operators
-attached to each, the right-hand side as expression strings, the family
-tag that selects a solution back-end, grids and tolerances, and an
-optional verification oracle.  ``load_problem`` validates the file and
-returns a plain-data description; ``instantiate`` builds the numerical
-objects, optionally with command-line overrides applied.
+(B and the lower-order operator A1), the right-hand side as expression
+strings, the family tag that fixes the equation L0(D) B u + L1(D) A1 u = f
+and selects a solution back-end, grids and tolerances, and an optional
+verification oracle.  ``load_problem`` validates the file and returns a
+plain-data description; ``instantiate`` builds the numerical objects,
+optionally with command-line overrides applied.
 
-Top-level keys: "spaces", "B", "A", "L", "f", "family", "grid",
+Top-level keys: "spaces", "B", "A1", "f", "family", "grid",
 "tolerances", plus optional "lambda" (spectral parameter) and "oracle".
 """
 
@@ -20,14 +20,13 @@ import numpy as np
 from .errors import (CompatibilityError, ConfigurationError, ParseError,
                      UsageError)
 from .expressions import evaluate, parse, variables_of
-from .reduction import (FAMILIES, DegenerateSystemSpec,
-                        DifferentialOperatorSpec)
+from .reduction import FAMILIES, DegenerateSystemSpec
 from .solvers import (oracle_first_order_evolution, oracle_goursat_constant,
                       oracle_second_order_evolution)
 from .spaces import (euclidean_space, grid_space, identity_operator,
                      make_kernel_operator, matrix_operator, mode_space)
 
-TOP_KEYS = ("spaces", "B", "A", "L", "f", "family", "grid", "tolerances")
+TOP_KEYS = ("spaces", "B", "A1", "f", "family", "grid", "tolerances")
 OPTIONAL_KEYS = ("lambda", "oracle")
 
 SPACE_KINDS = ("euclidean", "grid", "modes")
@@ -46,8 +45,7 @@ class ProblemFile:
     family: str
     spaces: dict
     B: dict
-    A: list
-    L: list
+    A1: dict
     f: object            # expression string or list of them
     box: dict
     grid: dict
@@ -166,18 +164,11 @@ def _check_operator(desc, path, space_names):
         _parse_expr(desc.get("entry"), path + ".entry", allowed=("x", "y", "s"))
 
 
-def _check_terms(terms, path, nvars):
-    if not isinstance(terms, list) or not terms:
-        _fail(path, "needs a non-empty list of [multi_index, coefficient] terms")
-    for j, term in enumerate(terms):
-        tpath = f"{path}[{j}]"
-        if (not isinstance(term, list) or len(term) != 2
-                or not isinstance(term[0], list)):
-            _fail(tpath, "each term is [multi_index, coefficient]")
-        k, coef = term
-        if len(k) != nvars or not all(isinstance(v, int) and v >= 0 for v in k):
-            _fail(tpath, f"multi-index needs {nvars} non-negative integers")
-        _expect_number(coef, tpath + "[1]")
+def _refuse_moved(raw, path, moved):
+    """Refuse each (key, where it is declared now) pair found in raw."""
+    for key, instead in moved:
+        if key in raw:
+            _fail(f"{path}{key}", f"is not read; declare {instead}")
 
 
 def _check_oracle(desc, family):
@@ -223,6 +214,9 @@ def load_problem(path):
                          exc.lineno, exc.colno) from None
     raw = _expect_mapping(raw, "top level")
 
+    _refuse_moved(raw, "", (("A", 'the one lower-order operator as "A1"'),
+                            ("L", 'the equation through "family" only: it '
+                                  "fixes L0 and L1")))
     unknown = set(raw) - set(TOP_KEYS) - set(OPTIONAL_KEYS)
     if unknown:
         _fail("top level", f"unknown keys {sorted(unknown)}; "
@@ -245,18 +239,7 @@ def load_problem(path):
     space_names = list(spaces)
 
     _check_operator(raw["B"], "B", space_names)
-    A = raw["A"]
-    if not isinstance(A, list) or not A:
-        _fail("A", "needs a non-empty list of operator descriptors")
-    for i, desc in enumerate(A):
-        _check_operator(desc, f"A[{i}]", space_names)
-
-    L = raw["L"]
-    if not isinstance(L, list) or len(L) != len(A) + 1:
-        _fail("L", f"needs {len(A) + 1} term lists "
-                   "(the lead operator plus one per A)")
-    for i, terms in enumerate(L):
-        _check_terms(terms, f"L[{i}]", len(axes))
+    _check_operator(raw["A1"], "A1", space_names)
 
     f_src = raw["f"]
     if isinstance(f_src, str):
@@ -270,11 +253,14 @@ def load_problem(path):
         _fail("f", "expected an expression string or a list of them")
 
     grid = dict(_expect_mapping(raw["grid"], "grid"))
-    for key, instead in (("lambda", 'the top-level "lambda" (or --lambda)'),
-                         ("modes", "spaces.<name>.shape (or --modes)")):
-        if key in grid:
-            _fail(f"grid.{key}", f"is not read from the grid; declare it as "
-                                 f"{instead}")
+    _refuse_moved(grid, "grid.",
+                  (("lambda", 'it as the top-level "lambda" (or --lambda)'),
+                   ("modes", "it as spaces.<name>.shape (or --modes)")))
+    grid_keys = FAMILIES[family].grid_keys
+    unread = sorted(set(grid) - set(grid_keys))
+    if unread:
+        _fail(f"grid.{unread[0]}", f"is not read by family {family}; its "
+                                   f"grid keys are {', '.join(grid_keys)}")
     box = {}
     if "box" in grid:
         box_raw = _expect_mapping(grid.pop("box"), "grid.box")
@@ -290,6 +276,9 @@ def load_problem(path):
 
     tolerances = {}
     for key, val in _expect_mapping(raw["tolerances"], "tolerances").items():
+        if key != "verify":
+            _fail(f"tolerances.{key}", "is not read; the only tolerance is "
+                                       "verify")
         tolerances[key] = _expect_number(val, f"tolerances.{key}")
 
     lam = None
@@ -307,8 +296,8 @@ def load_problem(path):
         oracle = dict(raw["oracle"])
 
     return ProblemFile(path=str(path), family=family, spaces=dict(spaces),
-                       B=dict(raw["B"]), A=[dict(d) for d in A],
-                       L=[list(t) for t in L], f=f_src, box=box, grid=grid,
+                       B=dict(raw["B"]), A1=dict(raw["A1"]), f=f_src,
+                       box=box, grid=grid,
                        tolerances=tolerances, lam=lam, oracle=oracle)
 
 
@@ -509,17 +498,12 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
         grid["lambda"] = lam
 
     B = _build_operator(pf.B, "B", spaces, lam)
-    A = [_build_operator(desc, f"A[{i}]", spaces, lam)
-         for i, desc in enumerate(pf.A)]
-    nvars = len(FAMILIES[pf.family].axes)
-    L = [DifferentialOperatorSpec(terms=tuple((tuple(k), float(c))
-                                              for k, c in terms), nvars=nvars)
-         for terms in pf.L]
+    A1 = _build_operator(pf.A1, "A1", spaces, lam)
     f = _compile_f(pf, B.codomain, grid)
-    spec = DegenerateSystemSpec(B=B, A=A, L=L, f=f, family=pf.family,
+    spec = DegenerateSystemSpec(B=B, A1=A1, f=f, family=pf.family,
                                 box=dict(pf.box), grid=grid)
     if pf.family == "spectral3":
-        _refuse_common_null_modes(B, A[0], lam)
+        _refuse_common_null_modes(B, A1, lam)
     return spec
 
 

@@ -1,10 +1,11 @@
 """Reduction of a singular operator-differential system to a regular one.
 
-The system is L0(D) B u + sum_r Lr(D) Ar u = f with B non-invertible.
-After the Jordan structure of (B, A1) is in hand, the substitution
+The system is L0(D) B u + L1(D) A1 u = f with B non-invertible, and the
+family tag fixes the two scalar operators L0 and L1 (FAMILIES).  After
+the Jordan structure of (B, A1) is in hand, the substitution
 u = Bplus v + sum C_ij phi_i^(j) + sum lambda_e phi_extra_e splits the
 system into a regular equation for v (the lead operator L0 plus the
-lower-order terms Ar Bplus) and a triangular scalar system for the C
+lower-order term A1 Bplus) and a triangular scalar system for the C
 coefficients, solvable chain by chain from the terminal level down.
 """
 
@@ -12,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import certify_operators, complete_structure
+from .chains import (certify_operators, commutability_matrix,
+                     complete_structure)
 from .errors import CompatibilityError, ConfigurationError, StructureError
 from .fd import derivative_along_axis
 
@@ -21,75 +23,48 @@ V_CONSTRAINT_TOL = 1e-8   # v leaking into the extra cokernel directions
 
 
 @dataclass(frozen=True)
-class DifferentialOperatorSpec:
-    """A scalar differential operator: sum of coef * D^k terms, with k a
-    multi-index over the nvars evolution variables."""
-
-    terms: tuple
-    nvars: int
-
-    def __post_init__(self):
-        norm = []
-        for k, coef in self.terms:
-            k = tuple(int(v) for v in k)
-            if len(k) != self.nvars or any(v < 0 for v in k):
-                raise ConfigurationError(f"bad multi-index {k} for {self.nvars} variables")
-            norm.append((k, float(coef)))
-        object.__setattr__(self, "terms", tuple(norm))
-
-    @property
-    def order(self):
-        return max((sum(k) for k, _ in self.terms), default=0)
-
-    def describe(self):
-        parts = []
-        for k, coef in self.terms:
-            if sum(k) == 0:
-                parts.append(f"{coef:g}")
-            else:
-                ds = "*".join(f"D{i}^{v}" if v > 1 else f"D{i}"
-                              for i, v in enumerate(k) if v)
-                parts.append(f"{coef:g}*{ds}")
-        return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
 class Family:
     """Everything a family tag fixes: the sample axes (also the variables
     its differential operators act on), the variables f may reference,
-    the canonical L as (lead, lower) multi-indices with coefficient 1,
-    the projection boundary conditions as (projector, axis, order) at 0,
-    and the closed-form oracle that describes it."""
+    the equation's L = (L0, L1) as multi-indices over the axes with
+    coefficient 1, the projection boundary conditions as (projector,
+    axis, order) at 0, the grid keys its back-end reads and the
+    closed-form oracle that describes it."""
 
     axes: tuple
     f_vars: tuple
     L: tuple
     bc: tuple
+    grid_keys: tuple
     closed_form: str = None
 
 
 FAMILIES = {
     "goursat": Family(("x", "y"), ("x", "y"), ((1, 1), (0, 0)),
-                      (("I-Pk", "x", 0), ("I-Pk", "y", 0)), "goursat_bessel"),
+                      (("I-Pk", "x", 0), ("I-Pk", "y", 0)),
+                      ("box", "nx", "ny"), "goursat_bessel"),
     "evolution1": Family(("t",), ("t", "x"), ((1,), (0,)),
-                         (("I-Pk", "t", 0),), "evolution1_quadrature"),
+                         (("I-Pk", "t", 0),), ("box", "dt"),
+                         "evolution1_quadrature"),
     "evolution2": Family(("t",), ("t", "x"), ((2,), (1,)),
-                         (("I", "t", 0), ("I-Pk", "t", 1)),
+                         (("I", "t", 0), ("I-Pk", "t", 1)), ("box", "dt"),
                          "evolution2_quadrature"),
     "mixed_xy": Family(("x", "y"), ("x", "y"), ((2, 0), (0, 1)),
-                       (("I-Pk", "x", 0), ("I-Pk", "x", 1), ("Pk", "y", 0))),
+                       (("I-Pk", "x", 0), ("I-Pk", "x", 1), ("Pk", "y", 0)),
+                       ("box", "nx", "ny")),
     "spectral3": Family(("t",), ("t", "x", "y"), ((3,), (0,)),
-                        tuple(("I-Pk", "t", i) for i in (0, 1, 2))),
+                        tuple(("I-Pk", "t", i) for i in (0, 1, 2)),
+                        ("box", "dt", "nquad")),
 }
 
 
 @dataclass
 class DegenerateSystemSpec:
-    """A full problem: operators, differential parts, right-hand side."""
+    """A full problem L0(D) B u + L1(D) A1 u = f: the pencil, the
+    right-hand side and the family tag that fixes L0 and L1."""
 
     B: object
-    A: list
-    L: list
+    A1: object
     f: object          # callable(**coords) -> samples with codomain dim last
     family: str
     box: dict = field(default_factory=dict)     # axis name -> (lo, hi)
@@ -99,20 +74,9 @@ class DegenerateSystemSpec:
         if self.family not in FAMILIES:
             raise ConfigurationError(
                 f"unknown family {self.family!r}; supported: {', '.join(FAMILIES)}")
-        if not self.A:
-            raise ConfigurationError("need at least the lower-order operator A1")
-        if len(self.L) != len(self.A) + 1:
-            raise ConfigurationError(
-                f"need one differential operator per term: got {len(self.L)} "
-                f"L-operators for {len(self.A)} lower-order operators plus the lead")
-        orders = [Lop.order for Lop in self.L]
-        if any(orders[i] <= orders[i + 1] for i in range(len(orders) - 1)):
-            raise ConfigurationError(
-                f"differential orders must strictly decrease from the lead: {orders}")
-        for i, Aop in enumerate(self.A, start=1):
-            if (Aop.domain.dim != self.B.domain.dim
-                    or Aop.codomain.dim != self.B.codomain.dim):
-                raise ConfigurationError(f"operator A{i} shape mismatch with B")
+        if (self.A1.domain.dim != self.B.domain.dim
+                or self.A1.codomain.dim != self.B.codomain.dim):
+            raise ConfigurationError("operator A1 shape mismatch with B")
 
 
 @dataclass(frozen=True)
@@ -121,7 +85,7 @@ class ScalarRow:
 
     unknown (chain, level) is produced from the projection onto
     psi[proj]: lead_scale * L1(D) C_unknown = beta_proj
-    - sum over lower of coef * L_op(D) C_pair."""
+    - sum over lower (pair, coef) of coef * L0(D) C_pair."""
 
     unknown: tuple
     proj: tuple
@@ -134,8 +98,8 @@ class ReducedProblem:
     system: DegenerateSystemSpec
     js: object
     ps: object
-    comm: object
-    Ltilde: tuple        # ((DifferentialOperatorSpec, matrix on E2), ...), lead first
+    comm: object         # A1's commutability result on the chain span
+    ABplus: np.ndarray   # A1 Bplus, the lower-order term of the v-equation
     IQ: np.ndarray       # I - Qk - Qextra, the solvable complement of E2
     M: np.ndarray        # IQ A1 Bplus, the lower-order matrix of the v-equation
     Csystem: tuple
@@ -146,49 +110,42 @@ class ReducedProblem:
 def reduce(spec):
     """Build the regular problem: certify commutability, assemble the
     v-equation terms and the triangular C-system."""
-    js, ps = complete_structure(spec.B, spec.A[0])
-    comm = certify_operators(js, spec.A)
-    for i, ok in enumerate(comm.certified, start=1):
-        if not ok:
-            raise StructureError(
-                f"commutability violation: operator A{i} does not map the "
-                "chain span consistently onto the z span")
-    Bplus = ps.Bplus.matrix
+    js, ps = complete_structure(spec.B, spec.A1)
+    comm = certify_operators(js)
+    if not comm.certified:
+        raise StructureError(
+            "commutability violation: operator A1 does not map the "
+            "chain span consistently onto the z span")
     IQ = np.eye(js.codomain.dim) - ps.Q
-    ABplus = [Aop.matrix @ Bplus for Aop in spec.A]
+    ABplus = spec.A1.matrix @ ps.Bplus.matrix
     # dynamics projected onto the solvable complement: for m > n the raw
     # A1 Bplus pushes v into the constraint directions handled separately
-    M = IQ @ ABplus[0]
-    vterms = [(spec.L[0], np.eye(js.codomain.dim))] + list(zip(spec.L[1:], ABplus))
+    M = IQ @ ABplus
 
     idx = js.pair_indices()
     pos = {pair: a for a, pair in enumerate(idx)}
     rows = []
     solved = set()
-    matB = comm.matB
+    matA, matB = comm.matrix, commutability_matrix(js.B, js).matrix
     for s in range(js.l):
         for t in range(1, js.p[s] + 1):
             a = pos[(s, t)]
             unknown = (s, js.p[s] + 1 - t)
-            lead = float(comm.matA[0][pos[unknown], a])
+            lead = float(matA[pos[unknown], a])
             if abs(lead - 1.0) > 1e-6:
                 raise StructureError(
                     f"C-row for chain {s + 1} level {unknown[1]} has lead "
                     f"coefficient {lead:.3e}, expected 1 after normalization")
             lower = []
             for b, pair in enumerate(idx):
-                if js.k and abs(matB[b, a]) > COEFF_TOL:
-                    lower.append((0, pair, float(matB[b, a])))
-                for r in range(1, len(comm.matA)):
-                    c = float(comm.matA[r][b, a])
-                    if abs(c) > COEFF_TOL:
-                        lower.append((r, pair, c))
-                c1 = float(comm.matA[0][b, a])
+                if abs(matB[b, a]) > COEFF_TOL:
+                    lower.append((pair, float(matB[b, a])))
+                c1 = float(matA[b, a])
                 if pair != unknown and abs(c1) > COEFF_TOL:
                     raise StructureError(
                         "quasitriangularity not certified: unexpected chain "
                         f"coupling {pair} -> {(s, t)} of size {c1:.2e}")
-            for _, pair, _ in lower:
+            for pair, _ in lower:
                 if pair not in solved:
                     raise StructureError(
                         "quasitriangularity not certified: C-row for "
@@ -202,8 +159,7 @@ def reduce(spec):
     m_extra = 0 if js.psi_extra is None else js.psi_extra.shape[1]
     compat = tuple(range(m_extra))
     return ReducedProblem(system=spec, js=js, ps=ps, comm=comm,
-                          Ltilde=tuple(vterms), IQ=IQ, M=M,
-                          Csystem=tuple(rows),
+                          ABplus=ABplus, IQ=IQ, M=M, Csystem=tuple(rows),
                           lambda_slots=lambda_slots, compat=compat)
 
 
@@ -220,19 +176,20 @@ def solve_C_recurrence(rp, beta, axes, solve_lead, accuracy=2):
     """Forward substitution through the triangular C-system.
 
     beta maps proj pairs to right sides sampled on axes, the ordered list
-    of (name, grid); the lower terms apply the system's L operators (op 0
-    is the lead L0) with stencils of the given accuracy;
-    solve_lead(samples, row) inverts the family's L1 with the homogeneous
-    data of the bc plan.  Returns {(chain, level): samples}."""
+    of (name, grid); the lower terms apply the family's lead L0 with
+    stencils of the given accuracy; solve_lead(samples, row) inverts the
+    family's L1 with the homogeneous data of the bc plan.  Returns
+    {(chain, level): samples}."""
+    lead_k = FAMILIES[rp.system.family].L[0]
     solved = {}
     for row in rp.Csystem:
         rhs = np.array(beta[row.proj], dtype=float)
-        for op_idx, pair, coef in row.lower:
+        for pair, coef in row.lower:
             if pair not in solved:
                 raise StructureError(
                     f"underdetermined C-row: {row.unknown} needs {pair} first")
             rhs = rhs - coef * apply_differential_operator(
-                rp.system.L[op_idx], solved[pair], axes, accuracy=accuracy)
+                lead_k, solved[pair], axes, accuracy=accuracy)
         solved[row.unknown] = solve_lead(rhs / row.lead_scale, row)
     return solved
 
@@ -268,50 +225,37 @@ def reconstruct_solution(rp, v_samples, C_solved):
 
 def compat_residual(rp, axes, v_samples, f_samples):
     """Residual of the unresolvable-direction conditions (m > n): for each
-    extra cokernel functional, sum_r Lr(D) <Ar Bplus v, psi_e> - <f, psi_e>
+    extra cokernel functional, L1(D) <A1 Bplus v, psi_e> - <f, psi_e>
     must vanish identically."""
     js = rp.js
-    if not rp.compat:
-        return 0.0
+    lower_k = FAMILIES[rp.system.family].L[1]
     worst = 0.0
     for e in rp.compat:
         wpsi = js.codomain.weights * js.psi_extra[:, e]
-        total = -(np.asarray(f_samples) @ wpsi)
-        for Lspec, ABplus in rp.Ltilde[1:]:
-            scal = np.asarray(v_samples) @ (ABplus.T @ wpsi)
-            total = total + apply_differential_operator(Lspec, scal, axes)
-        worst = max(worst, float(np.abs(_interior(total, rp.system.L)).max()))
+        scal = np.asarray(v_samples) @ (rp.ABplus.T @ wpsi)
+        total = (apply_differential_operator(lower_k, scal, axes)
+                 - np.asarray(f_samples) @ wpsi)
+        worst = max(worst, float(np.abs(_interior(total, len(axes))).max()))
     return worst
 
 
-def apply_differential_operator(Lspec, samples, axes, accuracy=2):
-    """Apply a DifferentialOperatorSpec to sampled scalars; axes is the
+def apply_differential_operator(k, samples, axes, accuracy=2):
+    """Derivative D^k of sampled values by the multi-index k; axes is the
     ordered list of (name, grid) the leading sample axes run over."""
-    out = np.zeros_like(np.asarray(samples, dtype=float))
-    for k, coef in Lspec.terms:
-        part = np.asarray(samples, dtype=float)
-        for axis_i, order in enumerate(k):
-            if order:
-                grid = axes[axis_i][1]
-                h = float(grid[1] - grid[0])
-                part = derivative_along_axis(part, h, order, axis=axis_i,
-                                             accuracy=accuracy)
-        out = out + coef * part
+    out = np.asarray(samples, dtype=float)
+    for axis_i, order in enumerate(k):
+        if order:
+            grid = axes[axis_i][1]
+            h = float(grid[1] - grid[0])
+            out = derivative_along_axis(out, h, order, axis=axis_i,
+                                        accuracy=accuracy)
     return out
 
 
-def _interior(arr, Lops, width=2):
-    """Trim a stencil-width band off every differentiated axis."""
-    arr = np.asarray(arr)
-    diff_axes = set()
-    for Lop in Lops:
-        for k, _ in Lop.terms:
-            for i, order in enumerate(k):
-                if order:
-                    diff_axes.add(i)
-    slicer = tuple(slice(width, -width) if i in diff_axes else slice(None)
-                   for i in range(arr.ndim))
-    return arr[slicer] if arr.ndim else arr
+def _interior(arr, naxes):
+    """Trim the 2-node stencil band off the leading naxes sample axes:
+    every family differentiates each of its axes."""
+    return np.asarray(arr)[(slice(2, -2),) * naxes]
 
 
 def _require_stencil_nodes(axes):
@@ -322,14 +266,14 @@ def _require_stencil_nodes(axes):
 
 
 def equation_residual(spec, axes, u, f_vals):
-    """Interior max-norm of L0(D)Bu + sum Lr(D)Ar u - f by centered finite
+    """Interior max-norm of L0(D) B u + L1(D) A1 u - f by centered finite
     differences; axes is the ordered list of (name, grid) matching the
     leading axes of u and f_vals (dimension last)."""
     _require_stencil_nodes(axes)
-    total = apply_differential_operator(spec.L[0], u @ spec.B.matrix.T, axes)
-    for r, Aop in enumerate(spec.A, start=1):
-        total = total + apply_differential_operator(spec.L[r], u @ Aop.matrix.T, axes)
-    return float(np.abs(_interior(total - f_vals, spec.L)).max())
+    lead_k, lower_k = FAMILIES[spec.family].L
+    total = (apply_differential_operator(lead_k, u @ spec.B.matrix.T, axes)
+             + apply_differential_operator(lower_k, u @ spec.A1.matrix.T, axes))
+    return float(np.abs(_interior(total - f_vals, len(axes))).max())
 
 
 def residual_check(rp, fld):
@@ -375,15 +319,23 @@ def _mesh_coords(axes):
     return {name: grids[i] for i, (name, _) in enumerate(axes)}
 
 
+def _describe(k):
+    """The operator D^k with coefficient 1 in report form: '1*D0^2*D1', or
+    '1' for the identity."""
+    ds = "*".join(f"D{i}^{v}" if v > 1 else f"D{i}" for i, v in enumerate(k) if v)
+    return f"1*{ds}" if ds else "1"
+
+
 def describe_reduction(rp):
     """Stable text report of a reduced problem (for goldens and the CLI)."""
-    lines = ["regular part:"]
-    for Lspec, mat in rp.Ltilde:
-        scale = float(np.abs(mat).max()) if mat.size else 0.0
-        lines.append(f"  [{Lspec.describe()}] x operator(|coef|_max={scale:.6g})")
-    lines.append(f"C-system rows: {len(rp.Csystem)}")
+    lead_k, lower_k = FAMILIES[rp.system.family].L
+    lines = ["regular part:",
+             f"  [{_describe(lead_k)}] x operator(|coef|_max=1)",
+             f"  [{_describe(lower_k)}] x operator(|coef|_max="
+             f"{float(np.abs(rp.ABplus).max()):.6g})",
+             f"C-system rows: {len(rp.Csystem)}"]
     for row in rp.Csystem:
-        deps = ", ".join(f"L{op} C{pair}" for op, pair, _ in row.lower) or "none"
+        deps = ", ".join(f"L0 C{pair}" for pair, _ in row.lower) or "none"
         lines.append(f"  C{row.unknown} from psi{row.proj}; lower terms: {deps}")
     lines.append(f"free function slots: {', '.join(rp.lambda_slots) or 'none'}")
     lines.append(f"compatibility functionals: {len(rp.compat)}")

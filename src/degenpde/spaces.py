@@ -18,6 +18,7 @@ from .errors import ConfigurationError
 from .expressions import evaluate, parse
 
 DEFAULT_RANK_TOL = 1e-10
+KERNEL_PARALLEL_TOL = 1e-8   # exact_on: K v against its projection onto v
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def matrix_operator(rows, domain=None, codomain=None):
     return FiniteOperator(m, dom, cod)
 
 
-def make_kernel_operator(space, kind, kernel, exact_on=None, parallel_tol=1e-8):
+def make_kernel_operator(space, kind, kernel, exact_on=None):
     """Integral operator on a grid space from a kernel expression in (x, s).
 
     kind "kernel_only" gives (K u)(x_i) = sum_j w_j k(x_i, s_j) u_j with the
@@ -188,8 +189,8 @@ def make_kernel_operator(space, kind, kernel, exact_on=None, parallel_tol=1e-8):
     exactly (K v = v for identity_minus_kernel, so that (I - K) v = 0).
     The quadrature only reproduces it approximately, so the kernel is
     rescaled by the factor that makes the reproduction exact.  The sampled
-    K v must already be proportional to v to within parallel_tol, else the
-    request is refused.
+    K v must already be proportional to v to within KERNEL_PARALLEL_TOL,
+    else the request is refused.
     """
     if space.grid is None:
         raise ConfigurationError("kernel operators need a grid space")
@@ -211,7 +212,7 @@ def make_kernel_operator(space, kind, kernel, exact_on=None, parallel_tol=1e-8):
         if vnorm == 0 or wnorm == 0:
             raise ConfigurationError("exact_on expression or its image is zero")
         resid = np.linalg.norm(w - (np.dot(v, w) / np.dot(v, v)) * v) / wnorm
-        if resid > parallel_tol:
+        if resid > KERNEL_PARALLEL_TOL:
             raise ConfigurationError(
                 f"kernel image of exact_on expression is not proportional to it "
                 f"(relative deviation {resid:.2e})")

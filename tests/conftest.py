@@ -8,8 +8,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from degenpde.reduction import (DegenerateSystemSpec,  # noqa: E402
-                                DifferentialOperatorSpec)
+from degenpde.reduction import DegenerateSystemSpec  # noqa: E402
 from degenpde.spaces import (grid_space, identity_operator,  # noqa: E402
                              make_kernel_operator)
 
@@ -28,10 +27,6 @@ def problems_dir():
     return pathlib.Path(__file__).resolve().parent.parent / "problems"
 
 
-def op_spec(*terms, nvars=1):
-    return DifferentialOperatorSpec(terms=tuple(terms), nvars=nvars)
-
-
 def kernel_evolution_spec(family, f, nodes=201, quadrature="simpson",
                           t_hi=2.0, dt=1e-3, a1_scale=-1.0):
     """The bundled single-kernel evolution problem: B = I - 3xs on [0,1],
@@ -40,11 +35,7 @@ def kernel_evolution_spec(family, f, nodes=201, quadrature="simpson",
     B = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s",
                              exact_on="x")
     A1 = identity_operator(sp, scale=a1_scale)
-    if family == "evolution1":
-        L = [op_spec(((1,), 1.0)), op_spec(((0,), 1.0))]
-    else:
-        L = [op_spec(((2,), 1.0)), op_spec(((1,), 1.0))]
-    return DegenerateSystemSpec(B=B, A=[A1], L=L, f=f, family=family,
+    return DegenerateSystemSpec(B=B, A1=A1, f=f, family=family,
                                 box={"t": (0.0, t_hi)}, grid={"dt": dt})
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,8 +38,7 @@ def test_structure_on_invertible_lead_is_regular(example, tmp_path, capsys):
         "family": "mixed_xy",
         "spaces": {"state": {"kind": "euclidean", "dim": 2}},
         "B": {"kind": "identity", "space": "state"},
-        "A": [{"kind": "identity", "space": "state"}],
-        "L": [[[[2, 0], 1.0]], [[[0, 1], 1.0]]],
+        "A1": {"kind": "identity", "space": "state"},
         "f": ["1", "1"],
         "grid": {"box": {"x": [0.0, 1.0], "y": [0.0, 1.0]}},
         "tolerances": {"verify": 1e-8},
@@ -109,8 +109,8 @@ def test_common_null_direction_is_refused_up_front(problems_dir, tmp_path, capsy
     # terminate; neither matrix has a zero column
     obj = json.loads((problems_dir / "example1.json").read_text(encoding="utf-8"))
     obj["B"]["rows"] = [[1.0, 1.0], [1.0, 1.0]]
-    obj["A"][0] = {"kind": "matrix", "space": "state",
-                   "rows": [[2.0, 2.0], [0.0, 0.0]]}
+    obj["A1"] = {"kind": "matrix", "space": "state",
+                 "rows": [[2.0, 2.0], [0.0, 0.0]]}
     path = tmp_path / "common_null.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     code = main(["structure", str(path)])
@@ -179,42 +179,47 @@ def test_400_term_flat_sum_still_verifies(problems_dir, tmp_path, capsys):
     assert "verdict=pass" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name, L", [
-    ("example2.json", [[[[1], 5.0]], [[[0], 2.0]]]),
-    ("example1.json", [[[[1, 1], 3.0]], [[[0, 0], 1.0]]]),
-    ("example4.json", [[[[2, 0], 3.0]], [[[0, 1], 1.0]]]),
-    ("example4.json", [[[[1, 1], 1.0]], [[[0, 1], 1.0]]]),
-], ids=["example2-5Dt", "example1-3DxDy", "example4-3Dxx", "example4-DxDy"])
-def test_verify_refuses_an_equation_the_family_does_not_solve(
-        problems_dir, tmp_path, capsys, name, L):
-    # none of these is its family's canonical equation; solving the
-    # canonical one and passing the oracle would be a false pass
-    obj = json.loads((problems_dir / name).read_text(encoding="utf-8"))
-    obj["L"] = L
-    path = tmp_path / "scaled.json"
+def _with_L(obj):
+    obj["L"] = [[[[2], 1.0]], [[[1], 1.0]], [[[0], 1.0]]]
+
+
+def _with_A(obj):
+    obj["A"] = [obj.pop("A1"), {"kind": "identity", "space": "state",
+                                "scale": 0.5}]
+
+
+def _with_grid_key(obj):
+    obj["grid"]["nodes"] = 11
+
+
+def _with_tolerance_key(obj):
+    obj["tolerances"]["residual"] = 1e-6
+
+
+@pytest.mark.parametrize("command", ["structure", "solve", "verify", "report"])
+@pytest.mark.parametrize("edit, message", [
+    (_with_L, 'error: L: is not read; .*"family"'),
+    (_with_A, 'error: A: is not read; .*"A1"'),
+    (_with_grid_key, "error: grid.nodes: is not read by family evolution2"),
+    (_with_tolerance_key, "error: tolerances.residual: is not read"),
+], ids=["L", "A", "grid-key", "tolerance-key"])
+def test_unread_keys_are_input_errors(problems_dir, tmp_path, monkeypatch,
+                                      capsys, command, edit, message):
+    # the family tag is the only statement of the equation: a file still
+    # declaring L or a list of operators A (here the L0 B + L1 A1 + L2 A2
+    # system, A2 = 0.5 I) is refused before anything is solved, as is a
+    # key that nothing reads
+    monkeypatch.chdir(tmp_path)
+    obj = json.loads((problems_dir / "example3.json").read_text(encoding="utf-8"))
+    edit(obj)
+    path = tmp_path / "unread.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
-    code = main(["verify", str(path)])
+    code = main([command, str(path)])
     captured = capsys.readouterr()
     assert code == 2
-    assert "is not that equation" in captured.err
-    assert "verdict=pass" not in captured.out
-
-
-def test_structure_runs_on_an_equation_the_family_does_not_solve(
-        problems_dir, tmp_path, capsys):
-    # structure reads only the operator pair, so the refusal of a foreign
-    # L belongs to the solve step and structure still reports
-    def structure_section(path):
-        assert main(["structure", str(path)]) == 0
-        out = capsys.readouterr().out
-        return out[out.index("== structure =="):out.index("wall_time_s=")]
-
-    obj = json.loads((problems_dir / "example1.json").read_text(encoding="utf-8"))
-    obj["L"][0] = [[[1, 1], 3.0]]
-    path = tmp_path / "scaled.json"
-    path.write_text(json.dumps(obj), encoding="utf-8")
-    assert (structure_section(path)
-            == structure_section(problems_dir / "example1.json"))
+    assert re.search(message, captured.err), captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == [path]
 
 
 def test_mode_override_runs_smaller_table(example, tmp_path, capsys):
@@ -255,6 +260,12 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in degenpde.__all__ if not hasattr(degenpde, name)]
+    assert missing == []
+    assert len(set(degenpde.__all__)) == len(degenpde.__all__)
 
 
 def test_missing_file_is_an_input_error(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from degenpde.chains import (CommutabilityData, _biorthogonal_partners,
+from degenpde.chains import (_biorthogonal_partners,
                              _normalize_primal_chains, _pseudo_inverse,
                              _refuse_coupled_extras,
                              _terminal_pairing_certificate,
@@ -12,8 +12,7 @@ from degenpde.chains import (CommutabilityData, _biorthogonal_partners,
                              structure_report)
 from degenpde.errors import StructureError
 from degenpde.problems import instantiate, load_problem
-from degenpde.reduction import (DegenerateSystemSpec, DifferentialOperatorSpec,
-                                reduce)
+from degenpde.reduction import DegenerateSystemSpec, reduce
 from degenpde.spaces import (euclidean_space, grid_space, identity_operator,
                              make_kernel_operator, matrix_operator)
 
@@ -140,7 +139,7 @@ def test_complete_structure_factors_at_most_twice(problems_dir, monkeypatch, nam
                 large.append(_name)
             return _orig(a, *args, **kw)
         monkeypatch.setattr(np.linalg, fname, counted)
-    complete_structure(spec.B, spec.A[0])
+    complete_structure(spec.B, spec.A1)
     assert len(large) <= 2, large
 
 
@@ -232,15 +231,12 @@ def test_within_chain_operator_fails_quasitriangularity():
     np.testing.assert_allclose(r.matrix, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
 
-def test_certify_operators_collects_per_operator_flags():
-    B, A = _pair([[1.0, 0.0], [0.0, 0.0]], np.eye(2))
+def test_certify_operators_certifies_the_pencil_A1():
+    B, A = _pair([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
     js, _ = complete_structure(B, A)
-    data = certify_operators(js, [A, matrix_operator(np.zeros((2, 2)))])
-    assert isinstance(data, CommutabilityData)
-    assert data.certified == [True, True]
-    assert data.quasitriangular == [True, True]
-    assert len(data.matA) == 2
-    np.testing.assert_array_equal(data.matB, np.zeros((1, 1)))
+    r = certify_operators(js)
+    assert r.certified and r.quasitriangular
+    np.testing.assert_array_equal(r.matrix, commutability_matrix(A, js).matrix)
 
 
 def test_uncertified_operator_detected():
@@ -392,8 +388,6 @@ def test_random_pairs_satisfy_structure_invariants(rng):
 
 @pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
 def test_random_rectangular_pencils_keep_extra_directions(rng, tall):
-    D1 = DifferentialOperatorSpec(terms=(((1,), 1.0),), nvars=1)
-    ID = DifferentialOperatorSpec(terms=(((0,), 1.0),), nvars=1)
     for _ in range(40):
         r, l, e = (int(v) for v in rng.integers(1, (5, 3, 3)))
         B, A1 = random_rectangular_pair(rng, r, l, e, tall)
@@ -413,7 +407,7 @@ def test_random_rectangular_pencils_keep_extra_directions(rng, tall):
         else:
             extra, partner = js.phi_extra, js.gamma_extra
         np.testing.assert_allclose(extra.T @ partner, np.eye(e), atol=1e-9)
-        spec = DegenerateSystemSpec(B=B, A=[A1], L=[D1, ID], f=None,
+        spec = DegenerateSystemSpec(B=B, A1=A1, f=None,
                                     family="evolution1", box={"t": (0.0, 1.0)})
         rp = reduce(spec)
         assert len(rp.compat if tall else rp.lambda_slots) == e
@@ -434,7 +428,7 @@ def test_extra_directions_survive_a_large_lower_order_operator(rng):
 def test_structure_report_contents():
     B, A = _pair([[1.0, 0.0], [0.0, 0.0]], np.eye(2))
     js, ps = complete_structure(B, A)
-    comm = certify_operators(js, [A])
+    comm = certify_operators(js)
     text = structure_report(js, ps, comm)
     for token in ("n=1", "m=1", "nu=0", "l=1", "p=1", "k=1",
                   "terminal_pairing_det", "chain_link_residual",

@@ -11,7 +11,7 @@ from degenpde.errors import (CompatibilityError, ConfigurationError,
 from degenpde.expressions import parse
 from degenpde.problems import (_mode_sampler, evaluate_oracle, instantiate,
                                load_problem)
-from degenpde.reduction import reduce
+from degenpde.reduction import FAMILIES, reduce
 from degenpde.solvers import solve_family
 
 from conftest import PROBLEMS
@@ -22,8 +22,7 @@ MINIMAL_EVOLUTION = {
                          "quadrature": "simpson"}},
     "B": {"kind": "kernel", "space": "state", "kernel": "3*x*s",
           "exact_on": "x"},
-    "A": [{"kind": "identity", "space": "state", "scale": -1.0}],
-    "L": [[[[1], 1.0]], [[[0], 1.0]]],
+    "A1": {"kind": "identity", "space": "state", "scale": -1.0},
     "f": "x",
     "grid": {"box": {"t": [0.0, 1.0]}, "dt": 0.01},
     "tolerances": {"verify": 1e-6},
@@ -33,8 +32,7 @@ MINIMAL_SPECTRAL = {
     "family": "spectral3",
     "spaces": {"state": {"kind": "modes", "shape": [4, 4]}},
     "B": {"kind": "mode_diag", "space": "state", "entry": "1 - x^2"},
-    "A": [{"kind": "mode_diag", "space": "state", "entry": "s - y^2"}],
-    "L": [[[[3], 1.0]], [[[0], 1.0]]],
+    "A1": {"kind": "mode_diag", "space": "state", "entry": "s - y^2"},
     "f": "sin(2*x)*sin(y)*exp(-t)",
     "lambda": 5.0,
     "grid": {"box": {"t": [0.0, 1.0]}, "dt": 0.01, "nquad": 32},
@@ -145,14 +143,58 @@ def test_bad_operator_descriptions(tmp_path):
 
 
 def test_operator_term_validation(tmp_path):
-    obj = copy.deepcopy(MINIMAL_EVOLUTION)
-    obj["L"] = [[[[1], 1.0]]]
-    with pytest.raises(ConfigurationError, match="L: needs 2 term lists"):
-        load_problem(_dump(tmp_path, obj))
-    obj["L"] = [[[[1, 0], 1.0]], [[[0], 1.0]]]
+    # the family fixes L0 and L1, so term lists and operator lists are
+    # refused with the key that replaces them
+    obj = _variant(MINIMAL_EVOLUTION, L=[[[[1], 1.0]], [[[0], 1.0]]])
     with pytest.raises(ConfigurationError,
-                       match=r"L\[0\]\[0\].*1 non-negative integers"):
+                       match='L: is not read; declare the equation through '
+                             '"family" only'):
         load_problem(_dump(tmp_path, obj))
+    obj = copy.deepcopy(MINIMAL_EVOLUTION)
+    obj["A"] = [obj.pop("A1")]
+    with pytest.raises(ConfigurationError,
+                       match='A: is not read; declare the one lower-order '
+                             'operator as "A1"'):
+        load_problem(_dump(tmp_path, obj))
+    obj = copy.deepcopy(MINIMAL_EVOLUTION)
+    obj["A1"] = {"kind": "projector", "space": "state"}
+    with pytest.raises(ConfigurationError, match="A1.kind: unknown operator"):
+        load_problem(_dump(tmp_path, obj))
+
+
+@pytest.mark.parametrize("family, reads", [
+    ("goursat", "box, nx, ny"), ("evolution1", "box, dt"),
+    ("evolution2", "box, dt"), ("mixed_xy", "box, nx, ny"),
+    ("spectral3", "box, dt, nquad"),
+])
+def test_unread_grid_and_tolerance_keys_are_refused(tmp_path, family, reads):
+    base = MINIMAL_SPECTRAL if family == "spectral3" else MINIMAL_EVOLUTION
+    obj = _variant(base, family=family, grid={"output_stride_t": 5})
+    with pytest.raises(ConfigurationError,
+                       match=f"grid.output_stride_t: is not read by family "
+                             f"{family}; its grid keys are {reads}$"):
+        load_problem(_dump(tmp_path, obj))
+    unread = {"goursat": "dt", "evolution1": "nx", "evolution2": "nquad",
+              "mixed_xy": "nodes", "spectral3": "ny"}[family]
+    obj = _variant(base, family=family, grid={unread: 11})
+    with pytest.raises(ConfigurationError, match=f"grid.{unread}: is not read"):
+        load_problem(_dump(tmp_path, obj))
+    obj = _variant(base, family=family, grid={},
+                   tolerances={"verify": 1e-6, "oracle": 1e-3})
+    with pytest.raises(ConfigurationError,
+                       match="tolerances.oracle: is not read; the only "
+                             "tolerance is verify"):
+        load_problem(_dump(tmp_path, obj))
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_every_bundled_file_loads_with_only_keys_its_family_reads(
+        problems_dir, name):
+    raw = json.loads((problems_dir / name).read_text(encoding="utf-8"))
+    pf = load_problem(problems_dir / name)
+    assert set(raw["grid"]) <= set(FAMILIES[pf.family].grid_keys)
+    assert set(pf.tolerances) == {"verify"}
+    assert "A" not in raw and "L" not in raw
 
 
 def test_forcing_variable_scope(tmp_path):
@@ -191,7 +233,6 @@ def test_oracle_validation(tmp_path):
         load_problem(path)
     # a closed form of another family is refused, not a false fail
     second_order = _variant(MINIMAL_EVOLUTION, family="evolution2",
-                            L=[[[[2], 1.0]], [[[1], 1.0]]],
                             oracle={"kind": "closed_form",
                                     "name": "evolution1_quadrature"})
     with pytest.raises(ConfigurationError,
@@ -206,8 +247,7 @@ def test_component_count_checked_at_instantiation(tmp_path):
         "spaces": {"state": {"kind": "euclidean", "dim": 2}},
         "B": {"kind": "matrix", "space": "state",
               "rows": [[1.0, 0.0], [0.0, 0.0]]},
-        "A": [{"kind": "identity", "space": "state"}],
-        "L": [[[[2, 0], 1.0]], [[[0, 1], 1.0]]],
+        "A1": {"kind": "identity", "space": "state"},
         "f": ["1", "1", "1"],
         "grid": {"box": {"x": [0.0, 1.0], "y": [0.0, 1.0]}},
         "tolerances": {"verify": 1e-8},
@@ -222,8 +262,7 @@ def test_matrix_shape_checked_at_instantiation(tmp_path):
         "family": "mixed_xy",
         "spaces": {"state": {"kind": "euclidean", "dim": 2}},
         "B": {"kind": "matrix", "space": "state", "rows": [[1.0, 0.0, 0.0]]},
-        "A": [{"kind": "identity", "space": "state"}],
-        "L": [[[[2, 0], 1.0]], [[[0, 1], 1.0]]],
+        "A1": {"kind": "identity", "space": "state"},
         "f": ["1", "1"],
         "grid": {"box": {"x": [0.0, 1.0], "y": [0.0, 1.0]}},
         "tolerances": {"verify": 1e-8},
@@ -329,7 +368,7 @@ def test_common_null_mode_of_the_built_pencil_is_refused(problems_dir, tmp_path)
     # B = 1 - n^2 and A1 = 2 - 2 m^2 both vanish on mode (1, 1)
     obj = json.loads((problems_dir / "example5.json").read_text(encoding="utf-8"))
     obj["spaces"]["state"]["shape"] = [8, 8]
-    obj["A"][0]["entry"] = "s - 2*y^2"
+    obj["A1"]["entry"] = "s - 2*y^2"
     obj["lambda"] = 2.0
     with pytest.raises(CompatibilityError,
                        match=r"resonant lambda: 2 .* on mode \(1, 1\);"):
@@ -341,7 +380,7 @@ def test_instantiate_is_deterministic(tmp_path):
     a = instantiate(pf)
     b = instantiate(pf)
     assert a.B.matrix.tobytes() == b.B.matrix.tobytes()
-    assert a.A[0].matrix.tobytes() == b.A[0].matrix.tobytes()
+    assert a.A1.matrix.tobytes() == b.A1.matrix.tobytes()
     t = np.linspace(0.0, 1.0, 7)
     assert a.f(t=t).tobytes() == b.f(t=t).tobytes()
 

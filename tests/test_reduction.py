@@ -3,48 +3,27 @@
 import numpy as np
 import pytest
 
-from degenpde.errors import (CompatibilityError, ConfigurationError,
-                             StructureError)
+from degenpde.errors import CompatibilityError, ConfigurationError
+from degenpde.problems import instantiate, load_problem
 from degenpde.reduction import (FAMILIES, DegenerateSystemSpec,
-                                DifferentialOperatorSpec,
                                 apply_differential_operator, describe_reduction,
                                 reconstruct_solution, reduce, residual_check)
 from degenpde.solvers import SolutionField, solve_family
 from degenpde.spaces import FiniteOperator, grid_space, matrix_operator
 
-D1 = DifferentialOperatorSpec(terms=(((1,), 1.0),), nvars=1)
-D2 = DifferentialOperatorSpec(terms=(((2,), 1.0),), nvars=1)
-ID = DifferentialOperatorSpec(terms=(((0,), 1.0),), nvars=1)
+
+def _evolution_spec(B, A, f, dt=1e-3, t_hi=1.0):
+    return DegenerateSystemSpec(B=B, A1=A, f=f, family="evolution1",
+                                box={"t": (0.0, t_hi)}, grid={"dt": dt})
 
 
-def _evolution_spec(B, A, f, L=None, dt=1e-3, t_hi=1.0):
-    return DegenerateSystemSpec(B=B, A=A, L=L or [D1, ID], f=f,
-                                family="evolution1", box={"t": (0.0, t_hi)},
-                                grid={"dt": dt})
-
-
-# -- differential operator specs ----------------------------------------------
-
-def test_operator_spec_order_and_identity():
-    op = DifferentialOperatorSpec(terms=(((2, 1), 1.0), ((0, 0), -3.0)),
-                                  nvars=2)
-    assert op.order == 3
-    assert "D0^2" in op.describe() and "D1" in op.describe()
-
-
-def test_operator_spec_rejects_bad_multi_index():
-    with pytest.raises(ConfigurationError, match="bad multi-index"):
-        DifferentialOperatorSpec(terms=(((1, 0), 1.0),), nvars=1)
-    with pytest.raises(ConfigurationError, match="bad multi-index"):
-        DifferentialOperatorSpec(terms=(((-1,), 1.0),), nvars=1)
-
+# -- differential operators ---------------------------------------------------
 
 def test_apply_differential_operator_mixed_partial():
     x = np.linspace(0.0, 1.0, 41)
     y = np.linspace(0.0, 1.0, 31)
     field = np.outer(x ** 2, y)
-    op = DifferentialOperatorSpec(terms=(((1, 1), 1.0),), nvars=2)
-    out = apply_differential_operator(op, field, [("x", x), ("y", y)])
+    out = apply_differential_operator((1, 1), field, [("x", x), ("y", y)])
     np.testing.assert_allclose(out, np.broadcast_to(2 * x[:, None],
                                                     field.shape), atol=1e-9)
 
@@ -54,34 +33,14 @@ def test_apply_differential_operator_mixed_partial():
 def test_system_spec_rejects_unknown_family():
     B = matrix_operator(np.eye(2))
     with pytest.raises(ConfigurationError, match="unknown family 'heat'"):
-        DegenerateSystemSpec(B=B, A=[B], L=[D1, ID], f=None, family="heat")
-
-
-def test_system_spec_counts_operators():
-    B = matrix_operator(np.eye(2))
-    with pytest.raises(ConfigurationError, match="one differential operator"):
-        DegenerateSystemSpec(B=B, A=[B], L=[D1], f=None, family="evolution1")
-
-
-def test_system_spec_requires_decreasing_orders():
-    B = matrix_operator(np.eye(2))
-    with pytest.raises(ConfigurationError, match="strictly decrease"):
-        DegenerateSystemSpec(B=B, A=[B], L=[ID, D1], f=None,
-                             family="evolution1")
-
-
-def test_system_spec_requires_lower_order_operator():
-    B = matrix_operator(np.eye(2))
-    with pytest.raises(ConfigurationError, match="lower-order operator A1"):
-        DegenerateSystemSpec(B=B, A=[], L=[D1], f=None, family="evolution1")
+        DegenerateSystemSpec(B=B, A1=B, f=None, family="heat")
 
 
 def test_system_spec_checks_operator_shapes():
     B = matrix_operator(np.eye(2))
     A = matrix_operator(np.eye(3))
     with pytest.raises(ConfigurationError, match="A1 shape mismatch"):
-        DegenerateSystemSpec(B=B, A=[A], L=[D1, ID], f=None,
-                             family="evolution1")
+        DegenerateSystemSpec(B=B, A1=A, f=None, family="evolution1")
 
 
 # -- boundary plans -------------------------------------------------------------
@@ -101,6 +60,22 @@ def test_boundary_plans_per_family():
 
 # -- reduction ------------------------------------------------------------------
 
+@pytest.mark.parametrize("name, lead, lower, scale", [
+    ("example1", "1*D0*D1", "1", "1"),
+    ("example2", "1*D0", "1", "1"),
+    ("example3", "1*D0^2", "1*D0", "1"),
+    ("example4", "1*D0^2", "1*D1", "1"),
+    ("example5", "1*D0^3", "1", "83.6667"),
+], ids=[f"example{i}" for i in range(1, 6)])
+def test_regular_part_lines_of_the_bundled_problems(problems_dir, name, lead,
+                                                    lower, scale):
+    rp = reduce(instantiate(load_problem(problems_dir / f"{name}.json")))
+    lines = describe_reduction(rp).splitlines()
+    assert lines[:3] == ["regular part:",
+                         f"  [{lead}] x operator(|coef|_max=1)",
+                         f"  [{lower}] x operator(|coef|_max={scale})"]
+
+
 def _assert_regular_part(rp, A):
     # B Bplus is the projector onto the solvable complement, and M is
     # assembled from it and the v-equation's A1 Bplus term, in that order
@@ -116,7 +91,7 @@ def _assert_regular_part(rp, A):
 def test_reduce_single_link_chain_layout():
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0]])
     A = matrix_operator(np.eye(2))
-    rp = reduce(_evolution_spec(B, [A], f=None))
+    rp = reduce(_evolution_spec(B, A, f=None))
     _assert_regular_part(rp, A)
     assert len(rp.Csystem) == 1
     row = rp.Csystem[0]
@@ -134,17 +109,20 @@ def test_reduce_single_link_chain_layout():
 def test_reduce_length_two_chain_orders_rows():
     B = matrix_operator([[0.0, 1.0], [0.0, 0.0]])
     A = matrix_operator(np.eye(2))
-    rp = reduce(_evolution_spec(B, [A], f=None))
+    rp = reduce(_evolution_spec(B, A, f=None))
     assert [row.unknown for row in rp.Csystem] == [(0, 2), (0, 1)]
     # the second row depends on the first through the lead operator
     assert rp.Csystem[0].lower == ()
-    assert any(pair == (0, 2) for _, pair, _ in rp.Csystem[1].lower)
+    [(pair, coef)] = rp.Csystem[1].lower
+    assert pair == (0, 2) and coef == pytest.approx(1.0)
+    assert ("  C(0, 1) from psi(0, 2); lower terms: L0 C(0, 2)\n"
+            in describe_reduction(rp))
 
 
 def test_reduce_names_free_function_slots():
     B = matrix_operator([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     A = matrix_operator([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    rp = reduce(_evolution_spec(B, [A], f=None))
+    rp = reduce(_evolution_spec(B, A, f=None))
     _assert_regular_part(rp, A)
     assert rp.lambda_slots == ("lambda_2",)
     assert rp.compat == ()
@@ -153,7 +131,7 @@ def test_reduce_names_free_function_slots():
 def test_reduce_counts_compat_functionals():
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     A = matrix_operator([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    rp = reduce(_evolution_spec(B, [A], f=None))
+    rp = reduce(_evolution_spec(B, A, f=None))
     _assert_regular_part(rp, A)
     assert rp.compat == (0,)
     assert rp.lambda_slots == ()
@@ -165,29 +143,9 @@ def test_reduce_regular_part_of_a_nonsymmetric_pair(rng):
     sp = grid_space(0.0, 1.0, 6)
     B = FiniteOperator(rng.normal(size=(6, 4)) @ rng.normal(size=(4, 6)), sp, sp)
     A = FiniteOperator(rng.normal(size=(6, 6)), sp, sp)
-    rp = reduce(_evolution_spec(B, [A], f=None))
+    rp = reduce(_evolution_spec(B, A, f=None))
     assert rp.js.p == (1, 1)
     _assert_regular_part(rp, A)
-
-
-def test_reduce_rejects_uncertified_operator():
-    B = matrix_operator([[1.0, 0.0], [0.0, 0.0]])
-    A1 = matrix_operator(np.eye(2))
-    A2 = matrix_operator([[0.0, 1.0], [0.0, 0.0]])  # pushes phi off span z
-    spec = DegenerateSystemSpec(B=B, A=[A1, A2], L=[D2, D1, ID], f=None,
-                                family="evolution1", box={"t": (0.0, 1.0)})
-    with pytest.raises(StructureError, match="commutability violation"):
-        reduce(spec)
-
-
-def test_reduce_rejects_chain_coupling_operator():
-    B = matrix_operator(np.diag([1.0, 0.0, 0.0]))
-    A1 = matrix_operator(np.eye(3))
-    A2 = matrix_operator(np.eye(3)[[0, 2, 1]])  # swaps the two chains
-    spec = DegenerateSystemSpec(B=B, A=[A1, A2], L=[D2, D1, ID], f=None,
-                                family="evolution1", box={"t": (0.0, 1.0)})
-    with pytest.raises(StructureError, match="quasitriangularity not certified"):
-        reduce(spec)
 
 
 # -- end-to-end on a hand-solvable length-two chain -----------------------------
@@ -202,7 +160,7 @@ def test_length_two_chain_recovers_manufactured_solution():
         t = np.asarray(t, dtype=float)
         return np.stack([np.sin(t), t ** 2], axis=-1)
 
-    rp = reduce(_evolution_spec(B, [A], f=f))
+    rp = reduce(_evolution_spec(B, A, f=f))
     fld = solve_family(rp)
     t = fld.axes[0][1]
     want1 = np.sin(t) - 2.0 * t
@@ -219,7 +177,7 @@ def test_tall_realization_accepts_compatible_data():
         t = np.asarray(t, dtype=float)
         return np.stack([np.cos(t), np.sin(t), t], axis=-1)
 
-    rp = reduce(_evolution_spec(B, [A], f=f))
+    rp = reduce(_evolution_spec(B, A, f=f))
     fld = solve_family(rp)
     t = fld.axes[0][1]
     assert np.abs(fld.values[:, 0] - np.sin(t)).max() <= 1e-8
@@ -234,7 +192,7 @@ def test_tall_realization_rejects_incompatible_data():
         t = np.asarray(t, dtype=float)
         return np.stack([np.ones_like(t), 0 * t, 0 * t], axis=-1)
 
-    rp = reduce(_evolution_spec(B, [A], f=f))
+    rp = reduce(_evolution_spec(B, A, f=f))
     with pytest.raises(CompatibilityError, match="unresolvable-direction"):
         solve_family(rp)
 
@@ -243,7 +201,7 @@ def test_regular_part_leaking_into_extra_cokernel_is_refused():
     # the back-ends keep v in the range of I - Q; a v along z_extra is not
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     A = matrix_operator([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    rp = reduce(_evolution_spec(B, [A], f=lambda t=None: np.zeros((np.size(t), 3))))
+    rp = reduce(_evolution_spec(B, A, f=lambda t=None: np.zeros((np.size(t), 3))))
     with pytest.raises(CompatibilityError, match="leaks into the unresolvable"):
         reconstruct_solution(rp, rp.js.z_extra.T, {})
 
@@ -258,7 +216,7 @@ def test_residual_check_zero_solution_zero_rhs():
         t = np.asarray(t, dtype=float)
         return np.stack([0 * t, 0 * t], axis=-1)
 
-    rp = reduce(_evolution_spec(B, [A], f=f))
+    rp = reduce(_evolution_spec(B, A, f=f))
     tg = np.linspace(0.0, 1.0, 101)
     fld = SolutionField(axes=(("t", tg),), values=np.zeros((101, 2)))
     resid, report = residual_check(rp, fld)
@@ -274,7 +232,7 @@ def test_residual_check_reports_boundary_conditions():
         t = np.asarray(t, dtype=float)
         return np.stack([np.cos(t), np.exp(-t)], axis=-1)
 
-    spec = _evolution_spec(B, [A], f=f)
+    spec = _evolution_spec(B, A, f=f)
     rp = reduce(spec)
     fld = solve_family(rp)
     resid, report = residual_check(rp, fld)
@@ -286,7 +244,7 @@ def test_residual_check_reports_boundary_conditions():
 
 def test_residual_check_wants_enough_nodes():
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0]])
-    rp = reduce(_evolution_spec(B, [matrix_operator(np.eye(2))], f=None))
+    rp = reduce(_evolution_spec(B, matrix_operator(np.eye(2)), f=None))
     fld = SolutionField(axes=(("t", np.linspace(0, 1, 4)),),
                         values=np.zeros((4, 2)))
     with pytest.raises(ConfigurationError, match=">= 5"):

@@ -22,7 +22,7 @@ from degenpde.solvers import (SolutionField, _cumulative_from_zero,
                               write_solution_csv)
 from degenpde.spaces import grid_space, matrix_operator, mode_space
 
-from conftest import PROBLEMS, grid_samples, kernel_evolution_spec, op_spec
+from conftest import PROBLEMS, grid_samples, kernel_evolution_spec
 from test_fd import derivative_matrix
 
 
@@ -125,8 +125,7 @@ def test_naive_full_data_defect_is_macroscopic():
 def _goursat_spec(f, nodes=201):
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0]])
     A = matrix_operator(np.eye(2))
-    L = [op_spec(((1, 1), 1.0), nvars=2), op_spec(((0, 0), 1.0), nvars=2)]
-    return DegenerateSystemSpec(B=B, A=[A], L=L, f=f, family="goursat",
+    return DegenerateSystemSpec(B=B, A1=A, f=f, family="goursat",
                                 box={"x": (0.0, 1.0), "y": (0.0, 1.0)},
                                 grid={"nx": nodes, "ny": nodes})
 
@@ -155,16 +154,6 @@ def test_goursat_corner_conditions_hold():
     assert report["I-Pk d0u/dy0 at y=0"] <= 1e-10
 
 
-def test_goursat_refuses_an_equation_it_does_not_solve():
-    # the mixed_xy operator on a goursat spec: the series back-end solves
-    # the corner equation only, so it must refuse instead of answering
-    spec = _goursat_spec(_const_f2)
-    spec.L = [op_spec(((2, 0), 1.0), nvars=2), op_spec(((0, 0), 1.0), nvars=2)]
-    rp = reduce(spec)
-    with pytest.raises(ConfigurationError, match="is not that equation"):
-        solve_family(rp)
-
-
 def test_goursat_series_cap_failure_is_loud():
     # the iterated-integral terms decay like (xy)^r / (r!)^2: a box of
     # [0, 12]^2 converges within the cap, [0, 20]^2 does not
@@ -180,8 +169,7 @@ def test_goursat_series_cap_failure_is_loud():
 def _mixed_spec(f, nodes=101):
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0]])
     A = matrix_operator(np.eye(2))
-    L = [op_spec(((2, 0), 1.0), nvars=2), op_spec(((0, 1), 1.0), nvars=2)]
-    return DegenerateSystemSpec(B=B, A=[A], L=L, f=f, family="mixed_xy",
+    return DegenerateSystemSpec(B=B, A1=A, f=f, family="mixed_xy",
                                 box={"x": (0.0, 1.0), "y": (0.0, 1.0)},
                                 grid={"nx": nodes, "ny": nodes})
 
@@ -269,8 +257,6 @@ def _spectral_spec(nmodes=4, mmodes=4, lam=5.0, dt=1e-3):
                         domain=sp, codomain=sp)
     A = matrix_operator(np.diag(lam - m_idx.astype(float) ** 2),
                         domain=sp, codomain=sp)
-    L = [op_spec(((3,), 1.0)), op_spec(((0,), 1.0))]
-
     def f(t=None):
         t = np.asarray(t, dtype=float)
         coeff = np.zeros((len(t), total))
@@ -278,7 +264,7 @@ def _spectral_spec(nmodes=4, mmodes=4, lam=5.0, dt=1e-3):
         coeff[:, 1 * mmodes + 0] = np.exp(-t)   # mode (2, 1)
         return coeff
 
-    return DegenerateSystemSpec(B=B, A=[A], L=L, f=f, family="spectral3",
+    return DegenerateSystemSpec(B=B, A1=A, f=f, family="spectral3",
                                 box={"t": (0.0, 1.0)},
                                 grid={"dt": dt, "modes": (nmodes, mmodes),
                                       "lambda": lam})
