@@ -179,6 +179,29 @@ def test_400_term_flat_sum_still_verifies(problems_dir, tmp_path, capsys):
     assert "verdict=pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name, L", [
+    ("example2.json", [[[[1], 5.0]], [[[0], 2.0]]]),
+    ("example1.json", [[[[1, 1], 3.0]], [[[0, 0], 1.0]]]),
+    ("example4.json", [[[[2, 0], 3.0]], [[[0, 1], 1.0]]]),
+    ("example4.json", [[[[1, 1], 1.0]], [[[0, 1], 1.0]]]),
+], ids=["example2-5Dt", "example1-3DxDy", "example4-3Dxx", "example4-DxDy"])
+def test_verify_refuses_an_equation_the_family_does_not_solve(
+        problems_dir, tmp_path, capsys, name, L):
+    # none of these is its family's canonical equation; solving the
+    # canonical one and passing the oracle would be a false pass, so a
+    # file stating its own L is refused before anything is solved
+    obj = json.loads((problems_dir / name).read_text(encoding="utf-8"))
+    obj["L"] = L
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert re.search('error: L: is not read; .*"family"', captured.err), \
+        captured.err
+    assert "verdict=pass" not in captured.out
+
+
 def _with_L(obj):
     obj["L"] = [[[[2], 1.0]], [[[1], 1.0]], [[[0], 1.0]]]
 
