@@ -16,7 +16,7 @@ import numpy as np
 from .chains import (certify_operators, commutability_matrix,
                      complete_structure)
 from .errors import CompatibilityError, ConfigurationError, StructureError
-from .fd import derivative_along_axis
+from .fd import derivative_along_axis, stencil_size
 
 COEFF_TOL = 1e-8
 V_CONSTRAINT_TOL = 1e-8   # v leaking into the extra cokernel directions
@@ -297,11 +297,18 @@ def residual_check(rp, fld):
 def _condition_norm(projector, axis, order, axes, u, ps):
     ax = [name for name, _ in axes].index(axis)
     grid = axes[ax][1]
-    vals = u
+    node = int(np.argmin(np.abs(grid)))
     if order:
-        h = float(grid[1] - grid[0])
-        vals = derivative_along_axis(vals, h, order, axis=ax, accuracy=4)
-    vals = np.take(vals, np.argmin(np.abs(grid)), axis=ax)
+        # differentiate only the stencil window that holds the node: the
+        # window's edge or centre row is the one the whole axis would use
+        npts = stencil_size(order, 4)
+        lo = max(0, min(node - npts // 2, len(grid) - npts))
+        window = [slice(None)] * u.ndim
+        window[ax] = slice(lo, lo + npts)
+        u = derivative_along_axis(u[tuple(window)], float(grid[1] - grid[0]),
+                                  order, axis=ax, accuracy=4)
+        node -= lo
+    vals = np.take(u, node, axis=ax)
     if projector == "I-Pk":
         mat = np.eye(ps.Pk.matrix.shape[0]) - ps.P
     elif projector == "Pk":

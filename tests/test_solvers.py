@@ -11,9 +11,9 @@ from degenpde.problems import instantiate, load_problem
 from degenpde.reduction import (FAMILIES, DegenerateSystemSpec, reduce,
                                 residual_check)
 from degenpde.solvers import (SolutionField, _cumulative_from_zero,
-                              _cumulative_simpson_half, _half_grid,
-                              _rk4_linear, _time_grid,
-                              _weighted_space_integral,
+                              _cumulative_simpson_half,
+                              _exp_weighted_integral, _half_grid, _march,
+                              _time_grid, _weighted_space_integral,
                               asymptotic_leading_term, bessel_like_sum,
                               check_spectral_parameter,
                               naive_cauchy_defect, oracle_first_order_evolution,
@@ -322,15 +322,15 @@ def test_spectral_march_keeps_only_the_solution_history(monkeypatch):
     from degenpde import solvers
     shapes = []
 
-    def recording(*args):
-        out = _rk4_linear(*args)
-        shapes.append((np.shape(args[3]), out.shape))
+    def recording(M, r, s, g_half, tgrid):
+        out = _march(M, r, s, g_half, tgrid)
+        shapes.append(((r, s), out.shape))
         return out
 
-    monkeypatch.setattr(solvers, "_rk4_linear", recording)
+    monkeypatch.setattr(solvers, "_march", recording)
     rp = reduce(_spectral_spec(dt=1e-2))
     solve_family(rp)
-    assert shapes == [((3, 16), (101, 16))]
+    assert shapes == [((3, 0), (101, 16))]
 
 
 def test_time_family_refuses_rhs_of_wrong_width():
@@ -404,11 +404,75 @@ def test_rk4_march_is_fourth_order():
         t = np.arange(0.0, 1.0 + dt / 2, dt)
         th = _half_grid(t)
         g = np.cos(th)[:, None]
-        out = _rk4_linear(lambda y, g: g - y, g, t, np.zeros((1, 1)))
+        out = _march(np.eye(1), 1, 0, g, t)
         assert out.shape == (len(t), 1)
         exact = 0.5 * (np.cos(t) + np.sin(t)) - 0.5 * np.exp(-t)
         errs.append(np.abs(out[:, 0] - exact).max())
     assert errs[0] / errs[1] >= 11.0
+
+
+def _rk4_stage_march(M, r, s, g_half, tgrid):
+    """Classical RK4 stages on the first-order system in (v, ..., v^(r-1))
+    of v^(r) = g - M v^(s), from zero data; v at the nodes."""
+    h = tgrid[1] - tgrid[0]
+
+    def deriv(y, g):
+        return np.vstack([y[1:], g - M @ y[s]])
+
+    y = np.zeros((r, M.shape[0]))
+    out = [y[0]]
+    for i in range(len(tgrid) - 1):
+        g0, gm, g1 = g_half[2 * i:2 * i + 3]
+        k1 = deriv(y, g0)
+        k2 = deriv(y + h / 2 * k1, gm)
+        k3 = deriv(y + h / 2 * k2, gm)
+        k4 = deriv(y + h * k3, g1)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(y[0])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("r, s", [(1, 0), (2, 1), (3, 0)])
+def test_march_matches_the_rk4_stages(r, s, rng):
+    # a random well-conditioned dense M: the step map of r - s = 1 and the
+    # stages of r - s > 1 give the stage loop's numbers to rounding
+    d = 7
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    M = Q @ np.diag(rng.uniform(0.5, 2.0, d)) @ Q.T + 0.3 * rng.standard_normal((d, d))
+    assert np.linalg.cond(M) <= 50.0
+    t = np.linspace(0.0, 2.0, 401)
+    g_half = rng.standard_normal((2 * len(t) - 1, d))
+    got = _march(M, r, s, g_half, t)
+    want = _rk4_stage_march(M, r, s, g_half, t)
+    assert got.shape == (len(t), d)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _exp_weighted_loop(g_half, tgrid, decay):
+    h = tgrid[1] - tgrid[0]
+    eh, ehalf = (np.exp(h), np.exp(h / 2)) if decay else (1.0, 1.0)
+    acc = np.zeros(g_half.shape[1:])
+    out = [acc]
+    for i in range(len(tgrid) - 1):
+        g0, gm, g1 = g_half[2 * i:2 * i + 3]
+        acc = eh * acc + h / 6 * (eh * g0 + 4 * ehalf * gm + g1)
+        out.append(acc)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("decay", [True, False])
+@pytest.mark.parametrize("width", [1, 201])
+@pytest.mark.parametrize("horizon", [2.0, 20.0])
+def test_exp_weighted_integral_scan_matches_the_step_loop(decay, width,
+                                                          horizon, rng):
+    t = np.linspace(0.0, horizon, 2001)
+    g_half = rng.standard_normal((2 * len(t) - 1, width)) + 1.0
+    got = _exp_weighted_integral(g_half, t, decay=decay)
+    want = _exp_weighted_loop(g_half, t, decay)
+    assert got.shape == want.shape
+    assert got[0].tolist() == [0.0] * width
+    # g has mean 1, so every later node is checked relative to itself
+    assert (np.abs(got - want)[1:] <= 1e-12 * np.abs(want)[1:]).all()
 
 
 def test_bessel_like_sum_matches_scipy():
