@@ -19,7 +19,7 @@ from .expressions import evaluate, parse, variables_of
 from .problems import (OracleOutcome, ProblemFile, evaluate_oracle,
                        instantiate, load_problem)
 from .reduction import (FAMILIES, DegenerateSystemSpec, ReducedProblem,
-                        ScalarRow, apply_differential_operator, beta_tables,
+                        apply_differential_operator, beta_tables,
                         compat_residual, describe_reduction,
                         reconstruct_solution, reduce, residual_check,
                         rhs_projection, solve_C_recurrence)
@@ -44,7 +44,7 @@ __all__ = [
     "evaluate", "parse", "variables_of",
     "OracleOutcome", "ProblemFile", "evaluate_oracle", "instantiate",
     "load_problem",
-    "FAMILIES", "DegenerateSystemSpec", "ReducedProblem", "ScalarRow",
+    "FAMILIES", "DegenerateSystemSpec", "ReducedProblem",
     "apply_differential_operator", "beta_tables", "compat_residual",
     "describe_reduction", "reconstruct_solution", "reduce", "residual_check",
     "rhs_projection", "solve_C_recurrence",

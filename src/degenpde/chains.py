@@ -26,12 +26,18 @@ CERTIFY_TOL = 1e-8   # commutability certificates and the quasitriangular patter
 
 def _chain_columns(p):
     """Chain index, 1-based level and chain length of each column of a
-    block whose columns run chain by chain, levels ascending (the
-    pair_indices order)."""
+    block whose columns run chain by chain, levels ascending."""
     P = np.asarray(p, dtype=int)
     chain = np.repeat(np.arange(P.size), P)
     level = np.arange(chain.size) - (np.cumsum(P) - P)[chain] + 1
     return chain, level, P[chain]
+
+
+def _exchange_columns(p):
+    """Column of chain i, level p_i + 1 - j for each column (i, j): the
+    level reversal within each chain that pairs A1 phi with psi."""
+    _, level, P = _chain_columns(p)
+    return np.arange(P.size) + P + 1 - 2 * level
 
 
 @dataclass
@@ -41,10 +47,9 @@ class JordanStructure:
     Phi, Psi, Gam and Z are (dim x k) column blocks of the primal chains,
     the dual chains, gamma and z.  Chains are sorted by descending length;
     chain i, level j is column off_i + j - 1 with off_i = p_1 + ... +
-    p_(i-1), the order of pair_indices().  Unpaired kernel directions
-    (kernel/cokernel dimension mismatch) are kept apart in phi_extra /
-    psi_extra with their least-squares biorthogonal partners gamma_extra /
-    z_extra.
+    p_(i-1).  Unpaired kernel directions (kernel/cokernel dimension
+    mismatch) are kept apart in phi_extra / psi_extra with their
+    least-squares biorthogonal partners gamma_extra / z_extra.
     """
 
     Phi: np.ndarray
@@ -79,9 +84,12 @@ class JordanStructure:
         """Columns of the level-1 vectors, one per chain."""
         return np.flatnonzero(_chain_columns(self.p)[1] == 1)
 
-    def pair_indices(self):
-        """Flat (chain, level) index list, levels 1-based, block order."""
-        return [(i, j) for i in range(self.l) for j in range(1, self.p[i] + 1)]
+    @property
+    def exchange(self):
+        """Column (i, p_i + 1 - j) for each column (i, j): after the
+        normalization, <A1 phi_b, psi_a> is 1 at b = exchange[a] and 0
+        elsewhere."""
+        return _exchange_columns(self.p)
 
 
 @dataclass
@@ -204,7 +212,7 @@ def _normalize_primal_chains(Phi, W, p):
     """
     chain, level, P = _chain_columns(p)
     k = chain.size
-    E = np.eye(k)[np.arange(k) + P + 1 - 2 * level]
+    E = np.eye(k)[_exchange_columns(p)]
     try:
         G = np.linalg.solve(W.T, E.T).T
     except np.linalg.LinAlgError:
@@ -295,7 +303,7 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
             f"primal chain lengths {p} and dual chain lengths {p_dual} disagree")
     _, level, P = _chain_columns(p)
     first, last = np.flatnonzero(level == 1), np.flatnonzero(level == P)
-    rev = np.arange(P.size) + P + 1 - 2 * level
+    rev = _exchange_columns(p)
     wPsi = E2.weights[:, None] * Psi
 
     if l:

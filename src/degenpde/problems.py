@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (CompatibilityError, ConfigurationError, ParseError,
                      UsageError)
 from .expressions import evaluate, parse, variables_of
-from .reduction import FAMILIES, DegenerateSystemSpec
+from .reduction import FAMILIES, DegenerateSystemSpec, _mesh_coords
 from .solvers import (oracle_first_order_evolution, oracle_goursat_constant,
                       oracle_second_order_evolution)
 from .spaces import (euclidean_space, grid_space, identity_operator,
@@ -510,16 +510,6 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
 # ---------------------------------------------------------------------------
 # verification oracles
 
-def _axis_bindings(axes):
-    names = [name for name, _ in axes]
-    out = {}
-    for i, (name, values) in enumerate(axes):
-        shape = [1] * len(axes)
-        shape[i] = len(values)
-        out[name] = np.asarray(values, dtype=float).reshape(shape)
-    return names, out
-
-
 def evaluate_oracle(pf, rp, fld, tol=None):
     """Measure the solution field against the file's declared oracle; tol,
     when given, overrides the file's tolerance."""
@@ -540,13 +530,10 @@ def evaluate_oracle(pf, rp, fld, tol=None):
     axes, u = fld.axes, fld.values
 
     if kind == "exact":
-        names, bindings = _axis_bindings(axes)
-        shape = tuple(len(vals) for _, vals in axes)
-        comps = []
-        for src in desc["components"]:
-            vals = np.asarray(evaluate(parse(src), **bindings), dtype=float)
-            comps.append(np.broadcast_to(vals, shape))
-        exact = np.stack(comps, axis=-1)
+        coords = _mesh_coords(axes)
+        comps = [np.asarray(evaluate(parse(src), **coords), dtype=float)
+                 for src in desc["components"]]
+        exact = np.stack([np.broadcast_to(c, u.shape[:-1]) for c in comps], axis=-1)
         dev = float(np.abs(u - exact).max())
         return OracleOutcome(kind=kind, detail="sup deviation from the exact "
                              "component expressions", deviation=dev, tol=tol)

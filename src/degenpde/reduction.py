@@ -5,16 +5,16 @@ family tag fixes the two scalar operators L0 and L1 (FAMILIES).  After
 the Jordan structure of (B, A1) is in hand, the substitution
 u = Bplus v + sum C_ij phi_i^(j) + sum lambda_e phi_extra_e splits the
 system into a regular equation for v (the lead operator L0 plus the
-lower-order term A1 Bplus) and a triangular scalar system for the C
-coefficients, solvable chain by chain from the terminal level down.
+lower-order term A1 Bplus) and a triangular system for the C
+coefficients whose shape the chain lengths fix, solved level by level
+from the terminal level down.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (certify_operators, commutability_matrix,
-                     complete_structure)
+from .chains import certify_operators, complete_structure
 from .errors import CompatibilityError, ConfigurationError, StructureError
 from .fd import derivative_along_axis, stencil_size
 
@@ -79,20 +79,6 @@ class DegenerateSystemSpec:
             raise ConfigurationError("operator A1 shape mismatch with B")
 
 
-@dataclass(frozen=True)
-class ScalarRow:
-    """One equation of the triangular C-system.
-
-    unknown (chain, level) is produced from the projection onto
-    psi[proj]: lead_scale * L1(D) C_unknown = beta_proj
-    - sum over lower (pair, coef) of coef * L0(D) C_pair."""
-
-    unknown: tuple
-    proj: tuple
-    lead_scale: float
-    lower: tuple
-
-
 @dataclass
 class ReducedProblem:
     system: DegenerateSystemSpec
@@ -102,96 +88,72 @@ class ReducedProblem:
     ABplus: np.ndarray   # A1 Bplus, the lower-order term of the v-equation
     IQ: np.ndarray       # I - Qk - Qextra, the solvable complement of E2
     M: np.ndarray        # IQ A1 Bplus, the lower-order matrix of the v-equation
-    Csystem: tuple
     lambda_slots: tuple
-    compat: tuple        # indices into psi_extra columns (m > n only)
 
 
 def reduce(spec):
-    """Build the regular problem: certify commutability, assemble the
-    v-equation terms and the triangular C-system."""
+    """Build the regular problem: certify commutability and the chain
+    pairing that fixes the C-system, and assemble the v-equation terms."""
     js, ps = complete_structure(spec.B, spec.A1)
     comm = certify_operators(js)
     if not comm.certified:
         raise StructureError(
             "commutability violation: operator A1 does not map the "
             "chain span consistently onto the z span")
+    # the projection onto psi column a solves C column exchange[a] with
+    # lead 1 and nothing else; B's pairing is this one shifted one level
+    # by the chain links B phi_(s,j) = A1 phi_(s,j-1)
+    pattern = np.eye(js.k)[js.exchange]
+    bad = np.argwhere((np.abs(comm.matrix - pattern)
+                       > np.where(pattern, 1e-6, COEFF_TOL)).T)
+    if bad.size:
+        a, b = bad[0]
+        raise StructureError(
+            f"quasitriangularity not certified: A1 pairs phi column {b} with "
+            f"psi column {a} by {comm.matrix[b, a]:.3e}, expected "
+            f"{pattern[b, a]:g} after normalization")
     IQ = np.eye(js.codomain.dim) - ps.Q
     ABplus = spec.A1.matrix @ ps.Bplus.matrix
     # dynamics projected onto the solvable complement: for m > n the raw
     # A1 Bplus pushes v into the constraint directions handled separately
     M = IQ @ ABplus
 
-    idx = js.pair_indices()
-    pos = {pair: a for a, pair in enumerate(idx)}
-    rows = []
-    solved = set()
-    matA, matB = comm.matrix, commutability_matrix(js.B, js).matrix
-    for s in range(js.l):
-        for t in range(1, js.p[s] + 1):
-            a = pos[(s, t)]
-            unknown = (s, js.p[s] + 1 - t)
-            lead = float(matA[pos[unknown], a])
-            if abs(lead - 1.0) > 1e-6:
-                raise StructureError(
-                    f"C-row for chain {s + 1} level {unknown[1]} has lead "
-                    f"coefficient {lead:.3e}, expected 1 after normalization")
-            lower = []
-            for b, pair in enumerate(idx):
-                if abs(matB[b, a]) > COEFF_TOL:
-                    lower.append((pair, float(matB[b, a])))
-                c1 = float(matA[b, a])
-                if pair != unknown and abs(c1) > COEFF_TOL:
-                    raise StructureError(
-                        "quasitriangularity not certified: unexpected chain "
-                        f"coupling {pair} -> {(s, t)} of size {c1:.2e}")
-            for pair, _ in lower:
-                if pair not in solved:
-                    raise StructureError(
-                        "quasitriangularity not certified: C-row for "
-                        f"{unknown} needs unsolved component {pair}")
-            rows.append(ScalarRow(unknown=unknown, proj=(s, t),
-                                  lead_scale=lead, lower=tuple(lower)))
-            solved.add(unknown)
-
     n_extra = 0 if js.phi_extra is None else js.phi_extra.shape[1]
     lambda_slots = tuple(f"lambda_{js.l + e + 1}" for e in range(n_extra))
-    m_extra = 0 if js.psi_extra is None else js.psi_extra.shape[1]
-    compat = tuple(range(m_extra))
     return ReducedProblem(system=spec, js=js, ps=ps, comm=comm,
-                          ABplus=ABplus, IQ=IQ, M=M, Csystem=tuple(rows),
-                          lambda_slots=lambda_slots, compat=compat)
+                          ABplus=ABplus, IQ=IQ, M=M, lambda_slots=lambda_slots)
 
 
 def beta_tables(rp, f_samples):
-    """Right-hand projections beta[(s,t)] = <f, psi_s^(t)>.
-
-    f_samples has the codomain dimension on the last axis."""
+    """Right-hand projections <f, psi> as one (samples..., k) block in the
+    chain-column order of Psi; f_samples has the codomain dimension last."""
     js = rp.js
-    beta = np.asarray(f_samples, dtype=float) @ (js.codomain.weights[:, None] * js.Psi)
-    return {pair: beta[..., a] for a, pair in enumerate(js.pair_indices())}
+    return np.asarray(f_samples, dtype=float) @ (js.codomain.weights[:, None] * js.Psi)
 
 
 def solve_C_recurrence(rp, beta, axes, solve_lead, accuracy=2):
-    """Forward substitution through the triangular C-system.
+    """Forward substitution through the triangular C-system, one depth at
+    a time.
 
-    beta maps proj pairs to right sides sampled on axes, the ordered list
-    of (name, grid); the lower terms apply the family's lead L0 with
-    stencils of the given accuracy; solve_lead(samples, row) inverts the
-    family's L1 with the homogeneous data of the bc plan.  Returns
-    {(chain, level): samples}."""
+    beta is the (samples..., k) block of beta_tables on axes, the ordered
+    list of (name, grid).  The projection onto psi_(s,t) solves
+    L1(D) C_(s,p_s+1-t) = beta_(s,t) - L0(D) C_(s,p_s+2-t), with no lower
+    term at t = 1, so at depth t every chain with p_s >= t solves its
+    column at once.  L0 is applied with stencils of the given accuracy;
+    solve_lead(samples) inverts L1 with the homogeneous data of the bc
+    plan.  Returns the (samples..., k) C block in the column order of Phi."""
+    js = rp.js
     lead_k = FAMILIES[rp.system.family].L[0]
-    solved = {}
-    for row in rp.Csystem:
-        rhs = np.array(beta[row.proj], dtype=float)
-        for pair, coef in row.lower:
-            if pair not in solved:
-                raise StructureError(
-                    f"underdetermined C-row: {row.unknown} needs {pair} first")
-            rhs = rhs - coef * apply_differential_operator(
-                lead_k, solved[pair], axes, accuracy=accuracy)
-        solved[row.unknown] = solve_lead(rhs / row.lead_scale, row)
-    return solved
+    rev, heads, p = js.exchange, js.head_columns, np.asarray(js.p)
+    C = np.zeros(beta.shape)
+    for t in range(1, max(js.p, default=0) + 1):
+        proj = heads[p >= t] + t - 1
+        rhs = beta[..., proj]
+        if t > 1:
+            rhs = rhs - apply_differential_operator(
+                lead_k, C[..., rev[proj - 1]], axes, accuracy=accuracy)
+        C[..., rev[proj]] = solve_lead(rhs)
+    return C
 
 
 def rhs_projection(rp, f_samples):
@@ -199,11 +161,12 @@ def rhs_projection(rp, f_samples):
     return np.asarray(f_samples, dtype=float) @ rp.IQ.T
 
 
-def reconstruct_solution(rp, v_samples, C_solved):
-    """u = Bplus v + sum C_ij phi_i^(j), with the free functions
+def reconstruct_solution(rp, v_samples, C):
+    """u = Bplus v + C Phi^T, with the free functions
     lambda_e of the extra kernel directions taken as zero.
 
-    The codomain/domain dimension is the last axis of the sample arrays.
+    The codomain/domain dimension is the last axis of the sample arrays;
+    C is the (samples..., k) block of solve_C_recurrence.
     For m > n the v samples must stay in the annihilator of the extra
     cokernel directions; violation means the right-hand side is
     incompatible."""
@@ -217,26 +180,23 @@ def reconstruct_solution(rp, v_samples, C_solved):
                 f"unresolvable cokernel directions (relative size {dev:.2e})")
     u = v @ ps.Bplus.matrix.T
     if js.k:
-        C = np.stack([np.asarray(C_solved[pair], dtype=float)
-                      for pair in js.pair_indices()], axis=-1)
         u += C @ js.Phi.T
     return u
 
 
 def compat_residual(rp, axes, v_samples, f_samples):
-    """Residual of the unresolvable-direction conditions (m > n): for each
+    """Residual of the unresolvable-direction conditions (m > n): for every
     extra cokernel functional, L1(D) <A1 Bplus v, psi_e> - <f, psi_e>
     must vanish identically."""
     js = rp.js
+    if js.psi_extra is None:
+        return 0.0
     lower_k = FAMILIES[rp.system.family].L[1]
-    worst = 0.0
-    for e in rp.compat:
-        wpsi = js.codomain.weights * js.psi_extra[:, e]
-        scal = np.asarray(v_samples) @ (rp.ABplus.T @ wpsi)
-        total = (apply_differential_operator(lower_k, scal, axes)
-                 - np.asarray(f_samples) @ wpsi)
-        worst = max(worst, float(np.abs(_interior(total, len(axes))).max()))
-    return worst
+    wpsi = js.codomain.weights[:, None] * js.psi_extra
+    scal = np.asarray(v_samples) @ (rp.ABplus.T @ wpsi)
+    total = (apply_differential_operator(lower_k, scal, axes)
+             - np.asarray(f_samples) @ wpsi)
+    return float(np.abs(_interior(total, len(axes))).max())
 
 
 def apply_differential_operator(k, samples, axes, accuracy=2):
@@ -335,17 +295,20 @@ def _describe(k):
 
 def describe_reduction(rp):
     """Stable text report of a reduced problem (for goldens and the CLI)."""
+    js = rp.js
     lead_k, lower_k = FAMILIES[rp.system.family].L
     lines = ["regular part:",
              f"  [{_describe(lead_k)}] x operator(|coef|_max=1)",
              f"  [{_describe(lower_k)}] x operator(|coef|_max="
              f"{float(np.abs(rp.ABplus).max()):.6g})",
-             f"C-system rows: {len(rp.Csystem)}"]
-    for row in rp.Csystem:
-        deps = ", ".join(f"L0 C{pair}" for pair, _ in row.lower) or "none"
-        lines.append(f"  C{row.unknown} from psi{row.proj}; lower terms: {deps}")
+             f"C-system rows: {js.k}"]
+    for s, p in enumerate(js.p):
+        for t in range(1, p + 1):
+            deps = f"L0 C{(s, p + 2 - t)}" if t > 1 else "none"
+            lines.append(f"  C{(s, p + 1 - t)} from psi{(s, t)}; lower terms: {deps}")
     lines.append(f"free function slots: {', '.join(rp.lambda_slots) or 'none'}")
-    lines.append(f"compatibility functionals: {len(rp.compat)}")
+    m_extra = 0 if js.psi_extra is None else js.psi_extra.shape[1]
+    lines.append(f"compatibility functionals: {m_extra}")
     lines.append("boundary plan:")
     for projector, axis, order in FAMILIES[rp.system.family].bc:
         lines.append(f"  {projector} d^{order}u on {axis}=0")

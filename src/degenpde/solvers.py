@@ -274,12 +274,11 @@ def _solve_time(rp):
     # chains of length > 1 differentiate the projections repeatedly; the
     # half-step grid and 4th-order stencils keep the C error at the RK4
     # scale, and the Simpson lead matches the RK4 stage accuracy
-    lead = ((lambda rhs, row: rhs) if s == 0
-            else (lambda rhs, row: _cumulative_simpson_half(rhs, th)))
+    lead = ((lambda rhs: rhs) if s == 0
+            else (lambda rhs: _cumulative_simpson_half(rhs, th)))
     C_half = solve_C_recurrence(rp, beta_tables(rp, f_half), [("t", th)],
                                 lead, accuracy=4)
-    return ([("t", tgrid)], f_half[::2], v,
-            {key: arr[::2] for key, arr in C_half.items()},
+    return ([("t", tgrid)], f_half[::2], v, C_half[::2],
             {"dt": float(tgrid[1] - tgrid[0])})
 
 
@@ -321,7 +320,7 @@ def _solve_goursat(rp):
 
     axes = [("x", xg), ("y", yg)]
     C = solve_C_recurrence(rp, beta_tables(rp, f_vals), axes,
-                           lambda rhs, row: rhs)
+                           lambda rhs: rhs)
     return (axes, f_vals, v, C,
             {"series_terms": r, "series_tail": float(np.abs(vterm).max())})
 
@@ -387,7 +386,7 @@ def _solve_mixed_xy(rp):
 
     axes = [("x", xg), ("y", yg)]
     C = solve_C_recurrence(rp, beta_tables(rp, f_vals), axes,
-                           lambda rhs, row: _cumulative_from_zero(rhs, yg, axis=1))
+                           lambda rhs: _cumulative_from_zero(rhs, yg, axis=1))
     return (axes, f_vals, v, C,
             {"series_terms": terms, "fit_residual": fit_residual})
 

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from degenpde.errors import CompatibilityError, ConfigurationError
+from degenpde import reduction
+from degenpde.errors import (CompatibilityError, ConfigurationError,
+                             StructureError)
 from degenpde.problems import instantiate, load_problem
 from degenpde.reduction import (FAMILIES, DegenerateSystemSpec,
                                 apply_differential_operator, describe_reduction,
-                                reconstruct_solution, reduce, residual_check)
-from degenpde.solvers import SolutionField, solve_family
+                                reconstruct_solution, reduce, residual_check,
+                                solve_C_recurrence)
+from degenpde.solvers import (SolutionField, _cumulative_from_zero,
+                              _cumulative_simpson_half, solve_family)
 from degenpde.spaces import FiniteOperator, grid_space, matrix_operator
+
+from test_jordan import random_structured_pair
 
 
 def _evolution_spec(B, A, f, dt=1e-3, t_hi=1.0):
@@ -88,20 +94,39 @@ def _assert_regular_part(rp, A):
     assert np.abs(Bplus @ rp.ps.Q).max() <= tol
 
 
+def _C_system_lines(rp):
+    lines = describe_reduction(rp).splitlines()
+    start = lines.index(f"C-system rows: {rp.js.k}")
+    return lines[start:start + rp.js.k + 1]
+
+
+def _pairings(js):
+    """(B Phi)^T w Psi and (A1 Phi)^T w Psi: entry [b, a] pairs phi
+    column b with psi column a."""
+    wPsi = js.codomain.weights[:, None] * js.Psi
+    return ((js.B.matrix @ js.Phi).T @ wPsi, (js.A1.matrix @ js.Phi).T @ wPsi)
+
+
 def test_reduce_single_link_chain_layout():
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0]])
     A = matrix_operator(np.eye(2))
     rp = reduce(_evolution_spec(B, A, f=None))
     _assert_regular_part(rp, A)
-    assert len(rp.Csystem) == 1
-    row = rp.Csystem[0]
-    assert row.unknown == (0, 1) and row.proj == (0, 1)
-    assert row.lead_scale == pytest.approx(1.0)
-    assert row.lower == ()
-    assert rp.lambda_slots == () and rp.compat == ()
+    assert rp.js.p == (1,)
+    assert _C_system_lines(rp) == [
+        "C-system rows: 1", "  C(0, 1) from psi(0, 1); lower terms: none"]
+    # the one row has lead 1 and no lower term: C is its projection
+    matB, matA = _pairings(rp.js)
+    assert matA[0, 0] == pytest.approx(1.0)
+    assert np.abs(matB).max() <= 1e-12
+    t = np.linspace(0.0, 1.0, 11)
+    beta = np.sin(t)[:, None]
+    C = solve_C_recurrence(rp, beta, [("t", t)], lambda rhs: rhs)
+    assert C.shape == (11, 1)
+    np.testing.assert_array_equal(C, beta)
+    assert rp.lambda_slots == () and rp.js.psi_extra is None
     text = describe_reduction(rp)
-    for token in ("regular part:", "C-system rows: 1",
-                  "free function slots: none",
+    for token in ("regular part:", "free function slots: none",
                   "compatibility functionals: 0", "boundary plan:"):
         assert token in text
 
@@ -110,13 +135,109 @@ def test_reduce_length_two_chain_orders_rows():
     B = matrix_operator([[0.0, 1.0], [0.0, 0.0]])
     A = matrix_operator(np.eye(2))
     rp = reduce(_evolution_spec(B, A, f=None))
-    assert [row.unknown for row in rp.Csystem] == [(0, 2), (0, 1)]
-    # the second row depends on the first through the lead operator
-    assert rp.Csystem[0].lower == ()
-    [(pair, coef)] = rp.Csystem[1].lower
-    assert pair == (0, 2) and coef == pytest.approx(1.0)
-    assert ("  C(0, 1) from psi(0, 2); lower terms: L0 C(0, 2)\n"
-            in describe_reduction(rp))
+    assert rp.js.p == (2,)
+    # the top level comes first; the second row depends on it through
+    # the lead operator
+    assert _C_system_lines(rp) == [
+        "C-system rows: 2",
+        "  C(0, 2) from psi(0, 1); lower terms: none",
+        "  C(0, 1) from psi(0, 2); lower terms: L0 C(0, 2)"]
+    # B pairs phi_(0,2) with psi_(0,2) with coefficient 1, nothing else
+    matB, _ = _pairings(rp.js)
+    np.testing.assert_allclose(matB, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
+    t = np.linspace(0.0, 1.0, 21)
+    beta = np.stack([t ** 2, np.sin(t)], axis=-1)
+    C = solve_C_recurrence(rp, beta, [("t", t)], lambda rhs: rhs)
+    np.testing.assert_array_equal(C[:, 1], beta[:, 0])
+    np.testing.assert_array_equal(
+        C[:, 0], beta[:, 1] - apply_differential_operator((1,), C[:, 1],
+                                                          [("t", t)]))
+
+
+def _row_by_row_C(rp, beta, axes, solve_lead, accuracy):
+    """The C-system solved one row at a time, its pattern and coefficients
+    read from the measured pairings: the projection onto psi column a
+    solves the C column of A1's largest pairing with it, divided by that
+    lead, after subtracting every L0 term that B pairs with psi column a."""
+    matB, matA = _pairings(rp.js)
+    lead_k = FAMILIES[rp.system.family].L[0]
+    solved = {}
+    for a in range(rp.js.k):
+        b = int(np.argmax(np.abs(matA[:, a])))
+        rhs = beta[..., a]
+        for c in np.flatnonzero(np.abs(matB[:, a]) > 1e-8):
+            rhs = rhs - matB[c, a] * apply_differential_operator(
+                lead_k, solved[c], axes, accuracy=accuracy)
+        solved[b] = solve_lead(rhs / matA[b, a])
+    return np.stack([solved[b] for b in range(rp.js.k)], axis=-1)
+
+
+def _recursion_case(lead):
+    """(family, axes, solve_lead, accuracy) as the back-ends pass them.
+
+    Chain level j is differentiated j - 1 times by L0, and each pass
+    multiplies one-ulp differences in the levels above by about
+    10/h^order: the reference divides by measured leads within 4.4e-16 of
+    1 and sums the stencil edges column by column.  Steps of 0.2 in t and
+    0.5 in x keep that gain small enough that 1e-12 compares the
+    recursions, not the rounding; with steps of 0.025 in t and 0.05 in x
+    the same comparison reads up to 2e-12 (D_t) and 1e-11 (D_x^2)."""
+    t = np.linspace(0.0, 8.0, 41)
+    if lead == "identity":
+        return "evolution1", [("t", t)], (lambda rhs: rhs), 4
+    if lead == "simpson":
+        return ("evolution2", [("t", t)],
+                (lambda rhs: _cumulative_simpson_half(rhs, t)), 4)
+    x, y = np.linspace(0.0, 8.0, 17), np.linspace(0.0, 1.0, 17)
+    return ("mixed_xy", [("x", x), ("y", y)],
+            (lambda rhs: _cumulative_from_zero(rhs, y, axis=1)), 2)
+
+
+@pytest.mark.parametrize("lead", ["identity", "simpson", "from_zero_y"])
+@pytest.mark.parametrize("p", [(3, 2, 1), (2, 2), (3, 1)],
+                         ids=lambda p: "p" + "".join(map(str, p)))
+def test_C_recursion_matches_row_by_row_substitution(rng, p, lead):
+    family, axes, solve_lead, accuracy = _recursion_case(lead)
+    B, A = random_structured_pair(rng, sum(p) + 2, p)
+    rp = reduce(DegenerateSystemSpec(B=B, A1=A, f=None, family=family))
+    assert rp.js.p == p
+    grids = np.meshgrid(*[g for _, g in axes], indexing="ij")
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(len(axes), rp.js.k))
+    beta = np.prod([np.sin((0.5 + 0.25 * np.arange(rp.js.k)) * g[..., None] + ph)
+                    for g, ph in zip(grids, phase)], axis=0)
+    C = solve_C_recurrence(rp, beta, axes, solve_lead, accuracy=accuracy)
+    ref = _row_by_row_C(rp, beta, axes, solve_lead, accuracy)
+    assert C.shape == beta.shape
+    assert np.abs(C - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("entry, size, message", [
+    ((0, 0), 1e-6, "pairs phi column 0 with psi column 0 by 1.000e-06, expected 0"),
+    ((1, 0), 2e-6, "pairs phi column 1 with psi column 0 by 1.000e\\+00, expected 1"),
+], ids=["off_pattern", "lead"])
+def test_reduce_refuses_a_pairing_off_the_chain_pattern(monkeypatch, entry,
+                                                        size, message):
+    # p = (2,): A1 pairs phi column 1 with psi column 0 and phi column 0
+    # with psi column 1; a certified matrix that moves an entry beyond
+    # COEFF_TOL (off the pattern) or 1e-6 (on it) is refused
+    certify = reduction.certify_operators
+
+    def shifted(shift):
+        def perturbed(js):
+            comm = certify(js)
+            comm.matrix[entry] += shift
+            return comm
+        return perturbed
+
+    B = matrix_operator([[0.0, 1.0], [0.0, 0.0]])
+    spec = _evolution_spec(B, matrix_operator(np.eye(2)), f=None)
+    monkeypatch.setattr(reduction, "certify_operators", shifted(size))
+    with pytest.raises(StructureError, match=message):
+        reduce(spec)
+    # inside the tolerances the same pencil reduces
+    tol = reduction.COEFF_TOL if entry == (0, 0) else 1e-6
+    monkeypatch.setattr(reduction, "certify_operators", shifted(0.5 * tol))
+    assert reduce(spec).js.p == (2,)
 
 
 def test_reduce_names_free_function_slots():
@@ -125,7 +246,7 @@ def test_reduce_names_free_function_slots():
     rp = reduce(_evolution_spec(B, A, f=None))
     _assert_regular_part(rp, A)
     assert rp.lambda_slots == ("lambda_2",)
-    assert rp.compat == ()
+    assert rp.js.psi_extra is None
 
 
 def test_reduce_counts_compat_functionals():
@@ -133,7 +254,8 @@ def test_reduce_counts_compat_functionals():
     A = matrix_operator([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     rp = reduce(_evolution_spec(B, A, f=None))
     _assert_regular_part(rp, A)
-    assert rp.compat == (0,)
+    assert rp.js.psi_extra.shape[1] == 1
+    assert "compatibility functionals: 1\n" in describe_reduction(rp)
     assert rp.lambda_slots == ()
 
 
@@ -167,6 +289,65 @@ def test_length_two_chain_recovers_manufactured_solution():
     want2 = t ** 2
     assert np.abs(fld.values[:, 0] - want1).max() <= 1e-9
     assert np.abs(fld.values[:, 1] - want2).max() <= 1e-9
+
+
+def _kron_chains_instance(rng, blocks, r=2):
+    """B = S diag(I, N) T and A1 = S diag(G, I) T with N the direct sum of
+    nilpotent shift blocks of the given sizes, and the exact solution of
+    (Bu)' + A1 u = f from the splitting w = T u: w1' + G w1 = g1 with
+    w1(0) = 0 (manufactured), w2 = sum_j (-N D)^j g2 on the nilpotent
+    part."""
+    n = sum(blocks)
+    N = np.zeros((n, n))
+    off = 0
+    for size in blocks:
+        N[off:off + size - 1, off + 1:off + size] = np.eye(size - 1)
+        off += size
+    G = rng.normal(size=(r, r)) / np.sqrt(r)
+    S = np.linalg.qr(rng.normal(size=(r + n, r + n)))[0]
+    T = np.linalg.qr(rng.normal(size=(r + n, r + n)))[0]
+    core_B = np.zeros((r + n, r + n))
+    core_B[:r, :r] = np.eye(r)
+    core_B[r:, r:] = N
+    core_A = np.eye(r + n)
+    core_A[:r, :r] = G
+    a, b = rng.normal(size=(2, r))
+    q0, q1 = rng.normal(size=(2, n))
+
+    def g2(t, order=0):
+        # d^j/dt^j of sin(t) q0 + exp(t/2) q1
+        return (np.sin(t + order * np.pi / 2)[:, None] * q0
+                + (np.exp(t / 2) / 2 ** order)[:, None] * q1)
+
+    def w1(t):
+        return np.sin(t)[:, None] * a + (t ** 2)[:, None] * b
+
+    def f(t=None):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        g1 = np.cos(t)[:, None] * a + (2 * t)[:, None] * b + w1(t) @ G.T
+        return np.concatenate([g1, g2(t)], axis=-1) @ S.T
+
+    def exact(t):
+        w2 = sum(g2(t, j) @ np.linalg.matrix_power(-N, j).T
+                 for j in range(max(blocks)))
+        return np.concatenate([w1(t), w2], axis=-1) @ T
+
+    return S @ core_B @ T, S @ core_A @ T, f, exact
+
+
+@pytest.mark.parametrize("blocks", [(2, 1), (3, 1), (2, 2)],
+                         ids=lambda b: "p" + "".join(map(str, b)))
+def test_several_chains_recover_the_splitting_solution(rng, blocks):
+    # chains of different lengths solve together, depth by depth; the
+    # bound is the single-chain one of acceptance criterion 8
+    B, A, f, exact = _kron_chains_instance(rng, blocks)
+    spec = DegenerateSystemSpec(B=matrix_operator(B), A1=matrix_operator(A),
+                                f=f, family="evolution1",
+                                box={"t": (0.0, 1.0)}, grid={"dt": 1e-3})
+    rp = reduce(spec)
+    assert rp.js.p == blocks
+    fld = solve_family(rp)
+    assert np.abs(fld.values - exact(fld.axes[0][1])).max() <= 1e-5
 
 
 def test_tall_realization_accepts_compatible_data():
@@ -203,7 +384,7 @@ def test_regular_part_leaking_into_extra_cokernel_is_refused():
     A = matrix_operator([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     rp = reduce(_evolution_spec(B, A, f=lambda t=None: np.zeros((np.size(t), 3))))
     with pytest.raises(CompatibilityError, match="leaks into the unresolvable"):
-        reconstruct_solution(rp, rp.js.z_extra.T, {})
+        reconstruct_solution(rp, rp.js.z_extra.T, np.zeros((1, rp.js.k)))
 
 
 # -- residual checks -------------------------------------------------------------
