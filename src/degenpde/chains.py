@@ -3,13 +3,14 @@
 Builds chains phi_i^(j) with B phi^(1) = 0, B phi^(j) = A1 phi^(j-1),
 the dual chains psi for the adjoint pair, the biorthogonal systems
 gamma_i^(j) = A1* psi_i^(p_i+1-j) and z_i^(j) = A1 phi_i^(p_i+1-j),
-the root projectors Pk/Qk, extra kernel directions when the kernel and
-cokernel dimensions differ, the Schmidt regularizer, a bounded
-pseudoinverse, and commutability matrices with their certificates.
+extra kernel directions when the kernel and cokernel dimensions differ,
+the root projectors, the Schmidt regularizer, a bounded pseudoinverse,
+and commutability matrices with their certificates.
 One weighted SVD of B, its skeleton decomposition, supplies the null
 bases of B and B*, the chain solves and the pseudoinverse Bplus.
 Each chain set is one column block, so every pairing between the sets
-is a matrix product.
+is a matrix product, and every projector stays a pair of such blocks
+(Pk = Phi Gam^T W1, Qk = Z Psi^T W2), never a dim x dim matrix.
 """
 
 from dataclasses import dataclass, field
@@ -86,30 +87,36 @@ class JordanStructure:
 
     @property
     def exchange(self):
-        """Column (i, p_i + 1 - j) for each column (i, j): after the
-        normalization, <A1 phi_b, psi_a> is 1 at b = exchange[a] and 0
-        elsewhere."""
+        """Column (i, p_i + 1 - j) for each column (i, j), the partner that
+        A1 pairs it with after the normalization (exchange_violation)."""
         return _exchange_columns(self.p)
 
 
 @dataclass
 class ProjectorSet:
-    """Root projectors and the regularized inverses built from them.
+    """The total root projectors as chain blocks, and the regularized
+    inverses built from them: P = phi_span phi_coef^T with phi_span =
+    [Phi, phi_extra], phi_coef = W1 [Gam, gamma_extra]; Q = z_span z_coef^T
+    with z_span = [Z, z_extra], z_coef = W2 [Psi, psi_extra].  The first k
+    columns give Pk and Qk.  Gamma is the Schmidt operator (square
+    structures only); Bplus the bounded pseudoinverse."""
 
-    Pextra is present exactly when n > m (unpaired kernel directions);
-    Qextra exactly when m > n.  P = Pk + Pextra and Q = Qk + Qextra are
-    the total projector matrices, formed once.  Gamma is the Schmidt
-    operator (square structures only); Bplus the bounded pseudoinverse.
-    """
-
-    Pk: FiniteOperator
-    Qk: FiniteOperator
-    P: np.ndarray
-    Q: np.ndarray
-    Pextra: FiniteOperator = None
-    Qextra: FiniteOperator = None
+    phi_span: np.ndarray
+    phi_coef: np.ndarray
+    z_span: np.ndarray
+    z_coef: np.ndarray
     Gamma: FiniteOperator = None
     Bplus: FiniteOperator = None
+
+
+def outside_z_span(ps, samples):
+    """(I - Q) f for each sample f, the codomain dimension last."""
+    return samples - (samples @ ps.z_coef) @ ps.z_span.T
+
+
+def outside_phi_span(ps, samples):
+    """(I - P) u for each sample u, the domain dimension last."""
+    return samples - (samples @ ps.phi_coef) @ ps.phi_span.T
 
 
 @dataclass
@@ -121,9 +128,10 @@ class CommutabilityResult:
     residual_dual: float
 
 
-def _staircase(sk, A1op, heads, dual_heads, stop_at, rank_tol):
-    """Grow chains from kernel heads, terminating the combinations whose
-    next link would leave the range of the operator whose skeleton is sk.
+def _staircase(sk, apply_A1, heads, dual_heads, stop_at, rank_tol):
+    """Grow chains from kernel heads under apply_A1 (A1, or A1* for the dual
+    chains), terminating the combinations whose next link would leave the
+    range of the operator whose skeleton is sk.
 
     At each level the pairing of the candidate links with the cokernel
     basis is decomposed: row-space combinations terminate at the current
@@ -147,7 +155,7 @@ def _staircase(sk, A1op, heads, dual_heads, stop_at, rank_tol):
             raise StructureError(
                 "incomplete Jordan set: unbounded chain growth "
                 f"(still {n_active} active chains past length {d1})")
-        imgs = A1op.matrix @ active[-1]
+        imgs = apply_A1(active[-1])
         M = dual_heads.T @ (w2[:, None] * imgs)
         # rank against the image magnitudes, not against M's own largest
         # singular value: when every chain extends, M is pure roundoff and
@@ -165,7 +173,7 @@ def _staircase(sk, A1op, heads, dual_heads, stop_at, rank_tol):
             done += rank
         active = mixed[:, :, rank:]
         if active.shape[2]:
-            new_imgs = A1op.matrix @ active[-1]
+            new_imgs = apply_A1(active[-1])
             ext, res = sk.solve(new_imgs)
             img_scale = np.maximum(np.linalg.norm(r2 * new_imgs, axis=0), 1.0)
             worst = np.max(res / img_scale)
@@ -278,7 +286,6 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
     if B.codomain.dim != A1.codomain.dim:
         raise StructureError("B and A1 must share their codomain")
     E1, E2 = B.domain, B.codomain
-    A1star = A1.adjoint()
     sk = B.skeleton(rank_tol)
     heads, dual_heads = sk.kernel(), sk.adjoint().kernel()
     n, m = heads.shape[1], dual_heads.shape[1]
@@ -289,15 +296,16 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
         # A1 (A1* for dual heads) also annihilates pairs with no head of the
         # other side at any length; the square case takes the primal test
         shared = (E2.root[:, None] * (A1.matrix @ heads) if n <= m
-                  else E1.root[:, None] * (A1star.matrix @ dual_heads))
+                  else E1.root[:, None] * A1.apply_adjoint(dual_heads))
         sv = np.linalg.svd(shared, compute_uv=False)
         # against A1's size too: with one head, sv[0] is itself roundoff
         a1_size = float(np.abs(E2.root[:, None] * A1.matrix / E1.root).max())
         if sv[-1] <= rank_tol * max(sv[0], a1_size):
             raise StructureError("incomplete Jordan set: B and A1 share a null direction")
 
-    Phi, p, phi_left = _staircase(sk, A1, heads, dual_heads, l, rank_tol)
-    Psi, p_dual, psi_left = _staircase(sk.adjoint(), A1star, dual_heads, heads, l, rank_tol)
+    Phi, p, phi_left = _staircase(sk, lambda X: A1.matrix @ X, heads, dual_heads, l, rank_tol)
+    Psi, p_dual, psi_left = _staircase(sk.adjoint(), A1.apply_adjoint, dual_heads, heads,
+                                       l, rank_tol)
     if p != p_dual:
         raise StructureError(
             f"primal chain lengths {p} and dual chain lengths {p_dual} disagree")
@@ -314,7 +322,7 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
         diagnostics.update(norm_diag)
 
     APhi = A1.matrix @ Phi
-    js = JordanStructure(Phi=Phi, Psi=Psi, Gam=A1star.matrix @ Psi[:, rev],
+    js = JordanStructure(Phi=Phi, Psi=Psi, Gam=A1.apply_adjoint(Psi[:, rev]),
                          Z=APhi[:, rev], p=p, n=n, m=m, l=l, nu=nu, k=P.size,
                          B=B, A1=A1, skeleton=sk, diagnostics=diagnostics)
 
@@ -331,13 +339,14 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
     return js
 
 
-def _link_residual(Bm, Am, X, first, r_dom, r_cod):
-    """Largest relative link residual of the chain block X: |B x| / max(1, |x|)
-    at the heads, |B x_j - A x_(j-1)| / max(1, |A x_(j-1)|) above them."""
-    rhs = np.zeros((Bm.shape[0], X.shape[1]))
-    rhs[:, 1:] = Am @ X[:, :-1]
+def _link_residual(BX, AX, X, first, r_dom, r_cod):
+    """Largest relative link residual of the chain block X from BX = B X and
+    AX = A X[:, :-1]: |B x| / max(1, |x|) at the heads,
+    |B x_j - A x_(j-1)| / max(1, |A x_(j-1)|) above them."""
+    rhs = np.zeros(BX.shape)
+    rhs[:, 1:] = AX
     rhs[:, first] = 0.0
-    res = np.linalg.norm(r_cod[:, None] * (Bm @ X - rhs), axis=0)
+    res = np.linalg.norm(r_cod[:, None] * (BX - rhs), axis=0)
     den = np.linalg.norm(r_cod[:, None] * rhs, axis=0)
     den[first] = np.linalg.norm(r_dom[:, None] * X[:, first], axis=0)
     return float((res / np.maximum(1.0, den)).max(initial=0.0))
@@ -346,66 +355,68 @@ def _link_residual(Bm, Am, X, first, r_dom, r_cod):
 def structure_residuals(js):
     """Measured chain-link and biorthogonality residuals (diagnostics)."""
     E1, E2 = js.domain, js.codomain
-    first = js.head_columns
-    link = max(_link_residual(js.B.matrix, js.A1.matrix, js.Phi, first, E1.root, E2.root),
-               _link_residual(js.B.adjoint_matrix(), js.A1.adjoint_matrix(), js.Psi,
+    B, A1, Phi, Psi, first = js.B, js.A1, js.Phi, js.Psi, js.head_columns
+    link = max(_link_residual(B.matrix @ Phi, A1.matrix @ Phi[:, :-1], Phi, first,
+                              E1.root, E2.root),
+               _link_residual(B.apply_adjoint(Psi), A1.apply_adjoint(Psi[:, :-1]), Psi,
                               first, E2.root, E1.root))
     eye = np.eye(js.k)
-    bio = max(np.abs(js.Phi.T @ (E1.weights[:, None] * js.Gam) - eye).max(initial=0.0),
-              np.abs(js.Z.T @ (E2.weights[:, None] * js.Psi) - eye).max(initial=0.0))
+    bio = max(np.abs(Phi.T @ (E1.weights[:, None] * js.Gam) - eye).max(initial=0.0),
+              np.abs(js.Z.T @ (E2.weights[:, None] * Psi) - eye).max(initial=0.0))
     return {"chain_link_residual": link, "biorthogonality_error": float(bio)}
 
 
-def _schmidt_operator(js):
-    """Schmidt regularizer: inverse of B bordered by the rank-one terms
-    z_i^(1) <., gamma_i^(1)>, i = 1..l, from one SVD.  Square structures."""
+def _schmidt_operator(js, ps):
+    """Schmidt regularizer: the inverse of B bordered by the rank-one terms
+    z_i^(1) <., gamma_i^(1)>, i = 1..l, is Bplus + Phi K^-1 Psi^T W2, as the
+    bordered Bhat acts as B on the range of Bplus and maps the chain span
+    onto the z-span through K = Psi^T W2 Bhat Phi.  Square structures."""
     E1, E2 = js.domain, js.codomain
     first = js.head_columns
     bordered = js.B.matrix + js.Z[:, first] @ (E1.weights[:, None] * js.Gam[:, first]).T
-    U, s, Vt = np.linalg.svd(bordered)
+    s = np.linalg.svd(bordered, compute_uv=False)
     cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     if cond > 1e12:
         raise StructureError(
             f"Schmidt bordering failed: bordered matrix condition {cond:.2e}")
     js.diagnostics["schmidt_condition"] = cond
-    return FiniteOperator(Vt.T @ (U.T / s[:, None]), E2, E1)
+    K = ps.z_coef.T @ (bordered @ js.Phi)
+    return FiniteOperator(ps.Bplus.matrix + js.Phi @ np.linalg.solve(K, ps.z_coef.T), E2, E1)
 
 
 def _pseudo_inverse(js, ps):
     """Bounded pseudoinverse: inverts B between the complement of the root
     (plus extra) subspace and the complement of the z-span, zero elsewhere.
-    Satisfies B Bplus = I - Qk - Qextra, Bplus Qk = 0, Pk Bplus = 0.
-    The minimum-norm solve X0 of B X0 = I - Q has X0 Qk = 0; the dual chain
-    links confine its root-space part to the kernel of B (level-1 and extra
-    directions), so removing that part keeps B X0 and gives Pk Bplus = 0."""
-    E2 = js.codomain
-    target = np.eye(E2.dim) - ps.Q
-    X0, res = js.skeleton.solve(target)
-    rel = float(np.linalg.norm(res) / max(1.0, np.linalg.norm(E2.root[:, None] * target)))
+    Satisfies B Bplus = I - Q, Bplus Q = 0, P Bplus = 0.  The minimum-norm
+    solve of B X0 = I - Q is V_r S^-1 Y_r (rescaled), Y = U^T R2 (I - Q) a
+    rank-k update of U^T R2 with |Y| = |R2 (I - Q)|; its cokernel rows are
+    the residual.  The dual chain links confine the root-space part of X0 to
+    ker B (level-1 and extra directions), so removing it gives P Bplus = 0."""
+    E1, E2 = js.domain, js.codomain
+    sk, r = js.skeleton, js.skeleton.rank
+    Y = sk.U.T * E2.root
+    Y -= (Y @ ps.z_span) @ ps.z_coef.T
+    rel = float(np.linalg.norm(Y[r:]) / max(1.0, np.linalg.norm(Y)))
     if rel > 1e-8:
         raise StructureError("pseudoinverse construction failed: range-complement "
                              f"solve residual {rel:.2e}")
-    return FiniteOperator(X0 - ps.P @ X0, E2, js.domain)
+    X0 = sk.Vt[:r].T @ (Y[:r] / sk.s[:r, None]) / E1.root[:, None]
+    return FiniteOperator(outside_phi_span(ps, X0.T).T, E2, E1)
 
 
 def build_projectors(js):
-    """Root projectors Pk/Qk, the extra-direction projectors, the Schmidt
-    operator (square structures), and the bounded pseudoinverse."""
-    E1, E2 = js.domain, js.codomain
-    Pk = FiniteOperator(js.Phi @ (js.Gam.T * E1.weights), E1, E1)
-    Qk = FiniteOperator(js.Z @ (js.Psi.T * E2.weights), E2, E2)
-    ps = ProjectorSet(Pk=Pk, Qk=Qk, P=Pk.matrix, Q=Qk.matrix)
+    """The total root projectors as chain blocks, the bounded
+    pseudoinverse and the Schmidt operator (square structures)."""
+    phi, gam, z, psi = js.Phi, js.Gam, js.Z, js.Psi
     if js.phi_extra is not None:
-        ps.Pextra = FiniteOperator(js.phi_extra @ (js.gamma_extra.T * E1.weights),
-                                   E1, E1)
-        ps.P = ps.P + ps.Pextra.matrix
+        phi, gam = np.hstack([phi, js.phi_extra]), np.hstack([gam, js.gamma_extra])
     if js.psi_extra is not None:
-        ps.Qextra = FiniteOperator(js.z_extra @ (js.psi_extra.T * E2.weights),
-                                   E2, E2)
-        ps.Q = ps.Q + ps.Qextra.matrix
-    if js.nu == 0 and E1.dim == E2.dim:
-        ps.Gamma = _schmidt_operator(js)
+        z, psi = np.hstack([z, js.z_extra]), np.hstack([psi, js.psi_extra])
+    ps = ProjectorSet(phi_span=phi, phi_coef=js.domain.weights[:, None] * gam,
+                      z_span=z, z_coef=js.codomain.weights[:, None] * psi)
     ps.Bplus = _pseudo_inverse(js, ps)
+    if js.nu == 0 and js.domain.dim == js.codomain.dim:
+        ps.Gamma = _schmidt_operator(js, ps)
     return ps
 
 
@@ -415,35 +426,35 @@ def complete_structure(B, A1, rank_tol=DEFAULT_RANK_TOL):
     return js, ps
 
 
+def exchange_violation(M, p):
+    """First (b, a), by psi column a, where M[b, a] = <A phi_b, psi_a> leaves
+    the C-system's exchange pattern: 1 (within 1e-6) at b = exchange[a],
+    0 (within CERTIFY_TOL) elsewhere.  None when M keeps it."""
+    pattern = np.eye(len(M))[_exchange_columns(p)]
+    bad = np.argwhere((np.abs(M - pattern) > np.where(pattern, 1e-6, CERTIFY_TOL)).T)
+    return (int(bad[0][1]), int(bad[0][0])) if bad.size else None
+
+
 def commutability_matrix(A, js):
     """Coefficient matrix of A on the chain span: A phi_b = sum_a M[b,a] z_a
     with the dual identity A* psi_a = sum_b M[b,a] gamma_b.  Certified when
-    both hold; quasitriangular per the block pattern that makes the
-    C-system forward-solvable (upper quasitriangular blocks, diagonal
-    blocks lower-right triangular)."""
+    both hold; quasitriangular when M keeps the exchange pattern that
+    reduce solves the C-system on (exchange_violation)."""
     E1, E2 = js.domain, js.codomain
     Phi, Psi, Gam, Z = js.Phi, js.Psi, js.Gam, js.Z
-    if js.k == 0:
-        return CommutabilityResult(np.zeros((0, 0)), True, True, 0.0, 0.0)
     APhi = A.matrix @ Phi
     r1, r2 = E1.root[:, None], E2.root[:, None]
     M = APhi.T @ (E2.weights[:, None] * Psi)
     prim_dev = np.linalg.norm(r2 * (APhi - Z @ M.T))
     prim_scale = max(1.0, np.linalg.norm(r2 * APhi))
-    AstarPsi = A.adjoint_matrix() @ Psi
+    AstarPsi = A.apply_adjoint(Psi)
     dual_dev = np.linalg.norm(r1 * (AstarPsi - Gam @ M))
     dual_scale = max(1.0, np.linalg.norm(r1 * AstarPsi))
     res_p = float(prim_dev / prim_scale)
     res_d = float(dual_dev / dual_scale)
     certified = res_p <= CERTIFY_TOL and res_d <= CERTIFY_TOL
-    # entries that must vanish: blocks below the diagonal, and inside a
-    # diagonal block the entries above its antidiagonal
-    chain, level, P = _chain_columns(js.p)
-    banned = (chain[:, None] > chain[None, :]) | (
-        (chain[:, None] == chain[None, :]) & (level[:, None] + level[None, :] <= P[:, None]))
-    scale = max(1.0, float(np.abs(M).max()))
-    quasi = not np.any(np.abs(M[banned]) > CERTIFY_TOL * scale)
-    return CommutabilityResult(M, certified, quasi, res_p, res_d)
+    return CommutabilityResult(M, certified, exchange_violation(M, js.p) is None,
+                               res_p, res_d)
 
 
 def certify_operators(js):
@@ -452,7 +463,7 @@ def certify_operators(js):
     return commutability_matrix(js.A1, js)
 
 
-def structure_report(js, ps=None, comm=None):
+def structure_report(js, ps, comm):
     """Stable one-record-per-line text report of the structure."""
     lines = [
         f"n={js.n}",
@@ -470,15 +481,14 @@ def structure_report(js, ps=None, comm=None):
             lines.append(f"{key}={diag[key]:.6e}")
     lines.append(f"extra_kernel_directions={0 if js.phi_extra is None else js.phi_extra.shape[1]}")
     lines.append(f"extra_cokernel_directions={0 if js.psi_extra is None else js.psi_extra.shape[1]}")
-    if ps is not None:
-        E1, E2 = js.domain, js.codomain
-        idem_p = np.abs(ps.Pk.matrix @ ps.Pk.matrix - ps.Pk.matrix).max()
-        idem_q = np.abs(ps.Qk.matrix @ ps.Qk.matrix - ps.Qk.matrix).max()
-        lines.append(f"Pk_idempotence={idem_p:.6e}")
-        lines.append(f"Qk_idempotence={idem_q:.6e}")
-        bbp = np.abs(js.B.matrix @ ps.Bplus.matrix - (np.eye(E2.dim) - ps.Q)).max()
-        lines.append(f"pseudoinverse_identity={bbp:.6e}")
-    if comm is not None:
-        lines.append(f"A1_certified={'pass' if comm.certified else 'fail'}")
-        lines.append(f"A1_quasitriangular={'yes' if comm.quasitriangular else 'no'}")
+    # P P - P of P = cols coef^T is cols (coef^T cols - I) coef^T
+    for name, cols, coef in (("Pk", js.Phi, ps.phi_coef), ("Qk", js.Z, ps.z_coef)):
+        coef = coef[:, :js.k]
+        idem = np.abs(cols @ ((coef.T @ cols - np.eye(js.k)) @ coef.T)).max()
+        lines.append(f"{name}_idempotence={idem:.6e}")
+    bbp = np.abs(js.B.matrix @ ps.Bplus.matrix
+                 - outside_z_span(ps, np.eye(js.codomain.dim)).T).max()
+    lines.append(f"pseudoinverse_identity={bbp:.6e}")
+    lines.append(f"A1_certified={'pass' if comm.certified else 'fail'}")
+    lines.append(f"A1_quasitriangular={'yes' if comm.quasitriangular else 'no'}")
     return "\n".join(lines) + "\n"

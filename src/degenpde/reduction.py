@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import certify_operators, complete_structure
+from .chains import (certify_operators, complete_structure, exchange_violation,
+                     outside_phi_span, outside_z_span)
 from .errors import CompatibilityError, ConfigurationError, StructureError
 from .fd import derivative_along_axis, stencil_size
 
-COEFF_TOL = 1e-8
 V_CONSTRAINT_TOL = 1e-8   # v leaking into the extra cokernel directions
 
 
@@ -86,8 +86,7 @@ class ReducedProblem:
     ps: object
     comm: object         # A1's commutability result on the chain span
     ABplus: np.ndarray   # A1 Bplus, the lower-order term of the v-equation
-    IQ: np.ndarray       # I - Qk - Qextra, the solvable complement of E2
-    M: np.ndarray        # IQ A1 Bplus, the lower-order matrix of the v-equation
+    M: np.ndarray        # (I - Q) A1 Bplus, the lower-order matrix of the v-equation
     lambda_slots: tuple
 
 
@@ -100,28 +99,23 @@ def reduce(spec):
         raise StructureError(
             "commutability violation: operator A1 does not map the "
             "chain span consistently onto the z span")
-    # the projection onto psi column a solves C column exchange[a] with
-    # lead 1 and nothing else; B's pairing is this one shifted one level
-    # by the chain links B phi_(s,j) = A1 phi_(s,j-1)
-    pattern = np.eye(js.k)[js.exchange]
-    bad = np.argwhere((np.abs(comm.matrix - pattern)
-                       > np.where(pattern, 1e-6, COEFF_TOL)).T)
-    if bad.size:
-        a, b = bad[0]
+    # B's pairing follows from A1's by the chain links B phi_(s,j) = A1 phi_(s,j-1)
+    bad = exchange_violation(comm.matrix, js.p)
+    if bad is not None:
+        b, a = bad
         raise StructureError(
             f"quasitriangularity not certified: A1 pairs phi column {b} with "
             f"psi column {a} by {comm.matrix[b, a]:.3e}, expected "
-            f"{pattern[b, a]:g} after normalization")
-    IQ = np.eye(js.codomain.dim) - ps.Q
+            f"{float(js.exchange[a] == b):g} after normalization")
     ABplus = spec.A1.matrix @ ps.Bplus.matrix
     # dynamics projected onto the solvable complement: for m > n the raw
     # A1 Bplus pushes v into the constraint directions handled separately
-    M = IQ @ ABplus
+    M = outside_z_span(ps, ABplus.T).T
 
     n_extra = 0 if js.phi_extra is None else js.phi_extra.shape[1]
     lambda_slots = tuple(f"lambda_{js.l + e + 1}" for e in range(n_extra))
     return ReducedProblem(system=spec, js=js, ps=ps, comm=comm,
-                          ABplus=ABplus, IQ=IQ, M=M, lambda_slots=lambda_slots)
+                          ABplus=ABplus, M=M, lambda_slots=lambda_slots)
 
 
 def beta_tables(rp, f_samples):
@@ -157,8 +151,8 @@ def solve_C_recurrence(rp, beta, axes, solve_lead, accuracy=2):
 
 
 def rhs_projection(rp, f_samples):
-    """(I - Qk - Qextra) f: the right-hand side of the regular v-equation."""
-    return np.asarray(f_samples, dtype=float) @ rp.IQ.T
+    """(I - Q) f: the right-hand side of the regular v-equation."""
+    return outside_z_span(rp.ps, np.asarray(f_samples, dtype=float))
 
 
 def reconstruct_solution(rp, v_samples, C):
@@ -172,8 +166,9 @@ def reconstruct_solution(rp, v_samples, C):
     incompatible."""
     js, ps = rp.js, rp.ps
     v = np.asarray(v_samples, dtype=float)
-    if ps.Qextra is not None:
-        dev = np.abs(v @ ps.Qextra.matrix.T).max() / max(1.0, np.abs(v).max())
+    if js.psi_extra is not None:
+        leak = (v @ ps.z_coef[:, js.k:]) @ ps.z_span[:, js.k:].T
+        dev = np.abs(leak).max() / max(1.0, np.abs(v).max())
         if dev > V_CONSTRAINT_TOL:
             raise CompatibilityError(
                 f"compatibility violated: the regular part leaks into the "
@@ -270,12 +265,10 @@ def _condition_norm(projector, axis, order, axes, u, ps):
         node -= lo
     vals = np.take(u, node, axis=ax)
     if projector == "I-Pk":
-        mat = np.eye(ps.Pk.matrix.shape[0]) - ps.P
+        vals = outside_phi_span(ps, vals)
     elif projector == "Pk":
-        mat = ps.Pk.matrix
-    else:
-        mat = np.eye(ps.Pk.matrix.shape[0])
-    return float(np.abs(vals @ mat.T).max())
+        vals = (vals @ ps.phi_coef) @ ps.phi_span.T
+    return float(np.abs(vals).max())
 
 
 def _mesh_coords(axes):

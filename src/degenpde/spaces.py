@@ -107,13 +107,10 @@ class FiniteOperator:
                 f"codomain dim {self.codomain.dim} x domain dim {self.domain.dim}")
         object.__setattr__(self, "matrix", m)
 
-    def adjoint_matrix(self):
-        """Matrix of the adjoint map codomain -> domain:
-        <A u, v>_cod = <u, A* v>_dom for all u, v."""
-        return self.matrix.T * self.codomain.weights / self.domain.weights[:, None]
-
-    def adjoint(self):
-        return FiniteOperator(self.adjoint_matrix(), self.codomain, self.domain)
+    def apply_adjoint(self, cols):
+        """The adjoint map codomain -> domain on a column block,
+        <A u, v>_cod = <u, A* v>_dom: A* v = W_dom^-1 A^T (W_cod v)."""
+        return self.matrix.T @ (self.codomain.weights[:, None] * cols) / self.domain.weights[:, None]
 
     def skeleton(self, rank_tol=DEFAULT_RANK_TOL):
         """The SVD of this map between orthonormal coordinates of its spaces;

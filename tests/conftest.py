@@ -5,6 +5,8 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from types import SimpleNamespace  # noqa: E402
+
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
@@ -14,6 +16,24 @@ from degenpde.spaces import (grid_space, identity_operator,  # noqa: E402
 
 PROBLEMS = ("example1.json", "example2.json", "example3.json",
             "example4.json", "example5.json")
+
+
+def projector_matrices(js):
+    """The root projectors of a structure as dim x dim matrices, built from
+    its chain blocks: Pk = Phi Gam^T W1, Qk = Z Psi^T W2, the
+    extra-direction projectors (None when absent) and the totals
+    P = Pk + Pextra, Q = Qk + Qextra."""
+    w1, w2 = js.domain.weights, js.codomain.weights
+    out = SimpleNamespace(Pk=js.Phi @ (js.Gam.T * w1), Qk=js.Z @ (js.Psi.T * w2),
+                          Pextra=None, Qextra=None)
+    out.P, out.Q = out.Pk, out.Qk
+    if js.phi_extra is not None:
+        out.Pextra = js.phi_extra @ (js.gamma_extra.T * w1)
+        out.P = out.Pk + out.Pextra
+    if js.psi_extra is not None:
+        out.Qextra = js.z_extra @ (js.psi_extra.T * w2)
+        out.Q = out.Qk + out.Qextra
+    return out
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from degenpde.solvers import (asymptotic_leading_term, naive_cauchy_defect,
 from degenpde.spaces import (grid_space, identity_operator,
                              make_kernel_operator, matrix_operator)
 
-from conftest import PROBLEMS
+from conftest import PROBLEMS, projector_matrices
 from test_jordan import random_structured_pair
 
 SEED = 20250816
@@ -49,12 +49,12 @@ def _bundled_structures(problems_dir):
         yield name, spec, complete_structure(spec.B, spec.A1)
 
 
-def _projector_idempotence(ps):
+def _projector_idempotence(js):
+    pm = projector_matrices(js)
     worst = 0.0
-    for op in (ps.Pk, ps.Qk, ps.Pextra, ps.Qextra):
-        if op is None:
+    for M in (pm.Pk, pm.Qk, pm.Pextra, pm.Qextra):
+        if M is None:
             continue
-        M = op.matrix
         worst = max(worst, float(np.abs(M @ M - M).max()))
     return worst
 
@@ -67,7 +67,7 @@ def test_criterion_1_structure_invariants(problems_dir, report):
     for _, spec, (js, ps) in _bundled_structures(problems_dir):
         link = max(link, js.diagnostics["chain_link_residual"])
         biorth = max(biorth, js.diagnostics["biorthogonality_error"])
-        idem = max(idem, _projector_idempotence(ps))
+        idem = max(idem, _projector_idempotence(js))
         count += 1
     for trial in range(50):
         dim, blocks = BLOCK_MENU[trial % len(BLOCK_MENU)]
@@ -76,7 +76,7 @@ def test_criterion_1_structure_invariants(problems_dir, report):
         assert js.p == tuple(sorted(blocks, reverse=True))
         link = max(link, js.diagnostics["chain_link_residual"])
         biorth = max(biorth, js.diagnostics["biorthogonality_error"])
-        idem = max(idem, _projector_idempotence(ps))
+        idem = max(idem, _projector_idempotence(js))
         count += 1
     elapsed = time.perf_counter() - t0
     ok = link <= 1e-8 and biorth <= 1e-8 and idem <= 1e-10 and elapsed < 5.0
@@ -93,7 +93,8 @@ def test_criterion_2_commutability_identities(problems_dir, report):
 
     def identity_residuals(spec_B, A_ops, js, ps):
         I2 = np.eye(js.codomain.dim)
-        Pk, Qk, Bp = ps.Pk.matrix, ps.Qk.matrix, ps.Bplus.matrix
+        pm = projector_matrices(js)
+        Pk, Qk, Bp = pm.Pk, pm.Qk, ps.Bplus.matrix
         Phi = js.Phi
         res = [np.abs(Bp @ Qk - Pk @ Bp).max(),
                np.abs((I2 - Qk) @ spec_B @ Phi).max()]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from degenpde import reduction
+from degenpde.chains import CERTIFY_TOL, complete_structure
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              StructureError)
 from degenpde.problems import instantiate, load_problem
@@ -15,6 +16,7 @@ from degenpde.solvers import (SolutionField, _cumulative_from_zero,
                               _cumulative_simpson_half, solve_family)
 from degenpde.spaces import FiniteOperator, grid_space, matrix_operator
 
+from conftest import projector_matrices
 from test_jordan import random_structured_pair
 
 
@@ -83,15 +85,31 @@ def test_regular_part_lines_of_the_bundled_problems(problems_dir, name, lead,
 
 
 def _assert_regular_part(rp, A):
-    # B Bplus is the projector onto the solvable complement, and M is
-    # assembled from it and the v-equation's A1 Bplus term, in that order
+    # B Bplus is the projector I - Q onto the solvable complement, and M is
+    # the v-equation's A1 Bplus term projected there; reduce forms it from
+    # the blocks, A1 Bplus - Z (Psi^T W A1 Bplus) - extras, so it matches
+    # the dense product to rounding
+    pm = projector_matrices(rp.js)
     Bplus = rp.ps.Bplus.matrix
-    np.testing.assert_allclose(rp.system.B.matrix @ Bplus, rp.IQ, atol=1e-12)
-    assert np.array_equal(rp.M, rp.IQ @ (A.matrix @ Bplus))
+    IQ = np.eye(pm.Q.shape[0]) - pm.Q
+    np.testing.assert_allclose(rp.system.B.matrix @ Bplus, IQ, atol=1e-12)
+    assert np.array_equal(rp.ABplus, A.matrix @ Bplus)
+    dense = IQ @ rp.ABplus
+    assert np.abs(rp.M - dense).max() <= 1e-13 * np.abs(dense).max()
     # Bplus vanishes on the root and extra subspaces, on both sides
     tol = 1e-8 * max(1.0, np.linalg.norm(Bplus))
-    assert np.abs(rp.ps.P @ Bplus).max() <= tol
-    assert np.abs(Bplus @ rp.ps.Q).max() <= tol
+    assert np.abs(pm.P @ Bplus).max() <= tol
+    assert np.abs(Bplus @ pm.Q).max() <= tol
+
+
+def test_no_dim_by_dim_projector_is_stored(problems_dir):
+    # the projectors stay chain blocks; the dim x dim arrays of a reduced
+    # problem are the two inverses and the v-equation's A1 Bplus and M
+    rp = reduce(instantiate(load_problem(problems_dir / "example2.json")))
+    dim = rp.system.B.domain.dim
+    square = {name for obj in (rp.ps, rp) for name, val in vars(obj).items()
+              if np.shape(getattr(val, "matrix", val)) == (dim, dim)}
+    assert square == {"Bplus", "Gamma", "ABplus", "M"}
 
 
 def _C_system_lines(rp):
@@ -219,7 +237,7 @@ def test_reduce_refuses_a_pairing_off_the_chain_pattern(monkeypatch, entry,
                                                         size, message):
     # p = (2,): A1 pairs phi column 1 with psi column 0 and phi column 0
     # with psi column 1; a certified matrix that moves an entry beyond
-    # COEFF_TOL (off the pattern) or 1e-6 (on it) is refused
+    # CERTIFY_TOL (off the pattern) or 1e-6 (on it) is refused
     certify = reduction.certify_operators
 
     def shifted(shift):
@@ -235,7 +253,7 @@ def test_reduce_refuses_a_pairing_off_the_chain_pattern(monkeypatch, entry,
     with pytest.raises(StructureError, match=message):
         reduce(spec)
     # inside the tolerances the same pencil reduces
-    tol = reduction.COEFF_TOL if entry == (0, 0) else 1e-6
+    tol = CERTIFY_TOL if entry == (0, 0) else 1e-6
     monkeypatch.setattr(reduction, "certify_operators", shifted(0.5 * tol))
     assert reduce(spec).js.p == (2,)
 
@@ -333,6 +351,19 @@ def _kron_chains_instance(rng, blocks, r=2):
         return np.concatenate([w1(t), w2], axis=-1) @ T
 
     return S @ core_B @ T, S @ core_A @ T, f, exact
+
+
+@pytest.mark.parametrize("blocks", [(1,), (2, 1), (3, 1), (4,), (2, 2, 1)],
+                         ids=lambda b: "p" + "".join(map(str, b)))
+def test_schmidt_inverse_from_the_blocks_inverts_the_bordered_matrix(rng, blocks):
+    # Gamma = Bplus + Phi K^-1 Psi^T W is the inverse of B bordered by the
+    # head terms z_i^(1) <., gamma_i^(1)>, here in the Euclidean metric
+    B, A, _, _ = _kron_chains_instance(rng, blocks)
+    js, ps = complete_structure(matrix_operator(B), matrix_operator(A))
+    assert js.p == blocks
+    first = js.head_columns
+    inv = np.linalg.inv(B + js.Z[:, first] @ js.Gam[:, first].T)
+    assert np.abs(ps.Gamma.matrix - inv).max() <= 1e-12 * np.abs(inv).max()
 
 
 @pytest.mark.parametrize("blocks", [(2, 1), (3, 1), (2, 2)],

@@ -77,7 +77,7 @@ def test_euclidean_adjoint_is_transpose(rng):
     dom = euclidean_space(3)
     cod = euclidean_space(5)
     A = FiniteOperator(rng.normal(size=(5, 3)), dom, cod)
-    np.testing.assert_allclose(A.adjoint_matrix(), A.matrix.T, atol=1e-14)
+    np.testing.assert_allclose(A.apply_adjoint(np.eye(5)), A.matrix.T, atol=1e-14)
 
 
 def test_adjoint_identity_under_weighted_grams(rng):
@@ -88,7 +88,7 @@ def test_adjoint_identity_under_weighted_grams(rng):
         u = rng.normal(size=3)
         w = rng.normal(size=5)
         lhs = cod.inner(A.matrix @ u, w)
-        rhs = dom.inner(u, A.adjoint().matrix @ w)
+        rhs = dom.inner(u, A.apply_adjoint(w[:, None])[:, 0])
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -96,15 +96,15 @@ def test_adjoint_is_an_involution(rng):
     dom = grid_space(0.0, 1.0, 31)
     cod = grid_space(0.0, 2.0, 31)
     A = FiniteOperator(rng.normal(size=(31, 31)), dom, cod)
-    back = A.adjoint().adjoint()
-    assert np.abs(back.matrix - A.matrix).max() <= 1e-12
-    assert back.domain is A.domain
+    Astar = FiniteOperator(A.apply_adjoint(np.eye(31)), cod, dom)
+    back = Astar.apply_adjoint(np.eye(31))
+    assert np.abs(back - A.matrix).max() <= 1e-12
 
 
 def test_multiplicative_kernel_is_self_adjoint():
     sp = grid_space(0.0, 1.0, 101)
     A = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s")
-    assert np.abs(A.adjoint_matrix() - A.matrix).max() <= 1e-12
+    assert np.abs(A.apply_adjoint(np.eye(101)) - A.matrix).max() <= 1e-12
 
 
 def test_matrix_operator_defaults():
@@ -172,7 +172,7 @@ def test_cokernel_is_the_kernel_of_the_adjoint(rng):
     assert sk.kernel().shape == (7, 5)
     cok = sk.adjoint().kernel()
     assert cok.shape == (5, 3)
-    assert max(dom.norm(col) for col in (A.adjoint_matrix() @ cok).T) <= 1e-10
+    assert max(dom.norm(col) for col in A.apply_adjoint(cok).T) <= 1e-10
     np.testing.assert_allclose(cok.T @ (cod.weights[:, None] * cok),
                                np.eye(3), atol=1e-12)
 
