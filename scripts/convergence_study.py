@@ -72,7 +72,7 @@ def node_study(cfg):
         B = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s")
         xg = sp.grid
         xhat = xg / sp.norm(xg)
-        defect = sp.norm(B.matrix @ xhat)
+        defect = sp.norm(B.apply(xhat))
         note = "" if prev is None else f"  ratio {prev / defect:6.2f}"
         print(f"  nodes={nodes:<5d} defect={defect:.3e}{note}")
         prev = defect

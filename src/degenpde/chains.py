@@ -6,8 +6,12 @@ gamma_i^(j) = A1* psi_i^(p_i+1-j) and z_i^(j) = A1 phi_i^(p_i+1-j),
 extra kernel directions when the kernel and cokernel dimensions differ,
 the root projectors, the Schmidt regularizer, a bounded pseudoinverse,
 and commutability matrices with their certificates.
-One weighted SVD of B, its skeleton decomposition, supplies the null
-bases of B and B*, the chain solves and the pseudoinverse Bplus.
+One skeleton decomposition of B, its weighted SVD, supplies the null
+bases of B and B*, the chain solves and the pseudoinverse Bplus.  For B
+kept as a diagonal plus low-rank factors the skeleton has 1x1 blocks and
+one SVD of size at most twice the rank of the factors, and every product
+with B or A1 goes through FiniteOperator.apply; no step forms their
+dense matrices.
 Each chain set is one column block, so every pairing between the sets
 is a matrix product, and every projector stays a pair of such blocks
 (Pk = Phi Gam^T W1, Qk = Z Psi^T W2), never a dim x dim matrix.
@@ -295,15 +299,14 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
         # every head on the smaller side must terminate: a combination that
         # A1 (A1* for dual heads) also annihilates pairs with no head of the
         # other side at any length; the square case takes the primal test
-        shared = (E2.root[:, None] * (A1.matrix @ heads) if n <= m
+        shared = (E2.root[:, None] * A1.apply(heads) if n <= m
                   else E1.root[:, None] * A1.apply_adjoint(dual_heads))
         sv = np.linalg.svd(shared, compute_uv=False)
         # against A1's size too: with one head, sv[0] is itself roundoff
-        a1_size = float(np.abs(E2.root[:, None] * A1.matrix / E1.root).max())
-        if sv[-1] <= rank_tol * max(sv[0], a1_size):
+        if sv[-1] <= rank_tol * max(sv[0], A1.largest_weighted_entry()):
             raise StructureError("incomplete Jordan set: B and A1 share a null direction")
 
-    Phi, p, phi_left = _staircase(sk, lambda X: A1.matrix @ X, heads, dual_heads, l, rank_tol)
+    Phi, p, phi_left = _staircase(sk, A1.apply, heads, dual_heads, l, rank_tol)
     Psi, p_dual, psi_left = _staircase(sk.adjoint(), A1.apply_adjoint, dual_heads, heads,
                                        l, rank_tol)
     if p != p_dual:
@@ -315,19 +318,19 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
     wPsi = E2.weights[:, None] * Psi
 
     if l:
-        W = (A1.matrix @ Phi).T @ wPsi
+        W = A1.apply(Phi).T @ wPsi
         diagnostics["terminal_pairing_det"] = _terminal_pairing_certificate(
             W[np.ix_(last, first)])
         Phi, norm_diag = _normalize_primal_chains(Phi, W, p)
         diagnostics.update(norm_diag)
 
-    APhi = A1.matrix @ Phi
+    APhi = A1.apply(Phi)
     js = JordanStructure(Phi=Phi, Psi=Psi, Gam=A1.apply_adjoint(Psi[:, rev]),
                          Z=APhi[:, rev], p=p, n=n, m=m, l=l, nu=nu, k=P.size,
                          B=B, A1=A1, skeleton=sk, diagnostics=diagnostics)
 
     if phi_left.shape[1]:
-        _refuse_coupled_extras(phi_left, A1.matrix.T @ wPsi)
+        _refuse_coupled_extras(phi_left, E1.weights[:, None] * A1.apply_adjoint(Psi))
         js.phi_extra = phi_left
         js.gamma_extra = _biorthogonal_partners(Phi, phi_left, E1)
     if psi_left.shape[1]:
@@ -356,7 +359,7 @@ def structure_residuals(js):
     """Measured chain-link and biorthogonality residuals (diagnostics)."""
     E1, E2 = js.domain, js.codomain
     B, A1, Phi, Psi, first = js.B, js.A1, js.Phi, js.Psi, js.head_columns
-    link = max(_link_residual(B.matrix @ Phi, A1.matrix @ Phi[:, :-1], Phi, first,
+    link = max(_link_residual(B.apply(Phi), A1.apply(Phi[:, :-1]), Phi, first,
                               E1.root, E2.root),
                _link_residual(B.apply_adjoint(Psi), A1.apply_adjoint(Psi[:, :-1]), Psi,
                               first, E2.root, E1.root))
@@ -370,37 +373,38 @@ def _schmidt_operator(js, ps):
     """Schmidt regularizer: the inverse of B bordered by the rank-one terms
     z_i^(1) <., gamma_i^(1)>, i = 1..l, is Bplus + Phi K^-1 Psi^T W2, as the
     bordered Bhat acts as B on the range of Bplus and maps the chain span
-    onto the z-span through K = Psi^T W2 Bhat Phi.  Square structures."""
+    onto the z-span through K = Psi^T W2 Bhat Phi.  Square structures.
+    The condition number is that of Bhat's matrix, read from its singular
+    values: B's factors, when it has them, plus the l bordering columns."""
     E1, E2 = js.domain, js.codomain
     first = js.head_columns
-    bordered = js.B.matrix + js.Z[:, first] @ (E1.weights[:, None] * js.Gam[:, first]).T
-    s = np.linalg.svd(bordered, compute_uv=False)
+    bordered = js.B.bordered(js.Z[:, first], E1.weights[:, None] * js.Gam[:, first])
+    s = bordered.singular_values()
     cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     if cond > 1e12:
         raise StructureError(
             f"Schmidt bordering failed: bordered matrix condition {cond:.2e}")
     js.diagnostics["schmidt_condition"] = cond
-    K = ps.z_coef.T @ (bordered @ js.Phi)
+    K = ps.z_coef.T @ bordered.apply(js.Phi)
     return FiniteOperator(ps.Bplus.matrix + js.Phi @ np.linalg.solve(K, ps.z_coef.T), E2, E1)
 
 
 def _pseudo_inverse(js, ps):
     """Bounded pseudoinverse: inverts B between the complement of the root
     (plus extra) subspace and the complement of the z-span, zero elsewhere.
-    Satisfies B Bplus = I - Q, Bplus Q = 0, P Bplus = 0.  The minimum-norm
-    solve of B X0 = I - Q is V_r S^-1 Y_r (rescaled), Y = U^T R2 (I - Q) a
-    rank-k update of U^T R2 with |Y| = |R2 (I - Q)|; its cokernel rows are
-    the residual.  The dual chain links confine the root-space part of X0 to
-    ker B (level-1 and extra directions), so removing it gives P Bplus = 0."""
+    Satisfies B Bplus = I - Q, Bplus Q = 0, P Bplus = 0.  X0 is the skeleton's
+    minimum-norm solve of B X0 = I - Q; its residual, the part of R2 (I - Q)
+    along B's cokernel, must vanish.  The dual chain links confine the
+    root-space part of X0 to ker B (level-1 and extra directions), so
+    removing it gives P Bplus = 0."""
     E1, E2 = js.domain, js.codomain
-    sk, r = js.skeleton, js.skeleton.rank
-    Y = sk.U.T * E2.root
-    Y -= (Y @ ps.z_span) @ ps.z_coef.T
-    rel = float(np.linalg.norm(Y[r:]) / max(1.0, np.linalg.norm(Y)))
+    rhs = outside_z_span(ps, np.eye(E2.dim)).T
+    X0, res = js.skeleton.solve(rhs)
+    size = np.sqrt(np.einsum("ij,ij->i", rhs, rhs) @ E2.weights)
+    rel = float(np.linalg.norm(res) / max(1.0, size))
     if rel > 1e-8:
         raise StructureError("pseudoinverse construction failed: range-complement "
                              f"solve residual {rel:.2e}")
-    X0 = sk.Vt[:r].T @ (Y[:r] / sk.s[:r, None]) / E1.root[:, None]
     return FiniteOperator(outside_phi_span(ps, X0.T).T, E2, E1)
 
 
@@ -442,7 +446,7 @@ def commutability_matrix(A, js):
     reduce solves the C-system on (exchange_violation)."""
     E1, E2 = js.domain, js.codomain
     Phi, Psi, Gam, Z = js.Phi, js.Psi, js.Gam, js.Z
-    APhi = A.matrix @ Phi
+    APhi = A.apply(Phi)
     r1, r2 = E1.root[:, None], E2.root[:, None]
     M = APhi.T @ (E2.weights[:, None] * Psi)
     prim_dev = np.linalg.norm(r2 * (APhi - Z @ M.T))
@@ -486,7 +490,7 @@ def structure_report(js, ps, comm):
         coef = coef[:, :js.k]
         idem = np.abs(cols @ ((coef.T @ cols - np.eye(js.k)) @ coef.T)).max()
         lines.append(f"{name}_idempotence={idem:.6e}")
-    bbp = np.abs(js.B.matrix @ ps.Bplus.matrix
+    bbp = np.abs(js.B.apply(ps.Bplus.matrix)
                  - outside_z_span(ps, np.eye(js.codomain.dim)).T).max()
     lines.append(f"pseudoinverse_identity={bbp:.6e}")
     lines.append(f"A1_certified={'pass' if comm.certified else 'fail'}")

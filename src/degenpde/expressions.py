@@ -254,6 +254,35 @@ def variables_of(node):
     return set()
 
 
+def separate(node, max_terms):
+    """A kernel tree in (x, s) as a sum of products a_i(x) b_i(s): the list
+    of (a_i, b_i) node pairs, or None when +, -, * and Neg do not reduce
+    it to that form or it takes more than max_terms products.  A subtree
+    in x alone, or a constant, is an x part; one in s alone an s part."""
+    names = variables_of(node)
+    if max_terms < 1:
+        return None
+    if names <= {"x"}:
+        return [(node, Num(1.0))]
+    if names <= {"s"}:
+        return [(Num(1.0), node)]
+    if isinstance(node, Neg):
+        terms = separate(node.operand, max_terms)
+        return None if terms is None else [(Neg(a), b) for a, b in terms]
+    if not (isinstance(node, BinOp) and node.op in ("+", "-", "*")):
+        return None
+    left = separate(node.left, max_terms)
+    right = None if left is None else separate(node.right, max_terms)
+    if right is None:
+        return None
+    count = len(left) * len(right) if node.op == "*" else len(left) + len(right)
+    if count > max_terms:
+        return None
+    if node.op == "*":
+        return [(BinOp("*", a, c), BinOp("*", b, d)) for a, b in left for c, d in right]
+    return left + (right if node.op == "+" else [(Neg(a), b) for a, b in right])
+
+
 def _eval(node, env):
     if isinstance(node, Num):
         # numpy scalars keep 1/0 and overflow as inf for the finiteness check

@@ -24,7 +24,8 @@ from .reduction import FAMILIES, DegenerateSystemSpec, _mesh_coords
 from .solvers import (oracle_first_order_evolution, oracle_goursat_constant,
                       oracle_second_order_evolution)
 from .spaces import (euclidean_space, grid_space, identity_operator,
-                     make_kernel_operator, matrix_operator, mode_space)
+                     make_kernel_operator, matrix_operator, mode_space,
+                     structured_operator)
 
 TOP_KEYS = ("spaces", "B", "A1", "f", "family", "grid", "tolerances")
 OPTIONAL_KEYS = ("lambda", "oracle")
@@ -361,7 +362,7 @@ def _build_operator(desc, path, spaces, lam):
         bindings["s"] = float(lam)
     entries = np.broadcast_to(np.asarray(evaluate(ast, **bindings), dtype=float),
                               (space.dim,))
-    return matrix_operator(np.diag(entries), domain=space, codomain=space)
+    return structured_operator(space, entries)
 
 
 def _time_field_sampler(ast, xg):
@@ -448,7 +449,8 @@ def _refuse_common_null_modes(B, A1, lam):
     operator's largest entry) counts as vanishing."""
     null = np.ones(B.domain.dim, dtype=bool)
     for op in (B, A1):
-        cols = np.abs(op.matrix).max(axis=0)
+        diagonal = op.dense is None and not op.U.shape[1]
+        cols = np.abs(op.diag) if diagonal else np.abs(op.matrix).max(axis=0)
         null &= cols <= NULL_MODE_TOL * max(1.0, float(cols.max(initial=0.0)))
     if null.any():
         mm = B.domain.mode_shape[1]

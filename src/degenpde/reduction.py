@@ -85,8 +85,9 @@ class ReducedProblem:
     js: object
     ps: object
     comm: object         # A1's commutability result on the chain span
-    ABplus: np.ndarray   # A1 Bplus, the lower-order term of the v-equation
     M: np.ndarray        # (I - Q) A1 Bplus, the lower-order matrix of the v-equation
+    lower_size: float    # max |A1 Bplus|, the lower-order term's largest entry
+    lower_psi_extra: np.ndarray   # (A1 Bplus)^T W2 psi_extra, None when m <= n
     lambda_slots: tuple
 
 
@@ -107,15 +108,18 @@ def reduce(spec):
             f"quasitriangularity not certified: A1 pairs phi column {b} with "
             f"psi column {a} by {comm.matrix[b, a]:.3e}, expected "
             f"{float(js.exchange[a] == b):g} after normalization")
-    ABplus = spec.A1.matrix @ ps.Bplus.matrix
+    ABplus = spec.A1.apply(ps.Bplus.matrix)
     # dynamics projected onto the solvable complement: for m > n the raw
     # A1 Bplus pushes v into the constraint directions handled separately
     M = outside_z_span(ps, ABplus.T).T
+    lower_psi_extra = (None if js.psi_extra is None
+                       else ABplus.T @ (js.codomain.weights[:, None] * js.psi_extra))
 
     n_extra = 0 if js.phi_extra is None else js.phi_extra.shape[1]
     lambda_slots = tuple(f"lambda_{js.l + e + 1}" for e in range(n_extra))
-    return ReducedProblem(system=spec, js=js, ps=ps, comm=comm,
-                          ABplus=ABplus, M=M, lambda_slots=lambda_slots)
+    return ReducedProblem(system=spec, js=js, ps=ps, comm=comm, M=M,
+                          lower_size=float(np.abs(ABplus).max()),
+                          lower_psi_extra=lower_psi_extra, lambda_slots=lambda_slots)
 
 
 def beta_tables(rp, f_samples):
@@ -187,10 +191,9 @@ def compat_residual(rp, axes, v_samples, f_samples):
     if js.psi_extra is None:
         return 0.0
     lower_k = FAMILIES[rp.system.family].L[1]
-    wpsi = js.codomain.weights[:, None] * js.psi_extra
-    scal = np.asarray(v_samples) @ (rp.ABplus.T @ wpsi)
+    scal = np.asarray(v_samples) @ rp.lower_psi_extra
     total = (apply_differential_operator(lower_k, scal, axes)
-             - np.asarray(f_samples) @ wpsi)
+             - np.asarray(f_samples) @ (js.codomain.weights[:, None] * js.psi_extra))
     return float(np.abs(_interior(total, len(axes))).max())
 
 
@@ -226,8 +229,8 @@ def equation_residual(spec, axes, u, f_vals):
     leading axes of u and f_vals (dimension last)."""
     _require_stencil_nodes(axes)
     lead_k, lower_k = FAMILIES[spec.family].L
-    total = (apply_differential_operator(lead_k, u @ spec.B.matrix.T, axes)
-             + apply_differential_operator(lower_k, u @ spec.A1.matrix.T, axes))
+    total = (apply_differential_operator(lead_k, spec.B.apply_to_samples(u), axes)
+             + apply_differential_operator(lower_k, spec.A1.apply_to_samples(u), axes))
     return float(np.abs(_interior(total - f_vals, len(axes))).max())
 
 
@@ -293,7 +296,7 @@ def describe_reduction(rp):
     lines = ["regular part:",
              f"  [{_describe(lead_k)}] x operator(|coef|_max=1)",
              f"  [{_describe(lower_k)}] x operator(|coef|_max="
-             f"{float(np.abs(rp.ABplus).max()):.6g})",
+             f"{rp.lower_size:.6g})",
              f"C-system rows: {js.k}"]
     for s, p in enumerate(js.p):
         for t in range(1, p + 1):

@@ -8,6 +8,13 @@ stores only its weights, the diagonal of the Gram matrix, and every
 metric operation is a row or column scaling.  Operators carry their
 domain and codomain so their adjoints are taken with respect to the
 right inner products.
+
+A square operator built as a diagonal plus a low-rank part, diag(D) +
+U V^T (the identity, a mode diagonal, I - K or K for a degenerate kernel
+K = sum a_i(x) b_i(s)), keeps those factors.  Its skeleton, the SVD
+between orthonormal coordinates, then comes from 1x1 blocks and one SVD
+of size at most 2k: Fredholm's degenerate-kernel reduction.  Any other
+operator is dense and takes a full SVD.
 """
 
 from dataclasses import dataclass, field
@@ -15,10 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .expressions import evaluate, parse
+from .expressions import evaluate, parse, separate
 
 DEFAULT_RANK_TOL = 1e-10
 KERNEL_PARALLEL_TOL = 1e-8   # exact_on: K v against its projection onto v
+ROW_BLOCK = 256              # rows formed at once from a map's factors
 
 
 @dataclass(frozen=True)
@@ -93,60 +101,285 @@ def mode_space(nx, ny):
 
 @dataclass(frozen=True)
 class FiniteOperator:
-    """A linear map between two inner-product spaces, stored densely."""
+    """A linear map between two inner-product spaces.
 
-    matrix: np.ndarray = field(repr=False)
+    A square map of the form diag(diag) + U V^T, with U and V of size
+    dim x k (k = 0 for a diagonal map), keeps those factors: it is applied,
+    adjoined and factored through them, and forms its dense `matrix` only
+    on request.  Any other map is stored densely in `dense`, with diag, U
+    and V left None."""
+
+    dense: np.ndarray = field(repr=False)
     domain: InnerProductSpace
     codomain: InnerProductSpace
+    diag: np.ndarray = field(default=None, repr=False)
+    U: np.ndarray = field(default=None, repr=False)
+    V: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (self.codomain.dim, self.domain.dim):
+        n = self.domain.dim
+        if self.dense is None:
+            d = np.asarray(self.diag, dtype=float)
+            U, V = np.asarray(self.U, dtype=float), np.asarray(self.V, dtype=float)
+            if (self.codomain.dim != n or d.shape != (n,) or U.ndim != 2
+                    or U.shape[0] != n or U.shape != V.shape):
+                raise ConfigurationError(
+                    f"factors diag {d.shape}, U {U.shape}, V {V.shape} do not form "
+                    f"a map of codomain dim {self.codomain.dim} x domain dim {n}")
+            for name, val in (("diag", d), ("U", U), ("V", V)):
+                object.__setattr__(self, name, val)
+            return
+        m = np.asarray(self.dense, dtype=float)
+        if m.shape != (self.codomain.dim, n):
             raise ConfigurationError(
                 f"operator matrix shape {m.shape} does not match "
-                f"codomain dim {self.codomain.dim} x domain dim {self.domain.dim}")
-        object.__setattr__(self, "matrix", m)
+                f"codomain dim {self.codomain.dim} x domain dim {n}")
+        object.__setattr__(self, "dense", m)
+
+    @property
+    def matrix(self):
+        """The dense matrix; a map kept as factors forms it on each request."""
+        if self.dense is not None:
+            return self.dense
+        m = self.U @ self.V.T
+        m[np.diag_indices_from(m)] += self.diag
+        return m
+
+    def apply(self, cols):
+        """The map on a column block (or one vector), the domain dimension first."""
+        if self.dense is not None:
+            return self.dense @ cols
+        out = self.diag.reshape((-1,) + (1,) * (np.ndim(cols) - 1)) * cols
+        if self.U.shape[1]:
+            out += self.U @ (self.V.T @ cols)
+        return out
+
+    def apply_to_samples(self, samples):
+        """The map on every sample of an array whose last axis is the domain
+        dimension."""
+        if self.dense is not None:
+            return samples @ self.dense.T
+        out = samples * self.diag
+        if self.U.shape[1]:
+            out += (samples @ self.V) @ self.U.T
+        return out
 
     def apply_adjoint(self, cols):
         """The adjoint map codomain -> domain on a column block,
         <A u, v>_cod = <u, A* v>_dom: A* v = W_dom^-1 A^T (W_cod v)."""
-        return self.matrix.T @ (self.codomain.weights[:, None] * cols) / self.domain.weights[:, None]
+        wv = self.codomain.weights[:, None] * cols
+        if self.dense is not None:
+            return self.dense.T @ wv / self.domain.weights[:, None]
+        out = self.diag[:, None] * wv
+        if self.U.shape[1]:
+            out += self.V @ (self.U.T @ wv)
+        return out / self.domain.weights[:, None]
+
+    def largest_weighted_entry(self):
+        """max |R_cod A R_dom^-1| over the entries; a map kept as factors
+        forms its weighted entries a row block at a time."""
+        r1, r2 = self.domain.root, self.codomain.root
+        if self.dense is not None:
+            return float(np.abs(r2[:, None] * self.dense / r1).max(initial=0.0))
+        d, Uw, Vw = self.diag * (r2 / r1), r2[:, None] * self.U, self.V / r1[:, None]
+        best = float(np.abs(d).max(initial=0.0))
+        if Uw.shape[1]:
+            for lo in range(0, d.size, ROW_BLOCK):
+                rows = Uw[lo:lo + ROW_BLOCK] @ Vw.T
+                j = np.arange(rows.shape[0])
+                rows[j, lo + j] += d[lo + j]
+                best = max(best, float(np.abs(rows).max()))
+        return best
+
+    def bordered(self, cols, rows):
+        """The matrix of this map plus cols rows^T, as a map between
+        Euclidean spaces of the same dimensions; factors stay factors."""
+        dom, cod = euclidean_space(self.domain.dim), euclidean_space(self.codomain.dim)
+        if self.dense is not None:
+            return FiniteOperator(self.dense + cols @ rows.T, dom, cod)
+        return FiniteOperator(None, dom, cod, self.diag, np.hstack([self.U, cols]),
+                              np.hstack([self.V, rows]))
+
+    def _pieces(self, compute_uv):
+        """The SVD pieces of the map between orthonormal coordinates:
+        _factor_pieces of its weighted factors, or one dense piece."""
+        r1, r2 = self.domain.root, self.codomain.root
+        if self.dense is None:
+            return _factor_pieces(self.diag * (r2 / r1), r2[:, None] * self.U,
+                                  self.V / r1[:, None], compute_uv)
+        return [_Dense(slice(None), slice(None), *_svd(r2[:, None] * self.dense / r1, compute_uv))]
+
+    def singular_values(self):
+        """Singular values of the map between orthonormal coordinates of its
+        spaces, descending, without singular vectors."""
+        return np.sort(np.concatenate([p.values for p in self._pieces(False)]))[::-1]
 
     def skeleton(self, rank_tol=DEFAULT_RANK_TOL):
-        """The SVD of this map between orthonormal coordinates of its spaces;
-        singular values <= rank_tol * largest count as zero."""
-        U, s, Vt = np.linalg.svd(self.codomain.root[:, None] * self.matrix / self.domain.root)
-        rank = int(np.sum(s > rank_tol * s[0])) if s.size else 0
-        return Skeleton(U, s, Vt, rank, self.domain, self.codomain)
+        """The SVD of this map between orthonormal coordinates of its spaces,
+        in pieces; singular values <= rank_tol * largest count as zero."""
+        pieces = tuple(self._pieces(True))
+        s = np.sort(np.concatenate([p.values for p in pieces]))[::-1]
+        cut = rank_tol * s[0] if s.size else 0.0
+        return Skeleton(pieces, s, int(np.sum(s > cut)), cut, self.domain, self.codomain)
+
+
+def _svd(a, compute_uv):
+    """(U, s, Vt) of a, or (None, s, None) for the singular values alone."""
+    if compute_uv:
+        return np.linalg.svd(a)
+    return None, np.linalg.svd(a, compute_uv=False), None
+
+
+def _factor_pieces(d, U, V, compute_uv):
+    """B_w = diag(d) + U V^T as pieces on disjoint coordinate sets.
+
+    Each coordinate that U and V leave untouched is a 1x1 block with
+    singular value |d_j|.  On the touched ones, where d is a constant c,
+    c I + U V^T = Q core Q^T + c (I - Q Q^T) with Q an orthonormal basis
+    holding the columns of U and V, so one q x q SVD (q <= 2k) factors it;
+    where d varies, the block takes a dense SVD."""
+    touched = np.any(U != 0, axis=1) | np.any(V != 0, axis=1)
+    idx, rest = np.flatnonzero(touched), np.flatnonzero(~touched)
+    pieces = [_Diagonal(rest, d[rest])]
+    if not idx.size:
+        return pieces
+    dT, UT, VT = d[idx], U[idx], V[idx]
+    if np.all(dT == dT[0]):
+        # unit columns, so that Q holds a small column as well as a large one
+        X = np.hstack([UT, VT])
+        Q = np.linalg.qr(X / np.maximum(np.linalg.norm(X, axis=0), np.finfo(float).tiny))[0]
+        core = (Q.T @ UT) @ (Q.T @ VT).T + dT[0] * np.eye(Q.shape[1])
+        pieces.append(_LowRank(idx, Q, *_svd(core, compute_uv), dT[0]))
+    else:
+        block = UT @ VT.T
+        block[np.diag_indices_from(block)] += dT
+        pieces.append(_Dense(idx, idx, *_svd(block, compute_uv)))
+    return pieces
+
+
+class _Diagonal:
+    """1x1 blocks B_w e_j = d_j e_j on the coordinates idx."""
+
+    def __init__(self, idx, d):
+        self.idx, self.d, self.values = idx, d, np.abs(d)
+
+    def adjoint(self):
+        return self
+
+    def null_right(self, cut, dim):
+        null = np.flatnonzero(self.values <= cut)
+        vecs = np.zeros((dim, null.size))
+        vecs[self.idx[null], np.arange(null.size)] = 1.0
+        return self.values[null], vecs
+
+    def solve(self, y, x, cut):
+        live = self.values > cut
+        x[self.idx[live]] = y[self.idx[live]] / self.d[live, None]
+        dead = y[self.idx[~live]]
+        return (dead * dead).sum(axis=0)
+
+
+class _LowRank:
+    """B_w = Q (Uc diag(sc) Vct) Q^T + c (I - Q Q^T) on the coordinates
+    idx, Q orthonormal: the SVD of the q x q core, and singular value |c|
+    on the complement of Q's span."""
+
+    def __init__(self, idx, Q, Uc, sc, Vct, c):
+        self.idx, self.Q, self.Uc, self.sc, self.Vct, self.c = idx, Q, Uc, sc, Vct, c
+        self.values = np.concatenate([sc, np.full(idx.size - sc.size, abs(c))])
+
+    def adjoint(self):
+        return _LowRank(self.idx, self.Q, self.Vct.T, self.sc, self.Uc.T, self.c)
+
+    def null_right(self, cut, dim):
+        r, q = int(np.sum(self.sc > cut)), self.Q.shape[1]
+        vals, cols = self.sc[r:][::-1], self.Q @ self.Vct[r:][::-1].T
+        if abs(self.c) <= cut and self.idx.size > q:
+            comp = np.linalg.qr(self.Q, mode="complete")[0][:, q:]
+            vals = np.concatenate([np.full(comp.shape[1], abs(self.c)), vals])
+            cols = np.hstack([comp, cols])
+        vecs = np.zeros((dim, cols.shape[1]))
+        vecs[self.idx] = cols
+        return vals, vecs
+
+    def solve(self, y, x, cut):
+        r = int(np.sum(self.sc > cut))
+        yT = y[self.idx]
+        qy = self.Q.T @ yT
+        coef = self.Uc.T @ qy
+        # the complement part of y, formed in place of its copy yT
+        yT -= self.Q @ qy
+        res2 = (coef[r:] * coef[r:]).sum(axis=0)
+        if abs(self.c) > cut:
+            yT /= self.c
+        else:
+            res2 += (yT * yT).sum(axis=0)
+            yT[:] = 0.0
+        yT += self.Q @ (self.Vct[:r].T @ (coef[:r] / self.sc[:r, None]))
+        x[self.idx] = yT
+        return res2
+
+
+class _Dense:
+    """The SVD U diag(s) Vt of B_w restricted to rows x cols."""
+
+    def __init__(self, rows, cols, U, s, Vt):
+        self.rows, self.cols, self.U, self.values, self.Vt = rows, cols, U, s, Vt
+
+    def adjoint(self):
+        return _Dense(self.cols, self.rows, self.Vt.T, self.values, self.U.T)
+
+    def null_right(self, cut, dim):
+        s = self.values
+        r, ncols = int(np.sum(s > cut)), self.Vt.shape[0]
+        vals = np.zeros(ncols)
+        vals[:s.size] = s
+        vecs = np.zeros((dim, ncols - r))
+        vecs[self.cols] = self.Vt[r:][::-1].T
+        return vals[r:][::-1], vecs
+
+    def solve(self, y, x, cut):
+        s = self.values
+        r = int(np.sum(s > cut))
+        yr = y[self.rows]
+        x[self.cols] = self.Vt[:r].T @ ((self.U[:, :r].T @ yr) / s[:r, None])
+        null = self.U[:, r:].T @ yr
+        return (null * null).sum(axis=0)
 
 
 @dataclass(frozen=True, repr=False)
 class Skeleton:
-    """B_w = U diag(s) Vt, the weighted SVD of an operator B, with its
-    numerical rank.  (B*)_w = B_w^T, so the skeleton of the adjoint needs
-    no second factorization."""
+    """B_w = R_cod B R_dom^-1 as SVD pieces on disjoint coordinate sets
+    (_factor_pieces; one dense piece for a dense map), with every singular
+    value in s, descending, and the numerical rank: values <= cut count as
+    zero.  (B*)_w = B_w^T, so the skeleton of the adjoint flips each piece
+    and needs no second factorization."""
 
-    U: np.ndarray
+    pieces: tuple
     s: np.ndarray
-    Vt: np.ndarray
     rank: int
+    cut: float
     domain: InnerProductSpace
     codomain: InnerProductSpace
 
     def adjoint(self):
-        return Skeleton(self.Vt.T, self.s, self.U.T, self.rank, self.codomain, self.domain)
+        return Skeleton(tuple(p.adjoint() for p in self.pieces), self.s, self.rank,
+                        self.cut, self.codomain, self.domain)
 
     def kernel(self):
         """Domain-orthonormal null basis by ascending singular value, signs fixed."""
-        return _fix_column_signs(self.Vt[self.rank:][::-1].T / self.domain.root[:, None])
+        vals, vecs = zip(*(p.null_right(self.cut, self.domain.dim) for p in self.pieces))
+        order = np.argsort(np.concatenate(vals), kind="stable")
+        return _fix_column_signs(np.hstack(vecs)[:, order] / self.domain.root[:, None])
 
     def solve(self, rhs_cols):
         """Minimum-norm least-squares solutions of B x = y for the columns y
-        of rhs_cols, and the residual norms, |U[:, rank:]^T y_w| as U is square."""
-        r, yw = self.rank, self.codomain.root[:, None] * rhs_cols
-        coef = self.U[:, :r].T @ yw
-        res = np.linalg.norm(self.U[:, r:].T @ yw, axis=0)
-        return self.Vt[:r].T @ (coef / self.s[:r, None]) / self.domain.root[:, None], res
+        of rhs_cols, and the residual norms, the size of y_w's part along the
+        null left singular vectors."""
+        yw = self.codomain.root[:, None] * rhs_cols
+        x = np.zeros((self.domain.dim, yw.shape[1]))
+        res2 = sum(p.solve(yw, x, self.cut) for p in self.pieces)
+        return x / self.domain.root[:, None], np.sqrt(res2)
 
 
 def _fix_column_signs(cols):
@@ -163,8 +396,16 @@ def _fix_column_signs(cols):
     return cols
 
 
+def structured_operator(space, diag, U=None, V=None):
+    """diag(diag) + U V^T on one space, kept as its factors (k = 0, a
+    diagonal map, when U and V are omitted)."""
+    empty = np.zeros((space.dim, 0))
+    return FiniteOperator(None, space, space, diag,
+                          empty if U is None else U, empty if V is None else V)
+
+
 def identity_operator(space, scale=1.0):
-    return FiniteOperator(scale * np.eye(space.dim), space, space)
+    return structured_operator(space, np.full(space.dim, float(scale)))
 
 
 def matrix_operator(rows, domain=None, codomain=None):
@@ -182,6 +423,11 @@ def make_kernel_operator(space, kind, kernel, exact_on=None):
     kind "kernel_only" gives (K u)(x_i) = sum_j w_j k(x_i, s_j) u_j with the
     trapezoid weights w; "identity_minus_kernel" gives I - K.
 
+    A degenerate kernel, a sum of at most dim // 4 products a_i(x) b_i(s)
+    (expressions.separate), is kept as the factors U = [a_i(x_j)] and
+    V = [w_j b_i(s_j)] of K = U V^T, and nothing is sampled dim x dim; any
+    other kernel is sampled densely.
+
     exact_on: an expression v(x) that the kernel part should reproduce
     exactly (K v = v for identity_minus_kernel, so that (I - K) v = 0).
     The quadrature only reproduces it approximately, so the kernel is
@@ -194,16 +440,21 @@ def make_kernel_operator(space, kind, kernel, exact_on=None):
     if kind not in ("identity_minus_kernel", "kernel_only"):
         raise ConfigurationError(f"unknown kernel operator kind {kind!r}")
     ast = parse(kernel) if isinstance(kernel, str) else kernel
-    g = space.grid
-    X, S = np.meshgrid(g, g, indexing="ij")
-    K = np.broadcast_to(np.asarray(evaluate(ast, x=X, s=S), dtype=float),
-                        (space.dim, space.dim)).copy()
-    K = K * space.weights[None, :]
+    g, n = space.grid, space.dim
+    terms = separate(ast, n // 4)
+    if terms is not None:
+        U = np.column_stack([np.broadcast_to(evaluate(a, x=g), (n,)) for a, _ in terms])
+        V = np.column_stack([space.weights * evaluate(b, s=g) for _, b in terms])
+    else:
+        X, S = np.meshgrid(g, g, indexing="ij")
+        K = np.broadcast_to(np.asarray(evaluate(ast, x=X, s=S), dtype=float), (n, n)).copy()
+        K = K * space.weights[None, :]
+    scale = 1.0
     if exact_on is not None:
         v = np.asarray(evaluate(parse(exact_on) if isinstance(exact_on, str) else exact_on,
                                 x=g))
         v = np.broadcast_to(v, g.shape).astype(float)
-        w = K @ v
+        w = U @ (V.T @ v) if terms is not None else K @ v
         vnorm = np.linalg.norm(v)
         wnorm = np.linalg.norm(w)
         if vnorm == 0 or wnorm == 0:
@@ -213,9 +464,10 @@ def make_kernel_operator(space, kind, kernel, exact_on=None):
             raise ConfigurationError(
                 f"kernel image of exact_on expression is not proportional to it "
                 f"(relative deviation {resid:.2e})")
-        K = K * (np.dot(v, w) / np.dot(w, w))
-    if kind == "identity_minus_kernel":
-        m = np.eye(space.dim) - K
-    else:
-        m = K
-    return FiniteOperator(m, space, space)
+        scale = np.dot(v, w) / np.dot(w, w)
+    sign = -1.0 if kind == "identity_minus_kernel" else 1.0
+    if terms is not None:
+        return structured_operator(space, np.full(n, float(kind == "identity_minus_kernel")),
+                                   (sign * scale) * U, V)
+    K = K * scale
+    return FiniteOperator(np.eye(n) - K if sign < 0 else K, space, space)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from degenpde.errors import EvaluationError, ParseError
 from degenpde.expressions import (FUNCTIONS, MAX_DEPTH, MAX_NESTING,
                                   MAX_SOURCE_BYTES, VARIABLES, BinOp, Func,
-                                  Neg, Num, Var, evaluate, parse, variables_of)
+                                  Neg, Num, Var, evaluate, parse, separate,
+                                  variables_of)
 
 
 def test_product_of_variables():
@@ -240,3 +241,69 @@ def test_evaluation_is_pure(ast, seed):
     else:
         assert first.dtype == np.float64
         assert first.tobytes() == second.tobytes()
+
+
+# -- separation of degenerate kernels ----------------------------------------
+
+def _separated_sum(terms, X, S):
+    return sum(evaluate(a, x=X) * evaluate(b, s=S) for a, b in terms)
+
+
+_XS = np.meshgrid(np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5), indexing="ij")
+
+
+@pytest.mark.parametrize("source, count", [
+    ("3*x*s", 1),
+    ("2", 1),
+    ("sin(x)", 1),
+    ("x*s + cos(x)*exp(s)", 2),
+    ("x*s - x^2*s^2", 2),
+    ("-(x*s)", 1),
+    ("-(x + s)*(x - 2*s)", 4),
+    ("(x + s)*(x - s)", 4),
+    ("(2/3)*sin(x)*sin(s) + 1", 2),
+])
+def test_separate_covers_sums_differences_products_and_signs(source, count):
+    ast = parse(source)
+    terms = separate(ast, 16)
+    assert len(terms) == count
+    for a, b in terms:
+        assert variables_of(a) <= {"x"} and variables_of(b) <= {"s"}
+    np.testing.assert_allclose(_separated_sum(terms, *_XS), evaluate(ast, x=_XS[0], s=_XS[1]),
+                               rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("source", ["exp(x*s)", "sin(x + s)", "x/s", "(x + s)^2",
+                                    "t*x*s", "sqrt(x*s)"])
+def test_separate_refuses_a_kernel_that_is_not_a_sum_of_products(source):
+    assert separate(parse(source), 16) is None
+
+
+def test_separate_refuses_more_terms_than_allowed():
+    ast = parse("(x + s)*(x + s)*(x + s)")
+    assert len(separate(ast, 8)) == 8
+    assert separate(ast, 7) is None
+    assert separate(parse("+".join(["x*s"] * 5)), 4) is None
+    assert separate(parse("x*s"), 0) is None
+
+
+_sep_leaf = st.one_of(
+    st.floats(min_value=0.1, max_value=3.0).map(Num),
+    st.sampled_from(["x", "s"]).map(Var),
+    st.builds(Func, st.sampled_from(sorted(FUNCTIONS)), st.sampled_from(["x", "s"]).map(Var)),
+)
+_sep_asts = st.recursive(
+    _sep_leaf,
+    lambda c: st.one_of(st.builds(Neg, c),
+                        st.builds(BinOp, st.sampled_from(["+", "-", "*"]), c, c)),
+    max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sep_asts)
+def test_separate_reproduces_every_sum_of_products_tree(ast):
+    terms = separate(ast, 256)
+    assert terms is not None
+    want = evaluate(ast, x=_XS[0], s=_XS[1])
+    np.testing.assert_allclose(_separated_sum(terms, *_XS), want, rtol=1e-12,
+                               atol=1e-12 * max(1.0, float(np.abs(want).max())))

@@ -132,14 +132,22 @@ def test_schmidt_times_complement_matches_pseudoinverse_for_unit_chains():
     assert np.abs(alt - ps.Bplus.matrix).max() <= 1e-8
 
 
-@pytest.mark.parametrize("name", ["example2.json", "example5.json"])
-def test_complete_structure_factors_at_most_twice(problems_dir, monkeypatch, name):
-    # one weighted SVD of B serves the null bases, the chain links and
-    # Bplus; the Schmidt bordered matrix takes the other, for its singular
-    # values only.  Factorizations of the small chain-pairing matrices are
-    # not counted.
+@pytest.mark.parametrize("name, dense, expected", [
+    ("example2.json", False, []),
+    ("example5.json", False, []),
+    ("example2.json", True, [("svd", True), ("svd", False)]),
+], ids=["example2.json", "example5.json", "example2-matrix"])
+def test_complete_structure_factors_at_most_twice(problems_dir, monkeypatch, name,
+                                                  dense, expected):
+    # a pencil kept as a diagonal plus low-rank factors is factored through
+    # 1x1 blocks and small cores: no factorization of a matrix whose smaller
+    # side is dim/2 or more.  The same B given densely takes one weighted SVD
+    # (null bases, chain links, Bplus) and one values-only SVD of the
+    # Schmidt bordered matrix.  Factorizations of the small chain-pairing
+    # matrices are not counted.
     spec = instantiate(load_problem(problems_dir / name))
-    dim = spec.B.domain.dim
+    B = matrix_operator(spec.B.matrix, spec.B.domain, spec.B.codomain) if dense else spec.B
+    dim = B.domain.dim
     large = []
     for fname in ("svd", "lstsq", "inv", "cond", "solve", "pinv", "qr"):
         def counted(a, *args, _orig=getattr(np.linalg, fname), _name=fname, **kw):
@@ -147,8 +155,8 @@ def test_complete_structure_factors_at_most_twice(problems_dir, monkeypatch, nam
                 large.append((_name, kw.get("compute_uv", True)))
             return _orig(a, *args, **kw)
         monkeypatch.setattr(np.linalg, fname, counted)
-    complete_structure(spec.B, spec.A1)
-    assert large == [("svd", True), ("svd", False)], large
+    complete_structure(B, spec.A1)
+    assert large == expected, large
 
 
 # -- unpaired directions (kernel/cokernel mismatch) ---------------------------

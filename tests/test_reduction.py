@@ -88,13 +88,20 @@ def _assert_regular_part(rp, A):
     # B Bplus is the projector I - Q onto the solvable complement, and M is
     # the v-equation's A1 Bplus term projected there; reduce forms it from
     # the blocks, A1 Bplus - Z (Psi^T W A1 Bplus) - extras, so it matches
-    # the dense product to rounding
+    # the dense product to rounding.  Of A1 Bplus itself reduce keeps only
+    # its largest entry and its pairing with the extra cokernel directions.
     pm = projector_matrices(rp.js)
     Bplus = rp.ps.Bplus.matrix
     IQ = np.eye(pm.Q.shape[0]) - pm.Q
     np.testing.assert_allclose(rp.system.B.matrix @ Bplus, IQ, atol=1e-12)
-    assert np.array_equal(rp.ABplus, A.matrix @ Bplus)
-    dense = IQ @ rp.ABplus
+    ABplus = A.matrix @ Bplus
+    assert rp.lower_size == float(np.abs(ABplus).max())
+    if rp.js.psi_extra is None:
+        assert rp.lower_psi_extra is None
+    else:
+        wpsi = rp.js.codomain.weights[:, None] * rp.js.psi_extra
+        np.testing.assert_array_equal(rp.lower_psi_extra, ABplus.T @ wpsi)
+    dense = IQ @ ABplus
     assert np.abs(rp.M - dense).max() <= 1e-13 * np.abs(dense).max()
     # Bplus vanishes on the root and extra subspaces, on both sides
     tol = 1e-8 * max(1.0, np.linalg.norm(Bplus))
@@ -104,12 +111,12 @@ def _assert_regular_part(rp, A):
 
 def test_no_dim_by_dim_projector_is_stored(problems_dir):
     # the projectors stay chain blocks; the dim x dim arrays of a reduced
-    # problem are the two inverses and the v-equation's A1 Bplus and M
+    # problem are the two inverses and the v-equation's M
     rp = reduce(instantiate(load_problem(problems_dir / "example2.json")))
     dim = rp.system.B.domain.dim
     square = {name for obj in (rp.ps, rp) for name, val in vars(obj).items()
               if np.shape(getattr(val, "matrix", val)) == (dim, dim)}
-    assert square == {"Bplus", "Gamma", "ABplus", "M"}
+    assert square == {"Bplus", "Gamma", "M"}
 
 
 def _C_system_lines(rp):

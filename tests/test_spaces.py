@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from degenpde.errors import ConfigurationError
+from degenpde.expressions import evaluate, parse
 from degenpde.spaces import (FiniteOperator, InnerProductSpace,
                              euclidean_space, grid_space, identity_operator,
                              make_kernel_operator, matrix_operator, mode_space)
@@ -246,3 +247,75 @@ def test_null_residual_shrinks_at_second_order():
         x = sp.grid
         rel.append(sp.norm(A.matrix @ x) / sp.norm(x))
     assert rel[0] / rel[1] >= 4.0 - 1e-6
+
+
+# -- degenerate kernels kept as factors, and the dense fallback -----------------
+
+def _sampled(sp, kernel):
+    """The kernel sampled on the whole grid and weighted, as the dense path
+    builds it."""
+    X, S = np.meshgrid(sp.grid, sp.grid, indexing="ij")
+    return np.broadcast_to(evaluate(parse(kernel), x=X, s=S), (sp.dim, sp.dim)) * sp.weights
+
+
+def test_separable_kernel_keeps_its_factors():
+    sp = grid_space(0.0, 1.0, 41, quadrature="simpson")
+    A = make_kernel_operator(sp, "identity_minus_kernel", "x*s - 2*x^2*s^2")
+    assert A.dense is None and A.U.shape == (41, 2)
+    np.testing.assert_allclose(A.matrix, np.eye(41) - _sampled(sp, "x*s - 2*x^2*s^2"),
+                               rtol=0, atol=1e-15)
+    u = np.random.default_rng(3).normal(size=(41, 2))
+    np.testing.assert_allclose(A.apply(u), A.matrix @ u, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(A.apply_adjoint(u), A.matrix.T @ (sp.weights[:, None] * u)
+                               / sp.weights[:, None], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kernel", ["exp(x*s)", "sin(x + s)",
+                                    "+".join(f"x^{i}*s^{i}" for i in range(1, 12))])
+def test_other_kernels_are_sampled_densely(kernel):
+    # not a sum of products, or more than dim // 4 = 10 of them
+    sp = grid_space(0.0, 1.0, 41)
+    for kind, expect in (("kernel_only", _sampled(sp, kernel)),
+                         ("identity_minus_kernel", np.eye(41) - _sampled(sp, kernel))):
+        A = make_kernel_operator(sp, kind, kernel)
+        assert A.dense is not None
+        np.testing.assert_array_equal(A.matrix, expect)
+
+
+def test_many_term_kernel_is_the_same_map_either_way():
+    kernel = "+".join(f"x^{i}*s^{i}" for i in range(1, 12))
+    small, large = grid_space(0.0, 1.0, 41), grid_space(0.0, 1.0, 45)
+    assert make_kernel_operator(small, "kernel_only", kernel).dense is not None
+    factored = make_kernel_operator(large, "kernel_only", kernel)
+    assert factored.dense is None
+    np.testing.assert_allclose(factored.matrix, _sampled(large, kernel), rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("kernel", ["3*x*s", "3*x*s + 0*exp(x*s)"], ids=["factors", "dense"])
+def test_exact_on_on_both_paths(kernel):
+    sp = grid_space(0.0, 1.0, 201)
+    A = make_kernel_operator(sp, "identity_minus_kernel", kernel, exact_on="x")
+    assert (A.dense is None) == (kernel == "3*x*s")
+    assert np.abs(A.apply(sp.grid)).max() <= 1e-14
+    with pytest.raises(ConfigurationError, match="not proportional"):
+        make_kernel_operator(sp, "identity_minus_kernel", kernel, exact_on="1 + 0*x")
+    with pytest.raises(ConfigurationError, match="is zero"):
+        make_kernel_operator(sp, "identity_minus_kernel", kernel, exact_on="0*x")
+
+
+def test_factored_and_dense_exact_on_agree():
+    sp = grid_space(0.0, 1.0, 201, quadrature="simpson")
+    factored = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s", exact_on="x")
+    dense = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s + 0*exp(x*s)",
+                                 exact_on="x")
+    np.testing.assert_allclose(factored.matrix, dense.matrix, rtol=0, atol=1e-14)
+
+
+def test_largest_weighted_entry_matches_the_dense_matrix():
+    sp = grid_space(0.0, 2.0, 601, quadrature="simpson")
+    # the largest entry off the diagonal, then on it
+    for kernel in ("5*x*s + cos(x)*s", "-x*s"):
+        A = make_kernel_operator(sp, "identity_minus_kernel", kernel)
+        weighted = sp.root[:, None] * A.matrix / sp.root
+        assert A.largest_weighted_entry() == pytest.approx(np.abs(weighted).max(), rel=1e-14)
+    assert identity_operator(sp, -3.0).largest_weighted_entry() == 3.0
