@@ -9,8 +9,8 @@ everything from JSON problem files (problems module) or the command line
 (cli module).
 """
 
-from .chains import (CommutabilityResult, JordanStructure, ProjectorSet,
-                     build_jordan_chains, build_projectors,
+from .chains import (CommutabilityResult, JordanStructure,
+                     apply_schmidt_inverse, build_jordan_chains,
                      certify_operators, commutability_matrix,
                      complete_structure, structure_report)
 from .errors import (CompatibilityError, ConfigurationError, DegenPDEError,
@@ -35,8 +35,8 @@ from .spaces import (FiniteOperator, InnerProductSpace, euclidean_space,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CommutabilityResult", "JordanStructure", "ProjectorSet",
-    "build_jordan_chains", "build_projectors",
+    "CommutabilityResult", "JordanStructure", "apply_schmidt_inverse",
+    "build_jordan_chains",
     "certify_operators", "commutability_matrix", "complete_structure",
     "structure_report",
     "CompatibilityError", "ConfigurationError", "DegenPDEError",

@@ -4,8 +4,9 @@ Builds chains phi_i^(j) with B phi^(1) = 0, B phi^(j) = A1 phi^(j-1),
 the dual chains psi for the adjoint pair, the biorthogonal systems
 gamma_i^(j) = A1* psi_i^(p_i+1-j) and z_i^(j) = A1 phi_i^(p_i+1-j),
 extra kernel directions when the kernel and cokernel dimensions differ,
-the root projectors, the Schmidt regularizer, a bounded pseudoinverse,
-and commutability matrices with their certificates.
+the root projectors and a bounded pseudoinverse in one JordanStructure,
+the Schmidt regularizer applied on demand, and commutability matrices
+with their certificates.
 One skeleton decomposition of B, its weighted SVD, supplies the null
 bases of B and B*, the chain solves and the pseudoinverse Bplus.  For B
 kept as a diagonal plus low-rank factors the skeleton has 1x1 blocks and
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import ConfigurationError, StructureError
 from .spaces import DEFAULT_RANK_TOL, FiniteOperator, Skeleton, _fix_column_signs
 
 LINK_TOL = 1e-8
@@ -47,14 +48,21 @@ def _exchange_columns(p):
 
 @dataclass
 class JordanStructure:
-    """Chains and biorthogonal systems for a pair (B, A1).
+    """The complete generalized Jordan set of a pair (B, A1), its root
+    projectors and its bounded pseudoinverse.
 
     Phi, Psi, Gam and Z are (dim x k) column blocks of the primal chains,
     the dual chains, gamma and z.  Chains are sorted by descending length;
     chain i, level j is column off_i + j - 1 with off_i = p_1 + ... +
     p_(i-1).  Unpaired kernel directions (kernel/cokernel dimension
     mismatch) are kept apart in phi_extra / psi_extra with their
-    least-squares biorthogonal partners gamma_extra / z_extra.
+    least-squares biorthogonal partners gamma_extra / z_extra; a side with
+    no extras has (dim, 0) blocks.  The total root projectors are chain
+    blocks: P = phi_span phi_coef^T with phi_span = [Phi, phi_extra],
+    phi_coef = W1 [Gam, gamma_extra]; Q = z_span z_coef^T with z_span =
+    [Z, z_extra], z_coef = W2 [Psi, psi_extra].  The first k columns give
+    Pk and Qk.  Bplus is the bounded pseudoinverse, codomain x domain;
+    complete_structure fills it.
     """
 
     Phi: np.ndarray
@@ -70,11 +78,22 @@ class JordanStructure:
     B: FiniteOperator
     A1: FiniteOperator
     skeleton: Skeleton
-    phi_extra: np.ndarray = None
-    psi_extra: np.ndarray = None
-    gamma_extra: np.ndarray = None
-    z_extra: np.ndarray = None
+    phi_extra: np.ndarray
+    psi_extra: np.ndarray
+    gamma_extra: np.ndarray
+    z_extra: np.ndarray
+    Bplus: np.ndarray = None
     diagnostics: dict = field(default_factory=dict)
+    phi_span: np.ndarray = field(init=False)
+    phi_coef: np.ndarray = field(init=False)
+    z_span: np.ndarray = field(init=False)
+    z_coef: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.phi_span = np.hstack([self.Phi, self.phi_extra])
+        self.phi_coef = self.domain.weights[:, None] * np.hstack([self.Gam, self.gamma_extra])
+        self.z_span = np.hstack([self.Z, self.z_extra])
+        self.z_coef = self.codomain.weights[:, None] * np.hstack([self.Psi, self.psi_extra])
 
     @property
     def domain(self):
@@ -83,6 +102,11 @@ class JordanStructure:
     @property
     def codomain(self):
         return self.B.codomain
+
+    @property
+    def square(self):
+        """No unpaired directions on a square map: the Schmidt bordering applies."""
+        return self.nu == 0 and self.domain.dim == self.codomain.dim
 
     @property
     def head_columns(self):
@@ -96,31 +120,14 @@ class JordanStructure:
         return _exchange_columns(self.p)
 
 
-@dataclass
-class ProjectorSet:
-    """The total root projectors as chain blocks, and the regularized
-    inverses built from them: P = phi_span phi_coef^T with phi_span =
-    [Phi, phi_extra], phi_coef = W1 [Gam, gamma_extra]; Q = z_span z_coef^T
-    with z_span = [Z, z_extra], z_coef = W2 [Psi, psi_extra].  The first k
-    columns give Pk and Qk.  Gamma is the Schmidt operator (square
-    structures only); Bplus the bounded pseudoinverse."""
-
-    phi_span: np.ndarray
-    phi_coef: np.ndarray
-    z_span: np.ndarray
-    z_coef: np.ndarray
-    Gamma: FiniteOperator = None
-    Bplus: FiniteOperator = None
-
-
-def outside_z_span(ps, samples):
+def outside_z_span(js, samples):
     """(I - Q) f for each sample f, the codomain dimension last."""
-    return samples - (samples @ ps.z_coef) @ ps.z_span.T
+    return samples - (samples @ js.z_coef) @ js.z_span.T
 
 
-def outside_phi_span(ps, samples):
+def outside_phi_span(js, samples):
     """(I - P) u for each sample u, the domain dimension last."""
-    return samples - (samples @ ps.phi_coef) @ ps.phi_span.T
+    return samples - (samples @ js.phi_coef) @ js.phi_span.T
 
 
 @dataclass
@@ -325,19 +332,18 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
         diagnostics.update(norm_diag)
 
     APhi = A1.apply(Phi)
-    js = JordanStructure(Phi=Phi, Psi=Psi, Gam=A1.apply_adjoint(Psi[:, rev]),
-                         Z=APhi[:, rev], p=p, n=n, m=m, l=l, nu=nu, k=P.size,
-                         B=B, A1=A1, skeleton=sk, diagnostics=diagnostics)
-
+    gamma_left, z_left = np.zeros((E1.dim, 0)), np.zeros((E2.dim, 0))
     if phi_left.shape[1]:
         _refuse_coupled_extras(phi_left, E1.weights[:, None] * A1.apply_adjoint(Psi))
-        js.phi_extra = phi_left
-        js.gamma_extra = _biorthogonal_partners(Phi, phi_left, E1)
+        gamma_left = _biorthogonal_partners(Phi, phi_left, E1)
     if psi_left.shape[1]:
         _refuse_coupled_extras(psi_left, E2.weights[:, None] * APhi)
-        js.psi_extra = psi_left
-        js.z_extra = _biorthogonal_partners(Psi, psi_left, E2)
-
+        z_left = _biorthogonal_partners(Psi, psi_left, E2)
+    js = JordanStructure(Phi=Phi, Psi=Psi, Gam=A1.apply_adjoint(Psi[:, rev]),
+                         Z=APhi[:, rev], p=p, n=n, m=m, l=l, nu=nu, k=P.size,
+                         B=B, A1=A1, skeleton=sk, phi_extra=phi_left,
+                         psi_extra=psi_left, gamma_extra=gamma_left,
+                         z_extra=z_left, diagnostics=diagnostics)
     js.diagnostics.update(structure_residuals(js))
     return js
 
@@ -369,65 +375,67 @@ def structure_residuals(js):
     return {"chain_link_residual": link, "biorthogonality_error": float(bio)}
 
 
-def _schmidt_operator(js, ps):
-    """Schmidt regularizer: the inverse of B bordered by the rank-one terms
-    z_i^(1) <., gamma_i^(1)>, i = 1..l, is Bplus + Phi K^-1 Psi^T W2, as the
-    bordered Bhat acts as B on the range of Bplus and maps the chain span
-    onto the z-span through K = Psi^T W2 Bhat Phi.  Square structures.
-    The condition number is that of Bhat's matrix, read from its singular
-    values: B's factors, when it has them, plus the l bordering columns."""
-    E1, E2 = js.domain, js.codomain
+def _bordered(js):
+    """B bordered by the rank-one terms z_i^(1) <., gamma_i^(1)>, i = 1..l,
+    between Euclidean spaces; B's factors, if any, plus l columns."""
     first = js.head_columns
-    bordered = js.B.bordered(js.Z[:, first], E1.weights[:, None] * js.Gam[:, first])
-    s = bordered.singular_values()
+    return js.B.bordered(js.Z[:, first], js.domain.weights[:, None] * js.Gam[:, first])
+
+
+def _schmidt_condition(js):
+    """The condition number of the Schmidt bordered matrix, read from its
+    singular values alone; refused above 1e12.  Square structures."""
+    s = _bordered(js).singular_values()
     cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     if cond > 1e12:
         raise StructureError(
             f"Schmidt bordering failed: bordered matrix condition {cond:.2e}")
     js.diagnostics["schmidt_condition"] = cond
-    K = ps.z_coef.T @ bordered.apply(js.Phi)
-    return FiniteOperator(ps.Bplus.matrix + js.Phi @ np.linalg.solve(K, ps.z_coef.T), E2, E1)
 
 
-def _pseudo_inverse(js, ps):
+def apply_schmidt_inverse(js, cols):
+    """The Schmidt regularizer Gamma, the inverse of the bordered B, on a
+    column block (or one vector), the codomain dimension first.  Gamma =
+    Bplus + Phi K^-1 Psi^T W2, as the bordered Bhat acts as B on the range
+    of Bplus and maps the chain span onto the z-span through K = Psi^T W2
+    Bhat Phi.  Square structures only."""
+    if not js.square:
+        raise ConfigurationError(
+            "the Schmidt inverse needs a square structure: got "
+            f"nu={js.nu} on a {js.codomain.dim}x{js.domain.dim} map")
+    K = js.z_coef.T @ _bordered(js).apply(js.Phi)
+    return js.Bplus @ cols + js.Phi @ np.linalg.solve(K, js.z_coef.T @ cols)
+
+
+def _pseudo_inverse(js):
     """Bounded pseudoinverse: inverts B between the complement of the root
     (plus extra) subspace and the complement of the z-span, zero elsewhere.
     Satisfies B Bplus = I - Q, Bplus Q = 0, P Bplus = 0.  X0 is the skeleton's
     minimum-norm solve of B X0 = I - Q; its residual, the part of R2 (I - Q)
     along B's cokernel, must vanish.  The dual chain links confine the
     root-space part of X0 to ker B (level-1 and extra directions), so
-    removing it gives P Bplus = 0."""
-    E1, E2 = js.domain, js.codomain
-    rhs = outside_z_span(ps, np.eye(E2.dim)).T
+    removing it gives P Bplus = 0.  Records max |B Bplus - (I - Q)| as the
+    pseudoinverse_identity diagnostic."""
+    E2 = js.codomain
+    rhs = outside_z_span(js, np.eye(E2.dim)).T
     X0, res = js.skeleton.solve(rhs)
     size = np.sqrt(np.einsum("ij,ij->i", rhs, rhs) @ E2.weights)
     rel = float(np.linalg.norm(res) / max(1.0, size))
     if rel > 1e-8:
         raise StructureError("pseudoinverse construction failed: range-complement "
                              f"solve residual {rel:.2e}")
-    return FiniteOperator(outside_phi_span(ps, X0.T).T, E2, E1)
-
-
-def build_projectors(js):
-    """The total root projectors as chain blocks, the bounded
-    pseudoinverse and the Schmidt operator (square structures)."""
-    phi, gam, z, psi = js.Phi, js.Gam, js.Z, js.Psi
-    if js.phi_extra is not None:
-        phi, gam = np.hstack([phi, js.phi_extra]), np.hstack([gam, js.gamma_extra])
-    if js.psi_extra is not None:
-        z, psi = np.hstack([z, js.z_extra]), np.hstack([psi, js.psi_extra])
-    ps = ProjectorSet(phi_span=phi, phi_coef=js.domain.weights[:, None] * gam,
-                      z_span=z, z_coef=js.codomain.weights[:, None] * psi)
-    ps.Bplus = _pseudo_inverse(js, ps)
-    if js.nu == 0 and js.domain.dim == js.codomain.dim:
-        ps.Gamma = _schmidt_operator(js, ps)
-    return ps
+    Bplus = outside_phi_span(js, X0.T).T
+    js.diagnostics["pseudoinverse_identity"] = float(np.abs(js.B.apply(Bplus) - rhs).max())
+    return Bplus
 
 
 def complete_structure(B, A1, rank_tol=DEFAULT_RANK_TOL):
+    """The Jordan structure of (B, A1) with Bplus and, if square, the Schmidt condition."""
     js = build_jordan_chains(B, A1, rank_tol)
-    ps = build_projectors(js)
-    return js, ps
+    js.Bplus = _pseudo_inverse(js)
+    if js.square:
+        _schmidt_condition(js)
+    return js
 
 
 def exchange_violation(M, p):
@@ -467,7 +475,7 @@ def certify_operators(js):
     return commutability_matrix(js.A1, js)
 
 
-def structure_report(js, ps, comm):
+def structure_report(js, comm):
     """Stable one-record-per-line text report of the structure."""
     lines = [
         f"n={js.n}",
@@ -483,16 +491,16 @@ def structure_report(js, ps, comm):
                 "biorthogonality_error", "schmidt_condition"):
         if key in diag:
             lines.append(f"{key}={diag[key]:.6e}")
-    lines.append(f"extra_kernel_directions={0 if js.phi_extra is None else js.phi_extra.shape[1]}")
-    lines.append(f"extra_cokernel_directions={0 if js.psi_extra is None else js.psi_extra.shape[1]}")
+    lines.append(f"extra_kernel_directions={js.phi_extra.shape[1]}")
+    lines.append(f"extra_cokernel_directions={js.psi_extra.shape[1]}")
     # P P - P of P = cols coef^T is cols (coef^T cols - I) coef^T
-    for name, cols, coef in (("Pk", js.Phi, ps.phi_coef), ("Qk", js.Z, ps.z_coef)):
+    for name, cols, coef in (("Pk", js.Phi, js.phi_coef), ("Qk", js.Z, js.z_coef)):
         coef = coef[:, :js.k]
         idem = np.abs(cols @ ((coef.T @ cols - np.eye(js.k)) @ coef.T)).max()
         lines.append(f"{name}_idempotence={idem:.6e}")
-    bbp = np.abs(js.B.apply(ps.Bplus.matrix)
-                 - outside_z_span(ps, np.eye(js.codomain.dim)).T).max()
-    lines.append(f"pseudoinverse_identity={bbp:.6e}")
+    lines.append(f"pseudoinverse_identity={diag['pseudoinverse_identity']:.6e}")
     lines.append(f"A1_certified={'pass' if comm.certified else 'fail'}")
     lines.append(f"A1_quasitriangular={'yes' if comm.quasitriangular else 'no'}")
+    lines.append(f"A1_residual_primal={comm.residual_primal:.6e}")
+    lines.append(f"A1_residual_dual={comm.residual_dual:.6e}")
     return "\n".join(lines) + "\n"

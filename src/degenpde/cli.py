@@ -62,12 +62,6 @@ def _overrides(args):
                 lambda_param=args.lambda_param)
 
 
-def _structure_section(js, ps, comm):
-    return structure_report(js, ps, comm).splitlines() + [
-        f"A1_residual_primal={comm.residual_primal:.6e}",
-        f"A1_residual_dual={comm.residual_dual:.6e}"]
-
-
 def _solver_section(fld):
     return [f"{key}={val:.6e}" if isinstance(val, float) else f"{key}={val}"
             for key, val in sorted(fld.meta.items())]
@@ -91,7 +85,7 @@ def cmd_structure(args):
     spec = instantiate(pf, **_overrides(args))
     report = RunReport(problem=str(args.problem), family=pf.family)
     t0 = time.perf_counter()
-    js, ps = complete_structure(spec.B, spec.A1)
+    js = complete_structure(spec.B, spec.A1)
     if js.l == 0:
         report.add("structure", ["regular equation: the leading operator is "
                                  "invertible; apply its inverse directly, no "
@@ -100,7 +94,7 @@ def cmd_structure(args):
         print(report.to_text(), end="")
         return EXIT_OK
     comm = certify_operators(js)
-    report.add("structure", _structure_section(js, ps, comm))
+    report.add("structure", structure_report(js, comm))
     report.wall_time_s = time.perf_counter() - t0
     print(report.to_text(), end="")
     return EXIT_OK if comm.certified else EXIT_FAIL
@@ -112,7 +106,7 @@ def _run_solve(args):
     report = RunReport(problem=str(args.problem), family=pf.family)
     t0 = time.perf_counter()
     rp = reduce(spec)
-    report.add("structure", _structure_section(rp.js, rp.ps, rp.comm))
+    report.add("structure", structure_report(rp.js, rp.comm))
     report.add("reduction", describe_reduction(rp).rstrip("\n"))
     fld = solve_family(rp)
     report.add("solver", _solver_section(fld))

@@ -2,12 +2,13 @@
 
 The system is L0(D) B u + L1(D) A1 u = f with B non-invertible, and the
 family tag fixes the two scalar operators L0 and L1 (FAMILIES).  After
-the Jordan structure of (B, A1) is in hand, the substitution
-u = Bplus v + sum C_ij phi_i^(j) + sum lambda_e phi_extra_e splits the
-system into a regular equation for v (the lead operator L0 plus the
-lower-order term A1 Bplus) and a triangular system for the C
-coefficients whose shape the chain lengths fix, solved level by level
-from the terminal level down.
+the Jordan structure of (B, A1) is in hand, one record with the chain
+blocks, the root projectors as chain blocks and the pseudoinverse Bplus,
+the substitution u = Bplus v + sum C_ij phi_i^(j) + sum lambda_e
+phi_extra_e splits the system into a regular equation for v (the lead
+operator L0 plus the lower-order term A1 Bplus) and a triangular system
+for the C coefficients whose shape the chain lengths fix, solved level
+by level from the terminal level down.
 """
 
 from dataclasses import dataclass, field
@@ -83,18 +84,17 @@ class DegenerateSystemSpec:
 class ReducedProblem:
     system: DegenerateSystemSpec
     js: object
-    ps: object
     comm: object         # A1's commutability result on the chain span
     M: np.ndarray        # (I - Q) A1 Bplus, the lower-order matrix of the v-equation
     lower_size: float    # max |A1 Bplus|, the lower-order term's largest entry
-    lower_psi_extra: np.ndarray   # (A1 Bplus)^T W2 psi_extra, None when m <= n
+    lower_psi_extra: np.ndarray   # (A1 Bplus)^T W2 psi_extra, zero-width when m <= n
     lambda_slots: tuple
 
 
 def reduce(spec):
     """Build the regular problem: certify commutability and the chain
     pairing that fixes the C-system, and assemble the v-equation terms."""
-    js, ps = complete_structure(spec.B, spec.A1)
+    js = complete_structure(spec.B, spec.A1)
     comm = certify_operators(js)
     if not comm.certified:
         raise StructureError(
@@ -108,16 +108,13 @@ def reduce(spec):
             f"quasitriangularity not certified: A1 pairs phi column {b} with "
             f"psi column {a} by {comm.matrix[b, a]:.3e}, expected "
             f"{float(js.exchange[a] == b):g} after normalization")
-    ABplus = spec.A1.apply(ps.Bplus.matrix)
+    ABplus = spec.A1.apply(js.Bplus)
     # dynamics projected onto the solvable complement: for m > n the raw
     # A1 Bplus pushes v into the constraint directions handled separately
-    M = outside_z_span(ps, ABplus.T).T
-    lower_psi_extra = (None if js.psi_extra is None
-                       else ABplus.T @ (js.codomain.weights[:, None] * js.psi_extra))
-
-    n_extra = 0 if js.phi_extra is None else js.phi_extra.shape[1]
-    lambda_slots = tuple(f"lambda_{js.l + e + 1}" for e in range(n_extra))
-    return ReducedProblem(system=spec, js=js, ps=ps, comm=comm, M=M,
+    M = outside_z_span(js, ABplus.T).T
+    lower_psi_extra = ABplus.T @ (js.codomain.weights[:, None] * js.psi_extra)
+    lambda_slots = tuple(f"lambda_{js.l + e + 1}" for e in range(js.phi_extra.shape[1]))
+    return ReducedProblem(system=spec, js=js, comm=comm, M=M,
                           lower_size=float(np.abs(ABplus).max()),
                           lower_psi_extra=lower_psi_extra, lambda_slots=lambda_slots)
 
@@ -156,7 +153,7 @@ def solve_C_recurrence(rp, beta, axes, solve_lead, accuracy=2):
 
 def rhs_projection(rp, f_samples):
     """(I - Q) f: the right-hand side of the regular v-equation."""
-    return outside_z_span(rp.ps, np.asarray(f_samples, dtype=float))
+    return outside_z_span(rp.js, np.asarray(f_samples, dtype=float))
 
 
 def reconstruct_solution(rp, v_samples, C):
@@ -168,16 +165,16 @@ def reconstruct_solution(rp, v_samples, C):
     For m > n the v samples must stay in the annihilator of the extra
     cokernel directions; violation means the right-hand side is
     incompatible."""
-    js, ps = rp.js, rp.ps
+    js = rp.js
     v = np.asarray(v_samples, dtype=float)
-    if js.psi_extra is not None:
-        leak = (v @ ps.z_coef[:, js.k:]) @ ps.z_span[:, js.k:].T
+    if js.psi_extra.shape[1]:
+        leak = (v @ js.z_coef[:, js.k:]) @ js.z_span[:, js.k:].T
         dev = np.abs(leak).max() / max(1.0, np.abs(v).max())
         if dev > V_CONSTRAINT_TOL:
             raise CompatibilityError(
                 f"compatibility violated: the regular part leaks into the "
                 f"unresolvable cokernel directions (relative size {dev:.2e})")
-    u = v @ ps.Bplus.matrix.T
+    u = v @ js.Bplus.T
     if js.k:
         u += C @ js.Phi.T
     return u
@@ -188,7 +185,7 @@ def compat_residual(rp, axes, v_samples, f_samples):
     extra cokernel functional, L1(D) <A1 Bplus v, psi_e> - <f, psi_e>
     must vanish identically."""
     js = rp.js
-    if js.psi_extra is None:
+    if not js.psi_extra.shape[1]:
         return 0.0
     lower_k = FAMILIES[rp.system.family].L[1]
     scal = np.asarray(v_samples) @ rp.lower_psi_extra
@@ -248,11 +245,11 @@ def residual_check(rp, fld):
     report = {"equation_residual": resid}
     for projector, axis, order in FAMILIES[spec.family].bc:
         key = f"{projector} d{order}u/d{axis}{order} at {axis}=0"
-        report[key] = _condition_norm(projector, axis, order, axes, u, rp.ps)
+        report[key] = _condition_norm(projector, axis, order, axes, u, rp.js)
     return resid, report
 
 
-def _condition_norm(projector, axis, order, axes, u, ps):
+def _condition_norm(projector, axis, order, axes, u, js):
     ax = [name for name, _ in axes].index(axis)
     grid = axes[ax][1]
     node = int(np.argmin(np.abs(grid)))
@@ -268,9 +265,9 @@ def _condition_norm(projector, axis, order, axes, u, ps):
         node -= lo
     vals = np.take(u, node, axis=ax)
     if projector == "I-Pk":
-        vals = outside_phi_span(ps, vals)
+        vals = outside_phi_span(js, vals)
     elif projector == "Pk":
-        vals = (vals @ ps.phi_coef) @ ps.phi_span.T
+        vals = (vals @ js.phi_coef) @ js.phi_span.T
     return float(np.abs(vals).max())
 
 
@@ -303,8 +300,7 @@ def describe_reduction(rp):
             deps = f"L0 C{(s, p + 2 - t)}" if t > 1 else "none"
             lines.append(f"  C{(s, p + 1 - t)} from psi{(s, t)}; lower terms: {deps}")
     lines.append(f"free function slots: {', '.join(rp.lambda_slots) or 'none'}")
-    m_extra = 0 if js.psi_extra is None else js.psi_extra.shape[1]
-    lines.append(f"compatibility functionals: {m_extra}")
+    lines.append(f"compatibility functionals: {js.psi_extra.shape[1]}")
     lines.append("boundary plan:")
     for projector, axis, order in FAMILIES[rp.system.family].bc:
         lines.append(f"  {projector} d^{order}u on {axis}=0")

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
+from .chains import apply_schmidt_inverse
 from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
                      UsageError)
 from .reduction import (FAMILIES, beta_tables, compat_residual,
@@ -570,11 +571,9 @@ def naive_cauchy_defect(rp):
 def asymptotic_leading_term(rp, f0):
     """Corner asymptotic of the mixed family: coefficient fields of the
     x^2/2 and (y - x^2/2) terms at the corner value f0 of the right side."""
-    js, ps = rp.js, rp.ps
+    js = rp.js
     f0 = np.asarray(f0, dtype=float)
-    if ps.Gamma is None:
-        raise ConfigurationError("corner asymptotic needs the bordered inverse")
-    quad = ps.Gamma.matrix @ f0
+    quad = apply_schmidt_inverse(js, f0)
     first = js.head_columns
     lin = js.Phi[:, first] @ (js.Psi[:, first].T @ (js.codomain.weights * f0))
     return quad, lin

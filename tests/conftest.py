@@ -27,10 +27,10 @@ def projector_matrices(js):
     out = SimpleNamespace(Pk=js.Phi @ (js.Gam.T * w1), Qk=js.Z @ (js.Psi.T * w2),
                           Pextra=None, Qextra=None)
     out.P, out.Q = out.Pk, out.Qk
-    if js.phi_extra is not None:
+    if js.phi_extra.shape[1]:
         out.Pextra = js.phi_extra @ (js.gamma_extra.T * w1)
         out.P = out.Pk + out.Pextra
-    if js.psi_extra is not None:
+    if js.psi_extra.shape[1]:
         out.Qextra = js.z_extra @ (js.psi_extra.T * w2)
         out.Q = out.Qk + out.Qextra
     return out

@@ -64,7 +64,7 @@ def test_criterion_1_structure_invariants(problems_dir, report):
     rng = np.random.default_rng(SEED)
     link = biorth = idem = 0.0
     count = 0
-    for _, spec, (js, ps) in _bundled_structures(problems_dir):
+    for _, spec, js in _bundled_structures(problems_dir):
         link = max(link, js.diagnostics["chain_link_residual"])
         biorth = max(biorth, js.diagnostics["biorthogonality_error"])
         idem = max(idem, _projector_idempotence(js))
@@ -72,7 +72,7 @@ def test_criterion_1_structure_invariants(problems_dir, report):
     for trial in range(50):
         dim, blocks = BLOCK_MENU[trial % len(BLOCK_MENU)]
         B, A = random_structured_pair(rng, dim, blocks)
-        js, ps = complete_structure(B, A)
+        js = complete_structure(B, A)
         assert js.p == tuple(sorted(blocks, reverse=True))
         link = max(link, js.diagnostics["chain_link_residual"])
         biorth = max(biorth, js.diagnostics["biorthogonality_error"])
@@ -91,10 +91,10 @@ def test_criterion_2_commutability_identities(problems_dir, report):
     worst = 0.0
     count = 0
 
-    def identity_residuals(spec_B, A_ops, js, ps):
+    def identity_residuals(spec_B, A_ops, js):
         I2 = np.eye(js.codomain.dim)
         pm = projector_matrices(js)
-        Pk, Qk, Bp = pm.Pk, pm.Qk, ps.Bplus.matrix
+        Pk, Qk, Bp = pm.Pk, pm.Qk, js.Bplus
         Phi = js.Phi
         res = [np.abs(Bp @ Qk - Pk @ Bp).max(),
                np.abs((I2 - Qk) @ spec_B @ Phi).max()]
@@ -108,17 +108,17 @@ def test_criterion_2_commutability_identities(problems_dir, report):
             ])
         return max(float(r) for r in res)
 
-    for _, spec, (js, ps) in _bundled_structures(problems_dir):
+    for _, spec, js in _bundled_structures(problems_dir):
         assert certify_operators(js).certified
         worst = max(worst, identity_residuals(
-            spec.B.matrix, [spec.A1.matrix], js, ps))
+            spec.B.matrix, [spec.A1.matrix], js))
         count += 1
     for trial in range(15):
         dim, blocks = BLOCK_MENU[trial % len(BLOCK_MENU)]
         B, A = random_structured_pair(rng, dim, blocks)
-        js, ps = complete_structure(B, A)
+        js = complete_structure(B, A)
         assert certify_operators(js).certified
-        worst = max(worst, identity_residuals(B.matrix, [A.matrix], js, ps))
+        worst = max(worst, identity_residuals(B.matrix, [A.matrix], js))
         count += 1
     ok = worst <= 1e-8
     report(2, ok, f"pseudoinverse/projector commutation and chain-span "

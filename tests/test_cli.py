@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import degenpde
+from degenpde import chains
 from degenpde.cli import main
 
 from conftest import PROBLEMS
@@ -31,6 +33,24 @@ def test_structure_prints_certificates(example, capsys):
     assert "A1_quasitriangular=yes" in out
     assert "Pk_idempotence=" in out
     assert "A1_residual_primal=" in out
+
+
+def test_structure_forms_the_complement_projector_once(example, monkeypatch,
+                                                        capsys):
+    # I - Q as a dim x dim block is formed by the pseudoinverse alone; the
+    # report reads max |B Bplus - (I - Q)| from the structure's diagnostics
+    square = []
+    outside_z_span = chains.outside_z_span
+
+    def counted(js, samples):
+        if np.shape(samples) == (len(js.z_span),) * 2:
+            square.append(samples.shape)
+        return outside_z_span(js, samples)
+
+    monkeypatch.setattr(chains, "outside_z_span", counted)
+    assert main(["structure", example("example2.json")]) == 0
+    assert "pseudoinverse_identity=" in capsys.readouterr().out
+    assert len(square) == 1, square
 
 
 def test_structure_on_invertible_lead_is_regular(example, tmp_path, capsys):
@@ -340,6 +360,63 @@ def test_report_prints_when_no_output_given(example, capsys):
     assert code == 0
     assert out.startswith("problem: ")
     assert "wall_time_s=" in out
+
+
+_STRUCTURE_KEYS = ["n", "m", "nu", "l", "p", "k", "terminal_pairing_det",
+                   "pairing_condition", "normalization_deviation",
+                   "chain_link_residual", "biorthogonality_error",
+                   "schmidt_condition", "extra_kernel_directions",
+                   "extra_cokernel_directions", "Pk_idempotence",
+                   "Qk_idempotence", "pseudoinverse_identity", "A1_certified",
+                   "A1_quasitriangular", "A1_residual_primal", "A1_residual_dual"]
+
+
+def _report_keys(lead, lower, chains, plan, solver, residuals):
+    """The line keys of a bundled report: section titles and blank lines
+    key as '', every other line up to its first '=' or ':'."""
+    return (["problem", "family", "", ""] + _STRUCTURE_KEYS
+            + ["", "", "regular part", f"  [{lead}] x operator(|coef|_max",
+               f"  [{lower}] x operator(|coef|_max", "C-system rows"]
+            + [f"  C({s}, 1) from psi({s}, 1); lower terms" for s in range(chains)]
+            + ["free function slots", "compatibility functionals", "boundary plan"]
+            + [f"  {line}" for line in plan] + ["", ""] + solver
+            + ["", "", "equation_residual"] + residuals
+            + ["", "", "kind", "detail", "deviation", "tol", "verdict", "",
+               "wall_time_s"])
+
+
+REPORT_KEYS = {
+    "example1.json": _report_keys(
+        "1*D0*D1", "1", 1, ["I-Pk d^0u on x", "I-Pk d^0u on y"],
+        ["series_tail", "series_terms"],
+        ["I-Pk d0u/dx0 at x", "I-Pk d0u/dy0 at y"]),
+    "example2.json": _report_keys(
+        "1*D0", "1", 1, ["I-Pk d^0u on t"], ["dt", "output_stride_t"],
+        ["I-Pk d0u/dt0 at t"]),
+    "example3.json": _report_keys(
+        "1*D0^2", "1*D0", 1, ["I d^0u on t", "I-Pk d^1u on t"],
+        ["dt", "output_stride_t"], ["I d0u/dt0 at t", "I-Pk d1u/dt1 at t"]),
+    "example4.json": _report_keys(
+        "1*D0^2", "1*D1", 1,
+        ["I-Pk d^0u on x", "I-Pk d^1u on x", "Pk d^0u on y"],
+        ["fit_residual", "series_terms"],
+        ["I-Pk d0u/dx0 at x", "I-Pk d1u/dx1 at x", "Pk d0u/dy0 at y"]),
+    "example5.json": _report_keys(
+        "1*D0^3", "1", 16,
+        ["I-Pk d^0u on t", "I-Pk d^1u on t", "I-Pk d^2u on t"],
+        ["dt", "lambda", "mode_residual", "modes", "output_stride_t"],
+        ["I-Pk d0u/dt0 at t", "I-Pk d1u/dt1 at t", "I-Pk d2u/dt2 at t"]),
+}
+
+
+def test_report_line_keys_are_stable(example, capsys):
+    # values are left out, so rounding-level changes never touch this; a
+    # dropped, renamed or reordered report line does
+    for name in PROBLEMS:
+        assert main(["report", example(name)]) == 0
+        out = capsys.readouterr().out
+        keys = [re.split("[=:]", line, maxsplit=1)[0] for line in out.splitlines()]
+        assert keys == REPORT_KEYS[name], name
 
 
 def test_every_bundled_problem_solves_cleanly(example, tmp_path, capsys):

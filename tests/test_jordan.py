@@ -7,7 +7,8 @@ from degenpde.chains import (_biorthogonal_partners,
                              _normalize_primal_chains, _pseudo_inverse,
                              _refuse_coupled_extras,
                              _terminal_pairing_certificate,
-                             build_jordan_chains, certify_operators,
+                             apply_schmidt_inverse, build_jordan_chains,
+                             certify_operators,
                              commutability_matrix, complete_structure,
                              exchange_violation, outside_phi_span,
                              outside_z_span, structure_report)
@@ -58,20 +59,20 @@ def random_rectangular_pair(rng, r, l, e, tall):
 
 def test_rank_one_kernel_single_link():
     B, A = _pair([[1.0, 0.0], [0.0, 0.0]], np.eye(2))
-    js, ps = complete_structure(B, A)
+    js = complete_structure(B, A)
     assert (js.n, js.m, js.l, js.nu, js.k) == (1, 1, 1, 0, 1)
     assert js.p == (1,)
     np.testing.assert_allclose(np.abs(js.Phi[:, 0]), [0.0, 1.0], atol=1e-12)
     pm = projector_matrices(js)
     np.testing.assert_allclose(pm.Pk, np.diag([0.0, 1.0]), atol=1e-12)
     np.testing.assert_allclose(pm.Qk, np.diag([0.0, 1.0]), atol=1e-12)
-    np.testing.assert_allclose(ps.Gamma.matrix, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(ps.Bplus.matrix, np.diag([1.0, 0.0]), atol=1e-10)
+    np.testing.assert_allclose(apply_schmidt_inverse(js, np.eye(2)), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(js.Bplus, np.diag([1.0, 0.0]), atol=1e-10)
 
 
 def test_single_length_two_chain():
     B, A = _pair([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
-    js, ps = complete_structure(B, A)
+    js = complete_structure(B, A)
     assert js.p == (2,)
     assert js.k == 2
     np.testing.assert_allclose(np.abs(js.Phi[:, 0]), [1.0, 0.0], atol=1e-12)
@@ -81,14 +82,14 @@ def test_single_length_two_chain():
     pm = projector_matrices(js)
     np.testing.assert_allclose(pm.Pk, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(pm.Qk, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(ps.Bplus.matrix, np.zeros((2, 2)), atol=1e-12)
+    np.testing.assert_allclose(js.Bplus, np.zeros((2, 2)), atol=1e-12)
 
 
 def test_length_three_shift_chain():
     shift = np.zeros((3, 3))
     shift[0, 1] = shift[1, 2] = 1.0
     B, A = _pair(shift, np.eye(3))
-    js, ps = complete_structure(B, A)
+    js = complete_structure(B, A)
     assert js.p == (3,)
     pm = projector_matrices(js)
     np.testing.assert_allclose(pm.Pk, np.eye(3), atol=1e-12)
@@ -98,12 +99,12 @@ def test_length_three_shift_chain():
 def test_invertible_leading_operator_degenerates_gracefully(rng):
     M = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
     B, A = _pair(M, rng.normal(size=(4, 4)))
-    js, ps = complete_structure(B, A)
+    js = complete_structure(B, A)
     assert (js.n, js.m, js.l, js.nu, js.k) == (0, 0, 0, 0, 0)
     assert js.p == ()
     np.testing.assert_allclose(projector_matrices(js).Pk, np.zeros((4, 4)), atol=1e-12)
-    np.testing.assert_allclose(ps.Bplus.matrix, np.linalg.inv(M), atol=1e-9)
-    np.testing.assert_allclose(ps.Gamma.matrix, np.linalg.inv(M), atol=1e-9)
+    np.testing.assert_allclose(js.Bplus, np.linalg.inv(M), atol=1e-9)
+    np.testing.assert_allclose(apply_schmidt_inverse(js, np.eye(4)), np.linalg.inv(M), atol=1e-9)
 
 
 def test_kernel_operator_realization_has_single_link():
@@ -111,7 +112,7 @@ def test_kernel_operator_realization_has_single_link():
     B = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s",
                              exact_on="x")
     A = identity_operator(sp)
-    js, ps = complete_structure(B, A, rank_tol=1e-6)
+    js = complete_structure(B, A, rank_tol=1e-6)
     assert js.p == (1,)
     assert js.k == 1 and js.nu == 0
     x = sp.grid
@@ -127,9 +128,9 @@ def test_schmidt_times_complement_matches_pseudoinverse_for_unit_chains():
     sp = grid_space(0.0, 1.0, 201, quadrature="simpson")
     B = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s",
                              exact_on="x")
-    js, ps = complete_structure(B, identity_operator(sp), rank_tol=1e-6)
-    alt = ps.Gamma.matrix @ (np.eye(sp.dim) - projector_matrices(js).Qk)
-    assert np.abs(alt - ps.Bplus.matrix).max() <= 1e-8
+    js = complete_structure(B, identity_operator(sp), rank_tol=1e-6)
+    alt = apply_schmidt_inverse(js, np.eye(sp.dim) - projector_matrices(js).Qk)
+    assert np.abs(alt - js.Bplus).max() <= 1e-8
 
 
 @pytest.mark.parametrize("name, dense, expected", [
@@ -164,28 +165,28 @@ def test_complete_structure_factors_at_most_twice(problems_dir, monkeypatch, nam
 def test_wide_pair_keeps_extra_kernel_direction():
     B = matrix_operator([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     A = matrix_operator([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    js, ps = complete_structure(B, A)
+    js = complete_structure(B, A)
     assert (js.n, js.m, js.l, js.nu) == (2, 1, 1, 1)
     assert js.p == (1,)
-    assert js.phi_extra is not None and js.phi_extra.shape == (3, 1)
-    assert js.psi_extra is None
-    assert ps.Gamma is None
+    assert js.phi_extra.shape == (3, 1)
+    assert js.psi_extra.shape[1] == 0
+    assert not js.square
     pm = projector_matrices(js)
     Pt = pm.P
     assert np.abs(Pt @ Pt - Pt).max() <= 1e-10
     assert np.abs(pm.Pextra @ pm.Pk).max() <= 1e-10
-    BBp = B.matrix @ ps.Bplus.matrix
+    BBp = B.matrix @ js.Bplus
     np.testing.assert_allclose(BBp, np.eye(2) - pm.Q, atol=1e-9)
 
 
 def test_tall_pair_keeps_extra_cokernel_direction():
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     A = matrix_operator([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    js, ps = complete_structure(B, A)
+    js = complete_structure(B, A)
     assert (js.n, js.m, js.l, js.nu) == (1, 2, 1, -1)
     assert js.p == (1,)
-    assert js.psi_extra is not None and js.psi_extra.shape == (3, 1)
-    assert js.phi_extra is None
+    assert js.psi_extra.shape == (3, 1)
+    assert js.phi_extra.shape[1] == 0
     Qt = projector_matrices(js).Q
     assert np.abs(Qt @ Qt - Qt).max() <= 1e-10
 
@@ -194,7 +195,7 @@ def test_tall_pair_keeps_extra_cokernel_direction():
 
 def test_zero_operator_is_certified_commutable():
     B, A = _pair([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
-    js, _ = complete_structure(B, A)
+    js = complete_structure(B, A)
     r = commutability_matrix(matrix_operator(np.zeros((2, 2))), js)
     assert r.certified
     # no lead entries: the C-system reduce solves has nothing to solve with
@@ -208,7 +209,7 @@ def test_leading_operator_pattern_on_chain_span():
     shift = np.zeros((3, 3))
     shift[0, 1] = shift[1, 2] = 1.0
     B, A = _pair(shift, np.eye(3))
-    js, _ = complete_structure(B, A)
+    js = complete_structure(B, A)
     r = commutability_matrix(B, js)
     expect = np.zeros((3, 3))
     expect[1, 2] = expect[2, 1] = 1.0
@@ -218,7 +219,7 @@ def test_leading_operator_pattern_on_chain_span():
 
 def test_identity_on_chain_span_is_antidiagonal():
     B, A = _pair([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
-    js, _ = complete_structure(B, A)
+    js = complete_structure(B, A)
     r = commutability_matrix(A, js)
     np.testing.assert_allclose(r.matrix, [[0.0, 1.0], [1.0, 0.0]], atol=1e-10)
     assert r.certified and r.quasitriangular
@@ -228,7 +229,7 @@ def test_chain_swapping_operator_fails_quasitriangularity():
     B = matrix_operator(np.diag([1.0, 0.0, 0.0]))
     A1 = matrix_operator(np.eye(3))
     swap = np.eye(3)[[0, 2, 1]]
-    js, _ = complete_structure(B, A1)
+    js = complete_structure(B, A1)
     assert js.p == (1, 1)
     r = commutability_matrix(matrix_operator(swap), js)
     assert r.certified
@@ -243,7 +244,7 @@ def test_within_chain_operator_fails_quasitriangularity():
     # on the length-2 chain the operator maps phi^(1) onto z^(1): an entry
     # above the antidiagonal of the diagonal block
     B, A = _pair([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
-    js, _ = complete_structure(B, A)
+    js = complete_structure(B, A)
     r = commutability_matrix(matrix_operator([[0.0, 0.0], [1.0, 0.0]]), js)
     assert r.certified
     assert not r.quasitriangular
@@ -255,7 +256,7 @@ def test_entry_below_the_antidiagonal_fails_quasitriangularity():
     # p = (2,): the antidiagonal plus entry [1, 1], phi^(2) onto z^(2).
     # reduce refuses it, so structure must not call it quasitriangular
     B, A = _pair([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
-    js, _ = complete_structure(B, A)
+    js = complete_structure(B, A)
     r = commutability_matrix(matrix_operator([[1.0, 0.5], [0.0, 1.0]]), js)
     assert r.certified
     np.testing.assert_allclose(r.matrix, [[0.0, 1.0], [1.0, 0.5]], atol=1e-12)
@@ -265,7 +266,7 @@ def test_entry_below_the_antidiagonal_fails_quasitriangularity():
 
 def test_certify_operators_certifies_the_pencil_A1():
     B, A = _pair([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
-    js, _ = complete_structure(B, A)
+    js = complete_structure(B, A)
     r = certify_operators(js)
     assert r.certified and r.quasitriangular
     np.testing.assert_array_equal(r.matrix, commutability_matrix(A, js).matrix)
@@ -274,7 +275,7 @@ def test_certify_operators_certifies_the_pencil_A1():
 def test_uncertified_operator_detected():
     # an operator pushing the chain off the z span is not certified
     B, A = _pair([[1.0, 0.0], [0.0, 0.0]], np.eye(2))
-    js, _ = complete_structure(B, A)
+    js = complete_structure(B, A)
     push = matrix_operator([[0.0, 1.0], [0.0, 0.0]])  # phi -> e1, not in span z
     r = commutability_matrix(push, js)
     assert not r.certified
@@ -377,10 +378,10 @@ def test_extra_direction_inside_the_chain_span_rejected():
 
 def test_pseudoinverse_needs_the_z_span_complement():
     # without the z-span projector I - Q leaves the range of B
-    js, ps = complete_structure(*_pair(np.diag([1.0, 0.0]), np.eye(2)))
-    ps.z_span = np.zeros_like(ps.z_span)
+    js = complete_structure(*_pair(np.diag([1.0, 0.0]), np.eye(2)))
+    js.z_span = np.zeros_like(js.z_span)
     with pytest.raises(StructureError, match="pseudoinverse construction failed"):
-        _pseudo_inverse(js, ps)
+        _pseudo_inverse(js)
 
 
 def test_mismatched_domains_rejected():
@@ -401,14 +402,14 @@ def test_random_pairs_satisfy_structure_invariants(rng):
     for trial in range(24):
         dim, blocks = menu[trial % len(menu)]
         B, A1 = random_structured_pair(rng, dim, blocks)
-        js, ps = complete_structure(B, A1)
+        js = complete_structure(B, A1)
         assert js.p == tuple(sorted(blocks, reverse=True))
         assert js.diagnostics["chain_link_residual"] <= 1e-8
         assert js.diagnostics["biorthogonality_error"] <= 1e-8
         pm = projector_matrices(js)
         for P in (pm.Pk, pm.Qk):
             assert np.abs(P @ P - P).max() <= 1e-10
-        Bp = ps.Bplus.matrix
+        Bp = js.Bplus
         eye = np.eye(dim)
         assert np.abs(B.matrix @ Bp - (eye - pm.Q)).max() <= 1e-9
         assert np.abs(Bp @ B.matrix - (eye - pm.P)).max() <= 1e-9
@@ -424,21 +425,21 @@ def test_random_rectangular_pencils_keep_extra_directions(rng, tall):
     for _ in range(40):
         r, l, e = (int(v) for v in rng.integers(1, (5, 3, 3)))
         B, A1 = random_rectangular_pair(rng, r, l, e, tall)
-        js, ps = complete_structure(B, A1)
+        js = complete_structure(B, A1)
         assert js.p == (1,) * l
         assert js.nu == (-e if tall else e)
         pm = projector_matrices(js)
         Pt, Qt = pm.P, pm.Q
         assert np.abs(Pt @ Pt - Pt).max() <= 1e-10
         assert np.abs(Qt @ Qt - Qt).max() <= 1e-10
-        Bp = ps.Bplus.matrix
+        Bp = js.Bplus
         rows, cols = B.matrix.shape
         assert np.abs(B.matrix @ Bp - (np.eye(rows) - Qt)).max() <= 1e-9
         assert np.abs(Bp @ B.matrix - (np.eye(cols) - Pt)).max() <= 1e-9
         # the block helpers apply the same totals, extras included
-        np.testing.assert_allclose(outside_phi_span(ps, np.eye(cols)),
+        np.testing.assert_allclose(outside_phi_span(js, np.eye(cols)),
                                    np.eye(cols) - Pt.T, atol=1e-12)
-        np.testing.assert_allclose(outside_z_span(ps, np.eye(rows)),
+        np.testing.assert_allclose(outside_z_span(js, np.eye(rows)),
                                    np.eye(rows) - Qt.T, atol=1e-12)
         assert commutability_matrix(A1, js).certified
         if tall:
@@ -459,20 +460,21 @@ def test_extra_directions_survive_a_large_lower_order_operator(rng):
         for _ in range(20):
             r, l, e = (int(v) for v in rng.integers(1, (5, 3, 3)))
             B, A1 = random_rectangular_pair(rng, r, l, e, tall)
-            js, _ = complete_structure(B, matrix_operator(1e9 * A1.matrix))
+            js = complete_structure(B, matrix_operator(1e9 * A1.matrix))
             assert js.p == (1,) * l
             assert js.nu == (-e if tall else e)
 
 
 def test_structure_report_contents():
     B, A = _pair([[1.0, 0.0], [0.0, 0.0]], np.eye(2))
-    js, ps = complete_structure(B, A)
+    js = complete_structure(B, A)
     comm = certify_operators(js)
-    text = structure_report(js, ps, comm)
+    text = structure_report(js, comm)
     for token in ("n=1", "m=1", "nu=0", "l=1", "p=1", "k=1",
                   "terminal_pairing_det", "chain_link_residual",
                   "Pk_idempotence", "pseudoinverse_identity",
-                  "A1_certified=pass", "A1_quasitriangular=yes"):
+                  "A1_certified=pass", "A1_quasitriangular=yes",
+                  "A1_residual_primal="):
         assert token in text
     # report is stable across calls
-    assert text == structure_report(js, ps, comm)
+    assert text == structure_report(js, comm)

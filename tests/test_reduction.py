@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from degenpde import reduction
-from degenpde.chains import CERTIFY_TOL, complete_structure
+from degenpde.chains import (CERTIFY_TOL, apply_schmidt_inverse,
+                             complete_structure)
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              StructureError)
 from degenpde.problems import instantiate, load_problem
@@ -91,13 +92,13 @@ def _assert_regular_part(rp, A):
     # the dense product to rounding.  Of A1 Bplus itself reduce keeps only
     # its largest entry and its pairing with the extra cokernel directions.
     pm = projector_matrices(rp.js)
-    Bplus = rp.ps.Bplus.matrix
+    Bplus = rp.js.Bplus
     IQ = np.eye(pm.Q.shape[0]) - pm.Q
     np.testing.assert_allclose(rp.system.B.matrix @ Bplus, IQ, atol=1e-12)
     ABplus = A.matrix @ Bplus
     assert rp.lower_size == float(np.abs(ABplus).max())
-    if rp.js.psi_extra is None:
-        assert rp.lower_psi_extra is None
+    if not rp.js.psi_extra.shape[1]:
+        assert rp.lower_psi_extra.shape[1] == 0
     else:
         wpsi = rp.js.codomain.weights[:, None] * rp.js.psi_extra
         np.testing.assert_array_equal(rp.lower_psi_extra, ABplus.T @ wpsi)
@@ -111,12 +112,12 @@ def _assert_regular_part(rp, A):
 
 def test_no_dim_by_dim_projector_is_stored(problems_dir):
     # the projectors stay chain blocks; the dim x dim arrays of a reduced
-    # problem are the two inverses and the v-equation's M
+    # problem are the pseudoinverse and the v-equation's M
     rp = reduce(instantiate(load_problem(problems_dir / "example2.json")))
     dim = rp.system.B.domain.dim
-    square = {name for obj in (rp.ps, rp) for name, val in vars(obj).items()
-              if np.shape(getattr(val, "matrix", val)) == (dim, dim)}
-    assert square == {"Bplus", "Gamma", "M"}
+    square = {name for obj in (rp.js, rp) for name, val in vars(obj).items()
+              if np.shape(val) == (dim, dim)}
+    assert square == {"Bplus", "M"}
 
 
 def _C_system_lines(rp):
@@ -149,7 +150,7 @@ def test_reduce_single_link_chain_layout():
     C = solve_C_recurrence(rp, beta, [("t", t)], lambda rhs: rhs)
     assert C.shape == (11, 1)
     np.testing.assert_array_equal(C, beta)
-    assert rp.lambda_slots == () and rp.js.psi_extra is None
+    assert rp.lambda_slots == () and rp.js.psi_extra.shape[1] == 0
     text = describe_reduction(rp)
     for token in ("regular part:", "free function slots: none",
                   "compatibility functionals: 0", "boundary plan:"):
@@ -271,7 +272,7 @@ def test_reduce_names_free_function_slots():
     rp = reduce(_evolution_spec(B, A, f=None))
     _assert_regular_part(rp, A)
     assert rp.lambda_slots == ("lambda_2",)
-    assert rp.js.psi_extra is None
+    assert rp.js.psi_extra.shape[1] == 0
 
 
 def test_reduce_counts_compat_functionals():
@@ -366,11 +367,12 @@ def test_schmidt_inverse_from_the_blocks_inverts_the_bordered_matrix(rng, blocks
     # Gamma = Bplus + Phi K^-1 Psi^T W is the inverse of B bordered by the
     # head terms z_i^(1) <., gamma_i^(1)>, here in the Euclidean metric
     B, A, _, _ = _kron_chains_instance(rng, blocks)
-    js, ps = complete_structure(matrix_operator(B), matrix_operator(A))
+    js = complete_structure(matrix_operator(B), matrix_operator(A))
     assert js.p == blocks
     first = js.head_columns
     inv = np.linalg.inv(B + js.Z[:, first] @ js.Gam[:, first].T)
-    assert np.abs(ps.Gamma.matrix - inv).max() <= 1e-12 * np.abs(inv).max()
+    Gamma = apply_schmidt_inverse(js, np.eye(len(B)))
+    assert np.abs(Gamma - inv).max() <= 1e-12 * np.abs(inv).max()
 
 
 @pytest.mark.parametrize("blocks", [(2, 1), (3, 1), (2, 2)],

@@ -246,6 +246,18 @@ def test_mixed_corner_asymptotic_coefficients():
     np.testing.assert_allclose(lin, [0.0, 1.0], atol=1e-9)
 
 
+def test_corner_asymptotic_refuses_a_non_square_structure():
+    # the wide pencil of test_wide_pair_keeps_extra_kernel_direction keeps an
+    # unpaired kernel direction, so there is no bordered inverse to apply
+    B = matrix_operator([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    A = matrix_operator([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    rp = reduce(DegenerateSystemSpec(B=B, A1=A, f=None, family="evolution1",
+                                     box={"t": (0.0, 1.0)}))
+    assert rp.js.nu == 1
+    with pytest.raises(ConfigurationError, match="needs a square structure"):
+        asymptotic_leading_term(rp, np.array([1.0, 1.0]))
+
+
 # -- spectral third-order family -------------------------------------------------
 
 def _spectral_spec(nmodes=4, mmodes=4, lam=5.0, dt=1e-3):
