@@ -10,9 +10,9 @@ with their certificates.
 One skeleton decomposition of B, its weighted SVD, supplies the null
 bases of B and B*, the chain solves and the pseudoinverse Bplus.  For B
 kept as a diagonal plus low-rank factors the skeleton has 1x1 blocks and
-one SVD of size at most twice the rank of the factors, and every product
-with B or A1 goes through FiniteOperator.apply; no step forms their
-dense matrices.
+one SVD of size at most twice the rank of the factors, every product
+with B or A1 goes through FiniteOperator.apply, and Bplus is itself a
+diagonal plus low-rank map: no step forms a dim x dim array.
 Each chain set is one column block, so every pairing between the sets
 is a matrix product, and every projector stays a pair of such blocks
 (Pk = Phi Gam^T W1, Qk = Z Psi^T W2), never a dim x dim matrix.
@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, StructureError
-from .spaces import DEFAULT_RANK_TOL, FiniteOperator, Skeleton, _fix_column_signs
+from .spaces import (DEFAULT_RANK_TOL, FiniteOperator, Skeleton, _fix_column_signs,
+                     compose, structured_operator)
 
 LINK_TOL = 1e-8
 SUPPORT_TOL = 1e-8   # chain-preserving form of the normalizing transformation
@@ -61,8 +62,9 @@ class JordanStructure:
     blocks: P = phi_span phi_coef^T with phi_span = [Phi, phi_extra],
     phi_coef = W1 [Gam, gamma_extra]; Q = z_span z_coef^T with z_span =
     [Z, z_extra], z_coef = W2 [Psi, psi_extra].  The first k columns give
-    Pk and Qk.  Bplus is the bounded pseudoinverse, codomain x domain;
-    complete_structure fills it.
+    Pk and Qk.  Bplus is the bounded pseudoinverse, a FiniteOperator
+    codomain -> domain, kept as diag + U V^T when B's skeleton has no
+    dense piece; complete_structure fills it.
     """
 
     Phi: np.ndarray
@@ -82,7 +84,7 @@ class JordanStructure:
     psi_extra: np.ndarray
     gamma_extra: np.ndarray
     z_extra: np.ndarray
-    Bplus: np.ndarray = None
+    Bplus: FiniteOperator = None
     diagnostics: dict = field(default_factory=dict)
     phi_span: np.ndarray = field(init=False)
     phi_coef: np.ndarray = field(init=False)
@@ -109,6 +111,18 @@ class JordanStructure:
         return self.nu == 0 and self.domain.dim == self.codomain.dim
 
     @property
+    def outside_z(self):
+        """I - Q on the codomain, kept as the map diag(1) - z_span z_coef^T."""
+        return structured_operator(self.codomain, np.ones(self.codomain.dim),
+                                   -self.z_span, self.z_coef)
+
+    @property
+    def outside_phi(self):
+        """I - P on the domain, kept as the map diag(1) - phi_span phi_coef^T."""
+        return structured_operator(self.domain, np.ones(self.domain.dim),
+                                   -self.phi_span, self.phi_coef)
+
+    @property
     def head_columns(self):
         """Columns of the level-1 vectors, one per chain."""
         return np.flatnonzero(_chain_columns(self.p)[1] == 1)
@@ -122,12 +136,12 @@ class JordanStructure:
 
 def outside_z_span(js, samples):
     """(I - Q) f for each sample f, the codomain dimension last."""
-    return samples - (samples @ js.z_coef) @ js.z_span.T
+    return js.outside_z.apply_to_samples(samples)
 
 
 def outside_phi_span(js, samples):
     """(I - P) u for each sample u, the domain dimension last."""
-    return samples - (samples @ js.phi_coef) @ js.phi_span.T
+    return js.outside_phi.apply_to_samples(samples)
 
 
 @dataclass
@@ -370,8 +384,8 @@ def structure_residuals(js):
                _link_residual(B.apply_adjoint(Psi), A1.apply_adjoint(Psi[:, :-1]), Psi,
                               first, E2.root, E1.root))
     eye = np.eye(js.k)
-    bio = max(np.abs(Phi.T @ (E1.weights[:, None] * js.Gam) - eye).max(initial=0.0),
-              np.abs(js.Z.T @ (E2.weights[:, None] * Psi) - eye).max(initial=0.0))
+    bio = max(np.abs(Phi.T @ js.phi_coef[:, :js.k] - eye).max(initial=0.0),
+              np.abs(js.Z.T @ js.z_coef[:, :js.k] - eye).max(initial=0.0))
     return {"chain_link_residual": link, "biorthogonality_error": float(bio)}
 
 
@@ -404,28 +418,36 @@ def apply_schmidt_inverse(js, cols):
             "the Schmidt inverse needs a square structure: got "
             f"nu={js.nu} on a {js.codomain.dim}x{js.domain.dim} map")
     K = js.z_coef.T @ _bordered(js).apply(js.Phi)
-    return js.Bplus @ cols + js.Phi @ np.linalg.solve(K, js.z_coef.T @ cols)
+    return js.Bplus.apply(cols) + js.Phi @ np.linalg.solve(K, js.z_coef.T @ cols)
 
 
 def _pseudo_inverse(js):
-    """Bounded pseudoinverse: inverts B between the complement of the root
+    """Bounded pseudoinverse Bplus = (I - P) S (I - Q), S the skeleton's
+    minimum-norm solve: it inverts B between the complement of the root
     (plus extra) subspace and the complement of the z-span, zero elsewhere.
-    Satisfies B Bplus = I - Q, Bplus Q = 0, P Bplus = 0.  X0 is the skeleton's
-    minimum-norm solve of B X0 = I - Q; its residual, the part of R2 (I - Q)
-    along B's cokernel, must vanish.  The dual chain links confine the
-    root-space part of X0 to ker B (level-1 and extra directions), so
-    removing it gives P Bplus = 0.  Records max |B Bplus - (I - Q)| as the
-    pseudoinverse_identity diagnostic."""
-    E2 = js.codomain
-    rhs = outside_z_span(js, np.eye(E2.dim)).T
-    X0, res = js.skeleton.solve(rhs)
-    size = np.sqrt(np.einsum("ij,ij->i", rhs, rhs) @ E2.weights)
-    rel = float(np.linalg.norm(res) / max(1.0, size))
+    Satisfies B Bplus = I - Q, Bplus Q = 0, P Bplus = 0.  The residual of
+    B S (I - Q) = I - Q, the part of R2 (I - Q) along B's cokernel, must
+    vanish relative to the size of R2 (I - Q); it is Y^T W2 (I - Q) for
+    the codomain-orthonormal cokernel basis Y = [dual heads, psi_extra],
+    which the dual staircase mixes orthogonally out of B*'s null basis.
+    The dual chain links confine the root-space part of S (I - Q) to ker B
+    (level-1 and extra directions), so I - P removes it.  Kept as factors
+    when S and the projectors are, and records max |B Bplus - (I - Q)| as
+    the pseudoinverse_identity diagnostic."""
+    IQ, w = js.outside_z, js.codomain.weights
+    Y = np.hstack([js.Psi[:, js.head_columns], js.psi_extra])
+    res = np.linalg.norm(IQ.transpose().apply(w[:, None] * Y))
+    # sum_i w_i |row i of I - Z C^T|^2, Z = z_span, C = z_coef
+    Z, C = js.z_span, js.z_coef
+    size = np.sqrt(max(0.0, w.sum() - 2.0 * (w @ (Z * C)).sum()
+                       + (w @ ((Z @ (C.T @ C)) * Z)).sum()))
+    rel = float(res / max(1.0, size))
     if rel > 1e-8:
         raise StructureError("pseudoinverse construction failed: range-complement "
                              f"solve residual {rel:.2e}")
-    Bplus = outside_phi_span(js, X0.T).T
-    js.diagnostics["pseudoinverse_identity"] = float(np.abs(js.B.apply(Bplus) - rhs).max())
+    Bplus = compose(js.outside_phi, compose(js.skeleton.pseudo_inverse(), IQ))
+    gap = compose(js.B, Bplus).updated(js.z_span, js.z_coef, shift=-1.0)
+    js.diagnostics["pseudoinverse_identity"] = gap.largest_entry()
     return Bplus
 
 
@@ -456,7 +478,7 @@ def commutability_matrix(A, js):
     Phi, Psi, Gam, Z = js.Phi, js.Psi, js.Gam, js.Z
     APhi = A.apply(Phi)
     r1, r2 = E1.root[:, None], E2.root[:, None]
-    M = APhi.T @ (E2.weights[:, None] * Psi)
+    M = APhi.T @ js.z_coef[:, :js.k]
     prim_dev = np.linalg.norm(r2 * (APhi - Z @ M.T))
     prim_scale = max(1.0, np.linalg.norm(r2 * APhi))
     AstarPsi = A.apply_adjoint(Psi)
@@ -493,10 +515,12 @@ def structure_report(js, comm):
             lines.append(f"{key}={diag[key]:.6e}")
     lines.append(f"extra_kernel_directions={js.phi_extra.shape[1]}")
     lines.append(f"extra_cokernel_directions={js.psi_extra.shape[1]}")
-    # P P - P of P = cols coef^T is cols (coef^T cols - I) coef^T
-    for name, cols, coef in (("Pk", js.Phi, js.phi_coef), ("Qk", js.Z, js.z_coef)):
+    # P P - P of P = cols coef^T is the rank-k map cols (coef^T cols - I) coef^T
+    for name, cols, coef, space in (("Pk", js.Phi, js.phi_coef, js.domain),
+                                    ("Qk", js.Z, js.z_coef, js.codomain)):
         coef = coef[:, :js.k]
-        idem = np.abs(cols @ ((coef.T @ cols - np.eye(js.k)) @ coef.T)).max()
+        idem = structured_operator(space, np.zeros(space.dim),
+                                   cols @ (coef.T @ cols - np.eye(js.k)), coef).largest_entry()
         lines.append(f"{name}_idempotence={idem:.6e}")
     lines.append(f"pseudoinverse_identity={diag['pseudoinverse_identity']:.6e}")
     lines.append(f"A1_certified={'pass' if comm.certified else 'fail'}")

@@ -19,6 +19,7 @@ from .chains import (certify_operators, complete_structure, exchange_violation,
                      outside_phi_span, outside_z_span)
 from .errors import CompatibilityError, ConfigurationError, StructureError
 from .fd import derivative_along_axis, stencil_size
+from .spaces import compose
 
 V_CONSTRAINT_TOL = 1e-8   # v leaking into the extra cokernel directions
 
@@ -82,10 +83,14 @@ class DegenerateSystemSpec:
 
 @dataclass
 class ReducedProblem:
+    """The regular problem: M = (I - Q) A1 Bplus is a FiniteOperator on the
+    codomain, kept as diag + U V^T when Bplus and A1 keep factors (so the
+    back-ends apply it through apply_to_samples), dense otherwise."""
+
     system: DegenerateSystemSpec
     js: object
     comm: object         # A1's commutability result on the chain span
-    M: np.ndarray        # (I - Q) A1 Bplus, the lower-order matrix of the v-equation
+    M: object            # (I - Q) A1 Bplus, the lower-order map of the v-equation
     lower_size: float    # max |A1 Bplus|, the lower-order term's largest entry
     lower_psi_extra: np.ndarray   # (A1 Bplus)^T W2 psi_extra, zero-width when m <= n
     lambda_slots: tuple
@@ -108,22 +113,21 @@ def reduce(spec):
             f"quasitriangularity not certified: A1 pairs phi column {b} with "
             f"psi column {a} by {comm.matrix[b, a]:.3e}, expected "
             f"{float(js.exchange[a] == b):g} after normalization")
-    ABplus = spec.A1.apply(js.Bplus)
+    ABplus = compose(spec.A1, js.Bplus)
     # dynamics projected onto the solvable complement: for m > n the raw
     # A1 Bplus pushes v into the constraint directions handled separately
-    M = outside_z_span(js, ABplus.T).T
-    lower_psi_extra = ABplus.T @ (js.codomain.weights[:, None] * js.psi_extra)
+    M = compose(js.outside_z, ABplus)
+    lower_psi_extra = ABplus.transpose().apply(js.z_coef[:, js.k:])
     lambda_slots = tuple(f"lambda_{js.l + e + 1}" for e in range(js.phi_extra.shape[1]))
     return ReducedProblem(system=spec, js=js, comm=comm, M=M,
-                          lower_size=float(np.abs(ABplus).max()),
+                          lower_size=ABplus.largest_entry(),
                           lower_psi_extra=lower_psi_extra, lambda_slots=lambda_slots)
 
 
 def beta_tables(rp, f_samples):
     """Right-hand projections <f, psi> as one (samples..., k) block in the
     chain-column order of Psi; f_samples has the codomain dimension last."""
-    js = rp.js
-    return np.asarray(f_samples, dtype=float) @ (js.codomain.weights[:, None] * js.Psi)
+    return np.asarray(f_samples, dtype=float) @ rp.js.z_coef[:, :rp.js.k]
 
 
 def solve_C_recurrence(rp, beta, axes, solve_lead, accuracy=2):
@@ -174,7 +178,7 @@ def reconstruct_solution(rp, v_samples, C):
             raise CompatibilityError(
                 f"compatibility violated: the regular part leaks into the "
                 f"unresolvable cokernel directions (relative size {dev:.2e})")
-    u = v @ js.Bplus.T
+    u = js.Bplus.apply_to_samples(v)
     if js.k:
         u += C @ js.Phi.T
     return u
@@ -190,7 +194,7 @@ def compat_residual(rp, axes, v_samples, f_samples):
     lower_k = FAMILIES[rp.system.family].L[1]
     scal = np.asarray(v_samples) @ rp.lower_psi_extra
     total = (apply_differential_operator(lower_k, scal, axes)
-             - np.asarray(f_samples) @ (js.codomain.weights[:, None] * js.psi_extra))
+             - np.asarray(f_samples) @ js.z_coef[:, js.k:])
     return float(np.abs(_interior(total, len(axes))).max())
 
 

@@ -6,10 +6,14 @@ family back-ends differ only in how they integrate it: one RK4 march for
 the time families, the iterated-integral series for goursat, and for
 mixed_xy the finite Chebyshev series of a fit to the data, refused when
 the fit misses the data.  Where the part M couples is first order
-(evolution1, evolution2) the march applies RK4's exact step map, built
-once, at one mat-vec a step; evolution2 then recovers v from v' with
-RK4's own weights in batched GEMMs and a cumsum.  spectral3 keeps the RK4
-stages, which cost less there than a map on its third-order state.
+(evolution1, evolution2) the march applies RK4's exact step map;
+evolution2 then recovers v from v' with RK4's own weights and a cumsum.
+For M = c I + U V^T or a diagonal, as reduce leaves it for the kernel
+and mode pencils, the map's powers stay scalar plus rank k and the march
+is a k-dim doubling scan and one scalar-coefficient scan over the
+columns; any other M steps a dense map at one mat-vec a step.
+spectral3 keeps the RK4 stages, which cost less there than a map on its
+third-order state, and every back-end applies M through its factors.
 Series limits and the fit tolerance are module constants.  Each back-end
 then runs the triangular C-recursion; `solve_family`, the one entry
 point, reassembles the full solution and returns it as a
@@ -34,6 +38,7 @@ from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
 from .reduction import (FAMILIES, beta_tables, compat_residual,
                         equation_residual, reconstruct_solution,
                         rhs_projection, solve_C_recurrence)
+from .spaces import BLOCK
 
 DEFAULT_DT = 1e-3
 GOURSAT_SERIES_CAP = 40
@@ -45,6 +50,7 @@ CSV_TIME_STEPS = 20     # time steps the CSV view keeps, about
 CSV_SINE_NODES = 17     # sine synthesis nodes per axis of the CSV view
 BESSEL_SERIES_TOL = 1e-18
 BESSEL_SERIES_CAP = 80
+SCAN_LOG_RANGE = 32.0   # |log p| times a scan chunk's length
 
 
 @dataclass
@@ -157,21 +163,24 @@ def _sample_rhs(f, tvals, width):
 
 def _march(M, r, s, g_half, tgrid):
     """Classical RK4 from zero data for v^(r) = g - M v^(s), g sampled on
-    the half-step grid; returns v at the nodes.
+    the half-step grid and M a FiniteOperator; returns v at the nodes.
 
     On a linear system one RK4 step is the affine map y -> R(hA) y + b_n,
     R(z) = sum_{j<=4} z^j / j! the stability function (Hairer, Norsett &
     Wanner, Solving ODEs I, II.1).  Where the part M couples is first
-    order (r - s = 1, s <= 1) the map is built once: w = v^(s) steps as
-    w <- w P^T + b_n with P = R(N), N = -h M, one mat-vec a step, and the
-    forcing b of all steps is two batched GEMMs over g.  For s = 1, v is
-    RK4's own quadrature of v' = w, dv_n = w_n Q^T + c_n: GEMMs and a
-    cumsum after the loop.  For r - s > 1 (spectral3) the stages stay:
-    the map there is a dense (r d)^2 matrix against 4 d^2 for the stages
-    (on example5, one BLAS thread, it took the march from 0.09 to 0.41 s,
-    and a Horner form in M from 0.105 to 0.166 s)."""
+    order (r - s = 1, s <= 1) w = v^(s) steps as w <- w P^T + b_n with
+    P = R(N), N = -h M, and the forcing b of all steps comes from g in
+    batched products.  For s = 1, v is RK4's own quadrature of v' = w,
+    dv_n = w_n Q^T + c_n, summed by a cumsum.  When M = c I + U V^T (or
+    a diagonal) every such polynomial in N is a scalar (or diagonal) plus
+    a rank-k part, and _march_factored replaces the step loop by scans;
+    any other M keeps the map as a dense matrix, one mat-vec a step.
+    For r - s > 1 (spectral3) the stages stay, applying M through its
+    factors: the map there is a dense (r d)^2 matrix against 4 d^2 for
+    the stages (on example5, one BLAS thread, it took the march from 0.09
+    to 0.41 s, and a Horner form in M from 0.105 to 0.166 s)."""
     h = float(tgrid[1] - tgrid[0])
-    nt, d = len(tgrid) - 1, M.shape[0]
+    nt, d = len(tgrid) - 1, M.domain.dim
     g0, gm, g1 = g_half[:-1:2], g_half[1::2], g_half[2::2]
     if r - s > 1 or s > 1:
         y = np.zeros((r, d))
@@ -181,7 +190,7 @@ def _march(M, r, s, g_half, tgrid):
         def deriv(y, g):
             out = np.empty_like(y)
             out[:-1] = y[1:]
-            out[-1] = g - y[s] @ M.T
+            out[-1] = g - M.apply_to_samples(y[s])
             return out
 
         for i in range(nt):
@@ -192,9 +201,11 @@ def _march(M, r, s, g_half, tgrid):
             y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             v[i + 1] = y[0]
         return v
+    if M.dense is None and (not M.U.shape[1] or np.all(M.diag == M.diag[0])):
+        return _march_factored(M, s, g_half, h)
 
     eye = np.eye(d)
-    N = -h * M
+    N = -h * M.matrix
     N2 = N @ N
     N3 = N2 @ N
     # w[1:] holds the forcing b until step i adds w[i] P^T to w[i + 1]
@@ -219,6 +230,106 @@ def _march(M, r, s, g_half, tgrid):
     dv += w[:-1] @ (eye + N / 2.0 + N2 / 6.0 + N3 / 24.0).T
     dv *= h
     np.cumsum(dv, axis=0, out=dv)
+    return v
+
+
+def _polynomial(a, G, coef):
+    """sum_j coef[j] N^j for N = a I + X V^T with G = V^T X: the pair
+    (scalar part, core C) of the polynomial sum_j coef[j] a^j I + X C V^T.
+    a is a scalar, or one entry per coordinate when X has no columns."""
+    core, Cj, eye = np.zeros_like(G), np.zeros_like(G), np.eye(len(G))
+    for j, c in enumerate(coef):
+        core += c * Cj
+        if G.size:
+            # N^(j+1) = N^j N: its core is a^j I + a C_j + C_j G
+            Cj = a ** j * eye + a * Cj + Cj @ G
+    return sum(c * a ** j for j, c in enumerate(coef)), core
+
+
+def _fill_rows(out, terms, coef, X):
+    """out = sum c x over the (c, x) terms, plus coef X^T, a block of rows at
+    a time so that no temporary has the size of out."""
+    (c0, x0), *rest = terms
+    step = max(1, BLOCK // out.shape[1])
+    for lo in range(0, len(out), step):
+        rows = slice(lo, lo + step)
+        blk = out[rows]
+        np.multiply(x0[rows], c0, out=blk)
+        for c, x in rest:
+            blk += c * x[rows]
+        if X.shape[1]:
+            blk += coef[rows] @ X.T
+
+
+def _geometric_scan(w, p):
+    """w[n + 1] <- p w[n] + w[n + 1] for n = 0, 1, ... in place, p > 0 a
+    scalar or one factor per column: a cumsum of w[n] p^-n, then times
+    p^n, over chunks of L rows that carry the last row of the chunk
+    before; L keeps p^(+-L) within e^(+-SCAN_LOG_RANGE)."""
+    nt = len(w) - 1
+    rate = float(np.abs(np.log(p)).max(initial=0.0))
+    L = nt if rate * nt <= SCAN_LOG_RANGE else max(1, int(SCAN_LOG_RANGE / rate))
+    j = np.arange(L).reshape(-1, 1)
+    down, up = p ** -j, p ** j
+    for lo in range(0, nt, L):
+        seg = w[lo + 1:lo + 1 + L]
+        m = len(seg)
+        seg *= down[:m]
+        np.cumsum(seg, axis=0, out=seg)
+        seg *= up[:m]
+        if lo:
+            seg += (p * up[:m]) * w[lo]
+
+
+def _march_factored(M, s, g_half, h):
+    """The step-map march of _march for M = c I + U V^T (c one constant)
+    or M diagonal (no U).  With N = a I + X V^T, a = -h c and X = -h U,
+    P = R(N) = p I + X Cp V^T, so alpha_n = w_n V follows the k-dim
+    recurrence alpha_(n+1) = alpha_n (p I + Cp^T X^T V) + b_n V, solved as
+    a doubling scan, and w_(n+1) = p w_n + b_n + alpha_n Cp^T X^T is one
+    scalar-coefficient scan over the columns (_geometric_scan).  The
+    forcing and, for s = 1, RK4's quadrature of v' = w take g only
+    through g V: O(nt d k) in all."""
+    nt, d, k = (len(g_half) - 1) // 2, M.domain.dim, M.U.shape[1]
+    a = -h * (M.diag[0] if k else M.diag)
+    X, V = -h * M.U, M.V
+    G = V.T @ X
+    p, Cp = _polynomial(a, G, (1.0, 1.0, 1.0 / 2, 1.0 / 6, 1.0 / 24))
+    s1, C1 = _polynomial(a, G, (1.0, 1.0, 1.0 / 2, 1.0 / 4))
+    s2, C2 = _polynomial(a, G, (4.0, 2.0, 1.0 / 2))
+    c = h / 6.0
+    g0, gm, g1 = g_half[:-1:2], g_half[1::2], g_half[2::2]
+    gV = g_half @ V
+    g0V, gmV, g1V = gV[:-1:2], gV[1::2], gV[2::2]
+    # b_n = c (s1 g0 + s2 gm + g1) + F_n X^T
+    F = c * (g0V @ C1.T + gmV @ C2.T)
+    alpha = np.zeros((nt + 1, k))
+    if k:
+        y = alpha[1:]
+        y[:] = c * (s1 * g0V + s2 * gmV + g1V) + F @ G.T
+        A = p * np.eye(k) + Cp.T @ G.T
+        step = 1
+        while step < nt:
+            y[step:] += y[:-step] @ A
+            step *= 2
+            if step < nt:
+                A = A @ A
+    w = np.empty((nt + 1, d))
+    w[0] = 0.0
+    _fill_rows(w[1:], ((c * s1, g0), (c * s2, gm), (c, g1)),
+               F + alpha[:-1] @ Cp.T, X)
+    _geometric_scan(w, p)
+    if s == 0:
+        return w
+    q1, D1 = _polynomial(a, G, (1.0, 1.0 / 2, 1.0 / 4))
+    q2, D2 = _polynomial(a, G, (2.0, 1.0 / 2))
+    q3, D3 = _polynomial(a, G, (1.0, 1.0 / 2, 1.0 / 6, 1.0 / 24))
+    # dv_n = h [w_n Q3^T + c (g0 Q1^T + gm Q2^T)], then v by a cumsum
+    v = np.empty_like(w)
+    v[0] = 0.0
+    _fill_rows(v[1:], ((h * c * q1, g0), (h * c * q2, gm), (h * q3, w[:-1])),
+               h * (alpha[:-1] @ D3.T + c * (g0V @ D1.T + gmV @ D2.T)), X)
+    np.cumsum(v[1:], axis=0, out=v[1:])
     return v
 
 
@@ -308,7 +419,7 @@ def _solve_goursat(rp):
     v = vterm.copy()
     scale = max(1.0, float(np.abs(vterm).max()))
     for r in range(1, GOURSAT_SERIES_CAP + 1):
-        vterm = -volterra(vterm @ rp.M.T)
+        vterm = -volterra(rp.M.apply_to_samples(vterm))
         v += vterm
         if np.abs(vterm).max() <= GOURSAT_SERIES_TOL * scale:
             break
@@ -382,7 +493,7 @@ def _solve_mixed_xy(rp):
     while term.any():
         coef[:term.shape[0], :term.shape[1]] += term
         terms += 1
-        term = -x_integral(cheb.chebder(term, scl=1.0 / hy, axis=1) @ rp.M.T)
+        term = -x_integral(rp.M.apply_to_samples(cheb.chebder(term, scl=1.0 / hy, axis=1)))
     v = on_grid(coef)
 
     axes = [("x", xg), ("y", yg)]
@@ -509,26 +620,27 @@ def _exp_weighted_integral(g_half, tgrid, decay=True):
 
 def _weighted_space_integral(f_vals, grid, weight):
     """Composite Simpson integral of f_vals * weight over the last axis on
-    the (possibly irregular) nodes grid; an even node count closes with
-    Cartwright's last-interval correction."""
-    y = f_vals * weight
-    n = y.shape[-1]
+    the (possibly irregular) nodes grid, as one product with the weight
+    vector; an even node count closes with Cartwright's last-interval
+    correction."""
+    n = len(grid)
     stop = n - 2 if n % 2 else n - 3
     h = np.diff(grid)
     h0, h1 = h[0:stop:2], h[1:stop + 1:2]
     hsum = h0 + h1
     ratio = h0 / h1
-    total = np.sum(hsum / 6.0 * (y[..., 0:stop:2] * (2.0 - 1.0 / ratio)
-                                 + y[..., 1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-                                 + y[..., 2:stop + 2:2] * (2.0 - ratio)), axis=-1)
+    w = np.zeros(n)
+    w[0:stop:2] += hsum / 6.0 * (2.0 - 1.0 / ratio)
+    w[1:stop + 1:2] += hsum / 6.0 * (hsum * (hsum / (h0 * h1)))
+    w[2:stop + 2:2] += hsum / 6.0 * (2.0 - ratio)
     if n % 2 == 0:
         # 0-d arrays, not scalars: numpy's scalar and array power loops
         # can differ in the last bit of b ** 3
         a, b = np.asarray(h[-2]), np.asarray(h[-1])
-        total += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[..., -1]
-                  + (b ** 2 + 3.0 * a * b) / (6 * a) * y[..., -2]
-                  - b ** 3 / (6 * a * (a + b)) * y[..., -3])
-    return total
+        w[-1] += (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
+        w[-2] += (b ** 2 + 3.0 * a * b) / (6 * a)
+        w[-3] -= b ** 3 / (6 * a * (a + b))
+    return f_vals @ (w * weight)
 
 
 def oracle_first_order_evolution(f, tgrid, xgrid):

@@ -13,11 +13,12 @@ A square operator built as a diagonal plus a low-rank part, diag(D) +
 U V^T (the identity, a mode diagonal, I - K or K for a degenerate kernel
 K = sum a_i(x) b_i(s)), keeps those factors.  Its skeleton, the SVD
 between orthonormal coordinates, then comes from 1x1 blocks and one SVD
-of size at most 2k: Fredholm's degenerate-kernel reduction.  Any other
-operator is dense and takes a full SVD.
+of size at most 2k: Fredholm's degenerate-kernel reduction.  The
+skeleton's minimum-norm solve and the products of such maps (compose)
+keep the same form.  Any other operator is dense and takes a full SVD.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .expressions import evaluate, parse, separate
 
 DEFAULT_RANK_TOL = 1e-10
 KERNEL_PARALLEL_TOL = 1e-8   # exact_on: K v against its projection onto v
-ROW_BLOCK = 256              # rows formed at once from a map's factors
+BLOCK = 1 << 16              # entries of a row block formed at once
 
 
 @dataclass(frozen=True)
@@ -156,49 +157,61 @@ class FiniteOperator:
 
     def apply_to_samples(self, samples):
         """The map on every sample of an array whose last axis is the domain
-        dimension."""
+        dimension; a low-rank part is added a block of samples at a time."""
         if self.dense is not None:
             return samples @ self.dense.T
         out = samples * self.diag
         if self.U.shape[1]:
-            out += (samples @ self.V) @ self.U.T
+            coef = (samples @ self.V).reshape(-1, self.U.shape[1])
+            rows = out.reshape(-1, out.shape[-1])
+            step = max(1, BLOCK // rows.shape[1])
+            for lo in range(0, len(rows), step):
+                rows[lo:lo + step] += coef[lo:lo + step] @ self.U.T
         return out
+
+    def transpose(self):
+        """The transposed matrix as a map codomain -> domain; factors swap."""
+        if self.dense is not None:
+            return FiniteOperator(self.dense.T, self.codomain, self.domain)
+        return FiniteOperator(None, self.codomain, self.domain, self.diag, self.V, self.U)
 
     def apply_adjoint(self, cols):
         """The adjoint map codomain -> domain on a column block,
         <A u, v>_cod = <u, A* v>_dom: A* v = W_dom^-1 A^T (W_cod v)."""
         wv = self.codomain.weights[:, None] * cols
+        return self.transpose().apply(wv) / self.domain.weights[:, None]
+
+    def largest_entry(self):
+        """max |A| over the entries of the matrix; a map kept as factors
+        forms them a row block at a time."""
         if self.dense is not None:
-            return self.dense.T @ wv / self.domain.weights[:, None]
-        out = self.diag[:, None] * wv
-        if self.U.shape[1]:
-            out += self.V @ (self.U.T @ wv)
-        return out / self.domain.weights[:, None]
+            return float(np.abs(self.dense).max(initial=0.0))
+        return _largest_entry(self.diag, self.U, self.V)
 
     def largest_weighted_entry(self):
-        """max |R_cod A R_dom^-1| over the entries; a map kept as factors
-        forms its weighted entries a row block at a time."""
+        """max |R_cod A R_dom^-1| over the entries."""
         r1, r2 = self.domain.root, self.codomain.root
         if self.dense is not None:
             return float(np.abs(r2[:, None] * self.dense / r1).max(initial=0.0))
-        d, Uw, Vw = self.diag * (r2 / r1), r2[:, None] * self.U, self.V / r1[:, None]
-        best = float(np.abs(d).max(initial=0.0))
-        if Uw.shape[1]:
-            for lo in range(0, d.size, ROW_BLOCK):
-                rows = Uw[lo:lo + ROW_BLOCK] @ Vw.T
-                j = np.arange(rows.shape[0])
-                rows[j, lo + j] += d[lo + j]
-                best = max(best, float(np.abs(rows).max()))
-        return best
+        return _largest_entry(self.diag * (r2 / r1), r2[:, None] * self.U,
+                              self.V / r1[:, None])
+
+    def updated(self, cols, rows, shift=0.0):
+        """This map plus shift I plus cols rows^T, on the same spaces;
+        factors stay factors."""
+        if self.dense is None:
+            return replace(self, diag=self.diag + shift, U=np.hstack([self.U, cols]),
+                           V=np.hstack([self.V, rows]))
+        m = self.dense + cols @ rows.T
+        if shift:
+            m[np.diag_indices_from(m)] += shift
+        return replace(self, dense=m)
 
     def bordered(self, cols, rows):
         """The matrix of this map plus cols rows^T, as a map between
         Euclidean spaces of the same dimensions; factors stay factors."""
-        dom, cod = euclidean_space(self.domain.dim), euclidean_space(self.codomain.dim)
-        if self.dense is not None:
-            return FiniteOperator(self.dense + cols @ rows.T, dom, cod)
-        return FiniteOperator(None, dom, cod, self.diag, np.hstack([self.U, cols]),
-                              np.hstack([self.V, rows]))
+        return replace(self, domain=euclidean_space(self.domain.dim),
+                       codomain=euclidean_space(self.codomain.dim)).updated(cols, rows)
 
     def _pieces(self, compute_uv):
         """The SVD pieces of the map between orthonormal coordinates:
@@ -221,6 +234,34 @@ class FiniteOperator:
         s = np.sort(np.concatenate([p.values for p in pieces]))[::-1]
         cut = rank_tol * s[0] if s.size else 0.0
         return Skeleton(pieces, s, int(np.sum(s > cut)), cut, self.domain, self.codomain)
+
+
+def _largest_entry(d, U, V):
+    """max |diag(d) + U V^T| over the entries, a row block at a time."""
+    if not U.shape[1]:
+        return float(np.abs(d).max(initial=0.0))
+    best, step = 0.0, max(1, BLOCK // d.size)
+    for lo in range(0, d.size, step):
+        rows = U[lo:lo + step] @ V.T
+        j = np.arange(rows.shape[0])
+        rows[j, lo + j] += d[lo + j]
+        best = max(best, float(np.abs(rows).max()))
+    return best
+
+
+def compose(a, b):
+    """The map a b, b applied first.  Two maps kept as factors give
+    diag(a.d b.d) + [a.U, a.d b.U + a.U (a.V^T b.U)] [b.d a.V, b.V]^T, with
+    the factor columns that vanish on either side dropped; otherwise the
+    product is dense, and a factored side is applied through its factors."""
+    if a.dense is None and b.dense is None:
+        U = np.hstack([a.U, a.diag[:, None] * b.U + a.U @ (a.V.T @ b.U)])
+        V = np.hstack([b.diag[:, None] * a.V, b.V])
+        keep = U.any(axis=0) & V.any(axis=0)
+        return FiniteOperator(None, b.domain, a.codomain, a.diag * b.diag,
+                              U[:, keep], V[:, keep])
+    m = a.apply(b.dense) if b.dense is not None else b.transpose().apply(a.dense.T).T
+    return FiniteOperator(m, b.domain, a.codomain)
 
 
 def _svd(a, compute_uv):
@@ -272,6 +313,12 @@ class _Diagonal:
         vecs[self.idx[null], np.arange(null.size)] = 1.0
         return self.values[null], vecs
 
+    def inverse(self, d, cut):
+        """Write the 1x1 inverses of the live blocks into d; no low-rank part."""
+        live = self.values > cut
+        d[self.idx[live]] = 1.0 / self.d[live]
+        return np.zeros((d.size, 0)), np.zeros((d.size, 0))
+
     def solve(self, y, x, cut):
         live = self.values > cut
         x[self.idx[live]] = y[self.idx[live]] / self.d[live, None]
@@ -301,6 +348,19 @@ class _LowRank:
         vecs = np.zeros((dim, cols.shape[1]))
         vecs[self.idx] = cols
         return vals, vecs
+
+    def inverse(self, d, cut):
+        """The minimum-norm solve as cinv I + Q core Q^T on idx, cinv = 1/c
+        or 0 when c counts as zero: write cinv into d and return the factors
+        (Q core, Q) of the rest."""
+        r = int(np.sum(self.sc > cut))
+        cinv = 1.0 / self.c if abs(self.c) > cut else 0.0
+        d[self.idx] = cinv
+        core = self.Vct[:r].T @ (self.Uc[:, :r].T / self.sc[:r, None])
+        core[np.diag_indices_from(core)] -= cinv
+        U, V = np.zeros((d.size, self.Q.shape[1])), np.zeros((d.size, self.Q.shape[1]))
+        U[self.idx], V[self.idx] = self.Q @ core, self.Q
+        return U, V
 
     def solve(self, y, x, cut):
         r = int(np.sum(self.sc > cut))
@@ -371,6 +431,18 @@ class Skeleton:
         vals, vecs = zip(*(p.null_right(self.cut, self.domain.dim) for p in self.pieces))
         order = np.argsort(np.concatenate(vals), kind="stable")
         return _fix_column_signs(np.hstack(vecs)[:, order] / self.domain.root[:, None])
+
+    def pseudo_inverse(self):
+        """The minimum-norm least-squares solve y -> x of B x = y as a map
+        codomain -> domain: diag + U V^T from the 1x1 blocks and the cores,
+        dense (the solve of every unit vector) when a piece is dense."""
+        dom, cod = self.domain, self.codomain
+        if any(isinstance(p, _Dense) for p in self.pieces):
+            return FiniteOperator(self.solve(np.eye(cod.dim))[0], cod, dom)
+        d = np.zeros(dom.dim)
+        U, V = (np.hstack(f) for f in zip(*(p.inverse(d, self.cut) for p in self.pieces)))
+        r1, r2 = dom.root, cod.root
+        return FiniteOperator(None, cod, dom, d * (r2 / r1), U / r1[:, None], r2[:, None] * V)
 
     def solve(self, rhs_cols):
         """Minimum-norm least-squares solutions of B x = y for the columns y

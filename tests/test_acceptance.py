@@ -94,7 +94,7 @@ def test_criterion_2_commutability_identities(problems_dir, report):
     def identity_residuals(spec_B, A_ops, js):
         I2 = np.eye(js.codomain.dim)
         pm = projector_matrices(js)
-        Pk, Qk, Bp = pm.Pk, pm.Qk, js.Bplus
+        Pk, Qk, Bp = pm.Pk, pm.Qk, js.Bplus.matrix
         Phi = js.Phi
         res = [np.abs(Bp @ Qk - Pk @ Bp).max(),
                np.abs((I2 - Qk) @ spec_B @ Phi).max()]

@@ -67,7 +67,7 @@ def test_rank_one_kernel_single_link():
     np.testing.assert_allclose(pm.Pk, np.diag([0.0, 1.0]), atol=1e-12)
     np.testing.assert_allclose(pm.Qk, np.diag([0.0, 1.0]), atol=1e-12)
     np.testing.assert_allclose(apply_schmidt_inverse(js, np.eye(2)), np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(js.Bplus, np.diag([1.0, 0.0]), atol=1e-10)
+    np.testing.assert_allclose(js.Bplus.matrix, np.diag([1.0, 0.0]), atol=1e-10)
 
 
 def test_single_length_two_chain():
@@ -82,7 +82,7 @@ def test_single_length_two_chain():
     pm = projector_matrices(js)
     np.testing.assert_allclose(pm.Pk, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(pm.Qk, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(js.Bplus, np.zeros((2, 2)), atol=1e-12)
+    np.testing.assert_allclose(js.Bplus.matrix, np.zeros((2, 2)), atol=1e-12)
 
 
 def test_length_three_shift_chain():
@@ -103,7 +103,7 @@ def test_invertible_leading_operator_degenerates_gracefully(rng):
     assert (js.n, js.m, js.l, js.nu, js.k) == (0, 0, 0, 0, 0)
     assert js.p == ()
     np.testing.assert_allclose(projector_matrices(js).Pk, np.zeros((4, 4)), atol=1e-12)
-    np.testing.assert_allclose(js.Bplus, np.linalg.inv(M), atol=1e-9)
+    np.testing.assert_allclose(js.Bplus.matrix, np.linalg.inv(M), atol=1e-9)
     np.testing.assert_allclose(apply_schmidt_inverse(js, np.eye(4)), np.linalg.inv(M), atol=1e-9)
 
 
@@ -130,7 +130,7 @@ def test_schmidt_times_complement_matches_pseudoinverse_for_unit_chains():
                              exact_on="x")
     js = complete_structure(B, identity_operator(sp), rank_tol=1e-6)
     alt = apply_schmidt_inverse(js, np.eye(sp.dim) - projector_matrices(js).Qk)
-    assert np.abs(alt - js.Bplus).max() <= 1e-8
+    assert np.abs(alt - js.Bplus.matrix).max() <= 1e-8
 
 
 @pytest.mark.parametrize("name, dense, expected", [
@@ -175,7 +175,7 @@ def test_wide_pair_keeps_extra_kernel_direction():
     Pt = pm.P
     assert np.abs(Pt @ Pt - Pt).max() <= 1e-10
     assert np.abs(pm.Pextra @ pm.Pk).max() <= 1e-10
-    BBp = B.matrix @ js.Bplus
+    BBp = B.matrix @ js.Bplus.matrix
     np.testing.assert_allclose(BBp, np.eye(2) - pm.Q, atol=1e-9)
 
 
@@ -409,7 +409,7 @@ def test_random_pairs_satisfy_structure_invariants(rng):
         pm = projector_matrices(js)
         for P in (pm.Pk, pm.Qk):
             assert np.abs(P @ P - P).max() <= 1e-10
-        Bp = js.Bplus
+        Bp = js.Bplus.matrix
         eye = np.eye(dim)
         assert np.abs(B.matrix @ Bp - (eye - pm.Q)).max() <= 1e-9
         assert np.abs(Bp @ B.matrix - (eye - pm.P)).max() <= 1e-9
@@ -432,7 +432,7 @@ def test_random_rectangular_pencils_keep_extra_directions(rng, tall):
         Pt, Qt = pm.P, pm.Q
         assert np.abs(Pt @ Pt - Pt).max() <= 1e-10
         assert np.abs(Qt @ Qt - Qt).max() <= 1e-10
-        Bp = js.Bplus
+        Bp = js.Bplus.matrix
         rows, cols = B.matrix.shape
         assert np.abs(B.matrix @ Bp - (np.eye(rows) - Qt)).max() <= 1e-9
         assert np.abs(Bp @ B.matrix - (np.eye(cols) - Pt)).max() <= 1e-9

@@ -92,7 +92,7 @@ def _assert_regular_part(rp, A):
     # the dense product to rounding.  Of A1 Bplus itself reduce keeps only
     # its largest entry and its pairing with the extra cokernel directions.
     pm = projector_matrices(rp.js)
-    Bplus = rp.js.Bplus
+    Bplus = rp.js.Bplus.matrix
     IQ = np.eye(pm.Q.shape[0]) - pm.Q
     np.testing.assert_allclose(rp.system.B.matrix @ Bplus, IQ, atol=1e-12)
     ABplus = A.matrix @ Bplus
@@ -103,7 +103,7 @@ def _assert_regular_part(rp, A):
         wpsi = rp.js.codomain.weights[:, None] * rp.js.psi_extra
         np.testing.assert_array_equal(rp.lower_psi_extra, ABplus.T @ wpsi)
     dense = IQ @ ABplus
-    assert np.abs(rp.M - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert np.abs(rp.M.matrix - dense).max() <= 1e-13 * np.abs(dense).max()
     # Bplus vanishes on the root and extra subspaces, on both sides
     tol = 1e-8 * max(1.0, np.linalg.norm(Bplus))
     assert np.abs(pm.P @ Bplus).max() <= tol
@@ -111,13 +111,18 @@ def _assert_regular_part(rp, A):
 
 
 def test_no_dim_by_dim_projector_is_stored(problems_dir):
-    # the projectors stay chain blocks; the dim x dim arrays of a reduced
-    # problem are the pseudoinverse and the v-equation's M
+    # the projectors stay chain blocks, and the pseudoinverse and the
+    # v-equation's M stay diagonal plus low-rank maps: no field of the
+    # reduced problem, of its structure or of their operators is dim x dim
     rp = reduce(instantiate(load_problem(problems_dir / "example2.json")))
     dim = rp.system.B.domain.dim
-    square = {name for obj in (rp.js, rp) for name, val in vars(obj).items()
+    ops = [val for obj in (rp.js, rp) for val in vars(obj).values()
+           if isinstance(val, FiniteOperator)]
+    assert {id(rp.M), id(rp.js.Bplus)} <= {id(op) for op in ops}
+    square = {name for obj in [rp.js, rp] + ops for name, val in vars(obj).items()
               if np.shape(val) == (dim, dim)}
-    assert square == {"Bplus", "M"}
+    assert square == set()
+    assert rp.M.U.shape[1] <= 8 and rp.js.Bplus.U.shape[1] <= 8
 
 
 def _C_system_lines(rp):
