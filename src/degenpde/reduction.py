@@ -19,9 +19,14 @@ from .chains import (certify_operators, complete_structure, exchange_violation,
                      outside_phi_span, outside_z_span)
 from .errors import CompatibilityError, ConfigurationError, StructureError
 from .fd import derivative_along_axis, stencil_size
-from .spaces import compose
+from .spaces import FiniteOperator, compose
 
 V_CONSTRAINT_TOL = 1e-8   # v leaking into the extra cokernel directions
+# M keeps its factors while their width is at most this share of dim; past
+# it the matrix is cheaper to apply and to march (one BLAS thread, measured
+# crossovers: the march at 0.35-0.6 of dim for dim 51-801, apply_to_samples
+# at 0.3 for dim 201)
+FACTORED_WIDTH_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,9 @@ class DegenerateSystemSpec:
 @dataclass
 class ReducedProblem:
     """The regular problem: M = (I - Q) A1 Bplus is a FiniteOperator on the
-    codomain, kept as diag + U V^T when Bplus and A1 keep factors (so the
-    back-ends apply it through apply_to_samples), dense otherwise."""
+    codomain, kept as diag + U V^T when Bplus and A1 keep factors and the
+    factors are narrow (FACTORED_WIDTH_SHARE), so that the back-ends apply
+    it through apply_to_samples; dense otherwise."""
 
     system: DegenerateSystemSpec
     js: object
@@ -117,6 +123,8 @@ def reduce(spec):
     # dynamics projected onto the solvable complement: for m > n the raw
     # A1 Bplus pushes v into the constraint directions handled separately
     M = compose(js.outside_z, ABplus)
+    if M.dense is None and M.U.shape[1] > FACTORED_WIDTH_SHARE * M.domain.dim:
+        M = FiniteOperator(M.matrix, M.domain, M.codomain)
     lower_psi_extra = ABplus.transpose().apply(js.z_coef[:, js.k:])
     lambda_slots = tuple(f"lambda_{js.l + e + 1}" for e in range(js.phi_extra.shape[1]))
     return ReducedProblem(system=spec, js=js, comm=comm, M=M,

@@ -9,9 +9,9 @@ the fit misses the data.  Where the part M couples is first order
 (evolution1, evolution2) the march applies RK4's exact step map;
 evolution2 then recovers v from v' with RK4's own weights and a cumsum.
 For M = c I + U V^T or a diagonal, as reduce leaves it for the kernel
-and mode pencils, the map's powers stay scalar plus rank k and the march
-is a k-dim doubling scan and one scalar-coefficient scan over the
-columns; any other M steps a dense map at one mat-vec a step.
+and mode pencils (reduce forms an M with wide factors densely), the
+map's powers stay scalar plus rank k and a step costs O(d k); any other
+M steps a dense map at one mat-vec a step.
 spectral3 keeps the RK4 stages, which cost less there than a map on its
 third-order state, and every back-end applies M through its factors.
 Series limits and the fit tolerance are module constants.  Each back-end
@@ -50,7 +50,6 @@ CSV_TIME_STEPS = 20     # time steps the CSV view keeps, about
 CSV_SINE_NODES = 17     # sine synthesis nodes per axis of the CSV view
 BESSEL_SERIES_TOL = 1e-18
 BESSEL_SERIES_CAP = 80
-SCAN_LOG_RANGE = 32.0   # |log p| times a scan chunk's length
 
 
 @dataclass
@@ -173,8 +172,8 @@ def _march(M, r, s, g_half, tgrid):
     batched products.  For s = 1, v is RK4's own quadrature of v' = w,
     dv_n = w_n Q^T + c_n, summed by a cumsum.  When M = c I + U V^T (or
     a diagonal) every such polynomial in N is a scalar (or diagonal) plus
-    a rank-k part, and _march_factored replaces the step loop by scans;
-    any other M keeps the map as a dense matrix, one mat-vec a step.
+    a rank-k part, and _march_factored steps through the factors; any
+    other M keeps the map as a dense matrix, one mat-vec a step.
     For r - s > 1 (spectral3) the stages stay, applying M through its
     factors: the map there is a dense (r d)^2 matrix against 4 d^2 for
     the stages (on example5, one BLAS thread, it took the march from 0.09
@@ -261,35 +260,12 @@ def _fill_rows(out, terms, coef, X):
             blk += coef[rows] @ X.T
 
 
-def _geometric_scan(w, p):
-    """w[n + 1] <- p w[n] + w[n + 1] for n = 0, 1, ... in place, p > 0 a
-    scalar or one factor per column: a cumsum of w[n] p^-n, then times
-    p^n, over chunks of L rows that carry the last row of the chunk
-    before; L keeps p^(+-L) within e^(+-SCAN_LOG_RANGE)."""
-    nt = len(w) - 1
-    rate = float(np.abs(np.log(p)).max(initial=0.0))
-    L = nt if rate * nt <= SCAN_LOG_RANGE else max(1, int(SCAN_LOG_RANGE / rate))
-    j = np.arange(L).reshape(-1, 1)
-    down, up = p ** -j, p ** j
-    for lo in range(0, nt, L):
-        seg = w[lo + 1:lo + 1 + L]
-        m = len(seg)
-        seg *= down[:m]
-        np.cumsum(seg, axis=0, out=seg)
-        seg *= up[:m]
-        if lo:
-            seg += (p * up[:m]) * w[lo]
-
-
 def _march_factored(M, s, g_half, h):
     """The step-map march of _march for M = c I + U V^T (c one constant)
     or M diagonal (no U).  With N = a I + X V^T, a = -h c and X = -h U,
-    P = R(N) = p I + X Cp V^T, so alpha_n = w_n V follows the k-dim
-    recurrence alpha_(n+1) = alpha_n (p I + Cp^T X^T V) + b_n V, solved as
-    a doubling scan, and w_(n+1) = p w_n + b_n + alpha_n Cp^T X^T is one
-    scalar-coefficient scan over the columns (_geometric_scan).  The
-    forcing and, for s = 1, RK4's quadrature of v' = w take g only
-    through g V: O(nt d k) in all."""
+    P = R(N) = p I + X Cp V^T, so a step w <- p w + (w V) Cp^T X^T + b_n
+    costs O(d k).  The forcing and, for s = 1, RK4's quadrature of v' = w
+    take g only through g V: O(nt d k) in all."""
     nt, d, k = (len(g_half) - 1) // 2, M.domain.dim, M.U.shape[1]
     a = -h * (M.diag[0] if k else M.diag)
     X, V = -h * M.U, M.V
@@ -300,25 +276,16 @@ def _march_factored(M, s, g_half, h):
     c = h / 6.0
     g0, gm, g1 = g_half[:-1:2], g_half[1::2], g_half[2::2]
     gV = g_half @ V
-    g0V, gmV, g1V = gV[:-1:2], gV[1::2], gV[2::2]
-    # b_n = c (s1 g0 + s2 gm + g1) + F_n X^T
-    F = c * (g0V @ C1.T + gmV @ C2.T)
-    alpha = np.zeros((nt + 1, k))
-    if k:
-        y = alpha[1:]
-        y[:] = c * (s1 * g0V + s2 * gmV + g1V) + F @ G.T
-        A = p * np.eye(k) + Cp.T @ G.T
-        step = 1
-        while step < nt:
-            y[step:] += y[:-step] @ A
-            step *= 2
-            if step < nt:
-                A = A @ A
+    g0V, gmV = gV[:-1:2], gV[1::2]
+    # w[1:] holds the forcing b_n = c (s1 g0 + s2 gm + g1 + (g0 V C1^T +
+    # gm V C2^T) X^T) until step n adds P w_n to w_(n + 1)
     w = np.empty((nt + 1, d))
     w[0] = 0.0
     _fill_rows(w[1:], ((c * s1, g0), (c * s2, gm), (c, g1)),
-               F + alpha[:-1] @ Cp.T, X)
-    _geometric_scan(w, p)
+               c * (g0V @ C1.T + gmV @ C2.T), X)
+    T = Cp.T @ X.T
+    for i in range(nt):
+        w[i + 1] += p * w[i] + (w[i] @ V) @ T
     if s == 0:
         return w
     q1, D1 = _polynomial(a, G, (1.0, 1.0 / 2, 1.0 / 4))
@@ -328,7 +295,7 @@ def _march_factored(M, s, g_half, h):
     v = np.empty_like(w)
     v[0] = 0.0
     _fill_rows(v[1:], ((h * c * q1, g0), (h * c * q2, gm), (h * q3, w[:-1])),
-               h * (alpha[:-1] @ D3.T + c * (g0V @ D1.T + gmV @ D2.T)), X)
+               h * ((w[:-1] @ V) @ D3.T + c * (g0V @ D1.T + gmV @ D2.T)), X)
     np.cumsum(v[1:], axis=0, out=v[1:])
     return v
 

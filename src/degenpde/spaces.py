@@ -157,10 +157,12 @@ class FiniteOperator:
 
     def apply_to_samples(self, samples):
         """The map on every sample of an array whose last axis is the domain
-        dimension; a low-rank part is added a block of samples at a time."""
+        dimension; a low-rank part is added a block of samples at a time.
+        The output is C-ordered whatever the layout of samples, so that the
+        blocks are views of it."""
         if self.dense is not None:
             return samples @ self.dense.T
-        out = samples * self.diag
+        out = np.multiply(samples, self.diag, order="C")
         if self.U.shape[1]:
             coef = (samples @ self.V).reshape(-1, self.U.shape[1])
             rows = out.reshape(-1, out.shape[-1])

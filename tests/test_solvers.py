@@ -397,14 +397,20 @@ def test_cumulative_from_zero_matches_scipy_bitwise(shape, rng):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 200, 201])
 def test_weighted_space_integral_matches_scipy_bitwise(n, rng):
-    # the Simpson weight vector is scipy's integral of each unit vector bit
-    # for bit (even counts take the last-interval correction, which no
-    # bundled problem reaches); the integral is one product with it, so on
-    # general data it matches scipy's panel sums to rounding
+    # on each unit vector, that is the Simpson weight vector: even counts
+    # take the last-interval correction, which no bundled problem reaches
     for grid in (np.linspace(0.0, 1.0, n), np.sort(rng.uniform(-1.0, 2.0, n))):
         eye = np.eye(n)
         weights = _weighted_space_integral(eye, grid, np.ones(n))
         assert np.array_equal(weights, simpson(eye, x=grid, axis=-1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 200, 201])
+def test_weighted_space_integral_of_data_matches_scipy_to_rounding(n, rng):
+    # one product with the weight vector sums in another order than
+    # scipy's panels, so general data agrees to rounding, not bit for bit
+    for grid in (np.linspace(0.0, 1.0, n), np.sort(rng.uniform(-1.0, 2.0, n))):
+        weights = simpson(np.eye(n), x=grid, axis=-1)
         for _ in range(10):
             for shape in ((n,), (7, n), (3, 4, n)):
                 f_vals = rng.standard_normal(shape)

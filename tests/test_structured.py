@@ -3,6 +3,7 @@ operators given densely: the structure stage, the pseudoinverse, the
 reduced M and the march must not tell them apart."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from conftest import kernel_evolution_spec, projector_matrices
 from degenpde.chains import _pseudo_inverse, apply_schmidt_inverse, complete_structure
 from degenpde.cli import main
 from degenpde.errors import StructureError
-from degenpde.reduction import reduce
-from degenpde.solvers import SCAN_LOG_RANGE, _march
+from degenpde.reduction import FACTORED_WIDTH_SHARE, DegenerateSystemSpec, reduce
+from degenpde.solvers import _march, solve_family
 from degenpde.spaces import (FiniteOperator, compose, grid_space, identity_operator,
                              make_kernel_operator, matrix_operator, structured_operator)
 
@@ -165,6 +166,55 @@ def test_compose_matches_the_dense_product(rng):
     assert compose(d, d).U.shape[1] == 0
 
 
+@pytest.mark.parametrize("shape, axes", [((5, 7, 4), (0, 2, 1)), ((7, 5, 4), (1, 2, 0)),
+                                         ((4, 7, 5), (2, 0, 1))])
+def test_apply_to_samples_takes_any_layout(rng, shape, axes):
+    # transposed (5, 4, 7) samples; for the first the flattening to rows is
+    # a copy, not a view
+    op = _random_factored(rng, 7, 2, rng.normal(size=7))
+    samples = rng.normal(size=shape).transpose(axes)
+    assert samples.shape == (5, 4, 7) and not samples.flags.c_contiguous
+    np.testing.assert_allclose(op.apply_to_samples(samples), samples @ op.matrix.T,
+                               rtol=1e-13, atol=1e-13)
+
+
+def test_mixed_xy_kernel_pencil_matches_its_dense_m():
+    # the mixed_xy series applies M to Chebyshev derivatives along y, arrays
+    # that are not C-ordered; with A1 = diag(1 + x), M's low-rank part does
+    # not vanish on the range of I - Q (with A1 = I it does)
+    sp = grid_space(0.0, 1.0, 41, quadrature="simpson")
+    B = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s", exact_on="x")
+
+    def f(x=None, y=None):
+        X, Y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        return np.exp(X * Y)[..., None] * (1.0 + sp.grid ** 2)
+
+    spec = DegenerateSystemSpec(B=B, A1=structured_operator(sp, 1.0 + sp.grid), f=f,
+                                family="mixed_xy", box={"x": (0.0, 1.0), "y": (0.0, 1.0)},
+                                grid={"nx": 31, "ny": 31})
+    rp = reduce(spec)
+    assert rp.M.dense is None and rp.M.U.shape[1]
+    got = solve_family(rp)
+    want = solve_family(replace(rp, M=_dense(rp.M)))
+    assert got.meta["series_terms"] == want.meta["series_terms"] > 2
+    np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 12])
+def test_reduce_keeps_m_factored_only_while_narrow(rng, k):
+    # B = I + U V^T is invertible, so M = A1 Bplus = -B^-1, of factor width
+    # 2k: past FACTORED_WIDTH_SHARE of dim 41 for k = 12
+    sp = grid_space(0.0, 1.0, 41)
+    B = structured_operator(sp, np.ones(41), 0.1 * rng.normal(size=(41, k)),
+                            rng.normal(size=(41, k)) / 41)
+    rp = reduce(DegenerateSystemSpec(B=B, A1=identity_operator(sp, -1.0), f=None,
+                                     family="evolution1", box={"t": (0.0, 1.0)},
+                                     grid={"dt": 1e-2}))
+    assert rp.js.Bplus.U.shape[1] == 2 * k
+    assert (rp.M.dense is None) == (2 * k <= FACTORED_WIDTH_SHARE * 41)
+    np.testing.assert_allclose(rp.M.matrix, -np.linalg.inv(B.matrix), atol=1e-12)
+
+
 def test_largest_entry_sees_the_low_rank_part_cancel_the_diagonal():
     # diag(5, 1) - 5 e1 e1^T = diag(0, 1): the diagonal alone is no bound
     sp = grid_space(0.0, 1.0, 2)
@@ -216,20 +266,18 @@ def _marches(M, r, s, rng, t):
 
 @pytest.mark.parametrize("r, s", [(1, 0), (2, 1)], ids=["evolution1", "evolution2"])
 def test_factored_march_matches_the_dense_march(rng, r, s):
-    # the kernel problem's M = -I + low rank, marched by scans, against the
-    # dense step map on M's matrix
+    # the kernel problem's M = -I + low rank, stepped through its factors,
+    # against the dense step map on M's matrix
     rp = reduce(kernel_evolution_spec("evolution1", None))
     assert rp.M.dense is None and np.all(rp.M.diag == -1.0)
     assert _marches(rp.M, r, s, rng, np.linspace(0.0, 2.0, 2001)) <= 1e-10
-    # c I + U V^T with c T far past SCAN_LOG_RANGE: several scan chunks,
-    # decaying and growing
+    # c I + U V^T with |c| T large, decaying and growing
     t = np.linspace(0.0, 1.0, 1001)
     for c in (150.0, -40.0):
-        assert abs(c) * t[-1] > SCAN_LOG_RANGE
         M = _random_factored(rng, 23, 3, np.full(23, c))
         M = structured_operator(M.domain, M.diag, 0.3 * M.U, M.V)
         assert _marches(M, r, s, rng, t) <= 1e-10
-    # a diagonal that varies (k = 0): one factor per column
+    # a diagonal that varies (k = 0): one factor p per column
     M = structured_operator(grid_space(0.0, 1.0, 23), rng.uniform(-3.0, 90.0, 23))
     assert _marches(M, r, s, rng, t) <= 1e-10
 
