@@ -8,11 +8,14 @@ the root projectors and a bounded pseudoinverse in one JordanStructure,
 the Schmidt regularizer applied on demand, and commutability matrices
 with their certificates.
 One skeleton decomposition of B, its weighted SVD, supplies the null
-bases of B and B*, the chain solves and the pseudoinverse Bplus.  For B
-kept as a diagonal plus low-rank factors the skeleton has 1x1 blocks and
-one SVD of size at most twice the rank of the factors, every product
-with B or A1 goes through FiniteOperator.apply, and Bplus is itself a
-diagonal plus low-rank map: no step forms a dim x dim array.
+bases of B and B* and one minimum-norm solve S = B^+: S extends the
+primal chains, its adjoint (B*)^+ = (B^+)* the dual chains, and Bplus =
+(I - P) S (I - Q).  For B kept as a diagonal plus low-rank factors the
+skeleton has 1x1 blocks and one SVD of size at most twice the rank of
+the factors, every product with B or A1 goes through
+FiniteOperator.apply, and S and Bplus are themselves diagonal plus
+low-rank maps while narrow (spaces.FACTORED_WIDTH_SHARE): no step forms
+a dim x dim array.
 Each chain set is one column block, so every pairing between the sets
 is a matrix product, and every projector stays a pair of such blocks
 (Pk = Phi Gam^T W1, Qk = Z Psi^T W2), never a dim x dim matrix.
@@ -23,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, StructureError
-from .spaces import (DEFAULT_RANK_TOL, FiniteOperator, Skeleton, _fix_column_signs,
-                     compose, structured_operator)
+from .spaces import (DEFAULT_RANK_TOL, FiniteOperator, _fix_column_signs, compose,
+                     structured_operator)
 
 LINK_TOL = 1e-8
 SUPPORT_TOL = 1e-8   # chain-preserving form of the normalizing transformation
@@ -62,9 +65,10 @@ class JordanStructure:
     blocks: P = phi_span phi_coef^T with phi_span = [Phi, phi_extra],
     phi_coef = W1 [Gam, gamma_extra]; Q = z_span z_coef^T with z_span =
     [Z, z_extra], z_coef = W2 [Psi, psi_extra].  The first k columns give
-    Pk and Qk.  Bplus is the bounded pseudoinverse, a FiniteOperator
-    codomain -> domain, kept as diag + U V^T when B's skeleton has no
-    dense piece; complete_structure fills it.
+    Pk and Qk.  S is the skeleton's minimum-norm solve B^+ and Bplus =
+    (I - P) S (I - Q) the bounded pseudoinverse, both FiniteOperators
+    codomain -> domain under spaces' width rule; complete_structure fills
+    Bplus.
     """
 
     Phi: np.ndarray
@@ -79,7 +83,7 @@ class JordanStructure:
     k: int
     B: FiniteOperator
     A1: FiniteOperator
-    skeleton: Skeleton
+    S: FiniteOperator
     phi_extra: np.ndarray
     psi_extra: np.ndarray
     gamma_extra: np.ndarray
@@ -134,43 +138,42 @@ class JordanStructure:
         return _exchange_columns(self.p)
 
 
-def outside_z_span(js, samples):
-    """(I - Q) f for each sample f, the codomain dimension last."""
-    return js.outside_z.apply_to_samples(samples)
-
-
-def outside_phi_span(js, samples):
-    """(I - P) u for each sample u, the domain dimension last."""
-    return js.outside_phi.apply_to_samples(samples)
-
-
 @dataclass
 class CommutabilityResult:
+    """commutability_matrix's M, its certificate and its first entry off
+    the exchange pattern (exchange_violation; None when M keeps it)."""
+
     matrix: np.ndarray
     certified: bool
-    quasitriangular: bool
+    violation: tuple
     residual_primal: float
     residual_dual: float
 
+    @property
+    def quasitriangular(self):
+        return self.violation is None
 
-def _staircase(sk, apply_A1, heads, dual_heads, stop_at, rank_tol):
+
+def _staircase(solve, apply_A1, heads, dual_heads, space, stop_at, rank_tol):
     """Grow chains from kernel heads under apply_A1 (A1, or A1* for the dual
     chains), terminating the combinations whose next link would leave the
-    range of the operator whose skeleton is sk.
+    range of B (or B*), whose minimum-norm solve is solve; dual_heads is
+    an orthonormal basis, in space, of that range's complement.
 
-    At each level the pairing of the candidate links with the cokernel
-    basis is decomposed: row-space combinations terminate at the current
-    length, null-space combinations extend.  Mixing whole chains is valid
-    because every active chain has the same current length, so the active
-    chains are one (level, dim, n_active) array mixed by one product.
+    At each level the pairing M of the candidate links with that basis is
+    decomposed: row-space combinations terminate at the current length,
+    null-space combinations extend.  Mixing whole chains is valid because
+    every active chain has the same current length, so the active chains,
+    their images and M's columns are mixed by one product each; M's
+    mixed columns are the continuing links' residuals off the range.
     Once stop_at chains have terminated, the heads of the still-active
     chains are the unpaired extra kernel directions.
 
     Returns (Phi, p, extra_heads): the terminated chains as a column block
     sorted by descending length, their lengths, and a (dim, e) block.
     """
-    d1 = sk.domain.dim
-    w2, r2 = sk.codomain.weights, sk.codomain.root[:, None]
+    d1 = heads.shape[0]
+    w2, r2 = space.weights, space.root[:, None]
     active = heads[None]
     terminated = []   # (length, dim, count) blocks, ascending length
     done = 0
@@ -198,15 +201,15 @@ def _staircase(sk, apply_A1, heads, dual_heads, stop_at, rank_tol):
             done += rank
         active = mixed[:, :, rank:]
         if active.shape[2]:
-            new_imgs = apply_A1(active[-1])
-            ext, res = sk.solve(new_imgs)
+            new_imgs = imgs @ V[:, rank:]
+            res = np.linalg.norm((M @ V)[:, rank:], axis=0)
             img_scale = np.maximum(np.linalg.norm(r2 * new_imgs, axis=0), 1.0)
             worst = np.max(res / img_scale)
             if worst > LINK_TOL:
                 raise StructureError(
                     f"incomplete Jordan set: chain extension residual {worst:.2e} "
                     f"exceeds {LINK_TOL:.1e} at length {level}")
-            active = np.concatenate([active, ext[None]])
+            active = np.concatenate([active, solve(new_imgs)[None]])
     blocks = terminated[::-1]
     p = tuple(b.shape[0] for b in blocks for _ in range(b.shape[2]))
     Phi = np.hstack([np.zeros((d1, 0))] + [b.transpose(1, 2, 0).reshape(d1, -1)
@@ -312,7 +315,7 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
         raise StructureError("B and A1 must share their codomain")
     E1, E2 = B.domain, B.codomain
     sk = B.skeleton(rank_tol)
-    heads, dual_heads = sk.kernel(), sk.adjoint().kernel()
+    heads, dual_heads, S = sk.kernel(), sk.adjoint().kernel(), sk.pseudo_inverse()
     n, m = heads.shape[1], dual_heads.shape[1]
     l, nu = min(n, m), n - m
     diagnostics = {}
@@ -327,9 +330,9 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
         if sv[-1] <= rank_tol * max(sv[0], A1.largest_weighted_entry()):
             raise StructureError("incomplete Jordan set: B and A1 share a null direction")
 
-    Phi, p, phi_left = _staircase(sk, A1.apply, heads, dual_heads, l, rank_tol)
-    Psi, p_dual, psi_left = _staircase(sk.adjoint(), A1.apply_adjoint, dual_heads, heads,
-                                       l, rank_tol)
+    Phi, p, phi_left = _staircase(S.apply, A1.apply, heads, dual_heads, E2, l, rank_tol)
+    Psi, p_dual, psi_left = _staircase(S.apply_adjoint, A1.apply_adjoint, dual_heads, heads,
+                                       E1, l, rank_tol)
     if p != p_dual:
         raise StructureError(
             f"primal chain lengths {p} and dual chain lengths {p_dual} disagree")
@@ -355,7 +358,7 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
         z_left = _biorthogonal_partners(Psi, psi_left, E2)
     js = JordanStructure(Phi=Phi, Psi=Psi, Gam=A1.apply_adjoint(Psi[:, rev]),
                          Z=APhi[:, rev], p=p, n=n, m=m, l=l, nu=nu, k=P.size,
-                         B=B, A1=A1, skeleton=sk, phi_extra=phi_left,
+                         B=B, A1=A1, S=S, phi_extra=phi_left,
                          psi_extra=psi_left, gamma_extra=gamma_left,
                          z_extra=z_left, diagnostics=diagnostics)
     js.diagnostics.update(structure_residuals(js))
@@ -422,9 +425,10 @@ def apply_schmidt_inverse(js, cols):
 
 
 def _pseudo_inverse(js):
-    """Bounded pseudoinverse Bplus = (I - P) S (I - Q), S the skeleton's
-    minimum-norm solve: it inverts B between the complement of the root
-    (plus extra) subspace and the complement of the z-span, zero elsewhere.
+    """Bounded pseudoinverse Bplus = (I - P) S (I - Q), S = js.S the
+    skeleton's minimum-norm solve: it inverts B between the complement of
+    the root (plus extra) subspace and the complement of the z-span, zero
+    elsewhere.
     Satisfies B Bplus = I - Q, Bplus Q = 0, P Bplus = 0.  The residual of
     B S (I - Q) = I - Q, the part of R2 (I - Q) along B's cokernel, must
     vanish relative to the size of R2 (I - Q); it is Y^T W2 (I - Q) for
@@ -432,8 +436,8 @@ def _pseudo_inverse(js):
     which the dual staircase mixes orthogonally out of B*'s null basis.
     The dual chain links confine the root-space part of S (I - Q) to ker B
     (level-1 and extra directions), so I - P removes it.  Kept as factors
-    when S and the projectors are, and records max |B Bplus - (I - Q)| as
-    the pseudoinverse_identity diagnostic."""
+    while compose keeps them, and records max |B Bplus - (I - Q)| as the
+    pseudoinverse_identity diagnostic."""
     IQ, w = js.outside_z, js.codomain.weights
     Y = np.hstack([js.Psi[:, js.head_columns], js.psi_extra])
     res = np.linalg.norm(IQ.transpose().apply(w[:, None] * Y))
@@ -445,7 +449,7 @@ def _pseudo_inverse(js):
     if rel > 1e-8:
         raise StructureError("pseudoinverse construction failed: range-complement "
                              f"solve residual {rel:.2e}")
-    Bplus = compose(js.outside_phi, compose(js.skeleton.pseudo_inverse(), IQ))
+    Bplus = compose(js.outside_phi, compose(js.S, IQ))
     gap = compose(js.B, Bplus).updated(js.z_span, js.z_coef, shift=-1.0)
     js.diagnostics["pseudoinverse_identity"] = gap.largest_entry()
     return Bplus
@@ -487,8 +491,7 @@ def commutability_matrix(A, js):
     res_p = float(prim_dev / prim_scale)
     res_d = float(dual_dev / dual_scale)
     certified = res_p <= CERTIFY_TOL and res_d <= CERTIFY_TOL
-    return CommutabilityResult(M, certified, exchange_violation(M, js.p) is None,
-                               res_p, res_d)
+    return CommutabilityResult(M, certified, exchange_violation(M, js.p), res_p, res_d)
 
 
 def certify_operators(js):

@@ -15,18 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (certify_operators, complete_structure, exchange_violation,
-                     outside_phi_span, outside_z_span)
+from .chains import certify_operators, complete_structure
 from .errors import CompatibilityError, ConfigurationError, StructureError
 from .fd import derivative_along_axis, stencil_size
-from .spaces import FiniteOperator, compose
+from .spaces import compose
 
 V_CONSTRAINT_TOL = 1e-8   # v leaking into the extra cokernel directions
-# M keeps its factors while their width is at most this share of dim; past
-# it the matrix is cheaper to apply and to march (one BLAS thread, measured
-# crossovers: the march at 0.35-0.6 of dim for dim 51-801, apply_to_samples
-# at 0.3 for dim 201)
-FACTORED_WIDTH_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -90,8 +84,8 @@ class DegenerateSystemSpec:
 class ReducedProblem:
     """The regular problem: M = (I - Q) A1 Bplus is a FiniteOperator on the
     codomain, kept as diag + U V^T when Bplus and A1 keep factors and the
-    factors are narrow (FACTORED_WIDTH_SHARE), so that the back-ends apply
-    it through apply_to_samples; dense otherwise."""
+    factors are narrow (spaces.FACTORED_WIDTH_SHARE), so that the back-ends
+    apply it through apply_to_samples; dense otherwise."""
 
     system: DegenerateSystemSpec
     js: object
@@ -112,9 +106,8 @@ def reduce(spec):
             "commutability violation: operator A1 does not map the "
             "chain span consistently onto the z span")
     # B's pairing follows from A1's by the chain links B phi_(s,j) = A1 phi_(s,j-1)
-    bad = exchange_violation(comm.matrix, js.p)
-    if bad is not None:
-        b, a = bad
+    if comm.violation is not None:
+        b, a = comm.violation
         raise StructureError(
             f"quasitriangularity not certified: A1 pairs phi column {b} with "
             f"psi column {a} by {comm.matrix[b, a]:.3e}, expected "
@@ -123,8 +116,6 @@ def reduce(spec):
     # dynamics projected onto the solvable complement: for m > n the raw
     # A1 Bplus pushes v into the constraint directions handled separately
     M = compose(js.outside_z, ABplus)
-    if M.dense is None and M.U.shape[1] > FACTORED_WIDTH_SHARE * M.domain.dim:
-        M = FiniteOperator(M.matrix, M.domain, M.codomain)
     lower_psi_extra = ABplus.transpose().apply(js.z_coef[:, js.k:])
     lambda_slots = tuple(f"lambda_{js.l + e + 1}" for e in range(js.phi_extra.shape[1]))
     return ReducedProblem(system=spec, js=js, comm=comm, M=M,
@@ -165,7 +156,7 @@ def solve_C_recurrence(rp, beta, axes, solve_lead, accuracy=2):
 
 def rhs_projection(rp, f_samples):
     """(I - Q) f: the right-hand side of the regular v-equation."""
-    return outside_z_span(rp.js, np.asarray(f_samples, dtype=float))
+    return rp.js.outside_z.apply_to_samples(np.asarray(f_samples, dtype=float))
 
 
 def reconstruct_solution(rp, v_samples, C):
@@ -277,7 +268,7 @@ def _condition_norm(projector, axis, order, axes, u, js):
         node -= lo
     vals = np.take(u, node, axis=ax)
     if projector == "I-Pk":
-        vals = outside_phi_span(js, vals)
+        vals = js.outside_phi.apply_to_samples(vals)
     elif projector == "Pk":
         vals = (vals @ js.phi_coef) @ js.phi_span.T
     return float(np.abs(vals).max())

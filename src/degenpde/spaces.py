@@ -14,8 +14,11 @@ U V^T (the identity, a mode diagonal, I - K or K for a degenerate kernel
 K = sum a_i(x) b_i(s)), keeps those factors.  Its skeleton, the SVD
 between orthonormal coordinates, then comes from 1x1 blocks and one SVD
 of size at most 2k: Fredholm's degenerate-kernel reduction.  The
-skeleton's minimum-norm solve and the products of such maps (compose)
-keep the same form.  Any other operator is dense and takes a full SVD.
+skeleton's minimum-norm solve (pseudo_inverse) and the products of such
+maps (compose) keep the same form while they stay narrow: one rule,
+FACTORED_WIDTH_SHARE, turns a result dense once it is rectangular or
+its factors are wider than that share of dim.  Any other operator is
+dense and takes a full SVD.
 """
 
 from dataclasses import dataclass, field, replace
@@ -28,6 +31,11 @@ from .expressions import evaluate, parse, separate
 DEFAULT_RANK_TOL = 1e-10
 KERNEL_PARALLEL_TOL = 1e-8   # exact_on: K v against its projection onto v
 BLOCK = 1 << 16              # entries of a row block formed at once
+# a map keeps its factors while their width is at most this share of dim;
+# past it the matrix is cheaper to apply and to march (one BLAS thread,
+# measured crossovers: the march at 0.35-0.6 of dim for dim 51-801,
+# apply_to_samples at 0.3 for dim 201)
+FACTORED_WIDTH_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -222,7 +230,7 @@ class FiniteOperator:
         if self.dense is None:
             return _factor_pieces(self.diag * (r2 / r1), r2[:, None] * self.U,
                                   self.V / r1[:, None], compute_uv)
-        return [_Dense(slice(None), slice(None), *_svd(r2[:, None] * self.dense / r1, compute_uv))]
+        return [_Dense(*_svd(r2[:, None] * self.dense / r1, compute_uv))]
 
     def singular_values(self):
         """Singular values of the map between orthonormal coordinates of its
@@ -254,16 +262,28 @@ def _largest_entry(d, U, V):
 def compose(a, b):
     """The map a b, b applied first.  Two maps kept as factors give
     diag(a.d b.d) + [a.U, a.d b.U + a.U (a.V^T b.U)] [b.d a.V, b.V]^T, with
-    the factor columns that vanish on either side dropped; otherwise the
-    product is dense, and a factored side is applied through its factors."""
+    the factor columns that vanish on either side dropped, kept as
+    factors by _factored's width rule; otherwise the product is dense,
+    and a factored side is applied through its factors."""
     if a.dense is None and b.dense is None:
         U = np.hstack([a.U, a.diag[:, None] * b.U + a.U @ (a.V.T @ b.U)])
         V = np.hstack([b.diag[:, None] * a.V, b.V])
         keep = U.any(axis=0) & V.any(axis=0)
-        return FiniteOperator(None, b.domain, a.codomain, a.diag * b.diag,
-                              U[:, keep], V[:, keep])
+        return _factored(b.domain, a.codomain, a.diag * b.diag, U[:, keep], V[:, keep])
     m = a.apply(b.dense) if b.dense is not None else b.transpose().apply(a.dense.T).T
     return FiniteOperator(m, b.domain, a.codomain)
+
+
+def _factored(domain, codomain, diag, U, V):
+    """diag(diag) + U V^T as a map domain -> codomain: kept as factors when
+    the map is square and U is at most FACTORED_WIDTH_SHARE of dim wide,
+    dense otherwise (diag is zero on a rectangular map)."""
+    if domain.dim == codomain.dim and U.shape[1] <= FACTORED_WIDTH_SHARE * domain.dim:
+        return FiniteOperator(None, domain, codomain, diag, U, V)
+    m = U @ V.T
+    if domain.dim == codomain.dim:
+        m[np.diag_indices_from(m)] += diag
+    return FiniteOperator(m, domain, codomain)
 
 
 def _svd(a, compute_uv):
@@ -280,23 +300,21 @@ def _factor_pieces(d, U, V, compute_uv):
     singular value |d_j|.  On the touched ones, where d is a constant c,
     c I + U V^T = Q core Q^T + c (I - Q Q^T) with Q an orthonormal basis
     holding the columns of U and V, so one q x q SVD (q <= 2k) factors it;
-    where d varies, the block takes a dense SVD."""
+    where d varies under U V^T, the whole map takes one dense SVD."""
     touched = np.any(U != 0, axis=1) | np.any(V != 0, axis=1)
     idx, rest = np.flatnonzero(touched), np.flatnonzero(~touched)
-    pieces = [_Diagonal(rest, d[rest])]
-    if not idx.size:
-        return pieces
     dT, UT, VT = d[idx], U[idx], V[idx]
-    if np.all(dT == dT[0]):
+    if idx.size and np.any(dT != dT[0]):
+        m = U @ V.T
+        m[np.diag_indices_from(m)] += d
+        return [_Dense(*_svd(m, compute_uv))]
+    pieces = [_Diagonal(rest, d[rest])]
+    if idx.size:
         # unit columns, so that Q holds a small column as well as a large one
         X = np.hstack([UT, VT])
         Q = np.linalg.qr(X / np.maximum(np.linalg.norm(X, axis=0), np.finfo(float).tiny))[0]
         core = (Q.T @ UT) @ (Q.T @ VT).T + dT[0] * np.eye(Q.shape[1])
         pieces.append(_LowRank(idx, Q, *_svd(core, compute_uv), dT[0]))
-    else:
-        block = UT @ VT.T
-        block[np.diag_indices_from(block)] += dT
-        pieces.append(_Dense(idx, idx, *_svd(block, compute_uv)))
     return pieces
 
 
@@ -320,12 +338,6 @@ class _Diagonal:
         live = self.values > cut
         d[self.idx[live]] = 1.0 / self.d[live]
         return np.zeros((d.size, 0)), np.zeros((d.size, 0))
-
-    def solve(self, y, x, cut):
-        live = self.values > cut
-        x[self.idx[live]] = y[self.idx[live]] / self.d[live, None]
-        dead = y[self.idx[~live]]
-        return (dead * dead).sum(axis=0)
 
 
 class _LowRank:
@@ -364,49 +376,29 @@ class _LowRank:
         U[self.idx], V[self.idx] = self.Q @ core, self.Q
         return U, V
 
-    def solve(self, y, x, cut):
-        r = int(np.sum(self.sc > cut))
-        yT = y[self.idx]
-        qy = self.Q.T @ yT
-        coef = self.Uc.T @ qy
-        # the complement part of y, formed in place of its copy yT
-        yT -= self.Q @ qy
-        res2 = (coef[r:] * coef[r:]).sum(axis=0)
-        if abs(self.c) > cut:
-            yT /= self.c
-        else:
-            res2 += (yT * yT).sum(axis=0)
-            yT[:] = 0.0
-        yT += self.Q @ (self.Vct[:r].T @ (coef[:r] / self.sc[:r, None]))
-        x[self.idx] = yT
-        return res2
-
 
 class _Dense:
-    """The SVD U diag(s) Vt of B_w restricted to rows x cols."""
+    """The SVD U diag(s) Vt of the whole of B_w."""
 
-    def __init__(self, rows, cols, U, s, Vt):
-        self.rows, self.cols, self.U, self.values, self.Vt = rows, cols, U, s, Vt
+    def __init__(self, U, s, Vt):
+        self.U, self.values, self.Vt = U, s, Vt
 
     def adjoint(self):
-        return _Dense(self.cols, self.rows, self.Vt.T, self.values, self.U.T)
+        return _Dense(self.Vt.T, self.values, self.U.T)
 
     def null_right(self, cut, dim):
         s = self.values
-        r, ncols = int(np.sum(s > cut)), self.Vt.shape[0]
-        vals = np.zeros(ncols)
+        r = int(np.sum(s > cut))
+        vals = np.zeros(dim)
         vals[:s.size] = s
-        vecs = np.zeros((dim, ncols - r))
-        vecs[self.cols] = self.Vt[r:][::-1].T
-        return vals[r:][::-1], vecs
+        return vals[r:][::-1], self.Vt[r:][::-1].T
 
-    def solve(self, y, x, cut):
+    def inverse(self, d, cut):
+        """The minimum-norm solve as the rank-r factors (Vt_r^T diag(1/s_r),
+        U_r); nothing on the diagonal."""
         s = self.values
         r = int(np.sum(s > cut))
-        yr = y[self.rows]
-        x[self.cols] = self.Vt[:r].T @ ((self.U[:, :r].T @ yr) / s[:r, None])
-        null = self.U[:, r:].T @ yr
-        return (null * null).sum(axis=0)
+        return self.Vt[:r].T / s[:r], self.U[:, :r]
 
 
 @dataclass(frozen=True, repr=False)
@@ -415,7 +407,9 @@ class Skeleton:
     (_factor_pieces; one dense piece for a dense map), with every singular
     value in s, descending, and the numerical rank: values <= cut count as
     zero.  (B*)_w = B_w^T, so the skeleton of the adjoint flips each piece
-    and needs no second factorization."""
+    and needs no second factorization.  Each piece gives its part of the
+    null basis (kernel) and of the one minimum-norm solve
+    (pseudo_inverse)."""
 
     pieces: tuple
     s: np.ndarray
@@ -436,24 +430,15 @@ class Skeleton:
 
     def pseudo_inverse(self):
         """The minimum-norm least-squares solve y -> x of B x = y as a map
-        codomain -> domain: diag + U V^T from the 1x1 blocks and the cores,
-        dense (the solve of every unit vector) when a piece is dense."""
+        codomain -> domain: diag + U V^T from the pieces' inverses, under
+        _factored's width rule.  Its adjoint is the solve of B* x = y."""
         dom, cod = self.domain, self.codomain
-        if any(isinstance(p, _Dense) for p in self.pieces):
-            return FiniteOperator(self.solve(np.eye(cod.dim))[0], cod, dom)
         d = np.zeros(dom.dim)
         U, V = (np.hstack(f) for f in zip(*(p.inverse(d, self.cut) for p in self.pieces)))
         r1, r2 = dom.root, cod.root
-        return FiniteOperator(None, cod, dom, d * (r2 / r1), U / r1[:, None], r2[:, None] * V)
-
-    def solve(self, rhs_cols):
-        """Minimum-norm least-squares solutions of B x = y for the columns y
-        of rhs_cols, and the residual norms, the size of y_w's part along the
-        null left singular vectors."""
-        yw = self.codomain.root[:, None] * rhs_cols
-        x = np.zeros((self.domain.dim, yw.shape[1]))
-        res2 = sum(p.solve(yw, x, self.cut) for p in self.pieces)
-        return x / self.domain.root[:, None], np.sqrt(res2)
+        # a rectangular map is one dense piece, which leaves d at zero
+        diag = d * (r2 / r1) if dom.dim == cod.dim else d
+        return _factored(cod, dom, diag, U / r1[:, None], r2[:, None] * V)
 
 
 def _fix_column_signs(cols):
@@ -497,7 +482,8 @@ def make_kernel_operator(space, kind, kernel, exact_on=None):
     kind "kernel_only" gives (K u)(x_i) = sum_j w_j k(x_i, s_j) u_j with the
     trapezoid weights w; "identity_minus_kernel" gives I - K.
 
-    A degenerate kernel, a sum of at most dim // 4 products a_i(x) b_i(s)
+    A degenerate kernel, a sum of at most FACTORED_WIDTH_SHARE * dim
+    products a_i(x) b_i(s)
     (expressions.separate), is kept as the factors U = [a_i(x_j)] and
     V = [w_j b_i(s_j)] of K = U V^T, and nothing is sampled dim x dim; any
     other kernel is sampled densely.
@@ -515,7 +501,7 @@ def make_kernel_operator(space, kind, kernel, exact_on=None):
         raise ConfigurationError(f"unknown kernel operator kind {kind!r}")
     ast = parse(kernel) if isinstance(kernel, str) else kernel
     g, n = space.grid, space.dim
-    terms = separate(ast, n // 4)
+    terms = separate(ast, int(FACTORED_WIDTH_SHARE * n))
     if terms is not None:
         U = np.column_stack([np.broadcast_to(evaluate(a, x=g), (n,)) for a, _ in terms])
         V = np.column_stack([space.weights * evaluate(b, s=g) for _, b in terms])

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import degenpde
-from degenpde import chains
 from degenpde.cli import main
+from degenpde.spaces import FiniteOperator
 
 from conftest import PROBLEMS
 
@@ -42,12 +42,13 @@ def test_structure_forms_the_complement_projector_once(example, monkeypatch,
     # low-rank maps: no dim x dim array is formed, as a block of the
     # projector helpers or anywhere else (the traced peak stays below one)
     square = []
-    for name in ("outside_z_span", "outside_phi_span"):
-        def counted(js, samples, _orig=getattr(chains, name)):
-            if np.ndim(samples) == 2 and min(np.shape(samples)) >= len(js.z_span):
-                square.append(samples.shape)
-            return _orig(js, samples)
-        monkeypatch.setattr(chains, name, counted)
+    orig = FiniteOperator.apply_to_samples
+
+    def counted(op, samples):
+        if np.ndim(samples) == 2 and min(np.shape(samples)) >= op.domain.dim:
+            square.append(samples.shape)
+        return orig(op, samples)
+    monkeypatch.setattr(FiniteOperator, "apply_to_samples", counted)
     tracemalloc.start()
     try:
         assert main(["structure", example("example2.json"), "--grid-scale", "4"]) == 0

@@ -1,5 +1,6 @@
-"""Every package module reads each name it imports (no linter ships with
-the toolchain, so the scan is a test)."""
+"""Every package module reads each name it imports, and the package reads
+every private function and class it defines (no linter ships with the
+toolchain, so the scans are tests)."""
 
 import ast
 import pathlib
@@ -35,3 +36,37 @@ def test_scan_flags_names_never_read():
                                           if p.name != "__init__.py"))
 def test_module_reads_every_imported_name(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def _names_read(node):
+    """Every name the subtree reads: loaded names and attribute names."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def unread_private_definitions(sources):
+    """Module-level functions and classes named _x (not dunders) in the
+    sources, a dict module -> text, that no other top-level statement of
+    any of them reads, as sorted 'module.name' strings."""
+    defs, reads = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                defs.append((module, stmt))
+            reads.append((stmt, _names_read(stmt)))
+    return sorted(f"{module}.{stmt.name}" for module, stmt in defs
+                  if not any(stmt.name in read for other, read in reads if other is not stmt))
+
+
+def test_private_scan_flags_definitions_never_read():
+    sources = {"a": "def _used():\n    pass\n\n\ndef _dead():\n    return _dead()\n"
+                    "\n\nclass _Kept:\n    pass\n\n\ndef __getattr__(name):\n    pass\n",
+               "b": "import a\nx = a._used()\ny = a._Kept\n"}
+    assert unread_private_definitions(sources) == ["a._dead"]
+
+
+def test_package_reads_every_private_definition():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_private_definitions(sources) == []

@@ -10,8 +10,7 @@ from degenpde.chains import (_biorthogonal_partners,
                              apply_schmidt_inverse, build_jordan_chains,
                              certify_operators,
                              commutability_matrix, complete_structure,
-                             exchange_violation, outside_phi_span,
-                             outside_z_span, structure_report)
+                             exchange_violation, structure_report)
 from degenpde.errors import StructureError
 from degenpde.problems import instantiate, load_problem
 from degenpde.reduction import DegenerateSystemSpec, reduce
@@ -437,9 +436,9 @@ def test_random_rectangular_pencils_keep_extra_directions(rng, tall):
         assert np.abs(B.matrix @ Bp - (np.eye(rows) - Qt)).max() <= 1e-9
         assert np.abs(Bp @ B.matrix - (np.eye(cols) - Pt)).max() <= 1e-9
         # the block helpers apply the same totals, extras included
-        np.testing.assert_allclose(outside_phi_span(js, np.eye(cols)),
+        np.testing.assert_allclose(js.outside_phi.apply_to_samples(np.eye(cols)),
                                    np.eye(cols) - Pt.T, atol=1e-12)
-        np.testing.assert_allclose(outside_z_span(js, np.eye(rows)),
+        np.testing.assert_allclose(js.outside_z.apply_to_samples(np.eye(rows)),
                                    np.eye(rows) - Qt.T, atol=1e-12)
         assert commutability_matrix(A1, js).certified
         if tall:

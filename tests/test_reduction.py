@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from degenpde import reduction
+from degenpde import chains, reduction
 from degenpde.chains import (CERTIFY_TOL, apply_schmidt_inverse,
                              complete_structure)
 from degenpde.errors import (CompatibilityError, ConfigurationError,
@@ -250,25 +250,42 @@ def test_reduce_refuses_a_pairing_off_the_chain_pattern(monkeypatch, entry,
                                                         size, message):
     # p = (2,): A1 pairs phi column 1 with psi column 0 and phi column 0
     # with psi column 1; a certified matrix that moves an entry beyond
-    # CERTIFY_TOL (off the pattern) or 1e-6 (on it) is refused
-    certify = reduction.certify_operators
+    # CERTIFY_TOL (off the pattern) or 1e-6 (on it) is refused.  The entry
+    # moves just before the pattern check, which reads the matrix in place
+    violation = chains.exchange_violation
 
     def shifted(shift):
-        def perturbed(js):
-            comm = certify(js)
-            comm.matrix[entry] += shift
-            return comm
+        def perturbed(M, p):
+            M[entry] += shift
+            return violation(M, p)
         return perturbed
 
     B = matrix_operator([[0.0, 1.0], [0.0, 0.0]])
     spec = _evolution_spec(B, matrix_operator(np.eye(2)), f=None)
-    monkeypatch.setattr(reduction, "certify_operators", shifted(size))
+    monkeypatch.setattr(chains, "exchange_violation", shifted(size))
     with pytest.raises(StructureError, match=message):
         reduce(spec)
     # inside the tolerances the same pencil reduces
     tol = CERTIFY_TOL if entry == (0, 0) else 1e-6
-    monkeypatch.setattr(reduction, "certify_operators", shifted(0.5 * tol))
+    monkeypatch.setattr(chains, "exchange_violation", shifted(0.5 * tol))
     assert reduce(spec).js.p == (2,)
+
+
+def test_reduce_checks_the_exchange_pattern_once(monkeypatch):
+    # the commutability result keeps the first violation, and reduce
+    # refuses from it rather than scanning the matrix again
+    calls = []
+
+    def counted(M, p, _orig=chains.exchange_violation):
+        calls.append(p)
+        return _orig(M, p)
+    monkeypatch.setattr(chains, "exchange_violation", counted)
+    # reduce would read its own binding of the name if it imported one
+    monkeypatch.setattr(reduction, "exchange_violation", counted, raising=False)
+    B = matrix_operator([[0.0, 1.0], [0.0, 0.0]])
+    rp = reduce(_evolution_spec(B, matrix_operator(np.eye(2)), f=None))
+    assert calls == [(2,)]
+    assert rp.comm.quasitriangular and rp.comm.violation is None
 
 
 def test_reduce_names_free_function_slots():

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from conftest import kernel_evolution_spec, projector_matrices
+from degenpde import chains
 from degenpde.chains import _pseudo_inverse, apply_schmidt_inverse, complete_structure
 from degenpde.cli import main
 from degenpde.errors import StructureError
-from degenpde.reduction import FACTORED_WIDTH_SHARE, DegenerateSystemSpec, reduce
+from degenpde.reduction import DegenerateSystemSpec, reduce
 from degenpde.solvers import _march, solve_family
-from degenpde.spaces import (FiniteOperator, compose, grid_space, identity_operator,
-                             make_kernel_operator, matrix_operator, structured_operator)
+from degenpde.spaces import (FACTORED_WIDTH_SHARE, FiniteOperator, compose, grid_space,
+                             identity_operator, make_kernel_operator, matrix_operator,
+                             structured_operator)
 
 
 def _dense(op):
@@ -57,6 +59,18 @@ def _nilpotent(rng, blocks):
     return N
 
 
+def _nilpotent_factors(rng, sp, blocks, untouched=5):
+    """U, V with V^T U = I - N, N nilpotent with the given Jordan blocks: U
+    orthonormal in the space's metric and zero on `untouched` random rows,
+    V = W U (I - N)^T."""
+    n, k = sp.dim, sum(blocks)
+    rows = np.sort(rng.choice(n, n - untouched, replace=False))
+    U = np.zeros((n, k))
+    U[rows] = np.linalg.qr(rng.normal(size=(rows.size, k)))[0]
+    U /= sp.root[:, None]
+    return U, sp.weights[:, None] * U @ (np.eye(k) - _nilpotent(rng, blocks)).T
+
+
 @pytest.mark.parametrize("blocks", [(1,), (2,), (3,), (1, 1), (2, 1), (3, 1),
                                     (2, 2), (3, 2, 1)])
 def test_identity_minus_low_rank_pencils_match_their_dense_form(rng, blocks):
@@ -67,12 +81,7 @@ def test_identity_minus_low_rank_pencils_match_their_dense_form(rng, blocks):
     # V vanish on some coordinates, which the skeleton keeps as 1x1 blocks.
     for n in (23, 41):
         sp = grid_space(0.0, 1.0, n, quadrature="simpson")
-        k = sum(blocks)
-        rows = np.sort(rng.choice(n, n - 5, replace=False))
-        U = np.zeros((n, k))
-        U[rows] = np.linalg.qr(rng.normal(size=(rows.size, k)))[0]
-        U /= sp.root[:, None]
-        V = sp.weights[:, None] * U @ (np.eye(k) - _nilpotent(rng, blocks)).T
+        U, V = _nilpotent_factors(rng, sp, blocks)
         js = _assert_same_structure(structured_operator(sp, np.ones(n), -U, V),
                                     identity_operator(sp, -1.0))
         assert sorted(js.p) == sorted(blocks)
@@ -107,27 +116,28 @@ def test_kernel_only_operator_matches_its_dense_form():
     assert js.n == 39 and js.p == (1,) * 39
 
 
-def test_skeleton_solve_matches_the_dense_skeleton(rng):
-    # minimum-norm solutions and residual norms of B x = y from the pieces
-    # (1x1 blocks, the core and the complement of Q's span) equal the dense
-    # SVD's for right-hand sides that leave the range of B
+def test_each_staircase_level_applies_a1_once(rng, monkeypatch):
+    # a factored (3, 1) pencil: the staircase mixes the images it paired
+    # and reads each link residual from that pairing, so it applies A1 (or
+    # A1*) once per level, also on the levels that extend chains
     sp = grid_space(0.0, 1.0, 41, quadrature="simpson")
-    d = rng.uniform(0.5, 2.0, 41)
-    d[[2, 9, 30]] = 0.0
-    U = np.zeros((41, 3))
-    U[5:] = np.linalg.qr(rng.normal(size=(36, 3)))[0]
-    U /= sp.root[:, None]
-    V = sp.weights[:, None] * U @ (np.eye(3) - _nilpotent(rng, (2, 1))).T
-    for B in (structured_operator(sp, d),
-              structured_operator(sp, np.ones(41), -U, V),
-              make_kernel_operator(sp, "kernel_only", "1 + x*s")):
-        y = rng.normal(size=(41, 4))
-        x, res = B.skeleton().solve(y)
-        xd, resd = _dense(B).skeleton().solve(y)
-        assert B.skeleton().rank == _dense(B).skeleton().rank
-        assert np.abs(x - xd).max() <= 1e-12 * np.abs(xd).max()
-        np.testing.assert_allclose(res, resd, rtol=1e-12)
-        assert resd.min() > 1e-2
+    U, V = _nilpotent_factors(rng, sp, (3, 1))
+    calls = []
+
+    def counted(solve, apply_A1, *args, _orig=chains._staircase):
+        level_calls = []
+
+        def apply(cols):
+            level_calls.append(cols.shape)
+            return apply_A1(cols)
+        out = _orig(solve, apply, *args)
+        calls.append(len(level_calls))
+        return out
+    monkeypatch.setattr(chains, "_staircase", counted)
+    js = complete_structure(structured_operator(sp, np.ones(41), -U, V),
+                            identity_operator(sp, -1.0))
+    assert js.p == (3, 1)
+    assert calls == [3, 3]
 
 
 def test_structure_and_verify_never_form_a_factored_matrix(problems_dir, monkeypatch, capsys):
@@ -153,16 +163,22 @@ def _random_factored(rng, n, k, diag):
 
 
 def test_compose_matches_the_dense_product(rng):
-    # factors times factors stay factors; with a dense side the product is
+    # factors times factors stay factors while the product is narrow; with
+    # a dense side, or past FACTORED_WIDTH_SHARE of dim, the product is
     # dense; columns that vanish on either side are dropped
-    a = _random_factored(rng, 9, 2, rng.normal(size=9))
-    b = _random_factored(rng, 9, 3, rng.normal(size=9))
+    a = _random_factored(rng, 41, 2, rng.normal(size=41))
+    b = _random_factored(rng, 41, 3, rng.normal(size=41))
     for x, y in ((a, b), (_dense(a), b), (a, _dense(b)), (_dense(a), _dense(b))):
         ab = compose(x, y)
         assert (ab.dense is None) == (x.dense is None and y.dense is None)
         np.testing.assert_allclose(ab.matrix, a.matrix @ b.matrix, rtol=1e-13, atol=1e-13)
-    assert compose(a, b).U.shape[1] == 5
-    d = structured_operator(a.domain, rng.normal(size=9))
+    assert compose(a, b).U.shape[1] == 5 <= FACTORED_WIDTH_SHARE * 41
+    wide = _random_factored(rng, 41, 9, rng.normal(size=41))
+    assert 9 + 3 > FACTORED_WIDTH_SHARE * 41
+    assert compose(wide, b).dense is not None
+    np.testing.assert_allclose(compose(wide, b).matrix, wide.matrix @ b.matrix,
+                               rtol=1e-13, atol=1e-13)
+    d = structured_operator(a.domain, rng.normal(size=41))
     assert compose(d, d).U.shape[1] == 0
 
 
@@ -202,16 +218,20 @@ def test_mixed_xy_kernel_pencil_matches_its_dense_m():
 
 @pytest.mark.parametrize("k", [2, 12])
 def test_reduce_keeps_m_factored_only_while_narrow(rng, k):
-    # B = I + U V^T is invertible, so M = A1 Bplus = -B^-1, of factor width
-    # 2k: past FACTORED_WIDTH_SHARE of dim 41 for k = 12
+    # B = I + U V^T is invertible, so Bplus = B^-1 and M = A1 Bplus = -B^-1,
+    # of factor width 2k: past FACTORED_WIDTH_SHARE of dim 41 for k = 12,
+    # where both come out dense
     sp = grid_space(0.0, 1.0, 41)
     B = structured_operator(sp, np.ones(41), 0.1 * rng.normal(size=(41, k)),
                             rng.normal(size=(41, k)) / 41)
     rp = reduce(DegenerateSystemSpec(B=B, A1=identity_operator(sp, -1.0), f=None,
                                      family="evolution1", box={"t": (0.0, 1.0)},
                                      grid={"dt": 1e-2}))
-    assert rp.js.Bplus.U.shape[1] == 2 * k
-    assert (rp.M.dense is None) == (2 * k <= FACTORED_WIDTH_SHARE * 41)
+    narrow = 2 * k <= FACTORED_WIDTH_SHARE * 41
+    assert (rp.js.Bplus.dense is None) == (rp.M.dense is None) == narrow
+    if narrow:
+        assert rp.js.Bplus.U.shape[1] == 2 * k
+    np.testing.assert_allclose(rp.js.Bplus.matrix, np.linalg.inv(B.matrix), atol=1e-12)
     np.testing.assert_allclose(rp.M.matrix, -np.linalg.inv(B.matrix), atol=1e-12)
 
 
@@ -224,19 +244,37 @@ def test_largest_entry_sees_the_low_rank_part_cancel_the_diagonal():
     assert _dense(op).largest_entry() == 1.0
 
 
-@pytest.mark.parametrize("make", ["kernel", "diagonal"])
+@pytest.mark.parametrize("make", ["kernel", "diagonal", "nilpotent", "kernel_only"])
 def test_factored_pseudoinverse_matches_the_dense_one(rng, make):
     sp = grid_space(0.0, 1.0, 41, quadrature="simpson")
     if make == "kernel":
         B = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s", exact_on="x")
-    else:
+    elif make == "diagonal":
+        # zero diagonal entries: 1x1 blocks that the solve leaves at zero
         d = rng.uniform(0.5, 2.0, 41)
         d[[3, 17]] = 0.0
         B = structured_operator(sp, d)
+    elif make == "nilpotent":
+        # I - U V^T with a nilpotent core, on coordinates U and V partly miss
+        U, V = _nilpotent_factors(rng, sp, (2, 1))
+        B = structured_operator(sp, np.ones(41), -U, V)
+    else:
+        B = make_kernel_operator(sp, "kernel_only", "1 + x*s")
+    # the skeleton's minimum-norm solve from the pieces (1x1 blocks, the
+    # core and the complement of Q's span) equals the dense SVD's, also
+    # for right-hand sides that leave the range of B
+    assert B.skeleton().rank == _dense(B).skeleton().rank
+    S, Sd = B.skeleton().pseudo_inverse(), _dense(B).skeleton().pseudo_inverse()
+    assert S.dense is None
+    y = rng.normal(size=(41, 4))
+    x, xd = S.apply(y), Sd.apply(y)
+    assert np.abs(x - xd).max() <= 1e-12 * np.abs(xd).max()
+    assert np.linalg.norm(sp.root[:, None] * (B.matrix @ xd - y), axis=0).min() > 1e-2
     js = complete_structure(B, identity_operator(sp, -1.0))
     jd = complete_structure(_dense(B), identity_operator(sp, -1.0))
-    assert js.Bplus.dense is None and jd.Bplus.dense is not None
-    assert js.Bplus.U.shape[1] <= (4 if make == "kernel" else 0)
+    assert jd.Bplus.dense is not None
+    if make in ("kernel", "diagonal"):
+        assert js.Bplus.U.shape[1] <= (4 if make == "kernel" else 0)
     np.testing.assert_allclose(js.Bplus.matrix, jd.Bplus.matrix, atol=1e-12)
     assert js.diagnostics["pseudoinverse_identity"] <= 1e-14
     assert jd.diagnostics["pseudoinverse_identity"] <= 1e-14
