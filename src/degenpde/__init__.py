@@ -23,9 +23,8 @@ from .reduction import (FAMILIES, DegenerateSystemSpec, ReducedProblem,
                         compat_residual, describe_reduction,
                         reconstruct_solution, reduce, residual_check,
                         rhs_projection, solve_C_recurrence)
-from .solvers import (SOLVERS, SolutionField, asymptotic_leading_term,
-                      bessel_like_sum, check_spectral_parameter,
-                      naive_cauchy_defect, oracle_first_order_evolution,
+from .solvers import (SOLVERS, SolutionField, bessel_like_sum,
+                      check_spectral_parameter, oracle_first_order_evolution,
                       oracle_goursat_constant, oracle_second_order_evolution,
                       solve_family, write_solution_csv)
 from .spaces import (FiniteOperator, InnerProductSpace, euclidean_space,
@@ -48,8 +47,7 @@ __all__ = [
     "apply_differential_operator", "beta_tables", "compat_residual",
     "describe_reduction", "reconstruct_solution", "reduce", "residual_check",
     "rhs_projection", "solve_C_recurrence",
-    "SOLVERS", "SolutionField", "asymptotic_leading_term", "bessel_like_sum",
-    "check_spectral_parameter", "naive_cauchy_defect",
+    "SOLVERS", "SolutionField", "bessel_like_sum", "check_spectral_parameter",
     "oracle_first_order_evolution", "oracle_goursat_constant",
     "oracle_second_order_evolution", "solve_family", "write_solution_csv",
     "FiniteOperator", "InnerProductSpace", "euclidean_space", "grid_space",

@@ -254,25 +254,26 @@ def variables_of(node):
     return set()
 
 
-def separate(node, max_terms):
-    """A kernel tree in (x, s) as a sum of products a_i(x) b_i(s): the list
-    of (a_i, b_i) node pairs, or None when +, -, * and Neg do not reduce
-    it to that form or it takes more than max_terms products.  A subtree
-    in x alone, or a constant, is an x part; one in s alone an s part."""
+def separate(node, groups, max_terms):
+    """A tree as a sum of products a_i b_i, a_i in the variables of
+    groups[0] and b_i in those of groups[1] (sets of names, such as {"x"},
+    {"s"} for a kernel): the list of (a_i, b_i) node pairs, or None when
+    +, -, * and Neg do not reduce it to that form or it takes more than
+    max_terms products.  A constant is an a part."""
     names = variables_of(node)
     if max_terms < 1:
         return None
-    if names <= {"x"}:
+    if names <= groups[0]:
         return [(node, Num(1.0))]
-    if names <= {"s"}:
+    if names <= groups[1]:
         return [(Num(1.0), node)]
     if isinstance(node, Neg):
-        terms = separate(node.operand, max_terms)
+        terms = separate(node.operand, groups, max_terms)
         return None if terms is None else [(Neg(a), b) for a, b in terms]
     if not (isinstance(node, BinOp) and node.op in ("+", "-", "*")):
         return None
-    left = separate(node.left, max_terms)
-    right = None if left is None else separate(node.right, max_terms)
+    left = separate(node.left, groups, max_terms)
+    right = None if left is None else separate(node.right, groups, max_terms)
     if right is None:
         return None
     count = len(left) * len(right) if node.op == "*" else len(left) + len(right)

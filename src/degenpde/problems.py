@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CompatibilityError, ConfigurationError, ParseError,
-                     UsageError)
-from .expressions import evaluate, parse, variables_of
+from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
+                     ParseError, UsageError)
+from .expressions import evaluate, parse, separate, variables_of
 from .reduction import FAMILIES, DegenerateSystemSpec, _mesh_coords
 from .solvers import (oracle_first_order_evolution, oracle_goursat_constant,
                       oracle_second_order_evolution)
@@ -370,8 +370,7 @@ def _time_field_sampler(ast, xg):
 
     def sampler(t):
         tv = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = np.asarray(evaluate(ast, t=tv[:, None], x=xg[None, :]),
-                          dtype=float)
+        vals = evaluate(ast, t=tv[:, None], x=xg[None, :])
         return np.broadcast_to(vals, (tv.shape[0], xg.shape[0])).copy()
 
     return sampler
@@ -382,9 +381,7 @@ def _xy_field_sampler(asts):
         X = np.asarray(x, dtype=float)
         Y = np.asarray(y, dtype=float)
         shape = np.broadcast_shapes(X.shape, Y.shape)
-        comps = [np.broadcast_to(np.asarray(evaluate(ast, x=X, y=Y),
-                                            dtype=float), shape)
-                 for ast in asts]
+        comps = [np.broadcast_to(evaluate(ast, x=X, y=Y), shape) for ast in asts]
         return np.stack(comps, axis=-1)
 
     return sampler
@@ -393,23 +390,41 @@ def _xy_field_sampler(asts):
 def _mode_sampler(ast, nm, mm, nquad):
     """Double sine transform on the interior uniform grid: with quadrature
     points j pi / nquad the discrete sine basis is exactly orthogonal for
-    mode numbers below nquad, so band-limited sides transform exactly."""
+    mode numbers below nquad, so band-limited sides transform exactly.
+    The transform is linear: an f that separates into at most nm * mm
+    products T_i(t) S_i(x, y) (expressions.separate) has each S_i
+    transformed once, on the first call, and a call returns T(t) @ coefs,
+    refused when the products overflow.  Any other f is transformed at
+    every time node, MODE_SAMPLE_CHUNK nodes at a time."""
     xq = np.arange(1, nquad) * (np.pi / nquad)
     Sx = np.sin(np.outer(np.arange(1, nm + 1), xq))
     Sy = np.sin(np.outer(np.arange(1, mm + 1), xq))
-    factor = (2.0 / nquad) ** 2
+    terms = separate(ast, ({"t"}, {"x", "y"}), nm * mm)
+    coefs = None
+
+    def transform(node, **t):
+        # a node with t in it takes the leading shape of the t binding
+        F = evaluate(node, x=xq[:, None], y=xq[None, :], **t)
+        F = np.broadcast_to(F, np.shape(F)[:-2] + (xq.size, xq.size))
+        return ((Sx @ F @ Sy.T) * (2.0 / nquad) ** 2).reshape(F.shape[:-2] + (-1,))
 
     def sampler(t):
+        nonlocal coefs
         tv = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((tv.shape[0], nm * mm))
-        for start in range(0, tv.shape[0], MODE_SAMPLE_CHUNK):
-            chunk = tv[start:start + MODE_SAMPLE_CHUNK]
-            F = np.asarray(evaluate(ast, t=chunk[:, None, None],
-                                    x=xq[None, :, None],
-                                    y=xq[None, None, :]), dtype=float)
-            F = np.broadcast_to(F, (chunk.shape[0], xq.shape[0], xq.shape[0]))
-            coef = (Sx @ F @ Sy.T) * factor
-            out[start:start + chunk.shape[0]] = coef.reshape(chunk.shape[0], -1)
+        if terms is None:
+            out = np.empty((tv.shape[0], nm * mm))
+            for start in range(0, tv.shape[0], MODE_SAMPLE_CHUNK):
+                stop = start + MODE_SAMPLE_CHUNK
+                out[start:stop] = transform(ast, t=tv[start:stop, None, None])
+            return out
+        if coefs is None:
+            coefs = np.stack([transform(b) for _, b in terms])
+        T = np.column_stack([np.broadcast_to(evaluate(a, t=tv), tv.shape)
+                             for a, _ in terms])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = T @ coefs
+        if not np.isfinite(out).all():
+            raise EvaluationError("expression produced a non-finite value")
         return out
 
     return sampler

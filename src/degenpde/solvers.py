@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
-from .chains import apply_schmidt_inverse
 from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
                      UsageError)
 from .reduction import (FAMILIES, beta_tables, compat_residual,
@@ -307,8 +306,12 @@ def _cumulative_from_zero(samples, grid, axis=0):
     lead = (slice(None),) * axis
     tail, head = lead + (slice(1, None),), lead + (slice(None, -1),)
     steps = np.diff(grid).reshape((-1,) + (1,) * (y.ndim - axis - 1))
-    out = np.zeros(y.shape)
-    np.cumsum(steps * (y[tail] + y[head]) / 2.0, axis=axis, out=out[tail])
+    out = np.empty(y.shape)
+    out[lead + (0,)] = 0.0
+    acc = np.add(y[tail], y[head], out=out[tail])
+    acc *= steps
+    acc /= 2.0
+    np.cumsum(acc, axis=axis, out=acc)
     return out
 
 
@@ -638,21 +641,3 @@ def oracle_second_order_evolution(f, tgrid, xgrid):
     mom_half = _weighted_space_integral(f_half, xgrid, xgrid)
     J = _exp_weighted_integral(mom_half[:, None], tgrid, decay=True)[:, 0]
     return I_exp - I_one - 3.0 * J[:, None] * xgrid[None, :]
-
-
-def naive_cauchy_defect(rp):
-    """Constraint defect of the over-determined second-order problem with
-    full zero data: pairing of f(0) against the cokernel direction."""
-    f0 = np.asarray(rp.system.f(t=np.zeros(1)), dtype=float)[0]
-    return abs(rp.js.codomain.inner(f0, rp.js.Psi[:, 0]))
-
-
-def asymptotic_leading_term(rp, f0):
-    """Corner asymptotic of the mixed family: coefficient fields of the
-    x^2/2 and (y - x^2/2) terms at the corner value f0 of the right side."""
-    js = rp.js
-    f0 = np.asarray(f0, dtype=float)
-    quad = apply_schmidt_inverse(js, f0)
-    first = js.head_columns
-    lin = js.Phi[:, first] @ (js.Psi[:, first].T @ (js.codomain.weights * f0))
-    return quad, lin

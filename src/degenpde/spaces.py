@@ -501,7 +501,7 @@ def make_kernel_operator(space, kind, kernel, exact_on=None):
         raise ConfigurationError(f"unknown kernel operator kind {kind!r}")
     ast = parse(kernel) if isinstance(kernel, str) else kernel
     g, n = space.grid, space.dim
-    terms = separate(ast, int(FACTORED_WIDTH_SHARE * n))
+    terms = separate(ast, ({"x"}, {"s"}), int(FACTORED_WIDTH_SHARE * n))
     if terms is not None:
         U = np.column_stack([np.broadcast_to(evaluate(a, x=g), (n,)) for a, _ in terms])
         V = np.column_stack([space.weights * evaluate(b, s=g) for _, b in terms])

@@ -16,8 +16,7 @@ from degenpde.cli import main
 from degenpde.errors import CompatibilityError
 from degenpde.problems import instantiate, load_problem
 from degenpde.reduction import DegenerateSystemSpec, reduce, residual_check
-from degenpde.solvers import (asymptotic_leading_term, naive_cauchy_defect,
-                              oracle_first_order_evolution,
+from degenpde.solvers import (oracle_first_order_evolution,
                               oracle_goursat_constant,
                               oracle_second_order_evolution, solve_family)
 from degenpde.spaces import (grid_space, identity_operator,
@@ -25,6 +24,7 @@ from degenpde.spaces import (grid_space, identity_operator,
 
 from conftest import PROBLEMS, projector_matrices
 from test_jordan import random_structured_pair
+from test_solvers import asymptotic_leading_term, naive_cauchy_defect
 
 SEED = 20250816
 

@@ -245,6 +245,9 @@ def test_evaluation_is_pure(ast, seed):
 
 # -- separation of degenerate kernels ----------------------------------------
 
+_KERNEL = ({"x"}, {"s"})
+
+
 def _separated_sum(terms, X, S):
     return sum(evaluate(a, x=X) * evaluate(b, s=S) for a, b in terms)
 
@@ -265,7 +268,7 @@ _XS = np.meshgrid(np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5), indexing="
 ])
 def test_separate_covers_sums_differences_products_and_signs(source, count):
     ast = parse(source)
-    terms = separate(ast, 16)
+    terms = separate(ast, _KERNEL, 16)
     assert len(terms) == count
     for a, b in terms:
         assert variables_of(a) <= {"x"} and variables_of(b) <= {"s"}
@@ -276,15 +279,39 @@ def test_separate_covers_sums_differences_products_and_signs(source, count):
 @pytest.mark.parametrize("source", ["exp(x*s)", "sin(x + s)", "x/s", "(x + s)^2",
                                     "t*x*s", "sqrt(x*s)"])
 def test_separate_refuses_a_kernel_that_is_not_a_sum_of_products(source):
-    assert separate(parse(source), 16) is None
+    assert separate(parse(source), _KERNEL, 16) is None
 
 
 def test_separate_refuses_more_terms_than_allowed():
     ast = parse("(x + s)*(x + s)*(x + s)")
-    assert len(separate(ast, 8)) == 8
-    assert separate(ast, 7) is None
-    assert separate(parse("+".join(["x*s"] * 5)), 4) is None
-    assert separate(parse("x*s"), 0) is None
+    assert len(separate(ast, _KERNEL, 8)) == 8
+    assert separate(ast, _KERNEL, 7) is None
+    assert separate(parse("+".join(["x*s"] * 5)), _KERNEL, 4) is None
+    assert separate(parse("x*s"), _KERNEL, 0) is None
+
+
+@pytest.mark.parametrize("source, count", [
+    ("(sin(x)*sin(2*y) + sin(2*x)*sin(y))*exp(-t)", 1),
+    ("x * y^2 * (1 + t) + cos(x - y)", 2),
+    ("2*t - x*y", 2),
+    ("exp(-t)", 1),
+])
+def test_separate_splits_a_right_hand_side_between_time_and_space(source, count):
+    ast = parse(source)
+    terms = separate(ast, ({"t"}, {"x", "y"}), 16)
+    assert len(terms) == count
+    for a, b in terms:
+        assert variables_of(a) <= {"t"} and variables_of(b) <= {"x", "y"}
+    T, X, Y = np.meshgrid(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 3.0, 5),
+                          np.linspace(0.0, 3.0, 6), indexing="ij")
+    got = sum(evaluate(a, t=T) * evaluate(b, x=X, y=Y) for a, b in terms)
+    np.testing.assert_allclose(got, evaluate(ast, t=T, x=X, y=Y), rtol=1e-14,
+                               atol=1e-14)
+
+
+@pytest.mark.parametrize("source", ["sin(x*t)*y", "x*s", "exp(t + x)"])
+def test_separate_refuses_a_right_hand_side_mixing_time_and_space(source):
+    assert separate(parse(source), ({"t"}, {"x", "y"}), 16) is None
 
 
 _sep_leaf = st.one_of(
@@ -302,7 +329,7 @@ _sep_asts = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(_sep_asts)
 def test_separate_reproduces_every_sum_of_products_tree(ast):
-    terms = separate(ast, 256)
+    terms = separate(ast, _KERNEL, 256)
     assert terms is not None
     want = evaluate(ast, x=_XS[0], s=_XS[1])
     np.testing.assert_allclose(_separated_sum(terms, *_XS), want, rtol=1e-12,

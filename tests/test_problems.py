@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from degenpde import problems
+from degenpde.cli import main
 from degenpde.errors import (CompatibilityError, ConfigurationError,
-                             ParseError, UsageError)
+                             EvaluationError, ParseError, UsageError)
 from degenpde.expressions import parse
 from degenpde.problems import (_mode_sampler, evaluate_oracle, instantiate,
                                load_problem)
@@ -317,6 +319,66 @@ def test_mode_sampler_returns_one_mode_of_a_sine_product():
     # mode (n, m) = (1, 2) sits at flat index (1 - 1) * 2 + (2 - 1)
     np.testing.assert_allclose(coeff[:, 1], np.exp(-t), rtol=0, atol=1e-13)
     assert np.abs(np.delete(coeff, 1, axis=1)).max() <= 1e-13
+
+
+def _time_ranks(monkeypatch):
+    """Record the rank of the t binding of every expression evaluation in
+    problems: 1 for a time factor, 3 for the (t, x, y) grid."""
+    ranks = []
+    orig = problems.evaluate
+
+    def recording(ast, **bindings):
+        if "t" in bindings:
+            ranks.append(np.ndim(bindings["t"]))
+        return orig(ast, **bindings)
+    monkeypatch.setattr(problems, "evaluate", recording)
+    return ranks
+
+
+@pytest.mark.parametrize("source", [
+    "(sin(x)*sin(2*y) + sin(2*x)*sin(y))*exp(-t)",
+    # the form the benchmark draws for example5
+    "(1.237*sin(x)*sin(2*y) + 0.614*sin(2*x)*sin(y))*exp(-1.852*t)",
+    "x * y^2 * (1 + t) + cos(x - y) - 2*t",
+])
+def test_mode_sampler_factors_match_the_grid_path(source, monkeypatch):
+    t = np.linspace(0.0, 1.0, 301)
+    ranks = _time_ranks(monkeypatch)
+    factored = _mode_sampler(parse(source), 16, 16, 64)(t)
+    assert set(ranks) == {1}
+    monkeypatch.setattr(problems, "separate", lambda *args: None)
+    grid = _mode_sampler(parse(source), 16, 16, 64)(t)
+    assert set(ranks) == {1, 3}
+    np.testing.assert_allclose(factored, grid, rtol=0,
+                               atol=1e-14 * np.abs(grid).max())
+
+
+def test_mode_sampler_keeps_the_grid_path_for_a_mixed_side(tmp_path, monkeypatch,
+                                                           capsys):
+    ranks = _time_ranks(monkeypatch)
+    # 801 half-step samples: the grid is sampled in several chunks
+    grid = dict(MINIMAL_SPECTRAL["grid"], dt=0.0025)
+    path = _dump(tmp_path, _variant(MINIMAL_SPECTRAL, f="sin(x*t)*y", grid=grid,
+                                    oracle={"kind": "mode_residual", "tol": 1e-4}))
+    assert main(["verify", str(path)]) == 0
+    assert "verdict=pass" in capsys.readouterr().out
+    assert set(ranks) == {3}
+
+
+@pytest.mark.parametrize("source", [
+    "exp(700*t)*exp(100*x)",      # finite factors, overflowing products
+    "exp(800*t)*sin(x)",          # an overflowing time factor
+    "exp(-t)*exp(400*y)",         # an overflowing space factor
+])
+def test_mode_sampler_refuses_an_overflowing_side(source, tmp_path, capsys):
+    with pytest.raises(EvaluationError, match="non-finite"):
+        _mode_sampler(parse(source), 4, 4, 32)(np.linspace(0.0, 1.0, 5))
+    path = _dump(tmp_path, _variant(MINIMAL_SPECTRAL, f=source))
+    # structure never samples f
+    assert main(["structure", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_grid_scale_override_rescales_nodes(problems_dir):

@@ -5,6 +5,7 @@ import pytest
 import scipy.special
 from scipy.integrate import cumulative_trapezoid, simpson
 
+from degenpde.chains import apply_schmidt_inverse
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              EvaluationError, UsageError)
 from degenpde.problems import instantiate, load_problem
@@ -14,9 +15,8 @@ from degenpde.solvers import (SolutionField, _cumulative_from_zero,
                               _cumulative_simpson_half,
                               _exp_weighted_integral, _half_grid, _march,
                               _time_grid, _weighted_space_integral,
-                              asymptotic_leading_term, bessel_like_sum,
-                              check_spectral_parameter,
-                              naive_cauchy_defect, oracle_first_order_evolution,
+                              bessel_like_sum, check_spectral_parameter,
+                              oracle_first_order_evolution,
                               oracle_goursat_constant,
                               oracle_second_order_evolution, solve_family,
                               write_solution_csv)
@@ -24,6 +24,24 @@ from degenpde.spaces import grid_space, matrix_operator, mode_space
 
 from conftest import PROBLEMS, grid_samples, kernel_evolution_spec
 from test_fd import derivative_matrix
+
+
+def naive_cauchy_defect(rp):
+    """Constraint defect of the over-determined second-order problem with
+    full zero data: pairing of f(0) against the cokernel direction."""
+    f0 = np.asarray(rp.system.f(t=np.zeros(1)), dtype=float)[0]
+    return abs(rp.js.codomain.inner(f0, rp.js.Psi[:, 0]))
+
+
+def asymptotic_leading_term(rp, f0):
+    """Corner asymptotic of the mixed family: coefficient fields of the
+    x^2/2 and (y - x^2/2) terms at the corner value f0 of the right side."""
+    js = rp.js
+    f0 = np.asarray(f0, dtype=float)
+    quad = apply_schmidt_inverse(js, f0)
+    first = js.head_columns
+    lin = js.Phi[:, first] @ (js.Psi[:, first].T @ (js.codomain.weights * f0))
+    return quad, lin
 
 
 # -- first-order kernel evolution ----------------------------------------------
