@@ -11,7 +11,9 @@ evolution2 then recovers v from v' with RK4's own weights and a cumsum.
 For M = c I + U V^T or a diagonal, as reduce leaves it for the kernel
 and mode pencils (reduce forms an M with wide factors densely), the
 map's powers stay scalar plus rank k and a step costs O(d k); any other
-M steps a dense map at one mat-vec a step.
+M steps a dense map.  Both march the linear recurrence with one blocked
+scan, O(sqrt(nt)) products on blocks of rows in place of nt on single
+rows.
 spectral3 keeps the RK4 stages, which cost less there than a map on its
 third-order state, and every back-end applies M through its factors.
 Series limits and the fit tolerance are module constants.  Each back-end
@@ -27,6 +29,7 @@ share no code with the pipeline beyond elementary helpers.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,7 +175,8 @@ def _march(M, r, s, g_half, tgrid):
     dv_n = w_n Q^T + c_n, summed by a cumsum.  When M = c I + U V^T (or
     a diagonal) every such polynomial in N is a scalar (or diagonal) plus
     a rank-k part, and _march_factored steps through the factors; any
-    other M keeps the map as a dense matrix, one mat-vec a step.
+    other M keeps the map as a dense matrix.  Either way _scan solves the
+    recurrence, with P^L from matrix_power here.
     For r - s > 1 (spectral3) the stages stay, applying M through its
     factors: the map there is a dense (r d)^2 matrix against 4 d^2 for
     the stages (on example5, one BLAS thread, it took the march from 0.09
@@ -206,7 +210,7 @@ def _march(M, r, s, g_half, tgrid):
     N = -h * M.matrix
     N2 = N @ N
     N3 = N2 @ N
-    # w[1:] holds the forcing b until step i adds w[i] P^T to w[i + 1]
+    # w[1:] holds the forcing b until _scan adds w[i] P^T to w[i + 1]
     w = np.empty((nt + 1, d))
     w[0] = 0.0
     b = w[1:]
@@ -215,8 +219,9 @@ def _march(M, r, s, g_half, tgrid):
     b += g1
     b *= h / 6.0
     PT = (eye + N + N2 / 2.0 + N3 / 6.0 + N3 @ N / 24.0).T
-    for i in range(nt):
-        w[i + 1] += w[i] @ PT
+    L = _block_length(nt)
+    PT_L = np.linalg.matrix_power(PT, L)
+    _scan(w, lambda rows: rows @ PT, lambda rows: rows @ PT_L, L)
     if s == 0:
         return w
     v = np.empty_like(w)
@@ -229,6 +234,36 @@ def _march(M, r, s, g_half, tgrid):
     dv *= h
     np.cumsum(dv, axis=0, out=dv)
     return v
+
+
+def _block_length(nt):
+    """The block length of _scan for nt steps: ceil(sqrt(nt))."""
+    return math.isqrt(nt - 1) + 1
+
+
+def _scan(w, step, step_L, L):
+    """w[n + 1] = step(w[n]) + b[n] for a linear step, in place: w[0] is
+    the start and w[1:] holds the forcing b on entry.  A blocked scan
+    (Kogge & Stone 1973; Blelloch, "Prefix sums and their applications",
+    1990): the rows 1 .. B L, as B blocks of L, march from zero all at
+    once; the block starts then chain through step_L = step^L; and each
+    start is carried through its block.  The rows past B L step one at a
+    time.  With L = ceil(sqrt(nt)) that is O(sqrt(nt)) calls on row
+    blocks in place of nt calls on single rows."""
+    nt, d = w.shape[0] - 1, w.shape[1]
+    B = nt // L
+    body = w[1:1 + B * L].reshape(B, L, d)
+    for m in range(1, L):
+        body[:, m] += step(body[:, m - 1])
+    starts = np.empty((B, d))
+    starts[:1] = w[0]
+    for j in range(1, B):
+        starts[j] = body[j - 1, -1] + step_L(starts[j - 1])
+    for m in range(L):
+        starts = step(starts)
+        body[:, m] += starts
+    for n in range(B * L, nt):
+        w[n + 1] += step(w[n])
 
 
 def _polynomial(a, G, coef):
@@ -263,8 +298,9 @@ def _march_factored(M, s, g_half, h):
     """The step-map march of _march for M = c I + U V^T (c one constant)
     or M diagonal (no U).  With N = a I + X V^T, a = -h c and X = -h U,
     P = R(N) = p I + X Cp V^T, so a step w <- p w + (w V) Cp^T X^T + b_n
-    costs O(d k).  The forcing and, for s = 1, RK4's quadrature of v' = w
-    take g only through g V: O(nt d k) in all."""
+    costs O(d k), and so does a step of P^L, which _scan chains its block
+    starts through.  The forcing and, for s = 1, RK4's quadrature of
+    v' = w take g only through g V: O(nt d k) in all."""
     nt, d, k = (len(g_half) - 1) // 2, M.domain.dim, M.U.shape[1]
     a = -h * (M.diag[0] if k else M.diag)
     X, V = -h * M.U, M.V
@@ -277,14 +313,17 @@ def _march_factored(M, s, g_half, h):
     gV = g_half @ V
     g0V, gmV = gV[:-1:2], gV[1::2]
     # w[1:] holds the forcing b_n = c (s1 g0 + s2 gm + g1 + (g0 V C1^T +
-    # gm V C2^T) X^T) until step n adds P w_n to w_(n + 1)
+    # gm V C2^T) X^T) until _scan adds P w_n to w_(n + 1)
     w = np.empty((nt + 1, d))
     w[0] = 0.0
     _fill_rows(w[1:], ((c * s1, g0), (c * s2, gm), (c, g1)),
                c * (g0V @ C1.T + gmV @ C2.T), X)
-    T = Cp.T @ X.T
-    for i in range(nt):
-        w[i + 1] += p * w[i] + (w[i] @ V) @ T
+    # P^L = p^L I + X (Cp C_L) V^T, with P = p I + (X Cp) V^T in _polynomial
+    L = _block_length(nt)
+    p_L, C_L = _polynomial(p, G @ Cp, (0.0,) * L + (1.0,))
+    T, T_L = Cp.T @ X.T, (Cp @ C_L).T @ X.T
+    _scan(w, lambda rows: p * rows + (rows @ V) @ T,
+          lambda rows: p_L * rows + (rows @ V) @ T_L, L)
     if s == 0:
         return w
     q1, D1 = _polynomial(a, G, (1.0, 1.0 / 2, 1.0 / 4))
@@ -301,15 +340,23 @@ def _march_factored(M, s, g_half, h):
 
 def _cumulative_from_zero(samples, grid, axis=0):
     """Cumulative trapezoid integral of samples along axis, 0 at the
-    first node: half-sums of neighbours times the steps, then a cumsum."""
+    first node: half-sums of neighbours times the steps, then a cumsum.
+    Past axis 0 the steps multiply the trailing axes merged into one, so
+    that numpy's inner loop runs over all of them, not over the last."""
     y = np.asarray(samples, dtype=float)
     lead = (slice(None),) * axis
     tail, head = lead + (slice(1, None),), lead + (slice(None, -1),)
-    steps = np.diff(grid).reshape((-1,) + (1,) * (y.ndim - axis - 1))
+    steps = np.diff(grid)
     out = np.empty(y.shape)
     out[lead + (0,)] = 0.0
     acc = np.add(y[tail], y[head], out=out[tail])
-    acc *= steps
+    if axis:
+        inner = int(np.prod(y.shape[axis + 1:]))
+        # a view: out is C-ordered, so its trailing axes merge
+        merged = acc.reshape(acc.shape[:axis] + (-1,))
+        merged *= np.repeat(steps, inner)
+    else:
+        acc *= steps.reshape((-1,) + (1,) * (y.ndim - 1))
     acc /= 2.0
     np.cumsum(acc, axis=axis, out=acc)
     return out

@@ -165,18 +165,23 @@ class FiniteOperator:
 
     def apply_to_samples(self, samples):
         """The map on every sample of an array whose last axis is the domain
-        dimension; a low-rank part is added a block of samples at a time.
-        The output is C-ordered whatever the layout of samples, so that the
-        blocks are views of it."""
+        dimension.  With a low-rank part it makes one pass over blocks of
+        samples, diag s + (s V) U^T a block at a time, so that no
+        temporary is larger than a block; samples whose layout does not
+        flatten to rows are copied to rows first.  The output is C-ordered
+        whatever the layout of samples."""
         if self.dense is not None:
             return samples @ self.dense.T
-        out = np.multiply(samples, self.diag, order="C")
-        if self.U.shape[1]:
-            coef = (samples @ self.V).reshape(-1, self.U.shape[1])
-            rows = out.reshape(-1, out.shape[-1])
-            step = max(1, BLOCK // rows.shape[1])
-            for lo in range(0, len(rows), step):
-                rows[lo:lo + step] += coef[lo:lo + step] @ self.U.T
+        if not self.U.shape[1]:
+            return np.multiply(samples, self.diag, order="C")
+        out = np.empty(np.shape(samples))
+        rows_out = out.reshape(-1, out.shape[-1])
+        rows = np.reshape(samples, rows_out.shape)
+        step = max(1, BLOCK // rows.shape[1])
+        for lo in range(0, len(rows), step):
+            blk, dst = rows[lo:lo + step], rows_out[lo:lo + step]
+            np.multiply(blk, self.diag, out=dst)
+            dst += (blk @ self.V) @ self.U.T
         return out
 
     def transpose(self):

@@ -11,16 +11,18 @@ from degenpde.errors import (CompatibilityError, ConfigurationError,
 from degenpde.problems import instantiate, load_problem
 from degenpde.reduction import (FAMILIES, DegenerateSystemSpec, reduce,
                                 residual_check)
-from degenpde.solvers import (SolutionField, _cumulative_from_zero,
+from degenpde.solvers import (SolutionField, _block_length,
+                              _cumulative_from_zero,
                               _cumulative_simpson_half,
                               _exp_weighted_integral, _half_grid, _march,
-                              _time_grid, _weighted_space_integral,
+                              _scan, _time_grid, _weighted_space_integral,
                               bessel_like_sum, check_spectral_parameter,
                               oracle_first_order_evolution,
                               oracle_goursat_constant,
                               oracle_second_order_evolution, solve_family,
                               write_solution_csv)
-from degenpde.spaces import grid_space, matrix_operator, mode_space
+from degenpde.spaces import (euclidean_space, grid_space, matrix_operator,
+                             mode_space, structured_operator)
 
 from conftest import PROBLEMS, grid_samples, kernel_evolution_spec
 from test_fd import derivative_matrix
@@ -413,6 +415,29 @@ def test_cumulative_from_zero_matches_scipy_bitwise(shape, rng):
             assert np.array_equal(got, want)
 
 
+def _cumulative_by_broadcast(y, grid, axis):
+    """_cumulative_from_zero with the steps broadcast along the trailing
+    axes: the form before the trailing axes were merged."""
+    lead = (slice(None),) * axis
+    tail, head = lead + (slice(1, None),), lead + (slice(None, -1),)
+    out = np.empty(y.shape)
+    out[lead + (0,)] = 0.0
+    acc = np.add(y[tail], y[head], out=out[tail])
+    acc *= np.diff(grid).reshape((-1,) + (1,) * (y.ndim - axis - 1))
+    acc /= 2.0
+    np.cumsum(acc, axis=axis, out=acc)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(41, 37, 2), (7, 9, 3, 2), (33, 5)])
+def test_cumulative_from_zero_merged_steps_match_the_broadcast_bitwise(shape, rng):
+    y = rng.standard_normal(shape)
+    for axis, n in enumerate(shape):
+        grid = np.sort(rng.uniform(-1.0, 2.0, n))
+        got = _cumulative_from_zero(y, grid, axis=axis)
+        assert np.array_equal(got, _cumulative_by_broadcast(y, grid, axis))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 200, 201])
 def test_weighted_space_integral_matches_scipy_bitwise(n, rng):
     # on each unit vector, that is the Simpson weight vector: even counts
@@ -488,6 +513,81 @@ def test_march_matches_the_rk4_stages(r, s, rng):
     want = _rk4_stage_march(M, r, s, g_half, t)
     assert got.shape == (len(t), d)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+SCAN_STEPS = [1, 2, 3, 15, 16, 17, 2001]
+
+
+def _step_loop(w, step):
+    """w[n + 1] = step(w[n]) + w[n + 1], one row at a time."""
+    w = w.copy()
+    for n in range(len(w) - 1):
+        w[n + 1] += step(w[n])
+    return w
+
+
+@pytest.mark.parametrize("nt", SCAN_STEPS)
+def test_scan_matches_the_step_loop(nt, rng):
+    # a contraction with a rotation in it; the block length from nt, and
+    # one past nt, where every row is in the tail
+    d = 6
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    PT = 0.999 * Q + 1e-3 * rng.standard_normal((d, d))
+    w = rng.standard_normal((nt + 1, d))
+    want = _step_loop(w, lambda rows: rows @ PT)
+    for L in (_block_length(nt), nt + 1):
+        got = w.copy()
+        _scan(got, lambda rows: rows @ PT,
+              lambda rows: rows @ np.linalg.matrix_power(PT, L), L)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nt", SCAN_STEPS)
+def test_scan_calls_its_steps_about_sqrt_nt_times(nt):
+    L = _block_length(nt)
+    assert (L - 1) ** 2 < nt <= L ** 2
+    B = nt // L
+    calls = []
+
+    def counting(factor):
+        def step(rows):
+            calls.append(len(rows))
+            return factor * rows
+        return step
+
+    w = np.ones((nt + 1, 3))
+    _scan(w, counting(0.5), counting(0.5 ** L), L)
+    assert len(calls) <= 2 * L + B + (nt - B * L)
+    np.testing.assert_allclose(w, _step_loop(np.ones((nt + 1, 3)),
+                                             lambda rows: 0.5 * rows),
+                               rtol=1e-14)
+
+
+def _scan_operators(rng, d=9):
+    """The operators each march path takes: c I + U V^T growing and
+    decaying (factored), a diagonal that varies per column (k = 0), and
+    a dense M."""
+    sp = euclidean_space(d)
+    U, V = 0.3 * rng.standard_normal((d, 2)), rng.standard_normal((d, 2))
+    return {"growing": structured_operator(sp, np.full(d, -40.0), U, V),
+            "decaying": structured_operator(sp, np.full(d, 150.0), U, V),
+            "diagonal": structured_operator(sp, rng.uniform(-40.0, 150.0, d)),
+            "dense": matrix_operator(np.diag(rng.uniform(0.5, 2.0, d))
+                                     + 0.3 * rng.standard_normal((d, d)))}
+
+
+@pytest.mark.parametrize("kind", ["growing", "decaying", "diagonal", "dense"])
+@pytest.mark.parametrize("r, s", [(1, 0), (2, 1)], ids=["evolution1", "evolution2"])
+def test_blocked_march_matches_the_stage_loop(kind, r, s, rng):
+    # every block shape of the scan: nt = L^2, a tail, a single step
+    M = _scan_operators(rng)[kind]
+    assert (M.dense is None) == (kind != "dense")
+    for nt in SCAN_STEPS:
+        t = 1e-3 * np.arange(nt + 1)
+        g_half = rng.standard_normal((2 * nt + 1, M.domain.dim))
+        got = _march(M, r, s, g_half, t)
+        want = _rk4_stage_march(M.matrix, r, s, g_half, t)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _exp_weighted_loop(g_half, tgrid, decay):

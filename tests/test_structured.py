@@ -3,6 +3,7 @@ operators given densely: the structure stage, the pseudoinverse, the
 reduced M and the march must not tell them apart."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from degenpde.cli import main
 from degenpde.errors import StructureError
 from degenpde.reduction import DegenerateSystemSpec, reduce
 from degenpde.solvers import _march, solve_family
-from degenpde.spaces import (FACTORED_WIDTH_SHARE, FiniteOperator, compose, grid_space,
+from degenpde.spaces import (BLOCK, FACTORED_WIDTH_SHARE, FiniteOperator, compose, grid_space,
                              identity_operator, make_kernel_operator, matrix_operator,
                              structured_operator)
 
@@ -192,6 +193,23 @@ def test_apply_to_samples_takes_any_layout(rng, shape, axes):
     assert samples.shape == (5, 4, 7) and not samples.flags.c_contiguous
     np.testing.assert_allclose(op.apply_to_samples(samples), samples @ op.matrix.T,
                                rtol=1e-13, atol=1e-13)
+
+
+def test_apply_to_samples_holds_no_more_than_two_row_blocks(rng):
+    # one pass over row blocks: no temporary of the samples' size, nor a
+    # (samples, k) coefficient block
+    op = _random_factored(rng, 201, 8, rng.normal(size=201))
+    samples = rng.normal(size=(20000, 201))
+    op.apply_to_samples(samples[:10])
+    tracemalloc.start()
+    try:
+        out = op.apply_to_samples(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = (BLOCK // 201) * 201 * samples.itemsize
+    assert peak <= out.nbytes + 2 * block
+    np.testing.assert_allclose(out, samples @ op.matrix.T, rtol=1e-13, atol=1e-12)
 
 
 def test_mixed_xy_kernel_pencil_matches_its_dense_m():
