@@ -5,17 +5,13 @@ L0(D) v + L1(D) M v = (I - Q) f with M = (I - Q) A1 Bplus, and the
 family back-ends differ only in how they integrate it: one RK4 march for
 the time families, the iterated-integral series for goursat, and for
 mixed_xy the finite Chebyshev series of a fit to the data, refused when
-the fit misses the data.  Where the part M couples is first order
-(evolution1, evolution2) the march applies RK4's exact step map;
-evolution2 then recovers v from v' with RK4's own weights and a cumsum.
-For M = c I + U V^T or a diagonal, as reduce leaves it for the kernel
-and mode pencils (reduce forms an M with wide factors densely), the
-map's powers stay scalar plus rank k and a step costs O(d k); any other
-M steps a dense map.  Both march the linear recurrence with one blocked
-scan, O(sqrt(nt)) products on blocks of rows in place of nt on single
-rows.
-spectral3 keeps the RK4 stages, which cost less there than a map on its
-third-order state, and every back-end applies M through its factors.
+the fit misses the data.  The march applies RK4's exact step map to the
+companion state (v^(s), ..., v^(r-1)) with one blocked scan, O(sqrt(nt))
+products on blocks of rows in place of nt on single rows; the map's
+blocks are polynomials in M, a scalar plus a rank-k core when
+M = c I + U V^T or a diagonal (a step costs O(d k)), folded into
+matrices otherwise.  evolution2 recovers v from v' with RK4's own
+weights and a cumsum.  Every back-end applies M through its factors.
 Series limits and the fit tolerance are module constants.  Each back-end
 then runs the triangular C-recursion; `solve_family`, the one entry
 point, reassembles the full solution and returns it as a
@@ -40,7 +36,7 @@ from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
 from .reduction import (FAMILIES, beta_tables, compat_residual,
                         equation_residual, reconstruct_solution,
                         rhs_projection, solve_C_recurrence)
-from .spaces import BLOCK
+from .spaces import BLOCK, FACTORED_WIDTH_SHARE
 
 DEFAULT_DT = 1e-3
 GOURSAT_SERIES_CAP = 40
@@ -163,77 +159,121 @@ def _sample_rhs(f, tvals, width):
 
 
 def _march(M, r, s, g_half, tgrid):
-    """Classical RK4 from zero data for v^(r) = g - M v^(s), g sampled on
-    the half-step grid and M a FiniteOperator; returns v at the nodes.
+    """Classical RK4 from zero data for v^(r) = g - M v^(s), s <= 1, g
+    sampled on the half-step grid and M a FiniteOperator; returns v at
+    the nodes.
 
-    On a linear system one RK4 step is the affine map y -> R(hA) y + b_n,
-    R(z) = sum_{j<=4} z^j / j! the stability function (Hairer, Norsett &
-    Wanner, Solving ODEs I, II.1).  Where the part M couples is first
-    order (r - s = 1, s <= 1) w = v^(s) steps as w <- w P^T + b_n with
-    P = R(N), N = -h M, and the forcing b of all steps comes from g in
-    batched products.  For s = 1, v is RK4's own quadrature of v' = w,
-    dv_n = w_n Q^T + c_n, summed by a cumsum.  When M = c I + U V^T (or
-    a diagonal) every such polynomial in N is a scalar (or diagonal) plus
-    a rank-k part, and _march_factored steps through the factors; any
-    other M keeps the map as a dense matrix.  Either way _scan solves the
-    recurrence, with P^L from matrix_power here.
-    For r - s > 1 (spectral3) the stages stay, applying M through its
-    factors: the map there is a dense (r d)^2 matrix against 4 d^2 for
-    the stages (on example5, one BLAS thread, it took the march from 0.09
-    to 0.41 s, and a Horner form in M from 0.105 to 0.166 s)."""
+    On a linear system one RK4 step is the affine map z -> R(Z) z + b_n,
+    Z = hA and R(z) = sum_{j<=4} z^j / j! the stability function (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.1).  The state is the companion
+    z = (v^(s), ..., v^(r-1)) of q = r - s blocks: A has identity blocks
+    above its diagonal and -M in its corner, so every block of a
+    polynomial in Z is a polynomial in N = -h M.  M = c I + U V^T, or a
+    diagonal, gives N = a I + X V^T (a per coordinate when X has no
+    columns); any other M enters as a = 0, X = N, V = I.  A block is then
+    a pair p I + X C V^T, and P = R(Z), the forcing and P^L are tables of
+    such pairs (_table_product), applied through the factors or, past
+    FACTORED_WIDTH_SHARE, folded (_table_map).  _scan marches
+    z_(n+1) = P z_n + b_n; the forcing of all steps comes from g a block
+    of rows at a time.  For s = 1, v is RK4's own quadrature of v' = z_0,
+    summed by a cumsum."""
     h = float(tgrid[1] - tgrid[0])
-    nt, d = len(tgrid) - 1, M.domain.dim
-    g0, gm, g1 = g_half[:-1:2], g_half[1::2], g_half[2::2]
-    if r - s > 1 or s > 1:
-        y = np.zeros((r, d))
-        v = np.empty((nt + 1, d))
-        v[0] = 0.0
-
-        def deriv(y, g):
-            out = np.empty_like(y)
-            out[:-1] = y[1:]
-            out[-1] = g - M.apply_to_samples(y[s])
-            return out
-
-        for i in range(nt):
-            k1 = deriv(y, g0[i])
-            k2 = deriv(y + 0.5 * h * k1, gm[i])
-            k3 = deriv(y + 0.5 * h * k2, gm[i])
-            k4 = deriv(y + h * k3, g1[i])
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            v[i + 1] = y[0]
-        return v
+    nt, d, q = len(tgrid) - 1, M.domain.dim, r - s
     if M.dense is None and (not M.U.shape[1] or np.all(M.diag == M.diag[0])):
-        return _march_factored(M, s, g_half, h)
+        a, X, V = -h * (M.diag[0] if M.U.shape[1] else M.diag), -h * M.U, M.V
+    else:
+        a, X, V = 0.0, -h * M.matrix, np.eye(d)
+    G, k = V.T @ X, X.shape[1]
+    # Z^0 .. Z^4, Z with h I above the diagonal and N = (a, I) in the corner
+    one = np.zeros((q, q) + np.shape(a))
+    one[range(q), range(q)] = 1.0
+    pZ, CZ = np.zeros_like(one), np.zeros((q, q, k, k))
+    pZ[range(q - 1), range(1, q)] = h
+    pZ[q - 1, 0], CZ[q - 1, 0] = a, np.eye(k)
+    powers = [(one, np.zeros_like(CZ)), (pZ, CZ)]
+    for _ in range(3):
+        powers.append(_table_product(powers[-1], powers[1], G))
+    ps, Cs = (np.stack(x) for x in zip(*powers))
 
-    eye = np.eye(d)
-    N = -h * M.matrix
-    N2 = N @ N
-    N3 = N2 @ N
-    # w[1:] holds the forcing b until _scan adds w[i] P^T to w[i + 1]
-    w = np.empty((nt + 1, d))
+    def poly(*coef):
+        return tuple(np.tensordot(coef, x[:len(coef)], 1) for x in (ps, Cs))
+
+    def blocks(scale, tables, rows, cols):
+        # the blocks (rows, cols) of the tables side by side, scaled
+        return _table_map(tuple(scale * np.concatenate([t[i][rows, cols] for t in tables], 1)
+                                for i in (0, 1)), X, V)
+
+    c, g_in = h / 6.0, slice(q - 1, q)      # g enters the last block
+    pairs = g_half[:-1].reshape(nt, 2, d)   # (g0, gm) of each step
+    # w[1:] holds the forcing b_n = c (F0 e g0 + Fm e gm + e g1), e the last
+    # block, until _scan adds P w_n to w_(n + 1)
+    w = np.empty((nt + 1, q, d))
     w[0] = 0.0
-    b = w[1:]
-    np.matmul(g0, (eye + N + N2 / 2.0 + N3 / 4.0).T, out=b)
-    b += gm @ (4.0 * eye + 2.0 * N + N2 / 2.0).T
-    b += g1
-    b *= h / 6.0
-    PT = (eye + N + N2 / 2.0 + N3 / 6.0 + N3 @ N / 24.0).T
-    L = _block_length(nt)
-    PT_L = np.linalg.matrix_power(PT, L)
-    _scan(w, lambda rows: rows @ PT, lambda rows: rows @ PT_L, L)
+    forcing = blocks(1.0, (poly(1, 1, 1 / 2, 1 / 4), poly(4, 2, 1 / 2)), slice(None), g_in)
+    _fill_rows(w[1:], ((forcing, pairs),))
+    w[1:, q - 1] += g_half[2::2]
+    w[1:] *= c
+    P, L = poly(1, 1, 1 / 2, 1 / 6, 1 / 24), _block_length(nt)
+    _scan(w, _table_map(P, X, V), _table_map(_table_power(P, L, G), X, V), L)
     if s == 0:
-        return w
-    v = np.empty_like(w)
+        return np.ascontiguousarray(w[:, 0])   # frees the other q - 1 blocks
+    # dv_n = h [Q3 w_n + c (Q1 e g0 + Q2 e gm)] in block 0, then v by a cumsum
+    Qw = blocks(h, (poly(1, 1 / 2, 1 / 6, 1 / 24),), slice(1), slice(None))
+    Qg = blocks(h * c, (poly(1, 1 / 2, 1 / 4), poly(2, 1 / 2)), slice(1), g_in)
+    v = np.empty((nt + 1, d))
     v[0] = 0.0
-    dv = v[1:]
-    np.matmul(g0, (eye + N / 2.0 + N2 / 4.0).T, out=dv)
-    dv += gm @ (2.0 * eye + N / 2.0).T
-    dv *= h / 6.0
-    dv += w[:-1] @ (eye + N / 2.0 + N2 / 6.0 + N3 / 24.0).T
-    dv *= h
-    np.cumsum(dv, axis=0, out=dv)
+    _fill_rows(v[1:, None], ((Qw, w[:-1]), (Qg, pairs)))
+    np.cumsum(v[1:], axis=0, out=v[1:])
     return v
+
+
+def _table_product(A, B, G):
+    """The product of two tables of pairs, block (i, j) of a table (p, C)
+    standing for p[i, j] I + X C[i, j] V^T with G = V^T X: block (i, j) is
+    the sum over l of (p1 p2, p1 C2 + p2 C1 + C1 G C2).  p holds a scalar
+    per block, or one per coordinate when X has no columns."""
+    (p1, C1), (p2, C2) = A, B
+    p = np.einsum("il...,lj...->ij...", p1, p2)
+    if not G.size:
+        return p, C1
+    return p, (np.einsum("il,ljab->ijab", p1, C2) + np.einsum("ilab,lj->ijab", C1, p2)
+               + np.tensordot(C1 @ G, C2, ([1, 3], [0, 2])).transpose(0, 2, 1, 3))
+
+
+def _table_power(P, n, G):
+    """P^n, n >= 1, for a square table of pairs, by binary powering."""
+    if n == 1:
+        return P
+    half = _table_power(_table_product(P, P, G), n // 2, G)
+    return _table_product(half, P, G) if n % 2 else half
+
+
+def _table_map(table, X, V):
+    """rows -> rows P^T for a table P of pairs, on rows of shape (..., q_in,
+    d): block i of the result is sum_j P[i, j] row_j.  The scalar parts act
+    per block, the cores through one product with V and one with the
+    (q_in k, q_out d) matrix of (X C)^T.  Cores wider than
+    FACTORED_WIDTH_SHARE of d fold with X and V into one (q_in d, q_out d)
+    matrix."""
+    p, C = table
+    qo, qi, k = C.shape[:3]
+    d = len(X)
+    if k > FACTORED_WIDTH_SHARE * d:
+        E = X @ C @ V.T
+        E[..., range(d), range(d)] += p[..., None]
+        T = E.transpose(1, 3, 0, 2).reshape(qi * d, qo * d)
+        return lambda rows: (rows.reshape(-1, qi * d) @ T).reshape(rows.shape[:-2] + (qo, d))
+    W = np.einsum("ijba,eb->jaie", C, X).reshape(qi * k, qo * d)
+
+    def apply(rows):
+        z = rows.reshape(-1, qi, d)
+        out = np.einsum("ij...,nj...->ni...", p, z)
+        if k:
+            # 2-D before V: on (n, 1, d) rows matmul would run n products;
+            # np.dot, as in apply_to_samples, for the width qi k = 1
+            out += np.dot((z.reshape(-1, d) @ V).reshape(len(z), qi * k), W).reshape(out.shape)
+        return out.reshape(rows.shape[:-2] + (qo, d))
+    return apply
 
 
 def _block_length(nt):
@@ -249,13 +289,14 @@ def _scan(w, step, step_L, L):
     once; the block starts then chain through step_L = step^L; and each
     start is carried through its block.  The rows past B L step one at a
     time.  With L = ceil(sqrt(nt)) that is O(sqrt(nt)) calls on row
-    blocks in place of nt calls on single rows."""
-    nt, d = w.shape[0] - 1, w.shape[1]
+    blocks in place of nt calls on single rows.  A row is an array of
+    any shape, w[n]."""
+    nt, row = w.shape[0] - 1, w.shape[1:]
     B = nt // L
-    body = w[1:1 + B * L].reshape(B, L, d)
+    body = w[1:1 + B * L].reshape((B, L) + row)
     for m in range(1, L):
         body[:, m] += step(body[:, m - 1])
-    starts = np.empty((B, d))
+    starts = np.empty((B,) + row)
     starts[:1] = w[0]
     for j in range(1, B):
         starts[j] = body[j - 1, -1] + step_L(starts[j - 1])
@@ -266,76 +307,16 @@ def _scan(w, step, step_L, L):
         w[n + 1] += step(w[n])
 
 
-def _polynomial(a, G, coef):
-    """sum_j coef[j] N^j for N = a I + X V^T with G = V^T X: the pair
-    (scalar part, core C) of the polynomial sum_j coef[j] a^j I + X C V^T.
-    a is a scalar, or one entry per coordinate when X has no columns."""
-    core, Cj, eye = np.zeros_like(G), np.zeros_like(G), np.eye(len(G))
-    for j, c in enumerate(coef):
-        core += c * Cj
-        if G.size:
-            # N^(j+1) = N^j N: its core is a^j I + a C_j + C_j G
-            Cj = a ** j * eye + a * Cj + Cj @ G
-    return sum(c * a ** j for j, c in enumerate(coef)), core
-
-
-def _fill_rows(out, terms, coef, X):
-    """out = sum c x over the (c, x) terms, plus coef X^T, a block of rows at
-    a time so that no temporary has the size of out."""
-    (c0, x0), *rest = terms
-    step = max(1, BLOCK // out.shape[1])
+def _fill_rows(out, terms):
+    """out = sum f(x) over the (f, x) terms, a block of rows at a time so
+    that no temporary has the size of out."""
+    (f0, x0), *rest = terms
+    step = max(1, BLOCK // out[0].size)
     for lo in range(0, len(out), step):
         rows = slice(lo, lo + step)
-        blk = out[rows]
-        np.multiply(x0[rows], c0, out=blk)
-        for c, x in rest:
-            blk += c * x[rows]
-        if X.shape[1]:
-            blk += coef[rows] @ X.T
-
-
-def _march_factored(M, s, g_half, h):
-    """The step-map march of _march for M = c I + U V^T (c one constant)
-    or M diagonal (no U).  With N = a I + X V^T, a = -h c and X = -h U,
-    P = R(N) = p I + X Cp V^T, so a step w <- p w + (w V) Cp^T X^T + b_n
-    costs O(d k), and so does a step of P^L, which _scan chains its block
-    starts through.  The forcing and, for s = 1, RK4's quadrature of
-    v' = w take g only through g V: O(nt d k) in all."""
-    nt, d, k = (len(g_half) - 1) // 2, M.domain.dim, M.U.shape[1]
-    a = -h * (M.diag[0] if k else M.diag)
-    X, V = -h * M.U, M.V
-    G = V.T @ X
-    p, Cp = _polynomial(a, G, (1.0, 1.0, 1.0 / 2, 1.0 / 6, 1.0 / 24))
-    s1, C1 = _polynomial(a, G, (1.0, 1.0, 1.0 / 2, 1.0 / 4))
-    s2, C2 = _polynomial(a, G, (4.0, 2.0, 1.0 / 2))
-    c = h / 6.0
-    g0, gm, g1 = g_half[:-1:2], g_half[1::2], g_half[2::2]
-    gV = g_half @ V
-    g0V, gmV = gV[:-1:2], gV[1::2]
-    # w[1:] holds the forcing b_n = c (s1 g0 + s2 gm + g1 + (g0 V C1^T +
-    # gm V C2^T) X^T) until _scan adds P w_n to w_(n + 1)
-    w = np.empty((nt + 1, d))
-    w[0] = 0.0
-    _fill_rows(w[1:], ((c * s1, g0), (c * s2, gm), (c, g1)),
-               c * (g0V @ C1.T + gmV @ C2.T), X)
-    # P^L = p^L I + X (Cp C_L) V^T, with P = p I + (X Cp) V^T in _polynomial
-    L = _block_length(nt)
-    p_L, C_L = _polynomial(p, G @ Cp, (0.0,) * L + (1.0,))
-    T, T_L = Cp.T @ X.T, (Cp @ C_L).T @ X.T
-    _scan(w, lambda rows: p * rows + (rows @ V) @ T,
-          lambda rows: p_L * rows + (rows @ V) @ T_L, L)
-    if s == 0:
-        return w
-    q1, D1 = _polynomial(a, G, (1.0, 1.0 / 2, 1.0 / 4))
-    q2, D2 = _polynomial(a, G, (2.0, 1.0 / 2))
-    q3, D3 = _polynomial(a, G, (1.0, 1.0 / 2, 1.0 / 6, 1.0 / 24))
-    # dv_n = h [w_n Q3^T + c (g0 Q1^T + gm Q2^T)], then v by a cumsum
-    v = np.empty_like(w)
-    v[0] = 0.0
-    _fill_rows(v[1:], ((h * c * q1, g0), (h * c * q2, gm), (h * q3, w[:-1])),
-               h * ((w[:-1] @ V) @ D3.T + c * (g0V @ D1.T + gmV @ D2.T)), X)
-    np.cumsum(v[1:], axis=0, out=v[1:])
-    return v
+        out[rows] = f0(x0[rows])
+        for f, x in rest:
+            out[rows] += f(x[rows])
 
 
 def _cumulative_from_zero(samples, grid, axis=0):
@@ -389,11 +370,10 @@ def _cumulative_simpson_half(y, grid):
 def _solve_time(rp):
     """Time families: D_t^r (Bu) + D_t^s (A1 u) = f from zero data.
 
-    The regular part v^(r) = g - M v^(s), g = (I - Q) f, marches with RK4
-    (`_march`): the step map for evolution1 and for v' of evolution2, v
-    then by RK4's quadrature of v', the stages for spectral3.  The
-    C-recursion runs on the half-step grid, inverting L1 = D_t^s by
-    identity or Simpson."""
+    The regular part v^(r) = g - M v^(s), g = (I - Q) f, marches with
+    RK4's step map on the companion state (`_march`), for evolution2 v'
+    and then v by RK4's quadrature of v'.  The C-recursion runs on the
+    half-step grid, inverting L1 = D_t^s by identity or Simpson."""
     spec = rp.system
     (r,), (s,) = FAMILIES[spec.family].L
     tgrid = _time_grid(spec)

@@ -15,10 +15,10 @@ K = sum a_i(x) b_i(s)), keeps those factors.  Its skeleton, the SVD
 between orthonormal coordinates, then comes from 1x1 blocks and one SVD
 of size at most 2k: Fredholm's degenerate-kernel reduction.  The
 skeleton's minimum-norm solve (pseudo_inverse) and the products of such
-maps (compose) keep the same form while they stay narrow: one rule,
-FACTORED_WIDTH_SHARE, turns a result dense once it is rectangular or
-its factors are wider than that share of dim.  Any other operator is
-dense and takes a full SVD.
+maps (compose, which recompresses the factors to their rank) keep the
+same form while they stay narrow: one rule, FACTORED_WIDTH_SHARE, turns
+a result dense once it is rectangular or its factors are wider than that
+share of dim.  Any other operator is dense and takes a full SVD.
 """
 
 from dataclasses import dataclass, field, replace
@@ -32,9 +32,10 @@ DEFAULT_RANK_TOL = 1e-10
 KERNEL_PARALLEL_TOL = 1e-8   # exact_on: K v against its projection onto v
 BLOCK = 1 << 16              # entries of a row block formed at once
 # a map keeps its factors while their width is at most this share of dim;
-# past it the matrix is cheaper to apply and to march (one BLAS thread,
-# measured crossovers: the march at 0.35-0.6 of dim for dim 51-801,
-# apply_to_samples at 0.3 for dim 201)
+# past it the matrix is cheaper to apply and to march, and the march
+# (solvers._table_map) folds wider cores into matrices by the same share
+# (one BLAS thread, measured crossovers: the march at 0.35-0.6 of dim for
+# dim 51-801, apply_to_samples at 0.3 for dim 201)
 FACTORED_WIDTH_SHARE = 0.25
 
 
@@ -181,7 +182,8 @@ class FiniteOperator:
         for lo in range(0, len(rows), step):
             blk, dst = rows[lo:lo + step], rows_out[lo:lo + step]
             np.multiply(blk, self.diag, out=dst)
-            dst += (blk @ self.V) @ self.U.T
+            # np.dot, not @: numpy's matmul runs a slow loop for width k = 1
+            dst += np.dot(blk @ self.V, self.U.T)
         return out
 
     def transpose(self):
@@ -266,17 +268,28 @@ def _largest_entry(d, U, V):
 
 def compose(a, b):
     """The map a b, b applied first.  Two maps kept as factors give
-    diag(a.d b.d) + [a.U, a.d b.U + a.U (a.V^T b.U)] [b.d a.V, b.V]^T, with
-    the factor columns that vanish on either side dropped, kept as
-    factors by _factored's width rule; otherwise the product is dense,
-    and a factored side is applied through its factors."""
+    diag(a.d b.d) + [a.U, a.d b.U + a.U (a.V^T b.U)] [b.d a.V, b.V]^T, its
+    low-rank part recompressed (_recompressed) and kept as factors by
+    _factored's width rule; otherwise the product is dense, and a factored
+    side is applied through its factors."""
     if a.dense is None and b.dense is None:
         U = np.hstack([a.U, a.diag[:, None] * b.U + a.U @ (a.V.T @ b.U)])
         V = np.hstack([b.diag[:, None] * a.V, b.V])
-        keep = U.any(axis=0) & V.any(axis=0)
-        return _factored(b.domain, a.codomain, a.diag * b.diag, U[:, keep], V[:, keep])
+        return _factored(b.domain, a.codomain, a.diag * b.diag, *_recompressed(U, V))
     m = a.apply(b.dense) if b.dense is not None else b.transpose().apply(a.dense.T).T
     return FiniteOperator(m, b.domain, a.codomain)
+
+
+def _recompressed(U, V):
+    """Factors of U V^T as narrow as its numerical rank: QRs of U and V,
+    then an SVD of the small core, whose singular values <= DEFAULT_RANK_TOL
+    times the largest are dropped."""
+    if not U.shape[1]:
+        return U, V
+    (Qu, Ru), (Qv, Rv) = np.linalg.qr(U), np.linalg.qr(V)
+    W, s, Zt = np.linalg.svd(Ru @ Rv.T, full_matrices=False)
+    keep = s > DEFAULT_RANK_TOL * s[0]
+    return Qu @ (W[:, keep] * s[keep]), Qv @ Zt[keep].T
 
 
 def _factored(domain, codomain, diag, U, V):

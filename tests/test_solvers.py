@@ -21,8 +21,8 @@ from degenpde.solvers import (SolutionField, _block_length,
                               oracle_goursat_constant,
                               oracle_second_order_evolution, solve_family,
                               write_solution_csv)
-from degenpde.spaces import (euclidean_space, grid_space, matrix_operator,
-                             mode_space, structured_operator)
+from degenpde.spaces import (FACTORED_WIDTH_SHARE, euclidean_space, grid_space,
+                             matrix_operator, mode_space, structured_operator)
 
 from conftest import PROBLEMS, grid_samples, kernel_evolution_spec
 from test_fd import derivative_matrix
@@ -501,8 +501,8 @@ def _rk4_stage_march(M, r, s, g_half, tgrid):
 
 @pytest.mark.parametrize("r, s", [(1, 0), (2, 1), (3, 0)])
 def test_march_matches_the_rk4_stages(r, s, rng):
-    # a random well-conditioned dense M: the step map of r - s = 1 and the
-    # stages of r - s > 1 give the stage loop's numbers to rounding
+    # a random well-conditioned dense M: the step map on the companion
+    # state gives the stage loop's numbers to rounding
     d = 7
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     M = Q @ np.diag(rng.uniform(0.5, 2.0, d)) @ Q.T + 0.3 * rng.standard_normal((d, d))
@@ -528,18 +528,23 @@ def _step_loop(w, step):
 
 @pytest.mark.parametrize("nt", SCAN_STEPS)
 def test_scan_matches_the_step_loop(nt, rng):
-    # a contraction with a rotation in it; the block length from nt, and
-    # one past nt, where every row is in the tail
+    # a contraction with a rotation in it, on rows of d = 6 numbers and on
+    # rows of 3 blocks of 2, the march's companion state; the block length
+    # from nt, and one past nt, where every row is in the tail
     d = 6
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     PT = 0.999 * Q + 1e-3 * rng.standard_normal((d, d))
-    w = rng.standard_normal((nt + 1, d))
-    want = _step_loop(w, lambda rows: rows @ PT)
-    for L in (_block_length(nt), nt + 1):
-        got = w.copy()
-        _scan(got, lambda rows: rows @ PT,
-              lambda rows: rows @ np.linalg.matrix_power(PT, L), L)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def through(T):
+        return lambda rows: (rows.reshape(-1, d) @ T).reshape(rows.shape)
+
+    for row in ((d,), (3, 2)):
+        w = rng.standard_normal((nt + 1,) + row)
+        want = _step_loop(w, through(PT))
+        for L in (_block_length(nt), nt + 1):
+            got = w.copy()
+            _scan(got, through(PT), through(np.linalg.matrix_power(PT, L)), L)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("nt", SCAN_STEPS)
@@ -564,23 +569,31 @@ def test_scan_calls_its_steps_about_sqrt_nt_times(nt):
 
 
 def _scan_operators(rng, d=9):
-    """The operators each march path takes: c I + U V^T growing and
-    decaying (factored), a diagonal that varies per column (k = 0), and
+    """The operators the march takes: c I + U V^T growing and decaying
+    (narrow factors), a diagonal that varies per column (k = 0), c I +
+    U V^T with factors wider than FACTORED_WIDTH_SHARE of d (folded), and
     a dense M."""
     sp = euclidean_space(d)
     U, V = 0.3 * rng.standard_normal((d, 2)), rng.standard_normal((d, 2))
+    k = int(FACTORED_WIDTH_SHARE * d) + 2
     return {"growing": structured_operator(sp, np.full(d, -40.0), U, V),
             "decaying": structured_operator(sp, np.full(d, 150.0), U, V),
             "diagonal": structured_operator(sp, rng.uniform(-40.0, 150.0, d)),
+            "wide": structured_operator(sp, np.full(d, 20.0),
+                                        0.3 * rng.standard_normal((d, k)),
+                                        rng.standard_normal((d, k))),
             "dense": matrix_operator(np.diag(rng.uniform(0.5, 2.0, d))
                                      + 0.3 * rng.standard_normal((d, d)))}
 
 
-@pytest.mark.parametrize("kind", ["growing", "decaying", "diagonal", "dense"])
-@pytest.mark.parametrize("r, s", [(1, 0), (2, 1)], ids=["evolution1", "evolution2"])
+@pytest.mark.parametrize("kind", ["growing", "decaying", "diagonal", "wide", "dense"])
+@pytest.mark.parametrize("r, s", [(1, 0), (2, 1), (3, 0)],
+                         ids=["evolution1", "evolution2", "spectral3"])
 def test_blocked_march_matches_the_stage_loop(kind, r, s, rng):
     # every block shape of the scan: nt = L^2, a tail, a single step
     M = _scan_operators(rng)[kind]
+    if kind == "wide":
+        assert M.U.shape[1] > FACTORED_WIDTH_SHARE * M.domain.dim
     assert (M.dense is None) == (kind != "dense")
     for nt in SCAN_STEPS:
         t = 1e-3 * np.arange(nt + 1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import kernel_evolution_spec, projector_matrices
-from degenpde import chains
+from degenpde import chains, instantiate, load_problem, spaces
 from degenpde.chains import _pseudo_inverse, apply_schmidt_inverse, complete_structure
 from degenpde.cli import main
 from degenpde.errors import StructureError
@@ -166,7 +166,7 @@ def _random_factored(rng, n, k, diag):
 def test_compose_matches_the_dense_product(rng):
     # factors times factors stay factors while the product is narrow; with
     # a dense side, or past FACTORED_WIDTH_SHARE of dim, the product is
-    # dense; columns that vanish on either side are dropped
+    # dense; the low-rank part is recompressed to its rank
     a = _random_factored(rng, 41, 2, rng.normal(size=41))
     b = _random_factored(rng, 41, 3, rng.normal(size=41))
     for x, y in ((a, b), (_dense(a), b), (a, _dense(b)), (_dense(a), _dense(b))):
@@ -181,6 +181,18 @@ def test_compose_matches_the_dense_product(rng):
                                rtol=1e-13, atol=1e-13)
     d = structured_operator(a.domain, rng.normal(size=41))
     assert compose(d, d).U.shape[1] == 0
+
+
+def test_compose_recompresses_example2_m_to_its_rank(problems_dir, monkeypatch):
+    # example2's M = -I + U V^T has one singular value of U V^T above
+    # rounding; without the recompression compose keeps every factor column
+    spec = instantiate(load_problem(problems_dir / "example2.json"))
+    rp = reduce(spec)
+    M = rp.M
+    monkeypatch.setattr(spaces, "_recompressed", lambda U, V: (U, V))
+    M0 = reduce(spec).M
+    assert M.U.shape[1] == rp.js.Bplus.U.shape[1] == 1 < M0.U.shape[1]
+    assert np.abs(M.matrix - M0.matrix).max() <= 1e-13 * np.abs(M0.matrix).max()
 
 
 @pytest.mark.parametrize("shape, axes", [((5, 7, 4), (0, 2, 1)), ((7, 5, 4), (1, 2, 0)),
@@ -237,7 +249,8 @@ def test_mixed_xy_kernel_pencil_matches_its_dense_m():
 @pytest.mark.parametrize("k", [2, 12])
 def test_reduce_keeps_m_factored_only_while_narrow(rng, k):
     # B = I + U V^T is invertible, so Bplus = B^-1 and M = A1 Bplus = -B^-1,
-    # of factor width 2k: past FACTORED_WIDTH_SHARE of dim 41 for k = 12,
+    # I plus a part of rank k, recompressed to factor width k from the 2k of
+    # the skeleton's solve: past FACTORED_WIDTH_SHARE of dim 41 for k = 12,
     # where both come out dense
     sp = grid_space(0.0, 1.0, 41)
     B = structured_operator(sp, np.ones(41), 0.1 * rng.normal(size=(41, k)),
@@ -245,10 +258,10 @@ def test_reduce_keeps_m_factored_only_while_narrow(rng, k):
     rp = reduce(DegenerateSystemSpec(B=B, A1=identity_operator(sp, -1.0), f=None,
                                      family="evolution1", box={"t": (0.0, 1.0)},
                                      grid={"dt": 1e-2}))
-    narrow = 2 * k <= FACTORED_WIDTH_SHARE * 41
+    narrow = k <= FACTORED_WIDTH_SHARE * 41
     assert (rp.js.Bplus.dense is None) == (rp.M.dense is None) == narrow
     if narrow:
-        assert rp.js.Bplus.U.shape[1] == 2 * k
+        assert rp.js.Bplus.U.shape[1] == rp.M.U.shape[1] == k
     np.testing.assert_allclose(rp.js.Bplus.matrix, np.linalg.inv(B.matrix), atol=1e-12)
     np.testing.assert_allclose(rp.M.matrix, -np.linalg.inv(B.matrix), atol=1e-12)
 
@@ -290,7 +303,9 @@ def test_factored_pseudoinverse_matches_the_dense_one(rng, make):
     assert np.linalg.norm(sp.root[:, None] * (B.matrix @ xd - y), axis=0).min() > 1e-2
     js = complete_structure(B, identity_operator(sp, -1.0))
     jd = complete_structure(_dense(B), identity_operator(sp, -1.0))
-    assert jd.Bplus.dense is not None
+    # the dense B's Bplus keeps factors only where its rank is small: the
+    # kernel_only B's solve has rank 2, and compose recompresses to it
+    assert (jd.Bplus.dense is None) == (make == "kernel_only")
     if make in ("kernel", "diagonal"):
         assert js.Bplus.U.shape[1] <= (4 if make == "kernel" else 0)
     np.testing.assert_allclose(js.Bplus.matrix, jd.Bplus.matrix, atol=1e-12)
@@ -320,10 +335,12 @@ def _marches(M, r, s, rng, t):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-@pytest.mark.parametrize("r, s", [(1, 0), (2, 1)], ids=["evolution1", "evolution2"])
+@pytest.mark.parametrize("r, s", [(1, 0), (2, 1), (3, 0)],
+                         ids=["evolution1", "evolution2", "spectral3"])
 def test_factored_march_matches_the_dense_march(rng, r, s):
-    # the kernel problem's M = -I + low rank, stepped through its factors,
-    # against the dense step map on M's matrix
+    # one march on both sides: the kernel problem's M = -I + low rank
+    # through its narrow factors, against M's matrix entering as X = -h M,
+    # V = I and folded into dense step maps
     rp = reduce(kernel_evolution_spec("evolution1", None))
     assert rp.M.dense is None and np.all(rp.M.diag == -1.0)
     assert _marches(rp.M, r, s, rng, np.linspace(0.0, 2.0, 2001)) <= 1e-10
