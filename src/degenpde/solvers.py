@@ -46,6 +46,8 @@ MIXED_FIT_TOL = 1e-10
 COMPAT_TOL = 1e-6
 CSV_TIME_STEPS = 20     # time steps the CSV view keeps, about
 CSV_SINE_NODES = 17     # sine synthesis nodes per axis of the CSV view
+CSV_BLOCK = 1 << 12     # values the CSV writer formats at once: its strings
+                        # are live together, so larger blocks raise peak RSS
 BESSEL_SERIES_TOL = 1e-18
 BESSEL_SERIES_CAP = 80
 
@@ -76,20 +78,34 @@ class SolutionField:
 def write_solution_csv(fld, path):
     """Deterministic CSV of the display view: header 'axis names...,
     component, value', rows row-major over the axes, then over
-    components, floats via repr.  The file is written one slab of the
-    leading axis at a time; returns the number of value rows."""
+    components, floats via repr.  Slabs of the leading axis go in blocks
+    of at most CSV_BLOCK values (at least one slab); each block takes one
+    repr per distinct bit pattern, so -0.0 keeps its sign.  Returns the
+    number of value rows."""
     axes, values = _csv_view(fld)
     names = [name for name, _ in axes]
     labels = [[repr(x) + "," for x in g.tolist()] for _, g in axes]
     leads = labels[0] if labels else [""]
-    tails = ["".join(rest) for rest in itertools.product(*labels[1:])]
-    slabs = values.reshape(len(leads), len(tails), values.shape[-1])
+    prefixes = [tail + f"{comp},"
+                for tail in map("".join, itertools.product(*labels[1:]))
+                for comp in range(values.shape[-1])]
+    n = len(prefixes)
+    slabs = values.reshape(len(leads), n)
+    step = max(1, CSV_BLOCK // max(1, n))
+    row = [None] * (3 * n)
+    row[1::3] = prefixes
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names + ["component", "value"]) + "\n")
-        for lead, slab in zip(leads, slabs):
-            fh.write("".join([f"{lead}{tail}{comp},{val!r}\n"
-                              for tail, row in zip(tails, slab.tolist())
-                              for comp, val in enumerate(row)]))
+        for lo in range(0, len(leads), step):
+            bits = np.ascontiguousarray(slabs[lo:lo + step]).view(np.int64)
+            uniq, inverse = np.unique(bits, return_inverse=True)
+            strs = np.array([repr(v) + "\n" for v in uniq.view(float).tolist()],
+                            dtype=object)[inverse.reshape(bits.shape)]
+            for lead, slab in zip(leads[lo:lo + step], strs):
+                row[0::3] = [lead] * n
+                row[2::3] = slab.tolist()
+                fh.write("".join(row))
+            del strs, slab   # before the next block forms its strings
     return values.size
 
 
@@ -321,13 +337,13 @@ def _fill_rows(out, terms):
 
 def _cumulative_from_zero(samples, grid, axis=0):
     """Cumulative trapezoid integral of samples along axis, 0 at the
-    first node: half-sums of neighbours times the steps, then a cumsum.
-    Past axis 0 the steps multiply the trailing axes merged into one, so
-    that numpy's inner loop runs over all of them, not over the last."""
+    first node: sums of neighbours times the half steps, then a cumsum.
+    Past axis 0 the half steps multiply the trailing axes merged into one,
+    so that numpy's inner loop runs over all of them, not over the last."""
     y = np.asarray(samples, dtype=float)
     lead = (slice(None),) * axis
     tail, head = lead + (slice(1, None),), lead + (slice(None, -1),)
-    steps = np.diff(grid)
+    half = np.diff(grid) / 2.0
     out = np.empty(y.shape)
     out[lead + (0,)] = 0.0
     acc = np.add(y[tail], y[head], out=out[tail])
@@ -335,10 +351,9 @@ def _cumulative_from_zero(samples, grid, axis=0):
         inner = int(np.prod(y.shape[axis + 1:]))
         # a view: out is C-ordered, so its trailing axes merge
         merged = acc.reshape(acc.shape[:axis] + (-1,))
-        merged *= np.repeat(steps, inner)
+        merged *= np.repeat(half, inner)
     else:
-        acc *= steps.reshape((-1,) + (1,) * (y.ndim - 1))
-    acc /= 2.0
+        acc *= half.reshape((-1,) + (1,) * (y.ndim - 1))
     np.cumsum(acc, axis=axis, out=acc)
     return out
 

@@ -1,6 +1,6 @@
 """Every package module reads each name it imports, and the package reads
-every private function and class it defines (no linter ships with the
-toolchain, so the scans are tests)."""
+every private function and class and every module-level constant it
+defines (no linter ships with the toolchain, so the scans are tests)."""
 
 import ast
 import pathlib
@@ -70,3 +70,31 @@ def test_private_scan_flags_definitions_never_read():
 def test_package_reads_every_private_definition():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unread_private_definitions(sources) == []
+
+
+def unread_constants(sources):
+    """Module-level UPPER_CASE names assigned in the sources, a dict
+    module -> text, that no other top-level statement of any of them
+    reads, as sorted 'module.NAME' strings."""
+    defs, reads = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defs += [(module, stmt, n.id) for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and n.id.isupper()]
+            reads.append((stmt, _names_read(stmt)))
+    return sorted(f"{module}.{name}" for module, stmt, name in defs
+                  if not any(name in read for other, read in reads if other is not stmt))
+
+
+def test_constant_scan_flags_constants_never_read():
+    sources = {"a": "A = 1\nB = A + 1\n_C: int = 2\nD, E = 3, 4\n"
+                    "lower = 5\n__all__ = ['B']\n",
+               "b": "import a\nx = a._C\n\n\ndef f():\n    return D\n"}
+    assert unread_constants(sources) == ["a.B", "a.E"]
+
+
+def test_package_reads_every_constant():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_constants(sources) == []

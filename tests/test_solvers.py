@@ -1,5 +1,7 @@
 """Family solvers against closed forms, plus the numerical helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
@@ -11,7 +13,7 @@ from degenpde.errors import (CompatibilityError, ConfigurationError,
 from degenpde.problems import instantiate, load_problem
 from degenpde.reduction import (FAMILIES, DegenerateSystemSpec, reduce,
                                 residual_check)
-from degenpde.solvers import (SolutionField, _block_length,
+from degenpde.solvers import (CSV_BLOCK, SolutionField, _block_length,
                               _cumulative_from_zero,
                               _cumulative_simpson_half,
                               _exp_weighted_integral, _half_grid, _march,
@@ -659,24 +661,92 @@ def test_csv_writer_golden_bytes(tmp_path):
     assert path.read_text(encoding="utf-8") == want
 
 
+def per_value_csv(axes, values):
+    """CSV lines, newlines kept, of a field whose display view is its own
+    axes and values, rendered one value at a time (a list, so that a
+    mismatch reports its first line, not a diff of megabytes)."""
+    lines = [",".join([name for name, _ in axes] + ["component", "value"])]
+    for idx in np.ndindex(values.shape[:-1]):
+        prefix = "".join(repr(float(axes[a][1][i])) + ","
+                         for a, i in enumerate(idx))
+        for comp in range(values.shape[-1]):
+            lines.append(f"{prefix}{comp},{float(values[idx + (comp,)])!r}")
+    return [line + "\n" for line in lines]
+
+
+def read_lines(path):
+    return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
 def test_csv_writer_matches_a_per_value_rendering(tmp_path, rng):
     axes = (("t", [0.0, 0.25, 1.0 / 3.0]), ("x", [0.1, 0.2]),
             ("y", [-1.5, 0.0, 2.0, 1e-300]))
     shape = (3, 2, 4, 2)
     values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
     fld = SolutionField(axes=axes, values=values)
-    lines = ["t,x,y,component,value"]
-    for idx in np.ndindex(3, 2, 4):
-        prefix = ",".join(repr(float(axes[a][1][i])) for a, i in enumerate(idx))
-        for comp in range(2):
-            lines.append(f"{prefix},{comp},{float(values[idx + (comp,)])!r}")
     path = tmp_path / "field.csv"
     write_solution_csv(fld, path)
-    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+    assert read_lines(path) == per_value_csv(axes, values)
     scalar = SolutionField(axes=(), values=np.array([0.5, -2.0]))
     write_solution_csv(scalar, path)
     assert path.read_text(encoding="utf-8") == "component,value\n0,0.5\n1,-2.0\n"
 
+
+def test_csv_writer_spans_several_blocks(tmp_path, rng):
+    # repeated values, both zeros, the least subnormal and reprs of 3 to
+    # 24 characters, spread over several blocks of the writer
+    pool = np.array([0.0, -0.0, 5e-324, 1.0, -2.5, 0.1, 1.0 / 3.0,
+                     -2.2250738585072014e-308, 1e22, -7.0])
+    shape = (97, 53, 3)
+    values = rng.choice(pool, shape)
+    noisy = rng.random(shape) < 0.5
+    values[noisy] = (rng.standard_normal(shape)
+                     * 10.0 ** rng.integers(-300, 300, shape))[noisy]
+    assert values.size > 3 * CSV_BLOCK
+    lengths = {len(repr(v)) for v in values.ravel().tolist()}
+    assert min(lengths) == 3 and max(lengths) == 24
+    axes = (("x", np.linspace(0.0, 1.0, 97)), ("y", np.linspace(-1.0, 1.0, 53)))
+    path = tmp_path / "field.csv"
+    assert write_solution_csv(SolutionField(axes=axes, values=values), path) == values.size
+    lines = read_lines(path)
+    assert lines == per_value_csv(axes, values)
+    assert {line.rpartition(",")[2] for line in lines} >= {"-0.0\n", "0.0\n"}
+
+
+def test_csv_writer_short_slabs_of_a_coordinate_space(tmp_path):
+    # a time axis over a coordinate space: thousands of two-value slabs
+    t = np.linspace(0.0, 3.0, 3001)
+    values = np.stack([np.round(np.sin(t), 3), np.full_like(t, 2.0)], axis=-1)
+    values[::7, 1] = -0.0
+    fld = SolutionField(axes=(("t", t),), values=values,
+                        space=euclidean_space(2))
+    path = tmp_path / "field.csv"
+    write_solution_csv(fld, path)
+    assert read_lines(path) == per_value_csv(fld.axes, values)
+
+
+@pytest.mark.parametrize("name", ["example1.json", "example4.json"])
+def test_csv_writer_matches_the_per_value_rendering_on_bundled_fields(
+        name, problems_dir, tmp_path):
+    fld = solve_family(reduce(instantiate(load_problem(problems_dir / name))))
+    path = tmp_path / "field.csv"
+    write_solution_csv(fld, path)
+    assert read_lines(path) == per_value_csv(fld.axes, fld.values)
+
+
+def test_csv_writer_traces_less_than_half_the_field(tmp_path, rng):
+    # the writer formats a block of rows at a time, so its strings never
+    # hold more than a small share of the field
+    grid = np.linspace(0.0, 1.0, 401)
+    values = rng.standard_normal((401, 401, 2))
+    fld = SolutionField(axes=(("x", grid), ("y", grid)), values=values)
+    tracemalloc.start()
+    try:
+        write_solution_csv(fld, tmp_path / "field.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 2
 
 
 def test_csv_view_unrolls_a_grid_space_and_strides_time(tmp_path):
