@@ -4,15 +4,24 @@ A problem file declares the inner-product spaces, the operator pencil
 (B and the lower-order operator A1), the right-hand side as expression
 strings, the family tag that fixes the equation L0(D) B u + L1(D) A1 u = f
 and selects a solution back-end, grids and tolerances, and an optional
-verification oracle.  ``load_problem`` validates the file and returns a
-plain-data description; ``instantiate`` builds the numerical objects,
-optionally with command-line overrides applied.
+verification oracle.
+
+``load_problem`` checks every field once, when the file is read, against
+one table of fields per kind of object: the top level, SPACES and
+OPERATORS by their "kind", the oracles of the family, GRID with the
+family's defaults (reduction.FAMILIES), the box and the tolerances.  A
+key that no table names is refused, numbers must be finite (true and
+false are not numbers), and each refusal names its JSON field path.  The
+result is a plain-data description with every default filled in;
+``instantiate`` builds the numerical objects from it, optionally with
+command-line overrides applied.
 
 Top-level keys: "spaces", "B", "A1", "f", "family", "grid",
 "tolerances", plus optional "lambda" (spectral parameter) and "oracle".
 """
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,20 +36,14 @@ from .spaces import (euclidean_space, grid_space, identity_operator,
                      make_kernel_operator, matrix_operator, mode_space,
                      structured_operator)
 
-TOP_KEYS = ("spaces", "B", "A1", "f", "family", "grid", "tolerances")
-OPTIONAL_KEYS = ("lambda", "oracle")
-
-SPACE_KINDS = ("euclidean", "grid", "modes")
-OPERATOR_KINDS = ("matrix", "identity", "kernel", "mode_diag")
-ORACLE_KINDS = ("closed_form", "exact", "mode_residual")
-
 MODE_SAMPLE_CHUNK = 256
 NULL_MODE_TOL = 1e-9   # a column this small relative to its operator vanishes
 
 
 @dataclass
 class ProblemFile:
-    """Validated plain-data image of one problem file."""
+    """Validated plain-data image of one problem file, with every default
+    of the field tables filled in."""
 
     path: str
     family: str
@@ -73,130 +76,202 @@ def _fail(path, msg):
     raise ConfigurationError(f"{path}: {msg}")
 
 
-def _expect_mapping(value, path):
+def _mapping(value, path):
     if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {type(value).__name__}")
+        _fail(path or "top level", f"expected an object, got {type(value).__name__}")
     return value
 
 
-def _expect_number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+def _fields(desc, path, fields, unread):
+    """The object desc at path checked against a table of fields.
+
+    A field maps to a check, or to a (check, default) pair when it may be
+    absent; a None default leaves it absent.  check(value, path) returns
+    the value to keep or fails.  A key the table does not name fails at
+    its own path with unread[key], or else unread[None], when unread has
+    one; otherwise as an unknown key of desc."""
+    desc = _mapping(desc, path)
+    extra = sorted(set(desc) - set(fields))
+    for key in extra:
+        reason = unread.get(key, unread.get(None))
+        if reason:
+            _fail(_join(path, key), reason)
+    if extra:
+        _fail(path or "top level", f"unknown keys {extra}; allowed: {', '.join(fields)}")
+    missing = [key for key, field in fields.items()
+               if key not in desc and not isinstance(field, tuple)]
+    if missing:
+        _fail(path or "top level", f"missing required keys {missing}")
+    out = {}
+    for key, field in fields.items():
+        check, default = field if isinstance(field, tuple) else (field, None)
+        if key in desc:
+            out[key] = check(desc[key], _join(path, key))
+        elif default is not None:
+            out[key] = default
+    return out
 
 
-def _parse_expr(source, path, allowed=None):
-    if not isinstance(source, str):
-        _fail(path, f"expected an expression string, got {type(source).__name__}")
-    try:
-        ast = parse(source)
-    except ParseError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-    if allowed is not None:
-        extra = variables_of(ast) - set(allowed)
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _kinded(what, tables):
+    """A check for an object whose "kind" picks its table of fields."""
+    kinds = _choice(f"{what} kind", tables)
+
+    def check(desc, path):
+        kind = kinds(_mapping(desc, path).get("kind"), f"{path}.kind")
+        return _fields(desc, path, {"kind": kinds, **tables[kind]}, {})
+    return check
+
+
+def _choice(what, options):
+    """A check for a string among options (a dict offers its keys)."""
+    def check(value, path):
+        if not isinstance(value, str) or value not in options:
+            _fail(path, f"unknown {what} {value!r}; supported: {', '.join(options)}")
+        return value
+    return check
+
+
+def _number(value, path, integer=False):
+    """value as a finite JSON number, true and false refused; an int
+    when integer is set."""
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not abs(value) <= sys.float_info.max):
+        shown = repr(value) if isinstance(value, float) else type(value).__name__
+        _fail(path, f"expected {'an integer' if integer else 'a finite number'}, "
+                    f"got {shown}")
+    return value if integer else float(value)
+
+
+def _at_least(lo, integer=False, strict=False):
+    """A check for a number >= lo, or > lo when strict."""
+    def check(value, path):
+        value = _number(value, path, integer)
+        if value < lo or (strict and value == lo):
+            _fail(path, f"needs {'an integer' if integer else 'a number'} "
+                        f"{'>' if strict else '>='} {lo}, got {value}")
+        return value
+    return check
+
+
+def _interval(value, path):
+    """[lo, hi] as a pair of floats with lo < hi and a finite span."""
+    if isinstance(value, list) and len(value) == 2:
+        lo, hi = (_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+        if lo < hi and hi - lo <= sys.float_info.max:
+            return lo, hi
+    _fail(path, "needs [lo, hi] with lo < hi and hi - lo finite")
+
+
+def _listed(check, length=None):
+    """A check for a non-empty list, of the given length if any, whose
+    entries each pass check."""
+    def checked(value, path):
+        if not isinstance(value, list) or not value or length not in (None, len(value)):
+            _fail(path, f"needs a list of {length or 'one or more'} entries")
+        return [check(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return checked
+
+
+def _expression(allowed):
+    """A check for an expression string over the allowed variables."""
+    def check(source, path):
+        if not isinstance(source, str):
+            _fail(path, f"expected an expression string, got {type(source).__name__}")
+        try:
+            extra = variables_of(parse(source)) - set(allowed)
+        except ParseError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
         if extra:
             _fail(path, f"variables {sorted(extra)} are not available here; "
                         f"allowed: {sorted(allowed)}")
-    return ast
+        return source
+    return check
 
 
-def _check_space(name, desc):
-    path = f"spaces.{name}"
-    desc = _expect_mapping(desc, path)
-    kind = desc.get("kind")
-    if kind not in SPACE_KINDS:
-        _fail(path + ".kind", f"unknown space kind {kind!r}; "
-                              f"supported: {', '.join(SPACE_KINDS)}")
-    if kind == "euclidean":
-        dim = desc.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            _fail(path + ".dim", "needs a positive integer dimension")
-    elif kind == "grid":
-        iv = desc.get("interval")
-        if (not isinstance(iv, list) or len(iv) != 2
-                or not all(isinstance(v, (int, float)) for v in iv)
-                or not float(iv[0]) < float(iv[1])):
-            _fail(path + ".interval", "needs [lo, hi] with lo < hi")
-        nodes = desc.get("nodes")
-        if not isinstance(nodes, int) or nodes < 5:
-            _fail(path + ".nodes", "needs an integer node count >= 5")
-        quad = desc.get("quadrature", "trapezoid")
-        if quad not in ("trapezoid", "simpson"):
-            _fail(path + ".quadrature", f"unknown rule {quad!r}; "
-                                        "use trapezoid or simpson")
-    elif kind == "modes":
-        shape = desc.get("shape")
-        if (not isinstance(shape, list) or len(shape) != 2
-                or not all(isinstance(v, int) and v >= 1 for v in shape)):
-            _fail(path + ".shape", "needs [n_modes_x, n_modes_y] positive integers")
+def _lambda(value, path):
+    if isinstance(value, list):
+        _fail(path, "free kernel coefficients are not configurable from problem "
+                    "files (the solvers fix them to zero); a numeric spectral "
+                    "parameter is the only supported value")
+    return _number(value, path)
 
 
-def _check_operator(desc, path, space_names):
-    desc = _expect_mapping(desc, path)
-    kind = desc.get("kind")
-    if kind not in OPERATOR_KINDS:
-        _fail(path + ".kind", f"unknown operator kind {kind!r}; "
-                              f"supported: {', '.join(OPERATOR_KINDS)}")
-    sp = desc.get("space")
-    if sp is None and len(space_names) == 1:
-        sp = space_names[0]
-    if sp not in space_names:
-        _fail(path + ".space", f"unknown space {sp!r}; "
-                               f"declared: {', '.join(space_names)}")
-    if kind == "matrix":
-        rows = desc.get("rows")
-        if (not isinstance(rows, list) or not rows
-                or not all(isinstance(r, list) and len(r) == len(rows[0])
-                           for r in rows)):
-            _fail(path + ".rows", "needs a rectangular nested array")
-    elif kind == "identity":
-        if "scale" in desc:
-            _expect_number(desc["scale"], path + ".scale")
-    elif kind == "kernel":
-        form = desc.get("form", "identity_minus_kernel")
-        if form not in ("identity_minus_kernel", "kernel_only"):
-            _fail(path + ".form", f"unknown form {form!r}")
-        _parse_expr(desc.get("kernel"), path + ".kernel", allowed=("x", "s"))
-        if desc.get("exact_on") is not None:
-            _parse_expr(desc["exact_on"], path + ".exact_on", allowed=("x",))
-    elif kind == "mode_diag":
-        # x = first mode index, y = second mode index, s = the problem's
-        # spectral parameter (top-level "lambda")
-        _parse_expr(desc.get("entry"), path + ".entry", allowed=("x", "y", "s"))
+def _rows(value, path):
+    rows = _listed(_listed(_number))(value, path)
+    if len({len(row) for row in rows}) > 1:
+        _fail(path, "needs a rectangular nested array")
+    return rows
 
 
-def _refuse_moved(raw, path, moved):
-    """Refuse each (key, where it is declared now) pair found in raw."""
-    for key, instead in moved:
-        if key in raw:
-            _fail(f"{path}{key}", f"is not read; declare {instead}")
+_count, _tolerance = _at_least(1, integer=True), _at_least(0)
+_nodes = _at_least(5, integer=True)
+
+SPACES = {
+    "euclidean": {"dim": _count},
+    "grid": {"interval": _interval, "nodes": _nodes,
+             "quadrature": (_choice("rule", ("trapezoid", "simpson")), "trapezoid")},
+    "modes": {"shape": _listed(_count, 2)},
+}
+OPERATORS = {
+    "matrix": {"rows": _rows},
+    "identity": {"scale": (_number, 1.0)},
+    "kernel": {"kernel": _expression(("x", "s")),
+               "form": (_choice("form", ("identity_minus_kernel", "kernel_only")),
+                        "identity_minus_kernel"),
+               "exact_on": (_expression(("x",)), None)},
+    # x = first mode index, y = second mode index, s = the problem's
+    # spectral parameter (top-level "lambda")
+    "mode_diag": {"entry": _expression(("x", "y", "s"))},
+}
+GRID = {"dt": _at_least(0, strict=True), "nx": _nodes, "ny": _nodes, "nquad": _count}
 
 
-def _check_oracle(desc, family):
-    path = "oracle"
-    desc = _expect_mapping(desc, path)
-    kind = desc.get("kind")
-    if kind not in ORACLE_KINDS:
-        _fail(path + ".kind", f"unknown oracle kind {kind!r}; "
-                              f"supported: {', '.join(ORACLE_KINDS)}")
-    if kind == "closed_form":
-        name = desc.get("name")
-        names = [fam.closed_form for fam in FAMILIES.values() if fam.closed_form]
-        if name not in names:
-            _fail(path + ".name", f"unknown closed form {name!r}; "
-                                  f"supported: {', '.join(names)}")
-        if name != FAMILIES[family].closed_form:
-            _fail(path + ".name", f"closed form {name!r} does not describe "
-                                  f"family {family}")
-    elif kind == "exact":
-        comps = desc.get("components")
-        if not isinstance(comps, list) or not comps:
-            _fail(path + ".components", "needs a list of expression strings")
-        for j, comp in enumerate(comps):
-            _parse_expr(comp, f"{path}.components[{j}]",
-                        allowed=FAMILIES[family].f_vars)
-    if "tol" in desc:
-        _expect_number(desc["tol"], path + ".tol")
+def _keep(value, path):
+    return value
+
+
+# the top level checks what needs no other field; load_problem checks the
+# rest against the family, the declared spaces and f
+TOP = {"family": _choice("family", FAMILIES), "spaces": _mapping,
+       **dict.fromkeys(("B", "A1", "f", "grid", "tolerances"), _keep),
+       "lambda": (_lambda, None), "oracle": (_keep, None)}
+# keys that older files declare here, and where they belong now
+MOVED = {"A": 'is not read; declare the one lower-order operator as "A1"',
+         "L": 'is not read; declare the equation through "family" only: it '
+              "fixes L0 and L1",
+         "lambda": 'is not read; declare it as the top-level "lambda" (or --lambda)',
+         "modes": "is not read; declare it as spaces.<name>.shape (or --modes)"}
+
+
+def _oracles(family, f):
+    """The oracle tables of a family whose right side f has been checked."""
+    fam = FAMILIES[family]
+
+    def closed_form(name, path):
+        _choice("closed form", [fm.closed_form for fm in FAMILIES.values()
+                                if fm.closed_form])(name, path)
+        if name != fam.closed_form:
+            _fail(path, f"closed form {name!r} does not describe family {family}")
+        if name == "goursat_bessel":
+            srcs = [f] if isinstance(f, str) else f
+            for j, src in enumerate(srcs):
+                free = variables_of(parse(src))
+                if free:
+                    _fail(path, "the series closed form needs a constant right "
+                                f"side; f[{j}] depends on {sorted(free)}")
+            if len(srcs) != 2:
+                _fail(path, "the series closed form covers the two-component "
+                            "corner problem")
+        return name
+
+    tol = (_tolerance, None)
+    return {"closed_form": {"name": closed_form, "tol": tol},
+            "exact": {"components": _listed(_expression(fam.f_vars)), "tol": tol},
+            "mode_residual": {"tol": tol}}
 
 
 def load_problem(path):
@@ -213,93 +288,42 @@ def load_problem(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc.msg}",
                          exc.lineno, exc.colno) from None
-    raw = _expect_mapping(raw, "top level")
 
-    _refuse_moved(raw, "", (("A", 'the one lower-order operator as "A1"'),
-                            ("L", 'the equation through "family" only: it '
-                                  "fixes L0 and L1")))
-    unknown = set(raw) - set(TOP_KEYS) - set(OPTIONAL_KEYS)
-    if unknown:
-        _fail("top level", f"unknown keys {sorted(unknown)}; "
-                           f"allowed: {', '.join(TOP_KEYS + OPTIONAL_KEYS)}")
-    missing = [k for k in TOP_KEYS if k not in raw]
-    if missing:
-        _fail("top level", f"missing required keys {missing}")
-
-    family = raw["family"]
-    if family not in FAMILIES:
-        _fail("family", f"unknown family {family!r}; "
-                        f"supported: {', '.join(FAMILIES)}")
-    axes, f_vars = FAMILIES[family].axes, FAMILIES[family].f_vars
-
-    spaces = _expect_mapping(raw["spaces"], "spaces")
+    top = _fields(raw, "", TOP, MOVED)
+    family = top["family"]
+    fam = FAMILIES[family]
+    spaces = {name: _kinded("space", SPACES)(desc, f"spaces.{name}")
+              for name, desc in top["spaces"].items()}
     if not spaces:
         _fail("spaces", "declare at least one space")
-    for name, desc in spaces.items():
-        _check_space(name, desc)
-    space_names = list(spaces)
+    space = _choice("space", spaces)
+    if len(spaces) == 1:
+        space = (space, next(iter(spaces)))
+    operator = _kinded("operator", {kind: {"space": space, **fields}
+                                    for kind, fields in OPERATORS.items()})
+    B, A1 = operator(top["B"], "B"), operator(top["A1"], "A1")
+    expr = _expression(fam.f_vars)
+    f = (_listed(expr) if isinstance(top["f"], list) else expr)(top["f"], "f")
 
-    _check_operator(raw["B"], "B", space_names)
-    _check_operator(raw["A1"], "A1", space_names)
+    def box(value, path):
+        return _fields(value, path, dict.fromkeys(fam.axes, (_interval, None)),
+                       {None: f"family {family} has axes {', '.join(fam.axes)}"})
 
-    f_src = raw["f"]
-    if isinstance(f_src, str):
-        _parse_expr(f_src, "f", allowed=f_vars)
-    elif isinstance(f_src, list):
-        if not f_src:
-            _fail("f", "component list must not be empty")
-        for j, comp in enumerate(f_src):
-            _parse_expr(comp, f"f[{j}]", allowed=f_vars)
-    else:
-        _fail("f", "expected an expression string or a list of them")
-
-    grid = dict(_expect_mapping(raw["grid"], "grid"))
-    _refuse_moved(grid, "grid.",
-                  (("lambda", 'it as the top-level "lambda" (or --lambda)'),
-                   ("modes", "it as spaces.<name>.shape (or --modes)")))
-    grid_keys = FAMILIES[family].grid_keys
-    unread = sorted(set(grid) - set(grid_keys))
-    if unread:
-        _fail(f"grid.{unread[0]}", f"is not read by family {family}; its "
-                                   f"grid keys are {', '.join(grid_keys)}")
-    box = {}
-    if "box" in grid:
-        box_raw = _expect_mapping(grid.pop("box"), "grid.box")
-        for axis, iv in box_raw.items():
-            apath = f"grid.box.{axis}"
-            if axis not in axes:
-                _fail(apath, f"family {family} has axes {', '.join(axes)}")
-            if (not isinstance(iv, list) or len(iv) != 2
-                    or not all(isinstance(v, (int, float)) for v in iv)
-                    or not float(iv[0]) < float(iv[1])):
-                _fail(apath, "needs [lo, hi] with lo < hi")
-            box[axis] = (float(iv[0]), float(iv[1]))
-
-    tolerances = {}
-    for key, val in _expect_mapping(raw["tolerances"], "tolerances").items():
-        if key != "verify":
-            _fail(f"tolerances.{key}", "is not read; the only tolerance is "
-                                       "verify")
-        tolerances[key] = _expect_number(val, f"tolerances.{key}")
-
-    lam = None
-    if "lambda" in raw:
-        if isinstance(raw["lambda"], list):
-            _fail("lambda", "free kernel coefficients are not configurable "
-                            "from problem files (the solvers fix them to "
-                            "zero); a numeric spectral parameter is the only "
-                            "supported value")
-        lam = _expect_number(raw["lambda"], "lambda")
-
+    grid_fields = {"box": (box, None), **{key: (GRID[key], default)
+                                          for key, default in fam.grid.items()}}
+    grid = _fields(top["grid"], "grid", grid_fields, {
+        **MOVED, None: f"is not read by family {family}; its grid keys "
+                            f"are {', '.join(grid_fields)}"})
+    tolerances = _fields(top["tolerances"], "tolerances",
+                         {"verify": (_tolerance, 1e-6)},
+                         {None: "is not read; the only tolerance is verify"})
     oracle = None
-    if raw.get("oracle") is not None:
-        _check_oracle(raw["oracle"], family)
-        oracle = dict(raw["oracle"])
+    if top.get("oracle") is not None:
+        oracle = _kinded("oracle", _oracles(family, f))(top["oracle"], "oracle")
 
-    return ProblemFile(path=str(path), family=family, spaces=dict(spaces),
-                       B=dict(raw["B"]), A1=dict(raw["A1"]), f=f_src,
-                       box=box, grid=grid,
-                       tolerances=tolerances, lam=lam, oracle=oracle)
+    return ProblemFile(path=str(path), family=family, spaces=spaces, B=B, A1=A1,
+                       f=f, box=grid.pop("box", {}), grid=grid,
+                       tolerances=tolerances, lam=top.get("lambda"), oracle=oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +340,13 @@ def _build_space(desc, grid_scale, modes_eff):
     if kind == "euclidean":
         return euclidean_space(desc["dim"])
     if kind == "grid":
-        lo, hi = desc["interval"]
-        nodes = _scaled_nodes(desc["nodes"], grid_scale)
-        return grid_space(float(lo), float(hi), nodes,
-                          quadrature=desc.get("quadrature", "trapezoid"))
-    shape = modes_eff if modes_eff is not None else desc["shape"]
-    return mode_space(int(shape[0]), int(shape[1]))
-
-
-def _operator_space(desc, spaces):
-    name = desc.get("space")
-    if name is None:
-        name = next(iter(spaces))
-    return spaces[name]
+        return grid_space(*desc["interval"], _scaled_nodes(desc["nodes"], grid_scale),
+                          quadrature=desc["quadrature"])
+    return mode_space(*(modes_eff or desc["shape"]))
 
 
 def _build_operator(desc, path, spaces, lam):
-    space = _operator_space(desc, spaces)
+    space = spaces[desc["space"]]
     kind = desc["kind"]
     if kind == "matrix":
         rows = np.asarray(desc["rows"], dtype=float)
@@ -341,11 +355,9 @@ def _build_operator(desc, path, spaces, lam):
                                   f"space dim {space.dim}")
         return matrix_operator(rows, domain=space, codomain=space)
     if kind == "identity":
-        return identity_operator(space, scale=float(desc.get("scale", 1.0)))
+        return identity_operator(space, scale=desc["scale"])
     if kind == "kernel":
-        return make_kernel_operator(space,
-                                    desc.get("form", "identity_minus_kernel"),
-                                    desc["kernel"],
+        return make_kernel_operator(space, desc["form"], desc["kernel"],
                                     exact_on=desc.get("exact_on"))
     # mode_diag
     if space.mode_shape is None:
@@ -450,7 +462,7 @@ def _compile_f(pf, codomain, grid):
     if codomain.mode_shape is None:
         _fail("B", "family spectral3 needs a modes space")
     nm, mm = codomain.mode_shape
-    nquad = int(grid.get("nquad", 64))
+    nquad = grid["nquad"]
     if nquad <= max(nm, mm):
         _fail("grid.nquad", f"needs more quadrature points than modes "
                             f"({max(nm, mm)})")
@@ -494,10 +506,9 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
     grid = dict(pf.grid)
     if dt is not None:
         grid["dt"] = float(dt)
-    if grid_scale is not None:
-        for key in ("nx", "ny"):
-            if key in grid:
-                grid[key] = _scaled_nodes(int(grid[key]), grid_scale)
+    for key in ("nx", "ny"):
+        if key in grid:
+            grid[key] = _scaled_nodes(grid[key], grid_scale)
 
     modes_eff = None
     lam = None
@@ -507,12 +518,10 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
         lam = lambda_param if lambda_param is not None else pf.lam
         if lam is None:
             _fail("lambda", "family spectral3 needs a spectral parameter")
-        lam = float(lam)
+        grid["lambda"] = lam = float(lam)
 
     spaces = {name: _build_space(desc, grid_scale, modes_eff)
               for name, desc in pf.spaces.items()}
-    if lam is not None:
-        grid["lambda"] = lam
 
     B = _build_operator(pf.B, "B", spaces, lam)
     A1 = _build_operator(pf.A1, "A1", spaces, lam)
@@ -534,9 +543,7 @@ def evaluate_oracle(pf, rp, fld, tol=None):
         raise ConfigurationError(
             f"{pf.path}: the file declares no oracle; nothing to verify")
     desc = pf.oracle
-    if tol is None:
-        tol = desc.get("tol", pf.tolerances.get("verify", 1e-6))
-    tol = float(tol)
+    tol = float(desc.get("tol", pf.tolerances["verify"]) if tol is None else tol)
     kind = desc["kind"]
 
     if kind == "mode_residual":
@@ -558,32 +565,15 @@ def evaluate_oracle(pf, rp, fld, tol=None):
     # closed_form
     name = desc["name"]
     if name == "goursat_bessel":
-        consts = []
-        srcs = [pf.f] if isinstance(pf.f, str) else pf.f
-        for j, src in enumerate(srcs):
-            ast = parse(src)
-            if variables_of(ast):
-                _fail("oracle", "the series closed form needs a constant "
-                                f"right side; f[{j}] depends on "
-                                f"{sorted(variables_of(ast))}")
-            consts.append(float(evaluate(ast)))
-        if len(consts) != 2:
-            _fail("oracle", "the series closed form covers the two-component "
-                            "corner problem")
-        ref = oracle_goursat_constant(consts[0], consts[1],
-                                      axes[0][1], axes[1][1])
-        dev = float(np.abs(u - ref).max())
+        # load_problem checked that f is two constants
+        a, b = (float(evaluate(parse(src))) for src in pf.f)
+        ref = oracle_goursat_constant(a, b, axes[0][1], axes[1][1])
         detail = "sup deviation from the series closed form"
     else:
-        tgrid = axes[0][1]
-        xg = rp.js.domain.grid
-        if xg is None:
-            _fail("oracle", f"{name} needs a grid-space problem")
-        fun = rp.system.f
-        if name == "evolution1_quadrature":
-            ref = oracle_first_order_evolution(fun, tgrid, xg)
-        else:
-            ref = oracle_second_order_evolution(fun, tgrid, xg)
-        dev = float(np.abs(u - ref).max())
+        # instantiate refuses a time family without a grid space
+        oracle = (oracle_first_order_evolution if name == "evolution1_quadrature"
+                  else oracle_second_order_evolution)
+        ref = oracle(rp.system.f, axes[0][1], rp.js.domain.grid)
         detail = "sup deviation from the quadrature closed form"
-    return OracleOutcome(kind=kind, detail=detail, deviation=dev, tol=tol)
+    return OracleOutcome(kind=kind, detail=detail,
+                         deviation=float(np.abs(u - ref).max()), tol=tol)

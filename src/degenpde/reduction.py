@@ -29,40 +29,43 @@ class Family:
     its differential operators act on), the variables f may reference,
     the equation's L = (L0, L1) as multi-indices over the axes with
     coefficient 1, the projection boundary conditions as (projector,
-    axis, order) at 0, the grid keys its back-end reads and the
-    closed-form oracle that describes it."""
+    axis, order) at the axis start, the grid keys its back-end reads
+    besides "box" with their defaults, and the closed-form oracle that
+    describes it."""
 
     axes: tuple
     f_vars: tuple
     L: tuple
     bc: tuple
-    grid_keys: tuple
+    grid: dict
     closed_form: str = None
 
 
 FAMILIES = {
     "goursat": Family(("x", "y"), ("x", "y"), ((1, 1), (0, 0)),
                       (("I-Pk", "x", 0), ("I-Pk", "y", 0)),
-                      ("box", "nx", "ny"), "goursat_bessel"),
+                      {"nx": 201, "ny": 201}, "goursat_bessel"),
     "evolution1": Family(("t",), ("t", "x"), ((1,), (0,)),
-                         (("I-Pk", "t", 0),), ("box", "dt"),
+                         (("I-Pk", "t", 0),), {"dt": 1e-3},
                          "evolution1_quadrature"),
     "evolution2": Family(("t",), ("t", "x"), ((2,), (1,)),
-                         (("I", "t", 0), ("I-Pk", "t", 1)), ("box", "dt"),
+                         (("I", "t", 0), ("I-Pk", "t", 1)), {"dt": 1e-3},
                          "evolution2_quadrature"),
     "mixed_xy": Family(("x", "y"), ("x", "y"), ((2, 0), (0, 1)),
                        (("I-Pk", "x", 0), ("I-Pk", "x", 1), ("Pk", "y", 0)),
-                       ("box", "nx", "ny")),
+                       {"nx": 101, "ny": 101}),
     "spectral3": Family(("t",), ("t", "x", "y"), ((3,), (0,)),
                         tuple(("I-Pk", "t", i) for i in (0, 1, 2)),
-                        ("box", "dt", "nquad")),
+                        {"dt": 1e-3, "nquad": 64}),
 }
 
 
 @dataclass
 class DegenerateSystemSpec:
     """A full problem L0(D) B u + L1(D) A1 u = f: the pencil, the
-    right-hand side and the family tag that fixes L0 and L1."""
+    right-hand side and the family tag that fixes L0 and L1.  An axis
+    the box leaves out runs over [0, 1], and a grid key it leaves out
+    takes the family's default."""
 
     B: object
     A1: object
@@ -78,6 +81,9 @@ class DegenerateSystemSpec:
         if (self.A1.domain.dim != self.B.domain.dim
                 or self.A1.codomain.dim != self.B.codomain.dim):
             raise ConfigurationError("operator A1 shape mismatch with B")
+        fam = FAMILIES[self.family]
+        self.box = {**dict.fromkeys(fam.axes, (0.0, 1.0)), **self.box}
+        self.grid = {**fam.grid, **self.grid}
 
 
 @dataclass
@@ -179,7 +185,8 @@ def reconstruct_solution(rp, v_samples, C):
                 f"unresolvable cokernel directions (relative size {dev:.2e})")
     u = js.Bplus.apply_to_samples(v)
     if js.k:
-        u += C @ js.Phi.T
+        # np.dot, not @: numpy's matmul runs a slow loop for width k = 1
+        u += np.dot(C, js.Phi.T)
     return u
 
 
@@ -236,41 +243,43 @@ def equation_residual(spec, axes, u, f_vals):
 
 def residual_check(rp, fld):
     """Substitute the solved record back into the system, sampling f on
-    its axes.
+    its axes; a mode-space record already carries its equation residual
+    against the same samples.
 
     Returns (residual, report dict) with the equation residual and the
-    norm of every projection boundary condition of the family plan, the
-    derivatives taken with 4th-order stencils."""
+    norm of every projection boundary condition of the family plan at
+    its axis start, the derivatives taken with 4th-order stencils."""
     spec, axes, u = rp.system, fld.axes, fld.values
     _require_stencil_nodes(axes)
-    f_vals = np.asarray(spec.f(**_mesh_coords(axes)), dtype=float)
-    resid = equation_residual(spec, axes, u, f_vals)
+    resid = fld.meta.get("mode_residual")
+    if resid is None:
+        f_vals = np.asarray(spec.f(**_mesh_coords(axes)), dtype=float)
+        resid = equation_residual(spec, axes, u, f_vals)
     report = {"equation_residual": resid}
+    names = [name for name, _ in axes]
     for projector, axis, order in FAMILIES[spec.family].bc:
-        key = f"{projector} d{order}u/d{axis}{order} at {axis}=0"
-        report[key] = _condition_norm(projector, axis, order, axes, u, rp.js)
+        ax = names.index(axis)
+        grid = axes[ax][1]
+        key = f"{projector} d{order}u/d{axis}{order} at {axis}={grid[0]:g}"
+        report[key] = _condition_norm(projector, ax, order, grid, u, rp.js)
     return resid, report
 
 
-def _condition_norm(projector, axis, order, axes, u, js):
-    ax = [name for name, _ in axes].index(axis)
-    grid = axes[ax][1]
-    node = int(np.argmin(np.abs(grid)))
+def _condition_norm(projector, ax, order, grid, u, js):
+    """Largest entry of the projected order-th derivative of u along axis
+    ax at its first node, where every back-end imposes its zero data."""
     if order:
-        # differentiate only the stencil window that holds the node: the
-        # window's edge or centre row is the one the whole axis would use
-        npts = stencil_size(order, 4)
-        lo = max(0, min(node - npts // 2, len(grid) - npts))
+        # differentiate only the first stencil window: its edge row is the
+        # one the whole axis would use
         window = [slice(None)] * u.ndim
-        window[ax] = slice(lo, lo + npts)
+        window[ax] = slice(0, stencil_size(order, 4))
         u = derivative_along_axis(u[tuple(window)], float(grid[1] - grid[0]),
                                   order, axis=ax, accuracy=4)
-        node -= lo
-    vals = np.take(u, node, axis=ax)
+    vals = np.take(u, 0, axis=ax)
     if projector == "I-Pk":
         vals = js.outside_phi.apply_to_samples(vals)
     elif projector == "Pk":
-        vals = (vals @ js.phi_coef) @ js.phi_span.T
+        vals = np.dot(vals @ js.phi_coef, js.phi_span.T)
     return float(np.abs(vals).max())
 
 
@@ -306,5 +315,5 @@ def describe_reduction(rp):
     lines.append(f"compatibility functionals: {js.psi_extra.shape[1]}")
     lines.append("boundary plan:")
     for projector, axis, order in FAMILIES[rp.system.family].bc:
-        lines.append(f"  {projector} d^{order}u on {axis}=0")
+        lines.append(f"  {projector} d^{order}u on {axis}={rp.system.box[axis][0]:g}")
     return "\n".join(lines) + "\n"

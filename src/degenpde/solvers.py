@@ -38,7 +38,6 @@ from .reduction import (FAMILIES, beta_tables, compat_residual,
                         rhs_projection, solve_C_recurrence)
 from .spaces import BLOCK, FACTORED_WIDTH_SHARE
 
-DEFAULT_DT = 1e-3
 GOURSAT_SERIES_CAP = 40
 GOURSAT_SERIES_TOL = 1e-12
 MIXED_FIT_DEGREE = 32
@@ -147,8 +146,8 @@ def _sine_table(k, grid):
 # shared time-stepping helpers
 
 def _time_grid(spec):
-    lo, hi = spec.box.get("t", (0.0, 1.0))
-    step = float(spec.grid.get("dt", DEFAULT_DT))
+    lo, hi = spec.box["t"]
+    step = float(spec.grid["dt"])
     span = float(hi) - float(lo)
     if step <= 0 or step > span:
         raise UsageError(f"time step {step} invalid for horizon {span}")
@@ -417,8 +416,7 @@ def _solve_goursat(rp):
     term_r = -V M term_{r-1}, V the cumulative double integral from the
     corner and w = (I - Q) f; iterated trapezoid quadrature on the grid."""
     spec = rp.system
-    xg = _box_grid(spec, "x", 201)
-    yg = _box_grid(spec, "y", 201)
+    xg, yg = _box_grid(spec, "x"), _box_grid(spec, "y")
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     f_vals = np.asarray(spec.f(x=X, y=Y), dtype=float)
     w = rhs_projection(rp, f_vals)
@@ -469,8 +467,7 @@ def _solve_mixed_xy(rp):
     the y-degree by one, so the series ends after at most ky + 1 terms,
     ky the fitted y-degree."""
     spec = rp.system
-    xg = _box_grid(spec, "x", 101)
-    yg = _box_grid(spec, "y", 101)
+    xg, yg = _box_grid(spec, "x"), _box_grid(spec, "y")
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     f_vals = np.asarray(spec.f(x=X, y=Y), dtype=float)
     g = rhs_projection(rp, f_vals)
@@ -535,9 +532,9 @@ def check_spectral_parameter(lam, N, Mm, tol=1e-9):
 # ---------------------------------------------------------------------------
 # solve entry point
 
-def _box_grid(spec, name, default_nodes):
-    lo, hi = spec.box.get(name, (0.0, 1.0))
-    nodes = int(spec.grid.get(f"n{name}", default_nodes))
+def _box_grid(spec, name):
+    lo, hi = spec.box[name]
+    nodes = int(spec.grid[f"n{name}"])
     if nodes < 5:
         raise UsageError(f"axis {name} needs at least 5 nodes, got {nodes}")
     return np.linspace(float(lo), float(hi), nodes)

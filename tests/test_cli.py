@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import degenpde
+from degenpde import reduction, solvers
 from degenpde.cli import main
+from degenpde.reduction import equation_residual
 
 from conftest import PROBLEMS
 
@@ -258,6 +260,80 @@ def test_unread_keys_are_input_errors(problems_dir, tmp_path, monkeypatch,
     assert re.search(message, captured.err), captured.err
     assert "Traceback" not in captured.err
     assert captured.out == "" and list(tmp_path.iterdir()) == [path]
+
+
+BIG = "1e400"   # JSON reads it as an infinite float
+
+
+MALFORMED = [
+    ("example1", "grid.nx", "abc", None, "grid.nx: expected an integer"),
+    ("example2", "grid.dt", "fast", None, "grid.dt: expected a finite number"),
+    ("example2", "grid.dt", [1], None, "grid.dt: expected a finite number"),
+    ("example5", "grid.nquad", "x", None, "grid.nquad: expected an integer"),
+    ("example2", "grid.box.t", [0, BIG], None, r"grid.box.t\[1\]: .* got inf"),
+    ("example1", "B.rows", [[1, "a"], [0, 0]], None, r"B.rows\[0\]\[1\]: "),
+    ("example2", "A1.scale", BIG, None, "A1.scale: .* got inf"),
+    ("example2", "oracle.tol", BIG, None, "oracle.tol: .* got inf"),
+    ("example2", "tolerances.verify", BIG, None, "tolerances.verify: .* got inf"),
+    ("example2", "spaces.state.quadrture", "simpson", "quadrature",
+     r"spaces.state: unknown keys \['quadrture'\]"),
+    ("example2", "B.exact_onn", "x", "exact_on", r"B: unknown keys \['exact_onn'\]"),
+    ("example2", "oracle.toll", 1e-6, "tol", r"oracle: unknown keys \['toll'\]"),
+    ("example1", "grid.nx", 300.7, None, "grid.nx: expected an integer, got 300.7"),
+    ("example2", "spaces.state.interval", [False, True], None,
+     r"spaces.state.interval\[0\]: .* got bool"),
+]
+
+
+@pytest.mark.parametrize("name, path, value, drop, message", MALFORMED,
+                         ids=[f"{name}-{path}-{i}" for i, (name, path, *_)
+                              in enumerate(MALFORMED)])
+def test_malformed_fields_are_input_errors(problems_dir, tmp_path, monkeypatch,
+                                           capsys, name, path, value, drop, message):
+    # each edit used to end in a traceback, or to be accepted, ignored or
+    # rounded so that verify checked some other problem
+    monkeypatch.chdir(tmp_path)
+    obj = json.loads((problems_dir / f"{name}.json").read_text(encoding="utf-8"))
+    *parents, key = path.split(".")
+    node = obj
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    node.pop(drop, None)
+    target = tmp_path / "edited.json"
+    target.write_text(json.dumps(obj).replace(f'"{BIG}"', BIG), encoding="utf-8")
+    code = main(["verify", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert re.match(f"error: {message}", captured.err), captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == [target]
+
+
+def test_grid_scale_scales_the_default_node_counts(problems_dir, tmp_path, capsys):
+    obj = json.loads((problems_dir / "example1.json").read_text(encoding="utf-8"))
+    del obj["grid"]["nx"], obj["grid"]["ny"]
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    target = tmp_path / "defaults.csv"
+    assert main(["solve", str(path), "--grid-scale", "2",
+                 "--output", str(target)]) == 0
+    # the goursat default of 201 nodes per axis, scaled to 401
+    assert "rows=321602" in capsys.readouterr().out
+
+
+def test_spectral_verify_measures_the_equation_residual_once(example, monkeypatch,
+                                                             capsys):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].family)
+        return equation_residual(*args)
+    for module in (reduction, solvers):
+        monkeypatch.setattr(module, "equation_residual", counting)
+    assert main(["verify", example("example5.json")]) == 0
+    assert "verdict=pass" in capsys.readouterr().out
+    assert calls == ["spectral3"]
 
 
 def test_mode_override_runs_smaller_table(example, tmp_path, capsys):

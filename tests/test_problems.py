@@ -1,7 +1,9 @@
 """Problem-file loading, validation messages, overrides, and oracles."""
 
 import copy
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,9 +196,68 @@ def test_every_bundled_file_loads_with_only_keys_its_family_reads(
         problems_dir, name):
     raw = json.loads((problems_dir / name).read_text(encoding="utf-8"))
     pf = load_problem(problems_dir / name)
-    assert set(raw["grid"]) <= set(FAMILIES[pf.family].grid_keys)
+    assert set(raw["grid"]) <= {"box", *FAMILIES[pf.family].grid}
     assert set(pf.tolerances) == {"verify"}
     assert "A" not in raw and "L" not in raw
+
+
+def _nodes(tree, path=""):
+    """The field path and value of every node under a parsed JSON tree,
+    entries of lists included, the root left out."""
+    items = (tree.items() if isinstance(tree, dict)
+             else enumerate(tree) if isinstance(tree, list) else ())
+    for key, value in items:
+        sub = (f"{path}[{key}]" if isinstance(key, int)
+               else f"{path}.{key}" if path else key)
+        yield sub, value
+        yield from _nodes(value, sub)
+
+
+def _replaced(tree, path, value):
+    """A copy of tree with the node at a field path of _nodes set to value."""
+    tree = copy.deepcopy(tree)
+    *parents, last = [int(k) if k.isdigit() else k
+                      for k in path.replace("[", ".").replace("]", "").split(".")]
+    node = tree
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return tree
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_every_field_of_every_bundled_file_is_checked(problems_dir, tmp_path, name):
+    # a string, an empty list, a bool and a number JSON reads as infinite:
+    # none of them is a valid value of any field of the bundled files, so
+    # each must be refused at load time with the path of that field (or of
+    # the list that holds it), never passed on to the solvers
+    raw = json.loads((problems_dir / name).read_text(encoding="utf-8"))
+    for path, _ in _nodes(raw):
+        for value in ("?", [], True, float("inf")):
+            target = _dump(tmp_path, _replaced(raw, path, value))
+            with pytest.raises(ConfigurationError) as ei:
+                load_problem(target)
+            where = str(ei.value).split(": ", 1)[0]
+            assert where == path or path.startswith(where + "["), (path, value, ei.value)
+
+
+def test_perfbench_problem_files_load_and_instantiate(tmp_path):
+    # the benchmark writes its own problem files from the bundled ones;
+    # each must load and build with the overrides its workload passes
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    built = 0
+    for workload in workloads.WORKLOADS:
+        for seed in range(6):
+            paths = workloads.write_problems(root, workload, seed,
+                                             tmp_path / f"{workload}{seed}")
+            for name, over in workloads.instantiate_args(workload):
+                instantiate(load_problem(paths[name]), **over)
+            built += len(paths)
+    assert built == 48
 
 
 def test_forcing_variable_scope(tmp_path):

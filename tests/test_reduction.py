@@ -1,5 +1,7 @@
 """System specs, reduction to the regular problem, residual checks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -483,6 +485,21 @@ def test_residual_check_reports_boundary_conditions():
     key = "I-Pk d0u/dt0 at t=0"
     assert key in report
     assert report[key] <= 1e-10
+
+
+def test_boundary_norms_are_taken_at_the_box_start(problems_dir, tmp_path):
+    # every back-end imposes its zero data at the first node of an axis,
+    # so that is where the norms are read, and where the keys say
+    obj = json.loads((problems_dir / "example4.json").read_text(encoding="utf-8"))
+    obj["grid"]["box"]["x"] = [-1.0, 1.0]
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    rp = reduce(instantiate(load_problem(path)))
+    _, report = residual_check(rp, solve_family(rp))
+    assert report["I-Pk d0u/dx0 at x=-1"] <= 1e-12
+    assert report["I-Pk d1u/dx1 at x=-1"] <= 1e-12
+    assert report["Pk d0u/dy0 at y=0"] <= 1e-12
+    assert "I-Pk d^1u on x=-1" in describe_reduction(rp)
 
 
 def test_residual_check_wants_enough_nodes():
