@@ -24,7 +24,7 @@ def run_one(path, out_dir, grid_scale):
     spec = instantiate(pf, grid_scale=grid_scale)
     t0 = time.perf_counter()
     rp = reduce(spec)
-    js, comm = rp.js, rp.comm
+    js = rp.js
     fld = solve_family(rp)
     wall = time.perf_counter() - t0
     out = out_dir / (path.stem + ".csv")
@@ -34,7 +34,7 @@ def run_one(path, out_dir, grid_scale):
         "family": pf.family,
         "kernel_dim": js.n,
         "chains": ",".join(str(v) for v in js.p) or "-",
-        "certified": "yes" if comm.certified else "NO",
+        "certified": "yes" if js.comm.certified else "NO",
         "csv": out.name,
         "time_s": f"{wall:.2f}",
     }

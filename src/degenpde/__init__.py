@@ -10,8 +10,7 @@ everything from JSON problem files (problems module) or the command line
 """
 
 from .chains import (CommutabilityResult, JordanStructure,
-                     apply_schmidt_inverse, build_jordan_chains,
-                     certify_operators, commutability_matrix,
+                     apply_schmidt_inverse, commutability_matrix,
                      complete_structure, structure_report)
 from .errors import (CompatibilityError, ConfigurationError, DegenPDEError,
                      EvaluationError, ParseError, StructureError, UsageError)
@@ -35,9 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CommutabilityResult", "JordanStructure", "apply_schmidt_inverse",
-    "build_jordan_chains",
-    "certify_operators", "commutability_matrix", "complete_structure",
-    "structure_report",
+    "commutability_matrix", "complete_structure", "structure_report",
     "CompatibilityError", "ConfigurationError", "DegenPDEError",
     "EvaluationError", "ParseError", "StructureError", "UsageError",
     "evaluate", "parse", "variables_of",

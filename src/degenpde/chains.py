@@ -4,9 +4,10 @@ Builds chains phi_i^(j) with B phi^(1) = 0, B phi^(j) = A1 phi^(j-1),
 the dual chains psi for the adjoint pair, the biorthogonal systems
 gamma_i^(j) = A1* psi_i^(p_i+1-j) and z_i^(j) = A1 phi_i^(p_i+1-j),
 extra kernel directions when the kernel and cokernel dimensions differ,
-the root projectors and a bounded pseudoinverse in one JordanStructure,
-the Schmidt regularizer applied on demand, and commutability matrices
-with their certificates.
+the root projectors, a bounded pseudoinverse and A1's commutability
+certificate in one JordanStructure, complete when complete_structure
+returns it; the Schmidt regularizer is applied on demand, and
+commutability_matrix certifies any other operator on the chain span.
 One skeleton decomposition of B, its weighted SVD, supplies the null
 bases of B and B* and one minimum-norm solve S = B^+: S extends the
 primal chains, its adjoint (B*)^+ = (B^+)* the dual chains, and Bplus =
@@ -51,6 +52,22 @@ def _exchange_columns(p):
 
 
 @dataclass
+class CommutabilityResult:
+    """commutability_matrix's M, its certificate and its first entry off
+    the exchange pattern (exchange_violation; None when M keeps it)."""
+
+    matrix: np.ndarray
+    certified: bool
+    violation: tuple
+    residual_primal: float
+    residual_dual: float
+
+    @property
+    def quasitriangular(self):
+        return self.violation is None
+
+
+@dataclass
 class JordanStructure:
     """The complete generalized Jordan set of a pair (B, A1), its root
     projectors and its bounded pseudoinverse.
@@ -67,8 +84,9 @@ class JordanStructure:
     [Z, z_extra], z_coef = W2 [Psi, psi_extra].  The first k columns give
     Pk and Qk.  S is the skeleton's minimum-norm solve B^+ and Bplus =
     (I - P) S (I - Q) the bounded pseudoinverse, both FiniteOperators
-    codomain -> domain under spaces' width rule; complete_structure fills
-    Bplus.
+    codomain -> domain under spaces' width rule, and comm is A1's
+    commutability certificate on the chain span.  The spans, Bplus, comm
+    and the measured diagnostics are set when the record is built.
     """
 
     Phi: np.ndarray
@@ -88,18 +106,24 @@ class JordanStructure:
     psi_extra: np.ndarray
     gamma_extra: np.ndarray
     z_extra: np.ndarray
-    Bplus: FiniteOperator = None
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
     phi_span: np.ndarray = field(init=False)
     phi_coef: np.ndarray = field(init=False)
     z_span: np.ndarray = field(init=False)
     z_coef: np.ndarray = field(init=False)
+    Bplus: FiniteOperator = field(init=False)
+    comm: CommutabilityResult = field(init=False)
 
     def __post_init__(self):
         self.phi_span = np.hstack([self.Phi, self.phi_extra])
         self.phi_coef = self.domain.weights[:, None] * np.hstack([self.Gam, self.gamma_extra])
         self.z_span = np.hstack([self.Z, self.z_extra])
         self.z_coef = self.codomain.weights[:, None] * np.hstack([self.Psi, self.psi_extra])
+        self.diagnostics.update(structure_residuals(self))
+        self.Bplus, self.diagnostics["pseudoinverse_identity"] = _pseudo_inverse(self)
+        if self.square:
+            self.diagnostics["schmidt_condition"] = _schmidt_condition(self)
+        self.comm = commutability_matrix(self.A1, self)
 
     @property
     def domain(self):
@@ -136,22 +160,6 @@ class JordanStructure:
         """Column (i, p_i + 1 - j) for each column (i, j), the partner that
         A1 pairs it with after the normalization (exchange_violation)."""
         return _exchange_columns(self.p)
-
-
-@dataclass
-class CommutabilityResult:
-    """commutability_matrix's M, its certificate and its first entry off
-    the exchange pattern (exchange_violation; None when M keeps it)."""
-
-    matrix: np.ndarray
-    certified: bool
-    violation: tuple
-    residual_primal: float
-    residual_dual: float
-
-    @property
-    def quasitriangular(self):
-        return self.violation is None
 
 
 def _staircase(solve, apply_A1, heads, dual_heads, space, stop_at, rank_tol):
@@ -301,8 +309,8 @@ def _biorthogonal_partners(chain_cols, extra_cols, space):
     return yw / space.root[:, None]
 
 
-def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
-    """Construct the full Jordan structure of the pair (B, A1).
+def complete_structure(B, A1, rank_tol=DEFAULT_RANK_TOL):
+    """Construct the complete, certified Jordan structure of the pair (B, A1).
 
     Raises StructureError when the pair has no complete structure (a null
     direction shared by B and A1, singular terminal pairing, unbounded
@@ -356,13 +364,11 @@ def build_jordan_chains(B, A1, rank_tol=DEFAULT_RANK_TOL):
     if psi_left.shape[1]:
         _refuse_coupled_extras(psi_left, E2.weights[:, None] * APhi)
         z_left = _biorthogonal_partners(Psi, psi_left, E2)
-    js = JordanStructure(Phi=Phi, Psi=Psi, Gam=A1.apply_adjoint(Psi[:, rev]),
-                         Z=APhi[:, rev], p=p, n=n, m=m, l=l, nu=nu, k=P.size,
-                         B=B, A1=A1, S=S, phi_extra=phi_left,
-                         psi_extra=psi_left, gamma_extra=gamma_left,
-                         z_extra=z_left, diagnostics=diagnostics)
-    js.diagnostics.update(structure_residuals(js))
-    return js
+    return JordanStructure(Phi=Phi, Psi=Psi, Gam=A1.apply_adjoint(Psi[:, rev]),
+                           Z=APhi[:, rev], p=p, n=n, m=m, l=l, nu=nu, k=P.size,
+                           B=B, A1=A1, S=S, phi_extra=phi_left,
+                           psi_extra=psi_left, gamma_extra=gamma_left,
+                           z_extra=z_left, diagnostics=diagnostics)
 
 
 def _link_residual(BX, AX, X, first, r_dom, r_cod):
@@ -407,7 +413,7 @@ def _schmidt_condition(js):
     if cond > 1e12:
         raise StructureError(
             f"Schmidt bordering failed: bordered matrix condition {cond:.2e}")
-    js.diagnostics["schmidt_condition"] = cond
+    return cond
 
 
 def apply_schmidt_inverse(js, cols):
@@ -436,7 +442,7 @@ def _pseudo_inverse(js):
     which the dual staircase mixes orthogonally out of B*'s null basis.
     The dual chain links confine the root-space part of S (I - Q) to ker B
     (level-1 and extra directions), so I - P removes it.  Kept as factors
-    while compose keeps them, and records max |B Bplus - (I - Q)| as the
+    while compose keeps them; returned with max |B Bplus - (I - Q)|, the
     pseudoinverse_identity diagnostic."""
     IQ, w = js.outside_z, js.codomain.weights
     Y = np.hstack([js.Psi[:, js.head_columns], js.psi_extra])
@@ -451,17 +457,7 @@ def _pseudo_inverse(js):
                              f"solve residual {rel:.2e}")
     Bplus = compose(js.outside_phi, compose(js.S, IQ))
     gap = compose(js.B, Bplus).updated(js.z_span, js.z_coef, shift=-1.0)
-    js.diagnostics["pseudoinverse_identity"] = gap.largest_entry()
-    return Bplus
-
-
-def complete_structure(B, A1, rank_tol=DEFAULT_RANK_TOL):
-    """The Jordan structure of (B, A1) with Bplus and, if square, the Schmidt condition."""
-    js = build_jordan_chains(B, A1, rank_tol)
-    js.Bplus = _pseudo_inverse(js)
-    if js.square:
-        _schmidt_condition(js)
-    return js
+    return Bplus, gap.largest_entry()
 
 
 def exchange_violation(M, p):
@@ -494,13 +490,7 @@ def commutability_matrix(A, js):
     return CommutabilityResult(M, certified, exchange_violation(M, js.p), res_p, res_d)
 
 
-def certify_operators(js):
-    """The commutability certificate of the pencil's lower-order operator
-    A1 on the chain span of the structure."""
-    return commutability_matrix(js.A1, js)
-
-
-def structure_report(js, comm):
+def structure_report(js):
     """Stable one-record-per-line text report of the structure."""
     lines = [
         f"n={js.n}",
@@ -526,8 +516,8 @@ def structure_report(js, comm):
                                    cols @ (coef.T @ cols - np.eye(js.k)), coef).largest_entry()
         lines.append(f"{name}_idempotence={idem:.6e}")
     lines.append(f"pseudoinverse_identity={diag['pseudoinverse_identity']:.6e}")
-    lines.append(f"A1_certified={'pass' if comm.certified else 'fail'}")
-    lines.append(f"A1_quasitriangular={'yes' if comm.quasitriangular else 'no'}")
-    lines.append(f"A1_residual_primal={comm.residual_primal:.6e}")
-    lines.append(f"A1_residual_dual={comm.residual_dual:.6e}")
+    lines.append(f"A1_certified={'pass' if js.comm.certified else 'fail'}")
+    lines.append(f"A1_quasitriangular={'yes' if js.comm.quasitriangular else 'no'}")
+    lines.append(f"A1_residual_primal={js.comm.residual_primal:.6e}")
+    lines.append(f"A1_residual_dual={js.comm.residual_dual:.6e}")
     return "\n".join(lines) + "\n"

@@ -1,11 +1,13 @@
 """Command-line front-end.
 
-Subcommands: ``structure`` inspects the operator pair and prints the
-chain/projector certificates; ``solve`` runs the family back-end and
-writes the solution as CSV; ``verify`` additionally measures the
-solution against the problem file's oracle and fails on excess;
-``report`` writes the full text report (structure, reduction, solver
-diagnostics, residuals, oracle verdict).
+Every subcommand runs a prefix of one pipeline (run): ``structure``
+inspects the operator pair and prints the chain/projector certificates;
+``solve`` goes on to run the family back-end and write the solution as
+CSV; ``verify`` runs the back-end too but, in place of the CSV, measures
+the solution against the problem file's oracle and fails on excess;
+``report`` writes verify's full text report (structure, reduction,
+solver diagnostics, residuals, oracle verdict) to stdout or a file, with
+the oracle only when the file declares one.
 
 Exit codes: 0 success, 1 verification or solvability failure, 2 input
 error.  Identical input files and flags produce byte-identical CSV and
@@ -19,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .chains import certify_operators, complete_structure, structure_report
+from .chains import complete_structure, structure_report
 from .errors import (ConfigurationError, DegenPDEError, ParseError,
                      UsageError)
 from .problems import evaluate_oracle, instantiate, load_problem
@@ -67,11 +69,6 @@ def _solver_section(fld):
             for key, val in sorted(fld.meta.items())]
 
 
-def _residual_section(rp, fld):
-    _, report = residual_check(rp, fld)
-    return [f"{key}: {val:.6e}" for key, val in report.items()]
-
-
 def _oracle_section(outcome):
     return [f"kind={outcome.kind}",
             f"detail={outcome.detail}",
@@ -80,73 +77,44 @@ def _oracle_section(outcome):
             f"verdict={'pass' if outcome.passed else 'fail'}"]
 
 
-def cmd_structure(args):
+def run(args):
+    """Run load, instantiate, structure, reduce and solve, then the CSV or
+    the residuals and oracle, up to the subcommand's last stage, and return
+    the exit code; the wall time spans the structure or reduce and solve."""
+    command = args.command
     pf = load_problem(args.problem)
     spec = instantiate(pf, **_overrides(args))
     report = RunReport(problem=str(args.problem), family=pf.family)
     t0 = time.perf_counter()
-    js = complete_structure(spec.B, spec.A1)
-    if js.l == 0:
-        report.add("structure", ["regular equation: the leading operator is "
-                                 "invertible; apply its inverse directly, no "
-                                 "reduction needed"])
+    if command == "structure":
+        js = complete_structure(spec.B, spec.A1)
+        report.add("structure", structure_report(js) if js.l else [
+            "regular equation: the leading operator is invertible; apply its "
+            "inverse directly, no reduction needed"])
         report.wall_time_s = time.perf_counter() - t0
         print(report.to_text(), end="")
-        return EXIT_OK
-    comm = certify_operators(js)
-    report.add("structure", structure_report(js, comm))
-    report.wall_time_s = time.perf_counter() - t0
-    print(report.to_text(), end="")
-    return EXIT_OK if comm.certified else EXIT_FAIL
-
-
-def _run_solve(args):
-    pf = load_problem(args.problem)
-    spec = instantiate(pf, **_overrides(args))
-    report = RunReport(problem=str(args.problem), family=pf.family)
-    t0 = time.perf_counter()
+        return EXIT_OK if js.comm.certified else EXIT_FAIL
     rp = reduce(spec)
-    report.add("structure", structure_report(rp.js, rp.comm))
+    report.add("structure", structure_report(rp.js))
     report.add("reduction", describe_reduction(rp).rstrip("\n"))
     fld = solve_family(rp)
     report.add("solver", _solver_section(fld))
     report.wall_time_s = time.perf_counter() - t0
-    return pf, rp, fld, report
-
-
-def cmd_solve(args):
-    pf, rp, fld, report = _run_solve(args)
-    out = args.output
-    if out is None:
-        out = Path(args.problem).stem + ".csv"
-    rows = write_solution_csv(fld, out)
-    report.add("output", [f"csv={out}", f"rows={rows}"])
-    print(report.to_text(), end="")
-    return EXIT_OK
-
-
-def cmd_verify(args):
-    pf, rp, fld, report = _run_solve(args)
-    report.add("residuals", _residual_section(rp, fld))
-    outcome = evaluate_oracle(pf, rp, fld, args.tol)
-    report.add("oracle", _oracle_section(outcome))
-    print(report.to_text(), end="")
-    return EXIT_OK if outcome.passed else EXIT_FAIL
-
-
-def cmd_report(args):
-    pf, rp, fld, report = _run_solve(args)
-    report.add("residuals", _residual_section(rp, fld))
     code = EXIT_OK
-    if pf.oracle is not None:
-        outcome = evaluate_oracle(pf, rp, fld, args.tol)
-        report.add("oracle", _oracle_section(outcome))
-        if not outcome.passed:
-            code = EXIT_FAIL
+    if command == "solve":
+        out = Path(args.problem).stem + ".csv" if args.output is None else args.output
+        rows = write_solution_csv(fld, out)
+        report.add("output", [f"csv={out}", f"rows={rows}"])
+    else:
+        _, residuals = residual_check(rp, fld)
+        report.add("residuals", [f"{key}: {val:.6e}" for key, val in residuals.items()])
+        if command == "verify" or pf.oracle is not None:
+            outcome = evaluate_oracle(pf, rp, fld, args.tol)
+            report.add("oracle", _oracle_section(outcome))
+            code = EXIT_OK if outcome.passed else EXIT_FAIL
     text = report.to_text()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if command == "report" and args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
         print(f"report written to {args.output}")
     else:
         print(text, end="")
@@ -160,13 +128,12 @@ def build_parser():
                     "with a degenerate leading operator.")
     sub = parser.add_subparsers(dest="command", required=True)
     specs = (
-        ("structure", cmd_structure,
-         "inspect the chain structure and operator certificates"),
-        ("solve", cmd_solve, "solve the problem and write the CSV field"),
-        ("verify", cmd_verify, "solve, then gate on the bundled oracle"),
-        ("report", cmd_report, "write the full text report"),
+        ("structure", "inspect the chain structure and operator certificates"),
+        ("solve", "solve the problem and write the CSV field"),
+        ("verify", "solve, then gate on the bundled oracle"),
+        ("report", "write the full text report"),
     )
-    for name, func, help_text in specs:
+    for name, help_text in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("problem", help="path to a problem JSON file")
         p.add_argument("--grid-scale", type=float, default=None,
@@ -183,7 +150,6 @@ def build_parser():
         if name in ("solve", "report"):
             p.add_argument("--output", default=None,
                            help="output path (CSV for solve, text for report)")
-        p.set_defaults(func=func)
     return parser
 
 
@@ -192,7 +158,7 @@ def main(argv=None):
     try:
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
             raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
-        return args.func(args)
+        return run(args)
     except (UsageError, ParseError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

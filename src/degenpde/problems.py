@@ -247,8 +247,8 @@ MOVED = {"A": 'is not read; declare the one lower-order operator as "A1"',
          "modes": "is not read; declare it as spaces.<name>.shape (or --modes)"}
 
 
-def _oracles(family, f):
-    """The oracle tables of a family whose right side f has been checked."""
+def _oracles(family, f, space):
+    """The oracle tables of a family, given its checked f and pencil space."""
     fam = FAMILIES[family]
 
     def closed_form(name, path):
@@ -268,10 +268,16 @@ def _oracles(family, f):
                             "corner problem")
         return name
 
+    def mode_residual(kind, path):
+        # only a solve on a modes space records its per-mode residual
+        if space["kind"] != "modes":
+            _fail(path, f"{kind} needs B on a modes space, got a {space['kind']} space")
+        return kind
+
     tol = (_tolerance, None)
     return {"closed_form": {"name": closed_form, "tol": tol},
             "exact": {"components": _listed(_expression(fam.f_vars)), "tol": tol},
-            "mode_residual": {"tol": tol}}
+            "mode_residual": {"kind": mode_residual, "tol": tol}}
 
 
 def load_problem(path):
@@ -319,7 +325,8 @@ def load_problem(path):
                          {None: "is not read; the only tolerance is verify"})
     oracle = None
     if top.get("oracle") is not None:
-        oracle = _kinded("oracle", _oracles(family, f))(top["oracle"], "oracle")
+        oracle = _kinded("oracle", _oracles(family, f, spaces[B["space"]]))(
+            top["oracle"], "oracle")
 
     return ProblemFile(path=str(path), family=family, spaces=spaces, B=B, A1=A1,
                        f=f, box=grid.pop("box", {}), grid=grid,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import certify_operators, complete_structure
+from .chains import complete_structure
 from .errors import CompatibilityError, ConfigurationError, StructureError
 from .fd import derivative_along_axis, stencil_size
 from .spaces import compose
@@ -95,7 +95,6 @@ class ReducedProblem:
 
     system: DegenerateSystemSpec
     js: object
-    comm: object         # A1's commutability result on the chain span
     M: object            # (I - Q) A1 Bplus, the lower-order map of the v-equation
     lower_size: float    # max |A1 Bplus|, the lower-order term's largest entry
     lower_psi_extra: np.ndarray   # (A1 Bplus)^T W2 psi_extra, zero-width when m <= n
@@ -103,20 +102,19 @@ class ReducedProblem:
 
 
 def reduce(spec):
-    """Build the regular problem: certify commutability and the chain
+    """Build the regular problem: gate on A1's certificate and the chain
     pairing that fixes the C-system, and assemble the v-equation terms."""
     js = complete_structure(spec.B, spec.A1)
-    comm = certify_operators(js)
-    if not comm.certified:
+    if not js.comm.certified:
         raise StructureError(
             "commutability violation: operator A1 does not map the "
             "chain span consistently onto the z span")
     # B's pairing follows from A1's by the chain links B phi_(s,j) = A1 phi_(s,j-1)
-    if comm.violation is not None:
-        b, a = comm.violation
+    if js.comm.violation is not None:
+        b, a = js.comm.violation
         raise StructureError(
             f"quasitriangularity not certified: A1 pairs phi column {b} with "
-            f"psi column {a} by {comm.matrix[b, a]:.3e}, expected "
+            f"psi column {a} by {js.comm.matrix[b, a]:.3e}, expected "
             f"{float(js.exchange[a] == b):g} after normalization")
     ABplus = compose(spec.A1, js.Bplus)
     # dynamics projected onto the solvable complement: for m > n the raw
@@ -124,7 +122,7 @@ def reduce(spec):
     M = compose(js.outside_z, ABplus)
     lower_psi_extra = ABplus.transpose().apply(js.z_coef[:, js.k:])
     lambda_slots = tuple(f"lambda_{js.l + e + 1}" for e in range(js.phi_extra.shape[1]))
-    return ReducedProblem(system=spec, js=js, comm=comm, M=M,
+    return ReducedProblem(system=spec, js=js, M=M,
                           lower_size=ABplus.largest_entry(),
                           lower_psi_extra=lower_psi_extra, lambda_slots=lambda_slots)
 

@@ -433,6 +433,60 @@ def test_report_prints_when_no_output_given(example, capsys):
     assert "wall_time_s=" in out
 
 
+def _without_oracle(problems_dir, tmp_path):
+    raw = json.loads((problems_dir / "example2.json").read_text(encoding="utf-8"))
+    del raw["oracle"]
+    path = tmp_path / "no_oracle.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return str(path)
+
+
+def test_verify_without_an_oracle_is_an_input_error(problems_dir, tmp_path, capsys):
+    code = main(["verify", _without_oracle(problems_dir, tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "declares no oracle" in err
+
+
+def test_report_without_an_oracle_has_no_oracle_section(problems_dir, tmp_path, capsys):
+    code = main(["report", _without_oracle(problems_dir, tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "== residuals ==" in out
+    assert "== oracle ==" not in out
+
+
+def test_report_failing_the_oracle_still_writes_the_file(example, tmp_path, capsys):
+    assert main(["report", example("example3.json"), "--tol", "1e-30"]) == 1
+    assert "verdict=fail" in capsys.readouterr().out
+    target = tmp_path / "report.txt"
+    assert main(["report", example("example3.json"), "--tol", "1e-30",
+                 "--output", str(target)]) == 1
+    assert capsys.readouterr().out == f"report written to {target}\n"
+    assert "verdict=fail" in target.read_text(encoding="utf-8")
+
+
+def _section(out, title):
+    """The lines of a report's == title == section; a blank line ends
+    every section."""
+    lines = out.splitlines()
+    start = lines.index(f"== {title} ==") + 1
+    return lines[start:lines.index("", start)]
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_structure_section_is_the_same_under_every_subcommand(example, tmp_path,
+                                                              capsys, name):
+    sections = []
+    for command in ("structure", "solve", "verify", "report"):
+        flags = ["--output", str(tmp_path / "u.csv")] if command == "solve" else []
+        assert main([command, example(name)] + flags) == 0
+        sections.append(_section(capsys.readouterr().out, "structure"))
+    assert sections[0]
+    assert all(section == sections[0] for section in sections)
+
+
 _STRUCTURE_KEYS = ["n", "m", "nu", "l", "p", "k", "terminal_pairing_det",
                    "pairing_condition", "normalization_deviation",
                    "chain_link_residual", "biorthogonality_error",

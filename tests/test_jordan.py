@@ -7,8 +7,7 @@ from degenpde.chains import (_biorthogonal_partners,
                              _normalize_primal_chains, _pseudo_inverse,
                              _refuse_coupled_extras,
                              _terminal_pairing_certificate,
-                             apply_schmidt_inverse, build_jordan_chains,
-                             certify_operators,
+                             apply_schmidt_inverse,
                              commutability_matrix, complete_structure,
                              exchange_violation, structure_report)
 from degenpde.errors import StructureError
@@ -266,7 +265,7 @@ def test_entry_below_the_antidiagonal_fails_quasitriangularity():
 def test_certify_operators_certifies_the_pencil_A1():
     B, A = _pair([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
     js = complete_structure(B, A)
-    r = certify_operators(js)
+    r = js.comm
     assert r.certified and r.quasitriangular
     np.testing.assert_array_equal(r.matrix, commutability_matrix(A, js).matrix)
 
@@ -302,7 +301,7 @@ def test_uncertified_operator_detected():
 def test_nilpotent_pair_with_no_termination_rejected(Brows, Arows, message):
     B, A = _pair(Brows, Arows)
     with pytest.raises(StructureError, match=message):
-        build_jordan_chains(B, A)
+        complete_structure(B, A)
 
 
 def test_terminal_pairing_zero_row_rejected():
@@ -333,7 +332,7 @@ def test_link_off_the_range_past_the_rank_tolerance_rejected():
     B, A = _pair(np.diag([0.0, 0.0, 1.0]),
                  [[1e4, 0.0, 0.0], [0.0, 1e-7, 0.0], [0.0, 1.0, 1.0]])
     with pytest.raises(StructureError, match="chain extension residual 1.00e-07"):
-        build_jordan_chains(B, A)
+        complete_structure(B, A)
 
 
 def test_primal_and_dual_chain_lengths_must_agree():
@@ -343,7 +342,7 @@ def test_primal_and_dual_chain_lengths_must_agree():
                  [[1.0, 0.0, 1e6], [0.0, 1e-9, 1.0], [0.0, 1.0, 1.0]])
     with pytest.raises(StructureError, match=r"primal chain lengths \(1, 1\) "
                                              r"and dual chain lengths \(2, 1\)"):
-        build_jordan_chains(B, A)
+        complete_structure(B, A)
 
 
 def test_normalization_off_the_chain_form_rejected():
@@ -352,7 +351,7 @@ def test_normalization_off_the_chain_form_rejected():
     # banned level-1 -> level-2 entry of G at 5e-2
     B, A = _pair([[0.0, 1.0], [0.0, 0.0]], [[1e-3, 0.0], [5e-14, 1e-3]])
     with pytest.raises(StructureError, match="not a chain-preserving"):
-        build_jordan_chains(B, A)
+        complete_structure(B, A)
 
 
 def test_singular_chain_pairing_rejected():
@@ -387,10 +386,10 @@ def test_mismatched_domains_rejected():
     B = matrix_operator(np.zeros((2, 2)))
     A = matrix_operator(np.zeros((2, 3)))
     with pytest.raises(StructureError, match="share their domain"):
-        build_jordan_chains(B, A)
+        complete_structure(B, A)
     with pytest.raises(StructureError, match="share their codomain"):
-        build_jordan_chains(matrix_operator(np.zeros((2, 3))),
-                            matrix_operator(np.zeros((3, 3))))
+        complete_structure(matrix_operator(np.zeros((2, 3))),
+                           matrix_operator(np.zeros((3, 3))))
 
 
 # -- randomized invariants ----------------------------------------------------
@@ -467,8 +466,7 @@ def test_extra_directions_survive_a_large_lower_order_operator(rng):
 def test_structure_report_contents():
     B, A = _pair([[1.0, 0.0], [0.0, 0.0]], np.eye(2))
     js = complete_structure(B, A)
-    comm = certify_operators(js)
-    text = structure_report(js, comm)
+    text = structure_report(js)
     for token in ("n=1", "m=1", "nu=0", "l=1", "p=1", "k=1",
                   "terminal_pairing_det", "chain_link_residual",
                   "Pk_idempotence", "pseudoinverse_identity",
@@ -476,4 +474,4 @@ def test_structure_report_contents():
                   "A1_residual_primal="):
         assert token in text
     # report is stable across calls
-    assert text == structure_report(js, comm)
+    assert text == structure_report(js)

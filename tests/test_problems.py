@@ -304,6 +304,28 @@ def test_oracle_validation(tmp_path):
         load_problem(_dump(tmp_path, second_order))
 
 
+@pytest.mark.parametrize("name", ["example1.json", "example2.json"])
+def test_mode_residual_oracle_needs_a_modes_space(problems_dir, tmp_path, capsys, name):
+    # only a solve on a modes space records its per-mode residual: on any
+    # other pencil the oracle would read deviation=inf and fail every run
+    raw = json.loads((problems_dir / name).read_text(encoding="utf-8"))
+    path = _dump(tmp_path, _variant(raw, oracle={"kind": "mode_residual", "tol": 1e-4}))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "oracle.kind: mode_residual needs B on a modes space" in err
+
+
+def test_mode_residual_oracle_follows_the_space_not_the_family(problems_dir, tmp_path,
+                                                               capsys):
+    # the goursat corner problem declared on a (2, 1) mode table
+    raw = json.loads((problems_dir / "example1.json").read_text(encoding="utf-8"))
+    path = _dump(tmp_path, _variant(raw, spaces={"state": {"kind": "modes", "shape": [2, 1]}},
+                                    oracle={"kind": "mode_residual", "tol": 1e-4}))
+    assert main(["verify", str(path)]) == 0
+    assert "kind=mode_residual" in capsys.readouterr().out
+
+
 def test_component_count_checked_at_instantiation(tmp_path):
     obj = {
         "family": "mixed_xy",

@@ -287,7 +287,7 @@ def test_reduce_checks_the_exchange_pattern_once(monkeypatch):
     B = matrix_operator([[0.0, 1.0], [0.0, 0.0]])
     rp = reduce(_evolution_spec(B, matrix_operator(np.eye(2)), f=None))
     assert calls == [(2,)]
-    assert rp.comm.quasitriangular and rp.comm.violation is None
+    assert rp.js.comm.quasitriangular and rp.js.comm.violation is None
 
 
 def test_reduce_names_free_function_slots():
