@@ -45,7 +45,7 @@ def dt_study(cfg):
     cases = (("evolution1", oracle_first_order_evolution),
              ("evolution2", oracle_second_order_evolution))
     for family, oracle in cases:
-        ref = oracle(sampler, tref, xg)
+        ref = np.concatenate([block for _, block in oracle(sampler, tref, xg)])
         print(f"{family}, f = sin(t) x^2, sup deviation vs dt:")
         prev = None
         for level in range(cfg.dt_levels):

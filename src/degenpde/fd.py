@@ -76,10 +76,25 @@ def derivative_along_axis(values, h, order, axis, accuracy=2):
     npts = W.shape[0]
     half = npts // 2
     out = np.empty_like(v)
-    interior = out[half:n - half]
-    np.multiply(W[half, 0], v[:n - npts + 1], out=interior)
-    for k in range(1, npts):
-        interior += W[half, k] * v[k:n - npts + 1 + k]
+    _centered(W[half], v, out[half:n - half])
     out[:half] = np.tensordot(W[:half], v[:npts], axes=(1, 0))
     out[n - half:] = np.tensordot(W[half + 1:], v[n - npts:], axes=(1, 0))
     return np.moveaxis(out, 0, axis)
+
+
+def centered_derivative(values, h, order, accuracy=2):
+    """The interior rows of derivative_along_axis along axis 0, and only
+    those: the centered stencil at rows half .. n - half - 1 of values,
+    half = stencil_size // 2."""
+    values = np.asarray(values, dtype=float)
+    npts = stencil_size(order, accuracy)
+    out = np.empty((len(values) - npts + 1,) + values.shape[1:])
+    _centered(_stencil_table(npts, h, order, accuracy)[npts // 2], values, out)
+    return out
+
+
+def _centered(weights, v, out):
+    """out = sum_k weights[k] v[k : k + len(out)], the banded interior sum."""
+    np.multiply(weights[0], v[:len(out)], out=out)
+    for k in range(1, len(weights)):
+        out += weights[k] * v[k:k + len(out)]

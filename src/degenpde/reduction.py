@@ -8,7 +8,10 @@ the substitution u = Bplus v + sum C_ij phi_i^(j) + sum lambda_e
 phi_extra_e splits the system into a regular equation for v (the lead
 operator L0 plus the lower-order term A1 Bplus) and a triangular system
 for the C coefficients whose shape the chain lengths fix, solved level
-by level from the terminal level down.
+by level from the terminal level down.  Reassembling u and checking the
+solved record go over blocks of leading-axis rows (spaces.row_blocks):
+the equation residual samples f per block and carries a halo of stencil
+rows, so that neither holds more than the solution and a few blocks.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +20,8 @@ import numpy as np
 
 from .chains import complete_structure
 from .errors import CompatibilityError, ConfigurationError, StructureError
-from .fd import derivative_along_axis, stencil_size
-from .spaces import compose
+from .fd import centered_derivative, derivative_along_axis, stencil_size
+from .spaces import compose, row_blocks
 
 V_CONSTRAINT_TOL = 1e-8   # v leaking into the extra cokernel directions
 
@@ -158,6 +161,12 @@ def solve_C_recurrence(rp, beta, axes, solve_lead, accuracy=2):
     return C
 
 
+def compat_projection(rp, f_samples):
+    """<f, psi_e> for the extra cokernel directions (m > n) as one
+    (samples..., m - n) block, zero-width when m <= n."""
+    return np.asarray(f_samples, dtype=float) @ rp.js.z_coef[:, rp.js.k:]
+
+
 def rhs_projection(rp, f_samples):
     """(I - Q) f: the right-hand side of the regular v-equation."""
     return rp.js.outside_z.apply_to_samples(np.asarray(f_samples, dtype=float))
@@ -171,34 +180,37 @@ def reconstruct_solution(rp, v_samples, C):
     C is the (samples..., k) block of solve_C_recurrence.
     For m > n the v samples must stay in the annihilator of the extra
     cokernel directions; violation means the right-hand side is
-    incompatible."""
+    incompatible.  Both passes go over blocks of leading-axis rows, so
+    that no temporary has the size of u."""
     js = rp.js
     v = np.asarray(v_samples, dtype=float)
+    blocks = row_blocks(len(v), v[0].size)
     if js.psi_extra.shape[1]:
-        leak = (v @ js.z_coef[:, js.k:]) @ js.z_span[:, js.k:].T
-        dev = np.abs(leak).max() / max(1.0, np.abs(v).max())
+        coef, span = js.z_coef[:, js.k:], js.z_span[:, js.k:]
+        leak = max(float(np.abs((v[rows] @ coef) @ span.T).max()) for rows in blocks)
+        dev = leak / max(1.0, max(float(np.abs(v[rows]).max()) for rows in blocks))
         if dev > V_CONSTRAINT_TOL:
             raise CompatibilityError(
                 f"compatibility violated: the regular part leaks into the "
                 f"unresolvable cokernel directions (relative size {dev:.2e})")
-    u = js.Bplus.apply_to_samples(v)
-    if js.k:
-        # np.dot, not @: numpy's matmul runs a slow loop for width k = 1
-        u += np.dot(C, js.Phi.T)
+    u = np.empty(v.shape[:-1] + (js.domain.dim,))
+    for rows in blocks:
+        u[rows] = js.Bplus.apply_to_samples(v[rows])
+        if js.k:
+            # np.dot, not @: numpy's matmul runs a slow loop for width k = 1
+            u[rows] += np.dot(C[rows], js.Phi.T)
     return u
 
 
-def compat_residual(rp, axes, v_samples, f_samples):
+def compat_residual(rp, axes, v_samples, f_psi):
     """Residual of the unresolvable-direction conditions (m > n): for every
     extra cokernel functional, L1(D) <A1 Bplus v, psi_e> - <f, psi_e>
-    must vanish identically."""
-    js = rp.js
-    if not js.psi_extra.shape[1]:
+    must vanish identically; f_psi is the compat_projection of f."""
+    if not rp.js.psi_extra.shape[1]:
         return 0.0
     lower_k = FAMILIES[rp.system.family].L[1]
     scal = np.asarray(v_samples) @ rp.lower_psi_extra
-    total = (apply_differential_operator(lower_k, scal, axes)
-             - np.asarray(f_samples) @ js.z_coef[:, js.k:])
+    total = apply_differential_operator(lower_k, scal, axes) - f_psi
     return float(np.abs(_interior(total, len(axes))).max())
 
 
@@ -228,21 +240,58 @@ def _require_stencil_nodes(axes):
                 f"axis {name} has {len(grid)} nodes; the difference stencils need >= 5")
 
 
-def equation_residual(spec, axes, u, f_vals):
+def equation_residual(spec, axes, u):
     """Interior max-norm of L0(D) B u + L1(D) A1 u - f by centered finite
-    differences; axes is the ordered list of (name, grid) matching the
-    leading axes of u and f_vals (dimension last)."""
+    differences, f sampled on the axes; axes is the ordered list of
+    (name, grid) matching the leading axes of u (dimension last).
+
+    One pass over blocks of leading-axis rows (row_blocks): B u and A1 u
+    are formed once per row, in the blocks apply_to_samples forms them in,
+    and the last 2 H rows of each stay for the next block as a halo, H the
+    widest stencil half-width along the leading axis (every family
+    differentiates it).  A block then gives the interior rows H away from
+    both ends of what it holds, and f is sampled on those rows alone."""
     _require_stencil_nodes(axes)
-    lead_k, lower_k = FAMILIES[spec.family].L
-    total = (apply_differential_operator(lead_k, spec.B.apply_to_samples(u), axes)
-             + apply_differential_operator(lower_k, spec.A1.apply_to_samples(u), axes))
-    return float(np.abs(_interior(total - f_vals, len(axes))).max())
+    terms = tuple(zip(FAMILIES[spec.family].L, (spec.B, spec.A1)))
+    halo = max(stencil_size(k[0], 2) // 2 for k, _ in terms if k[0])
+    n, spacing = len(u), [float(g[1] - g[0]) for _, g in axes]
+    trim = (slice(None),) + (slice(2, -2),) * (len(axes) - 1)
+    held, worst = [u[:0]] * len(terms), 0.0
+    for rows in row_blocks(n, u[0].size):
+        held = [np.concatenate([part, op.apply_to_samples(u[rows])])
+                for part, (_, op) in zip(held, terms)]
+        start = rows.stop - len(held[0])   # the row that held[i][0] stands for
+        # rows 2 .. n - 3, the ones _interior keeps, each in one block
+        lo, hi = max(start + halo, 2), min(rows.stop - halo, n - 2)
+        if lo < hi:
+            lead, lower = (_derivative_rows(k, part, lo - start, hi - lo, spacing)
+                           for (k, _), part in zip(terms, held))
+            f_vals = np.asarray(spec.f(**_mesh_coords(axes, slice(lo, hi))), dtype=float)
+            worst = max(worst, float(np.abs((lead + lower - f_vals)[trim]).max()))
+        held = [part[-2 * halo:] for part in held]
+    return worst
+
+
+def _derivative_rows(k, held, first, count, spacing):
+    """D^k of held samples at its rows first .. first + count - 1: the
+    centered stencil along axis 0, which needs its half-width of rows on
+    both sides, then whole-axis derivatives along the others."""
+    if k[0]:
+        reach = stencil_size(k[0], 2) // 2
+        out = centered_derivative(held[first - reach:first + count + reach],
+                                  spacing[0], k[0])
+    else:
+        out = held[first:first + count]
+    for axis, order in enumerate(k[1:], 1):
+        if order:
+            out = derivative_along_axis(out, spacing[axis], order, axis)
+    return out
 
 
 def residual_check(rp, fld):
     """Substitute the solved record back into the system, sampling f on
-    its axes; a mode-space record already carries its equation residual
-    against the same samples.
+    its axes a block of rows at a time; a mode-space record already
+    carries its equation residual.
 
     Returns (residual, report dict) with the equation residual and the
     norm of every projection boundary condition of the family plan at
@@ -251,8 +300,7 @@ def residual_check(rp, fld):
     _require_stencil_nodes(axes)
     resid = fld.meta.get("mode_residual")
     if resid is None:
-        f_vals = np.asarray(spec.f(**_mesh_coords(axes)), dtype=float)
-        resid = equation_residual(spec, axes, u, f_vals)
+        resid = equation_residual(spec, axes, u)
     report = {"equation_residual": resid}
     names = [name for name, _ in axes]
     for projector, axis, order in FAMILIES[spec.family].bc:
@@ -281,12 +329,14 @@ def _condition_norm(projector, ax, order, grid, u, js):
     return float(np.abs(vals).max())
 
 
-def _mesh_coords(axes):
-    if len(axes) == 1:
-        return {axes[0][0]: np.asarray(axes[0][1], dtype=float)}
-    grids = np.meshgrid(*[np.asarray(g, dtype=float) for _, g in axes],
-                        indexing="ij")
-    return {name: grids[i] for i, (name, _) in enumerate(axes)}
+def _mesh_coords(axes, rows=slice(None)):
+    """The sample points of axes, the leading axis cut to rows, as one
+    coordinate array per axis name (meshgrids past one axis)."""
+    grids = [np.asarray(g, dtype=float) for _, g in axes]
+    grids[0] = grids[0][rows]
+    if len(grids) > 1:
+        grids = np.meshgrid(*grids, indexing="ij")
+    return {name: grid for (name, _), grid in zip(axes, grids)}
 
 
 def _describe(k):

@@ -12,6 +12,10 @@ blocks are polynomials in M, a scalar plus a rank-k core when
 M = c I + U V^T or a diagonal (a step costs O(d k)), folded into
 matrices otherwise.  evolution2 recovers v from v' with RK4's own
 weights and a cumsum.  Every back-end applies M through its factors.
+The time back-end samples f once, a block of half-step rows at a time
+(spaces.row_blocks), and each block feeds the march's forcing, the beta
+rows and the compatibility projection, so that the solve holds the march
+state and then v and u, never f.
 Series limits and the fit tolerance are module constants.  Each back-end
 then runs the triangular C-recursion; `solve_family`, the one entry
 point, reassembles the full solution and returns it as a
@@ -20,8 +24,10 @@ point, reassembles the full solution and returns it as a
 writes: grid spaces unroll onto their own axis, a time axis is strided
 and mode spaces get a sine synthesis.
 The closed-form oracles at the bottom evaluate the exact solution
-formulas of the bundled example problems by direct quadrature; they
-share no code with the pipeline beyond elementary helpers.
+formulas of the bundled example problems by direct quadrature, sampling
+f themselves; the evolution ones yield their reference a block of time
+nodes at a time.  They share no code with the pipeline beyond
+elementary helpers.
 """
 
 import itertools
@@ -33,10 +39,11 @@ import numpy.polynomial.chebyshev as cheb
 
 from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
                      UsageError)
-from .reduction import (FAMILIES, beta_tables, compat_residual,
-                        equation_residual, reconstruct_solution,
-                        rhs_projection, solve_C_recurrence)
-from .spaces import BLOCK, FACTORED_WIDTH_SHARE
+from .reduction import (FAMILIES, beta_tables, compat_projection,
+                        compat_residual, equation_residual,
+                        reconstruct_solution, rhs_projection,
+                        solve_C_recurrence)
+from .spaces import FACTORED_WIDTH_SHARE, row_blocks
 
 GOURSAT_SERIES_CAP = 40
 GOURSAT_SERIES_TOL = 1e-12
@@ -49,6 +56,11 @@ CSV_BLOCK = 1 << 12     # values the CSV writer formats at once: its strings
                         # are live together, so larger blocks raise peak RSS
 BESSEL_SERIES_TOL = 1e-18
 BESSEL_SERIES_CAP = 80
+# the march's cost model counts a product by M on one row as at least this
+# many flops: below it numpy's per-call cost dominates (one BLAS thread, a
+# dense-M spectral3 march chains its block starts faster than it powers
+# the step map from about d = 130 on, and slower below)
+ROW_PRODUCT_FLOPS = 1 << 16
 
 
 @dataclass
@@ -173,10 +185,12 @@ def _sample_rhs(f, tvals, width):
     return vals
 
 
-def _march(M, r, s, g_half, tgrid):
+def _march(M, r, s, g_rows, tgrid):
     """Classical RK4 from zero data for v^(r) = g - M v^(s), s <= 1, g
     sampled on the half-step grid and M a FiniteOperator; returns v at
-    the nodes.
+    the nodes.  g_rows(rows) gives g on a slice of the 2 nt + 1 half-step
+    rows; the march asks for each row once, in order, in the blocks
+    (row_blocks of width dim) that apply_to_samples forms its rows in.
 
     On a linear system one RK4 step is the affine map z -> R(Z) z + b_n,
     Z = hA and R(z) = sum_{j<=4} z^j / j! the stability function (Hairer,
@@ -188,10 +202,14 @@ def _march(M, r, s, g_half, tgrid):
     columns); any other M enters as a = 0, X = N, V = I.  A block is then
     a pair p I + X C V^T, and P = R(Z), the forcing and P^L are tables of
     such pairs (_table_product), applied through the factors or, past
-    FACTORED_WIDTH_SHARE, folded (_table_map).  _scan marches
-    z_(n+1) = P z_n + b_n; the forcing of all steps comes from g a block
-    of rows at a time.  For s = 1, v is RK4's own quadrature of v' = z_0,
-    summed by a cumsum."""
+    FACTORED_WIDTH_SHARE, folded (_table_map); the powers of Z come by
+    shifting (_times_Z).  _scan marches z_(n+1) = P z_n + b_n; the
+    forcing of each block of steps is formed from its rows of g as they
+    arrive, and its block starts chain through P^L when binary powering
+    costs fewer flops than L plain steps through M (_power_pays), and
+    through those steps otherwise.  For s = 1, v is RK4's own quadrature
+    of v' = z_0, summed by a cumsum; its g term is formed with the
+    forcing, so that no row of g is held past its block."""
     h = float(tgrid[1] - tgrid[0])
     nt, d, q = len(tgrid) - 1, M.domain.dim, r - s
     if M.dense is None and (not M.U.shape[1] or np.all(M.diag == M.diag[0])):
@@ -207,7 +225,7 @@ def _march(M, r, s, g_half, tgrid):
     pZ[q - 1, 0], CZ[q - 1, 0] = a, np.eye(k)
     powers = [(one, np.zeros_like(CZ)), (pZ, CZ)]
     for _ in range(3):
-        powers.append(_table_product(powers[-1], powers[1], G))
+        powers.append(_times_Z(powers[-1], h, a, G))
     ps, Cs = (np.stack(x) for x in zip(*powers))
 
     def poly(*coef):
@@ -219,27 +237,104 @@ def _march(M, r, s, g_half, tgrid):
                                 for i in (0, 1)), X, V)
 
     c, g_in = h / 6.0, slice(q - 1, q)      # g enters the last block
-    pairs = g_half[:-1].reshape(nt, 2, d)   # (g0, gm) of each step
     # w[1:] holds the forcing b_n = c (F0 e g0 + Fm e gm + e g1), e the last
     # block, until _scan adds P w_n to w_(n + 1)
     w = np.empty((nt + 1, q, d))
     w[0] = 0.0
     forcing = blocks(1.0, (poly(1, 1, 1 / 2, 1 / 4), poly(4, 2, 1 / 2)), slice(None), g_in)
-    _fill_rows(w[1:], ((forcing, pairs),))
-    w[1:, q - 1] += g_half[2::2]
-    w[1:] *= c
+    if s:
+        # dv_n = h [Q3 w_n + c (Q1 e g0 + Q2 e gm)] in block 0, then v by a cumsum
+        Qg = blocks(h * c, (poly(1, 1 / 2, 1 / 4), poly(2, 1 / 2)), slice(1), g_in)
+        v = np.empty((nt + 1, d))
+        v[0] = 0.0
+    steps = row_blocks(nt, q * d)
+    windows = _regrouped((g_rows(rows) for rows in row_blocks(2 * nt + 1, d)),
+                         [slice(2 * rows.start, 2 * rows.stop + 1) for rows in steps])
+    for rows in steps:
+        g = next(windows)
+        pairs = g[:-1].reshape(-1, 2, d)    # (g0, gm) of each step
+        b = w[1 + rows.start:1 + rows.stop]
+        b[:] = forcing(pairs)
+        b[:, q - 1] += g[2::2]
+        b *= c
+        if s:
+            v[1 + rows.start:1 + rows.stop, None] = Qg(pairs)
+        del g, pairs    # so that _regrouped lets the window go
     P, L = poly(1, 1, 1 / 2, 1 / 6, 1 / 24), _block_length(nt)
-    _scan(w, _table_map(P, X, V), _table_map(_table_power(P, L, G), X, V), L)
+    if _power_pays(nt, L, q, d, k, np.ndim(a), M):
+        step_L = _table_map(_table_power(P, L, G), X, V)
+    else:
+        def step_L(start):
+            for _ in range(L):
+                start = _rk4_step(M, h, start)
+            return start
+    _scan(w, _table_map(P, X, V), step_L, L)
     if s == 0:
         return np.ascontiguousarray(w[:, 0])   # frees the other q - 1 blocks
-    # dv_n = h [Q3 w_n + c (Q1 e g0 + Q2 e gm)] in block 0, then v by a cumsum
     Qw = blocks(h, (poly(1, 1 / 2, 1 / 6, 1 / 24),), slice(1), slice(None))
-    Qg = blocks(h * c, (poly(1, 1 / 2, 1 / 4), poly(2, 1 / 2)), slice(1), g_in)
-    v = np.empty((nt + 1, d))
-    v[0] = 0.0
-    _fill_rows(v[1:, None], ((Qw, w[:-1]), (Qg, pairs)))
+    for rows in row_blocks(nt, d):
+        v[1 + rows.start:1 + rows.stop, None] += Qw(w[rows])
     np.cumsum(v[1:], axis=0, out=v[1:])
     return v
+
+
+def _regrouped(blocks, windows):
+    """The row windows (slices, ascending in start and stop) of the array
+    whose consecutive row blocks `blocks` yields, each as one array; rows
+    before a window's start are let go when a later block arrives."""
+    blocks = iter(blocks)
+    held, first = next(blocks), 0      # held[0] is row `first`
+    for win in windows:
+        if first + len(held) < win.stop:
+            parts = [held[win.start - first:].copy()]
+            end, held = first + len(held), None
+            while end < win.stop:
+                parts.append(next(blocks))
+                end += len(parts[-1])
+            held, first = np.concatenate(parts), win.start
+            del parts
+        yield held[win.start - first:win.stop - first]
+
+
+def _power_pays(nt, L, q, d, k, per_coordinate, M):
+    """Whether forming step^L by binary powering (_table_power) costs fewer
+    flops than carrying each of the nt // L - 1 chained block starts
+    through L plain steps (_rk4_step, four products by M on one row, each
+    counted at no less than ROW_PRODUCT_FLOPS).  A product of (q, q)
+    tables of k-wide cores costs about q^3 k^3 (q^3 d when the scalar
+    parts hold one value per coordinate)."""
+    products = L.bit_length() + bin(L).count("1") - 2
+    product = q ** 3 * (k ** 3 + k * k + (d if per_coordinate else 1))
+    by_M = d * d if M.dense is not None else d * (1 + 2 * M.U.shape[1])
+    return products * product < (nt // L - 1) * L * 4 * max(by_M, ROW_PRODUCT_FLOPS)
+
+
+def _times_Z(A, h, a, G):
+    """The table product A Z (_table_product's numbers) for Z with h I
+    above the diagonal and (a, I) in its corner, by shifting: column
+    j >= 1 of A Z is h times column j - 1 of A, and column 0 is A's last
+    column times (a, I)."""
+    p1, C1 = A
+    p, C = np.zeros_like(p1), np.zeros_like(C1)
+    p[:, 1:], p[:, 0] = p1[:, :-1] * h, p1[:, -1] * a
+    if not G.size:
+        return p, C1
+    last = C1[:, -1]
+    C[:, 1:] = C1[:, :-1] * h
+    C[:, 0] = (p1[:, -1, None, None] * np.eye(len(G)) + last * a) + last @ G
+    return p, C
+
+
+def _rk4_step(M, h, z):
+    """R(Z) z for one companion row z = (z_0, ..., z_(q-1)), by Horner in
+    Z with Z z = (h z_1, ..., h z_(q-1), -h M z_0): four products by M."""
+    y = z
+    for c in (1 / 4, 1 / 3, 1 / 2, 1.0):
+        Zy = np.empty_like(y)
+        Zy[:-1] = h * y[1:]
+        Zy[-1] = -h * M.apply(y[0])
+        y = z + c * Zy
+    return y
 
 
 def _table_product(A, B, G):
@@ -322,18 +417,6 @@ def _scan(w, step, step_L, L):
         w[n + 1] += step(w[n])
 
 
-def _fill_rows(out, terms):
-    """out = sum f(x) over the (f, x) terms, a block of rows at a time so
-    that no temporary has the size of out."""
-    (f0, x0), *rest = terms
-    step = max(1, BLOCK // out[0].size)
-    for lo in range(0, len(out), step):
-        rows = slice(lo, lo + step)
-        out[rows] = f0(x0[rows])
-        for f, x in rest:
-            out[rows] += f(x[rows])
-
-
 def _cumulative_from_zero(samples, grid, axis=0):
     """Cumulative trapezoid integral of samples along axis, 0 at the
     first node: sums of neighbours times the half steps, then a cumsum.
@@ -386,22 +469,36 @@ def _solve_time(rp):
 
     The regular part v^(r) = g - M v^(s), g = (I - Q) f, marches with
     RK4's step map on the companion state (`_march`), for evolution2 v'
-    and then v by RK4's quadrature of v'.  The C-recursion runs on the
-    half-step grid, inverting L1 = D_t^s by identity or Simpson."""
-    spec = rp.system
+    and then v by RK4's quadrature of v'.  f is sampled once, on the
+    blocks of half-step rows the march asks for, and each block fills its
+    rows of beta and of the compatibility projection (at the nodes, the
+    even rows) as it projects g.
+    The C-recursion runs on the half-step grid, inverting L1 = D_t^s by
+    identity or Simpson."""
+    spec, js = rp.system, rp.js
     (r,), (s,) = FAMILIES[spec.family].L
     tgrid = _time_grid(spec)
     th = _half_grid(tgrid)
-    f_half = _sample_rhs(spec.f, th, rp.js.codomain.dim)
-    v = _march(rp.M, r, s, rhs_projection(rp, f_half), tgrid)
+    dim = js.codomain.dim
+    beta = np.empty((len(th), js.k))
+    f_psi = np.empty((len(tgrid), js.psi_extra.shape[1]))
+
+    def projected(rows):
+        f = _sample_rhs(spec.f, th[rows], dim)
+        beta[rows] = beta_tables(rp, f)
+        f_psi[(rows.start + 1) // 2:(rows.stop + 1) // 2] = compat_projection(
+            rp, f[rows.start % 2::2])
+        return rhs_projection(rp, f)
+
+    # the march asks for every row, so beta and f_psi are whole when it returns
+    v = _march(rp.M, r, s, projected, tgrid)
     # chains of length > 1 differentiate the projections repeatedly; the
     # half-step grid and 4th-order stencils keep the C error at the RK4
     # scale, and the Simpson lead matches the RK4 stage accuracy
     lead = ((lambda rhs: rhs) if s == 0
             else (lambda rhs: _cumulative_simpson_half(rhs, th)))
-    C_half = solve_C_recurrence(rp, beta_tables(rp, f_half), [("t", th)],
-                                lead, accuracy=4)
-    return ([("t", tgrid)], f_half[::2], v, C_half[::2],
+    C_half = solve_C_recurrence(rp, beta, [("t", th)], lead, accuracy=4)
+    return ([("t", tgrid)], f_psi, v, C_half[::2],
             {"dt": float(tgrid[1] - tgrid[0])})
 
 
@@ -443,7 +540,7 @@ def _solve_goursat(rp):
     axes = [("x", xg), ("y", yg)]
     C = solve_C_recurrence(rp, beta_tables(rp, f_vals), axes,
                            lambda rhs: rhs)
-    return (axes, f_vals, v, C,
+    return (axes, compat_projection(rp, f_vals), v, C,
             {"series_terms": r, "series_tail": float(np.abs(vterm).max())})
 
 
@@ -508,7 +605,7 @@ def _solve_mixed_xy(rp):
     axes = [("x", xg), ("y", yg)]
     C = solve_C_recurrence(rp, beta_tables(rp, f_vals), axes,
                            lambda rhs: _cumulative_from_zero(rhs, yg, axis=1))
-    return (axes, f_vals, v, C,
+    return (axes, compat_projection(rp, f_vals), v, C,
             {"series_terms": terms, "fit_residual": fit_residual})
 
 
@@ -540,7 +637,8 @@ def _box_grid(spec, name):
     return np.linspace(float(lo), float(hi), nodes)
 
 
-# each back-end returns (axes, f samples on the axes, v, C, solver meta)
+# each back-end returns (axes, the compat_projection of f on the axes, v,
+# C, solver meta)
 SOLVERS = {
     "goursat": _solve_goursat,
     "evolution1": _solve_time,
@@ -556,9 +654,9 @@ def solve_family(rp):
     conditions and return u on the back-end's sample axes.  Node counts
     and the time step come from the spec's grid table."""
     spec = rp.system
-    axes, f_vals, v, C, meta = SOLVERS[spec.family](rp)
+    axes, f_psi, v, C, meta = SOLVERS[spec.family](rp)
     u = reconstruct_solution(rp, v, C)
-    dev = compat_residual(rp, axes, v, f_vals)
+    dev = compat_residual(rp, axes, v, f_psi)
     if dev > COMPAT_TOL:
         raise CompatibilityError(
             "compatibility violated: the unresolvable-direction "
@@ -568,9 +666,9 @@ def solve_family(rp):
     if stride is not None:
         meta["output_stride_t"] = stride
     if space.mode_shape is not None:
-        # mode spaces carry their equation residual against the f samples
+        # mode spaces carry their equation residual
         meta["modes"] = space.mode_shape
-        meta["mode_residual"] = equation_residual(spec, axes, u, f_vals)
+        meta["mode_residual"] = equation_residual(spec, axes, u)
         if "lambda" in spec.grid:
             meta["lambda"] = float(spec.grid["lambda"])
     return SolutionField(axes=axes, values=u, space=space, meta=meta)
@@ -602,29 +700,48 @@ def oracle_goursat_constant(a, b, xg, yg):
     return np.stack([u1, u2], axis=-1)
 
 
-def _exp_weighted_integral(g_half, tgrid, decay=True):
-    """I(t_i) = integral_0^{t_i} e^{t_i - s} g(s) ds (or plain integral when
-    decay is False), Simpson steps on the half-step samples.  The step
-    recursion I_{k+1} = e^h I_k + inc_k is the scan
+def _exp_weighted_integral(g_half, tgrid, steps, carry=None, decay=True):
+    """I(t_i) = integral_0^{t_i} e^{t_i - s} g(s) ds (or the plain integral
+    when decay is False) at the nodes the steps (a slice of step indices)
+    end at, Simpson steps on the 2 m + 1 half-step samples g_half of those
+    m steps; the first block (carry None) starts with I(t_0) = 0.  The
+    step recursion I_{k+1} = e^h I_k + inc_k is the scan
     I_i = e^{t_i} cumsum_{k<i} e^{-t_{k+1}} inc_k (times from t_0), built
-    in place in the result."""
+    in place in the result and carried across blocks: returns (I, carry),
+    carry the scan's last partial sum, which the next block's first row
+    adds, so that the blocks give the one-shot scan's bits."""
     h = float(tgrid[1] - tgrid[0])
     eh = np.exp(h) if decay else 1.0
     ehalf = np.exp(0.5 * h) if decay else 1.0
-    out = np.empty((len(tgrid),) + g_half.shape[1:])
-    out[0] = 0.0
-    inc = out[1:]
+    first = carry is None
+    out = np.empty((len(g_half) // 2 + first,) + g_half.shape[1:])
+    out[:first] = 0.0
+    inc = out[first:]
     np.multiply(g_half[:-1:2], eh, out=inc)
     inc += 4.0 * ehalf * g_half[1::2]
     inc += g_half[2::2]
     inc *= h / 6.0
-    rel = (tgrid[1:] - tgrid[0]).reshape((-1,) + (1,) * (inc.ndim - 1))
+    rel = (tgrid[steps.start + 1:steps.stop + 1] - tgrid[0]).reshape(
+        (-1,) + (1,) * (inc.ndim - 1))
     if decay:
         inc *= np.exp(-rel)
+    if not first:
+        inc[0] += carry
     np.cumsum(inc, axis=0, out=inc)
+    carry = inc[-1].copy()
     if decay:
         inc *= np.exp(rel)
-    return out
+    return out, carry
+
+
+def _oracle_blocks(f, tgrid, xgrid):
+    """(steps, nodes, f) over blocks of the time steps: f sampled on the
+    2 m + 1 half-step rows of the m steps, nodes the slice of time nodes
+    they end at, node 0 included in the first block."""
+    th = _half_grid(tgrid)
+    for steps in row_blocks(len(tgrid) - 1, 2 * len(xgrid)):
+        f_half = np.asarray(f(t=th[2 * steps.start:2 * steps.stop + 1]), dtype=float)
+        yield steps, slice(steps.start + bool(steps.start), steps.stop + 1), f_half
 
 
 def _weighted_space_integral(f_vals, grid, weight):
@@ -655,28 +772,33 @@ def _weighted_space_integral(f_vals, grid, weight):
 def oracle_first_order_evolution(f, tgrid, xgrid):
     """Quadrature evaluation of the exact formula
     u(t,x) = int_0^t e^(t-z) [f(z,x) - 3x int s f(z,s) ds] dz
-             - 3x int s f(t,s) ds."""
+             - 3x int s f(t,s) ds,
+    yielded as (nodes, u on them) over consecutive blocks of the time
+    nodes."""
     tgrid = np.asarray(tgrid, float)
     xgrid = np.asarray(xgrid, float)
-    th = _half_grid(tgrid)
-    f_half = np.asarray(f(t=th), dtype=float)
-    mom_half = _weighted_space_integral(f_half, xgrid, xgrid)
-    g_half = f_half - 3.0 * mom_half[:, None] * xgrid[None, :]
-    integ = _exp_weighted_integral(g_half, tgrid, decay=True)
-    mom_nodes = mom_half[::2]
-    return integ - 3.0 * mom_nodes[:, None] * xgrid[None, :]
+    carry = None
+    for steps, nodes, f_half in _oracle_blocks(f, tgrid, xgrid):
+        mom_half = _weighted_space_integral(f_half, xgrid, xgrid)
+        g_half = f_half - 3.0 * mom_half[:, None] * xgrid[None, :]
+        integ, carry = _exp_weighted_integral(g_half, tgrid, steps, carry, decay=True)
+        mom_nodes = mom_half[2 * (nodes.start - steps.start)::2]
+        yield nodes, integ - 3.0 * mom_nodes[:, None] * xgrid[None, :]
 
 
 def oracle_second_order_evolution(f, tgrid, xgrid):
     """Quadrature evaluation of the exact formula
     u(t,x) = int_0^t (e^(t-s) - 1) f(s,x) ds
-             - 3x int_0^t e^(t-s) [int s' f(s,s') ds'] ds."""
+             - 3x int_0^t e^(t-s) [int s' f(s,s') ds'] ds,
+    yielded as (nodes, u on them) over consecutive blocks of the time
+    nodes."""
     tgrid = np.asarray(tgrid, float)
     xgrid = np.asarray(xgrid, float)
-    th = _half_grid(tgrid)
-    f_half = np.asarray(f(t=th), dtype=float)
-    I_exp = _exp_weighted_integral(f_half, tgrid, decay=True)
-    I_one = _exp_weighted_integral(f_half, tgrid, decay=False)
-    mom_half = _weighted_space_integral(f_half, xgrid, xgrid)
-    J = _exp_weighted_integral(mom_half[:, None], tgrid, decay=True)[:, 0]
-    return I_exp - I_one - 3.0 * J[:, None] * xgrid[None, :]
+    carry = [None] * 3
+    for steps, nodes, f_half in _oracle_blocks(f, tgrid, xgrid):
+        I_exp, carry[0] = _exp_weighted_integral(f_half, tgrid, steps, carry[0], decay=True)
+        I_one, carry[1] = _exp_weighted_integral(f_half, tgrid, steps, carry[1], decay=False)
+        mom_half = _weighted_space_integral(f_half, xgrid, xgrid)
+        J, carry[2] = _exp_weighted_integral(mom_half[:, None], tgrid, steps, carry[2],
+                                             decay=True)
+        yield nodes, I_exp - I_one - 3.0 * J[:, 0][:, None] * xgrid[None, :]

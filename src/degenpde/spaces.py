@@ -178,9 +178,8 @@ class FiniteOperator:
         out = np.empty(np.shape(samples))
         rows_out = out.reshape(-1, out.shape[-1])
         rows = np.reshape(samples, rows_out.shape)
-        step = max(1, BLOCK // rows.shape[1])
-        for lo in range(0, len(rows), step):
-            blk, dst = rows[lo:lo + step], rows_out[lo:lo + step]
+        for part in row_blocks(len(rows), rows.shape[1]):
+            blk, dst = rows[part], rows_out[part]
             np.multiply(blk, self.diag, out=dst)
             # np.dot, not @: numpy's matmul runs a slow loop for width k = 1
             dst += np.dot(blk @ self.V, self.U.T)
@@ -257,13 +256,21 @@ def _largest_entry(d, U, V):
     """max |diag(d) + U V^T| over the entries, a row block at a time."""
     if not U.shape[1]:
         return float(np.abs(d).max(initial=0.0))
-    best, step = 0.0, max(1, BLOCK // d.size)
-    for lo in range(0, d.size, step):
-        rows = U[lo:lo + step] @ V.T
+    best = 0.0
+    for blk in row_blocks(d.size, d.size):
+        rows = U[blk] @ V.T
         j = np.arange(rows.shape[0])
-        rows[j, lo + j] += d[lo + j]
+        rows[j, blk.start + j] += d[blk.start + j]
         best = max(best, float(np.abs(rows).max()))
     return best
+
+
+def row_blocks(n, width):
+    """Consecutive slices covering rows 0 .. n - 1, of max(1, BLOCK //
+    width) rows each: at most BLOCK entries when a row holds width of them,
+    and never less than one row."""
+    step = max(1, BLOCK // max(1, width))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def compose(a, b):

@@ -59,6 +59,12 @@ def kernel_evolution_spec(family, f, nodes=201, quadrature="simpson",
                                 box={"t": (0.0, t_hi)}, grid={"dt": dt})
 
 
+def oracle_on_nodes(oracle, f, tgrid, xgrid):
+    """The reference of a blocked evolution oracle on every node of tgrid,
+    as one array."""
+    return np.concatenate([ref for _, ref in oracle(f, tgrid, xgrid)])
+
+
 def grid_samples(xg):
     xg = np.asarray(xg, dtype=float)
 

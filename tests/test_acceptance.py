@@ -22,7 +22,7 @@ from degenpde.solvers import (oracle_first_order_evolution,
 from degenpde.spaces import (grid_space, identity_operator,
                              make_kernel_operator, matrix_operator)
 
-from conftest import PROBLEMS, projector_matrices
+from conftest import PROBLEMS, oracle_on_nodes, projector_matrices
 from test_jordan import random_structured_pair
 from test_solvers import asymptotic_leading_term, naive_cauchy_defect
 
@@ -138,7 +138,7 @@ def test_criterion_3_first_order_closed_forms(problems_dir, report):
         axes, u = fld.axes, fld.values
         tgrid = axes[0][1]
         xg = spec.B.domain.grid
-        ref = oracle_first_order_evolution(spec.f, tgrid, xg)
+        ref = oracle_on_nodes(oracle_first_order_evolution, spec.f, tgrid, xg)
         worst = max(worst, float(np.abs(u - ref).max()))
         if fsrc == "x":
             dev_sign = float(np.abs(u + xg[None, :]).max())
@@ -348,7 +348,7 @@ def test_criterion_9_convergence_orders(report):
     ratios = {}
     for fam, oracle in (("evolution1", oracle_first_order_evolution),
                         ("evolution2", oracle_second_order_evolution)):
-        ref = oracle(sampler, np.linspace(0.0, 2.0, 2001), xg)
+        ref = oracle_on_nodes(oracle, sampler, np.linspace(0.0, 2.0, 2001), xg)
         devs = []
         for dt in (0.02, 0.01):
             spec = DegenerateSystemSpec(B=Bk, A1=A1k, f=sampler,

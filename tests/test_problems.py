@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenpde import problems
+from degenpde import problems, spaces
 from degenpde.cli import main
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              EvaluationError, ParseError, UsageError)
@@ -541,6 +541,22 @@ def test_oracle_outcomes_for_bundled_problems(problems_dir):
         out = evaluate_oracle(pf, rp, fld)
         assert out.passed
         assert out.deviation <= bound
+
+
+@pytest.mark.parametrize("block", [1, 500, 1 << 16])
+def test_exact_oracle_takes_its_deviation_by_row_blocks(problems_dir, monkeypatch, rng,
+                                                        block):
+    # the largest deviation sits in one row of many blocks; every block's
+    # exact values match the whole-array evaluation
+    pf = load_problem(problems_dir / "example4.json")
+    rp = reduce(instantiate(pf))
+    fld = solve_family(rp)
+    fld.values = fld.values + 1e-9 * rng.standard_normal(fld.values.shape)
+    fld.values[73, 40, 1] += 1e-6
+    x, y = np.meshgrid(fld.axes[0][1], fld.axes[1][1], indexing="ij")
+    exact = np.stack([x ** 2 / 2, y], axis=-1)
+    monkeypatch.setattr(spaces, "BLOCK", block)
+    assert evaluate_oracle(pf, rp, fld).deviation == np.abs(fld.values - exact).max()
 
 
 def test_oracle_tolerance_override_sets_the_verdict(problems_dir):

@@ -5,21 +5,22 @@ import json
 import numpy as np
 import pytest
 
-from degenpde import chains, reduction
+from degenpde import chains, reduction, spaces
 from degenpde.chains import (CERTIFY_TOL, apply_schmidt_inverse,
                              complete_structure)
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              StructureError)
 from degenpde.problems import instantiate, load_problem
-from degenpde.reduction import (FAMILIES, DegenerateSystemSpec,
-                                apply_differential_operator, describe_reduction,
+from degenpde.reduction import (FAMILIES, DegenerateSystemSpec, _interior,
+                                _mesh_coords, apply_differential_operator,
+                                describe_reduction, equation_residual,
                                 reconstruct_solution, reduce, residual_check,
                                 solve_C_recurrence)
 from degenpde.solvers import (SolutionField, _cumulative_from_zero,
                               _cumulative_simpson_half, solve_family)
 from degenpde.spaces import FiniteOperator, grid_space, matrix_operator
 
-from conftest import projector_matrices
+from conftest import PROBLEMS, projector_matrices
 from test_jordan import random_structured_pair
 
 
@@ -449,6 +450,63 @@ def test_regular_part_leaking_into_extra_cokernel_is_refused():
     rp = reduce(_evolution_spec(B, A, f=lambda t=None: np.zeros((np.size(t), 3))))
     with pytest.raises(CompatibilityError, match="leaks into the unresolvable"):
         reconstruct_solution(rp, rp.js.z_extra.T, np.zeros((1, rp.js.k)))
+
+
+def _tall_pencil():
+    B = matrix_operator([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    A = matrix_operator([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    return reduce(_evolution_spec(B, A, f=lambda t=None: np.zeros((np.size(t), 3))))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_leak_check_and_reconstruction_go_by_row_blocks(monkeypatch, rng, block):
+    # the largest leak and the largest |v| sit in different rows, so the
+    # blocked maxima must meet across blocks; the refusal reports the
+    # whole-array ratio and a compatible v reconstructs as a whole
+    monkeypatch.setattr(spaces, "BLOCK", block)
+    rp = _tall_pencil()
+    js = rp.js
+    keep = np.eye(3) - js.z_span[:, js.k:] @ js.z_coef[:, js.k:].T
+    v = rng.standard_normal((400, 3)) @ keep.T
+    v[37] *= 50.0
+    C = rng.standard_normal((400, js.k))
+    want = v @ js.Bplus.matrix.T + C @ js.Phi.T
+    np.testing.assert_allclose(reconstruct_solution(rp, v, C), want, rtol=0, atol=1e-13)
+    v[311] += 1e-3 * js.z_extra[:, 0]
+    leak = (v @ js.z_coef[:, js.k:]) @ js.z_span[:, js.k:].T
+    dev = np.abs(leak).max() / max(1.0, np.abs(v).max())
+    with pytest.raises(CompatibilityError, match=f"relative size {dev:.2e}"):
+        reconstruct_solution(rp, v, C)
+
+
+def whole_equation_residual(spec, axes, u):
+    """The equation residual in one pass over whole arrays: f sampled on
+    every node, B u and A1 u formed at once, every derivative along its
+    whole axis."""
+    lead_k, lower_k = FAMILIES[spec.family].L
+    f_vals = np.asarray(spec.f(**_mesh_coords(axes)), dtype=float)
+    total = (apply_differential_operator(lead_k, spec.B.apply_to_samples(u), axes)
+             + apply_differential_operator(lower_k, spec.A1.apply_to_samples(u), axes))
+    return float(np.abs(_interior(total - f_vals, len(axes))).max())
+
+
+# the bundled f = x of example2/3 lies in the range of Q, so their regular
+# part is rounding noise; the sin forcing gives it a size
+@pytest.mark.parametrize("name, f", [(name, None) for name in PROBLEMS]
+                         + [(name, "1 + sin(t)*x^2") for name in PROBLEMS[1:3]])
+def test_blocked_equation_residual_matches_the_whole_array_pass(problems_dir, monkeypatch,
+                                                                name, f):
+    pf = load_problem(problems_dir / name)
+    if f is not None:
+        pf.f = f
+    spec = instantiate(pf)
+    fld = solve_family(reduce(spec))
+    axes = list(fld.axes)
+    for block in (1, 1000, 1 << 16):
+        # B u in the same row blocks on both sides: apply_to_samples reads BLOCK too
+        monkeypatch.setattr(spaces, "BLOCK", block)
+        assert equation_residual(spec, axes, fld.values) == whole_equation_residual(
+            spec, axes, fld.values)
 
 
 # -- residual checks -------------------------------------------------------------

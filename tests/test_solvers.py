@@ -7,10 +7,11 @@ import pytest
 import scipy.special
 from scipy.integrate import cumulative_trapezoid, simpson
 
+from degenpde import solvers, spaces
 from degenpde.chains import apply_schmidt_inverse
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              EvaluationError, UsageError)
-from degenpde.problems import instantiate, load_problem
+from degenpde.problems import evaluate_oracle, instantiate, load_problem
 from degenpde.reduction import (FAMILIES, DegenerateSystemSpec, reduce,
                                 residual_check)
 from degenpde.solvers import (CSV_BLOCK, SolutionField, _block_length,
@@ -26,7 +27,7 @@ from degenpde.solvers import (CSV_BLOCK, SolutionField, _block_length,
 from degenpde.spaces import (FACTORED_WIDTH_SHARE, euclidean_space, grid_space,
                              matrix_operator, mode_space, structured_operator)
 
-from conftest import PROBLEMS, grid_samples, kernel_evolution_spec
+from conftest import PROBLEMS, grid_samples, kernel_evolution_spec, oracle_on_nodes
 from test_fd import derivative_matrix
 
 
@@ -92,7 +93,7 @@ def test_first_order_matches_quadrature_oracle():
                   lambda t, x: np.sin(t) * x ** 2):
         spec, rp, fld, axes, u = _solve_kernel("evolution1", fexpr)
         xg = spec.B.domain.grid
-        want = oracle_first_order_evolution(spec.f, axes[0][1], xg)
+        want = oracle_on_nodes(oracle_first_order_evolution, spec.f, axes[0][1], xg)
         assert np.abs(u - want).max() <= 1e-4
 
 
@@ -117,7 +118,7 @@ def test_second_order_matches_quadrature_oracle():
     spec, rp, fld, axes, u = _solve_kernel("evolution2",
                                            lambda t, x: 1.0 + 0 * t + 0 * x)
     xg = spec.B.domain.grid
-    want = oracle_second_order_evolution(spec.f, axes[0][1], xg)
+    want = oracle_on_nodes(oracle_second_order_evolution, spec.f, axes[0][1], xg)
     assert np.abs(u - want).max() <= 1e-9
 
 
@@ -356,8 +357,8 @@ def test_spectral_march_keeps_only_the_solution_history(monkeypatch):
     from degenpde import solvers
     shapes = []
 
-    def recording(M, r, s, g_half, tgrid):
-        out = _march(M, r, s, g_half, tgrid)
+    def recording(M, r, s, g_rows, tgrid):
+        out = _march(M, r, s, g_rows, tgrid)
         shapes.append(((r, s), out.shape))
         return out
 
@@ -473,7 +474,7 @@ def test_rk4_march_is_fourth_order():
         t = np.arange(0.0, 1.0 + dt / 2, dt)
         th = _half_grid(t)
         g = np.cos(th)[:, None]
-        out = _march(matrix_operator(np.eye(1)), 1, 0, g, t)
+        out = _march(matrix_operator(np.eye(1)), 1, 0, g.__getitem__, t)
         assert out.shape == (len(t), 1)
         exact = 0.5 * (np.cos(t) + np.sin(t)) - 0.5 * np.exp(-t)
         errs.append(np.abs(out[:, 0] - exact).max())
@@ -511,7 +512,7 @@ def test_march_matches_the_rk4_stages(r, s, rng):
     assert np.linalg.cond(M) <= 50.0
     t = np.linspace(0.0, 2.0, 401)
     g_half = rng.standard_normal((2 * len(t) - 1, d))
-    got = _march(matrix_operator(M), r, s, g_half, t)
+    got = _march(matrix_operator(M), r, s, g_half.__getitem__, t)
     want = _rk4_stage_march(M, r, s, g_half, t)
     assert got.shape == (len(t), d)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -600,7 +601,7 @@ def test_blocked_march_matches_the_stage_loop(kind, r, s, rng):
     for nt in SCAN_STEPS:
         t = 1e-3 * np.arange(nt + 1)
         g_half = rng.standard_normal((2 * nt + 1, M.domain.dim))
-        got = _march(M, r, s, g_half, t)
+        got = _march(M, r, s, g_half.__getitem__, t)
         want = _rk4_stage_march(M.matrix, r, s, g_half, t)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -624,12 +625,120 @@ def test_exp_weighted_integral_scan_matches_the_step_loop(decay, width,
                                                           horizon, rng):
     t = np.linspace(0.0, horizon, 2001)
     g_half = rng.standard_normal((2 * len(t) - 1, width)) + 1.0
-    got = _exp_weighted_integral(g_half, t, decay=decay)
+    got, _ = _exp_weighted_integral(g_half, t, slice(0, len(t) - 1), decay=decay)
     want = _exp_weighted_loop(g_half, t, decay)
     assert got.shape == want.shape
     assert got[0].tolist() == [0.0] * width
     # g has mean 1, so every later node is checked relative to itself
     assert (np.abs(got - want)[1:] <= 1e-12 * np.abs(want)[1:]).all()
+
+
+def _one_shot_exp_weighted_integral(g_half, tgrid, decay):
+    """The exp-weighted integral as one scan over every step: the Simpson
+    increments weighted by e^{-t}, one cumsum, then e^{t}."""
+    h = float(tgrid[1] - tgrid[0])
+    eh = np.exp(h) if decay else 1.0
+    ehalf = np.exp(0.5 * h) if decay else 1.0
+    out = np.empty((len(tgrid),) + g_half.shape[1:])
+    out[0] = 0.0
+    inc = out[1:]
+    np.multiply(g_half[:-1:2], eh, out=inc)
+    inc += 4.0 * ehalf * g_half[1::2]
+    inc += g_half[2::2]
+    inc *= h / 6.0
+    rel = (tgrid[1:] - tgrid[0]).reshape((-1,) + (1,) * (inc.ndim - 1))
+    if decay:
+        inc *= np.exp(-rel)
+    np.cumsum(inc, axis=0, out=inc)
+    if decay:
+        inc *= np.exp(rel)
+    return out
+
+
+@pytest.mark.parametrize("decay", [True, False])
+@pytest.mark.parametrize("length", [1, 7, 2000])
+def test_carried_exp_weighted_integral_is_the_one_shot_scan(decay, length, rng):
+    # each block's first row takes the carry, so the blocks give the
+    # one-shot scan's bits
+    t = np.linspace(0.0, 2.0, 2001)
+    nt = len(t) - 1
+    g_half = rng.standard_normal((2 * nt + 1, 5)) + 1.0
+    got, carry = [], None
+    for lo in range(0, nt, length):
+        steps = slice(lo, min(lo + length, nt))
+        out, carry = _exp_weighted_integral(g_half[2 * steps.start:2 * steps.stop + 1],
+                                            t, steps, carry, decay=decay)
+        got.append(out)
+    assert np.array_equal(np.concatenate(got),
+                          _one_shot_exp_weighted_integral(g_half, t, decay))
+
+
+@pytest.mark.parametrize("oracle", [oracle_first_order_evolution,
+                                    oracle_second_order_evolution])
+def test_evolution_oracles_give_one_reference_in_any_blocks(monkeypatch, oracle):
+    # one step per block carries every running sum across 2000 block edges;
+    # only the space moments' rounding may differ
+    xg = grid_space(0.0, 1.0, 201, quadrature="simpson").grid
+    t = np.linspace(0.0, 2.0, 2001)
+    f = grid_samples(xg)(lambda t, x: 1.0 + np.sin(t) * x ** 2)
+    want = oracle_on_nodes(oracle, f, t, xg)
+    monkeypatch.setattr(spaces, "BLOCK", 1)
+    got = oracle_on_nodes(oracle, f, t, xg)
+    assert got.shape == (2001, 201)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_dense_march_chains_the_block_starts_without_powering(monkeypatch, problems_dir):
+    # 16 x 16 modes through dense matrices: step^L by binary powering costs
+    # 27 d^3 per product, more than chaining the starts through L steps of
+    # four products by M; the narrow factored M of the kernel problems
+    # still powers
+    powers, real = [], solvers._table_power
+    monkeypatch.setattr(solvers, "_table_power",
+                        lambda P, n, G: powers.append(n) or real(P, n, G))
+    rp = reduce(_spectral_spec(16, 16))
+    chained = solve_family(rp).values
+    assert powers == []
+    # at 8 x 8 modes the single-row products cost more in calls than in flops
+    solve_family(reduce(_spectral_spec(8, 8)))
+    assert powers[0] == _block_length(1000)
+    powers.clear()
+    for name in ("example2.json", "example3.json"):
+        solve_family(reduce(instantiate(load_problem(problems_dir / name))))
+        assert powers[0] == _block_length(2000)
+        powers.clear()
+    monkeypatch.setattr(solvers, "_power_pays", lambda *args: True)
+    powered = solve_family(rp).values
+    assert powers[0] == _block_length(1000)
+    assert np.abs(chained - powered).max() <= 1e-12 * np.abs(powered).max()
+
+
+def test_time_family_stages_hold_one_solution_and_blocks(problems_dir):
+    # verify example3 at dt 1.25e-4, u = 16001 x 201 (25.7 MB): the solve
+    # holds v' and v, then v and u; the residual check and the oracle hold
+    # only blocks of rows beside the solution they read
+    pf = load_problem(problems_dir / "example3.json")
+    rp = reduce(instantiate(pf, dt=1.25e-4))
+    peaks = []
+
+    def stage(run):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = run()
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+
+    tracemalloc.start()
+    try:
+        fld = stage(lambda: solve_family(rp))
+        stage(lambda: residual_check(rp, fld))
+        stage(lambda: evaluate_oracle(pf, rp, fld))
+    finally:
+        tracemalloc.stop()
+    u = fld.values.nbytes
+    assert fld.values.shape == (16001, 201)
+    assert peaks[0] <= 2.2 * u
+    assert max(peaks[1:]) <= 0.25 * u
 
 
 def test_bessel_like_sum_matches_scipy():

@@ -3,11 +3,26 @@
 import numpy as np
 import pytest
 
+from degenpde import spaces
 from degenpde.errors import ConfigurationError
 from degenpde.expressions import evaluate, parse
 from degenpde.spaces import (FiniteOperator, InnerProductSpace,
                              euclidean_space, grid_space, identity_operator,
-                             make_kernel_operator, matrix_operator, mode_space)
+                             make_kernel_operator, matrix_operator, mode_space,
+                             row_blocks)
+
+
+# -- row blocks ----------------------------------------------------------------
+
+@pytest.mark.parametrize("n, width, rows", [(10, 300, 3), (9, 300, 3), (10, 100000, 1),
+                                            (10, 0, 10), (0, 5, 1)])
+def test_row_blocks_cover_the_rows_in_blocks_of_at_most_BLOCK_entries(monkeypatch, n,
+                                                                     width, rows):
+    monkeypatch.setattr(spaces, "BLOCK", 1000)
+    blocks = row_blocks(n, width)
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    assert all(b.stop - b.start == rows for b in blocks[:-1])
+    assert all(0 < b.stop - b.start <= rows for b in blocks)
 
 
 # -- weights and quadrature ---------------------------------------------------
