@@ -256,7 +256,8 @@ def equation_residual(spec, axes, u):
     halo = max(stencil_size(k[0], 2) // 2 for k, _ in terms if k[0])
     n, spacing = len(u), [float(g[1] - g[0]) for _, g in axes]
     trim = (slice(None),) + (slice(2, -2),) * (len(axes) - 1)
-    held, worst = [u[:0]] * len(terms), 0.0
+    # the halo starts empty in each term's codomain, m wide for a tall pencil
+    held, worst = [op.apply_to_samples(u[:0]) for _, op in terms], 0.0
     for rows in row_blocks(n, u[0].size):
         held = [np.concatenate([part, op.apply_to_samples(u[rows])])
                 for part, (_, op) in zip(held, terms)]

@@ -43,7 +43,7 @@ from .reduction import (FAMILIES, beta_tables, compat_projection,
                         compat_residual, equation_residual,
                         reconstruct_solution, rhs_projection,
                         solve_C_recurrence)
-from .spaces import FACTORED_WIDTH_SHARE, row_blocks
+from .spaces import BLOCK, FACTORED_WIDTH_SHARE, row_blocks
 
 GOURSAT_SERIES_CAP = 40
 GOURSAT_SERIES_TOL = 1e-12
@@ -56,11 +56,6 @@ CSV_BLOCK = 1 << 12     # values the CSV writer formats at once: its strings
                         # are live together, so larger blocks raise peak RSS
 BESSEL_SERIES_TOL = 1e-18
 BESSEL_SERIES_CAP = 80
-# the march's cost model counts a product by M on one row as at least this
-# many flops: below it numpy's per-call cost dominates (one BLAS thread, a
-# dense-M spectral3 march chains its block starts faster than it powers
-# the step map from about d = 130 on, and slower below)
-ROW_PRODUCT_FLOPS = 1 << 16
 
 
 @dataclass
@@ -190,7 +185,8 @@ def _march(M, r, s, g_rows, tgrid):
     sampled on the half-step grid and M a FiniteOperator; returns v at
     the nodes.  g_rows(rows) gives g on a slice of the 2 nt + 1 half-step
     rows; the march asks for each row once, in order, in the blocks
-    (row_blocks of width dim) that apply_to_samples forms its rows in.
+    (row_blocks of width dim) that apply_to_samples forms its rows in, so
+    that g has the bits of one whole-array projection.
 
     On a linear system one RK4 step is the affine map z -> R(Z) z + b_n,
     Z = hA and R(z) = sum_{j<=4} z^j / j! the stability function (Hairer,
@@ -204,8 +200,9 @@ def _march(M, r, s, g_rows, tgrid):
     such pairs (_table_product), applied through the factors or, past
     FACTORED_WIDTH_SHARE, folded (_table_map); the powers of Z come by
     shifting (_times_Z).  _scan marches z_(n+1) = P z_n + b_n; the
-    forcing of each block of steps is formed from its rows of g as they
-    arrive, and its block starts chain through P^L when binary powering
+    forcing is formed for the whole steps in each block of g as it
+    arrives, the rows of an unfinished step carried to the next block, and
+    the scan's block starts chain through P^L when binary powering
     costs fewer flops than L plain steps through M (_power_pays), and
     through those steps otherwise.  For s = 1, v is RK4's own quadrature
     of v' = z_0, summed by a cumsum; its g term is formed with the
@@ -247,19 +244,19 @@ def _march(M, r, s, g_rows, tgrid):
         Qg = blocks(h * c, (poly(1, 1 / 2, 1 / 4), poly(2, 1 / 2)), slice(1), g_in)
         v = np.empty((nt + 1, d))
         v[0] = 0.0
-    steps = row_blocks(nt, q * d)
-    windows = _regrouped((g_rows(rows) for rows in row_blocks(2 * nt + 1, d)),
-                         [slice(2 * rows.start, 2 * rows.stop + 1) for rows in steps])
-    for rows in steps:
-        g = next(windows)
-        pairs = g[:-1].reshape(-1, 2, d)    # (g0, gm) of each step
-        b = w[1 + rows.start:1 + rows.stop]
+    g, first = np.empty((0, d)), 0      # g[0] is half-step row 2 first
+    for rows in row_blocks(2 * nt + 1, d):
+        g = np.concatenate([g, g_rows(rows)])
+        stop = first + (len(g) - 1) // 2    # steps first .. stop - 1 are whole
+        pairs = g[:2 * (stop - first)].reshape(-1, 2, d)     # (g0, gm) of each
+        b = w[1 + first:1 + stop]
         b[:] = forcing(pairs)
-        b[:, q - 1] += g[2::2]
+        b[:, q - 1] += g[2::2][:stop - first]
         b *= c
         if s:
-            v[1 + rows.start:1 + rows.stop, None] = Qg(pairs)
-        del g, pairs    # so that _regrouped lets the window go
+            v[1 + first:1 + stop, None] = Qg(pairs)
+        g, first = g[2 * (stop - first):], stop
+    del g, pairs
     P, L = poly(1, 1, 1 / 2, 1 / 6, 1 / 24), _block_length(nt)
     if _power_pays(nt, L, q, d, k, np.ndim(a), M):
         step_L = _table_map(_table_power(P, L, G), X, V)
@@ -278,35 +275,20 @@ def _march(M, r, s, g_rows, tgrid):
     return v
 
 
-def _regrouped(blocks, windows):
-    """The row windows (slices, ascending in start and stop) of the array
-    whose consecutive row blocks `blocks` yields, each as one array; rows
-    before a window's start are let go when a later block arrives."""
-    blocks = iter(blocks)
-    held, first = next(blocks), 0      # held[0] is row `first`
-    for win in windows:
-        if first + len(held) < win.stop:
-            parts = [held[win.start - first:].copy()]
-            end, held = first + len(held), None
-            while end < win.stop:
-                parts.append(next(blocks))
-                end += len(parts[-1])
-            held, first = np.concatenate(parts), win.start
-            del parts
-        yield held[win.start - first:win.stop - first]
-
-
 def _power_pays(nt, L, q, d, k, per_coordinate, M):
     """Whether forming step^L by binary powering (_table_power) costs fewer
     flops than carrying each of the nt // L - 1 chained block starts
-    through L plain steps (_rk4_step, four products by M on one row, each
-    counted at no less than ROW_PRODUCT_FLOPS).  A product of (q, q)
-    tables of k-wide cores costs about q^3 k^3 (q^3 d when the scalar
-    parts hold one value per coordinate)."""
+    through L plain steps (_rk4_step, four products by M on one row).  A
+    product of (q, q) tables of k-wide cores costs about q^3 k^3 (q^3 d
+    when the scalar parts hold one value per coordinate).  A product on
+    one row counts as no less than a row block of BLOCK entries, the size
+    the blocked passes spread numpy's per-call cost over; with one BLAS
+    thread that puts the dense-M switch near d = 130, where the two paths
+    time alike."""
     products = L.bit_length() + bin(L).count("1") - 2
     product = q ** 3 * (k ** 3 + k * k + (d if per_coordinate else 1))
     by_M = d * d if M.dense is not None else d * (1 + 2 * M.U.shape[1])
-    return products * product < (nt // L - 1) * L * 4 * max(by_M, ROW_PRODUCT_FLOPS)
+    return products * product < (nt // L - 1) * L * 4 * max(by_M, BLOCK)
 
 
 def _times_Z(A, h, a, G):

@@ -415,7 +415,9 @@ def test_several_chains_recover_the_splitting_solution(rng, blocks):
     assert np.abs(fld.values - exact(fld.axes[0][1])).max() <= 1e-5
 
 
-def test_tall_realization_accepts_compatible_data():
+def _tall_realization():
+    """B and A1 of shape 3 x 2 with f = (cos t, sin t, t), compatible:
+    u = (sin t, t)."""
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     A = matrix_operator([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -423,11 +425,19 @@ def test_tall_realization_accepts_compatible_data():
         t = np.asarray(t, dtype=float)
         return np.stack([np.cos(t), np.sin(t), t], axis=-1)
 
-    rp = reduce(_evolution_spec(B, A, f=f))
+    return reduce(_evolution_spec(B, A, f=f))
+
+
+def test_tall_realization_accepts_compatible_data():
+    rp = _tall_realization()
     fld = solve_family(rp)
     t = fld.axes[0][1]
     assert np.abs(fld.values[:, 0] - np.sin(t)).max() <= 1e-8
     assert np.abs(fld.values[:, 1] - t).max() <= 1e-8
+    # B u and A1 u live in the 3-dimensional codomain, not in u's space;
+    # the centered first difference of sin leaves about h^2 / 6 = 1.7e-7
+    resid, report = residual_check(rp, fld)
+    assert report["equation_residual"] == resid <= 1e-6
 
 
 def test_tall_realization_rejects_incompatible_data():
@@ -507,6 +517,17 @@ def test_blocked_equation_residual_matches_the_whole_array_pass(problems_dir, mo
         monkeypatch.setattr(spaces, "BLOCK", block)
         assert equation_residual(spec, axes, fld.values) == whole_equation_residual(
             spec, axes, fld.values)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_blocked_equation_residual_of_a_tall_pencil(monkeypatch, block):
+    # the halo of B u and A1 u is m = 3 wide while u is n = 2 wide
+    rp = _tall_realization()
+    fld = solve_family(rp)
+    monkeypatch.setattr(spaces, "BLOCK", block)
+    axes = list(fld.axes)
+    assert equation_residual(rp.system, axes, fld.values) == whole_equation_residual(
+        rp.system, axes, fld.values)
 
 
 # -- residual checks -------------------------------------------------------------

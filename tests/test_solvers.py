@@ -606,6 +606,22 @@ def test_blocked_march_matches_the_stage_loop(kind, r, s, rng):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("block", [1, 13, 40])
+@pytest.mark.parametrize("kind", ["growing", "dense"])
+def test_march_asks_for_each_forcing_row_once_in_row_blocks(monkeypatch, kind, block, rng):
+    # with d = 9, a block of 1 row holds no whole step and one of 4 rows
+    # ends mid-step: the rows left over carry into the next block
+    monkeypatch.setattr(spaces, "BLOCK", block)
+    M = _scan_operators(rng)[kind]
+    t = 1e-3 * np.arange(18)
+    g_half = rng.standard_normal((2 * len(t) - 1, M.domain.dim))
+    asked = []
+    got = _march(M, 2, 1, lambda rows: asked.append(rows) or g_half[rows], t)
+    assert asked == spaces.row_blocks(len(g_half), M.domain.dim)
+    want = _rk4_stage_march(M.matrix, 2, 1, g_half, t)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def _exp_weighted_loop(g_half, tgrid, decay):
     h = tgrid[1] - tgrid[0]
     eh, ehalf = (np.exp(h), np.exp(h / 2)) if decay else (1.0, 1.0)
