@@ -82,11 +82,13 @@ class JordanStructure:
     blocks: P = phi_span phi_coef^T with phi_span = [Phi, phi_extra],
     phi_coef = W1 [Gam, gamma_extra]; Q = z_span z_coef^T with z_span =
     [Z, z_extra], z_coef = W2 [Psi, psi_extra].  The first k columns give
-    Pk and Qk.  S is the skeleton's minimum-norm solve B^+ and Bplus =
-    (I - P) S (I - Q) the bounded pseudoinverse, both FiniteOperators
-    codomain -> domain under spaces' width rule, and comm is A1's
-    commutability certificate on the chain span.  The spans, Bplus, comm
-    and the measured diagnostics are set when the record is built.
+    Pk and Qk; outside_phi = I - P and outside_z = I - Q are the maps
+    diag(1) - span coef^T.  S is the skeleton's minimum-norm solve
+    B^+ and Bplus = (I - P) S (I - Q) the bounded pseudoinverse, both
+    FiniteOperators codomain -> domain under spaces' width rule, and comm
+    is A1's commutability certificate on the chain span.  The spans, the
+    outside maps, Bplus, comm and the measured diagnostics are set when
+    the record is built.
     """
 
     Phi: np.ndarray
@@ -111,6 +113,8 @@ class JordanStructure:
     phi_coef: np.ndarray = field(init=False)
     z_span: np.ndarray = field(init=False)
     z_coef: np.ndarray = field(init=False)
+    outside_phi: FiniteOperator = field(init=False)
+    outside_z: FiniteOperator = field(init=False)
     Bplus: FiniteOperator = field(init=False)
     comm: CommutabilityResult = field(init=False)
 
@@ -120,7 +124,8 @@ class JordanStructure:
         self.z_span = np.hstack([self.Z, self.z_extra])
         self.z_coef = self.codomain.weights[:, None] * np.hstack([self.Psi, self.psi_extra])
         self.diagnostics.update(structure_residuals(self))
-        self.Bplus, self.diagnostics["pseudoinverse_identity"] = _pseudo_inverse(self)
+        (self.outside_phi, self.outside_z, self.Bplus,
+         self.diagnostics["pseudoinverse_identity"]) = _pseudo_inverse(self)
         if self.square:
             self.diagnostics["schmidt_condition"] = _schmidt_condition(self)
         self.comm = commutability_matrix(self.A1, self)
@@ -137,18 +142,6 @@ class JordanStructure:
     def square(self):
         """No unpaired directions on a square map: the Schmidt bordering applies."""
         return self.nu == 0 and self.domain.dim == self.codomain.dim
-
-    @property
-    def outside_z(self):
-        """I - Q on the codomain, kept as the map diag(1) - z_span z_coef^T."""
-        return structured_operator(self.codomain, np.ones(self.codomain.dim),
-                                   -self.z_span, self.z_coef)
-
-    @property
-    def outside_phi(self):
-        """I - P on the domain, kept as the map diag(1) - phi_span phi_coef^T."""
-        return structured_operator(self.domain, np.ones(self.domain.dim),
-                                   -self.phi_span, self.phi_coef)
 
     @property
     def head_columns(self):
@@ -442,9 +435,12 @@ def _pseudo_inverse(js):
     which the dual staircase mixes orthogonally out of B*'s null basis.
     The dual chain links confine the root-space part of S (I - Q) to ker B
     (level-1 and extra directions), so I - P removes it.  Kept as factors
-    while compose keeps them; returned with max |B Bplus - (I - Q)|, the
-    pseudoinverse_identity diagnostic."""
-    IQ, w = js.outside_z, js.codomain.weights
+    while compose keeps them; returned after I - P and I - Q, the maps
+    diag(1) - span coef^T it is composed from, and before
+    max |B Bplus - (I - Q)|, the pseudoinverse_identity diagnostic."""
+    IQ = structured_operator(js.codomain, np.ones(js.codomain.dim), -js.z_span, js.z_coef)
+    IP = structured_operator(js.domain, np.ones(js.domain.dim), -js.phi_span, js.phi_coef)
+    w = js.codomain.weights
     Y = np.hstack([js.Psi[:, js.head_columns], js.psi_extra])
     res = np.linalg.norm(IQ.transpose().apply(w[:, None] * Y))
     # sum_i w_i |row i of I - Z C^T|^2, Z = z_span, C = z_coef
@@ -455,9 +451,9 @@ def _pseudo_inverse(js):
     if rel > 1e-8:
         raise StructureError("pseudoinverse construction failed: range-complement "
                              f"solve residual {rel:.2e}")
-    Bplus = compose(js.outside_phi, compose(js.S, IQ))
+    Bplus = compose(IP, compose(js.S, IQ))
     gap = compose(js.B, Bplus).updated(js.z_span, js.z_coef, shift=-1.0)
-    return Bplus, gap.largest_entry()
+    return IP, IQ, Bplus, gap.largest_entry()
 
 
 def exchange_violation(M, p):

@@ -78,14 +78,13 @@ class _Tokenizer:
         self.tokens = []
         self._scan()
 
-    def _advance(self, n=1):
-        for _ in range(n):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
+    def _advance(self):
+        if self.pos < len(self.source) and self.source[self.pos] == "\n":
+            self.line += 1
+            self.col = 1
+        else:
+            self.col += 1
+        self.pos += 1
 
     def _scan(self):
         src = self.source

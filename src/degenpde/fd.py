@@ -82,14 +82,19 @@ def derivative_along_axis(values, h, order, axis, accuracy=2):
     return np.moveaxis(out, 0, axis)
 
 
-def centered_derivative(values, h, order, accuracy=2):
+def centered_weights(h, order):
+    """The centered interior weight row of derivative_along_axis at
+    accuracy 2 on a uniform grid of spacing h."""
+    npts = stencil_size(order, 2)
+    return _stencil_table(npts, h, order, 2)[npts // 2]
+
+
+def centered_derivative(values, weights):
     """The interior rows of derivative_along_axis along axis 0, and only
-    those: the centered stencil at rows half .. n - half - 1 of values,
-    half = stencil_size // 2."""
-    values = np.asarray(values, dtype=float)
-    npts = stencil_size(order, accuracy)
-    out = np.empty((len(values) - npts + 1,) + values.shape[1:])
-    _centered(_stencil_table(npts, h, order, accuracy)[npts // 2], values, out)
+    those: the centered stencil of the weight row (centered_weights) at
+    rows half .. n - half - 1 of values, half = len(weights) // 2."""
+    out = np.empty((len(values) - len(weights) + 1,) + values.shape[1:])
+    _centered(weights, values, out)
     return out
 
 

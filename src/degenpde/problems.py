@@ -384,28 +384,6 @@ def _build_operator(desc, path, spaces, lam):
     return structured_operator(space, entries)
 
 
-def _time_field_sampler(ast, xg):
-    xg = np.asarray(xg, dtype=float)
-
-    def sampler(t):
-        tv = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = evaluate(ast, t=tv[:, None], x=xg[None, :])
-        return np.broadcast_to(vals, (tv.shape[0], xg.shape[0])).copy()
-
-    return sampler
-
-
-def _xy_field_sampler(asts):
-    def sampler(x, y):
-        X = np.asarray(x, dtype=float)
-        Y = np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(X.shape, Y.shape)
-        comps = [np.broadcast_to(evaluate(ast, x=X, y=Y), shape) for ast in asts]
-        return np.stack(comps, axis=-1)
-
-    return sampler
-
-
 def _mode_sampler(ast, nm, mm, nquad):
     """Double sine transform on the interior uniform grid: with quadrature
     points j pi / nquad the discrete sine basis is exactly orthogonal for
@@ -449,31 +427,54 @@ def _mode_sampler(ast, nm, mm, nquad):
     return sampler
 
 
-def _compile_f(pf, codomain, grid):
-    fam = pf.family
-    if fam in ("evolution1", "evolution2"):
-        if not isinstance(pf.f, str):
-            _fail("f", "grid-space families take a single expression")
-        if codomain.grid is None:
-            _fail("B", f"family {fam} needs a grid space")
-        return _time_field_sampler(parse(pf.f), codomain.grid)
-    if fam in ("goursat", "mixed_xy"):
-        srcs = [pf.f] if isinstance(pf.f, str) else pf.f
-        if len(srcs) != codomain.dim:
-            _fail("f", f"needs {codomain.dim} components for the declared "
-                       f"space, got {len(srcs)}")
-        return _xy_field_sampler([parse(s) for s in srcs])
-    # spectral3
-    if not isinstance(pf.f, str):
-        _fail("f", "the spectral family takes a single expression over t, x, y")
-    if codomain.mode_shape is None:
-        _fail("B", "family spectral3 needs a modes space")
-    nm, mm = codomain.mode_shape
-    nquad = grid["nquad"]
-    if nquad <= max(nm, mm):
-        _fail("grid.nquad", f"needs more quadrature points than modes "
-                            f"({max(nm, mm)})")
-    return _mode_sampler(parse(pf.f), nm, mm, nquad)
+def _field(srcs, family, space, grid, path):
+    """The sampler of an expression-defined field on space: a file's f on
+    B's codomain, or an exact oracle's components on B's domain.  It
+    takes the family's axes as keyword arrays of one shape and returns
+    the samples with the space's dimension last.  The variables the
+    family declares beyond its axes pick the sampler: none, one
+    expression per coordinate of the space, stacked on the last axis;
+    x, one expression with x bound to the grid space's nodes on the last
+    axis; x and y, one expression through the sine transform onto the
+    modes space (_mode_sampler).  A refusal names path."""
+    fam = FAMILIES[family]
+    extra = [name for name in fam.f_vars if name not in fam.axes]
+    asts = [parse(src) for src in ([srcs] if isinstance(srcs, str) else srcs)]
+    if not extra:
+        if len(asts) != space.dim:
+            _fail(path, f"needs {space.dim} components for the declared "
+                        f"space, got {len(asts)}")
+
+        def sampler(**coords):
+            shape = np.broadcast_shapes(*map(np.shape, coords.values()))
+            return np.stack([np.broadcast_to(evaluate(ast, **coords), shape)
+                             for ast in asts], axis=-1)
+
+        return sampler
+    if len(asts) != 1:
+        _fail(path, f"family {family} takes a single expression over "
+                    f"{', '.join(fam.f_vars)}, got {len(asts)}")
+    if extra == ["x"]:
+        if space.grid is None:
+            _fail(path, f"family {family} binds x to the nodes of a grid space; "
+                        "B is not on one")
+        xg = np.asarray(space.grid, dtype=float)
+
+        def sampler(**coords):
+            coords = {name: np.asarray(c, dtype=float)[..., None]
+                      for name, c in coords.items()}
+            shape = np.broadcast_shapes(xg.shape, *map(np.shape, coords.values()))
+            return np.broadcast_to(evaluate(asts[0], x=xg, **coords), shape).copy()
+
+        return sampler
+    if space.mode_shape is None:
+        _fail(path, f"family {family} transforms x, y onto a modes space; "
+                    "B is not on one")
+    nm, mm = space.mode_shape
+    if grid["nquad"] <= max(nm, mm):
+        _fail(path, f"the sine transform needs grid.nquad above the mode "
+                    f"count {max(nm, mm)}, got {grid['nquad']}")
+    return _mode_sampler(asts[0], nm, mm, grid["nquad"])
 
 
 def _refuse_common_null_modes(B, A1, lam):
@@ -532,7 +533,7 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
 
     B = _build_operator(pf.B, "B", spaces, lam)
     A1 = _build_operator(pf.A1, "A1", spaces, lam)
-    f = _compile_f(pf, B.codomain, grid)
+    f = _field(pf.f, pf.family, B.codomain, grid, "f")
     spec = DegenerateSystemSpec(B=B, A1=A1, f=f, family=pf.family,
                                 box=dict(pf.box), grid=grid)
     if pf.family == "spectral3":
@@ -561,17 +562,12 @@ def evaluate_oracle(pf, rp, fld, tol=None):
     axes, u = fld.axes, fld.values
 
     if kind == "exact":
-        asts = [parse(src) for src in desc["components"]]
-
-        def exact():
-            for rows in row_blocks(len(u), u[0].size):
-                coords = _mesh_coords(axes, rows)
-                shape = u[rows].shape[:-1]
-                yield rows, np.stack([np.broadcast_to(np.asarray(evaluate(ast, **coords),
-                                                                 dtype=float), shape)
-                                      for ast in asts], axis=-1)
+        exact = _field(desc["components"], pf.family, fld.space, rp.system.grid,
+                       "oracle.components")
+        ref = ((rows, exact(**_mesh_coords(axes, rows)))
+               for rows in row_blocks(len(u), u[0].size))
         return OracleOutcome(kind=kind, detail="sup deviation from the exact "
-                             "component expressions", deviation=_deviation(u, exact()),
+                             "component expressions", deviation=_deviation(u, ref),
                              tol=tol)
 
     # closed_form

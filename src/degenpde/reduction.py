@@ -20,7 +20,8 @@ import numpy as np
 
 from .chains import complete_structure
 from .errors import CompatibilityError, ConfigurationError, StructureError
-from .fd import centered_derivative, derivative_along_axis, stencil_size
+from .fd import (centered_derivative, centered_weights, derivative_along_axis,
+                 stencil_size)
 from .spaces import compose, row_blocks
 
 V_CONSTRAINT_TOL = 1e-8   # v leaking into the extra cokernel directions
@@ -253,8 +254,10 @@ def equation_residual(spec, axes, u):
     both ends of what it holds, and f is sampled on those rows alone."""
     _require_stencil_nodes(axes)
     terms = tuple(zip(FAMILIES[spec.family].L, (spec.B, spec.A1)))
-    halo = max(stencil_size(k[0], 2) // 2 for k, _ in terms if k[0])
     n, spacing = len(u), [float(g[1] - g[0]) for _, g in axes]
+    # each term's centered weight row along the leading axis, built once
+    weights = [centered_weights(spacing[0], k[0]) if k[0] else None for k, _ in terms]
+    halo = max(len(w) // 2 for w in weights if w is not None)
     trim = (slice(None),) + (slice(2, -2),) * (len(axes) - 1)
     # the halo starts empty in each term's codomain, m wide for a tall pencil
     held, worst = [op.apply_to_samples(u[:0]) for _, op in terms], 0.0
@@ -265,22 +268,22 @@ def equation_residual(spec, axes, u):
         # rows 2 .. n - 3, the ones _interior keeps, each in one block
         lo, hi = max(start + halo, 2), min(rows.stop - halo, n - 2)
         if lo < hi:
-            lead, lower = (_derivative_rows(k, part, lo - start, hi - lo, spacing)
-                           for (k, _), part in zip(terms, held))
-            f_vals = np.asarray(spec.f(**_mesh_coords(axes, slice(lo, hi))), dtype=float)
+            lead, lower = (_derivative_rows(k, w, part, lo - start, hi - lo, spacing)
+                           for (k, _), w, part in zip(terms, weights, held))
+            f_vals = _sample_f(spec, axes, slice(lo, hi))
             worst = max(worst, float(np.abs((lead + lower - f_vals)[trim]).max()))
         held = [part[-2 * halo:] for part in held]
     return worst
 
 
-def _derivative_rows(k, held, first, count, spacing):
+def _derivative_rows(k, weights, held, first, count, spacing):
     """D^k of held samples at its rows first .. first + count - 1: the
-    centered stencil along axis 0, which needs its half-width of rows on
-    both sides, then whole-axis derivatives along the others."""
-    if k[0]:
-        reach = stencil_size(k[0], 2) // 2
-        out = centered_derivative(held[first - reach:first + count + reach],
-                                  spacing[0], k[0])
+    centered stencil of weights along axis 0 (None when k[0] is 0), which
+    needs its half-width of rows on both sides, then whole-axis
+    derivatives along the others."""
+    if weights is not None:
+        reach = len(weights) // 2
+        out = centered_derivative(held[first - reach:first + count + reach], weights)
     else:
         out = held[first:first + count]
     for axis, order in enumerate(k[1:], 1):
@@ -328,6 +331,20 @@ def _condition_norm(projector, ax, order, grid, u, js):
     elif projector == "Pk":
         vals = np.dot(vals @ js.phi_coef, js.phi_span.T)
     return float(np.abs(vals).max())
+
+
+def _sample_f(spec, axes, rows=slice(None)):
+    """spec.f on the sample points of axes, the leading axis cut to rows
+    (_mesh_coords), with the codomain dimension last; one (dim,) vector
+    stands for every point, and any other shape is refused."""
+    coords = _mesh_coords(axes, rows)
+    shape = next(iter(coords.values())).shape + (spec.B.codomain.dim,)
+    vals = np.asarray(spec.f(**coords), dtype=float)
+    if vals.shape not in (shape, shape[-1:]):
+        raise ConfigurationError(
+            f"right-hand side f returned shape {vals.shape} where the sample "
+            f"points need {shape[-1]} components each, shape {shape}")
+    return vals if vals.shape == shape else np.broadcast_to(vals, shape).copy()
 
 
 def _mesh_coords(axes, rows=slice(None)):

@@ -39,7 +39,7 @@ import numpy.polynomial.chebyshev as cheb
 
 from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
                      UsageError)
-from .reduction import (FAMILIES, beta_tables, compat_projection,
+from .reduction import (FAMILIES, _sample_f, beta_tables, compat_projection,
                         compat_residual, equation_residual,
                         reconstruct_solution, rhs_projection,
                         solve_C_recurrence)
@@ -167,17 +167,6 @@ def _time_grid(spec):
 def _half_grid(tgrid):
     nt = len(tgrid) - 1
     return np.linspace(tgrid[0], tgrid[-1], 2 * nt + 1)
-
-
-def _sample_rhs(f, tvals, width):
-    vals = np.asarray(f(t=tvals), dtype=float)
-    if vals.ndim == 1:
-        vals = np.broadcast_to(vals[None, :], (len(tvals), vals.shape[0])).copy()
-    if vals.shape != (len(tvals), width):
-        raise ConfigurationError(
-            f"right-hand side sampler returned shape {vals.shape} for "
-            f"{len(tvals)} time nodes and {width} components")
-    return vals
 
 
 def _march(M, r, s, g_rows, tgrid):
@@ -461,12 +450,11 @@ def _solve_time(rp):
     (r,), (s,) = FAMILIES[spec.family].L
     tgrid = _time_grid(spec)
     th = _half_grid(tgrid)
-    dim = js.codomain.dim
     beta = np.empty((len(th), js.k))
     f_psi = np.empty((len(tgrid), js.psi_extra.shape[1]))
 
     def projected(rows):
-        f = _sample_rhs(spec.f, th[rows], dim)
+        f = _sample_f(spec, [("t", th)], rows)
         beta[rows] = beta_tables(rp, f)
         f_psi[(rows.start + 1) // 2:(rows.stop + 1) // 2] = compat_projection(
             rp, f[rows.start % 2::2])
@@ -496,8 +484,8 @@ def _solve_goursat(rp):
     corner and w = (I - Q) f; iterated trapezoid quadrature on the grid."""
     spec = rp.system
     xg, yg = _box_grid(spec, "x"), _box_grid(spec, "y")
-    X, Y = np.meshgrid(xg, yg, indexing="ij")
-    f_vals = np.asarray(spec.f(x=X, y=Y), dtype=float)
+    axes = [("x", xg), ("y", yg)]
+    f_vals = _sample_f(spec, axes)
     w = rhs_projection(rp, f_vals)
 
     def volterra(arr):
@@ -519,7 +507,6 @@ def _solve_goursat(rp):
             f"{GOURSAT_SERIES_CAP} terms; the domain box "
             "is too large for this operator pair, shrink it")
 
-    axes = [("x", xg), ("y", yg)]
     C = solve_C_recurrence(rp, beta_tables(rp, f_vals), axes,
                            lambda rhs: rhs)
     return (axes, compat_projection(rp, f_vals), v, C,
@@ -547,8 +534,8 @@ def _solve_mixed_xy(rp):
     ky the fitted y-degree."""
     spec = rp.system
     xg, yg = _box_grid(spec, "x"), _box_grid(spec, "y")
-    X, Y = np.meshgrid(xg, yg, indexing="ij")
-    f_vals = np.asarray(spec.f(x=X, y=Y), dtype=float)
+    axes = [("x", xg), ("y", yg)]
+    f_vals = _sample_f(spec, axes)
     g = rhs_projection(rp, f_vals)
     # Chebyshev variables on [-1, 1]; the half-widths scale d/dx and d/dy
     hx, hy = 0.5 * float(xg[-1] - xg[0]), 0.5 * float(yg[-1] - yg[0])
@@ -584,7 +571,6 @@ def _solve_mixed_xy(rp):
         term = -x_integral(rp.M.apply_to_samples(cheb.chebder(term, scl=1.0 / hy, axis=1)))
     v = on_grid(coef)
 
-    axes = [("x", xg), ("y", yg)]
     C = solve_C_recurrence(rp, beta_tables(rp, f_vals), axes,
                            lambda rhs: _cumulative_from_zero(rhs, yg, axis=1))
     return (axes, compat_projection(rp, f_vals), v, C,

@@ -1,7 +1,8 @@
 """Every package module reads each name it imports, the package reads
 every private function and class and every module-level constant it
-defines, and the package or its scripts read every exported function
-(no linter ships with the toolchain, so the scans are tests)."""
+defines, the package or its scripts read every exported function, and
+some call passes every defaulted parameter (no linter ships with the
+toolchain, so the scans are tests)."""
 
 import ast
 import inspect
@@ -134,3 +135,67 @@ def test_every_exported_function_is_read():
     sources.update({f"scripts.{p.stem}": p.read_text()
                     for p in (SRC.parents[1] / "scripts").glob("*.py")})
     assert unread_exports(functions, sources) == sorted(UNREAD_EXPORTS_KEPT)
+
+
+def unpassed_defaults(package, callers):
+    """Defaulted parameters of the functions and methods in package, a dict
+    module -> text, that no call in package or in callers, a list of
+    texts, passes, as sorted 'module.[Class.]function(name)' strings.  A call
+    matches by the name it calls (a class name for __init__; other
+    dunders are skipped) and passes a parameter by keyword, by position
+    (after self for a method) or through *args or **kwargs."""
+    calls = {}
+    for source in [*package.values(), *callers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                star = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    (star, len(node.args), {k.arg for k in node.keywords}))
+    out = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        owner = {id(stmt): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for stmt in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls, name = owner.get(id(fn)), fn.name
+            if cls is not None and name == "__init__":
+                name = cls
+            elif name.startswith("__"):
+                continue
+            bound = cls is not None and not any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs,
+                                                          fn.args.kw_defaults)
+                          if d is not None]
+            qualified = f"{module}.{cls + '.' if cls else ''}{fn.name}"
+            out += [f"{qualified}({param})" for index, param in defaulted
+                    if not any(star or param in keys or (index is not None and npos > index)
+                               for star, npos, keys in calls.get(name, ()))]
+    return sorted(out)
+
+
+def test_default_scan_flags_parameters_never_passed():
+    sources = {"a": "def f(x, y=1, *, z=2, w=3):\n    pass\n\n\n"
+                    "def g(p=0):\n    pass\n\n\n"
+                    "class C:\n    def __init__(self, a=1, b=2):\n        pass\n\n"
+                    "    def m(self, c=0, d=1):\n        pass\n\n"
+                    "    def __eq__(self, other=None):\n        pass\n",
+               "b": "import a\na.f(1, 2, w=4)\nargs = ()\na.g(*args)\n"
+                    "a.C(5).m(6)\n"}
+    assert unpassed_defaults(sources, []) == ["a.C.__init__(b)", "a.C.m(d)", "a.f(z)"]
+
+
+# the package's own calls count, and so do those of its scripts, tests and
+# benchmark
+def test_every_defaulted_parameter_is_passed():
+    package = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    callers = [p.read_text() for folder in ("scripts", "tests", "perfbench")
+               for p in (SRC.parents[1] / folder).rglob("*.py")]
+    assert unpassed_defaults(package, callers) == []

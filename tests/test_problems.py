@@ -559,6 +559,43 @@ def test_exact_oracle_takes_its_deviation_by_row_blocks(problems_dir, monkeypatc
     assert evaluate_oracle(pf, rp, fld).deviation == np.abs(fld.values - exact).max()
 
 
+@pytest.mark.parametrize("name, component", [("example2", "-x"), ("example3", "-x*t")])
+def test_exact_oracle_binds_x_to_the_grid_nodes(problems_dir, tmp_path, capsys, name,
+                                                component):
+    # f = x solves to u = -x under evolution1 and to u = -x t under evolution2
+    raw = json.loads((problems_dir / f"{name}.json").read_text(encoding="utf-8"))
+    path = _dump(tmp_path, _variant(raw, oracle={"kind": "exact", "components": [component],
+                                                 "tol": 1e-10}))
+    assert main(["verify", str(path)]) == 0
+    assert "kind=exact" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, components, want", [
+    ("example2", ["-x", "x"], "family evolution1 takes a single expression"),
+    ("example4", ["x^2/2", "y", "1"], "needs 2 components"),
+])
+def test_exact_oracle_component_count_is_an_input_error(problems_dir, tmp_path, capsys,
+                                                        name, components, want):
+    raw = json.loads((problems_dir / f"{name}.json").read_text(encoding="utf-8"))
+    path = _dump(tmp_path, _variant(raw, oracle={"kind": "exact", "components": components,
+                                                 "tol": 1e-10}))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: oracle.components: {want}")
+
+
+@pytest.mark.parametrize("source", ["sin(x)*sin(2*y)*exp(-t)*(1 - t)",
+                                    "x * y^2 * (1 + t) + cos(x - y)"])
+def test_exact_oracle_on_modes_is_the_sine_transform(problems_dir, tmp_path, source):
+    raw = json.loads((problems_dir / "example5.json").read_text(encoding="utf-8"))
+    pf = load_problem(_dump(tmp_path, _variant(raw, oracle={"kind": "exact",
+                                                            "components": [source]})))
+    rp = reduce(instantiate(pf))
+    fld = solve_family(rp)
+    fld.values = _mode_sampler(parse(source), 16, 16, 64)(fld.axes[0][1])
+    assert evaluate_oracle(pf, rp, fld).deviation == 0.0
+
+
 def test_oracle_tolerance_override_sets_the_verdict(problems_dir):
     pf = load_problem(problems_dir / "example3.json")
     rp = reduce(instantiate(pf))

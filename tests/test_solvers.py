@@ -12,8 +12,8 @@ from degenpde.chains import apply_schmidt_inverse
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              EvaluationError, UsageError)
 from degenpde.problems import evaluate_oracle, instantiate, load_problem
-from degenpde.reduction import (FAMILIES, DegenerateSystemSpec, reduce,
-                                residual_check)
+from degenpde.reduction import (FAMILIES, DegenerateSystemSpec, equation_residual,
+                                reduce, residual_check)
 from degenpde.solvers import (CSV_BLOCK, SolutionField, _block_length,
                               _cumulative_from_zero,
                               _cumulative_simpson_half,
@@ -374,6 +374,42 @@ def test_time_family_refuses_rhs_of_wrong_width():
     rp = reduce(spec)
     with pytest.raises(ConfigurationError, match="201 components"):
         solve_family(rp)
+
+
+def _one_too_many(**coords):
+    """A library f with one component more than the pencil's dimension."""
+    return np.ones(np.broadcast_shapes(*map(np.shape, coords.values())) + (3,))
+
+
+@pytest.mark.parametrize("make", [_goursat_spec, _mixed_spec], ids=["goursat", "mixed_xy"])
+def test_xy_back_ends_refuse_rhs_of_wrong_shape(make):
+    rp = reduce(make(_one_too_many, nodes=21))
+    with pytest.raises(ConfigurationError,
+                       match=r"returned shape \(21, 21, 3\) .* shape \(21, 21, 2\)"):
+        solve_family(rp)
+
+
+@pytest.mark.parametrize("family", ["goursat", "evolution1"])
+def test_equation_residual_refuses_rhs_of_wrong_shape(family):
+    if family == "goursat":
+        spec = _goursat_spec(_const_f2, nodes=21)
+        wrong = _one_too_many
+    else:
+        spec = kernel_evolution_spec(family, grid_samples(np.linspace(0.0, 1.0, 21))(
+            lambda t, x: x + 0 * t), nodes=21, t_hi=0.1, dt=1e-2)
+        wrong = lambda t: np.ones((len(t), 20))   # noqa: E731
+    rp = reduce(spec)
+    fld = solve_family(rp)
+    spec.f = wrong
+    with pytest.raises(ConfigurationError, match="returned shape"):
+        equation_residual(spec, fld.axes, fld.values)
+
+
+def test_a_rhs_vector_broadcasts_over_the_samples():
+    # one (dim,) vector stands for every sample point
+    want = solve_family(reduce(_goursat_spec(_const_f2, nodes=21))).values
+    got = solve_family(reduce(_goursat_spec(lambda x, y: np.ones(2), nodes=21))).values
+    assert got.tobytes() == want.tobytes()
 
 
 # -- numerical helpers -------------------------------------------------------------
