@@ -328,7 +328,7 @@ def complete_structure(B, A1, rank_tol=DEFAULT_RANK_TOL):
                   else E1.root[:, None] * A1.apply_adjoint(dual_heads))
         sv = np.linalg.svd(shared, compute_uv=False)
         # against A1's size too: with one head, sv[0] is itself roundoff
-        if sv[-1] <= rank_tol * max(sv[0], A1.largest_weighted_entry()):
+        if sv[-1] <= rank_tol * max(sv[0], A1.weighted_entry_bound()):
             raise StructureError("incomplete Jordan set: B and A1 share a null direction")
 
     Phi, p, phi_left = _staircase(S.apply, A1.apply, heads, dual_heads, E2, l, rank_tol)
@@ -436,8 +436,8 @@ def _pseudo_inverse(js):
     The dual chain links confine the root-space part of S (I - Q) to ker B
     (level-1 and extra directions), so I - P removes it.  Kept as factors
     while compose keeps them; returned after I - P and I - Q, the maps
-    diag(1) - span coef^T it is composed from, and before
-    max |B Bplus - (I - Q)|, the pseudoinverse_identity diagnostic."""
+    diag(1) - span coef^T it is composed from, and before the entry_bound
+    of B Bplus - (I - Q), the pseudoinverse_identity diagnostic."""
     IQ = structured_operator(js.codomain, np.ones(js.codomain.dim), -js.z_span, js.z_coef)
     IP = structured_operator(js.domain, np.ones(js.domain.dim), -js.phi_span, js.phi_coef)
     w = js.codomain.weights
@@ -453,7 +453,7 @@ def _pseudo_inverse(js):
                              f"solve residual {rel:.2e}")
     Bplus = compose(IP, compose(js.S, IQ))
     gap = compose(js.B, Bplus).updated(js.z_span, js.z_coef, shift=-1.0)
-    return IP, IQ, Bplus, gap.largest_entry()
+    return IP, IQ, Bplus, gap.entry_bound()
 
 
 def exchange_violation(M, p):
@@ -504,12 +504,13 @@ def structure_report(js):
             lines.append(f"{key}={diag[key]:.6e}")
     lines.append(f"extra_kernel_directions={js.phi_extra.shape[1]}")
     lines.append(f"extra_cokernel_directions={js.psi_extra.shape[1]}")
-    # P P - P of P = cols coef^T is the rank-k map cols (coef^T cols - I) coef^T
+    # P P - P of P = cols coef^T is the rank-k map cols (coef^T cols - I) coef^T,
+    # sized by its entry_bound
     for name, cols, coef, space in (("Pk", js.Phi, js.phi_coef, js.domain),
                                     ("Qk", js.Z, js.z_coef, js.codomain)):
         coef = coef[:, :js.k]
         idem = structured_operator(space, np.zeros(space.dim),
-                                   cols @ (coef.T @ cols - np.eye(js.k)), coef).largest_entry()
+                                   cols @ (coef.T @ cols - np.eye(js.k)), coef).entry_bound()
         lines.append(f"{name}_idempotence={idem:.6e}")
     lines.append(f"pseudoinverse_identity={diag['pseudoinverse_identity']:.6e}")
     lines.append(f"A1_certified={'pass' if js.comm.certified else 'fail'}")

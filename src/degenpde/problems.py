@@ -502,7 +502,8 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
     Overrides (from CLI flags) take precedence over file settings:
     grid_scale rescales grid-space node counts and sampling axes, dt the
     time step, modes the retained mode table, lambda_param the spectral
-    parameter.
+    parameter.  An exact oracle's components are compiled here too
+    (spec.exact), so a wrong one is refused before any stage runs.
     """
     for name, value in (("grid_scale", grid_scale), ("dt", dt)):
         if value is not None and not (np.isfinite(value) and value > 0):
@@ -534,8 +535,12 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
     B = _build_operator(pf.B, "B", spaces, lam)
     A1 = _build_operator(pf.A1, "A1", spaces, lam)
     f = _field(pf.f, pf.family, B.codomain, grid, "f")
+    exact = None
+    if pf.oracle is not None and pf.oracle["kind"] == "exact":
+        exact = _field(pf.oracle["components"], pf.family, B.domain, grid,
+                       "oracle.components")
     spec = DegenerateSystemSpec(B=B, A1=A1, f=f, family=pf.family,
-                                box=dict(pf.box), grid=grid)
+                                box=dict(pf.box), grid=grid, exact=exact)
     if pf.family == "spectral3":
         _refuse_common_null_modes(B, A1, lam)
     return spec
@@ -562,9 +567,7 @@ def evaluate_oracle(pf, rp, fld, tol=None):
     axes, u = fld.axes, fld.values
 
     if kind == "exact":
-        exact = _field(desc["components"], pf.family, fld.space, rp.system.grid,
-                       "oracle.components")
-        ref = ((rows, exact(**_mesh_coords(axes, rows)))
+        ref = ((rows, rp.system.exact(**_mesh_coords(axes, rows)))
                for rows in row_blocks(len(u), u[0].size))
         return OracleOutcome(kind=kind, detail="sup deviation from the exact "
                              "component expressions", deviation=_deviation(u, ref),

@@ -77,6 +77,7 @@ class DegenerateSystemSpec:
     family: str
     box: dict = field(default_factory=dict)     # axis name -> (lo, hi)
     grid: dict = field(default_factory=dict)    # dt / nx / ny / nquad / lambda
+    exact: object = None   # an exact oracle's sampler, domain dim last
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -100,7 +101,7 @@ class ReducedProblem:
     system: DegenerateSystemSpec
     js: object
     M: object            # (I - Q) A1 Bplus, the lower-order map of the v-equation
-    lower_size: float    # max |A1 Bplus|, the lower-order term's largest entry
+    lower_size: float    # entry_bound of A1 Bplus, the lower-order term's size
     lower_psi_extra: np.ndarray   # (A1 Bplus)^T W2 psi_extra, zero-width when m <= n
     lambda_slots: tuple
 
@@ -127,7 +128,7 @@ def reduce(spec):
     lower_psi_extra = ABplus.transpose().apply(js.z_coef[:, js.k:])
     lambda_slots = tuple(f"lambda_{js.l + e + 1}" for e in range(js.phi_extra.shape[1]))
     return ReducedProblem(system=spec, js=js, M=M,
-                          lower_size=ABplus.largest_entry(),
+                          lower_size=ABplus.entry_bound(),
                           lower_psi_extra=lower_psi_extra, lambda_slots=lambda_slots)
 
 

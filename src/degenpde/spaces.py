@@ -197,27 +197,28 @@ class FiniteOperator:
         wv = self.codomain.weights[:, None] * cols
         return self.transpose().apply(wv) / self.domain.weights[:, None]
 
-    def largest_entry(self):
-        """max |A| over the entries of the matrix; a map kept as factors
-        forms them a row block at a time."""
+    def entry_bound(self):
+        """An upper bound on max |A| over the entries of the matrix: the
+        maximum itself for a dense map, _entry_bound of the factors
+        otherwise."""
         if self.dense is not None:
             return float(np.abs(self.dense).max(initial=0.0))
-        return _largest_entry(self.diag, self.U, self.V)
+        return _entry_bound(self.diag, self.U, self.V)
 
-    def largest_weighted_entry(self):
-        """max |R_cod A R_dom^-1| over the entries."""
+    def weighted_entry_bound(self):
+        """entry_bound of R_cod A R_dom^-1."""
         r1, r2 = self.domain.root, self.codomain.root
         if self.dense is not None:
             return float(np.abs(r2[:, None] * self.dense / r1).max(initial=0.0))
-        return _largest_entry(self.diag * (r2 / r1), r2[:, None] * self.U,
-                              self.V / r1[:, None])
+        return _entry_bound(self.diag * (r2 / r1), r2[:, None] * self.U,
+                            self.V / r1[:, None])
 
     def updated(self, cols, rows, shift=0.0):
         """This map plus shift I plus cols rows^T, on the same spaces;
-        factors stay factors."""
+        factors stay factors under _factored's width rule."""
         if self.dense is None:
-            return replace(self, diag=self.diag + shift, U=np.hstack([self.U, cols]),
-                           V=np.hstack([self.V, rows]))
+            return _factored(self.domain, self.codomain, self.diag + shift,
+                             np.hstack([self.U, cols]), np.hstack([self.V, rows]))
         m = self.dense + cols @ rows.T
         if shift:
             m[np.diag_indices_from(m)] += shift
@@ -225,7 +226,7 @@ class FiniteOperator:
 
     def bordered(self, cols, rows):
         """The matrix of this map plus cols rows^T, as a map between
-        Euclidean spaces of the same dimensions; factors stay factors."""
+        Euclidean spaces of the same dimensions, under updated's width rule."""
         return replace(self, domain=euclidean_space(self.domain.dim),
                        codomain=euclidean_space(self.codomain.dim)).updated(cols, rows)
 
@@ -252,17 +253,27 @@ class FiniteOperator:
         return Skeleton(pieces, s, int(np.sum(s > cut)), cut, self.domain, self.codomain)
 
 
-def _largest_entry(d, U, V):
-    """max |diag(d) + U V^T| over the entries, a row block at a time."""
-    if not U.shape[1]:
-        return float(np.abs(d).max(initial=0.0))
-    best = 0.0
-    for blk in row_blocks(d.size, d.size):
-        rows = U[blk] @ V.T
-        j = np.arange(rows.shape[0])
-        rows[j, blk.start + j] += d[blk.start + j]
-        best = max(best, float(np.abs(rows).max()))
-    return best
+def _entry_bound(d, U, V):
+    """An upper bound on max |diag(d) + U V^T| over the entries, from the
+    factors in O(dim k^2): the diagonal entries exactly, and the others by
+    the smaller of ||U V^T||_2 = ||Ru Rv^T||_2, from the R factors of the
+    QRs of U and V (as in _recompressed), and the sum over the
+    columns a of the largest off-diagonal entry of |U_a| |V_a|^T, read
+    from the two largest entries of each factor column.  For k <= 1 that
+    sum is the largest off-diagonal entry, so the bound is the maximum."""
+    best = float(np.abs(d + (U * V).sum(axis=1)).max(initial=0.0))
+    k = U.shape[1]
+    if not k or d.size < 2:
+        return best
+    aU, aV = np.abs(U), np.abs(V)
+    iu, iv = (np.argpartition(-a, 1, axis=0)[:2] for a in (aU, aV))
+    cols = np.arange(k)
+    u1, u2, v1, v2 = aU[iu[0], cols], aU[iu[1], cols], aV[iv[0], cols], aV[iv[1], cols]
+    off = float(np.where(iu[0] != iv[0], u1 * v1, np.maximum(u1 * v2, u2 * v1)).sum())
+    if k > 1:
+        Ru, Rv = np.linalg.qr(U, mode="r"), np.linalg.qr(V, mode="r")
+        off = min(off, float(np.linalg.norm(Ru @ Rv.T, 2)))
+    return max(best, off)
 
 
 def row_blocks(n, width):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenpde import problems, spaces
+from degenpde import cli, problems, spaces
 from degenpde.cli import main
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              EvaluationError, ParseError, UsageError)
@@ -582,6 +582,31 @@ def test_exact_oracle_component_count_is_an_input_error(problems_dir, tmp_path, 
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: oracle.components: {want}")
+
+
+@pytest.mark.parametrize("command", ["structure", "solve", "verify"])
+def test_exact_oracle_components_are_refused_before_any_stage_runs(problems_dir, tmp_path,
+                                                                   capsys, monkeypatch,
+                                                                   command):
+    # instantiate compiles the oracle's components, so no subcommand gets
+    # to the structure, the solve or the CSV with a wrong component count
+    raw = json.loads((problems_dir / "example2.json").read_text(encoding="utf-8"))
+    path = _dump(tmp_path, _variant(raw, oracle={"kind": "exact", "components": ["-x", "x"],
+                                                 "tol": 1e-10}))
+    with pytest.raises(ConfigurationError, match="oracle.components"):
+        instantiate(load_problem(path))
+
+    def refused(*args):
+        raise AssertionError("ran a stage after instantiate")
+
+    monkeypatch.setattr(cli, "complete_structure", refused)
+    monkeypatch.setattr(cli, "reduce", refused)
+    csv = tmp_path / "u.csv"
+    argv = [command, str(path)] + (["--output", str(csv)] if command == "solve" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: oracle.components: family evolution1 takes a single expression")
+    assert not csv.exists()
 
 
 @pytest.mark.parametrize("source", ["sin(x)*sin(2*y)*exp(-t)*(1 - t)",

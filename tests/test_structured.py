@@ -271,8 +271,110 @@ def test_largest_entry_sees_the_low_rank_part_cancel_the_diagonal():
     sp = grid_space(0.0, 1.0, 2)
     op = structured_operator(sp, np.array([5.0, 1.0]), np.array([[-5.0], [0.0]]),
                              np.array([[1.0], [0.0]]))
-    assert op.largest_entry() == 1.0
-    assert _dense(op).largest_entry() == 1.0
+    assert op.entry_bound() == 1.0
+    assert _dense(op).entry_bound() == 1.0
+
+
+def _reference_max(op):
+    """max |diag + U V^T| over the entries of the formed matrix."""
+    m = op.U @ op.V.T
+    m[np.diag_indices_from(m)] += op.diag
+    return float(np.abs(m).max())
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("k", [0, 1])
+def test_entry_bound_is_the_largest_entry_for_factors_one_column_wide(seed, k):
+    # the diagonal exactly, the off-diagonal from each column's two largest
+    # entries: no rounding differs from the formed matrix
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60)) if seed else 1
+    U = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4)
+    V = rng.normal(size=(n, k))
+    d = 1e3 * rng.normal(size=n)
+    # the low-rank part cancels the diagonal on half the coordinates
+    # (all of them for odd seeds), to the last bit
+    cancel = np.arange(n) if seed % 2 else rng.choice(n, size=n // 2, replace=False)
+    d[cancel] = -(U[cancel] * V[cancel]).sum(axis=1)
+    op = structured_operator(spaces.euclidean_space(n), d, U, V)
+    assert op.entry_bound() == _reference_max(op)
+    assert op.weighted_entry_bound() == _reference_max(op)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_entry_bound_bounds_the_largest_entry_of_wider_factors(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 120))
+    k = int(rng.integers(2, n // 4 + 1))
+    U, V = rng.normal(size=(n, k)), rng.normal(size=(n, k))
+    if seed % 3 == 0:
+        # columns that cancel each other off the diagonal
+        V[:, 1] = -V[:, 0] * (1.0 + 1e-9 * rng.normal(size=n))
+        U[:, 1] = U[:, 0]
+    d = rng.normal(size=n)
+    d[::2] = -(U[::2] * V[::2]).sum(axis=1)
+    op = structured_operator(spaces.euclidean_space(n), d, U, V)
+    assert FACTORED_WIDTH_SHARE * n >= k
+    assert op.entry_bound() >= _reference_max(op)
+
+
+@pytest.mark.parametrize("name", ["example2", "example5"])
+def test_entry_bound_is_rounding_level_on_the_bundled_gap_and_idempotence_maps(
+        problems_dir, name):
+    # example2's gap cancels across its two columns off the diagonal, which
+    # only the 2-norm sees; example5's diagonal cancels against coordinate
+    # factor columns, which only the column sum sees
+    spec = instantiate(load_problem(problems_dir / f"{name}.json"))
+    js = complete_structure(spec.B, spec.A1)
+    gap = compose(js.B, js.Bplus).updated(js.z_span, js.z_coef, shift=-1.0)
+    assert gap.dense is None and gap.U.shape[1] >= 2
+    assert js.diagnostics["pseudoinverse_identity"] == gap.entry_bound() <= 1e-15
+    lines = dict(line.split("=") for line in chains.structure_report(js).splitlines())
+    assert float(lines["Pk_idempotence"]) <= 1e-15
+    assert float(lines["Qk_idempotence"]) <= 1e-15
+
+
+def test_updated_and_bordered_keep_the_width_rule(rng):
+    # a factored map plus columns stays factored while narrow and turns
+    # dense past FACTORED_WIDTH_SHARE of dim, as compose's results do
+    sp = grid_space(0.0, 1.0, 41, quadrature="simpson")
+    a = _random_factored(rng, 41, 2, rng.normal(size=41))
+    cols, rows = rng.normal(size=(41, 9)), rng.normal(size=(41, 9))
+    narrow, wide = a.updated(cols[:, :1], rows[:, :1], shift=-1.0), a.updated(cols, rows)
+    assert narrow.U.shape[1] == 3 and wide.dense is not None
+    for op, c, r, shift in ((narrow, cols[:, :1], rows[:, :1], -1.0), (wide, cols, rows, 0.0)):
+        np.testing.assert_allclose(op.matrix, a.matrix + c @ r.T + shift * np.eye(41),
+                                   rtol=0, atol=1e-13)
+    # kernel_only B has rank 2 on 41 nodes: its gap and bordered map are
+    # 2 + l = 41 columns wide
+    B = make_kernel_operator(sp, "kernel_only", "1 + x*s")
+    js = complete_structure(B, identity_operator(sp, -1.0))
+    assert B.U.shape[1] + js.l == 41
+    gap = compose(js.B, js.Bplus).updated(js.z_span, js.z_coef, shift=-1.0)
+    bordered = chains._bordered(js)
+    assert gap.dense is not None and bordered.dense is not None
+    first = js.head_columns
+    np.testing.assert_allclose(
+        bordered.matrix, B.matrix + js.Z[:, first] @ (sp.weights[:, None] * js.Gam[:, first]).T,
+        rtol=0, atol=1e-13)
+
+
+def test_structure_sizes_form_no_row_block_at_dim_12801(problems_dir, monkeypatch):
+    # every size of the structure and the reduction comes from the factors:
+    # no row block and no dense matrix of the d = 12801 pencil is formed
+    spec = instantiate(load_problem(problems_dir / "example2.json"), grid_scale=64)
+    assert spec.B.dense is None and spec.B.domain.dim == 12801
+
+    def refused(*args):
+        raise AssertionError("formed a block of a dim x dim matrix")
+
+    monkeypatch.setattr(spaces, "row_blocks", refused)
+    monkeypatch.setattr(FiniteOperator, "matrix", property(refused))
+    rp = reduce(spec)
+    lines = dict(line.split("=") for line in chains.structure_report(rp.js).splitlines())
+    assert float(lines["pseudoinverse_identity"]) <= 1e-15
+    assert float(lines["Pk_idempotence"]) == float(lines["Qk_idempotence"]) == 0.0
+    assert rp.lower_size == 1.0
 
 
 @pytest.mark.parametrize("make", ["kernel", "diagonal", "nilpotent", "kernel_only"])
