@@ -174,7 +174,7 @@ def rhs_projection(rp, f_samples):
     return rp.js.outside_z.apply_to_samples(np.asarray(f_samples, dtype=float))
 
 
-def reconstruct_solution(rp, v_samples, C):
+def reconstruct_solution(rp, v_samples, C, out=None):
     """u = Bplus v + C Phi^T, with the free functions
     lambda_e of the extra kernel directions taken as zero.
 
@@ -183,7 +183,9 @@ def reconstruct_solution(rp, v_samples, C):
     For m > n the v samples must stay in the annihilator of the extra
     cokernel directions; violation means the right-hand side is
     incompatible.  Both passes go over blocks of leading-axis rows, so
-    that no temporary has the size of u."""
+    that no temporary has the size of u.  u goes into out when given
+    (an array of u's shape, which may be v itself: each block of v is
+    read before its rows are written), into a new array otherwise."""
     js = rp.js
     v = np.asarray(v_samples, dtype=float)
     blocks = row_blocks(len(v), v[0].size)
@@ -195,7 +197,7 @@ def reconstruct_solution(rp, v_samples, C):
             raise CompatibilityError(
                 f"compatibility violated: the regular part leaks into the "
                 f"unresolvable cokernel directions (relative size {dev:.2e})")
-    u = np.empty(v.shape[:-1] + (js.domain.dim,))
+    u = np.empty(v.shape[:-1] + (js.domain.dim,)) if out is None else out
     for rows in blocks:
         u[rows] = js.Bplus.apply_to_samples(v[rows])
         if js.k:

@@ -6,16 +6,18 @@ family back-ends differ only in how they integrate it: one RK4 march for
 the time families, the iterated-integral series for goursat, and for
 mixed_xy the finite Chebyshev series of a fit to the data, refused when
 the fit misses the data.  The march applies RK4's exact step map to the
-companion state (v^(s), ..., v^(r-1)) with one blocked scan, O(sqrt(nt))
-products on blocks of rows in place of nt on single rows; the map's
-blocks are polynomials in M, a scalar plus a rank-k core when
-M = c I + U V^T or a diagonal (a step costs O(d k)), folded into
-matrices otherwise.  evolution2 recovers v from v' with RK4's own
-weights and a cumsum.  Every back-end applies M through its factors.
+companion state (v^(s), ..., v^(r-1)) with a blocked scan over chunks of
+steps, O(sqrt(chunk)) products on blocks of rows per chunk in place of
+one per step on single rows; the map's blocks are polynomials in M, a
+scalar plus a rank-k core when M = c I + U V^T or a diagonal (a step
+costs O(d k)), folded into matrices otherwise.  evolution2 recovers v
+from v' with RK4's own weights and a cumsum.  Every back-end applies M
+through its factors.
 The time back-end samples f once, a block of half-step rows at a time
 (spaces.row_blocks), and each block feeds the march's forcing, the beta
-rows and the compatibility projection, so that the solve holds the march
-state and then v and u, never f.
+rows and the compatibility projection; the march holds its state one
+chunk of steps at a time, and u is written over v, so that the solve
+holds one u-sized array, never f.
 Series limits and the fit tolerance are module constants.  Each back-end
 then runs the triangular C-recursion; `solve_family`, the one entry
 point, reassembles the full solution and returns it as a
@@ -54,6 +56,8 @@ CSV_TIME_STEPS = 20     # time steps the CSV view keeps, about
 CSV_SINE_NODES = 17     # sine synthesis nodes per axis of the CSV view
 CSV_BLOCK = 1 << 12     # values the CSV writer formats at once: its strings
                         # are live together, so larger blocks raise peak RSS
+MARCH_CHUNK = 1 << 10   # steps _march scans at once: its state is a chunk
+                        # long, and shorter chunks cost the scan more calls
 BESSEL_SERIES_TOL = 1e-18
 BESSEL_SERIES_CAP = 80
 
@@ -188,14 +192,19 @@ def _march(M, r, s, g_rows, tgrid):
     a pair p I + X C V^T, and P = R(Z), the forcing and P^L are tables of
     such pairs (_table_product), applied through the factors or, past
     FACTORED_WIDTH_SHARE, folded (_table_map); the powers of Z come by
-    shifting (_times_Z).  _scan marches z_(n+1) = P z_n + b_n; the
-    forcing is formed for the whole steps in each block of g as it
-    arrives, the rows of an unfinished step carried to the next block, and
-    the scan's block starts chain through P^L when binary powering
-    costs fewer flops than L plain steps through M (_power_pays), and
-    through those steps otherwise.  For s = 1, v is RK4's own quadrature
-    of v' = z_0, summed by a cumsum; its g term is formed with the
-    forcing, so that no row of g is held past its block."""
+    shifting (_times_Z).  _scan marches z_(n+1) = P z_n + b_n over chunks
+    of MARCH_CHUNK steps, each starting from the last state of the one
+    before, so that the state is held one chunk at a time; the forcing is
+    formed for the whole steps of the chunk in each block of g as it
+    arrives, the rows of an unfinished step carried to the next block or
+    chunk, and the scan's block starts chain through P^L when binary
+    powering costs fewer flops than L plain steps through M (_power_pays),
+    and through those steps otherwise.  Once a chunk is scanned its rows
+    of v go into the result: block 0 of z for s = 0, and for s = 1 RK4's
+    own quadrature of v' = z_0, summed by a cumsum that carries the
+    running sum across chunks; its g term is formed with the forcing, so
+    that no row of g is held past its block.  v is the one (nt + 1, d)
+    array the march allocates."""
     h = float(tgrid[1] - tgrid[0])
     nt, d, q = len(tgrid) - 1, M.domain.dim, r - s
     if M.dense is None and (not M.U.shape[1] or np.all(M.diag == M.diag[0])):
@@ -223,30 +232,13 @@ def _march(M, r, s, g_rows, tgrid):
                                 for i in (0, 1)), X, V)
 
     c, g_in = h / 6.0, slice(q - 1, q)      # g enters the last block
-    # w[1:] holds the forcing b_n = c (F0 e g0 + Fm e gm + e g1), e the last
-    # block, until _scan adds P w_n to w_(n + 1)
-    w = np.empty((nt + 1, q, d))
-    w[0] = 0.0
     forcing = blocks(1.0, (poly(1, 1, 1 / 2, 1 / 4), poly(4, 2, 1 / 2)), slice(None), g_in)
     if s:
-        # dv_n = h [Q3 w_n + c (Q1 e g0 + Q2 e gm)] in block 0, then v by a cumsum
+        # dv_n = h [Q3 z_n + c (Q1 e g0 + Q2 e gm)] in block 0, then v by a cumsum
         Qg = blocks(h * c, (poly(1, 1 / 2, 1 / 4), poly(2, 1 / 2)), slice(1), g_in)
-        v = np.empty((nt + 1, d))
-        v[0] = 0.0
-    g, first = np.empty((0, d)), 0      # g[0] is half-step row 2 first
-    for rows in row_blocks(2 * nt + 1, d):
-        g = np.concatenate([g, g_rows(rows)])
-        stop = first + (len(g) - 1) // 2    # steps first .. stop - 1 are whole
-        pairs = g[:2 * (stop - first)].reshape(-1, 2, d)     # (g0, gm) of each
-        b = w[1 + first:1 + stop]
-        b[:] = forcing(pairs)
-        b[:, q - 1] += g[2::2][:stop - first]
-        b *= c
-        if s:
-            v[1 + first:1 + stop, None] = Qg(pairs)
-        g, first = g[2 * (stop - first):], stop
-    del g, pairs
-    P, L = poly(1, 1, 1 / 2, 1 / 6, 1 / 24), _block_length(nt)
+        Qw = blocks(h, (poly(1, 1 / 2, 1 / 6, 1 / 24),), slice(1), slice(None))
+    chunk = min(nt, MARCH_CHUNK)
+    P, L = poly(1, 1, 1 / 2, 1 / 6, 1 / 24), _block_length(chunk)
     if _power_pays(nt, L, q, d, k, np.ndim(a), M):
         step_L = _table_map(_table_power(P, L, G), X, V)
     else:
@@ -254,26 +246,58 @@ def _march(M, r, s, g_rows, tgrid):
             for _ in range(L):
                 start = _rk4_step(M, h, start)
             return start
-    _scan(w, _table_map(P, X, V), step_L, L)
-    if s == 0:
-        return np.ascontiguousarray(w[:, 0])   # frees the other q - 1 blocks
-    Qw = blocks(h, (poly(1, 1 / 2, 1 / 6, 1 / 24),), slice(1), slice(None))
-    for rows in row_blocks(nt, d):
-        v[1 + rows.start:1 + rows.stop, None] += Qw(w[rows])
-    np.cumsum(v[1:], axis=0, out=v[1:])
+    step = _table_map(P, X, V)
+    # w[0] is the chunk's start z_first; w[1:] holds the forcing
+    # b_n = c (F0 e g0 + Fm e gm + e g1), e the last block, until _scan
+    # adds P w_n to w_(n + 1)
+    w = np.empty((chunk + 1, q, d))
+    w[0] = 0.0
+    # s = 1 sums into v as the forcing forms; s = 0 first writes it after
+    # a scan, so that the forcing's temporaries never meet it
+    v = np.empty((nt + 1, d)) if s else None
+    g_blocks = map(g_rows, row_blocks(2 * nt + 1, d))
+    g = np.empty((0, d))     # g[0] is half-step row 2 (first + j)
+    for first in range(0, nt, chunk):
+        m, j = min(chunk, nt - first), 0    # the chunk's steps, those formed
+        while j < m:
+            if len(g) < 3:    # no whole step left: the next block of g
+                g = np.concatenate([g, next(g_blocks)])
+                continue
+            n = min((len(g) - 1) // 2, m - j)
+            pairs = g[:2 * n].reshape(-1, 2, d)     # (g0, gm) of each step
+            b = w[1 + j:1 + j + n]
+            b[:] = forcing(pairs)
+            b[:, q - 1] += g[2:2 * n + 1:2]
+            b *= c
+            if s:
+                v[1 + first + j:1 + first + j + n, None] = Qg(pairs)
+            g, j = g[2 * n:], j + n
+        _scan(w[:m + 1], step, step_L, L)
+        if v is None:
+            v = np.empty((nt + 1, d))
+        out = v[1 + first:1 + first + m]
+        if s == 0:
+            out[:] = w[1:m + 1, 0]
+        else:
+            out[:, None] += Qw(w[:m])
+            if first:
+                out[0] += v[first]    # so that the chunks cumsum as one
+            np.cumsum(out, axis=0, out=out)
+        w[0] = w[m]
+    v[0] = 0.0
     return v
 
 
 def _power_pays(nt, L, q, d, k, per_coordinate, M):
     """Whether forming step^L by binary powering (_table_power) costs fewer
-    flops than carrying each of the nt // L - 1 chained block starts
-    through L plain steps (_rk4_step, four products by M on one row).  A
-    product of (q, q) tables of k-wide cores costs about q^3 k^3 (q^3 d
-    when the scalar parts hold one value per coordinate).  A product on
-    one row counts as no less than a row block of BLOCK entries, the size
-    the blocked passes spread numpy's per-call cost over; with one BLAS
-    thread that puts the dense-M switch near d = 130, where the two paths
-    time alike."""
+    flops than carrying the about nt // L - 1 chained block starts of the
+    march's chunks through L plain steps (_rk4_step, four products by M
+    on one row).  A product of (q, q) tables of k-wide cores costs about
+    q^3 k^3 (q^3 d when the scalar parts hold one value per coordinate).
+    A product on one row counts as no less than a row block of BLOCK
+    entries, the size the blocked passes spread numpy's per-call cost
+    over; with one BLAS thread that puts the dense-M switch near d = 130,
+    where the two paths time alike."""
     products = L.bit_length() + bin(L).count("1") - 2
     product = q ** 3 * (k ** 3 + k * k + (d if per_coordinate else 1))
     by_M = d * d if M.dense is not None else d * (1 + 2 * M.U.shape[1])
@@ -617,19 +641,22 @@ SOLVERS = {
 
 
 def solve_family(rp):
-    """Integrate the reduced problem with its family's back-end, then
-    reassemble u = Bplus v + C Phi, check the unresolvable-direction
-    conditions and return u on the back-end's sample axes.  Node counts
-    and the time step come from the spec's grid table."""
+    """Integrate the reduced problem with its family's back-end, check
+    the unresolvable-direction conditions on v, then reassemble
+    u = Bplus v + C Phi over the back-end's v (a tall pencil's u, narrower
+    than v, gets its own array) and return u on the back-end's sample
+    axes, so that the solve keeps one u-sized array.  Node counts and the
+    time step come from the spec's grid table."""
     spec = rp.system
     axes, f_psi, v, C, meta = SOLVERS[spec.family](rp)
-    u = reconstruct_solution(rp, v, C)
     dev = compat_residual(rp, axes, v, f_psi)
     if dev > COMPAT_TOL:
         raise CompatibilityError(
             "compatibility violated: the unresolvable-direction "
             f"conditions fail with residual {dev:.3e}")
     space = rp.js.domain
+    # v is the back-end's own, so u goes over it when the widths match
+    u = reconstruct_solution(rp, v, C, out=v if v.shape[-1] == space.dim else None)
     stride = _csv_time_stride(axes, space)
     if stride is not None:
         meta["output_stride_t"] = stride

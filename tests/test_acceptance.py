@@ -390,3 +390,16 @@ def test_criterion_10_byte_identical_csv(problems_dir, tmp_path, capsys, report)
     capsys.readouterr()
     report(10, identical, "repeated solves of all 5 bundled problems "
                            "produce byte-identical CSV")
+
+
+def test_example7_repeated_solves_give_byte_identical_csv(problems_dir, tmp_path, capsys):
+    # criterion 10's check on example7, whose forcing 1 + sin(t) x^2 has a
+    # part outside range(Q), so that its CSV carries the march's numbers
+    paths = []
+    for run in ("a", "b"):
+        out = tmp_path / f"{run}.csv"
+        assert main(["solve", str(problems_dir / "example7.json"),
+                     "--output", str(out)]) == 0
+        paths.append(out)
+    capsys.readouterr()
+    assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from degenpde import chains, reduction, spaces
+from degenpde import chains, reduction, solvers, spaces
 from degenpde.chains import (CERTIFY_TOL, apply_schmidt_inverse,
                              complete_structure)
 from degenpde.errors import (CompatibilityError, ConfigurationError,
@@ -462,10 +462,10 @@ def test_regular_part_leaking_into_extra_cokernel_is_refused():
         reconstruct_solution(rp, rp.js.z_extra.T, np.zeros((1, rp.js.k)))
 
 
-def _tall_pencil():
+def _tall_pencil(f=lambda t=None: np.zeros((np.size(t), 3))):
     B = matrix_operator([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     A = matrix_operator([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return reduce(_evolution_spec(B, A, f=lambda t=None: np.zeros((np.size(t), 3))))
+    return reduce(_evolution_spec(B, A, f=f))
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])
@@ -487,6 +487,73 @@ def test_leak_check_and_reconstruction_go_by_row_blocks(monkeypatch, rng, block)
     dev = np.abs(leak).max() / max(1.0, np.abs(v).max())
     with pytest.raises(CompatibilityError, match=f"relative size {dev:.2e}"):
         reconstruct_solution(rp, v, C)
+
+
+def test_public_reconstruction_leaves_v_as_it_was(problems_dir, rng):
+    # a square pencil: u may go over v only through an explicit out, which
+    # gives the bits of the new array
+    rp = reduce(instantiate(load_problem(problems_dir / "example2.json")))
+    v = rng.standard_normal((300, rp.js.domain.dim))
+    C = rng.standard_normal((300, rp.js.k))
+    before = v.copy()
+    u = reconstruct_solution(rp, v, C)
+    assert np.array_equal(v, before)
+    assert not np.shares_memory(u, v)
+    assert reconstruct_solution(rp, v, C, out=v) is v
+    assert np.array_equal(v, u)
+
+
+def _leaking_back_end(rp, backend):
+    """The back-end's solve with its v pushed along the extra cokernel
+    direction."""
+    def solve(rp):
+        axes, f_psi, v, C, meta = backend(rp)
+        v += 1e-3 * rp.js.z_extra[:, 0]
+        return axes, f_psi, v, C, meta
+    return solve
+
+
+@pytest.mark.parametrize("case", ["leak", "incompatible"])
+def test_solve_refuses_a_tall_pencil_before_it_writes_u(monkeypatch, case):
+    # both refusals read the back-end's v and leave it as it was; an out
+    # given to the reconstruction is not written either
+    backend, held = solvers.SOLVERS["evolution1"], []
+    if case == "leak":
+        rp, match = _tall_pencil(), "leaks into the unresolvable"
+        backend = _leaking_back_end(rp, backend)
+    else:
+        rp = _tall_pencil(lambda t=None: np.stack([np.ones_like(t), 0 * t, 0 * t], axis=-1))
+        match = "unresolvable-direction"
+
+    def spy(rp):
+        solved = backend(rp)
+        held.append((solved[2], solved[2].copy(), solved[3]))
+        return solved
+
+    monkeypatch.setitem(solvers.SOLVERS, "evolution1", spy)
+    with pytest.raises(CompatibilityError, match=match):
+        solve_family(rp)
+    v, before, C = held[0]
+    assert v.shape[-1] == 3 > rp.js.domain.dim
+    assert np.array_equal(v, before)
+    if case == "leak":
+        out = np.full(v.shape[:-1] + (rp.js.domain.dim,), np.nan)
+        with pytest.raises(CompatibilityError, match=match):
+            reconstruct_solution(rp, v, C, out=out)
+        assert np.isnan(out).all()
+
+
+@pytest.mark.parametrize("name, tall", [("example2.json", False), ("example1.json", False),
+                                        (None, True)])
+def test_solve_writes_u_over_the_back_ends_v_when_the_widths_match(monkeypatch, problems_dir,
+                                                                   name, tall):
+    rp = _tall_realization() if tall else reduce(instantiate(load_problem(problems_dir / name)))
+    family = rp.system.family
+    backend, held = solvers.SOLVERS[family], []
+    monkeypatch.setitem(solvers.SOLVERS, family,
+                        lambda rp: held.append(backend(rp)) or held[-1])
+    fld = solve_family(rp)
+    assert np.shares_memory(fld.values, held[0][2]) == (not tall)
 
 
 def whole_equation_residual(spec, axes, u):

@@ -20,9 +20,9 @@ def _run(script, *args):
 def test_run_examples_solves_every_bundled_problem(tmp_path):
     run = _run("run_examples.py", "--output-dir", str(tmp_path))
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "5 problems, 0 failures"
+    assert run.stdout.splitlines()[-1] == "6 problems, 0 failures"
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
-        f"example{i}.csv" for i in range(1, 6)]
+        f"example{i}.csv" for i in (1, 2, 3, 4, 5, 7)]
 
 
 def test_convergence_study_prints_one_ratio_per_study():
