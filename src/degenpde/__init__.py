@@ -5,8 +5,9 @@ The pipeline: build the generalized Jordan structure of the operator pair
 (chains module), turn the singular system into a regular one plus a small
 triangular system for the chain coefficients (reduction module), solve the
 regular part with a family-specific back-end (solvers module), and drive
-everything from JSON problem files (problems module) or the command line
-(cli module).
+everything from JSON problem files, which also hold the closed-form
+references a solve is checked against (problems module), or the command
+line (cli module).
 """
 
 from .chains import (CommutabilityResult, JordanStructure,
@@ -15,16 +16,16 @@ from .chains import (CommutabilityResult, JordanStructure,
 from .errors import (CompatibilityError, ConfigurationError, DegenPDEError,
                      EvaluationError, ParseError, StructureError, UsageError)
 from .expressions import evaluate, parse, variables_of
-from .problems import (OracleOutcome, ProblemFile, evaluate_oracle,
-                       instantiate, load_problem)
+from .problems import (OracleOutcome, ProblemFile, bessel_like_sum,
+                       evaluate_oracle, instantiate, load_problem,
+                       oracle_first_order_evolution, oracle_goursat_constant,
+                       oracle_second_order_evolution)
 from .reduction import (FAMILIES, DegenerateSystemSpec, ReducedProblem,
                         apply_differential_operator, beta_tables,
                         compat_residual, describe_reduction,
                         reconstruct_solution, reduce, residual_check,
                         rhs_projection, solve_C_recurrence)
-from .solvers import (SOLVERS, SolutionField, bessel_like_sum,
-                      check_spectral_parameter, oracle_first_order_evolution,
-                      oracle_goursat_constant, oracle_second_order_evolution,
+from .solvers import (SOLVERS, SolutionField, check_spectral_parameter,
                       solve_family, write_solution_csv)
 from .spaces import (FiniteOperator, InnerProductSpace, euclidean_space,
                      grid_space, identity_operator, make_kernel_operator,
@@ -38,15 +39,15 @@ __all__ = [
     "CompatibilityError", "ConfigurationError", "DegenPDEError",
     "EvaluationError", "ParseError", "StructureError", "UsageError",
     "evaluate", "parse", "variables_of",
-    "OracleOutcome", "ProblemFile", "evaluate_oracle", "instantiate",
-    "load_problem",
+    "OracleOutcome", "ProblemFile", "bessel_like_sum", "evaluate_oracle",
+    "instantiate", "load_problem", "oracle_first_order_evolution",
+    "oracle_goursat_constant", "oracle_second_order_evolution",
     "FAMILIES", "DegenerateSystemSpec", "ReducedProblem",
     "apply_differential_operator", "beta_tables", "compat_residual",
     "describe_reduction", "reconstruct_solution", "reduce", "residual_check",
     "rhs_projection", "solve_C_recurrence",
-    "SOLVERS", "SolutionField", "bessel_like_sum", "check_spectral_parameter",
-    "oracle_first_order_evolution", "oracle_goursat_constant",
-    "oracle_second_order_evolution", "solve_family", "write_solution_csv",
+    "SOLVERS", "SolutionField", "check_spectral_parameter", "solve_family",
+    "write_solution_csv",
     "FiniteOperator", "InnerProductSpace", "euclidean_space", "grid_space",
     "identity_operator", "make_kernel_operator", "matrix_operator",
     "mode_space",

@@ -77,6 +77,14 @@ def _oracle_section(outcome):
             f"verdict={'pass' if outcome.passed else 'fail'}"]
 
 
+def _write(path, write):
+    """write(), which writes path; a path it cannot write is an input error."""
+    try:
+        return write()
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def run(args):
     """Run load, instantiate, structure, reduce and solve, then the CSV or
     the residuals and oracle, up to the subcommand's last stage, and return
@@ -103,7 +111,7 @@ def run(args):
     code = EXIT_OK
     if command == "solve":
         out = Path(args.problem).stem + ".csv" if args.output is None else args.output
-        rows = write_solution_csv(fld, out)
+        rows = _write(out, lambda: write_solution_csv(fld, out))
         report.add("output", [f"csv={out}", f"rows={rows}"])
     else:
         _, residuals = residual_check(rp, fld)
@@ -114,7 +122,7 @@ def run(args):
             code = EXIT_OK if outcome.passed else EXIT_FAIL
     text = report.to_text()
     if command == "report" and args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(args.output, lambda: Path(args.output).write_text(text, encoding="utf-8"))
         print(f"report written to {args.output}")
     else:
         print(text, end="")

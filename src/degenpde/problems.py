@@ -16,12 +16,18 @@ result is a plain-data description with every default filled in;
 ``instantiate`` builds the numerical objects from it, optionally with
 command-line overrides applied.
 
+The closed-form reference solutions live here too, in one table
+(CLOSED_FORMS): each entry states the family, pencil, box starts and f
+it describes, so that load and ``instantiate`` refuse a file it does not
+describe, and ``evaluate_oracle`` reads the reference from it.
+
 Top-level keys: "spaces", "B", "A1", "f", "family", "grid",
 "tolerances", plus optional "lambda" (spectral parameter) and "oracle".
 """
 
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +36,15 @@ from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
                      ParseError, UsageError)
 from .expressions import evaluate, parse, separate, variables_of
 from .reduction import FAMILIES, DegenerateSystemSpec, _mesh_coords
-from .solvers import (oracle_first_order_evolution, oracle_goursat_constant,
-                      oracle_second_order_evolution)
 from .spaces import (euclidean_space, grid_space, identity_operator,
                      make_kernel_operator, matrix_operator, mode_space,
                      row_blocks, structured_operator)
 
 MODE_SAMPLE_CHUNK = 256
 NULL_MODE_TOL = 1e-9   # a column this small relative to its operator vanishes
+PENCIL_TOL = 1e-10     # entry bound of B or A1 minus a closed form's own
+BESSEL_SERIES_TOL = 1e-18
+BESSEL_SERIES_CAP = 80
 
 
 @dataclass
@@ -252,20 +259,11 @@ def _oracles(family, f, space):
     fam = FAMILIES[family]
 
     def closed_form(name, path):
-        _choice("closed form", [fm.closed_form for fm in FAMILIES.values()
-                                if fm.closed_form])(name, path)
-        if name != fam.closed_form:
+        form = CLOSED_FORMS[_choice("closed form", CLOSED_FORMS)(name, path)]
+        if form.family != family:
             _fail(path, f"closed form {name!r} does not describe family {family}")
-        if name == "goursat_bessel":
-            srcs = [f] if isinstance(f, str) else f
-            for j, src in enumerate(srcs):
-                free = variables_of(parse(src))
-                if free:
-                    _fail(path, "the series closed form needs a constant right "
-                                f"side; f[{j}] depends on {sorted(free)}")
-            if len(srcs) != 2:
-                _fail(path, "the series closed form covers the two-component "
-                            "corner problem")
+        if form.check_f is not None:
+            form.check_f(f, path)
         return name
 
     def mode_residual(kind, path):
@@ -503,7 +501,8 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
     grid_scale rescales grid-space node counts and sampling axes, dt the
     time step, modes the retained mode table, lambda_param the spectral
     parameter.  An exact oracle's components are compiled here too
-    (spec.exact), so a wrong one is refused before any stage runs.
+    (spec.exact), and a closed form is held to the pencil and box it
+    describes, so that a wrong oracle is refused before any stage runs.
     """
     for name, value in (("grid_scale", grid_scale), ("dt", dt)):
         if value is not None and not (np.isfinite(value) and value > 0):
@@ -541,6 +540,8 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
                        "oracle.components")
     spec = DegenerateSystemSpec(B=B, A1=A1, f=f, family=pf.family,
                                 box=dict(pf.box), grid=grid, exact=exact)
+    if pf.oracle is not None and pf.oracle["kind"] == "closed_form":
+        _refuse_undescribed(pf.oracle["name"], spec)
     if pf.family == "spectral3":
         _refuse_common_null_modes(B, A1, lam)
     return spec
@@ -565,30 +566,224 @@ def evaluate_oracle(pf, rp, fld, tol=None):
                              "residual", deviation=dev, tol=tol)
 
     axes, u = fld.axes, fld.values
-
     if kind == "exact":
-        ref = ((rows, rp.system.exact(**_mesh_coords(axes, rows)))
-               for rows in row_blocks(len(u), u[0].size))
-        return OracleOutcome(kind=kind, detail="sup deviation from the exact "
-                             "component expressions", deviation=_deviation(u, ref),
-                             tol=tol)
-
-    # closed_form
-    name = desc["name"]
-    if name == "goursat_bessel":
-        # load_problem checked that f is two constants
-        a, b = (float(evaluate(parse(src))) for src in pf.f)
-        ref = [(slice(None), oracle_goursat_constant(a, b, axes[0][1], axes[1][1]))]
-        detail = "sup deviation from the series closed form"
+        detail = "sup deviation from the exact component expressions"
+        blocks = ((rows, rp.system.exact(**_mesh_coords(axes, rows)))
+                  for rows in row_blocks(len(u), u[0].size))
     else:
-        # instantiate refuses a time family without a grid space
-        oracle = (oracle_first_order_evolution if name == "evolution1_quadrature"
-                  else oracle_second_order_evolution)
-        ref = oracle(rp.system.f, axes[0][1], rp.js.domain.grid)
-        detail = "sup deviation from the quadrature closed form"
-    return OracleOutcome(kind=kind, detail=detail, deviation=_deviation(u, ref), tol=tol)
+        form = CLOSED_FORMS[desc["name"]]
+        detail, blocks = form.detail, form.reference(
+            rp.system.f, *(grid for _, grid in axes), rp.system.B.domain.grid)
+    dev = max(float(np.abs(u[rows] - ref).max()) for rows, ref in blocks)
+    return OracleOutcome(kind=kind, detail=detail, deviation=dev, tol=tol)
 
 
-def _deviation(u, blocks):
-    """max |u - ref| over the (rows, ref) blocks of a reference solution."""
-    return max(float(np.abs(u[rows] - ref).max()) for rows, ref in blocks)
+# ---------------------------------------------------------------------------
+# closed forms (independent quadrature evaluations) and what they describe
+
+# a reference solution and the problem it describes: the family, the pencil
+# in words and as pencil(space) -> (B, A1), None on a space it does not
+# cover, the box starts, the load-time check_f(f, path) or None, the
+# solution as reference(f, *axis grids, B's grid) -> (rows, values) blocks,
+# and the report's detail
+ClosedForm = namedtuple("ClosedForm", "family assumes pencil starts check_f reference detail")
+
+
+def _refuse_undescribed(name, spec):
+    """Refuse a built problem that the closed form name does not describe,
+    naming all that differs: B's space, B and A1 by value (an entry bound
+    of the difference above PENCIL_TOL) and the box starts."""
+    form, space = CLOSED_FORMS[name], spec.B.domain
+    pencil = form.pencil(space)
+    if pencil is None:
+        differs = [f"B is on a space of dim {space.dim}" if space.grid is None else
+                   f"B is on a grid space over [{space.grid[0]:g}, {space.grid[-1]:g}]"]
+    else:
+        differs = [f"the file's {label} differs from it by {gap:.3g} (entry bound)"
+                   for label, gap in zip(("B", "A1"), map(_gap, (spec.B, spec.A1), pencil))
+                   if gap > PENCIL_TOL]
+    differs += [f"grid.box.{axis} starts at {spec.box[axis][0]:g}"
+                for axis, start in form.starts.items() if spec.box[axis][0] != start]
+    if differs:
+        _fail("oracle.name", f"closed form {name!r} assumes {form.assumes}; "
+                             + "; ".join(differs))
+
+
+def _gap(a, b):
+    """entry_bound of the map a - b, through the factors when both keep them."""
+    if a.dense is None and b.dense is None:
+        return structured_operator(a.domain, a.diag - b.diag, np.hstack([a.U, -b.U]),
+                                   np.hstack([a.V, b.V])).entry_bound()
+    return float(np.abs(a.matrix - b.matrix).max())
+
+
+def _corner_pencil(space):
+    if space.dim == 2:
+        return (matrix_operator(np.diag([1.0, 0.0]), space, space),
+                identity_operator(space))
+
+
+def _kernel_pencil(space):
+    # exact_on x: the continuous K = 3xs reproduces x, so its sampled form
+    # is scaled to do the same
+    if space.grid is not None and (space.grid[0], space.grid[-1]) == (0.0, 1.0):
+        return (make_kernel_operator(space, "identity_minus_kernel", "3*x*s", exact_on="x"),
+                identity_operator(space, -1.0))
+
+
+def _two_constants(f, path):
+    srcs = [f] if isinstance(f, str) else f
+    for j, src in enumerate(srcs):
+        free = variables_of(parse(src))
+        if free:
+            _fail(path, "the series closed form needs a constant right "
+                        f"side; f[{j}] depends on {sorted(free)}")
+    if len(srcs) != 2:
+        _fail(path, "the series closed form covers the two-component "
+                    "corner problem")
+
+
+def bessel_like_sum(z):
+    """sum_k (-1)^k z^k / (k!)^2, the J0(2 sqrt z) series."""
+    z = np.asarray(z, dtype=float)
+    acc = np.ones_like(z)
+    term = np.ones_like(z)
+    for k in range(1, BESSEL_SERIES_CAP + 1):
+        term = term * (-z) / (k * k)
+        acc = acc + term
+        if np.abs(term).max() <= BESSEL_SERIES_TOL * max(1.0, float(np.abs(acc).max())):
+            break
+    return acc
+
+
+def oracle_goursat_constant(a, b, xg, yg):
+    """Exact solution of the two-component corner problem with constant
+    right side (a, b): first component a(1 - J0-type sum of xy), second b."""
+    X, Y = np.meshgrid(np.asarray(xg, float), np.asarray(yg, float),
+                       indexing="ij")
+    u1 = a * (1.0 - bessel_like_sum(X * Y))
+    u2 = np.full_like(u1, float(b))
+    return np.stack([u1, u2], axis=-1)
+
+
+def _exp_weighted_integral(g_half, tgrid, steps, carry=None, decay=True):
+    """I(t_i) = integral_0^{t_i} e^{t_i - s} g(s) ds (or the plain integral
+    when decay is False) at the nodes the steps (a slice of step indices)
+    end at, Simpson steps on the 2 m + 1 half-step samples g_half of those
+    m steps; the first block (carry None) starts with I(t_0) = 0.  The
+    step recursion I_{k+1} = e^h I_k + inc_k is the scan
+    I_i = e^{t_i} cumsum_{k<i} e^{-t_{k+1}} inc_k (times from t_0), built
+    in place in the result and carried across blocks: returns (I, carry),
+    carry the scan's last partial sum, which the next block's first row
+    adds, so that the blocks give the one-shot scan's bits."""
+    h = float(tgrid[1] - tgrid[0])
+    eh = np.exp(h) if decay else 1.0
+    ehalf = np.exp(0.5 * h) if decay else 1.0
+    first = carry is None
+    out = np.empty((len(g_half) // 2 + first,) + g_half.shape[1:])
+    out[:first] = 0.0
+    inc = out[first:]
+    np.multiply(g_half[:-1:2], eh, out=inc)
+    inc += 4.0 * ehalf * g_half[1::2]
+    inc += g_half[2::2]
+    inc *= h / 6.0
+    rel = (tgrid[steps.start + 1:steps.stop + 1] - tgrid[0]).reshape(
+        (-1,) + (1,) * (inc.ndim - 1))
+    if decay:
+        inc *= np.exp(-rel)
+    if not first:
+        inc[0] += carry
+    np.cumsum(inc, axis=0, out=inc)
+    carry = inc[-1].copy()
+    if decay:
+        inc *= np.exp(rel)
+    return out, carry
+
+
+def _oracle_blocks(f, tgrid, xgrid):
+    """(steps, nodes, f) over blocks of the time steps: f sampled on the
+    2 m + 1 half-step rows of the m steps, nodes the slice of time nodes
+    they end at, node 0 included in the first block."""
+    th = np.linspace(tgrid[0], tgrid[-1], 2 * len(tgrid) - 1)
+    for steps in row_blocks(len(tgrid) - 1, 2 * len(xgrid)):
+        f_half = np.asarray(f(t=th[2 * steps.start:2 * steps.stop + 1]), dtype=float)
+        yield steps, slice(steps.start + bool(steps.start), steps.stop + 1), f_half
+
+
+def _weighted_space_integral(f_vals, grid, weight):
+    """Composite Simpson integral of f_vals * weight over the last axis on
+    the (possibly irregular) nodes grid, as one product with the weight
+    vector; an even node count closes with Cartwright's last-interval
+    correction."""
+    n = len(grid)
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(grid)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    w = np.zeros(n)
+    w[0:stop:2] += hsum / 6.0 * (2.0 - 1.0 / ratio)
+    w[1:stop + 1:2] += hsum / 6.0 * (hsum * (hsum / (h0 * h1)))
+    w[2:stop + 2:2] += hsum / 6.0 * (2.0 - ratio)
+    if n % 2 == 0:
+        # 0-d arrays, not scalars: numpy's scalar and array power loops
+        # can differ in the last bit of b ** 3
+        a, b = np.asarray(h[-2]), np.asarray(h[-1])
+        w[-1] += (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
+        w[-2] += (b ** 2 + 3.0 * a * b) / (6 * a)
+        w[-3] -= b ** 3 / (6 * a * (a + b))
+    return f_vals @ (w * weight)
+
+
+def oracle_first_order_evolution(f, tgrid, xgrid):
+    """Quadrature evaluation of the exact formula
+    u(t,x) = int_0^t e^(t-z) [f(z,x) - 3x int s f(z,s) ds] dz
+             - 3x int s f(t,s) ds,
+    yielded as (nodes, u on them) over consecutive blocks of the time
+    nodes."""
+    tgrid = np.asarray(tgrid, float)
+    xgrid = np.asarray(xgrid, float)
+    carry = None
+    for steps, nodes, f_half in _oracle_blocks(f, tgrid, xgrid):
+        mom_half = _weighted_space_integral(f_half, xgrid, xgrid)
+        g_half = f_half - 3.0 * mom_half[:, None] * xgrid[None, :]
+        integ, carry = _exp_weighted_integral(g_half, tgrid, steps, carry, decay=True)
+        mom_nodes = mom_half[2 * (nodes.start - steps.start)::2]
+        yield nodes, integ - 3.0 * mom_nodes[:, None] * xgrid[None, :]
+
+
+def oracle_second_order_evolution(f, tgrid, xgrid):
+    """Quadrature evaluation of the exact formula
+    u(t,x) = int_0^t (e^(t-s) - 1) f(s,x) ds
+             - 3x int_0^t e^(t-s) [int s' f(s,s') ds'] ds,
+    yielded as (nodes, u on them) over consecutive blocks of the time
+    nodes."""
+    tgrid = np.asarray(tgrid, float)
+    xgrid = np.asarray(xgrid, float)
+    carry = [None] * 3
+    for steps, nodes, f_half in _oracle_blocks(f, tgrid, xgrid):
+        I_exp, carry[0] = _exp_weighted_integral(f_half, tgrid, steps, carry[0], decay=True)
+        I_one, carry[1] = _exp_weighted_integral(f_half, tgrid, steps, carry[1], decay=False)
+        mom_half = _weighted_space_integral(f_half, xgrid, xgrid)
+        J, carry[2] = _exp_weighted_integral(mom_half[:, None], tgrid, steps, carry[2],
+                                             decay=True)
+        yield nodes, I_exp - I_one - 3.0 * J[:, 0][:, None] * xgrid[None, :]
+
+
+_KERNEL_PENCIL = "B = I - K with K = 3xs and A1 = -I on a grid space over [0, 1]"
+_QUADRATURE = "sup deviation from the quadrature closed form"
+
+# the one place that names the closed forms; the goursat one reads its two
+# constants from f at the corner, the time ones sample f on B's grid
+CLOSED_FORMS = {
+    "goursat_bessel": ClosedForm(
+        "goursat", "B = diag(1, 0) and A1 = I on a 2-dim space, with the box "
+                   "starting at x = 0, y = 0", _corner_pencil, {"x": 0.0, "y": 0.0},
+        _two_constants, lambda f, xg, yg, _: [(slice(None), oracle_goursat_constant(
+            *f(x=0.0, y=0.0), xg, yg))],
+        "sup deviation from the series closed form"),
+    "evolution1_quadrature": ClosedForm("evolution1", _KERNEL_PENCIL, _kernel_pencil, {}, None,
+                                        oracle_first_order_evolution, _QUADRATURE),
+    "evolution2_quadrature": ClosedForm("evolution2", _KERNEL_PENCIL, _kernel_pencil, {}, None,
+                                        oracle_second_order_evolution, _QUADRATURE),
+}

@@ -33,28 +33,24 @@ class Family:
     its differential operators act on), the variables f may reference,
     the equation's L = (L0, L1) as multi-indices over the axes with
     coefficient 1, the projection boundary conditions as (projector,
-    axis, order) at the axis start, the grid keys its back-end reads
-    besides "box" with their defaults, and the closed-form oracle that
-    describes it."""
+    axis, order) at the axis start, and the grid keys its back-end reads
+    besides "box" with their defaults."""
 
     axes: tuple
     f_vars: tuple
     L: tuple
     bc: tuple
     grid: dict
-    closed_form: str = None
 
 
 FAMILIES = {
     "goursat": Family(("x", "y"), ("x", "y"), ((1, 1), (0, 0)),
                       (("I-Pk", "x", 0), ("I-Pk", "y", 0)),
-                      {"nx": 201, "ny": 201}, "goursat_bessel"),
+                      {"nx": 201, "ny": 201}),
     "evolution1": Family(("t",), ("t", "x"), ((1,), (0,)),
-                         (("I-Pk", "t", 0),), {"dt": 1e-3},
-                         "evolution1_quadrature"),
+                         (("I-Pk", "t", 0),), {"dt": 1e-3}),
     "evolution2": Family(("t",), ("t", "x"), ((2,), (1,)),
-                         (("I", "t", 0), ("I-Pk", "t", 1)), {"dt": 1e-3},
-                         "evolution2_quadrature"),
+                         (("I", "t", 0), ("I-Pk", "t", 1)), {"dt": 1e-3}),
     "mixed_xy": Family(("x", "y"), ("x", "y"), ((2, 0), (0, 1)),
                        (("I-Pk", "x", 0), ("I-Pk", "x", 1), ("Pk", "y", 0)),
                        {"nx": 101, "ny": 101}),

@@ -1,4 +1,4 @@
-"""Family solvers and independent closed-form oracles.
+"""Family solvers.
 
 `reduce` assembles one regular equation for every family,
 L0(D) v + L1(D) M v = (I - Q) f with M = (I - Q) A1 Bplus, and the
@@ -25,11 +25,6 @@ point, reassembles the full solution and returns it as a
 `write_solution_csv` builds the display view of that record only when it
 writes: grid spaces unroll onto their own axis, a time axis is strided
 and mode spaces get a sine synthesis.
-The closed-form oracles at the bottom evaluate the exact solution
-formulas of the bundled example problems by direct quadrature, sampling
-f themselves; the evolution ones yield their reference a block of time
-nodes at a time.  They share no code with the pipeline beyond
-elementary helpers.
 """
 
 import itertools
@@ -58,8 +53,6 @@ CSV_BLOCK = 1 << 12     # values the CSV writer formats at once: its strings
                         # are live together, so larger blocks raise peak RSS
 MARCH_CHUNK = 1 << 10   # steps _march scans at once: its state is a chunk
                         # long, and shorter chunks cost the scan more calls
-BESSEL_SERIES_TOL = 1e-18
-BESSEL_SERIES_CAP = 80
 
 
 @dataclass
@@ -667,133 +660,3 @@ def solve_family(rp):
         if "lambda" in spec.grid:
             meta["lambda"] = float(spec.grid["lambda"])
     return SolutionField(axes=axes, values=u, space=space, meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# closed-form oracles (independent quadrature evaluations)
-
-def bessel_like_sum(z):
-    """sum_k (-1)^k z^k / (k!)^2, the J0(2 sqrt z) series."""
-    z = np.asarray(z, dtype=float)
-    acc = np.ones_like(z)
-    term = np.ones_like(z)
-    for k in range(1, BESSEL_SERIES_CAP + 1):
-        term = term * (-z) / (k * k)
-        acc = acc + term
-        if np.abs(term).max() <= BESSEL_SERIES_TOL * max(1.0, float(np.abs(acc).max())):
-            break
-    return acc
-
-
-def oracle_goursat_constant(a, b, xg, yg):
-    """Exact solution of the two-component corner problem with constant
-    right side (a, b): first component a(1 - J0-type sum of xy), second b."""
-    X, Y = np.meshgrid(np.asarray(xg, float), np.asarray(yg, float),
-                       indexing="ij")
-    u1 = a * (1.0 - bessel_like_sum(X * Y))
-    u2 = np.full_like(u1, float(b))
-    return np.stack([u1, u2], axis=-1)
-
-
-def _exp_weighted_integral(g_half, tgrid, steps, carry=None, decay=True):
-    """I(t_i) = integral_0^{t_i} e^{t_i - s} g(s) ds (or the plain integral
-    when decay is False) at the nodes the steps (a slice of step indices)
-    end at, Simpson steps on the 2 m + 1 half-step samples g_half of those
-    m steps; the first block (carry None) starts with I(t_0) = 0.  The
-    step recursion I_{k+1} = e^h I_k + inc_k is the scan
-    I_i = e^{t_i} cumsum_{k<i} e^{-t_{k+1}} inc_k (times from t_0), built
-    in place in the result and carried across blocks: returns (I, carry),
-    carry the scan's last partial sum, which the next block's first row
-    adds, so that the blocks give the one-shot scan's bits."""
-    h = float(tgrid[1] - tgrid[0])
-    eh = np.exp(h) if decay else 1.0
-    ehalf = np.exp(0.5 * h) if decay else 1.0
-    first = carry is None
-    out = np.empty((len(g_half) // 2 + first,) + g_half.shape[1:])
-    out[:first] = 0.0
-    inc = out[first:]
-    np.multiply(g_half[:-1:2], eh, out=inc)
-    inc += 4.0 * ehalf * g_half[1::2]
-    inc += g_half[2::2]
-    inc *= h / 6.0
-    rel = (tgrid[steps.start + 1:steps.stop + 1] - tgrid[0]).reshape(
-        (-1,) + (1,) * (inc.ndim - 1))
-    if decay:
-        inc *= np.exp(-rel)
-    if not first:
-        inc[0] += carry
-    np.cumsum(inc, axis=0, out=inc)
-    carry = inc[-1].copy()
-    if decay:
-        inc *= np.exp(rel)
-    return out, carry
-
-
-def _oracle_blocks(f, tgrid, xgrid):
-    """(steps, nodes, f) over blocks of the time steps: f sampled on the
-    2 m + 1 half-step rows of the m steps, nodes the slice of time nodes
-    they end at, node 0 included in the first block."""
-    th = _half_grid(tgrid)
-    for steps in row_blocks(len(tgrid) - 1, 2 * len(xgrid)):
-        f_half = np.asarray(f(t=th[2 * steps.start:2 * steps.stop + 1]), dtype=float)
-        yield steps, slice(steps.start + bool(steps.start), steps.stop + 1), f_half
-
-
-def _weighted_space_integral(f_vals, grid, weight):
-    """Composite Simpson integral of f_vals * weight over the last axis on
-    the (possibly irregular) nodes grid, as one product with the weight
-    vector; an even node count closes with Cartwright's last-interval
-    correction."""
-    n = len(grid)
-    stop = n - 2 if n % 2 else n - 3
-    h = np.diff(grid)
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    w = np.zeros(n)
-    w[0:stop:2] += hsum / 6.0 * (2.0 - 1.0 / ratio)
-    w[1:stop + 1:2] += hsum / 6.0 * (hsum * (hsum / (h0 * h1)))
-    w[2:stop + 2:2] += hsum / 6.0 * (2.0 - ratio)
-    if n % 2 == 0:
-        # 0-d arrays, not scalars: numpy's scalar and array power loops
-        # can differ in the last bit of b ** 3
-        a, b = np.asarray(h[-2]), np.asarray(h[-1])
-        w[-1] += (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
-        w[-2] += (b ** 2 + 3.0 * a * b) / (6 * a)
-        w[-3] -= b ** 3 / (6 * a * (a + b))
-    return f_vals @ (w * weight)
-
-
-def oracle_first_order_evolution(f, tgrid, xgrid):
-    """Quadrature evaluation of the exact formula
-    u(t,x) = int_0^t e^(t-z) [f(z,x) - 3x int s f(z,s) ds] dz
-             - 3x int s f(t,s) ds,
-    yielded as (nodes, u on them) over consecutive blocks of the time
-    nodes."""
-    tgrid = np.asarray(tgrid, float)
-    xgrid = np.asarray(xgrid, float)
-    carry = None
-    for steps, nodes, f_half in _oracle_blocks(f, tgrid, xgrid):
-        mom_half = _weighted_space_integral(f_half, xgrid, xgrid)
-        g_half = f_half - 3.0 * mom_half[:, None] * xgrid[None, :]
-        integ, carry = _exp_weighted_integral(g_half, tgrid, steps, carry, decay=True)
-        mom_nodes = mom_half[2 * (nodes.start - steps.start)::2]
-        yield nodes, integ - 3.0 * mom_nodes[:, None] * xgrid[None, :]
-
-
-def oracle_second_order_evolution(f, tgrid, xgrid):
-    """Quadrature evaluation of the exact formula
-    u(t,x) = int_0^t (e^(t-s) - 1) f(s,x) ds
-             - 3x int_0^t e^(t-s) [int s' f(s,s') ds'] ds,
-    yielded as (nodes, u on them) over consecutive blocks of the time
-    nodes."""
-    tgrid = np.asarray(tgrid, float)
-    xgrid = np.asarray(xgrid, float)
-    carry = [None] * 3
-    for steps, nodes, f_half in _oracle_blocks(f, tgrid, xgrid):
-        I_exp, carry[0] = _exp_weighted_integral(f_half, tgrid, steps, carry[0], decay=True)
-        I_one, carry[1] = _exp_weighted_integral(f_half, tgrid, steps, carry[1], decay=False)
-        mom_half = _weighted_space_integral(f_half, xgrid, xgrid)
-        J, carry[2] = _exp_weighted_integral(mom_half[:, None], tgrid, steps, carry[2],
-                                             decay=True)
-        yield nodes, I_exp - I_one - 3.0 * J[:, 0][:, None] * xgrid[None, :]

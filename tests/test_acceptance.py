@@ -14,11 +14,12 @@ import pytest
 from degenpde.chains import complete_structure
 from degenpde.cli import main
 from degenpde.errors import CompatibilityError
-from degenpde.problems import instantiate, load_problem
+from degenpde.problems import (instantiate, load_problem,
+                               oracle_first_order_evolution,
+                               oracle_goursat_constant,
+                               oracle_second_order_evolution)
 from degenpde.reduction import DegenerateSystemSpec, reduce, residual_check
-from degenpde.solvers import (oracle_first_order_evolution,
-                              oracle_goursat_constant,
-                              oracle_second_order_evolution, solve_family)
+from degenpde.solvers import solve_family
 from degenpde.spaces import (grid_space, identity_operator,
                              make_kernel_operator, matrix_operator)
 

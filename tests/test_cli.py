@@ -123,8 +123,10 @@ def test_resonant_lambda_exits_with_failure(example, capsys):
 
 def test_common_null_direction_is_refused_up_front(problems_dir, tmp_path, capsys):
     # (1, -1) is null for both B and A1, so no chain through it can
-    # terminate; neither matrix has a zero column
+    # terminate; neither matrix has a zero column.  The corner closed form
+    # describes another pencil, so the file declares no oracle
     obj = json.loads((problems_dir / "example1.json").read_text(encoding="utf-8"))
+    del obj["oracle"]
     obj["B"]["rows"] = [[1.0, 1.0], [1.0, 1.0]]
     obj["A1"] = {"kind": "matrix", "space": "state",
                  "rows": [[2.0, 2.0], [0.0, 0.0]]}
@@ -282,6 +284,20 @@ MALFORMED = [
     ("example1", "grid.nx", 300.7, None, "grid.nx: expected an integer, got 300.7"),
     ("example2", "spaces.state.interval", [False, True], None,
      r"spaces.state.interval\[0\]: .* got bool"),
+    # a closed form on a problem it does not describe used to solve in full
+    # and then fail, by 88.7, 0.335, 0.441 and 1.0
+    ("example2", "spaces.state.interval", [1.0, 2.0], None,
+     r"oracle.name: closed form 'evolution1_quadrature' assumes .*; "
+     r"B is on a grid space over \[1, 2\]$"),
+    ("example1", "B.rows", [[2.0, 0.0], [0.0, 0.0]], None,
+     r"oracle.name: closed form 'goursat_bessel' assumes .*; "
+     r"the file's B differs from it by 1 \(entry bound\)$"),
+    ("example1", "grid.box.x", [0.5, 1.5], None,
+     r"oracle.name: closed form 'goursat_bessel' assumes .* starting at x = 0, "
+     r"y = 0; grid.box.x starts at 0.5$"),
+    ("example3", "A1.scale", -2.0, None,
+     r"oracle.name: closed form 'evolution2_quadrature' assumes .*; "
+     r"the file's A1 differs from it by 1 \(entry bound\)$"),
 ]
 
 
@@ -291,8 +307,26 @@ MALFORMED = [
 def test_malformed_fields_are_input_errors(problems_dir, tmp_path, monkeypatch,
                                            capsys, name, path, value, drop, message):
     # each edit used to end in a traceback, or to be accepted, ignored or
-    # rounded so that verify checked some other problem
+    # rounded so that verify checked some other problem; it is refused
+    # before any stage runs
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the refusal")
+
+    for attr in ("complete_structure", "reduce"):
+        monkeypatch.setattr(f"degenpde.cli.{attr}", stage)
     monkeypatch.chdir(tmp_path)
+    target = _edited(problems_dir, tmp_path, name, path, value, drop)
+    code = main(["verify", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert re.match(f"error: {message}", captured.err.rstrip("\n")), captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == [target]
+
+
+def _edited(problems_dir, tmp_path, name, path, value, drop=None):
+    """A copy of a bundled problem with the field at the dotted path set
+    to value, and its sibling drop removed."""
     obj = json.loads((problems_dir / f"{name}.json").read_text(encoding="utf-8"))
     *parents, key = path.split(".")
     node = obj
@@ -302,12 +336,24 @@ def test_malformed_fields_are_input_errors(problems_dir, tmp_path, monkeypatch,
     node.pop(drop, None)
     target = tmp_path / "edited.json"
     target.write_text(json.dumps(obj).replace(f'"{BIG}"', BIG), encoding="utf-8")
-    code = main(["verify", str(target)])
+    return target
+
+
+def test_closed_form_compares_the_pencil_by_value(problems_dir, tmp_path, capsys):
+    # the same kernel written in another order builds the same B
+    path = _edited(problems_dir, tmp_path, "example2", "B.kernel", "3*s*x")
+    assert main(["verify", str(path)]) == 0
+    assert "verdict=pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["solve", "report"])
+def test_unwritable_output_is_an_input_error(example, tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.txt"
+    code = main([command, example("example4.json"), "--output", str(target)])
     captured = capsys.readouterr()
     assert code == 2
-    assert re.match(f"error: {message}", captured.err), captured.err
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
     assert "Traceback" not in captured.err
-    assert captured.out == "" and list(tmp_path.iterdir()) == [target]
 
 
 def test_grid_scale_scales_the_default_node_counts(problems_dir, tmp_path, capsys):

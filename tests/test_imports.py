@@ -199,3 +199,55 @@ def test_every_defaulted_parameter_is_passed():
     callers = [p.read_text() for folder in ("scripts", "tests", "perfbench")
                for p in (SRC.parents[1] / folder).rglob("*.py")]
     assert unpassed_defaults(package, callers) == []
+
+
+def importers_of(module, sources):
+    """Modules of sources, a dict module -> text, whose import statements
+    name the package module `module` (relative, or under degenpde),
+    sorted."""
+    def names(path):
+        parts = [p for p in path.split(".") if p]
+        return parts[1:] if parts[:1] == ["degenpde"] else parts
+
+    out = set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                paths = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                paths = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(names(path) == [module] for path in paths):
+                out.add(name)
+    return sorted(out)
+
+
+def test_import_scan_finds_every_form():
+    sources = {"a": "from .solvers import f\n", "b": "from . import solvers, spaces\n",
+               "c": "import degenpde.solvers\n", "d": "from degenpde import solvers\n",
+               "e": "from .spaces import solvers_x\nimport solvers2\n",
+               "f": "from .reduction import FAMILIES\n"}
+    assert importers_of("solvers", sources) == ["a", "b", "c", "d"]
+
+
+def top_level_names(source):
+    """Names the module-level statements of source define or assign."""
+    out = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+# the closed-form references check the solvers, so they share no module with
+# them, and only the front ends reach the solvers
+def test_only_the_front_ends_import_the_solvers():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert importers_of("solvers", sources) == ["__init__", "cli"]
+    assert sorted(n for n in top_level_names(sources["solvers"])
+                  if n.startswith("oracle_")) == []

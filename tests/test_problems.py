@@ -304,6 +304,18 @@ def test_oracle_validation(tmp_path):
         load_problem(_dump(tmp_path, second_order))
 
 
+@pytest.mark.parametrize("f, message", [
+    (["x*y", "1"], r"needs a constant right side; f\[0\] depends on \['x', 'y'\]"),
+    (["1", "1", "1"], "covers the two-component corner problem"),
+], ids=["variable", "three-components"])
+def test_series_closed_form_refuses_other_right_sides_at_load(problems_dir, tmp_path,
+                                                              f, message):
+    raw = json.loads((problems_dir / "example1.json").read_text(encoding="utf-8"))
+    with pytest.raises(ConfigurationError,
+                       match=f"oracle.name: the series closed form {message}"):
+        load_problem(_dump(tmp_path, _variant(raw, f=f)))
+
+
 @pytest.mark.parametrize("name", ["example1.json", "example2.json"])
 def test_mode_residual_oracle_needs_a_modes_space(problems_dir, tmp_path, capsys, name):
     # only a solve on a modes space records its per-mode residual: on any

@@ -11,19 +11,18 @@ from degenpde import solvers, spaces
 from degenpde.chains import apply_schmidt_inverse
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              EvaluationError, UsageError)
-from degenpde.problems import evaluate_oracle, instantiate, load_problem
+from degenpde.problems import (_exp_weighted_integral, _weighted_space_integral,
+                               bessel_like_sum, evaluate_oracle, instantiate,
+                               load_problem, oracle_first_order_evolution,
+                               oracle_goursat_constant,
+                               oracle_second_order_evolution)
 from degenpde.reduction import (FAMILIES, DegenerateSystemSpec, equation_residual,
                                 reduce, residual_check)
 from degenpde.solvers import (CSV_BLOCK, SolutionField, _block_length,
                               _cumulative_from_zero,
-                              _cumulative_simpson_half,
-                              _exp_weighted_integral, _half_grid, _march,
-                              _scan, _time_grid, _weighted_space_integral,
-                              bessel_like_sum, check_spectral_parameter,
-                              oracle_first_order_evolution,
-                              oracle_goursat_constant,
-                              oracle_second_order_evolution, solve_family,
-                              write_solution_csv)
+                              _cumulative_simpson_half, _half_grid, _march,
+                              _scan, _time_grid, check_spectral_parameter,
+                              solve_family, write_solution_csv)
 from degenpde.spaces import (FACTORED_WIDTH_SHARE, euclidean_space, grid_space,
                              matrix_operator, mode_space, structured_operator)
 
