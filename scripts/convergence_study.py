@@ -5,6 +5,9 @@ the quadrature closed forms (expect 4th-order decay from the RK4 march).
 Part 2: spatial refinement of the kernel operator's action on its exact
 null direction without the exactness correction (expect 2nd-order decay
 of the trapezoid defect).
+Part 3: node refinement of the corner (goursat) problem of example1 on
+[0, 1]^2 against its series closed form (expect 2nd-order decay from the
+trapezoid sweep, about 4x per level).
 
 Usage:
     python3 scripts/convergence_study.py [--dt-levels N] [--node-levels N]
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from degenpde import (DegenerateSystemSpec, grid_space, identity_operator,
-                      make_kernel_operator, oracle_first_order_evolution,
+                      make_kernel_operator, matrix_operator,
+                      oracle_first_order_evolution, oracle_goursat_constant,
                       oracle_second_order_evolution, reduce, solve_family)
 
 
@@ -79,6 +83,25 @@ def node_study(cfg):
     print()
 
 
+def corner_study(cfg):
+    print("corner problem of example1, f = (1, 1) on [0, 1]^2, sup deviation "
+          "vs nodes per axis:")
+    B, A1 = matrix_operator(np.diag([1.0, 0.0])), matrix_operator(np.eye(2))
+    prev = None
+    for level in range(cfg.node_levels):
+        nodes = (cfg.node_base - 1) * 2 ** level + 1
+        spec = DegenerateSystemSpec(
+            B=B, A1=A1, f=lambda x, y: np.ones(2), family="goursat",
+            box={"x": (0.0, 1.0), "y": (0.0, 1.0)}, grid={"nx": nodes, "ny": nodes})
+        fld = solve_family(reduce(spec))
+        ref = oracle_goursat_constant(1.0, 1.0, *(g for _, g in fld.axes))
+        dev = float(np.abs(fld.values - ref).max())
+        note = "" if prev is None else f"  ratio {prev / dev:6.2f}"
+        print(f"  nodes={nodes:<5d} dev={dev:.3e}{note}")
+        prev = dev
+    print()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dt-levels", type=int, default=4)
@@ -87,6 +110,7 @@ def main(argv=None):
     cfg = StudyConfig(dt_levels=args.dt_levels, node_levels=args.node_levels)
     dt_study(cfg)
     node_study(cfg)
+    corner_study(cfg)
     return 0
 
 

@@ -15,7 +15,9 @@ report text, except the wall-time field.
 """
 
 import argparse
+import errno
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -77,8 +79,26 @@ def _oracle_section(outcome):
             f"verdict={'pass' if outcome.passed else 'fail'}"]
 
 
+def _output(args):
+    """The file the command writes, solve's CSV (by default named after
+    the problem, in the working directory) or report's --output, else
+    None; refused when its directory is missing, not a directory or not
+    writable, so that no stage runs for an output that cannot be written."""
+    if args.command == "solve":
+        path = Path(args.problem).stem + ".csv" if args.output is None else args.output
+    else:
+        path = args.output if args.command == "report" else None
+    parent = Path(path).parent if path else None
+    if parent is None or parent.is_dir() and os.access(parent, os.W_OK):
+        return path
+    code = (errno.EACCES if parent.is_dir() else
+            errno.ENOTDIR if parent.exists() else errno.ENOENT)
+    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _write(path, write):
-    """write(), which writes path; a path it cannot write is an input error."""
+    """write(), which writes path; a path it cannot write is an input error,
+    also when _output let it pass."""
     try:
         return write()
     except OSError as exc:
@@ -88,8 +108,9 @@ def _write(path, write):
 def run(args):
     """Run load, instantiate, structure, reduce and solve, then the CSV or
     the residuals and oracle, up to the subcommand's last stage, and return
-    the exit code; the wall time spans the structure or reduce and solve."""
-    command = args.command
+    the exit code; the wall time spans the structure or reduce and solve.
+    An output that cannot be written is refused before any stage runs."""
+    command, out = args.command, _output(args)
     pf = load_problem(args.problem)
     spec = instantiate(pf, **_overrides(args))
     report = RunReport(problem=str(args.problem), family=pf.family)
@@ -110,7 +131,6 @@ def run(args):
     report.wall_time_s = time.perf_counter() - t0
     code = EXIT_OK
     if command == "solve":
-        out = Path(args.problem).stem + ".csv" if args.output is None else args.output
         rows = _write(out, lambda: write_solution_csv(fld, out))
         report.add("output", [f"csv={out}", f"rows={rows}"])
     else:
@@ -121,9 +141,9 @@ def run(args):
             report.add("oracle", _oracle_section(outcome))
             code = EXIT_OK if outcome.passed else EXIT_FAIL
     text = report.to_text()
-    if command == "report" and args.output:
-        _write(args.output, lambda: Path(args.output).write_text(text, encoding="utf-8"))
-        print(f"report written to {args.output}")
+    if command == "report" and out:
+        _write(out, lambda: Path(out).write_text(text, encoding="utf-8"))
+        print(f"report written to {out}")
     else:
         print(text, end="")
     return code

@@ -541,7 +541,8 @@ def instantiate(pf, grid_scale=None, dt=None, modes=None, lambda_param=None):
     spec = DegenerateSystemSpec(B=B, A1=A1, f=f, family=pf.family,
                                 box=dict(pf.box), grid=grid, exact=exact)
     if pf.oracle is not None and pf.oracle["kind"] == "closed_form":
-        _refuse_undescribed(pf.oracle["name"], spec)
+        _refuse_undescribed(pf.oracle["name"], spec,
+                            pf.oracle.get("tol", pf.tolerances["verify"]))
     if pf.family == "spectral3":
         _refuse_common_null_modes(B, A1, lam)
     return spec
@@ -585,14 +586,17 @@ def evaluate_oracle(pf, rp, fld, tol=None):
 # in words and as pencil(space) -> (B, A1), None on a space it does not
 # cover, the box starts, the load-time check_f(f, path) or None, the
 # solution as reference(f, *axis grids, B's grid) -> (rows, values) blocks,
-# and the report's detail
-ClosedForm = namedtuple("ClosedForm", "family assumes pencil starts check_f reference detail")
+# the report's detail, and rounding(spec) -> a bound on the rounding error
+# of the reference on the built problem, or None when it has none to fear
+ClosedForm = namedtuple("ClosedForm",
+                        "family assumes pencil starts check_f reference detail rounding")
 
 
-def _refuse_undescribed(name, spec):
+def _refuse_undescribed(name, spec, tol):
     """Refuse a built problem that the closed form name does not describe,
     naming all that differs: B's space, B and A1 by value (an entry bound
-    of the difference above PENCIL_TOL) and the box starts."""
+    of the difference above PENCIL_TOL) and the box starts; then refuse a
+    box on which the form's rounding bound exceeds the oracle's tol."""
     form, space = CLOSED_FORMS[name], spec.B.domain
     pencil = form.pencil(space)
     if pencil is None:
@@ -607,6 +611,11 @@ def _refuse_undescribed(name, spec):
     if differs:
         _fail("oracle.name", f"closed form {name!r} assumes {form.assumes}; "
                              + "; ".join(differs))
+    bound = form.rounding(spec) if form.rounding is not None else 0.0
+    if bound > tol:
+        box = ", ".join(f"{axis} [{lo:g}, {hi:g}]" for axis, (lo, hi) in spec.box.items())
+        _fail("oracle.name", f"closed form {name!r} cancels on the box {box}: its "
+                             f"rounding bound {bound:.2g} exceeds the oracle tol {tol:g}")
 
 
 def _gap(a, b):
@@ -654,6 +663,19 @@ def bessel_like_sum(z):
         if np.abs(term).max() <= BESSEL_SERIES_TOL * max(1.0, float(np.abs(acc).max())):
             break
     return acc
+
+
+def _bessel_rounding(spec):
+    """eps max_k z^k / (k!)^2 |a| at z = x_hi y_hi, a the first constant of
+    f: the rounding that the alternating sum of bessel_like_sum leaves in
+    the first component of oracle_goursat_constant, whose largest term is
+    at k = floor(sqrt(z))."""
+    z = float(spec.box["x"][1]) * float(spec.box["y"][1])
+    k = np.arange(1.0, np.floor(np.sqrt(z)) + 2.0)
+    with np.errstate(over="ignore"):
+        peak = float(np.cumprod(z / k ** 2).max(initial=1.0))
+    a = float(np.asarray(spec.f(x=0.0, y=0.0), dtype=float)[0])
+    return np.finfo(float).eps * peak * abs(a)
 
 
 def oracle_goursat_constant(a, b, xg, yg):
@@ -781,9 +803,9 @@ CLOSED_FORMS = {
                    "starting at x = 0, y = 0", _corner_pencil, {"x": 0.0, "y": 0.0},
         _two_constants, lambda f, xg, yg, _: [(slice(None), oracle_goursat_constant(
             *f(x=0.0, y=0.0), xg, yg))],
-        "sup deviation from the series closed form"),
+        "sup deviation from the series closed form", _bessel_rounding),
     "evolution1_quadrature": ClosedForm("evolution1", _KERNEL_PENCIL, _kernel_pencil, {}, None,
-                                        oracle_first_order_evolution, _QUADRATURE),
+                                        oracle_first_order_evolution, _QUADRATURE, None),
     "evolution2_quadrature": ClosedForm("evolution2", _KERNEL_PENCIL, _kernel_pencil, {}, None,
-                                        oracle_second_order_evolution, _QUADRATURE),
+                                        oracle_second_order_evolution, _QUADRATURE, None),
 }

@@ -3,14 +3,15 @@
 `reduce` assembles one regular equation for every family,
 L0(D) v + L1(D) M v = (I - Q) f with M = (I - Q) A1 Bplus, and the
 family back-ends differ only in how they integrate it: one RK4 march for
-the time families, the iterated-integral series for goursat, and for
-mixed_xy the finite Chebyshev series of a fit to the data, refused when
-the fit misses the data.  The march applies RK4's exact step map to the
-companion state (v^(s), ..., v^(r-1)) with a blocked scan over chunks of
-steps, O(sqrt(chunk)) products on blocks of rows per chunk in place of
-one per step on single rows; the map's blocks are polynomials in M, a
-scalar plus a rank-k core when M = c I + U V^T or a diagonal (a step
-costs O(d k)), folded into matrices otherwise.  evolution2 recovers v
+the time families, for goursat one trapezoid sweep over the grid's
+anti-diagonals that solves the discrete Volterra equation exactly, and
+for mixed_xy the finite Chebyshev series of a fit to the data, refused
+when the fit misses the data.  The march applies RK4's exact step map to
+the companion state (v^(s), ..., v^(r-1)) with a blocked scan over
+chunks of steps, O(sqrt(chunk)) products on blocks of rows per chunk in
+place of one per step on single rows; the map's blocks are polynomials
+in M, a scalar plus a rank-k core when M = c I + U V^T or a diagonal (a
+step costs O(d k)), folded into matrices otherwise.  evolution2 recovers v
 from v' with RK4's own weights and a cumsum.  Every back-end applies M
 through its factors.
 The time back-end samples f once, a block of half-step rows at a time
@@ -18,8 +19,8 @@ The time back-end samples f once, a block of half-step rows at a time
 rows and the compatibility projection; the march holds its state one
 chunk of steps at a time, and u is written over v, so that the solve
 holds one u-sized array, never f.
-Series limits and the fit tolerance are module constants.  Each back-end
-then runs the triangular C-recursion; `solve_family`, the one entry
+The mixed_xy fit's degree and tolerance are module constants.  Each
+back-end then runs the triangular C-recursion; `solve_family`, the one entry
 point, reassembles the full solution and returns it as a
 `SolutionField` on the back-end's sample axes.
 `write_solution_csv` builds the display view of that record only when it
@@ -40,10 +41,8 @@ from .reduction import (FAMILIES, _sample_f, beta_tables, compat_projection,
                         compat_residual, equation_residual,
                         reconstruct_solution, rhs_projection,
                         solve_C_recurrence)
-from .spaces import BLOCK, FACTORED_WIDTH_SHARE, row_blocks
+from .spaces import BLOCK, FACTORED_WIDTH_SHARE, compose, row_blocks
 
-GOURSAT_SERIES_CAP = 40
-GOURSAT_SERIES_TOL = 1e-12
 MIXED_FIT_DEGREE = 32
 MIXED_FIT_TOL = 1e-10
 COMPAT_TOL = 1e-6
@@ -490,44 +489,74 @@ def _solve_time(rp):
 
 
 # ---------------------------------------------------------------------------
-# Goursat family (series in the double integral)
+# Goursat family (trapezoid sweep over the anti-diagonals)
 
 def _solve_goursat(rp):
     """Family goursat: d2/dxdy(Bu) + A1 u = f, data on both axes.
 
-    The regular part is the convergent series of iterated double
-    integrals: v = sum_r term_r with term_0 = V w and
-    term_r = -V M term_{r-1}, V the cumulative double integral from the
-    corner and w = (I - Q) f; iterated trapezoid quadrature on the grid."""
+    The regular part solves the discrete Volterra equation
+    v = V (w - M v), V the cumulative trapezoid double integral from the
+    corner and w = (I - Q) f, exactly, in one sweep over the grid's
+    anti-diagonals (_goursat_sweep)."""
     spec = rp.system
     xg, yg = _box_grid(spec, "x"), _box_grid(spec, "y")
     axes = [("x", xg), ("y", yg)]
     f_vals = _sample_f(spec, axes)
-    w = rhs_projection(rp, f_vals)
-
-    def volterra(arr):
-        arr = _cumulative_from_zero(arr, xg, axis=0)
-        return _cumulative_from_zero(arr, yg, axis=1)
-
-    vterm = volterra(w)
-    v = vterm.copy()
-    scale = max(1.0, float(np.abs(vterm).max()))
-    for r in range(1, GOURSAT_SERIES_CAP + 1):
-        vterm = -volterra(rp.M.apply_to_samples(vterm))
-        v += vterm
-        if np.abs(vterm).max() <= GOURSAT_SERIES_TOL * scale:
-            break
-    else:
-        raise ConfigurationError(
-            "series truncation failure: the iterated-integral series did "
-            f"not decay below {GOURSAT_SERIES_TOL:g} within "
-            f"{GOURSAT_SERIES_CAP} terms; the domain box "
-            "is too large for this operator pair, shrink it")
-
+    v = _goursat_sweep(rp.M, rhs_projection(rp, f_vals), xg, yg)
     C = solve_C_recurrence(rp, beta_tables(rp, f_vals), axes,
                            lambda rhs: rhs)
     return (axes, compat_projection(rp, f_vals), v, C,
-            {"series_terms": r, "series_tail": float(np.abs(vterm).max())})
+            {"dx": float(xg[1] - xg[0]), "dy": float(yg[1] - yg[0])})
+
+
+def _goursat_sweep(M, w, xg, yg):
+    """The v on the (nx, ny) grid of uniform axes xg, yg that solves
+    v = V (w - M v) exactly, V the cumulative trapezoid double integral
+    from the corner, written over w (an (nx, ny, d) array the caller
+    gives up): the trapezoidal method for Volterra equations (P. Linz,
+    Analytical and Numerical Methods for Volterra Equations, SIAM 1985).
+
+    The mixed difference of V over a cell is c = dx dy / 4 times the sum
+    of its argument over the cell's four corners, and V is 0 on the rows
+    i = 0 and j = 0.  So with P = (M + I / c)^-1 = c (I + c M)^-1 and
+    S = (M + I / c) v, every interior node satisfies
+    S[i, j] = (I - 2 M P)(S[i-1, j] + S[i, j-1]) - S[i-1, j-1] + G[i, j],
+    G the sum of w over the corners of the cell below and left of (i, j),
+    and S = 0 on the first rows.  I - 2 M P is 2 (I + c M)^-1 - I with
+    its small part M P formed apart, not left to cancel against I.
+    Node (i, j) is row i ny + j of the flat (nx ny, d) view, so an
+    anti-diagonal i + j = const is a slice of stride ny - 1 and its three
+    neighbours are that slice moved back by ny, 1 and ny + 1: each of the
+    nx + ny - 3 interior anti-diagonals takes a few numpy operations.
+    P comes from the skeleton of M + I / c and M P from compose, through
+    M's factors when it keeps them; v = P S then goes over S a row block
+    at a time.  A singular I + c M leaves the scheme without a solution
+    and is refused."""
+    nx, ny, d = w.shape
+    c = float(xg[1] - xg[0]) * float(yg[1] - yg[0]) / 4.0
+    empty = np.zeros((d, 0))
+    skel = M.updated(empty, empty, shift=1.0 / c).skeleton()
+    if skel.rank < d:
+        raise ConfigurationError(
+            f"the trapezoid sweep needs I + (dx dy / 4) M invertible, but it "
+            f"has rank {skel.rank} < {d} at nx={nx}, ny={ny} on the box "
+            f"x [{xg[0]:g}, {xg[-1]:g}], y [{yg[0]:g}, {yg[-1]:g}]; change nx or ny")
+    P = skel.pseudo_inverse()
+    MP = compose(M, P)
+    pairs = w[1:] + w[:-1]
+    np.add(pairs[:, 1:], pairs[:, :-1], out=w[1:, 1:])
+    del pairs   # so that the sweep holds w alone
+    w[0], w[:, 0] = 0.0, 0.0
+    S, step = w.reshape(-1, d), ny - 1
+    for diag in range(2, nx + ny - 1):
+        at = max(1, diag - step) * step + diag
+        stop = min(nx - 1, diag - 1) * step + diag + 1
+        near = S[at - ny:stop - ny:step] + S[at - 1:stop - 1:step]
+        near -= 2.0 * MP.apply_to_samples(near) + S[at - ny - 1:stop - ny - 1:step]
+        S[at:stop:step] += near
+    for rows in row_blocks(len(S), d):
+        S[rows] = P.apply_to_samples(S[rows])
+    return S.reshape(w.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,24 @@ def test_unwritable_output_is_an_input_error(example, tmp_path, capsys, command)
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["solve", "report"])
+def test_unwritable_output_is_refused_before_the_solve(example, tmp_path, capsys,
+                                                       monkeypatch, command):
+    def no_solve(rp):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr("degenpde.cli.solve_family", no_solve)
+    target = tmp_path / "missing" / "x.csv"
+    assert main([command, example("example1.json"), "--output", str(target)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {target}: No such file or directory\n")
+    # a file where the directory should be
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    target = tmp_path / "plain" / "x.csv"
+    assert main([command, example("example1.json"), "--output", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {target}: Not a directory\n"
+
+
 def test_grid_scale_scales_the_default_node_counts(problems_dir, tmp_path, capsys):
     obj = json.loads((problems_dir / "example1.json").read_text(encoding="utf-8"))
     del obj["grid"]["nx"], obj["grid"]["ny"]
@@ -559,7 +577,7 @@ def _report_keys(lead, lower, chains, plan, solver, residuals):
 REPORT_KEYS = {
     "example1.json": _report_keys(
         "1*D0*D1", "1", 1, ["I-Pk d^0u on x", "I-Pk d^0u on y"],
-        ["series_tail", "series_terms"],
+        ["dx", "dy"],
         ["I-Pk d0u/dx0 at x", "I-Pk d0u/dy0 at y"]),
     "example2.json": _report_keys(
         "1*D0", "1", 1, ["I-Pk d^0u on t"], ["dt", "output_stride_t"],

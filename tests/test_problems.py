@@ -316,6 +316,21 @@ def test_series_closed_form_refuses_other_right_sides_at_load(problems_dir, tmp_
         load_problem(_dump(tmp_path, _variant(raw, f=f)))
 
 
+def test_series_closed_form_refuses_a_box_where_it_cancels(problems_dir, tmp_path):
+    # the Bessel sum's largest term times eps bounds its rounding: 0.41 on
+    # [0, 20]^2, where the form reads 0.40 away from 1 - J0(2 sqrt(xy)),
+    # and 7.7e-8 on [0, 12]^2, within the tol of 1e-6
+    raw = json.loads((problems_dir / "example1.json").read_text(encoding="utf-8"))
+    wide = _variant(raw, grid={**raw["grid"], "box": {"x": [0.0, 20.0], "y": [0.0, 20.0]}})
+    with pytest.raises(ConfigurationError,
+                       match=r"oracle.name: closed form 'goursat_bessel' cancels on the "
+                             r"box x \[0, 20\], y \[0, 20\]: its rounding bound 0.41 "
+                             r"exceeds the oracle tol 1e-06"):
+        instantiate(load_problem(_dump(tmp_path, wide)))
+    narrow = _variant(raw, grid={**raw["grid"], "box": {"x": [0.0, 12.0], "y": [0.0, 12.0]}})
+    assert instantiate(load_problem(_dump(tmp_path, narrow))).box["x"] == (0.0, 12.0)
+
+
 @pytest.mark.parametrize("name", ["example1.json", "example2.json"])
 def test_mode_residual_oracle_needs_a_modes_space(problems_dir, tmp_path, capsys, name):
     # only a solve on a modes space records its per-mode residual: on any

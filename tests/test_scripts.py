@@ -28,6 +28,10 @@ def test_run_examples_solves_every_bundled_problem(tmp_path):
 def test_convergence_study_prints_one_ratio_per_study():
     run = _run("convergence_study.py", "--dt-levels", "2", "--node-levels", "2")
     assert run.returncode == 0, run.stderr
-    # two dt studies (evolution1, evolution2) and one node study
-    ratios = [ln for ln in run.stdout.splitlines() if "ratio" in ln]
-    assert len(ratios) == 3, run.stdout
+    # two dt studies (evolution1, evolution2), the node study and the
+    # corner study, whose trapezoid sweep converges at second order
+    studies = run.stdout.strip().split("\n\n")
+    ratios = [[float(ln.split()[-1]) for ln in study.splitlines() if "ratio" in ln]
+              for study in studies]
+    assert [len(r) for r in ratios] == [1, 1, 1, 1], run.stdout
+    assert all(3.5 <= r <= 4.5 for r in ratios[3]), run.stdout

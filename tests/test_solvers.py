@@ -164,8 +164,6 @@ def test_goursat_constant_forcing_matches_series_oracle():
     xg, yg = axes[0][1], axes[1][1]
     want = oracle_goursat_constant(1.0, 1.0, xg, yg)
     assert np.abs(u - want).max() <= 1e-6
-    assert fld.meta["series_terms"] >= 3
-    assert fld.meta["series_tail"] <= 1e-12
 
 
 def test_goursat_corner_conditions_hold():
@@ -176,14 +174,48 @@ def test_goursat_corner_conditions_hold():
     assert report["I-Pk d0u/dy0 at y=0"] <= 1e-10
 
 
-def test_goursat_series_cap_failure_is_loud():
-    # the iterated-integral terms decay like (xy)^r / (r!)^2: a box of
-    # [0, 12]^2 converges within the cap, [0, 20]^2 does not
-    spec = _goursat_spec(_const_f2)
-    spec.box = {"x": (0.0, 20.0), "y": (0.0, 20.0)}
-    rp = reduce(spec)
-    with pytest.raises(ConfigurationError, match="series truncation failure"):
-        solve_family(rp)
+def test_goursat_large_box_converges_at_second_order():
+    # [0, 20]^2, where the Bessel series of the closed form cancels: the
+    # first component against 1 - J0(2 sqrt(xy)) itself, whose trapezoid
+    # error falls 4x per halving of the step
+    devs = []
+    for nodes in (201, 401, 801):
+        spec = _goursat_spec(_const_f2, nodes=nodes)
+        spec.box = {"x": (0.0, 20.0), "y": (0.0, 20.0)}
+        fld = solve_family(reduce(spec))
+        X, Y = np.meshgrid(fld.axes[0][1], fld.axes[1][1], indexing="ij")
+        want = 1.0 - scipy.special.j0(2.0 * np.sqrt(X * Y))
+        devs.append(float(np.abs(fld.values[..., 0] - want).max()))
+        assert np.all(fld.values[..., 1] == 1.0)
+    ratios = np.array(devs[:-1]) / devs[1:]
+    assert np.all(np.abs(ratios - 4.0) <= 0.3), devs
+
+
+def _volterra(samples, xg, yg):
+    """The cumulative trapezoid double integral from the corner."""
+    return _cumulative_from_zero(_cumulative_from_zero(samples, xg, axis=0), yg, axis=1)
+
+
+@pytest.mark.parametrize("nx, ny", [(21, 37), (37, 21), (5, 5)])
+def test_goursat_sweep_solves_the_discrete_volterra_equation(rng, nx, ny):
+    # a random dense M on a box off the origin: v = V (w - M v) to rounding
+    M = matrix_operator(rng.normal(size=(3, 3)))
+    xg, yg = np.linspace(0.5, 1.7, nx), np.linspace(-1.0, 0.3, ny)
+    w = rng.normal(size=(nx, ny, 3))
+    v = solvers._goursat_sweep(M, w.copy(), xg, yg)
+    gap = np.abs(v - _volterra(w - M.apply_to_samples(v), xg, yg)).max()
+    assert gap <= 1e-12 * np.abs(v).max()
+
+
+def test_goursat_sweep_refuses_a_singular_step():
+    # A1 = diag(-64, 1) gives M = diag(-64, 0), and on 5 x 5 nodes of
+    # [0, 1]^2 dx dy / 4 = 1 / 64, so I + (dx dy / 4) M = diag(0, 1)
+    spec = _goursat_spec(_const_f2, nodes=5)
+    spec.A1 = matrix_operator(np.diag([-64.0, 1.0]))
+    with pytest.raises(ConfigurationError,
+                       match=r"I \+ \(dx dy / 4\) M invertible, but it has rank 1 < 2 "
+                             r"at nx=5, ny=5 on the box x \[0, 1\], y \[0, 1\]"):
+        solve_family(reduce(spec))
 
 
 # -- mixed-derivative family --------------------------------------------------------

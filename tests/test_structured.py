@@ -224,10 +224,11 @@ def test_apply_to_samples_holds_no_more_than_two_row_blocks(rng):
     np.testing.assert_allclose(out, samples @ op.matrix.T, rtol=1e-13, atol=1e-12)
 
 
-def test_mixed_xy_kernel_pencil_matches_its_dense_m():
-    # the mixed_xy series applies M to Chebyshev derivatives along y, arrays
-    # that are not C-ordered; with A1 = diag(1 + x), M's low-rank part does
-    # not vanish on the range of I - Q (with A1 = I it does)
+def _kernel_xy_problem(family):
+    """B = I - 3xs on a 41-node Simpson grid, A1 = diag(1 + x) and
+    f = e^(xy) (1 + s^2), reduced for family on 31 x 31 nodes of [0, 1]^2.
+    With this A1, M's low-rank part does not vanish on the range of I - Q
+    (with A1 = I it does)."""
     sp = grid_space(0.0, 1.0, 41, quadrature="simpson")
     B = make_kernel_operator(sp, "identity_minus_kernel", "3*x*s", exact_on="x")
 
@@ -235,14 +236,29 @@ def test_mixed_xy_kernel_pencil_matches_its_dense_m():
         X, Y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
         return np.exp(X * Y)[..., None] * (1.0 + sp.grid ** 2)
 
-    spec = DegenerateSystemSpec(B=B, A1=structured_operator(sp, 1.0 + sp.grid), f=f,
-                                family="mixed_xy", box={"x": (0.0, 1.0), "y": (0.0, 1.0)},
-                                grid={"nx": 31, "ny": 31})
-    rp = reduce(spec)
+    rp = reduce(DegenerateSystemSpec(B=B, A1=structured_operator(sp, 1.0 + sp.grid), f=f,
+                                     family=family, box={"x": (0.0, 1.0), "y": (0.0, 1.0)},
+                                     grid={"nx": 31, "ny": 31}))
     assert rp.M.dense is None and rp.M.U.shape[1]
+    return rp
+
+
+def test_mixed_xy_kernel_pencil_matches_its_dense_m():
+    # the mixed_xy series applies M to Chebyshev derivatives along y, arrays
+    # that are not C-ordered
+    rp = _kernel_xy_problem("mixed_xy")
     got = solve_family(rp)
     want = solve_family(replace(rp, M=_dense(rp.M)))
     assert got.meta["series_terms"] == want.meta["series_terms"] > 2
+    np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+
+
+def test_goursat_kernel_pencil_matches_its_dense_m():
+    # the goursat sweep takes (M + I / c)^-1 from M's skeleton and M times
+    # it from compose, each through whatever form it keeps
+    rp = _kernel_xy_problem("goursat")
+    got = solve_family(rp)
+    want = solve_family(replace(rp, M=_dense(rp.M)))
     np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
 
 
