@@ -29,6 +29,7 @@ import json
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,9 +37,9 @@ from .errors import (CompatibilityError, ConfigurationError, EvaluationError,
                      ParseError, UsageError)
 from .expressions import evaluate, parse, separate, variables_of
 from .reduction import FAMILIES, DegenerateSystemSpec, _mesh_coords
-from .spaces import (euclidean_space, grid_space, identity_operator,
-                     make_kernel_operator, matrix_operator, mode_space,
-                     row_blocks, structured_operator)
+from .spaces import (FACTORED_WIDTH_SHARE, euclidean_space, grid_space,
+                     identity_operator, make_kernel_operator, matrix_operator,
+                     mode_space, row_blocks, structured_operator)
 
 MODE_SAMPLE_CHUNK = 256
 NULL_MODE_TOL = 1e-9   # a column this small relative to its operator vanishes
@@ -325,6 +326,9 @@ def load_problem(path):
     if top.get("oracle") is not None:
         oracle = _kinded("oracle", _oracles(family, f, spaces[B["space"]]))(
             top["oracle"], "oracle")
+        if oracle.get("tol", tolerances["verify"]) != tolerances["verify"]:
+            _fail("oracle.tol", f"{oracle['tol']:g} differs from tolerances.verify "
+                                f"{tolerances['verify']:g}; both state the oracle's tolerance")
 
     return ProblemFile(path=str(path), family=family, spaces=spaces, B=B, A1=A1,
                        f=f, box=grid.pop("box", {}), grid=grid,
@@ -425,6 +429,17 @@ def _mode_sampler(ast, nm, mm, nquad):
     return sampler
 
 
+def _stacked(asts):
+    """The sampler of one expression per column: it takes keyword arrays
+    of one shape and stacks the expressions' values on a last axis."""
+    def sampler(**coords):
+        shape = np.broadcast_shapes(*map(np.shape, coords.values()))
+        return np.stack([np.broadcast_to(evaluate(ast, **coords), shape)
+                         for ast in asts], axis=-1)
+
+    return sampler
+
+
 def _field(srcs, family, space, grid, path):
     """The sampler of an expression-defined field on space: a file's f on
     B's codomain, or an exact oracle's components on B's domain.  It
@@ -434,7 +449,12 @@ def _field(srcs, family, space, grid, path):
     expression per coordinate of the space, stacked on the last axis;
     x, one expression with x bound to the grid space's nodes on the last
     axis; x and y, one expression through the sine transform onto the
-    modes space (_mode_sampler).  A refusal names path."""
+    modes space (_mode_sampler).  An x-bound expression that separates
+    into at most FACTORED_WIDTH_SHARE * d products a_r(axes) b_r(x)
+    (expressions.separate) also keeps them as sampler.separated: the
+    sampler of its R time factors a_r, R wide, and the (R, d) space
+    factors b_r on the grid, which the quadrature closed forms integrate
+    in place of its samples.  A refusal names path."""
     fam = FAMILIES[family]
     extra = [name for name in fam.f_vars if name not in fam.axes]
     asts = [parse(src) for src in ([srcs] if isinstance(srcs, str) else srcs)]
@@ -442,13 +462,7 @@ def _field(srcs, family, space, grid, path):
         if len(asts) != space.dim:
             _fail(path, f"needs {space.dim} components for the declared "
                         f"space, got {len(asts)}")
-
-        def sampler(**coords):
-            shape = np.broadcast_shapes(*map(np.shape, coords.values()))
-            return np.stack([np.broadcast_to(evaluate(ast, **coords), shape)
-                             for ast in asts], axis=-1)
-
-        return sampler
+        return _stacked(asts)
     if len(asts) != 1:
         _fail(path, f"family {family} takes a single expression over "
                     f"{', '.join(fam.f_vars)}, got {len(asts)}")
@@ -464,6 +478,11 @@ def _field(srcs, family, space, grid, path):
             shape = np.broadcast_shapes(xg.shape, *map(np.shape, coords.values()))
             return np.broadcast_to(evaluate(asts[0], x=xg, **coords), shape).copy()
 
+        terms = separate(asts[0], (set(fam.axes), {"x"}),
+                         int(FACTORED_WIDTH_SHARE * xg.size))
+        if terms is not None:
+            sampler.separated = (_stacked([a for a, _ in terms]), np.stack(
+                [np.broadcast_to(evaluate(b, x=xg), xg.shape) for _, b in terms]))
         return sampler
     if space.mode_shape is None:
         _fail(path, f"family {family} transforms x, y onto a modes space; "
@@ -573,7 +592,7 @@ def evaluate_oracle(pf, rp, fld, tol=None):
                   for rows in row_blocks(len(u), u[0].size))
     else:
         form = CLOSED_FORMS[desc["name"]]
-        detail, blocks = form.detail, form.reference(
+        detail, blocks = form.detail(rp.system.f), form.reference(
             rp.system.f, *(grid for _, grid in axes), rp.system.B.domain.grid)
     dev = max(float(np.abs(u[rows] - ref).max()) for rows, ref in blocks)
     return OracleOutcome(kind=kind, detail=detail, deviation=dev, tol=tol)
@@ -586,7 +605,7 @@ def evaluate_oracle(pf, rp, fld, tol=None):
 # in words and as pencil(space) -> (B, A1), None on a space it does not
 # cover, the box starts, the load-time check_f(f, path) or None, the
 # solution as reference(f, *axis grids, B's grid) -> (rows, values) blocks,
-# the report's detail, and rounding(spec) -> a bound on the rounding error
+# the report's detail(f), and rounding(spec) -> a bound on the rounding error
 # of the reference on the built problem, or None when it has none to fear
 ClosedForm = namedtuple("ClosedForm",
                         "family assumes pencil starts check_f reference detail rounding")
@@ -722,21 +741,55 @@ def _exp_weighted_integral(g_half, tgrid, steps, carry=None, decay=True):
     return out, carry
 
 
-def _oracle_blocks(f, tgrid, xgrid):
-    """(steps, nodes, f) over blocks of the time steps: f sampled on the
-    2 m + 1 half-step rows of the m steps, nodes the slice of time nodes
-    they end at, node 0 included in the first block."""
+def _oracle_blocks(f, tgrid, xgrid, project):
+    """(steps, nodes, g_half, mom_half, on_grid) over blocks of the time
+    steps.  g_half is f's time side on the 2 m + 1 half-step rows of the
+    m steps: the R time factors that _field kept as f.separated, blocked
+    R wide, or else f's samples on the grid, d wide; mom_half holds the
+    Simpson moments int s f(t, s) ds on those rows, and nodes is the
+    slice of time nodes the steps end at, node 0 included in the first
+    block.  on_grid(side, line) yields (node rows, u) a row block of u at
+    a time, u = side through f's space side (its (R, d) factors, or the
+    identity on samples) minus 3 x line, for one side row per node.  With
+    project, f's side is P f = f - 3 x int s f ds, which for the kernel
+    pencil cancels f's part along x before any time integral: on the
+    space factors when f separates, on the samples otherwise."""
+    sample, space = getattr(f, "separated", None) or (f, None)
+    moment = _weighted_space_integral(xgrid, xgrid)
+    if space is not None:
+        moment = space @ moment
+        if project:
+            space = space - 3.0 * moment[:, None] * xgrid
+        # the 3 x line term as one more factor, so that a u block is one product
+        space = np.vstack([space, -3.0 * xgrid])
     th = np.linspace(tgrid[0], tgrid[-1], 2 * len(tgrid) - 1)
-    for steps in row_blocks(len(tgrid) - 1, 2 * len(xgrid)):
-        f_half = np.asarray(f(t=th[2 * steps.start:2 * steps.stop + 1]), dtype=float)
-        yield steps, slice(steps.start + bool(steps.start), steps.stop + 1), f_half
+    for steps in row_blocks(len(tgrid) - 1, 2 * len(moment)):
+        g_half = np.asarray(sample(t=th[2 * steps.start:2 * steps.stop + 1]), dtype=float)
+        mom_half = g_half @ moment
+        if project and space is None:
+            g_half = g_half - 3.0 * mom_half[:, None] * xgrid
+        nodes = slice(steps.start + bool(steps.start), steps.stop + 1)
+        yield steps, nodes, g_half, mom_half, partial(_on_grid, nodes, space, xgrid)
 
 
-def _weighted_space_integral(f_vals, grid, weight):
-    """Composite Simpson integral of f_vals * weight over the last axis on
-    the (possibly irregular) nodes grid, as one product with the weight
-    vector; an even node count closes with Cartwright's last-interval
-    correction."""
+def _on_grid(nodes, space, xgrid, side, line):
+    # on_grid of _oracle_blocks; space, when given, ends with the row -3 x
+    if space is not None:
+        side = np.column_stack([side, line])
+    for rows in row_blocks(len(side), 2 * len(xgrid)):
+        if space is None:
+            u = side[rows]
+            u -= 3.0 * line[rows, None] * xgrid
+        else:
+            u = side[rows] @ space
+        yield slice(nodes.start + rows.start, nodes.start + rows.stop), u
+
+
+def _weighted_space_integral(grid, weight):
+    """The functional of the composite Simpson integral of samples *
+    weight over the (possibly irregular) nodes grid, as the vector whose
+    product with the samples on their last axis is the integral; an even
+    node count closes with Cartwright's last-interval correction."""
     n = len(grid)
     stop = n - 2 if n % 2 else n - 3
     h = np.diff(grid)
@@ -754,58 +807,66 @@ def _weighted_space_integral(f_vals, grid, weight):
         w[-1] += (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
         w[-2] += (b ** 2 + 3.0 * a * b) / (6 * a)
         w[-3] -= b ** 3 / (6 * a * (a + b))
-    return f_vals @ (w * weight)
+    return w * weight
 
 
 def oracle_first_order_evolution(f, tgrid, xgrid):
     """Quadrature evaluation of the exact formula
     u(t,x) = int_0^t e^(t-z) [f(z,x) - 3x int s f(z,s) ds] dz
              - 3x int s f(t,s) ds,
-    yielded as (nodes, u on them) over consecutive blocks of the time
-    nodes."""
+    on f's time side (_oracle_blocks): its separated time factors when it
+    separates, its samples otherwise; yielded as (nodes, u on them) over
+    consecutive blocks of the time nodes."""
     tgrid = np.asarray(tgrid, float)
     xgrid = np.asarray(xgrid, float)
     carry = None
-    for steps, nodes, f_half in _oracle_blocks(f, tgrid, xgrid):
-        mom_half = _weighted_space_integral(f_half, xgrid, xgrid)
-        g_half = f_half - 3.0 * mom_half[:, None] * xgrid[None, :]
-        integ, carry = _exp_weighted_integral(g_half, tgrid, steps, carry, decay=True)
-        mom_nodes = mom_half[2 * (nodes.start - steps.start)::2]
-        yield nodes, integ - 3.0 * mom_nodes[:, None] * xgrid[None, :]
+    for steps, nodes, g_half, mom_half, on_grid in _oracle_blocks(f, tgrid, xgrid, True):
+        integ, carry = _exp_weighted_integral(g_half, tgrid, steps, carry)
+        yield from on_grid(integ, mom_half[2 * (nodes.start - steps.start)::2])
 
 
 def oracle_second_order_evolution(f, tgrid, xgrid):
     """Quadrature evaluation of the exact formula
     u(t,x) = int_0^t (e^(t-s) - 1) f(s,x) ds
              - 3x int_0^t e^(t-s) [int s' f(s,s') ds'] ds,
-    yielded as (nodes, u on them) over consecutive blocks of the time
-    nodes."""
+    on f's time side (_oracle_blocks): its separated time factors when it
+    separates, its samples otherwise; yielded as (nodes, u on them) over
+    consecutive blocks of the time nodes."""
     tgrid = np.asarray(tgrid, float)
     xgrid = np.asarray(xgrid, float)
     carry = [None] * 3
-    for steps, nodes, f_half in _oracle_blocks(f, tgrid, xgrid):
-        I_exp, carry[0] = _exp_weighted_integral(f_half, tgrid, steps, carry[0], decay=True)
-        I_one, carry[1] = _exp_weighted_integral(f_half, tgrid, steps, carry[1], decay=False)
-        mom_half = _weighted_space_integral(f_half, xgrid, xgrid)
-        J, carry[2] = _exp_weighted_integral(mom_half[:, None], tgrid, steps, carry[2],
-                                             decay=True)
-        yield nodes, I_exp - I_one - 3.0 * J[:, 0][:, None] * xgrid[None, :]
+    for steps, nodes, g_half, mom_half, on_grid in _oracle_blocks(f, tgrid, xgrid, False):
+        I_exp, carry[0] = _exp_weighted_integral(g_half, tgrid, steps, carry[0])
+        I_one, carry[1] = _exp_weighted_integral(g_half, tgrid, steps, carry[1], decay=False)
+        J, carry[2] = _exp_weighted_integral(mom_half[:, None], tgrid, steps, carry[2])
+        I_exp -= I_one
+        yield from on_grid(I_exp, J[:, 0])
+
+
+def _quadrature_detail(f):
+    """The quadrature forms' detail, naming the route _oracle_blocks takes."""
+    terms = getattr(f, "separated", None)
+    route = ("f sampled" if terms is None else
+             f"f in {len(terms[1])} separated term{'s' * (len(terms[1]) > 1)}")
+    return f"sup deviation from the quadrature closed form, {route}"
 
 
 _KERNEL_PENCIL = "B = I - K with K = 3xs and A1 = -I on a grid space over [0, 1]"
-_QUADRATURE = "sup deviation from the quadrature closed form"
 
 # the one place that names the closed forms; the goursat one reads its two
-# constants from f at the corner, the time ones sample f on B's grid
+# constants from f at the corner, the time ones integrate f's separated
+# factors when it separates and sample it on B's grid otherwise
 CLOSED_FORMS = {
     "goursat_bessel": ClosedForm(
         "goursat", "B = diag(1, 0) and A1 = I on a 2-dim space, with the box "
                    "starting at x = 0, y = 0", _corner_pencil, {"x": 0.0, "y": 0.0},
         _two_constants, lambda f, xg, yg, _: [(slice(None), oracle_goursat_constant(
             *f(x=0.0, y=0.0), xg, yg))],
-        "sup deviation from the series closed form", _bessel_rounding),
+        lambda f: "sup deviation from the series closed form", _bessel_rounding),
     "evolution1_quadrature": ClosedForm("evolution1", _KERNEL_PENCIL, _kernel_pencil, {}, None,
-                                        oracle_first_order_evolution, _QUADRATURE, None),
+                                        oracle_first_order_evolution, _quadrature_detail,
+                                        None),
     "evolution2_quadrature": ClosedForm("evolution2", _KERNEL_PENCIL, _kernel_pencil, {}, None,
-                                        oracle_second_order_evolution, _QUADRATURE, None),
+                                        oracle_second_order_evolution, _quadrature_detail,
+                                        None),
 }

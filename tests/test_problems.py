@@ -1,8 +1,10 @@
 """Problem-file loading, validation messages, overrides, and oracles."""
 
 import copy
+import functools
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,8 @@ from degenpde.errors import (CompatibilityError, ConfigurationError,
                              EvaluationError, ParseError, UsageError)
 from degenpde.expressions import parse
 from degenpde.problems import (_mode_sampler, evaluate_oracle, instantiate,
-                               load_problem)
+                               load_problem, oracle_first_order_evolution,
+                               oracle_second_order_evolution)
 from degenpde.reduction import FAMILIES, reduce
 from degenpde.solvers import solve_family
 
@@ -348,7 +351,8 @@ def test_mode_residual_oracle_follows_the_space_not_the_family(problems_dir, tmp
     # the goursat corner problem declared on a (2, 1) mode table
     raw = json.loads((problems_dir / "example1.json").read_text(encoding="utf-8"))
     path = _dump(tmp_path, _variant(raw, spaces={"state": {"kind": "modes", "shape": [2, 1]}},
-                                    oracle={"kind": "mode_residual", "tol": 1e-4}))
+                                    oracle={"kind": "mode_residual", "tol": 1e-4},
+                                    tolerances={"verify": 1e-4}))
     assert main(["verify", str(path)]) == 0
     assert "kind=mode_residual" in capsys.readouterr().out
 
@@ -592,7 +596,7 @@ def test_exact_oracle_binds_x_to_the_grid_nodes(problems_dir, tmp_path, capsys, 
     # f = x solves to u = -x under evolution1 and to u = -x t under evolution2
     raw = json.loads((problems_dir / f"{name}.json").read_text(encoding="utf-8"))
     path = _dump(tmp_path, _variant(raw, oracle={"kind": "exact", "components": [component],
-                                                 "tol": 1e-10}))
+                                                 "tol": 1e-10}, tolerances={"verify": 1e-10}))
     assert main(["verify", str(path)]) == 0
     assert "kind=exact" in capsys.readouterr().out
 
@@ -605,7 +609,7 @@ def test_exact_oracle_component_count_is_an_input_error(problems_dir, tmp_path, 
                                                         name, components, want):
     raw = json.loads((problems_dir / f"{name}.json").read_text(encoding="utf-8"))
     path = _dump(tmp_path, _variant(raw, oracle={"kind": "exact", "components": components,
-                                                 "tol": 1e-10}))
+                                                 "tol": 1e-10}, tolerances={"verify": 1e-10}))
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: oracle.components: {want}")
@@ -619,7 +623,7 @@ def test_exact_oracle_components_are_refused_before_any_stage_runs(problems_dir,
     # to the structure, the solve or the CSV with a wrong component count
     raw = json.loads((problems_dir / "example2.json").read_text(encoding="utf-8"))
     path = _dump(tmp_path, _variant(raw, oracle={"kind": "exact", "components": ["-x", "x"],
-                                                 "tol": 1e-10}))
+                                                 "tol": 1e-10}, tolerances={"verify": 1e-10}))
     with pytest.raises(ConfigurationError, match="oracle.components"):
         instantiate(load_problem(path))
 
@@ -656,6 +660,107 @@ def test_oracle_tolerance_override_sets_the_verdict(problems_dir):
     strict = evaluate_oracle(pf, rp, fld, tol=1e-30)
     assert strict.tol == 1e-30
     assert not strict.passed
+
+
+def test_oracle_tol_and_tolerances_verify_must_agree(problems_dir, tmp_path, capsys):
+    # both keys state the oracle's tolerance; a file that gives two
+    # values is refused rather than silently using one
+    raw = json.loads((problems_dir / "example7.json").read_text(encoding="utf-8"))
+    path = _dump(tmp_path, _variant(raw, tolerances={"verify": 1e-6}))
+    with pytest.raises(ConfigurationError, match=r"^oracle.tol: 1e-11 differs from "
+                                                 r"tolerances.verify 1e-06"):
+        load_problem(path)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: oracle.tol: 1e-11 differs from tolerances.verify 1e-06")
+    assert load_problem(problems_dir / "example7.json").oracle["tol"] == 1e-11
+
+
+def _oracle_routes(problems_dir, name, dt, monkeypatch):
+    """The reference of both evolution oracles on one bundled problem, on
+    the separated route and on the sampled one (problems.separate patched
+    to find no separation), with the node slices each route yielded."""
+    pf = load_problem(problems_dir / f"{name}.json")
+    out = []
+    for route in ("separated", "sampled"):
+        if route == "sampled":
+            monkeypatch.setattr(problems, "separate", lambda *args: None)
+        spec = instantiate(pf, dt=dt)
+        assert (getattr(spec.f, "separated", None) is None) == (route == "sampled")
+        nt = round((spec.box["t"][1] - spec.box["t"][0]) / spec.grid["dt"])
+        tgrid = np.linspace(*spec.box["t"], nt + 1)
+        for oracle in (oracle_first_order_evolution, oracle_second_order_evolution):
+            blocks = list(oracle(spec.f, tgrid, spec.B.domain.grid))
+            out.append((route, oracle.__name__, blocks, nt + 1))
+    monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("dt", [None, 0.00025])
+@pytest.mark.parametrize("name", ["example2", "example3", "example7"])
+def test_separated_and_sampled_oracle_routes_agree(problems_dir, monkeypatch, name, dt):
+    refs = {}
+    for route, oracle, blocks, n_nodes in _oracle_routes(problems_dir, name, dt, monkeypatch):
+        # every time node is yielded once, in order
+        seen = np.concatenate([np.arange(n_nodes)[nodes] for nodes, _ in blocks])
+        assert np.array_equal(seen, np.arange(n_nodes))
+        refs.setdefault(oracle, {})[route] = np.concatenate([ref for _, ref in blocks])
+    for oracle, ref in refs.items():
+        want = ref["separated"]
+        assert np.abs(ref["sampled"] - want).max() <= 1e-12 * np.abs(want).max(), oracle
+
+
+@pytest.mark.parametrize("name", ["example2", "example3"])
+def test_an_f_that_does_not_separate_is_sampled_by_the_oracle(problems_dir, tmp_path,
+                                                                capsys, name):
+    raw = json.loads((problems_dir / f"{name}.json").read_text(encoding="utf-8"))
+    path = _dump(tmp_path, _variant(raw, f="sin(3*t*x)"))
+    assert getattr(instantiate(load_problem(path)).f, "separated", None) is None
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "detail=sup deviation from the quadrature closed form, f sampled\n" in out
+    assert "verdict=pass" in out
+
+
+@pytest.mark.parametrize("name, terms", [("example2", "1 separated term"),
+                                         ("example7", "2 separated terms")])
+def test_a_separated_f_is_never_sampled_by_the_oracle(problems_dir, name, terms):
+    # the solver samples f; the oracle integrates its time factors only
+    pf = load_problem(problems_dir / f"{name}.json")
+    rp = reduce(instantiate(pf))
+    fld = solve_family(rp)
+    calls = []
+    sampler = rp.system.f
+
+    @functools.wraps(sampler)
+    def spy(**coords):
+        calls.append(coords)
+        return sampler(**coords)
+
+    rp.system.f = spy
+    outcome = evaluate_oracle(pf, rp, fld)
+    assert calls == []
+    assert outcome.detail == f"sup deviation from the quadrature closed form, f in {terms}"
+    assert outcome.passed
+
+
+def test_separated_oracle_peak_stays_at_or_below_the_sampled_one(problems_dir, monkeypatch):
+    # example3 at dt 2.5e-4, u = 8001 x 201: both routes hold blocks of u
+    # rows, the separated one beside an R-wide time side
+    pf = load_problem(problems_dir / "example3.json")
+    peaks = []
+    for route in ("separated", "sampled"):
+        if route == "sampled":
+            monkeypatch.setattr(problems, "separate", lambda *args: None)
+        rp = reduce(instantiate(pf, dt=0.00025))
+        fld = solve_family(rp)
+        tracemalloc.start()
+        try:
+            evaluate_oracle(pf, rp, fld)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_missing_oracle_is_an_error(tmp_path):

@@ -514,7 +514,7 @@ def test_weighted_space_integral_matches_scipy_bitwise(n, rng):
     # take the last-interval correction, which no bundled problem reaches
     for grid in (np.linspace(0.0, 1.0, n), np.sort(rng.uniform(-1.0, 2.0, n))):
         eye = np.eye(n)
-        weights = _weighted_space_integral(eye, grid, np.ones(n))
+        weights = eye @ _weighted_space_integral(grid, np.ones(n))
         assert np.array_equal(weights, simpson(eye, x=grid, axis=-1))
 
 
@@ -528,7 +528,7 @@ def test_weighted_space_integral_of_data_matches_scipy_to_rounding(n, rng):
             for shape in ((n,), (7, n), (3, 4, n)):
                 f_vals = rng.standard_normal(shape)
                 weight = rng.standard_normal(n)
-                got = _weighted_space_integral(f_vals, grid, weight)
+                got = f_vals @ _weighted_space_integral(grid, weight)
                 want = simpson(f_vals * weight, x=grid, axis=-1)
                 assert np.shape(got) == np.shape(want)
                 scale = np.abs(f_vals) @ np.abs(weights * weight)
