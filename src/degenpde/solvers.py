@@ -14,9 +14,11 @@ in M, a scalar plus a rank-k core when M = c I + U V^T or a diagonal (a
 step costs O(d k)), folded into matrices otherwise.  evolution2 recovers v
 from v' with RK4's own weights and a cumsum.  Every back-end applies M
 through its factors.
-The time back-end samples f once, a block of half-step rows at a time
+An f kept as R separated terms a_r(t) b_r(x) on an M = c I + U V^T
+marches R + k wide, in a span M maps into itself, and is never sampled;
+any other f is sampled once, a block of half-step rows at a time
 (spaces.row_blocks), and each block feeds the march's forcing, the beta
-rows and the compatibility projection; the march holds its state one
+rows and the compatibility projection.  The march holds its state one
 chunk of steps at a time, and u is written over v, so that the solve
 holds one u-sized array, never f.
 The mixed_xy fit's degree and tolerance are module constants.  Each
@@ -41,7 +43,8 @@ from .reduction import (FAMILIES, _sample_f, beta_tables, compat_projection,
                         compat_residual, equation_residual,
                         reconstruct_solution, rhs_projection,
                         solve_C_recurrence)
-from .spaces import BLOCK, FACTORED_WIDTH_SHARE, compose, row_blocks
+from .spaces import (BLOCK, FACTORED_WIDTH_SHARE, FiniteOperator, compose,
+                     euclidean_space, row_blocks)
 
 MIXED_FIT_DEGREE = 32
 MIXED_FIT_TOL = 1e-10
@@ -456,28 +459,40 @@ def _solve_time(rp):
 
     The regular part v^(r) = g - M v^(s), g = (I - Q) f, marches with
     RK4's step map on the companion state (`_march`), for evolution2 v'
-    and then v by RK4's quadrature of v'.  f is sampled once, on the
-    blocks of half-step rows the march asks for, and each block fills its
-    rows of beta and of the compatibility projection (at the nodes, the
-    even rows) as it projects g.
+    and then v by RK4's quadrature of v', once _refuse_unstable_step has
+    passed h.  An f kept as separated terms (f.separated) on an
+    M = c I + U V^T marches R + k wide and is never sampled
+    (_separated_march); any other f is sampled once, d wide, on the blocks
+    of half-step rows the march asks for, and each block fills its rows of
+    beta and of the compatibility projection (at the nodes, the even rows)
+    as it projects g.  The meta's "march" names the route.
     The C-recursion runs on the half-step grid, inverting L1 = D_t^s by
     identity or Simpson."""
-    spec, js = rp.system, rp.js
+    spec, js, M = rp.system, rp.js, rp.M
     (r,), (s,) = FAMILIES[spec.family].L
     tgrid = _time_grid(spec)
     th = _half_grid(tgrid)
-    beta = np.empty((len(th), js.k))
-    f_psi = np.empty((len(tgrid), js.psi_extra.shape[1]))
+    if r - s == 1:
+        _refuse_unstable_step(M, float(tgrid[1] - tgrid[0]))
+    terms = getattr(spec.f, "separated", None)
+    if terms is not None and M.dense is None and np.all(M.diag == M.diag[0]):
+        v, beta, f_psi = _separated_march(rp, r, s, terms, tgrid, th)
+        R = len(terms[1])
+        route = f"f in {R} separated term{'s' * (R > 1)}, width {R + M.U.shape[1]}"
+    else:
+        beta = np.empty((len(th), js.k))
+        f_psi = np.empty((len(tgrid), js.psi_extra.shape[1]))
 
-    def projected(rows):
-        f = _sample_f(spec, [("t", th)], rows)
-        beta[rows] = beta_tables(rp, f)
-        f_psi[(rows.start + 1) // 2:(rows.stop + 1) // 2] = compat_projection(
-            rp, f[rows.start % 2::2])
-        return rhs_projection(rp, f)
+        def projected(rows):
+            f = _sample_f(spec, [("t", th)], rows)
+            beta[rows] = beta_tables(rp, f)
+            f_psi[(rows.start + 1) // 2:(rows.stop + 1) // 2] = compat_projection(
+                rp, f[rows.start % 2::2])
+            return rhs_projection(rp, f)
 
-    # the march asks for every row, so beta and f_psi are whole when it returns
-    v = _march(rp.M, r, s, projected, tgrid)
+        # the march asks for every row, so beta and f_psi are whole when it returns
+        v = _march(M, r, s, projected, tgrid)
+        route = f"f sampled, width {M.domain.dim}"
     # chains of length > 1 differentiate the projections repeatedly; the
     # half-step grid and 4th-order stencils keep the C error at the RK4
     # scale, and the Simpson lead matches the RK4 stage accuracy
@@ -485,7 +500,76 @@ def _solve_time(rp):
             else (lambda rhs: _cumulative_simpson_half(rhs, th)))
     C_half = solve_C_recurrence(rp, beta, [("t", th)], lead, accuracy=4)
     return ([("t", tgrid)], f_psi, v, C_half[::2],
-            {"dt": float(tgrid[1] - tgrid[0])})
+            {"dt": float(tgrid[1] - tgrid[0]), "march": route})
+
+
+def _separated_march(rp, r, s, terms, tgrid, th):
+    """v, beta and f_psi for f = a(t) B, B the (R, d) space factors, on
+    M = c I + U V^T.  The rows of E = [G ; U^T], G the rows (I - Q) b_r,
+    span a space M maps into itself: M G^T = c G^T + U (V^T G^T) and
+    M U = U (c I + V^T U).  So v = y E, y marching the same equation with
+    forcing [a(t), 0] and the w x w map c I + [0 ; I_k] [G V ; U^T V]^T,
+    w = R + k; RK4, invariant under linear changes of variables (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.1), gives the v of the d-wide
+    march up to rounding.  beta and f_psi are a(t) times the projections
+    of B; v is written a row block at a time."""
+    M, (time, space) = rp.M, terms
+    a = np.asarray(time(t=th), dtype=float)
+    E = np.vstack([rhs_projection(rp, space), M.U.T])
+    (w, d), k = E.shape, M.U.shape[1]
+    couple = np.zeros((w, k))
+    couple[w - k:] = np.eye(k)
+    sub = euclidean_space(w)
+    reduced = FiniteOperator(None, sub, sub, np.full(w, M.diag[0]), couple, E @ M.V)
+    forcing = np.zeros((len(th), w))
+    forcing[:, :len(space)] = a
+    y = _march(reduced, r, s, forcing.__getitem__, tgrid)
+    v = np.empty((len(tgrid), d))
+    for rows in row_blocks(len(v), d):
+        v[rows] = np.dot(y[rows], E)
+    return v, a @ beta_tables(rp, space), a[::2] @ compat_projection(rp, space)
+
+
+def _rk4_stable(z):
+    """|R(z)| <= 1 for RK4's stability polynomial R, with a rounding slack:
+    on the imaginary axis |R| = 1 - O(z^6) near 0."""
+    return np.abs(1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24)))) <= 1 + 1e-12
+
+
+def _refuse_unstable_step(M, h):
+    """Refuse a step h at which RK4 amplifies a mode the equation damps:
+    |R(-h mu)| > 1 for an eigenvalue mu of M with Re mu >= 0, the marched
+    state being first order in t (r - s = 1).  The eigenvalues come from
+    M's factors: c and c + eig(V^T U) for M = c I + U V^T, the entries of
+    a diagonal, eigvals otherwise.  RK4's region reaches 2.6 to 3 along
+    each ray of the left half-plane and is star-shaped there, so a step
+    with h d max|M_ij| <= 2.6, a bound on h |mu|, passes without them, and
+    the largest stable step, which the refusal names, is the least reach
+    over |mu|, each reach found by bisection."""
+    if h * M.domain.dim * M.entry_bound() <= 2.6:
+        return
+    if M.dense is None and not M.U.shape[1]:
+        mu = M.diag
+    elif M.dense is None and np.all(M.diag == M.diag[0]):
+        mu = np.append(np.linalg.eigvals(M.V.T @ M.U) + M.diag[0], M.diag[0])
+    else:
+        mu = np.linalg.eigvals(M.matrix)
+    mu = mu[(mu.real >= 0) & (mu != 0)]
+    if _rk4_stable(-h * mu).all():
+        return
+    unit, lo, hi = mu / np.abs(mu), np.zeros(len(mu)), np.full(len(mu), 3.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ok = _rk4_stable(-mid * unit)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    largest = float((lo / np.abs(mu)).min())
+    # three significant digits, rounded down so that the step named is stable
+    scale = 10.0 ** (math.floor(math.log10(largest)) - 2)
+    raise ConfigurationError(
+        f"time step {h:g} is outside RK4's stability region on a decaying "
+        f"mode of M (|mu| up to {float(np.abs(mu).max()):.3g}); the largest "
+        f"stable step is {math.floor(largest / scale) * scale:.3g}: pass a --dt "
+        "at or below it that divides the horizon")
 
 
 # ---------------------------------------------------------------------------

@@ -580,11 +580,11 @@ REPORT_KEYS = {
         ["dx", "dy"],
         ["I-Pk d0u/dx0 at x", "I-Pk d0u/dy0 at y"]),
     "example2.json": _report_keys(
-        "1*D0", "1", 1, ["I-Pk d^0u on t"], ["dt", "output_stride_t"],
+        "1*D0", "1", 1, ["I-Pk d^0u on t"], ["dt", "march", "output_stride_t"],
         ["I-Pk d0u/dt0 at t"]),
     "example3.json": _report_keys(
         "1*D0^2", "1*D0", 1, ["I d^0u on t", "I-Pk d^1u on t"],
-        ["dt", "output_stride_t"], ["I d0u/dt0 at t", "I-Pk d1u/dt1 at t"]),
+        ["dt", "march", "output_stride_t"], ["I d0u/dt0 at t", "I-Pk d1u/dt1 at t"]),
     "example4.json": _report_keys(
         "1*D0^2", "1*D1", 1,
         ["I-Pk d^0u on x", "I-Pk d^1u on x", "Pk d^0u on y"],
@@ -593,7 +593,7 @@ REPORT_KEYS = {
     "example5.json": _report_keys(
         "1*D0^3", "1", 16,
         ["I-Pk d^0u on t", "I-Pk d^1u on t", "I-Pk d^2u on t"],
-        ["dt", "lambda", "mode_residual", "modes", "output_stride_t"],
+        ["dt", "lambda", "march", "mode_residual", "modes", "output_stride_t"],
         ["I-Pk d0u/dt0 at t", "I-Pk d1u/dt1 at t", "I-Pk d2u/dt2 at t"]),
 }
 

@@ -719,13 +719,16 @@ def test_an_f_that_does_not_separate_is_sampled_by_the_oracle(problems_dir, tmp_
     assert main(["verify", str(path)]) == 0
     out = capsys.readouterr().out
     assert "detail=sup deviation from the quadrature closed form, f sampled\n" in out
+    # the solver takes its sampled route too
+    assert "march=f sampled, width 201\n" in out
     assert "verdict=pass" in out
 
 
 @pytest.mark.parametrize("name, terms", [("example2", "1 separated term"),
                                          ("example7", "2 separated terms")])
 def test_a_separated_f_is_never_sampled_by_the_oracle(problems_dir, name, terms):
-    # the solver samples f; the oracle integrates its time factors only
+    # the oracle integrates f's time factors only (the solver's own route
+    # has its test in test_solvers)
     pf = load_problem(problems_dir / f"{name}.json")
     rp = reduce(instantiate(pf))
     fld = solve_family(rp)

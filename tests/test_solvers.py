@@ -1,5 +1,7 @@
 """Family solvers against closed forms, plus the numerical helpers."""
 
+import functools
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,19 +11,22 @@ from scipy.integrate import cumulative_trapezoid, simpson
 
 from degenpde import solvers, spaces
 from degenpde.chains import apply_schmidt_inverse
+from degenpde.cli import main
 from degenpde.errors import (CompatibilityError, ConfigurationError,
                              EvaluationError, UsageError)
-from degenpde.problems import (_exp_weighted_integral, _weighted_space_integral,
+from degenpde.problems import (_exp_weighted_integral, _field, _weighted_space_integral,
                                bessel_like_sum, evaluate_oracle, instantiate,
                                load_problem, oracle_first_order_evolution,
                                oracle_goursat_constant,
                                oracle_second_order_evolution)
 from degenpde.reduction import (FAMILIES, DegenerateSystemSpec, equation_residual,
-                                reduce, residual_check)
+                                reconstruct_solution, reduce, residual_check,
+                                rhs_projection)
 from degenpde.solvers import (CSV_BLOCK, SolutionField, _block_length,
                               _cumulative_from_zero,
                               _cumulative_simpson_half, _half_grid, _march,
-                              _scan, _time_grid, check_spectral_parameter,
+                              _refuse_unstable_step, _scan, _separated_march,
+                              _time_grid, check_spectral_parameter,
                               solve_family, write_solution_csv)
 from degenpde.spaces import (FACTORED_WIDTH_SHARE, euclidean_space, grid_space,
                              matrix_operator, mode_space, structured_operator)
@@ -830,6 +835,141 @@ def test_time_family_stages_hold_one_solution_and_blocks(problems_dir):
         assert fld.values.shape == (16001, 201)
         assert peaks[0] <= 1.3 * u, name
         assert max(peaks[1:]) <= 0.25 * u, name
+
+
+# -- the march of a separated f in an M-invariant subspace ---------------------
+
+def _spy(rp):
+    """Replace rp's f by a wrapper, as the bench tracer wraps it (its
+    attributes, separated among them, copied), that records every call."""
+    calls, sampler = [], rp.system.f
+
+    @functools.wraps(sampler)
+    def spy(**coords):
+        calls.append(coords)
+        return sampler(**coords)
+
+    rp.system.f = spy
+    return calls
+
+
+@pytest.mark.parametrize("dt", [None, 0.00025])
+@pytest.mark.parametrize("name, width", [("example2", 2), ("example3", 2),
+                                         ("example7", 3)])
+def test_separated_and_sampled_march_routes_agree(problems_dir, monkeypatch, name, width, dt):
+    # the separated route never calls f; with f.separated taken away the
+    # solve samples f, d wide, and gives the same u up to rounding
+    rp = reduce(instantiate(load_problem(problems_dir / f"{name}.json"), dt=dt))
+    calls = _spy(rp)
+    separated = solve_family(rp)
+    R = width - 1
+    assert separated.meta["march"] == (
+        f"f in {R} separated term{'s' * (R > 1)}, width {width}")
+    assert calls == []
+    monkeypatch.delattr(rp.system.f, "separated")
+    sampled = solve_family(rp)
+    assert sampled.meta["march"] == "f sampled, width 201"
+    assert calls
+    want = sampled.values
+    assert np.abs(separated.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _separated_kernel_spec(A1=None, family="evolution1"):
+    """The bundled kernel evolution pencil with A1 replaced, and the
+    compiled f = 1 + sin(t) x^2, which keeps its two separated terms."""
+    spec = kernel_evolution_spec(family, None)
+    spec.f = _field("1 + sin(t)*x^2", family, spec.B.domain, {}, "f")
+    assert spec.f.separated[1].shape == (2, 201)
+    if A1 is not None:
+        spec.A1 = A1
+    return spec
+
+
+@pytest.mark.parametrize("family", ["evolution1", "evolution2"])
+def test_the_separated_march_couples_through_g_v(monkeypatch, family):
+    # on the bundled kernel pencils V^T (I - Q) = 0, so the block G V of
+    # the reduced map is 0 there; a low-rank part of A1 makes it nonzero
+    # (k = 2, w = 4), and the two routes still agree
+    sp = grid_space(0.0, 1.0, 201, "simpson")
+    spec = _separated_kernel_spec(structured_operator(
+        sp, np.full(201, -1.0), 0.3 * (1 + sp.grid)[:, None], (sp.weights * sp.grid ** 2)[:, None]),
+        family)
+    rp = reduce(spec)
+    assert np.abs(rhs_projection(rp, spec.f.separated[1]) @ rp.M.V).max() > 1.0
+    separated = solve_family(rp)
+    assert separated.meta["march"] == "f in 2 separated terms, width 4"
+    monkeypatch.delattr(spec.f, "separated")
+    want = solve_family(rp).values
+    assert np.abs(separated.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_an_m_with_a_varying_diagonal_samples_f():
+    # M = (I - Q) A1 Bplus keeps factors, but diag(A1) varies, so the span
+    # of the rows of E is not invariant: the reduced march would miss v
+    sp = grid_space(0.0, 1.0, 201, "simpson")
+    spec = _separated_kernel_spec(structured_operator(sp, -1.0 - 0.5 * sp.grid))
+    rp = reduce(spec)
+    assert rp.M.dense is None and np.ptp(rp.M.diag) > 0
+    calls = _spy(rp)
+    fld = solve_family(rp)
+    assert fld.meta["march"] == "f sampled, width 201"
+    assert calls
+    tgrid = _time_grid(spec)
+    v = _separated_march(rp, 1, 0, spec.f.separated, tgrid, _half_grid(tgrid))[0]
+    assert np.abs(reconstruct_solution(rp, v, np.zeros((len(tgrid), rp.js.k)))
+                  - fld.values).max() > 1e-3
+
+
+def test_a_dense_m_samples_f_and_matches_its_factored_twin():
+    sp = grid_space(0.0, 1.0, 201, "simpson")
+    dense = reduce(_separated_kernel_spec(matrix_operator(-np.eye(201), sp, sp)))
+    assert dense.M.dense is not None
+    calls = _spy(dense)
+    got = solve_family(dense)
+    assert got.meta["march"] == "f sampled, width 201" and calls
+    want = solve_family(reduce(_separated_kernel_spec()))
+    assert want.meta["march"] == "f in 2 separated terms, width 3"
+    assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+
+
+@pytest.mark.parametrize("family", ["evolution1", "evolution2"])
+def test_a_step_outside_rk4s_stability_region_is_refused(problems_dir, tmp_path,
+                                                         monkeypatch, capsys, family):
+    # the trapezoid rule without exact_on leaves B = I - K_h nearly singular:
+    # M has mu = 8.0e4, so h mu = 80 at dt 1e-3; no route may start
+    raw = json.loads((problems_dir / "example2.json").read_text(encoding="utf-8"))
+    raw["spaces"]["state"]["quadrature"] = "trapezoid"
+    del raw["B"]["exact_on"], raw["oracle"]
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({**raw, "family": family}), encoding="utf-8")
+    monkeypatch.setattr(solvers, "_march", None)
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "time step 0.001 is outside RK4's stability region" in err
+    assert "|mu| up to 8e+04" in err
+    assert "the largest stable step is 3.48e-05: pass a --dt" in err
+
+
+def test_the_refusal_names_the_largest_stable_step():
+    sp = euclidean_space(4)
+    U = np.zeros((4, 1))
+    U[0] = 1.0
+    rot = np.array([[0.0, -100.0], [100.0, 0.0]])
+    cases = [
+        # real mu = 1000: RK4 reaches 2.7853 along the negative real axis
+        (structured_operator(sp, np.array([1000.0, 1.0, -5.0, 0.0])), 2.78e-3),
+        # mu = 2 + 998 from the factors c and c + V^T U
+        (structured_operator(sp, np.full(4, 2.0), U, 998.0 * U), 2.78e-3),
+        # mu = +-100 i: RK4 reaches sqrt(8) along the imaginary axis
+        (matrix_operator(np.block([[rot, np.zeros((2, 2))],
+                                   [np.zeros((2, 2)), np.eye(2)]])), 2.82e-2),
+    ]
+    for M, largest in cases:
+        _refuse_unstable_step(M, largest)
+        with pytest.raises(ConfigurationError, match=f"largest stable step is {largest:.3g}:"):
+            _refuse_unstable_step(M, 1.01 * largest)
+    # modes the equation grows (Re mu < 0) are RK4's to grow too
+    _refuse_unstable_step(structured_operator(sp, np.full(4, -1e6)), 1.0)
 
 
 def test_bessel_like_sum_matches_scipy():
